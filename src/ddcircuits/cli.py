@@ -12,7 +12,8 @@ Exit codes:
   3   ``ocnp``: the LP optimum is not unique
   4   the LP is infeasible
   5   the LP (or the improvement) is unbounded
-  64  usage error: malformed file, malformed point, bad dimensions
+  64  usage error: bad command line or DDCIRCUITS_WORK_BUDGET, malformed
+      file, malformed point, bad dimensions
   65  the system is not pointed
   66  a size guard rejected the instance (work budget exceeded)
   70  the augmentation iteration cap was hit
@@ -26,6 +27,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 
 from .circuits import DEFAULT_WORK_BUDGET, enumerate_circuits
@@ -69,6 +71,25 @@ EXIT_NOT_POINTED = 65
 EXIT_SIZE_GUARD = 66
 EXIT_ITERATION_CAP = 70
 
+_NON_NEGATIVE_INT_RE = re.compile(r"[0-9]+")
+
+
+class _UsageError(Exception):
+    """A command line argparse rejected; reported with EXIT_USAGE."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse exits with 2 on a bad command line, which is the ocnp
+    # "already the unique optimum" code; raise so main() can exit 64.
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+def _non_negative_int(text: str) -> int:
+    if not _NON_NEGATIVE_INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
@@ -105,7 +126,9 @@ def cmd_solve(args) -> int:
         doc = {"status": "unbounded", "direction": format_point(outcome.direction)}
         _emit(args, doc, ["status: unbounded", f"direction: {doc['direction']}"])
         return EXIT_UNBOUNDED
-    report = verify_unique(inst.polyhedron, inst.objective, outcome.vertex)
+    report = verify_unique(
+        inst.polyhedron, inst.objective, outcome.vertex, optimum=outcome
+    )
     doc = {
         "status": "optimal",
         "x": format_point(outcome.vertex),
@@ -391,7 +414,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ddcircuits",
         description="Exact-rational circuit-step toolkit for pointed polyhedra.",
     )
@@ -403,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--work-budget",
-            type=int,
-            default=_default_budget(),
-            help="work budget for enumeration-backed oracles",
+            type=_non_negative_int,
+            help="work budget for enumeration-backed oracles "
+            "(default: $DDCIRCUITS_WORK_BUDGET, else the built-in budget)",
         )
 
     p = sub.add_parser("solve", help="solve the LP: optimum, value, uniqueness")
@@ -443,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_point", required=True, metavar="PT")
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--trace", metavar="OUT.csv", help="write the step trace as CSV")
-    p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--max-iters", type=_non_negative_int, default=10_000)
     add_common(p)
     p.set_defaults(handler=cmd_augment)
 
@@ -476,15 +499,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _default_budget() -> int:
     raw = os.environ.get("DDCIRCUITS_WORK_BUDGET")
-    if raw is not None and raw.isdigit():
-        return int(raw)
-    return DEFAULT_WORK_BUDGET
+    if raw is None:
+        return DEFAULT_WORK_BUDGET
+    if not _NON_NEGATIVE_INT_RE.fullmatch(raw):
+        raise ValueError(
+            f"DDCIRCUITS_WORK_BUDGET must be a non-negative integer, got {raw!r}"
+        )
+    return int(raw)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        if args.work_budget is None:
+            args.work_budget = _default_budget()
         return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,15 @@ current optimum have rank below n, it moves along a kernel direction of
 the active system until one more independent row becomes active.  Each
 step keeps feasibility and the objective value, and raises the active
 rank, so at most n steps reach a true vertex.
+
+Uniqueness of an optimum x* is decided with one more LP (Mangasarian,
+LAA 1979; Appa, JORS 2002).  Let I be the B-rows active at x*.  The
+optimal face is {x*} exactly when the cone {w : Aw = 0, c.w = 0,
+B_I w <= 0} is {0}.  If [A; B_I] has a kernel, x* is not a vertex and a
+kernel direction already leaves it within the optimal face.  Otherwise the
+cone is pointed, and one LP over its slice -1^T B_I w <= 1 maximizes
+-1^T B_I w, a quantity that is positive on every nonzero cone vector; its
+optimum is 0 exactly when the cone is {0}.
 """
 
 from __future__ import annotations
@@ -107,25 +116,41 @@ def _bland(rows, rhs, cost, basis, ncols):
         _pivot(rows, rhs, cost, basis, leave, enter)
 
 
+def _kernel_step(
+    P: Polyhedron, x: Point, act: tuple[int, ...]
+) -> Optional[tuple[RatVec, Rat]]:
+    """A direction w and step beta > 0 along the kernel of [A; B_act].
+
+    ``act`` lists the B-rows active at x.  Returns None when that kernel
+    is trivial, i.e. x is a vertex.  Otherwise w is the first kernel
+    vector, or its negation when only the negation is bounded, so
+    x + beta*w is feasible and makes one more independent row active.
+    P must be pointed.
+    """
+    ker = kernel_basis(vstack(P.A, P.B.take_rows(act)))
+    if not ker:
+        return None
+    w = ker[0]
+    beta = max_step(P, x, w)
+    if beta is UNBOUNDED:
+        w = -w
+        beta = max_step(P, x, w)
+        if beta is UNBOUNDED:
+            raise AssertionError("feasible line found in a pointed polyhedron")
+    return w, beta
+
+
 def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     """Walk within the optimal face until the active system has rank n."""
     for _ in range(P.n + P.B.m + 1):
-        act = active_rows(P, x)
-        stacked = vstack(P.A, P.B.take_rows(act))
-        ker = kernel_basis(stacked)
-        if not ker:
+        step = _kernel_step(P, x, active_rows(P, x))
+        if step is None:
             return x
-        w = ker[0]
+        w, beta = step
         if c.dot(w) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
             )
-        beta = max_step(P, x, w)
-        if beta is UNBOUNDED:
-            w = -w
-            beta = max_step(P, x, w)
-            if beta is UNBOUNDED:
-                raise AssertionError("feasible line found in a pointed polyhedron")
         x = x + beta * w
     raise AssertionError("purification failed to reach a vertex")
 
@@ -210,37 +235,55 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     return LpOptimal(x, c.dot(x))
 
 
-def verify_unique(P: Polyhedron, c: RatVec, xstar: Point) -> UniquenessReport:
+def verify_unique(
+    P: Polyhedron, c: RatVec, xstar: Point, *, optimum: Optional[LpOptimal] = None
+) -> UniquenessReport:
     """Decide whether xstar is the only optimum of min c over P.
 
-    The optimal face {x in P : c.x = c.xstar} is probed by minimizing and
-    maximizing every coordinate over it (2n auxiliary LPs); the face is a
-    single point exactly when all 2n extremes coincide with xstar.  An
-    unbounded probe direction also certifies non-uniqueness.  Passing a
-    non-optimal xstar is a usage error.
+    ``optimum`` is the caller's ``solve_lp(P, c)`` outcome; without it the
+    LP is solved here once to learn the optimal value.  Passing an
+    infeasible or non-optimal xstar is a usage error (ValueError), and P
+    must be pointed.
+
+    With I the B-rows active at xstar: a nonzero kernel vector w of
+    [A; B_I] means xstar is not a vertex, and the witness is the point
+    where the ray from xstar along w (or -w) leaves P.  Otherwise one LP
+    minimizes (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0,
+    B_I w <= 0, -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is
+    unique; else its vertex w is a nonzero direction of the optimal face,
+    and the witness is xstar + max_step*w, or xstar + w when the optimal
+    face is unbounded along w.
     """
+    if not P.pointed:
+        raise NotPointedError("verify_unique requires a pointed polyhedron")
     if not is_feasible(P, xstar):
         raise ValueError("xstar is not feasible")
-    base = solve_lp(P, c)
-    if not isinstance(base, LpOptimal):
-        raise ValueError("xstar cannot be optimal: the LP has no optimum")
-    if base.value != c.dot(xstar):
+    if optimum is None:
+        optimum = solve_lp(P, c)
+        if not isinstance(optimum, LpOptimal):
+            raise ValueError("xstar cannot be optimal: the LP has no optimum")
+    if optimum.value != c.dot(xstar):
         raise ValueError("xstar is not optimal for the given objective")
 
-    face = Polyhedron(
+    act = active_rows(P, xstar)
+    step = _kernel_step(P, xstar, act)
+    if step is not None:
+        w, beta = step
+        return UniquenessReport(False, xstar + beta * w)
+
+    B_I = P.B.take_rows(act)
+    row_sum = B_I.transpose().matvec(RatVec([1] * len(act)))
+    cone = Polyhedron(
         vstack(P.A, RatMat([c.entries], cols=P.n)),
-        P.b.concat(RatVec([base.value])),
-        P.B,
-        P.d,
+        RatVec.zeros(P.A.m + 1),
+        vstack(B_I, RatMat([(-row_sum).entries], cols=P.n)),
+        RatVec.zeros(len(act)).concat(RatVec([1])),
     )
-    for i in range(P.n):
-        unit = [Fraction(0)] * P.n
-        unit[i] = Fraction(1)
-        for obj, target in ((RatVec(unit), xstar[i]), (-RatVec(unit), -xstar[i])):
-            probe = solve_lp(face, obj)
-            if isinstance(probe, LpUnbounded):
-                return UniquenessReport(False, xstar + probe.direction)
-            assert isinstance(probe, LpOptimal)
-            if probe.value != target:
-                return UniquenessReport(False, probe.vertex)
-    return UniquenessReport(True, None)
+    out = solve_lp(cone, row_sum)
+    if not isinstance(out, LpOptimal):  # pragma: no cover - the region is a polytope containing 0
+        raise AssertionError("the tangent-cone LP has no optimum")
+    if out.value == 0:
+        return UniquenessReport(True, None)
+    w = out.vertex
+    beta = max_step(P, xstar, w)
+    return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))

@@ -59,7 +59,7 @@ def decide_ocnp(P: Polyhedron, c: RatVec, x0: Point) -> OcnpVerdict:
     if isinstance(outcome, LpInfeasible):  # pragma: no cover - x0 is feasible
         raise LpInfeasibleError("the LP is infeasible")
     assert isinstance(outcome, LpOptimal)
-    report = verify_unique(P, c, outcome.vertex)
+    report = verify_unique(P, c, outcome.vertex, optimum=outcome)
     if not report.unique:
         return NotUnique(report)
     direction = outcome.vertex - x0

@@ -1,15 +1,24 @@
 """Independent brute-force oracles used to cross-check the package.
 
 These deliberately avoid the code paths they verify: vertices come from
-solving square subsystems, and cycle indicators come from a plain graph
-walk, not from any kernel or cone computation.
+solving square subsystems, uniqueness from probing every coordinate of the
+optimal face rather than from the tangent cone, and cycle indicators come
+from a plain graph walk, not from any kernel or cone computation.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from ddcircuits import Digraph, Polyhedron, RatVec, is_feasible
-from ddcircuits.ratlin import rank, solve, vstack
+from ddcircuits import (
+    Digraph,
+    LpOptimal,
+    LpUnbounded,
+    Polyhedron,
+    RatVec,
+    is_feasible,
+    solve_lp,
+)
+from ddcircuits.ratlin import RatMat, rank, solve, vstack
 
 
 def brute_force_vertices(P: Polyhedron) -> list[RatVec]:
@@ -33,6 +42,32 @@ def min_over_vertices(P: Polyhedron, c: RatVec) -> Fraction:
     verts = brute_force_vertices(P)
     assert verts, "brute-force oracle found no vertices"
     return min(c.dot(v) for v in verts)
+
+
+def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec | None]:
+    """Uniqueness of the optimum xstar by 2n coordinate probes of the optimal face.
+
+    The face {x in P : c.x = c.xstar} is a single point exactly when
+    minimizing and maximizing every coordinate over it returns xstar's
+    coordinate each time.  Returns (unique, witness); an unbounded probe
+    direction r gives the witness xstar + r.
+    """
+    face = Polyhedron(
+        vstack(P.A, RatMat([c.entries], cols=P.n)),
+        P.b.concat(RatVec([c.dot(xstar)])),
+        P.B,
+        P.d,
+    )
+    for i in range(P.n):
+        unit = RatVec([1 if k == i else 0 for k in range(P.n)])
+        for obj, target in ((unit, xstar[i]), (-unit, -xstar[i])):
+            probe = solve_lp(face, obj)
+            if isinstance(probe, LpUnbounded):
+                return False, xstar + probe.direction
+            assert isinstance(probe, LpOptimal)
+            if probe.value != target:
+                return False, probe.vertex
+    return True, None
 
 
 def undirected_cycle_indicators(G: Digraph) -> list[tuple[int, ...]]:

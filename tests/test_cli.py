@@ -269,3 +269,61 @@ class TestBench:
             "exact_iters",
             "approx_iters",
         }
+
+
+@pytest.mark.parametrize(
+    "argv, env_budget, code",
+    [
+        pytest.param(["solve", "{square}"], None, 0, id="solve-ok"),
+        pytest.param(["ocnp", "{square}", "--from", "0 0"], None, 1, id="ocnp-not-neighbor"),
+        pytest.param(["ocnp", "{square}", "--from", "1 1"], None, 2, id="ocnp-already-optimal"),
+        pytest.param(["ocnp", "{edge}", "--from", "0 0"], None, 3, id="ocnp-not-unique"),
+        pytest.param(["solve", "{infeasible}"], None, 4, id="infeasible"),
+        pytest.param(["solve", "{ray}"], None, 5, id="unbounded"),
+        pytest.param(["solve", "{bad}"], None, 64, id="parse-error"),
+        pytest.param(["ocnp", "{square}"], None, 64, id="missing-from"),
+        pytest.param(["nosuch", "{square}"], None, 64, id="unknown-command"),
+        pytest.param([], None, 64, id="no-command"),
+        pytest.param(["circuits", "{square}", "--work-budget", "abc"], None, 64, id="budget-not-integer"),
+        pytest.param(["circuits", "{square}", "--work-budget", "-5"], None, 64, id="budget-negative"),
+        pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "-1"], None, 64, id="max-iters-negative"),
+        pytest.param(["circuits", "{square}"], "abc", 64, id="env-budget-not-integer"),
+        pytest.param(["circuits", "{square}"], "-5", 64, id="env-budget-negative"),
+        pytest.param(["solve", "{not_pointed}"], None, 65, id="not-pointed"),
+        pytest.param(["circuits", "{square}", "--work-budget", "0"], None, 66, id="budget-zero"),
+        pytest.param(["circuits", "{square}"], "0", 66, id="env-budget-zero"),
+        pytest.param(["circuits", "{square}", "--work-budget", "0"], "abc", 66, id="flag-overrides-env"),
+        pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "1"], None, 70, id="iteration-cap"),
+    ],
+)
+def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
+    files = {
+        "square": SQUARE_TEXT,
+        "edge": EDGE_OBJECTIVE_TEXT,
+        "infeasible": INFEASIBLE_TEXT,
+        "ray": "1 0 1\n-1\n0\n-1\n",
+        "bad": "2 0 4\n1 x\n",
+        "not_pointed": "2 0 1\n1 0\n0\n1 1\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.lp"
+        path.write_text(text)
+        paths[name] = str(path)
+    if env_budget is None:
+        monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("DDCIRCUITS_WORK_BUDGET", env_budget)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err
+    if code >= 64:
+        assert "error:" in err
+    if env_budget not in (None, "0") and code == 64:
+        assert "DDCIRCUITS_WORK_BUDGET" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ocnp", "--help"])
+    assert exc.value.code == 0
+    assert "--from" in capsys.readouterr().out

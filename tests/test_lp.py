@@ -19,12 +19,19 @@ from ddcircuits import (
 from ddcircuits.polyhedron import active_rows
 from ddcircuits.ratlin import RatMat, rank, vstack
 
-from instgen import gen_box, gen_tulike
-from oracles import brute_force_vertices, min_over_vertices
+from instgen import gen_box, gen_circulation, gen_tulike
+from oracles import brute_force_vertices, min_over_vertices, probe_unique
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 HALF_LINE = Polyhedron(RatMat([], cols=1), RatVec([]), RatMat([[-1]]), RatVec([0]))
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance
+# min -x2 over the strip {0 <= x2 <= 1, x1 >= 0}: the optimal face is a ray
+STRIP = Polyhedron(
+    RatMat([], cols=2),
+    RatVec([]),
+    RatMat([[0, 1], [0, -1], [-1, 0]]),
+    RatVec([1, 0, 0]),
+)
 
 
 def _assert_vertex(P, x):
@@ -168,17 +175,10 @@ class TestVerifyUnique:
         assert report.unique
 
     def test_unbounded_face_detected(self):
-        # min -x2 over {0 <= x2 <= 1, x1 >= 0}: optimal face is a ray
-        P = Polyhedron(
-            RatMat([], cols=2),
-            RatVec([]),
-            RatMat([[0, 1], [0, -1], [-1, 0]]),
-            RatVec([1, 0, 0]),
-        )
         c = RatVec([0, -1])
-        report = verify_unique(P, c, RatVec([0, 1]))
+        report = verify_unique(STRIP, c, RatVec([0, 1]))
         assert not report.unique
-        assert is_feasible(P, report.witness)
+        assert is_feasible(STRIP, report.witness)
         assert c.dot(report.witness) == Fraction(-1)
 
     def test_non_optimal_rejected(self):
@@ -188,3 +188,75 @@ class TestVerifyUnique:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
             verify_unique(UNIT_SQUARE, RatVec([-1, -1]), RatVec([2, 2]))
+
+    def test_rejects_non_pointed(self):
+        # min x2 over {x2 >= 0}: every (t, 0) is optimal along a line
+        loose = Polyhedron(
+            RatMat([], cols=2),
+            RatVec([]),
+            RatMat([[0, -1]]),
+            RatVec([0]),
+            allow_non_pointed=True,
+        )
+        optimum = LpOptimal(RatVec([0, 0]), Fraction(0))
+        with pytest.raises(NotPointedError):
+            verify_unique(loose, RatVec([0, 1]), optimum.vertex, optimum=optimum)
+
+
+def _tie_prone(rng, c):
+    """Zero some objective entries and round others to +-1, so optima often tie."""
+    out = []
+    for e in c:
+        r = rng.random()
+        out.append(0 if r < 0.2 else (e > 0) - (e < 0) if r < 0.5 else e)
+    return RatVec(out)
+
+
+class TestVerifyUniqueAgainstProbes:
+    """The tangent-cone test against the 2n-probe oracle of tests/oracles.py."""
+
+    def _check(self, P, c, xstar):
+        report = verify_unique(P, c, xstar)
+        unique, _ = probe_unique(P, c, xstar)
+        assert report.unique == unique
+        if unique:
+            assert report.witness is None
+        else:
+            assert is_feasible(P, report.witness)
+            assert c.dot(report.witness) == c.dot(xstar)
+            assert report.witness != xstar
+        return report
+
+    def test_seeded_boxes_and_circulations(self):
+        rng = random.Random(20791)
+        not_unique = 0
+        for i in range(40):
+            P, c, _ = (gen_box if i % 2 == 0 else gen_circulation)(rng)
+            c = _tie_prone(rng, c)
+            out = solve_lp(P, c)
+            assert isinstance(out, LpOptimal)
+            report = self._check(P, c, out.vertex)
+            assert verify_unique(P, c, out.vertex, optimum=out) == report
+            if not report.unique:
+                not_unique += 1
+                # the midpoint of two optima is an optimal non-vertex point
+                self._check(P, c, (out.vertex + report.witness) * Fraction(1, 2))
+        assert 6 <= not_unique <= 20
+
+    def test_midpoint_of_optimal_edge(self):
+        report = self._check(UNIT_SQUARE, RatVec([-1, 0]), RatVec([1, Fraction(1, 2)]))
+        assert not report.unique
+
+    def test_unbounded_optimal_face(self):
+        c = RatVec([0, -1])
+        assert not self._check(STRIP, c, RatVec([0, 1])).unique
+        assert not self._check(STRIP, c, RatVec([3, 1])).unique
+
+    def test_caller_optimum_must_match(self):
+        with pytest.raises(ValueError):
+            verify_unique(
+                UNIT_SQUARE,
+                RatVec([-1, -1]),
+                RatVec([1, 0]),
+                optimum=LpOptimal(RatVec([1, 0]), Fraction(-2)),
+            )
