@@ -5,19 +5,21 @@ whose image under B has inclusion-minimal support among all nonzero
 kernel images.  Over a pointed system these directions are exactly the
 potential edge directions of the polyhedron family with fixed A and B.
 
-Recognition works through a lifted cone in dimension n + 2*m_B: a vector
-v with Av = 0 lifts to (v, y+, y-) where y+ and y- split Bv into its
-positive and negative parts.  The lift lies on a one-dimensional face of
-the cone (an extreme ray) exactly when the constraints active at it have
-rank n + 2*m_B - 1, and for v != 0 such extreme rays are precisely the
-circuit directions.
+The circuits are the extreme rays of a lifted cone in dimension
+n + 2*m_B: a vector v with Av = 0 lifts to (v, y+, y-) where y+ and y-
+split Bv into its positive and negative parts.  The lift lies on a
+one-dimensional face of the cone (an extreme ray) exactly when the
+constraints active at it have rank n + 2*m_B - 1, and for v != 0 such
+extreme rays are precisely the circuit directions.  ``is_extreme_ray``
+decides this on the lift; ``is_circuit_direction`` decides the same in n
+columns: a nonzero kernel vector g is a circuit exactly when the rows of
+B vanishing on g, stacked on A, have rank n - 1.
 
-Enumeration is a deliberately exponential desk-scale oracle: a nonzero
-kernel vector g is a circuit exactly when the rows of B vanishing on g,
-stacked on A, have rank n - 1.  It therefore suffices to scan subsets of
-rows of B of size n - 1 - rank(A) that are independent modulo the row
-space of A, collect the one-dimensional kernels, and deduplicate by
-canonical sign (first nonzero entry of Bg positive).
+Enumeration is a deliberately exponential desk-scale oracle built on that
+criterion.  It scans subsets of rows of B of size n - 1 - rank(A) that are
+independent modulo the row space of A, reads the one-dimensional kernel
+of each full subset from the scan's reduced echelon form, and
+deduplicates by canonical sign (first nonzero entry of Bg positive).
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 from .errors import NotPointedError, SizeGuardExceeded
 from .polyhedron import Polyhedron
 from .ratlin import (
     RatMat,
     RatVec,
+    _echelon_kernel,
+    _pivot,
+    _rref,
     coprime_integer_entries,
-    kernel_basis,
     rank,
     sign_normalized,
     vstack,
@@ -160,8 +165,10 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     """True iff v is a positive multiple of a circuit of (A, B).
 
     False for the zero vector and for vectors outside ker(A); otherwise
-    decided by the extreme-ray rank test on the canonical lift.  The
-    verdict is invariant under positive scaling of v.
+    true exactly when rank([A; B_Z]) = n - 1, where Z holds the rows of B
+    vanishing on v.  This is ``is_extreme_ray`` on the canonical lift,
+    whose active rows have rank 2*m_B + rank([A; B_Z]).  The verdict is
+    invariant under positive scaling of v.
     """
     if v.dim != P.n:
         raise ValueError(f"vector has dimension {v.dim}, expected {P.n}")
@@ -169,7 +176,9 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
         return False
     if not P.A.matvec(v).is_zero():
         return False
-    return is_extreme_ray(P, lift(P, v))
+    bv = P.B.matvec(v)
+    zero_rows = [j for j, e in enumerate(bv) if e == 0]
+    return rank(vstack(P.A, P.B.take_rows(zero_rows))) == P.n - 1
 
 
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
@@ -183,30 +192,24 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     raise AssertionError("kernel direction with zero B-image in a pointed system")
 
 
-class _Echelon:
-    """Row-space tracker supporting cheap does-this-row-extend-the-rank tests."""
+def _extend(rows: list, leads: list[int], vec) -> Optional[tuple[list, list[int]]]:
+    """The reduced echelon form (rows, leads) with vec added, or None when
+    vec lies in its row space.
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows=None):
-        self.rows: list[tuple[int, tuple[Fraction, ...]]] = rows if rows is not None else []
-
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        for lead, row in self.rows:
-            f = vec[lead]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
-
-    def try_add(self, vec: list[Fraction]):
-        """New tracker with the row added, or None if it is dependent."""
-        reduced = self._reduce(vec)
-        lead = next((i for i, a in enumerate(reduced) if a != 0), None)
-        if lead is None:
-            return None
-        piv = reduced[lead]
-        normalized = tuple(a / piv for a in reduced)
-        return _Echelon(self.rows + [(lead, normalized)])
+    Works on a copy of the outer list; ``_pivot`` rebinds rows and never
+    changes a row list in place, so the input stays valid and can be
+    shared by the other branches of the subset scan.
+    """
+    rows = rows + [list(vec)]
+    new = len(leads)
+    for i, lead in enumerate(leads):
+        if rows[new][lead]:
+            _pivot(rows, i, lead)
+    lead = next((j for j, a in enumerate(rows[new]) if a != 0), None)
+    if lead is None:
+        return None
+    _pivot(rows, new, lead)
+    return rows, leads + [lead]
 
 
 def enumerate_circuits(
@@ -225,13 +228,10 @@ def enumerate_circuits(
         raise NotPointedError("circuit enumeration requires a pointed polyhedron")
     n = P.n
 
-    base = _Echelon()
-    for arow in P.A.entries:
-        ext = base.try_add(list(arow))
-        if ext is not None:
-            base = ext
-    rank_a = len(base.rows)
-    k = n - 1 - rank_a
+    rows = [list(arow) for arow in P.A.entries]
+    leads = _rref(rows, n)
+    rows = rows[: len(leads)]
+    k = n - 1 - len(leads)
     if k < 0:
         return []
 
@@ -257,30 +257,27 @@ def enumerate_circuits(
                 f"nodes (n={n}, m_B={P.B.m})"
             )
 
-    def emit(chosen: list[int]) -> None:
+    def emit(rows: list, leads: list[int]) -> None:
         charge()
-        stacked = vstack(P.A, P.B.take_rows(chosen))
-        ker = kernel_basis(stacked)
+        ker = _echelon_kernel(rows, leads, n)
         if len(ker) != 1:  # pragma: no cover - rank is n-1 by construction
             raise AssertionError("expected a one-dimensional kernel")
         circ = canonical_orientation(P, circuit_from_vector(ker[0]))
         found.setdefault(circ.entries, circ)
 
-    def scan(start: int, state: _Echelon, chosen: list[int]) -> None:
+    def scan(start: int, rows: list, leads: list[int]) -> None:
         charge()
-        if len(chosen) == k:
-            emit(chosen)
+        need = n - 1 - len(leads)
+        if need == 0:
+            emit(rows, leads)
             return
-        need = k - len(chosen)
         for pos in range(start, len(reps) - need + 1):
-            idx = reps[pos]
-            ext = state.try_add(list(P.B.entries[idx]))
+            ext = _extend(rows, leads, P.B.entries[reps[pos]])
             if ext is not None:
-                scan(pos + 1, ext, chosen + [idx])
+                scan(pos + 1, *ext)
 
     if k == 0:
-        if rank_a == n - 1:
-            emit([])
+        emit(rows, leads)
     else:
-        scan(0, base, [])
+        scan(0, rows, leads)
     return [found[key] for key in sorted(found)]

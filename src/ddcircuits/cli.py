@@ -50,7 +50,7 @@ from .polyhedron import (
     load_instance,
     parse_point_text,
 )
-from .ratlin import RatVec, rank
+from .ratlin import RatVec, parse_rat, rank
 from .reductions import (
     build_reduction,
     format_digraph,
@@ -70,6 +70,18 @@ EXIT_USAGE = 64
 EXIT_NOT_POINTED = 65
 EXIT_SIZE_GUARD = 66
 EXIT_ITERATION_CAP = 70
+
+# Exit code of each exception main() reports; the first matching type wins.
+_EXIT_CODES = {
+    ParseError: EXIT_USAGE,
+    NotPointedError: EXIT_NOT_POINTED,
+    SizeGuardExceeded: EXIT_SIZE_GUARD,
+    LpInfeasibleError: EXIT_INFEASIBLE,
+    LpUnboundedError: EXIT_UNBOUNDED,
+    IterationCapExceeded: EXIT_ITERATION_CAP,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+}
 
 _NON_NEGATIVE_INT_RE = re.compile(r"[0-9]+")
 
@@ -100,11 +112,19 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
 
 
 def _load_point(value: str, n: int) -> RatVec:
+    """``zeros``, an inline point (every token a rational), or else a path.
+
+    An inline point never reads a file, even one named like it.
+    """
     if value == "zeros":
         return RatVec.zeros(n)
-    if os.path.exists(value):
+    try:
+        inline = [parse_rat(tok) for tok in value.split()]
+    except ValueError:
+        inline = []
+    if not inline:
         with open(value, "r", encoding="ascii") as handle:
-            return parse_point_text(handle.read(), expected_dim=n)
+            value = handle.read()
     return parse_point_text(value, expected_dim=n)
 
 
@@ -519,27 +539,9 @@ def main(argv=None) -> int:
         if args.work_budget is None:
             args.work_budget = _default_budget()
         return args.handler(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotPointedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_POINTED
-    except SizeGuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
-    except LpInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except LpUnboundedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except IterationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ITERATION_CAP
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -14,14 +14,13 @@ carries no approximation claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import decompose
 from .errors import IterationCapExceeded, LpInfeasibleError, LpUnboundedError
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
-from .polyhedron import UNBOUNDED, Point, Polyhedron, is_feasible, max_step
+from .polyhedron import UNBOUNDED, Point, Polyhedron, _step_length, is_feasible, max_step
 from .ratlin import Rat, RatVec
 
 
@@ -72,23 +71,7 @@ def exact_dd_step(
     """
     if not is_feasible(P, x0):
         raise ValueError("exact_dd_step requires a feasible starting point")
-    if circuits is None:
-        circuits = enumerate_circuits(P, work_budget=work_budget)
-    best: Optional[DdStep] = None
-    for canonical in circuits:
-        for g in (canonical, -canonical):
-            slope = c.dot(g.vec)
-            if slope >= 0:
-                continue
-            beta = max_step(P, x0, g.vec)
-            if beta is UNBOUNDED:
-                return UnboundedImprovement(g)
-            if beta == 0:
-                continue
-            improvement = -beta * slope
-            if best is None or improvement > best.improvement:
-                best = DdStep(g, beta, improvement)
-    return best if best is not None else Optimal()
+    return _scan(P, c, x0, _circuit_list(P, circuits, work_budget), _deepest)
 
 
 def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal]:
@@ -139,24 +122,50 @@ def steepest_descent_step(
     """
     if not is_feasible(P, x0):
         raise ValueError("steepest_descent_step requires a feasible starting point")
+    return _scan(P, c, x0, _circuit_list(P, circuits, work_budget), _steepest)
+
+
+def _deepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
+    return beta * slope
+
+
+def _steepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
+    return slope / g.l1
+
+
+def _circuit_list(
+    P: Polyhedron, circuits: Optional[list[Circuit]], work_budget: int
+) -> list[Circuit]:
     if circuits is None:
-        circuits = enumerate_circuits(P, work_budget=work_budget)
-    best = None
-    best_ratio = None
+        return enumerate_circuits(P, work_budget=work_budget)
+    if any(not P.A.matvec(g.vec).is_zero() for g in circuits):
+        raise ValueError("a given circuit leaves the equality subspace (A g != 0)")
+    return circuits
+
+
+def _scan(P: Polyhedron, c: RatVec, x0: Point, circuits: list[Circuit], key) -> StepOutcome:
+    """The feasible improving circuit step with the smallest key.
+
+    ``key(c.g, beta, g)`` ranks a step of maximal length beta along g.
+    Every circuit is tried in both orientations, and ties go to the
+    earliest circuit, canonical orientation first.  x0 must be feasible.
+    """
+    bx = P.B.matvec(x0)
+    best: Optional[DdStep] = None
+    best_key = None
     for canonical in circuits:
         for g in (canonical, -canonical):
             slope = c.dot(g.vec)
             if slope >= 0:
                 continue
-            beta = max_step(P, x0, g.vec)
+            beta = _step_length(P, bx, g.vec)
             if beta is UNBOUNDED:
                 return UnboundedImprovement(g)
             if beta == 0:
                 continue
-            ratio = slope / Fraction(g.l1)
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
-                best = DdStep(g, beta, -beta * slope)
+            k = key(slope, beta, g)
+            if best is None or k < best_key:
+                best, best_key = DdStep(g, beta, -beta * slope), k
     return best if best is not None else Optimal()
 
 
@@ -192,10 +201,10 @@ def augment(
     """Iterate the selected step rule from x0 until no step improves.
 
     Records every step and every iterate (the first iterate is x0, so a
-    run from an optimal point has an empty step list).  Raises
-    IterationCapExceeded with the partial trace attached if the cap is
-    hit, and LpUnboundedError if an unbounded improving direction shows
-    up.
+    run from an optimal point has an empty step list).  ``max_iters``
+    caps the steps taken: a run that needs one more step after taking
+    that many raises IterationCapExceeded with the partial trace attached.
+    An unbounded improving direction raises LpUnboundedError.
     """
     if mode not in _STEP_RULES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
@@ -207,24 +216,23 @@ def augment(
     steps: list[DdStep] = []
     iterates: list[Point] = [x0]
     x = x0
-    for _ in range(max_iters):
-        if mode == "exact":
-            res = exact_dd_step(P, c, x, circuits=circuits)
-        elif mode == "steepest":
-            res = steepest_descent_step(P, c, x, circuits=circuits)
-        else:
+    while True:
+        if mode == "approx":
             res = approx_dd_step(P, c, x)
+        else:
+            res = _scan(P, c, x, circuits, _deepest if mode == "exact" else _steepest)
         if isinstance(res, Optimal):
             return AugmentationTrace(tuple(steps), tuple(iterates), mode)
         if isinstance(res, UnboundedImprovement):
             raise LpUnboundedError("improving circuit with unbounded step length")
+        if len(steps) == max_iters:
+            raise IterationCapExceeded(
+                f"augmentation did not converge within {max_iters} iterations",
+                AugmentationTrace(tuple(steps), tuple(iterates), mode),
+            )
         new_x = x + res.alpha * res.g.vec
         if c.dot(new_x) >= c.dot(x):  # pragma: no cover - steps always improve
             raise AssertionError("augmentation step failed to decrease the objective")
         steps.append(res)
         iterates.append(new_x)
         x = new_x
-    raise IterationCapExceeded(
-        f"augmentation did not converge within {max_iters} iterations",
-        AugmentationTrace(tuple(steps), tuple(iterates), mode),
-    )

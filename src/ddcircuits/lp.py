@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 from .errors import NotPointedError
 from .polyhedron import UNBOUNDED, Point, Polyhedron, active_rows, is_feasible, max_step
-from .ratlin import Rat, RatMat, RatVec, kernel_basis, vstack
+from .ratlin import Rat, RatMat, RatVec, _pivot, kernel_basis, vstack
 
 
 @dataclass(frozen=True)
@@ -67,53 +67,32 @@ class UniquenessReport:
     witness: Optional[Point]
 
 
-def _pivot(rows, rhs, cost, basis, i, j):
-    piv = rows[i][j]
-    if piv != 1:
-        inv = Fraction(1) / piv
-        rows[i] = [a * inv for a in rows[i]]
-        rhs[i] = rhs[i] * inv
-    ri = rows[i]
-    bi = rhs[i]
-    for k in range(len(rows)):
-        if k != i:
-            f = rows[k][j]
-            if f:
-                rows[k] = [a - f * b for a, b in zip(rows[k], ri)]
-                rhs[k] -= f * bi
-    f = cost[j]
-    if f:
-        cost[:] = [a - f * b for a, b in zip(cost, ri)]
-    basis[i] = j
+def _bland(T: list[list[Fraction]], basis: list[int], ncols: int):
+    """Minimize the cost row T[-1] over the constraint rows T[:-1].
 
-
-def _reduce_cost_row(cost, rows, basis):
-    for i, jb in enumerate(basis):
-        f = cost[jb]
-        if f:
-            ri = rows[i]
-            cost[:] = [a - f * b for a, b in zip(cost, ri)]
-
-
-def _bland(rows, rhs, cost, basis, ncols):
-    """Minimize; returns ('optimal', None) or ('unbounded', entering column)."""
-    m = len(rows)
+    The right-hand side is the last column, and only the first ``ncols``
+    columns may enter.  Returns ('optimal', None) or ('unbounded',
+    entering column).
+    """
+    m = len(T) - 1
     while True:
+        cost = T[-1]
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             return "optimal", None
         leave = None
         best = None
         for i in range(m):
-            a = rows[i][enter]
+            a = T[i][enter]
             if a > 0:
-                r = rhs[i] / a
+                r = T[i][-1] / a
                 if best is None or r < best or (r == best and basis[i] < basis[leave]):
                     best = r
                     leave = i
         if leave is None:
             return "unbounded", enter
-        _pivot(rows, rhs, cost, basis, leave, enter)
+        _pivot(T, leave, enter)
+        basis[leave] = enter
 
 
 def _kernel_step(
@@ -168,37 +147,27 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
     n, m_b = P.n, P.B.m
     ncols = 2 * n + m_b
-    zero = Fraction(0)
+    m = P.A.m + m_b
+    zero, one = Fraction(0), Fraction(1)
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(P.A.m):
-        arow = P.A.entries[i]
-        rows.append(list(arow) + [-a for a in arow] + [zero] * m_b)
-        rhs.append(P.b[i])
-    for i in range(m_b):
-        brow = P.B.entries[i]
-        row = list(brow) + [-a for a in brow] + [zero] * m_b
-        row[2 * n + i] = Fraction(1)
-        rows.append(row)
-        rhs.append(P.d[i])
-
-    m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-a for a in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Phase 1: artificial basis, minimize the sum of artificials.
-    for i in range(m):
-        rows[i] = rows[i] + [Fraction(1) if k == i else zero for k in range(m)]
+    # One tableau: a row [x+ | x- | slacks | artificials | rhs] per
+    # constraint, right-hand sides made nonnegative, then the cost row.
+    # Phase 1 starts from the artificial basis and minimizes their sum.
+    T: list[list[Fraction]] = []
+    for i, (row, rhs) in enumerate(zip(P.A.entries + P.B.entries, P.b.entries + P.d.entries)):
+        unit = [one if k == i else zero for k in range(m)]
+        line = list(row) + [-a for a in row] + unit[P.A.m :] + [rhs]
+        if rhs < 0:
+            line = [-a for a in line]
+        T.append(line[:-1] + unit + line[-1:])
+    T.append([zero] * ncols + [one] * m + [zero])
     basis = [ncols + i for i in range(m)]
-    cost = [zero] * ncols + [Fraction(1)] * m
-    _reduce_cost_row(cost, rows, basis)
-    status, _ = _bland(rows, rhs, cost, basis, ncols)
+    for i, jb in enumerate(basis):  # price out the basis
+        _pivot(T, i, jb)
+    status, _ = _bland(T, basis, ncols)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below by 0
         raise AssertionError("phase-1 objective reported unbounded")
-    residue = sum((rhs[i] for i in range(m) if basis[i] >= ncols), zero)
+    residue = sum((T[i][-1] for i in range(m) if basis[i] >= ncols), zero)
     if residue > 0:
         return LpInfeasible()
 
@@ -206,30 +175,31 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     keep = []
     for i in range(m):
         if basis[i] >= ncols:
-            j = next((j for j in range(ncols) if rows[i][j] != 0), None)
+            j = next((j for j in range(ncols) if T[i][j] != 0), None)
             if j is None:
                 continue
-            _pivot(rows, rhs, cost, basis, i, j)
+            _pivot(T, i, j)
+            basis[i] = j
         keep.append(i)
-    rows = [rows[i][:ncols] for i in keep]
-    rhs = [rhs[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # Phase 2: the real objective over the split variables.
-    cost = list(c.entries) + [-a for a in c.entries] + [zero] * m_b
-    _reduce_cost_row(cost, rows, basis)
-    status, enter = _bland(rows, rhs, cost, basis, ncols)
+    T = [T[i][:ncols] + T[i][-1:] for i in keep]
+    T.append(list(c.entries) + [-a for a in c.entries] + [zero] * (m_b + 1))
+    for i, jb in enumerate(basis):
+        _pivot(T, i, jb)
+    status, enter = _bland(T, basis, ncols)
     if status == "unbounded":
         ray = [zero] * ncols
-        ray[enter] = Fraction(1)
+        ray[enter] = one
         for i, jb in enumerate(basis):
-            ray[jb] = -rows[i][enter]
+            ray[jb] = -T[i][enter]
         direction = RatVec(ray[j] - ray[n + j] for j in range(n))
         return LpUnbounded(direction)
 
     w = [zero] * ncols
     for i, jb in enumerate(basis):
-        w[jb] = rhs[i]
+        w[jb] = T[i][-1]
     x = RatVec(w[j] - w[n + j] for j in range(n))
     x = _purify_to_vertex(P, c, x)
     return LpOptimal(x, c.dot(x))

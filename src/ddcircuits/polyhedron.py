@@ -148,7 +148,14 @@ def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
         raise ValueError("direction leaves the equality subspace (A g != 0)")
     if g.is_zero():
         return Fraction(0)
-    bx = P.B.matvec(x0)
+    return _step_length(P, P.B.matvec(x0), g)
+
+
+def _step_length(P: Polyhedron, bx: RatVec, g: RatVec) -> Union[Rat, _Unbounded]:
+    """``max_step`` without its checks, from a feasible x0 given as bx = B x0.
+
+    g must be nonzero and satisfy A g = 0.
+    """
     bg = P.B.matvec(g)
     best: Optional[Fraction] = None
     for j in range(P.B.m):

@@ -7,6 +7,10 @@ immutable and hashable.  Elimination always pivots on the first nonzero
 entry in column order, which makes every operation deterministic:
 identical inputs yield bit-identical outputs.  Nothing in this module
 touches floating point, and no tolerance parameter exists.
+
+``_pivot`` is the package's one elimination step: rank, kernels and
+solving here, the simplex tableau in ``lp`` and the circuit scan in
+``circuits`` are all sequences of it.
 """
 
 from __future__ import annotations
@@ -199,28 +203,40 @@ def vstack(*mats: RatMat) -> RatMat:
     return RatMat(rows, cols=cols)
 
 
+def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
+    """One Gauss-Jordan step: scale row r to a unit entry in ``col``, then
+    clear ``col`` from every other row.
+
+    Rows are rebound to new lists, never changed in place, so a caller may
+    pivot on a copy of the outer list while other copies share its rows.
+    """
+    pr = rows[r]
+    piv = pr[col]
+    if piv != 1:
+        pr = [a / piv for a in pr]
+        rows[r] = pr
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list."""
-    m = len(rows)
+    """Reduced row echelon form of the first ``ncols`` columns, in place.
+
+    Returns the pivot columns; row i holds the unit entry of pivot i.
+    """
     pivots: list[int] = []
-    r = 0
     for col in range(ncols):
-        pr = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][col]
-        if piv != 1:
-            rows[r] = [a / piv for a in rows[r]]
-        rr = rows[r]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rr)]
+        _pivot(rows, r, col)
         pivots.append(col)
-        r += 1
-        if r == m:
-            break
     return pivots
 
 
@@ -262,16 +278,24 @@ def kernel_basis(M: RatMat) -> list[RatVec]:
     empty list means the kernel is trivial.
     """
     rows = [list(row) for row in M.entries]
-    pivots = _rref(rows, M.n)
+    return _echelon_kernel(rows, _rref(rows, M.n), M.n)
+
+
+def _echelon_kernel(
+    rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int
+) -> list[RatVec]:
+    """``kernel_basis`` read from a reduced echelon form: row i holds the
+    unit entry of column ``pivots[i]``, in any column order, and rows past
+    the last pivot are ignored."""
     pivot_set = set(pivots)
     basis: list[RatVec] = []
-    for free in range(M.n):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * M.n
+        vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][free]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[free]
         basis.append(RatVec(sign_normalized(coprime_integer_entries(vec))))
     return basis
 

@@ -14,7 +14,6 @@ on desk-scale graphs.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +21,7 @@ from typing import Optional
 from .circuits import DEFAULT_WORK_BUDGET
 from .ddstep import DdStep, Optimal, exact_dd_step
 from .errors import ParseError, SizeGuardExceeded
-from .polyhedron import Instance, Point, Polyhedron
+from .polyhedron import Instance, Point, Polyhedron, _data_lines, _tokens
 from .ratlin import Rat, RatMat, RatVec, parse_rat, vstack
 
 MAX_ORACLE_NODES = 8
@@ -199,19 +198,8 @@ def verify_correspondence(
 # ignored.  Either every arc line carries a cost or none does.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\S+")
-
-
-def _tokens(line: str) -> list[tuple[int, str]]:
-    return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
-
-
 def parse_digraph_text(text: str) -> Digraph:
-    lines = [
-        (no, line)
-        for no, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    lines = _data_lines(text)
     if not lines:
         raise ParseError("empty graph file", 1, 1)
     head_no, head_line = lines[0]

@@ -3,11 +3,15 @@
 These deliberately avoid the code paths they verify: vertices come from
 solving square subsystems, uniqueness from probing every coordinate of the
 optimal face rather than from the tangent cone, and cycle indicators come
-from a plain graph walk, not from any kernel or cone computation.
+from a plain graph walk, not from any kernel or cone computation.  The
+determinant oracles use no elimination at all: determinants by cofactor
+expansion, rank as the order of the largest nonzero minor, and circuits
+as signed maximal minors.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from ddcircuits import (
     Digraph,
@@ -68,6 +72,72 @@ def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec 
             if probe.value != target:
                 return False, probe.vertex
     return True, None
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix by cofactor expansion along row 0."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            total += (-1) ** j * a * det(minor)
+    return total
+
+
+def minor_rank(rows, ncols: int) -> int:
+    """Rank as the order of the largest nonzero minor."""
+    rows = [tuple(row) for row in rows]
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rsel in combinations(rows, k):
+            for csel in combinations(range(ncols), k):
+                if det([[row[j] for j in csel] for row in rsel]) != 0:
+                    return k
+    return 0
+
+
+def minor_kernel_vector(rows, ncols: int) -> list[Fraction]:
+    """Signed maximal minors of ncols - 1 rows: entry j is (-1)^j times the
+    minor without column j.
+
+    By Laplace expansion the vector is orthogonal to every row, and it is
+    nonzero exactly when the rows are independent, so it then spans their
+    kernel.
+    """
+    rows = [tuple(row) for row in rows]
+    return [(-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]) for j in range(ncols)]
+
+
+def coprime(values) -> tuple[int, ...]:
+    """A nonzero rational vector scaled to coprime integers, same orientation."""
+    den = 1
+    for v in values:
+        den = lcm(den, Fraction(v).denominator)
+    ints = [int(Fraction(v) * den) for v in values]
+    g = 0
+    for a in ints:
+        g = gcd(g, abs(a))
+    return tuple(a // g for a in ints)
+
+
+def minor_circuits(P: Polyhedron) -> list[tuple[int, ...]]:
+    """All circuits of (A, B) of a pointed system, from signed minors.
+
+    Every n - 1 independent rows of [A; B] span a one-dimensional kernel,
+    given by their signed maximal minors v; v is a circuit when Av = 0.
+    Every circuit g arises so, from n - 1 independent rows of A and of the
+    B-rows vanishing on g.  Sign: first nonzero entry of Bv positive.
+    """
+    found = set()
+    for rows in combinations(P.A.entries + P.B.entries, P.n - 1):
+        v = minor_kernel_vector(rows, P.n)
+        if all(e == 0 for e in v) or not P.A.matvec(RatVec(v)).is_zero():
+            continue
+        bv = P.B.matvec(RatVec(v))
+        first = next(e for e in bv if e != 0)
+        found.add(coprime(v if first > 0 else [-e for e in v]))
+    return sorted(found)
 
 
 def undirected_cycle_indicators(G: Digraph) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ from ddcircuits import (
     Circuit,
     ConeLift,
     Digraph,
+    NotPointedError,
     Polyhedron,
     RatVec,
     SizeGuardExceeded,
@@ -17,9 +19,10 @@ from ddcircuits import (
     lift,
 )
 from ddcircuits.circuits import canonical_orientation, circuit_from_vector
+from ddcircuits.ratlin import RatMat, kernel_basis
 
-from instgen import exhaustive_digraphs
-from oracles import undirected_cycle_indicators
+from instgen import exhaustive_digraphs, mixed_instances
+from oracles import minor_circuits, undirected_cycle_indicators
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 
@@ -29,6 +32,33 @@ def circulation(graph: Digraph) -> Polyhedron:
 
 TRIANGLE_GRAPH = Digraph(3, ((1, 2), (2, 3), (3, 1)))
 TRIANGLE = circulation(TRIANGLE_GRAPH)
+
+
+def dense_rational_system(rng: random.Random) -> Polyhedron:
+    """A pointed system in n <= 4 variables with a dense, non-TU rational B
+    of n + 2 rows (the last a negative multiple of the first) and zero or
+    one dense equality rows."""
+    while True:
+        n = rng.randint(2, 4)
+
+        def row():
+            return [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                for _ in range(n)
+            ]
+
+        a_rows = [row() for _ in range(rng.randint(0, 1))]
+        b_rows = [row() for _ in range(n + 1)]
+        b_rows.append([Fraction(-3, 2) * e for e in b_rows[0]])
+        try:
+            return Polyhedron(
+                RatMat(a_rows, cols=n),
+                RatVec([0] * len(a_rows)),
+                RatMat(b_rows),
+                RatVec([1] * len(b_rows)),
+            )
+        except NotPointedError:
+            continue
 
 
 class TestCircuitType:
@@ -226,3 +256,42 @@ class TestEnumerate:
 
     def test_deterministic(self):
         assert enumerate_circuits(TRIANGLE) == enumerate_circuits(TRIANGLE)
+
+    def test_matches_minor_oracle_on_dense_rational_systems(self):
+        rng = random.Random(4417)
+        total = 0
+        for _ in range(25):
+            P = dense_rational_system(rng)
+            assert any(e.denominator != 1 or abs(e) > 1 for row in P.B.entries for e in row)
+            got = [c.entries for c in enumerate_circuits(P)]
+            assert got == minor_circuits(P)
+            total += len(got)
+        assert total > 25
+
+
+def test_n_column_test_matches_lifted_rank_test():
+    # is_circuit_direction decides in n columns what is_extreme_ray decides
+    # on the canonical lift in n + 2*m_B columns
+    rng = random.Random(5150)
+    systems = [dense_rational_system(rng) for _ in range(8)]
+    systems += [P for P, _, _ in mixed_instances(seed=5151, count=6)]
+    verdicts = []
+    for P in systems:
+        circuits = [c.vec for c in enumerate_circuits(P)]
+        basis = kernel_basis(P.A)
+        candidates = list(circuits)
+        for _ in range(6):
+            v = RatVec.zeros(P.n)
+            for b in basis:
+                v = v + rng.choice((-1, 0, 0, 1, 2)) * b
+            candidates.append(v)
+            if circuits:
+                u, w = rng.choice(circuits), rng.choice(circuits)
+                candidates.append(Fraction(1, 3) * u + rng.randint(0, 2) * w)
+        for v in candidates:
+            if v.is_zero():
+                continue
+            expected = is_extreme_ray(P, lift(P, v))
+            assert is_circuit_direction(P, v) == expected, (P, v)
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts

@@ -293,6 +293,8 @@ class TestBench:
         pytest.param(["circuits", "{square}", "--work-budget", "0"], None, 66, id="budget-zero"),
         pytest.param(["circuits", "{square}"], "0", 66, id="env-budget-zero"),
         pytest.param(["circuits", "{square}", "--work-budget", "0"], "abc", 66, id="flag-overrides-env"),
+        pytest.param(["augment", "{square}", "--from", "1 1", "--max-iters", "0"], None, 0, id="max-iters-zero-at-optimum"),
+        pytest.param(["ocnp", "{square}", "--from", "0"], None, 64, id="inline-point-beats-file-named-0"),
         pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "1"], None, 70, id="iteration-cap"),
     ],
 )
@@ -310,6 +312,9 @@ def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
         path = tmp_path / f"{name}.lp"
         path.write_text(text)
         paths[name] = str(path)
+    # a point file named like an inline point; "--from 0" must not read it
+    (tmp_path / "0").write_text("0 1\n")
+    monkeypatch.chdir(tmp_path)
     if env_budget is None:
         monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
     else:

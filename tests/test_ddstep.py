@@ -135,6 +135,13 @@ class TestSteepestStep:
         assert step.g.entries == (1, 1, 1)
 
 
+@pytest.mark.parametrize("rule", [exact_dd_step, steepest_descent_step])
+def test_ties_go_to_earliest_circuit(rule):
+    # both unit steps of the square improve by 1 with the same slope per |g|_1
+    step = rule(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]))
+    assert step == DdStep(Circuit((0, 1)), Fraction(1), Fraction(1))
+
+
 class TestAugment:
     def test_square_two_steps(self):
         trace = augment(UNIT_SQUARE, RatVec([-3, -1]), RatVec([0, 0]), "exact")

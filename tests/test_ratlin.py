@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,8 @@ from ddcircuits.ratlin import (
     solve,
     vstack,
 )
+
+from oracles import coprime, minor_kernel_vector, minor_rank
 
 # Node-arc incidence of the directed triangle 1->2->3->1 (+1 tail, -1 head).
 TRIANGLE_INCIDENCE = RatMat(
@@ -133,6 +136,56 @@ def test_solve_exact_when_solvable(M, data):
     x = solve(M, rhs)
     assert x is not None
     assert M.matvec(x) == rhs
+
+
+_SPARSE = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
+)
+
+
+@st.composite
+def _small_matrices(draw):
+    """Up to 4x4, mostly zeros, sometimes a row combining two others, so
+    that rank deficiency is common."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_SPARSE, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m >= 3 and draw(st.booleans()):
+        a, b = draw(_SPARSE), draw(_SPARSE)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return RatMat(rows, cols=n)
+
+
+@given(_small_matrices())
+def test_rank_is_largest_nonzero_minor(M):
+    assert rank(M) == minor_rank(M.entries, M.n)
+
+
+@given(_small_matrices())
+def test_kernel_basis_against_minors(M):
+    r = minor_rank(M.entries, M.n)
+    basis = kernel_basis(M)
+    assert len(basis) == M.n - r
+    assert minor_rank([v.entries for v in basis], M.n) == len(basis)
+    for v in basis:
+        assert M.matvec(v).is_zero()
+    if r == M.n - 1:
+        rows = next(rows for rows in combinations(M.entries, r) if minor_rank(rows, M.n) == r)
+        ints = coprime(minor_kernel_vector(rows, M.n))
+        if next(e for e in ints if e != 0) < 0:
+            ints = tuple(-e for e in ints)
+        assert basis == [RatVec(ints)]
+
+
+@given(_small_matrices(), st.data())
+def test_solve_against_minor_ranks(M, data):
+    rhs = RatVec(data.draw(st.lists(_SPARSE, min_size=M.m, max_size=M.m)))
+    augmented = [row + (b,) for row, b in zip(M.entries, rhs)]
+    consistent = minor_rank(M.entries, M.n) == minor_rank(augmented, M.n + 1)
+    x = solve(M, rhs)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert M.matvec(x) == rhs
 
 
 @given(_matrices())
