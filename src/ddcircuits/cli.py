@@ -399,13 +399,12 @@ def cmd_bench(args) -> int:
         P = reduction.instance.polyhedron
         c = reduction.instance.objective
         x0 = reduction.x0
-        exact = exact_dd_step(P, c, x0, work_budget=args.work_budget)
-        approx = approx_dd_step(P, c, x0)
-        exact_imp = exact.improvement if isinstance(exact, DdStep) else 0
-        approx_imp = approx.improvement if isinstance(approx, DdStep) else 0
+        # the first step of each run is the single step from x0
+        exact = augment(P, c, x0, "exact", work_budget=args.work_budget).steps
+        approx = augment(P, c, x0, "approx").steps
+        exact_imp = exact[0].improvement if exact else 0
+        approx_imp = approx[0].improvement if approx else 0
         ratio = "NA" if approx_imp == 0 else str(exact_imp / approx_imp)
-        exact_iters = len(augment(P, c, x0, "exact", work_budget=args.work_budget).steps)
-        approx_iters = len(augment(P, c, x0, "approx").steps)
         records.append(
             (
                 f"g{args.seed}_{trial}",
@@ -415,8 +414,8 @@ def cmd_bench(args) -> int:
                 str(approx_imp),
                 ratio,
                 P.n - rank(P.A),
-                exact_iters,
-                approx_iters,
+                len(exact),
+                len(approx),
             )
         )
     if args.format == "json":

@@ -7,7 +7,9 @@ improvement -c.(alpha g).  The approximate step never enumerates: it
 solves the LP once, conformally decomposes x* - x0, picks the term with
 the best objective contribution and extends it to its maximal feasible
 length, which guarantees at least 1/(n - rank A) of the exact
-improvement.  The steepest-descent comparator minimizes c.g / |g|_1 and
+improvement.  x* does not depend on the iterate, so augmentation in
+approx mode solves the LP once per run and decomposes x* - x from every
+iterate x.  The steepest-descent comparator minimizes c.g / |g|_1 and
 carries no approximation claim.
 """
 
@@ -20,7 +22,7 @@ from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import decompose
 from .errors import IterationCapExceeded, LpInfeasibleError, LpUnboundedError
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
-from .polyhedron import UNBOUNDED, Point, Polyhedron, _step_length, is_feasible, max_step
+from .polyhedron import UNBOUNDED, Point, Polyhedron, _step_length, is_feasible
 from .ratlin import Rat, RatVec
 
 
@@ -85,13 +87,32 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
     """
     if not is_feasible(P, x0):
         raise ValueError("approx_dd_step requires a feasible starting point")
+    return _approx_step(P, c, x0, _lp_optimum(P, c))
+
+
+def _lp_optimum(P: Polyhedron, c: RatVec) -> LpOptimal:
+    """The LP optimum the approximate step decomposes against.
+
+    An unbounded or infeasible LP raises its distinct error.
+    """
     outcome = solve_lp(P, c)
     if isinstance(outcome, LpUnbounded):
         raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
     if isinstance(outcome, LpInfeasible):  # pragma: no cover - x0 is feasible
         raise LpInfeasibleError("the LP is infeasible")
     assert isinstance(outcome, LpOptimal)
-    z = outcome.vertex - x0
+    return outcome
+
+
+def _approx_step(
+    P: Polyhedron, c: RatVec, x0: Point, optimum: LpOptimal
+) -> Union[DdStep, Optimal]:
+    """``approx_dd_step`` from the LP optimum of (P, c), without its checks.
+
+    x0 must be feasible.  The best term g of the decomposition satisfies
+    A g = 0 and g != 0, so its maximal step needs no further checks.
+    """
+    z = optimum.vertex - x0
     if z.is_zero():
         return Optimal()
     total = decompose(P, z)
@@ -100,7 +121,7 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
     if c.dot(alpha * g.vec) >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    beta = max_step(P, x0, g.vec)
+    beta = _step_length(P, P.B.matvec(x0), g.vec)
     if beta is UNBOUNDED:  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("unbounded improving step under a bounded LP")
     return DdStep(g, beta, -beta * c.dot(g.vec))
@@ -204,21 +225,24 @@ def augment(
     run from an optimal point has an empty step list).  ``max_iters``
     caps the steps taken: a run that needs one more step after taking
     that many raises IterationCapExceeded with the partial trace attached.
-    An unbounded improving direction raises LpUnboundedError.
+    An unbounded improving direction raises LpUnboundedError.  Approx
+    mode solves the LP once per run, not once per step: every step
+    decomposes x* - x against the same optimum x*.
     """
     if mode not in _STEP_RULES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
     if not is_feasible(P, x0):
         raise ValueError("augment requires a feasible starting point")
-    circuits = (
-        enumerate_circuits(P, work_budget=work_budget) if mode != "approx" else None
-    )
+    if mode == "approx":
+        optimum = _lp_optimum(P, c)
+    else:
+        circuits = enumerate_circuits(P, work_budget=work_budget)
     steps: list[DdStep] = []
     iterates: list[Point] = [x0]
     x = x0
     while True:
         if mode == "approx":
-            res = approx_dd_step(P, c, x)
+            res = _approx_step(P, c, x, optimum)
         else:
             res = _scan(P, c, x, circuits, _deepest if mode == "exact" else _steepest)
         if isinstance(res, Optimal):

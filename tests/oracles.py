@@ -6,7 +6,8 @@ optimal face rather than from the tangent cone, and cycle indicators come
 from a plain graph walk, not from any kernel or cone computation.  The
 determinant oracles use no elimination at all: determinants by cofactor
 expansion, rank as the order of the largest nonzero minor, and circuits
-as signed maximal minors.
+as signed maximal minors.  Approx augmentation is the plain loop over the
+public single step, which solves the LP afresh from every iterate.
 """
 
 from fractions import Fraction
@@ -14,11 +15,15 @@ from itertools import combinations
 from math import gcd, lcm
 
 from ddcircuits import (
+    AugmentationTrace,
     Digraph,
+    IterationCapExceeded,
     LpOptimal,
     LpUnbounded,
+    Optimal,
     Polyhedron,
     RatVec,
+    approx_dd_step,
     is_feasible,
     solve_lp,
 )
@@ -72,6 +77,31 @@ def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec 
             if probe.value != target:
                 return False, probe.vertex
     return True, None
+
+
+def per_step_approx_augment(
+    P: Polyhedron, c: RatVec, x0: RatVec, *, max_iters: int = 10_000
+) -> AugmentationTrace:
+    """Approx augmentation that calls the public ``approx_dd_step`` at every
+    iterate, and so solves the LP again for every step.
+
+    Same contract as ``augment(P, c, x0, "approx", max_iters=...)``: a run
+    that needs one more step after ``max_iters`` raises
+    IterationCapExceeded with the partial trace attached.
+    """
+    steps, iterates, x = [], [x0], x0
+    while True:
+        res = approx_dd_step(P, c, x)
+        if isinstance(res, Optimal):
+            return AugmentationTrace(tuple(steps), tuple(iterates), "approx")
+        if len(steps) == max_iters:
+            raise IterationCapExceeded(
+                f"augmentation did not converge within {max_iters} iterations",
+                AugmentationTrace(tuple(steps), tuple(iterates), "approx"),
+            )
+        x = x + res.alpha * res.g.vec
+        steps.append(res)
+        iterates.append(x)
 
 
 def det(rows) -> Fraction:

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+
+import ddcircuits.ddstep
 
 from ddcircuits import (
     Circuit,
@@ -21,11 +24,13 @@ from ddcircuits import (
     max_step,
     solve_lp,
     steepest_descent_step,
+    verify_unique,
 )
 from ddcircuits.polyhedron import UNBOUNDED
-from ddcircuits.ratlin import RatMat, rank
+from ddcircuits.ratlin import RatMat, rank, vstack
 
 from instgen import mixed_instances
+from oracles import per_step_approx_augment
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance
@@ -192,6 +197,72 @@ class TestAugment:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             augment(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]), "fastest")
+
+
+def dense_polytope(rng: random.Random):
+    """A box cut by n dense non-TU rational rows and one dense equality,
+    all with the start point x0 strictly inside the cuts."""
+    n = rng.randint(3, 4)
+
+    def rat(nonzero=False):
+        while True:
+            p = rng.randint(-4, 4)
+            if p or not nonzero:
+                return Fraction(p, rng.randint(1, 5))
+
+    upper = [rng.randint(2, 4) for _ in range(n)]
+    x0 = RatVec([Fraction(rng.randint(1, 3 * u - 1), 3) for u in upper])
+    dense = RatMat([[rat() for _ in range(n)] for _ in range(n)], cols=n)
+    eq = RatMat([[rat(nonzero=True) for _ in range(n)]], cols=n)
+    box = Polyhedron.box([0] * n, upper)
+    slack = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(n)]
+    d = RatVec(list(box.d.entries) + [e + s for e, s in zip(dense.matvec(x0), slack)])
+    P = Polyhedron(eq, eq.matvec(x0), vstack(box.B, dense), d)
+    return P, RatVec([rat(nonzero=True) for _ in range(n)]), x0
+
+
+def approx_instances():
+    rng = random.Random(4041)
+    return mixed_instances(seed=4040, count=18) + [dense_polytope(rng) for _ in range(6)]
+
+
+class TestApproxAugmentAgainstPerStepReference:
+    def test_same_steps_and_iterates(self):
+        for P, c, x0 in approx_instances():
+            trace = augment(P, c, x0, "approx")
+            assert trace == per_step_approx_augment(P, c, x0)
+            opt = solve_lp(P, c)
+            assert c.dot(trace.final) == opt.value
+            if verify_unique(P, c, opt.vertex, optimum=opt).unique:
+                assert trace.final == opt.vertex
+
+    def test_iteration_cap_gives_same_partial_trace(self):
+        for P, c, x0 in approx_instances():
+            taken = len(augment(P, c, x0, "approx").steps)
+            for cap in range(taken):
+                with pytest.raises(IterationCapExceeded) as err:
+                    augment(P, c, x0, "approx", max_iters=cap)
+                with pytest.raises(IterationCapExceeded) as ref:
+                    per_step_approx_augment(P, c, x0, max_iters=cap)
+                assert err.value.trace == ref.value.trace
+                assert len(err.value.trace.steps) == cap
+
+    def test_one_lp_per_run(self, monkeypatch):
+        calls = []
+
+        def counting_solve_lp(P, c):
+            calls.append(1)
+            return solve_lp(P, c)
+
+        monkeypatch.setattr(ddcircuits.ddstep, "solve_lp", counting_solve_lp)
+        runs = 0
+        for P, c, x0 in approx_instances():
+            calls.clear()
+            trace = augment(P, c, x0, "approx")
+            if len(trace.steps) >= 2:
+                runs += 1
+                assert len(calls) == 1
+        assert runs >= 5
 
 
 def test_reduction_steps_are_unit_zero_one():
