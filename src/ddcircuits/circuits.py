@@ -17,9 +17,12 @@ B vanishing on g, stacked on A, have rank n - 1.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
 criterion.  It scans subsets of rows of B of size n - 1 - rank(A) that are
-independent modulo the row space of A, reads the one-dimensional kernel
-of each full subset from the scan's reduced echelon form, and
-deduplicates by canonical sign (first nonzero entry of Bg positive).
+independent modulo the row space of A and reads the one-dimensional
+kernel of each full subset from the scan's reduced echelon form.  Many
+subsets span the same kernel, so a leaf whose sign-normalized kernel
+vector an earlier leaf already gave is dropped before it is oriented, and
+each distinct circuit is oriented once, to its canonical sign (first
+nonzero entry of Bg positive).
 """
 
 from __future__ import annotations
@@ -182,9 +185,14 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
 
 
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
-    """Flip the sign so the first nonzero entry of B g is positive."""
-    bg = P.B.matvec(circ.vec)
-    for e in bg:
+    """Flip the sign so the first nonzero entry of B g is positive.
+
+    Goes through the rows of B and stops at the first one with
+    (B g)_j != 0, so it does not compute all of B g.
+    """
+    g = circ.vec
+    for row in P.B.iter_rows():
+        e = row.dot(g)
         if e > 0:
             return circ
         if e < 0:
@@ -246,7 +254,8 @@ def enumerate_circuits(
             seen.add(key)
             reps.append(i)
 
-    found: dict[tuple[int, ...], Circuit] = {}
+    found: list[Circuit] = []
+    leaves: set[RatVec] = set()  # sign-normalized leaf kernels seen so far
     budget = [work_budget]
 
     def charge() -> None:
@@ -262,8 +271,10 @@ def enumerate_circuits(
         ker = _echelon_kernel(rows, leads, n)
         if len(ker) != 1:  # pragma: no cover - rank is n-1 by construction
             raise AssertionError("expected a one-dimensional kernel")
-        circ = canonical_orientation(P, circuit_from_vector(ker[0]))
-        found.setdefault(circ.entries, circ)
+        if ker[0] in leaves:
+            return
+        leaves.add(ker[0])
+        found.append(canonical_orientation(P, circuit_from_vector(ker[0])))
 
     def scan(start: int, rows: list, leads: list[int]) -> None:
         charge()
@@ -280,4 +291,4 @@ def enumerate_circuits(
         emit(rows, leads)
     else:
         scan(0, rows, leads)
-    return [found[key] for key in sorted(found)]
+    return sorted(found, key=lambda circ: circ.entries)

@@ -506,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="random digraph benchmark, reproducible CSV")
-    p.add_argument("--nodes", type=int, required=True, metavar="K")
-    p.add_argument("--trials", type=int, required=True, metavar="T")
+    p.add_argument("--nodes", type=_non_negative_int, required=True, metavar="K")
+    p.add_argument("--trials", type=_non_negative_int, required=True, metavar="T")
     p.add_argument("--seed", type=int, required=True, metavar="S")
     p.add_argument("-o", "--output", default="-", metavar="OUT.csv")
     add_common(p)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NotPointedError
-from .polyhedron import UNBOUNDED, Point, Polyhedron, active_rows, is_feasible, max_step
+from .polyhedron import UNBOUNDED, Point, Polyhedron, _active, _step_length, is_feasible
 from .ratlin import Rat, RatMat, RatVec, _pivot, kernel_basis, vstack
 
 
@@ -96,33 +96,39 @@ def _bland(T: list[list[Fraction]], basis: list[int], ncols: int):
 
 
 def _kernel_step(
-    P: Polyhedron, x: Point, act: tuple[int, ...]
+    P: Polyhedron, bx: RatVec, act: tuple[int, ...]
 ) -> Optional[tuple[RatVec, Rat]]:
     """A direction w and step beta > 0 along the kernel of [A; B_act].
 
-    ``act`` lists the B-rows active at x.  Returns None when that kernel
-    is trivial, i.e. x is a vertex.  Otherwise w is the first kernel
-    vector, or its negation when only the negation is bounded, so
-    x + beta*w is feasible and makes one more independent row active.
-    P must be pointed.
+    x is feasible and given as bx = B x, and ``act`` lists the B-rows
+    active at it.  Returns None when that kernel is trivial, i.e. x is a
+    vertex.  Otherwise w is the first kernel vector, or its negation when
+    only the negation is bounded, so x + beta*w is feasible and makes one
+    more independent row active.  P must be pointed.  A kernel vector
+    satisfies A w = 0 and w != 0, so its step length needs no checks.
     """
     ker = kernel_basis(vstack(P.A, P.B.take_rows(act)))
     if not ker:
         return None
     w = ker[0]
-    beta = max_step(P, x, w)
+    beta = _step_length(P, bx, w)
     if beta is UNBOUNDED:
         w = -w
-        beta = max_step(P, x, w)
+        beta = _step_length(P, bx, w)
         if beta is UNBOUNDED:
             raise AssertionError("feasible line found in a pointed polyhedron")
     return w, beta
 
 
 def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
-    """Walk within the optimal face until the active system has rank n."""
+    """Walk within the optimal face until the active system has rank n.
+
+    x is the simplex's feasible point; each step computes B x once and
+    keeps x feasible, so the walk runs no membership checks.
+    """
     for _ in range(P.n + P.B.m + 1):
-        step = _kernel_step(P, x, active_rows(P, x))
+        bx = P.B.matvec(x)
+        step = _kernel_step(P, bx, _active(P, bx))
         if step is None:
             return x
         w, beta = step
@@ -235,8 +241,9 @@ def verify_unique(
     if optimum.value != c.dot(xstar):
         raise ValueError("xstar is not optimal for the given objective")
 
-    act = active_rows(P, xstar)
-    step = _kernel_step(P, xstar, act)
+    bx = P.B.matvec(xstar)
+    act = _active(P, bx)
+    step = _kernel_step(P, bx, act)
     if step is not None:
         w, beta = step
         return UniquenessReport(False, xstar + beta * w)
@@ -254,6 +261,6 @@ def verify_unique(
         raise AssertionError("the tangent-cone LP has no optimum")
     if out.value == 0:
         return UniquenessReport(True, None)
-    w = out.vertex
-    beta = max_step(P, xstar, w)
+    w = out.vertex  # nonzero, with A w = 0
+    beta = _step_length(P, bx, w)
     return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))

@@ -128,8 +128,12 @@ def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
     """Indices j of B with (Bx)_j = d_j, ascending.  x must be feasible."""
     if not is_feasible(P, x):
         raise ValueError("active_rows requires a feasible point")
-    bx = P.B.matvec(x)
-    return tuple(j for j in range(P.B.m) if bx[j] == P.d[j])
+    return _active(P, P.B.matvec(x))
+
+
+def _active(P: Polyhedron, bx: RatVec) -> tuple[int, ...]:
+    """``active_rows`` without its check, from a feasible x given as bx = B x."""
+    return tuple(j for j, (v, bound) in enumerate(zip(bx, P.d)) if v == bound)
 
 
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:

@@ -10,7 +10,11 @@ touches floating point, and no tolerance parameter exists.
 
 ``_pivot`` is the package's one elimination step: rank, kernels and
 solving here, the simplex tableau in ``lp`` and the circuit scan in
-``circuits`` are all sequences of it.
+``circuits`` are all sequences of it.  The systems the package solves
+(incidence matrices, B = [I; -I], tableaux of slack and artificial
+columns) are mostly zeros, so ``_pivot`` and the products
+``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; exact
+arithmetic makes the skipped terms exactly 0, so no value changes.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class RatVec:
 
     def dot(self, other: "RatVec") -> Fraction:
         self._check_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        pairs = zip(self.entries, other.entries)
+        return sum((a * b for a, b in pairs if a and b), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -160,7 +165,8 @@ class RatMat:
             raise ValueError(f"dimension mismatch: matrix has {self.n} columns, vector {v.dim}")
         ve = v.entries
         return RatVec(
-            sum((a * b for a, b in zip(row, ve)), Fraction(0)) for row in self.entries
+            sum((a * b for a, b in zip(row, ve) if a and b), Fraction(0))
+            for row in self.entries
         )
 
     def take_rows(self, indices: Sequence[int]) -> "RatMat":
@@ -209,16 +215,19 @@ def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
 
     Rows are rebound to new lists, never changed in place, so a caller may
     pivot on a copy of the outer list while other copies share its rows.
+    Zeros are skipped: an entry whose pivot-row entry is 0 is kept as it
+    is, and zeros of the pivot row are not divided.  Exact arithmetic
+    makes 0 - f*0 = 0, so the values are those of the dense formula.
     """
     pr = rows[r]
     piv = pr[col]
     if piv != 1:
-        pr = [a / piv for a in pr]
+        pr = [a / piv if a else a for a in pr]
         rows[r] = pr
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
-            rows[i] = [a - f * b for a, b in zip(row, pr)]
+            rows[i] = [a - f * b if b else a for a, b in zip(row, pr)]
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:

@@ -168,15 +168,16 @@ def verify_correspondence(
     and checks that its circuit is the 0/1 indicator of the oracle's
     maximum-cost cycle, the step length is 1, and the improvement equals
     the oracle's cycle cost.  Acyclic graphs pass vacuously (no step, no
-    cycle).
+    cycle).  The oracle runs first, so a graph beyond its node guard is
+    rejected before the exponential circuit enumeration starts.
     """
     if G.m == 0:
         return longest_cycle_oracle(G) is None
     reduction = build_reduction(G)
+    oracle = longest_cycle_oracle(reduction.source)
     P = reduction.instance.polyhedron
     c = reduction.instance.objective
     step = exact_dd_step(P, c, reduction.x0, work_budget=work_budget)
-    oracle = longest_cycle_oracle(reduction.source)
     if isinstance(step, Optimal):
         return oracle is None
     if not isinstance(step, DdStep) or oracle is None:

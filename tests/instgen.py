@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from ddcircuits import Digraph, Polyhedron, RatVec, build_reduction
-from ddcircuits.ratlin import RatMat
+from ddcircuits import Digraph, NotPointedError, Polyhedron, RatVec, build_reduction
+from ddcircuits.ratlin import RatMat, vstack
 
 
 def exhaustive_digraphs(node_counts=(2, 3), max_arcs=None):
@@ -92,3 +92,52 @@ def mixed_instances(seed: int, count: int):
     for i in range(count):
         out.append(makers[i % len(makers)](rng))
     return out
+
+
+def dense_rational_system(rng: random.Random) -> Polyhedron:
+    """A pointed system in n <= 4 variables with a dense, non-TU rational B
+    of n + 2 rows (the last a negative multiple of the first) and zero or
+    one dense equality rows."""
+    while True:
+        n = rng.randint(2, 4)
+
+        def row():
+            return [
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                for _ in range(n)
+            ]
+
+        a_rows = [row() for _ in range(rng.randint(0, 1))]
+        b_rows = [row() for _ in range(n + 1)]
+        b_rows.append([Fraction(-3, 2) * e for e in b_rows[0]])
+        try:
+            return Polyhedron(
+                RatMat(a_rows, cols=n),
+                RatVec([0] * len(a_rows)),
+                RatMat(b_rows),
+                RatVec([1] * len(b_rows)),
+            )
+        except NotPointedError:
+            continue
+
+
+def dense_polytope(rng: random.Random):
+    """A box cut by n dense non-TU rational rows and one dense equality,
+    all with the start point x0 strictly inside the cuts."""
+    n = rng.randint(3, 4)
+
+    def rat(nonzero=False):
+        while True:
+            p = rng.randint(-4, 4)
+            if p or not nonzero:
+                return Fraction(p, rng.randint(1, 5))
+
+    upper = [rng.randint(2, 4) for _ in range(n)]
+    x0 = RatVec([Fraction(rng.randint(1, 3 * u - 1), 3) for u in upper])
+    dense = RatMat([[rat() for _ in range(n)] for _ in range(n)], cols=n)
+    eq = RatMat([[rat(nonzero=True) for _ in range(n)]], cols=n)
+    box = Polyhedron.box([0] * n, upper)
+    slack = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(n)]
+    d = RatVec(list(box.d.entries) + [e + s for e, s in zip(dense.matvec(x0), slack)])
+    P = Polyhedron(eq, eq.matvec(x0), vstack(box.B, dense), d)
+    return P, RatVec([rat(nonzero=True) for _ in range(n)]), x0

@@ -7,7 +7,9 @@ from a plain graph walk, not from any kernel or cone computation.  The
 determinant oracles use no elimination at all: determinants by cofactor
 expansion, rank as the order of the largest nonzero minor, and circuits
 as signed maximal minors.  Approx augmentation is the plain loop over the
-public single step, which solves the LP afresh from every iterate.
+public single step, which solves the LP afresh from every iterate.  The
+dense elimination step and product form every term, zeros included; they
+are the references for the zero-skipping versions in ``ratlin``.
 """
 
 from fractions import Fraction
@@ -235,3 +237,22 @@ def directed_simple_cycles(G: Digraph) -> list[tuple[int, ...]]:
     for start in range(1, G.nodes + 1):
         walk(start, start, {start}, [])
     return sorted(cycles)
+
+
+def dense_pivot(rows, r: int, col: int) -> None:
+    """``ratlin._pivot`` by the dense formula: every entry of the pivot row
+    is divided and every entry of the other rows is updated, zeros too."""
+    pr = rows[r]
+    piv = pr[col]
+    if piv != 1:
+        pr = [a / piv for a in pr]
+        rows[r] = pr
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
+def dense_matvec(M: RatMat, v: RatVec) -> RatVec:
+    """M v with every product formed, zeros included."""
+    return RatVec(sum((a * b for a, b in zip(row, v.entries)), Fraction(0)) for row in M.entries)

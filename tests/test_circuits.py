@@ -8,7 +8,6 @@ from ddcircuits import (
     Circuit,
     ConeLift,
     Digraph,
-    NotPointedError,
     Polyhedron,
     RatVec,
     SizeGuardExceeded,
@@ -21,7 +20,7 @@ from ddcircuits import (
 from ddcircuits.circuits import canonical_orientation, circuit_from_vector
 from ddcircuits.ratlin import RatMat, kernel_basis
 
-from instgen import exhaustive_digraphs, mixed_instances
+from instgen import dense_rational_system, exhaustive_digraphs, mixed_instances
 from oracles import minor_circuits, undirected_cycle_indicators
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
@@ -32,33 +31,6 @@ def circulation(graph: Digraph) -> Polyhedron:
 
 TRIANGLE_GRAPH = Digraph(3, ((1, 2), (2, 3), (3, 1)))
 TRIANGLE = circulation(TRIANGLE_GRAPH)
-
-
-def dense_rational_system(rng: random.Random) -> Polyhedron:
-    """A pointed system in n <= 4 variables with a dense, non-TU rational B
-    of n + 2 rows (the last a negative multiple of the first) and zero or
-    one dense equality rows."""
-    while True:
-        n = rng.randint(2, 4)
-
-        def row():
-            return [
-                Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
-                for _ in range(n)
-            ]
-
-        a_rows = [row() for _ in range(rng.randint(0, 1))]
-        b_rows = [row() for _ in range(n + 1)]
-        b_rows.append([Fraction(-3, 2) * e for e in b_rows[0]])
-        try:
-            return Polyhedron(
-                RatMat(a_rows, cols=n),
-                RatVec([0] * len(a_rows)),
-                RatMat(b_rows),
-                RatVec([1] * len(b_rows)),
-            )
-        except NotPointedError:
-            continue
 
 
 class TestCircuitType:

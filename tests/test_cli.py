@@ -287,6 +287,8 @@ class TestBench:
         pytest.param(["circuits", "{square}", "--work-budget", "abc"], None, 64, id="budget-not-integer"),
         pytest.param(["circuits", "{square}", "--work-budget", "-5"], None, 64, id="budget-negative"),
         pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "-1"], None, 64, id="max-iters-negative"),
+        pytest.param(["bench", "--nodes", "4", "--trials", "-2", "--seed", "1"], None, 64, id="bench-trials-negative"),
+        pytest.param(["bench", "--nodes", "-3", "--trials", "1", "--seed", "1"], None, 64, id="bench-nodes-negative"),
         pytest.param(["circuits", "{square}"], "abc", 64, id="env-budget-not-integer"),
         pytest.param(["circuits", "{square}"], "-5", 64, id="env-budget-negative"),
         pytest.param(["solve", "{not_pointed}"], None, 65, id="not-pointed"),

@@ -27,9 +27,9 @@ from ddcircuits import (
     verify_unique,
 )
 from ddcircuits.polyhedron import UNBOUNDED
-from ddcircuits.ratlin import RatMat, rank, vstack
+from ddcircuits.ratlin import RatMat, rank
 
-from instgen import mixed_instances
+from instgen import dense_polytope, mixed_instances
 from oracles import per_step_approx_augment
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
@@ -197,28 +197,6 @@ class TestAugment:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             augment(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]), "fastest")
-
-
-def dense_polytope(rng: random.Random):
-    """A box cut by n dense non-TU rational rows and one dense equality,
-    all with the start point x0 strictly inside the cuts."""
-    n = rng.randint(3, 4)
-
-    def rat(nonzero=False):
-        while True:
-            p = rng.randint(-4, 4)
-            if p or not nonzero:
-                return Fraction(p, rng.randint(1, 5))
-
-    upper = [rng.randint(2, 4) for _ in range(n)]
-    x0 = RatVec([Fraction(rng.randint(1, 3 * u - 1), 3) for u in upper])
-    dense = RatMat([[rat() for _ in range(n)] for _ in range(n)], cols=n)
-    eq = RatMat([[rat(nonzero=True) for _ in range(n)]], cols=n)
-    box = Polyhedron.box([0] * n, upper)
-    slack = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(n)]
-    d = RatVec(list(box.d.entries) + [e + s for e, s in zip(dense.matvec(x0), slack)])
-    P = Polyhedron(eq, eq.matvec(x0), vstack(box.B, dense), d)
-    return P, RatVec([rat(nonzero=True) for _ in range(n)]), x0
 
 
 def approx_instances():

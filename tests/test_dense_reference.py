@@ -1,0 +1,129 @@
+"""The zero-skipping elimination step against the dense formula, and the
+circuit enumeration's one orientation per circuit.
+
+``ratlin._pivot`` keeps an entry whose pivot-row entry is 0 and does not
+divide zeros, and the products skip zero factors.  Here the dense step
+from ``oracles`` is patched into every module that pivots, and the LP,
+uniqueness, enumeration and decomposition results and the pivot sequence
+must come out identical.  The enumeration drops a leaf whose kernel an
+earlier leaf already gave before it orients it; its work-budget
+accounting is pinned by the exact budgets recorded before that change.
+"""
+
+import random
+from functools import reduce
+from operator import add
+
+import pytest
+
+import ddcircuits.circuits
+import ddcircuits.lp
+import ddcircuits.ratlin
+from ddcircuits import (
+    Digraph,
+    LpOptimal,
+    Polyhedron,
+    RatVec,
+    SizeGuardExceeded,
+    build_reduction,
+    decompose,
+    enumerate_circuits,
+    solve_lp,
+    verify_unique,
+)
+from ddcircuits.ratlin import kernel_basis, sign_normalized
+
+from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
+from oracles import dense_pivot
+
+PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp, ddcircuits.circuits)
+ZERO_SKIPPING_PIVOT = ddcircuits.ratlin._pivot
+
+
+def _instances():
+    """(P, c, x0): seeded circulations from zero, dense non-TU polytopes
+    from an interior point, and dense rational systems with objective 1
+    and no start."""
+    rng = random.Random(6060)
+    out = [gen_circulation(rng, max_nodes=5, max_arcs=8) for _ in range(8)]
+    rng = random.Random(4041)
+    out += [dense_polytope(rng) for _ in range(4)]
+    rng = random.Random(4417)
+    for _ in range(6):
+        P = dense_rational_system(rng)
+        out.append((P, RatVec([1] * P.n), None))
+    return out
+
+
+def _results(P, c, x0):
+    lp = solve_lp(P, c)
+    unique = verify_unique(P, c, lp.vertex, optimum=lp) if isinstance(lp, LpOptimal) else None
+    if x0 is not None and isinstance(lp, LpOptimal) and lp.vertex != x0:
+        z = lp.vertex - x0
+    else:
+        basis = kernel_basis(P.A)
+        z = reduce(add, basis) if basis else None
+    return lp, unique, enumerate_circuits(P), None if z is None else decompose(P, z)
+
+
+def _run_with(step, monkeypatch, P, c, x0):
+    log = []
+
+    def recording(rows, r, col):
+        step(rows, r, col)
+        log.append((r, col, tuple(rows[r])))
+
+    for module in PIVOTING_MODULES:
+        monkeypatch.setattr(module, "_pivot", recording)
+    return _results(P, c, x0), log
+
+
+def test_same_results_and_pivot_sequence_as_dense_step(monkeypatch):
+    pivots = 0
+    for P, c, x0 in _instances():
+        fast = _run_with(ZERO_SKIPPING_PIVOT, monkeypatch, P, c, x0)
+        dense = _run_with(dense_pivot, monkeypatch, P, c, x0)
+        assert fast == dense
+        pivots += len(fast[1])
+    assert pivots > 1000
+
+
+def _enumeration_systems():
+    k3 = Digraph(3, ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)))
+    rng = random.Random(7)
+    systems = {
+        "square": Polyhedron.box([0, 0], [1, 1]),
+        "k3": build_reduction(k3).instance.polyhedron,
+        "random5": build_reduction(random_digraph(random.Random(11), 5, 5, 9)).instance.polyhedron,
+    }
+    systems.update((f"dense{i}", dense_rational_system(rng)) for i in range(3))
+    return systems
+
+
+def test_each_circuit_oriented_once(monkeypatch):
+    real = ddcircuits.circuits.canonical_orientation
+    for P in _enumeration_systems().values():
+        oriented = []
+
+        def counting(P, circ):
+            oriented.append(sign_normalized(circ.entries))
+            return real(P, circ)
+
+        monkeypatch.setattr(ddcircuits.circuits, "canonical_orientation", counting)
+        circuits = enumerate_circuits(P)
+        assert len(oriented) == len(set(oriented)) == len(circuits)
+
+
+# The smallest work budget with which each enumeration completes, recorded
+# before repeated leaves were dropped ahead of orientation; the budget
+# counts scan nodes and leaves, so it must not move.
+EXACT_BUDGETS = {"square": 5, "k3": 55, "random5": 239, "dense0": 16, "dense1": 30, "dense2": 9}
+
+
+@pytest.mark.parametrize("name", EXACT_BUDGETS)
+def test_work_budget_accounting(name):
+    P = _enumeration_systems()[name]
+    budget = EXACT_BUDGETS[name]
+    enumerate_circuits(P, work_budget=budget)
+    with pytest.raises(SizeGuardExceeded):
+        enumerate_circuits(P, work_budget=budget - 1)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from ddcircuits.ratlin import (
     RatMat,
     RatVec,
+    _pivot,
     format_rat,
     kernel_basis,
     parse_rat,
@@ -15,7 +16,7 @@ from ddcircuits.ratlin import (
     vstack,
 )
 
-from oracles import coprime, minor_kernel_vector, minor_rank
+from oracles import coprime, dense_matvec, dense_pivot, minor_kernel_vector, minor_rank
 
 # Node-arc incidence of the directed triangle 1->2->3->1 (+1 tail, -1 head).
 TRIANGLE_INCIDENCE = RatMat(
@@ -186,6 +187,30 @@ def test_solve_against_minor_ranks(M, data):
     assert (x is not None) == consistent
     if x is not None:
         assert M.matvec(x) == rhs
+
+
+@given(_small_matrices(), st.data())
+def test_pivot_matches_dense_step(M, data):
+    # the zero-skipping step gives the dense formula's rows exactly,
+    # and rebinds changed rows instead of changing them in place
+    nonzero = [(i, j) for i, row in enumerate(M.entries) for j, a in enumerate(row) if a]
+    if not nonzero:
+        return
+    r, col = data.draw(st.sampled_from(nonzero))
+    before = [list(row) for row in M.entries]
+    rows, dense = list(before), list(before)
+    _pivot(rows, r, col)
+    dense_pivot(dense, r, col)
+    assert rows == dense
+    assert all(row == list(orig) for row, orig in zip(before, M.entries))
+
+
+@given(_small_matrices(), st.data())
+def test_products_match_dense_sums(M, data):
+    v = RatVec(data.draw(st.lists(_SPARSE, min_size=M.n, max_size=M.n)))
+    assert M.matvec(v) == dense_matvec(M, v)
+    for i, row in enumerate(M.iter_rows()):
+        assert row.dot(v) == dense_matvec(M, v)[i]
 
 
 @given(_matrices())

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+
+import ddcircuits.reductions
 
 from ddcircuits import (
     Digraph,
@@ -19,6 +22,7 @@ from ddcircuits import (
     verify_correspondence,
     verify_unique,
 )
+from ddcircuits.cli import main
 from ddcircuits.ddstep import Optimal
 from ddcircuits.reductions import format_digraph, parse_digraph_text
 from ddcircuits.ratlin import RatMat
@@ -164,6 +168,26 @@ class TestCorrespondence:
     def test_exhaustive_small_catalog(self):
         for g in exhaustive_digraphs(node_counts=(2, 3)):
             assert verify_correspondence(g), g
+
+    def test_oracle_guard_runs_before_the_enumeration(self, tmp_path, monkeypatch, capsys):
+        # a graph beyond the oracle's node guard is rejected without an
+        # exact dd-step; a guard of 3 nodes stands in for the real 8
+        small_guard = functools.partial(longest_cycle_oracle, max_nodes=3)
+        monkeypatch.setattr(ddcircuits.reductions, "longest_cycle_oracle", small_guard)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("the dd-step ran before the oracle's size guard")
+
+        monkeypatch.setattr(ddcircuits.reductions, "exact_dd_step", no_step)
+        square = Digraph(4, ((1, 2), (2, 3), (3, 4), (4, 1)))
+        with pytest.raises(SizeGuardExceeded, match="limited to 3 nodes, got 4"):
+            verify_correspondence(square)
+        path = tmp_path / "square.graph"
+        path.write_text(format_digraph(square))
+        assert main(["verify", str(path)]) == 66
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cycle oracle limited to 3 nodes, got 4" in captured.err
 
 
 class TestPerturbedCycleCosts:
