@@ -187,12 +187,12 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     """Flip the sign so the first nonzero entry of B g is positive.
 
-    Goes through the rows of B and stops at the first one with
-    (B g)_j != 0, so it does not compute all of B g.
+    Goes through the rows of B with the integer entries of g and stops at
+    the first one with (B g)_j != 0, so it does not compute all of B g.
     """
-    g = circ.vec
-    for row in P.B.iter_rows():
-        e = row.dot(g)
+    g = circ.entries
+    for row in P.B.entries:
+        e = sum(a * b for a, b in zip(row, g) if a and b)
         if e > 0:
             return circ
         if e < 0:
@@ -200,13 +200,17 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     raise AssertionError("kernel direction with zero B-image in a pointed system")
 
 
-def _extend(rows: list, leads: list[int], vec) -> Optional[tuple[list, list[int]]]:
-    """The reduced echelon form (rows, leads) with vec added, or None when
-    vec lies in its row space.
+def _extend(
+    rows: list[list[int]], leads: list[int], vec: tuple[int, ...]
+) -> Optional[tuple[list[list[int]], list[int]]]:
+    """The reduced echelon form (rows, leads) with the integer row vec
+    added, or None when vec lies in its row space.
 
-    Works on a copy of the outer list; ``_pivot`` rebinds rows and never
-    changes a row list in place, so the input stays valid and can be
-    shared by the other branches of the subset scan.
+    Rows are primitive integer rows, as ``_pivot`` keeps them: vec is
+    reduced against each lead it meets, and its first nonzero entry
+    becomes a new lead.  Works on a copy of the outer list; ``_pivot``
+    rebinds rows and never changes a row list in place, so the input stays
+    valid and can be shared by the other branches of the subset scan.
     """
     rows = rows + [list(vec)]
     new = len(leads)
@@ -236,26 +240,26 @@ def enumerate_circuits(
         raise NotPointedError("circuit enumeration requires a pointed polyhedron")
     n = P.n
 
-    rows = [list(arow) for arow in P.A.entries]
+    rows = [list(coprime_integer_entries(arow)) for arow in P.A.entries]
     leads = _rref(rows, n)
     rows = rows[: len(leads)]
     k = n - 1 - len(leads)
     if k < 0:
         return []
 
-    reps: list[int] = []
+    reps: list[tuple[int, ...]] = []  # one integer row per parallel class of B
     seen: set[tuple[int, ...]] = set()
-    for i in range(P.B.m):
-        row = P.B.entries[i]
-        if all(a == 0 for a in row):
+    for row in P.B.entries:
+        ints = coprime_integer_entries(row)
+        if not any(ints):
             continue
-        key = sign_normalized(coprime_integer_entries(row))
+        key = sign_normalized(ints)
         if key not in seen:
             seen.add(key)
-            reps.append(i)
+            reps.append(ints)
 
     found: list[Circuit] = []
-    leaves: set[RatVec] = set()  # sign-normalized leaf kernels seen so far
+    leaves: set[tuple[int, ...]] = set()  # sign-normalized leaf kernels seen so far
     budget = [work_budget]
 
     def charge() -> None:
@@ -274,7 +278,7 @@ def enumerate_circuits(
         if ker[0] in leaves:
             return
         leaves.add(ker[0])
-        found.append(canonical_orientation(P, circuit_from_vector(ker[0])))
+        found.append(canonical_orientation(P, Circuit(ker[0])))
 
     def scan(start: int, rows: list, leads: list[int]) -> None:
         charge()
@@ -283,7 +287,7 @@ def enumerate_circuits(
             emit(rows, leads)
             return
         for pos in range(start, len(reps) - need + 1):
-            ext = _extend(rows, leads, P.B.entries[reps[pos]])
+            ext = _extend(rows, leads, reps[pos])
             if ext is not None:
                 scan(pos + 1, *ext)
 

@@ -27,7 +27,6 @@ import io
 import json
 import os
 import random
-import re
 import sys
 
 from .circuits import DEFAULT_WORK_BUDGET, enumerate_circuits
@@ -44,6 +43,7 @@ from .errors import (
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp, verify_unique
 from .ocnp import AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor, NotUnique, decide_ocnp
 from .polyhedron import (
+    _COUNT_RE,
     Instance,
     format_instance,
     format_point,
@@ -83,9 +83,6 @@ _EXIT_CODES = {
     OSError: EXIT_USAGE,
 }
 
-_NON_NEGATIVE_INT_RE = re.compile(r"[0-9]+")
-
-
 class _UsageError(Exception):
     """A command line argparse rejected; reported with EXIT_USAGE."""
 
@@ -98,7 +95,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
-    if not _NON_NEGATIVE_INT_RE.fullmatch(text):
+    if not _COUNT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -520,7 +517,7 @@ def _default_budget() -> int:
     raw = os.environ.get("DDCIRCUITS_WORK_BUDGET")
     if raw is None:
         return DEFAULT_WORK_BUDGET
-    if not _NON_NEGATIVE_INT_RE.fullmatch(raw):
+    if not _COUNT_RE.fullmatch(raw):
         raise ValueError(
             f"DDCIRCUITS_WORK_BUDGET must be a non-negative integer, got {raw!r}"
         )

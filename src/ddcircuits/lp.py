@@ -6,6 +6,16 @@ the smallest-index anti-cycling rule (smallest eligible entering column;
 ratio ties broken by smallest basic variable index), so the solver always
 terminates and is fully deterministic.
 
+The tableau is an integer one: each row, the cost rows included, is
+scaled to coprime integers and pivoted with ``ratlin._pivot``, so row i is
+a positive multiple of its unit-basis form and its basic entry is
+positive.  The entering test reads only signs of the cost row; the ratio
+test compares rhs_i / a_i with rhs_k / a_k as rhs_i * a_k against
+rhs_k * a_i; phase 1 is infeasible when an artificial basic row keeps a
+positive right-hand side.  These are the decisions of the unit-basis
+tableau, so the pivots are the same.  The vertex and the unbounded ray
+divide each row's entries by its basic entry.
+
 The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
 point (the split system has more vertices than the original one), so the
@@ -33,7 +43,7 @@ from typing import Optional, Union
 
 from .errors import NotPointedError
 from .polyhedron import UNBOUNDED, Point, Polyhedron, _active, _step_length, is_feasible
-from .ratlin import Rat, RatMat, RatVec, _pivot, kernel_basis, vstack
+from .ratlin import Rat, RatMat, RatVec, _pivot, coprime_integer_entries, kernel_basis, vstack
 
 
 @dataclass(frozen=True)
@@ -67,11 +77,14 @@ class UniquenessReport:
     witness: Optional[Point]
 
 
-def _bland(T: list[list[Fraction]], basis: list[int], ncols: int):
-    """Minimize the cost row T[-1] over the constraint rows T[:-1].
+def _bland(T: list[list[int]], basis: list[int], ncols: int):
+    """Minimize the cost row T[-1] over the integer constraint rows T[:-1].
 
     The right-hand side is the last column, and only the first ``ncols``
-    columns may enter.  Returns ('optimal', None) or ('unbounded',
+    columns may enter.  Each row is a positive multiple of its unit-basis
+    form, so a column may enter when its cost entry is negative, and row
+    i's ratio rhs_i / a_i is compared with the best row's by
+    cross-multiplication.  Returns ('optimal', None) or ('unbounded',
     entering column).
     """
     m = len(T) - 1
@@ -81,14 +94,15 @@ def _bland(T: list[list[Fraction]], basis: list[int], ncols: int):
         if enter is None:
             return "optimal", None
         leave = None
-        best = None
         for i in range(m):
             a = T[i][enter]
             if a > 0:
-                r = T[i][-1] / a
-                if best is None or r < best or (r == best and basis[i] < basis[leave]):
-                    best = r
-                    leave = i
+                if leave is None:
+                    leave, rhs_best, a_best = i, T[i][-1], a
+                    continue
+                lhs, rhs = T[i][-1] * a_best, rhs_best * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, rhs_best, a_best = i, T[i][-1], a
         if leave is None:
             return "unbounded", enter
         _pivot(T, leave, enter)
@@ -154,27 +168,26 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     n, m_b = P.n, P.B.m
     ncols = 2 * n + m_b
     m = P.A.m + m_b
-    zero, one = Fraction(0), Fraction(1)
 
-    # One tableau: a row [x+ | x- | slacks | artificials | rhs] per
-    # constraint, right-hand sides made nonnegative, then the cost row.
-    # Phase 1 starts from the artificial basis and minimizes their sum.
-    T: list[list[Fraction]] = []
+    # One integer tableau: a row [x+ | x- | slacks | artificials | rhs] per
+    # constraint, scaled to coprime integers with a nonnegative right-hand
+    # side, then the cost row.  Phase 1 starts from the artificial basis
+    # and minimizes their sum.
+    T: list[list[int]] = []
     for i, (row, rhs) in enumerate(zip(P.A.entries + P.B.entries, P.b.entries + P.d.entries)):
-        unit = [one if k == i else zero for k in range(m)]
+        unit = [1 if k == i else 0 for k in range(m)]
         line = list(row) + [-a for a in row] + unit[P.A.m :] + [rhs]
         if rhs < 0:
             line = [-a for a in line]
-        T.append(line[:-1] + unit + line[-1:])
-    T.append([zero] * ncols + [one] * m + [zero])
+        T.append(list(coprime_integer_entries(line[:-1] + unit + line[-1:])))
+    T.append([0] * ncols + [1] * m + [0])
     basis = [ncols + i for i in range(m)]
     for i, jb in enumerate(basis):  # price out the basis
         _pivot(T, i, jb)
     status, _ = _bland(T, basis, ncols)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below by 0
         raise AssertionError("phase-1 objective reported unbounded")
-    residue = sum((T[i][-1] for i in range(m) if basis[i] >= ncols), zero)
-    if residue > 0:
+    if any(T[i][-1] > 0 for i in range(m) if basis[i] >= ncols):
         return LpInfeasible()
 
     # Drive artificials out of the basis; rows they cannot leave are redundant.
@@ -191,21 +204,24 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
 
     # Phase 2: the real objective over the split variables.
     T = [T[i][:ncols] + T[i][-1:] for i in keep]
-    T.append(list(c.entries) + [-a for a in c.entries] + [zero] * (m_b + 1))
+    cost = coprime_integer_entries(c.entries + tuple(-a for a in c.entries))
+    T.append(list(cost) + [0] * (m_b + 1))
     for i, jb in enumerate(basis):
         _pivot(T, i, jb)
     status, enter = _bland(T, basis, ncols)
+
+    # Row i reads its basic variable basis[i] after division by its entry.
     if status == "unbounded":
-        ray = [zero] * ncols
-        ray[enter] = one
+        ray = [Fraction(0)] * ncols
+        ray[enter] = Fraction(1)
         for i, jb in enumerate(basis):
-            ray[jb] = -T[i][enter]
+            ray[jb] = Fraction(-T[i][enter], T[i][jb])
         direction = RatVec(ray[j] - ray[n + j] for j in range(n))
         return LpUnbounded(direction)
 
-    w = [zero] * ncols
+    w = [Fraction(0)] * ncols
     for i, jb in enumerate(basis):
-        w[jb] = T[i][-1]
+        w[jb] = Fraction(T[i][-1], T[i][jb])
     x = RatVec(w[j] - w[n + j] for j in range(n))
     x = _purify_to_vertex(P, c, x)
     return LpOptimal(x, c.dot(x))

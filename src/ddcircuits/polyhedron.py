@@ -193,6 +193,9 @@ class Instance:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\S+")
+# A count in ASCII digits; ``str.isdigit`` also accepts superscript and
+# Arabic-Indic digits, which ``int()`` converts or rejects.
+_COUNT_RE = re.compile(r"[0-9]+")
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
@@ -237,12 +240,18 @@ def _parse_header(line_no: int, line: str) -> tuple[int, int, int]:
         raise ParseError(
             f"header must be 'n m_A m_B', found {len(toks)} tokens", line_no, 1
         )
-    values = []
-    for col, tok in toks:
-        if not tok.isdigit():
-            raise ParseError(f"malformed count {tok!r}", line_no, col)
-        values.append(int(tok))
-    return values[0], values[1], values[2]
+    n, m_a, m_b = (_parse_count(line_no, col, tok, "count") for col, tok in toks)
+    return n, m_a, m_b
+
+
+def _parse_count(line_no: int, col: int, tok: str, what: str) -> int:
+    """A nonnegative integer in ASCII digits, or ParseError at ``col``."""
+    if _COUNT_RE.fullmatch(tok):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"malformed {what} {tok!r}", line_no, col)
 
 
 def parse_instance_text(text: str, *, allow_non_pointed: bool = False) -> Instance:

@@ -10,11 +10,19 @@ touches floating point, and no tolerance parameter exists.
 
 ``_pivot`` is the package's one elimination step: rank, kernels and
 solving here, the simplex tableau in ``lp`` and the circuit scan in
-``circuits`` are all sequences of it.  The systems the package solves
-(incidence matrices, B = [I; -I], tableaux of slack and artificial
-columns) are mostly zeros, so ``_pivot`` and the products
-``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; exact
-arithmetic makes the skipped terms exactly 0, so no value changes.
+``circuits`` are all sequences of it.  It works fraction-free on
+primitive integer rows (lists of ints with gcd 1, each standing for any of
+its positive multiples; ``coprime_integer_entries`` makes them): the other
+rows become ``p*row - f*pivot_row`` over their content, in the line of
+Bareiss (Math. Comp. 1968) and Edmonds (1967).  Each row stays a positive
+multiple of the row the unit-pivot Fraction step would give, so every
+zero pattern and every sign, and hence every pivot choice, is the one
+that step makes.  Results are read out as ``Fraction``s only at the end.
+The systems the package solves (incidence matrices, B = [I; -I], tableaux
+of slack and artificial columns) are mostly zeros, so ``_pivot`` and the
+products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
+incidence matrices are totally unimodular, so their integer rows stay
+small.
 """
 
 from __future__ import annotations
@@ -26,7 +34,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 Rat = Fraction
 
-_RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
+# ASCII digits only: ``\d`` and ``int()`` also accept other Unicode digits.
+_RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rat(token: str) -> Rat:
@@ -209,31 +218,45 @@ def vstack(*mats: RatMat) -> RatMat:
     return RatMat(rows, cols=cols)
 
 
-def _pivot(rows: list[list[Fraction]], r: int, col: int) -> None:
-    """One Gauss-Jordan step: scale row r to a unit entry in ``col``, then
-    clear ``col`` from every other row.
+def _pivot(rows: list[list[int]], r: int, col: int) -> None:
+    """One fraction-free Gauss-Jordan step on primitive integer rows: make
+    the entry p of row r in ``col`` positive, then clear ``col`` from every
+    other row.
 
-    Rows are rebound to new lists, never changed in place, so a caller may
-    pivot on a copy of the outer list while other copies share its rows.
-    Zeros are skipped: an entry whose pivot-row entry is 0 is kept as it
-    is, and zeros of the pivot row are not divided.  Exact arithmetic
-    makes 0 - f*0 = 0, so the values are those of the dense formula.
+    Each row is a list of ints standing for any of its positive multiples.
+    A row with entry f != 0 in ``col`` becomes ``p*row - f*pivot_row``
+    divided by its content, so every row the step rewrites is primitive
+    (gcd 1) (Bareiss, Math. Comp. 1968; Edmonds, 1967).  That is a positive
+    multiple of what the unit-pivot Fraction step gives, so every zero
+    pattern and sign, hence every pivot choice, is the Fraction step's.  The nonzeros of the pivot row are read once and
+    only they are subtracted.  Rows are rebound to new lists, never
+    changed in place, so a caller may pivot on a copy of the outer list
+    while other copies share its rows.
     """
     pr = rows[r]
-    piv = pr[col]
-    if piv != 1:
-        pr = [a / piv if a else a for a in pr]
+    p = pr[col]
+    if p < 0:
+        pr = [-a for a in pr]
         rows[r] = pr
+        p = -p
+    nonzeros = [(j, b) for j, b in enumerate(pr) if b]
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
-            rows[i] = [a - f * b if b else a for a, b in zip(row, pr)]
+            new = [p * a for a in row] if p != 1 else row[:]
+            for j, b in nonzeros:
+                new[j] -= f * b
+            g = gcd(*new)
+            if g > 1:
+                new = [a // g for a in new]
+            rows[i] = new
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+def _rref(rows: list[list[int]], ncols: int) -> list[int]:
     """Reduced row echelon form of the first ``ncols`` columns, in place.
 
-    Returns the pivot columns; row i holds the unit entry of pivot i.
+    Returns the pivot columns; row i holds the positive entry of pivot i,
+    and every other row is 0 in that column.
     """
     pivots: list[int] = []
     for col in range(ncols):
@@ -250,20 +273,19 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
 
 
 def rank(M: RatMat) -> int:
-    """Dimension of the row space, by exact rational elimination."""
-    rows = [list(row) for row in M.entries]
+    """Dimension of the row space, by exact integer elimination."""
+    rows = [list(coprime_integer_entries(row)) for row in M.entries]
     return len(_rref(rows, M.n))
 
 
-def coprime_integer_entries(values: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving orientation."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    ints = [int(v * den) for v in values]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+def coprime_integer_entries(values: Sequence[Fraction | int]) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers, preserving orientation.
+
+    Zeros stay 0, and a vector of coprime integers comes back unchanged.
+    """
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
     if g > 1:
         ints = [a // g for a in ints]
     return tuple(ints)
@@ -286,26 +308,36 @@ def kernel_basis(M: RatMat) -> list[RatVec]:
     nonzero entry positive, so equal kernels produce equal bases.  An
     empty list means the kernel is trivial.
     """
-    rows = [list(row) for row in M.entries]
-    return _echelon_kernel(rows, _rref(rows, M.n), M.n)
+    rows = [list(coprime_integer_entries(row)) for row in M.entries]
+    return [RatVec(v) for v in _echelon_kernel(rows, _rref(rows, M.n), M.n)]
 
 
 def _echelon_kernel(
-    rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int
-) -> list[RatVec]:
-    """``kernel_basis`` read from a reduced echelon form: row i holds the
-    unit entry of column ``pivots[i]``, in any column order, and rows past
-    the last pivot are ignored."""
+    rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+) -> list[tuple[int, ...]]:
+    """``kernel_basis`` as int tuples, read from a reduced echelon form of
+    integer rows: row i has a positive entry p_i in column ``pivots[i]``
+    and 0 in the other pivot columns, in any column order, and rows past
+    the last pivot are ignored.
+
+    For a free column, the kernel vector of the unit-pivot form has 1
+    there and -row_i[free] / p_i at ``pivots[i]``; scaled by the lcm L of
+    the p_i of the rows with row_i[free] != 0, it is L there and
+    -row_i[free] * (L // p_i), all ints.
+    """
     pivot_set = set(pivots)
-    basis: list[RatVec] = []
+    basis: list[tuple[int, ...]] = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[free]
-        basis.append(RatVec(sign_normalized(coprime_integer_entries(vec))))
+        terms = [(pc, row[pc], row[free]) for row, pc in zip(rows, pivots) if row[free]]
+        den = lcm(*(p for _, p, _ in terms))
+        vec = [0] * ncols
+        vec[free] = den
+        for pc, p, a in terms:
+            vec[pc] = -a * (den // p)
+        g = gcd(*vec)
+        basis.append(sign_normalized([a // g for a in vec]))
     return basis
 
 
@@ -313,11 +345,12 @@ def solve(M: RatMat, rhs: RatVec) -> Optional[RatVec]:
     """One exact solution of M x = rhs, or None when the system is inconsistent.
 
     Free variables are set to zero, so the particular solution is the one
-    elimination produces.
+    elimination produces: x at pivot column ``pc`` of row i is its
+    right-hand side over its pivot entry.
     """
     if rhs.dim != M.m:
         raise ValueError(f"right-hand side has {rhs.dim} entries, matrix has {M.m} rows")
-    rows = [list(row) + [b] for row, b in zip(M.entries, rhs.entries)]
+    rows = [list(coprime_integer_entries(row + (b,))) for row, b in zip(M.entries, rhs.entries)]
     if not rows:
         return RatVec.zeros(M.n)
     pivots = _rref(rows, M.n + 1)
@@ -325,5 +358,5 @@ def solve(M: RatMat, rhs: RatVec) -> Optional[RatVec]:
         return None
     x = [Fraction(0)] * M.n
     for i, pc in enumerate(pivots):
-        x[pc] = rows[i][M.n]
+        x[pc] = Fraction(rows[i][M.n], rows[i][pc])
     return RatVec(x)

@@ -21,7 +21,7 @@ from typing import Optional
 from .circuits import DEFAULT_WORK_BUDGET
 from .ddstep import DdStep, Optimal, exact_dd_step
 from .errors import ParseError, SizeGuardExceeded
-from .polyhedron import Instance, Point, Polyhedron, _data_lines, _tokens
+from .polyhedron import Instance, Point, Polyhedron, _data_lines, _parse_count, _tokens
 from .ratlin import Rat, RatMat, RatVec, parse_rat, vstack
 
 MAX_ORACLE_NODES = 8
@@ -205,10 +205,9 @@ def parse_digraph_text(text: str) -> Digraph:
         raise ParseError("empty graph file", 1, 1)
     head_no, head_line = lines[0]
     head_toks = _tokens(head_line)
-    if len(head_toks) != 2 or not all(tok.isdigit() for _, tok in head_toks):
+    if len(head_toks) != 2:
         raise ParseError("header must be '|V| m' with nonnegative integers", head_no, 1)
-    nodes = int(head_toks[0][1])
-    m = int(head_toks[1][1])
+    nodes, m = (_parse_count(head_no, col, tok, "count") for col, tok in head_toks)
     if len(lines) - 1 != m:
         raise ParseError(
             f"expected {m} arc lines, found {len(lines) - 1}",
@@ -222,15 +221,13 @@ def parse_digraph_text(text: str) -> Digraph:
         toks = _tokens(line)
         if len(toks) not in (2, 3):
             raise ParseError("arc line must be 'tail head [cost]'", no, 1)
-        for col, tok in toks[:2]:
-            if not tok.isdigit():
-                raise ParseError(f"malformed node index {tok!r}", no, col)
+        tail, head = (_parse_count(no, col, tok, "node index") for col, tok in toks[:2])
         line_has_cost = len(toks) == 3
         if has_costs is None:
             has_costs = line_has_cost
         elif has_costs != line_has_cost:
             raise ParseError("either every arc line has a cost or none does", no, 1)
-        arcs.append((int(toks[0][1]), int(toks[1][1])))
+        arcs.append((tail, head))
         if line_has_cost:
             col, tok = toks[2]
             try:

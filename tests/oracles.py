@@ -9,7 +9,8 @@ expansion, rank as the order of the largest nonzero minor, and circuits
 as signed maximal minors.  Approx augmentation is the plain loop over the
 public single step, which solves the LP afresh from every iterate.  The
 dense elimination step and product form every term, zeros included; they
-are the references for the zero-skipping versions in ``ratlin``.
+are the references for the zero-skipping, fraction-free versions in
+``ratlin``.
 """
 
 from fractions import Fraction
@@ -251,6 +252,17 @@ def dense_pivot(rows, r: int, col: int) -> None:
         f = row[col]
         if f and i != r:
             rows[i] = [a - f * b for a, b in zip(row, pr)]
+
+
+def positive_multiple(row, ref) -> bool:
+    """Is ``row`` ``ref`` times a positive rational (both may be zero)?
+    This is how an integer row of the fraction-free step stands for the
+    Fraction step's row."""
+    j = next((j for j, b in enumerate(ref) if b), None)
+    if j is None:
+        return not any(row)
+    ratio = Fraction(row[j]) / ref[j]
+    return ratio > 0 and all(a == ratio * b for a, b in zip(row, ref))
 
 
 def dense_matvec(M: RatMat, v: RatVec) -> RatVec:

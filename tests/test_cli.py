@@ -297,6 +297,7 @@ class TestBench:
         pytest.param(["circuits", "{square}", "--work-budget", "0"], "abc", 66, id="flag-overrides-env"),
         pytest.param(["augment", "{square}", "--from", "1 1", "--max-iters", "0"], None, 0, id="max-iters-zero-at-optimum"),
         pytest.param(["ocnp", "{square}", "--from", "0"], None, 64, id="inline-point-beats-file-named-0"),
+        pytest.param(["ocnp", "{square}", "--from", "٣ 1"], None, 64, id="from-non-ascii-digit"),
         pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "1"], None, 70, id="iteration-cap"),
     ],
 )

@@ -1,16 +1,21 @@
-"""The zero-skipping elimination step against the dense formula, and the
-circuit enumeration's one orientation per circuit.
+"""The integer elimination step against the Fraction step, and the circuit
+enumeration's one orientation per circuit.
 
-``ratlin._pivot`` keeps an entry whose pivot-row entry is 0 and does not
-divide zeros, and the products skip zero factors.  Here the dense step
-from ``oracles`` is patched into every module that pivots, and the LP,
-uniqueness, enumeration and decomposition results and the pivot sequence
-must come out identical.  The enumeration drops a leaf whose kernel an
-earlier leaf already gave before it orients it; its work-budget
-accounting is pinned by the exact budgets recorded before that change.
+``ratlin._pivot`` holds primitive integer rows: each stands for any of its
+positive multiples, so it is the Fraction step up to a positive factor per
+row.  Here every step the package takes is checked against the dense
+Fraction step from ``oracles`` on the same rows, and the pivot log (row,
+column, pivot row divided by its pivot entry) and the LP, uniqueness,
+enumeration and decomposition results must hash to the digest the
+Fraction step gave before the integer step replaced it.  The enumeration
+drops a leaf whose kernel an earlier leaf already gave before it orients
+it; its work-budget accounting is pinned by the exact budgets recorded
+before that change.
 """
 
+import hashlib
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -34,10 +39,10 @@ from ddcircuits import (
 from ddcircuits.ratlin import kernel_basis, sign_normalized
 
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
-from oracles import dense_pivot
+from oracles import dense_pivot, positive_multiple
 
 PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp, ddcircuits.circuits)
-ZERO_SKIPPING_PIVOT = ddcircuits.ratlin._pivot
+INTEGER_PIVOT = ddcircuits.ratlin._pivot
 
 
 def _instances():
@@ -66,26 +71,36 @@ def _results(P, c, x0):
     return lp, unique, enumerate_circuits(P), None if z is None else decompose(P, z)
 
 
-def _run_with(step, monkeypatch, P, c, x0):
+def _run_checked(monkeypatch):
+    """Results and pivot log, with every step checked against the dense
+    Fraction step on the same rows."""
     log = []
 
-    def recording(rows, r, col):
-        step(rows, r, col)
-        log.append((r, col, tuple(rows[r])))
+    def checked(rows, r, col):
+        dense = [[Fraction(a) for a in row] for row in rows]
+        dense_pivot(dense, r, col)
+        INTEGER_PIVOT(rows, r, col)
+        assert all(positive_multiple(row, ref) for row, ref in zip(rows, dense))
+        p = rows[r][col]
+        log.append((r, col, tuple(Fraction(a) / p for a in rows[r])))
 
     for module in PIVOTING_MODULES:
-        monkeypatch.setattr(module, "_pivot", recording)
-    return _results(P, c, x0), log
+        monkeypatch.setattr(module, "_pivot", checked)
+    return [_results(P, c, x0) for P, c, x0 in _instances()], log
 
 
-def test_same_results_and_pivot_sequence_as_dense_step(monkeypatch):
-    pivots = 0
-    for P, c, x0 in _instances():
-        fast = _run_with(ZERO_SKIPPING_PIVOT, monkeypatch, P, c, x0)
-        dense = _run_with(dense_pivot, monkeypatch, P, c, x0)
-        assert fast == dense
-        pivots += len(fast[1])
-    assert pivots > 1000
+# Recorded with the Fraction step (each pivot row divided to a unit entry),
+# which made the same 2061 pivots as the dense formula: sha256 over the
+# repr of (pivot log, results) on ``_instances()``.
+FRACTION_STEP_PIVOTS = 2061
+FRACTION_STEP_DIGEST = "19c7c7969c97fb88ae40164ee68e0923058ff0a83542735bc97a375f752be485"
+
+
+def test_same_results_and_pivot_log_as_fraction_step(monkeypatch):
+    results, log = _run_checked(monkeypatch)
+    assert len(log) == FRACTION_STEP_PIVOTS
+    digest = hashlib.sha256(repr((log, results)).encode()).hexdigest()
+    assert digest == FRACTION_STEP_DIGEST
 
 
 def _enumeration_systems():

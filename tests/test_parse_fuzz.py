@@ -1,0 +1,78 @@
+"""Fuzz of the three text parsers: every text either parses or raises
+``ParseError`` at a line and column inside the text.
+
+Line numbers count ``str.splitlines`` lines from 1 and may point one past
+the last line (an unexpected end of file); a column may point one past the
+end of its line (a missing token).  Texts mix arbitrary Unicode with
+near-valid files whose tokens include non-ASCII digits such as "٣" and
+"²", which ``str.isdigit`` accepts and ``int`` converts.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ddcircuits import ParseError
+from ddcircuits.polyhedron import parse_instance_text, parse_point_text
+from ddcircuits.reductions import parse_digraph_text
+
+_TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "-1", "1/2", "-3/4", "3/0", "٣", "²", "１", "x", "+1", "1.5", "#", "0" * 4400]
+)
+_ALPHABET = st.sampled_from(list("0123456789/- \t\n#") + ["\r", "\x0b", " ", "٣", "²", "１", "x"])
+
+
+@st.composite
+def _near_valid(draw):
+    """Up to 8 lines of up to 4 tokens, often led by a small header."""
+    lines = draw(st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=8))
+    if draw(st.booleans()):
+        header = draw(st.lists(st.sampled_from(["0", "1", "2", "3", "٣", "²"]), min_size=2, max_size=3))
+        lines.insert(0, " ".join(header))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+_TEXTS = st.one_of(st.text(max_size=40), st.text(_ALPHABET, max_size=60), _near_valid())
+
+
+def _parse_or_locate(parse, text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        lines = text.splitlines()
+        assert 1 <= exc.line <= len(lines) + 1
+        width = len(lines[exc.line - 1]) if exc.line <= len(lines) else 0
+        assert 1 <= exc.column <= width + 1
+
+
+PARSERS = {
+    "instance": lambda text: parse_instance_text(text, allow_non_pointed=True),
+    "point": parse_point_text,
+    "point-dim-2": lambda text: parse_point_text(text, expected_dim=2),
+    "digraph": parse_digraph_text,
+}
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@settings(max_examples=300, deadline=None)
+@given(text=_TEXTS)
+def test_parses_or_raises_located_parse_error(name, text):
+    _parse_or_locate(PARSERS[name], text)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        pytest.param("instance", "² 0 0\n1\n", id="instance-superscript-count"),
+        pytest.param("instance", "1 0 0\n٣\n", id="instance-arabic-indic-entry"),
+        pytest.param("instance", "1 0 0\n" + "1" * 4400 + "\n", id="instance-huge-entry"),
+        pytest.param("instance", "1" * 4400 + " 0 0\n1\n", id="instance-huge-count"),
+        pytest.param("point", "٣ 1\n", id="point-arabic-indic-entry"),
+        pytest.param("digraph", "² 0\n", id="digraph-superscript-count"),
+        pytest.param("digraph", "2 1\n1 ٢\n", id="digraph-arabic-indic-node"),
+        pytest.param("digraph", "2 1\n1 2 ٣\n", id="digraph-arabic-indic-cost"),
+        pytest.param("digraph", "2 " + "1" * 4400 + "\n", id="digraph-huge-count"),
+    ],
+)
+def test_non_ascii_digits_and_huge_counts_are_parse_errors(name, text):
+    with pytest.raises(ParseError):
+        PARSERS[name](text)

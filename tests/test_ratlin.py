@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from ddcircuits.ratlin import (
     RatMat,
     RatVec,
     _pivot,
+    coprime_integer_entries,
     format_rat,
     kernel_basis,
     parse_rat,
@@ -16,7 +18,14 @@ from ddcircuits.ratlin import (
     vstack,
 )
 
-from oracles import coprime, dense_matvec, dense_pivot, minor_kernel_vector, minor_rank
+from oracles import (
+    coprime,
+    dense_matvec,
+    dense_pivot,
+    minor_kernel_vector,
+    minor_rank,
+    positive_multiple,
+)
 
 # Node-arc incidence of the directed triangle 1->2->3->1 (+1 tail, -1 head).
 TRIANGLE_INCIDENCE = RatMat(
@@ -191,18 +200,33 @@ def test_solve_against_minor_ranks(M, data):
 
 @given(_small_matrices(), st.data())
 def test_pivot_matches_dense_step(M, data):
-    # the zero-skipping step gives the dense formula's rows exactly,
-    # and rebinds changed rows instead of changing them in place
+    # on primitive integer rows the step gives a primitive positive
+    # multiple of each row of the dense Fraction step, with its zero
+    # pattern, and rebinds changed rows instead of changing them in place
     nonzero = [(i, j) for i, row in enumerate(M.entries) for j, a in enumerate(row) if a]
     if not nonzero:
         return
     r, col = data.draw(st.sampled_from(nonzero))
-    before = [list(row) for row in M.entries]
-    rows, dense = list(before), list(before)
+    before = [list(coprime_integer_entries(row)) for row in M.entries]
+    snapshot = [list(row) for row in before]
+    rows, dense = list(before), [list(row) for row in M.entries]
     _pivot(rows, r, col)
     dense_pivot(dense, r, col)
-    assert rows == dense
-    assert all(row == list(orig) for row, orig in zip(before, M.entries))
+    for row, ref in zip(rows, dense):
+        assert all(type(a) is int for a in row) and gcd(*row) in (0, 1)
+        assert positive_multiple(row, ref)
+    assert before == snapshot
+
+
+@given(st.lists(_rationals(), max_size=6))
+def test_coprime_integer_entries(values):
+    # primitive ints, a positive multiple of the input with its zeros,
+    # and primitive integer input comes back unchanged
+    ints = coprime_integer_entries(values)
+    assert all(type(a) is int for a in ints) and gcd(*ints) in (0, 1)
+    assert positive_multiple(ints, values)
+    assert coprime_integer_entries(ints) == ints
+    assert coprime_integer_entries(list(ints)) == ints
 
 
 @given(_small_matrices(), st.data())
