@@ -8,16 +8,24 @@ polynomial-time dimension-factor approximation of deepest-descent steps.
 
 The implementation walks the sign-restricted subcone
 
-    F(z) = {v : Av = 0, sigma_j (Bv)_j >= 0 on supp(Bz), (Bv)_j = 0 off it}
+    F(z) = {v : Av = 0, S v >= 0}
 
-with sigma = sign(Bz).  Each round locates an extreme ray of the minimal
-face of F(z) containing the current residual r: starting from v = r, it
-repeatedly picks a kernel direction of the rows active at v and moves
-until one more row of the B-image hits zero, which raises the active rank;
-when the active system reaches rank n - 1 its kernel generator is the
-desired circuit.  The emitted step length is the largest alpha keeping
-r - alpha*g inside F(z), so at least one support coordinate dies per term
-and the face dimension drops strictly, which bounds the term count by
+where S is B with row j negated where (Bz)_j < 0, so S z = |Bz| and the
+rows off supp(Bz) are active from the start.  As a point x of a
+polyhedron is described by its slack d - Bx, a vector v of F(z) is
+described by its slack S v: the active rows are its zeros, and the
+largest t keeping v - t*w in F(z) is
+``polyhedron._step_length(S v, S w)``.  A move updates the slack by the
+rank-one rule S(v - t*w) = S v - t*S w instead of a fresh product with B.
+
+Each round locates an extreme ray of the minimal face of F(z) containing
+the current residual r: starting from v = r, it repeatedly picks a kernel
+direction of the rows active at v and moves until one more row hits
+zero, which raises the active rank; when the active system reaches rank
+n - 1 its kernel is spanned by v, which is the desired circuit.  The
+emitted step length is the largest alpha keeping r - alpha*g inside
+F(z), so at least one support coordinate dies per term and the face
+dimension drops strictly, which bounds the term count by
 dim F(z) <= n - rank(A).  All updates are exact and termination is the
 literal equality r = 0.
 """
@@ -28,8 +36,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuits import Circuit, circuit_from_vector, is_circuit_direction
-from .polyhedron import Polyhedron
-from .ratlin import Rat, RatVec, kernel_basis, rank, vstack
+from .polyhedron import UNBOUNDED, Polyhedron, _active, _step_length
+from .ratlin import (
+    Rat,
+    RatMat,
+    RatVec,
+    coprime_integer_entries,
+    kernel_basis,
+    rank,
+    sign_normalized,
+    vstack,
+)
 
 
 @dataclass(frozen=True)
@@ -40,69 +57,31 @@ class ConformalSum:
     target: RatVec
 
 
-def _sign(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def _parallel(u: RatVec, v: RatVec) -> bool:
-    idx = next((i for i, a in enumerate(v) if a != 0), None)
-    if idx is None:
-        return u.is_zero()
-    if u[idx] == 0:
-        return False
-    mu = u[idx] / v[idx]
-    return u == mu * v
-
-
 def _extreme_ray_of_minimal_face(
-    P: Polyhedron, r: RatVec, br: RatVec, sigma: tuple[int, ...]
+    P: Polyhedron, S: RatMat, r: RatVec, slack: RatVec
 ) -> Circuit:
     """An extreme ray of the face of F(z) whose active pattern matches r.
 
-    Returned oriented so its B-image is sign-compatible with sigma.
+    ``slack`` is S r.  Returned oriented as the walk's end point, so its
+    S-image is >= 0.
     """
     v = r
-    bv = br
     while True:
-        active = [j for j in range(P.B.m) if bv[j] == 0]
-        stacked = vstack(P.A, P.B.take_rows(active))
-        ker = kernel_basis(stacked)
+        ker = kernel_basis(vstack(P.A, P.B.take_rows(_active(slack))))
         if len(ker) == 1:
-            gen = ker[0]
-            circ = circuit_from_vector(gen)
-            idx = next(i for i, a in enumerate(gen) if a != 0)
-            if v[idx] / gen[idx] < 0:
-                circ = -circ
-            return circ
-        w = ker[0] if not _parallel(ker[0], v) else ker[1]
-        bw = P.B.matvec(w)
-        t_fwd = None  # largest t with v - t*w staying sign-feasible
-        t_bwd = None  # same for v + t*w
-        for j in range(P.B.m):
-            if bv[j] == 0:
-                continue
-            s = sigma[j]
-            swj = s * bw[j]
-            svj = s * bv[j]
-            if swj > 0:
-                t = svj / swj
-                if t_fwd is None or t < t_fwd:
-                    t_fwd = t
-            elif swj < 0:
-                t = svj / (-swj)
-                if t_bwd is None or t < t_bwd:
-                    t_bwd = t
-        if t_fwd is not None:
-            v = v - t_fwd * w
-        elif t_bwd is not None:
-            v = v + t_bwd * w
-        else:  # pragma: no cover - would mean Bw = 0, impossible when pointed
-            raise AssertionError("direction with zero B-image in a pointed system")
-        bv = P.B.matvec(v)
+            return circuit_from_vector(v)
+        w = ker[0]
+        if sign_normalized(coprime_integer_entries(v.entries)) == w.entries:
+            w = ker[1]  # a step along a multiple of v would end at v = 0
+        sw = S.matvec(w)
+        t = _step_length(slack, sw)
+        if t is UNBOUNDED:
+            w, sw = -w, -sw
+            t = _step_length(slack, sw)
+            if t is UNBOUNDED:  # pragma: no cover - Bw = 0 is impossible when pointed
+                raise AssertionError("direction with zero B-image in a pointed system")
+        v = v - t * w
+        slack = slack - t * sw
 
 
 def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
@@ -120,32 +99,27 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         raise ValueError("decompose requires A z = 0")
 
     bz = P.B.matvec(z)
-    sigma = tuple(_sign(e) for e in bz)
+    S = RatMat(
+        [[-a for a in row] if e < 0 else row for row, e in zip(P.B.entries, bz)],
+        cols=P.n,
+    )
     bound = P.n - rank(P.A)
     terms: list[tuple[Fraction, Circuit]] = []
     r = z
-    br = bz
+    slack = RatVec(abs(e) for e in bz)
     while not r.is_zero():
-        g = _extreme_ray_of_minimal_face(P, r, br, sigma)
-        bg = P.B.matvec(g.vec)
-        alpha = None
-        for j in range(P.B.m):
-            if br[j] == 0:
-                if bg[j] != 0:  # pragma: no cover - excluded by face construction
-                    raise AssertionError("extreme ray leaves the minimal face")
-                continue
-            swj = sigma[j] * bg[j]
-            if swj > 0:
-                cap = (sigma[j] * br[j]) / swj
-                if alpha is None or cap < alpha:
-                    alpha = cap
-        if alpha is None or alpha <= 0:  # pragma: no cover
+        g = _extreme_ray_of_minimal_face(P, S, r, slack)
+        sg = S.matvec(g.vec)
+        if any(sg[j] for j in _active(slack)):  # pragma: no cover - by face construction
+            raise AssertionError("extreme ray leaves the minimal face")
+        alpha = _step_length(slack, sg)
+        if alpha is UNBOUNDED or alpha <= 0:  # pragma: no cover
             raise AssertionError("no positive step along the selected circuit")
         terms.append((alpha, g))
         if len(terms) > bound:  # pragma: no cover
             raise AssertionError("conformal decomposition exceeded its term bound")
         r = r - alpha * g.vec
-        br = P.B.matvec(r)
+        slack = slack - alpha * sg
     terms.sort(key=lambda term: term[1].entries)
     return ConformalSum(tuple(terms), z)
 

@@ -1,13 +1,13 @@
 """Deepest-descent circuit steps: exact oracle, dimension-factor
 approximation, steepest-descent comparator, and the augmentation loop.
 
-The exact step scans every circuit in both orientations (a desk-scale,
-enumeration-backed oracle) and keeps the feasible step maximizing the
-improvement -c.(alpha g).  The approximate step never enumerates: it
-solves the LP once, conformally decomposes x* - x0, picks the term with
-the best objective contribution and extends it to its maximal feasible
-length, which guarantees at least 1/(n - rank A) of the exact
-improvement.  x* does not depend on the iterate, so augmentation in
+The exact step scans every circuit in its improving orientation (a
+desk-scale, enumeration-backed oracle) and keeps the feasible step
+maximizing the improvement -c.(alpha g).  The approximate step never
+enumerates: it solves the LP once, conformally decomposes x* - x0, picks
+the term with the best objective contribution and extends it to its
+maximal feasible length, which guarantees at least 1/(n - rank A) of the
+exact improvement.  x* does not depend on the iterate, so augmentation in
 approx mode solves the LP once per run and decomposes x* - x from every
 iterate x.  The steepest-descent comparator minimizes c.g / |g|_1 and
 carries no approximation claim.
@@ -22,7 +22,7 @@ from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import decompose
 from .errors import IterationCapExceeded, LpInfeasibleError, LpUnboundedError
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
-from .polyhedron import UNBOUNDED, Point, Polyhedron, _step_length, is_feasible
+from .polyhedron import UNBOUNDED, Point, Polyhedron, _slack, _step_length, is_feasible
 from .ratlin import Rat, RatVec
 
 
@@ -59,21 +59,20 @@ def exact_dd_step(
     c: RatVec,
     x0: Point,
     *,
-    circuits: Optional[list[Circuit]] = None,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> StepOutcome:
     """The deepest-descent step from x0, by exhaustive circuit scan.
 
     Among all circuits g (either orientation) with c.g < 0 and a positive
     maximal feasible step, returns the one whose improvement -c.(alpha g)
-    is largest; ties go to the earliest circuit in canonical order, with
-    the canonical orientation tried before its negation.  Returns Optimal
-    when no improving feasible circuit exists and UnboundedImprovement as
-    soon as an improving circuit has no finite step length.
+    is largest; ties go to the earliest circuit in canonical order (at
+    most one orientation of a circuit improves).  Returns Optimal when no
+    improving feasible circuit exists and UnboundedImprovement as soon as
+    an improving circuit has no finite step length.
     """
     if not is_feasible(P, x0):
         raise ValueError("exact_dd_step requires a feasible starting point")
-    return _scan(P, c, x0, _circuit_list(P, circuits, work_budget), _deepest)
+    return _scan(P, c, x0, enumerate_circuits(P, work_budget=work_budget), _deepest)
 
 
 def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal]:
@@ -121,7 +120,7 @@ def _approx_step(
     if c.dot(alpha * g.vec) >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    beta = _step_length(P, P.B.matvec(x0), g.vec)
+    beta = _step_length(_slack(P, x0), P.B.matvec(g.vec))
     if beta is UNBOUNDED:  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("unbounded improving step under a bounded LP")
     return DdStep(g, beta, -beta * c.dot(g.vec))
@@ -132,7 +131,6 @@ def steepest_descent_step(
     c: RatVec,
     x0: Point,
     *,
-    circuits: Optional[list[Circuit]] = None,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> StepOutcome:
     """Benchmark comparator: minimize c.g / |g|_1, then step maximally.
@@ -143,7 +141,7 @@ def steepest_descent_step(
     """
     if not is_feasible(P, x0):
         raise ValueError("steepest_descent_step requires a feasible starting point")
-    return _scan(P, c, x0, _circuit_list(P, circuits, work_budget), _steepest)
+    return _scan(P, c, x0, enumerate_circuits(P, work_budget=work_budget), _steepest)
 
 
 def _deepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
@@ -154,39 +152,33 @@ def _steepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
     return slope / g.l1
 
 
-def _circuit_list(
-    P: Polyhedron, circuits: Optional[list[Circuit]], work_budget: int
-) -> list[Circuit]:
-    if circuits is None:
-        return enumerate_circuits(P, work_budget=work_budget)
-    if any(not P.A.matvec(g.vec).is_zero() for g in circuits):
-        raise ValueError("a given circuit leaves the equality subspace (A g != 0)")
-    return circuits
-
-
 def _scan(P: Polyhedron, c: RatVec, x0: Point, circuits: list[Circuit], key) -> StepOutcome:
     """The feasible improving circuit step with the smallest key.
 
     ``key(c.g, beta, g)`` ranks a step of maximal length beta along g.
-    Every circuit is tried in both orientations, and ties go to the
-    earliest circuit, canonical orientation first.  x0 must be feasible.
+    Since c.(-g) = -c.g, at most one orientation of a circuit improves:
+    the sign of c.g picks it, and its slope and B g are computed once.
+    Ties go to the earliest circuit.  x0 must be feasible.
     """
-    bx = P.B.matvec(x0)
+    slack = _slack(P, x0)
     best: Optional[DdStep] = None
     best_key = None
-    for canonical in circuits:
-        for g in (canonical, -canonical):
-            slope = c.dot(g.vec)
-            if slope >= 0:
-                continue
-            beta = _step_length(P, bx, g.vec)
-            if beta is UNBOUNDED:
-                return UnboundedImprovement(g)
-            if beta == 0:
-                continue
-            k = key(slope, beta, g)
-            if best is None or k < best_key:
-                best, best_key = DdStep(g, beta, -beta * slope), k
+    for g in circuits:
+        gv = g.vec
+        slope = c.dot(gv)
+        if slope == 0:
+            continue
+        bg = P.B.matvec(gv)
+        if slope > 0:
+            g, slope, bg = -g, -slope, -bg
+        beta = _step_length(slack, bg)
+        if beta is UNBOUNDED:
+            return UnboundedImprovement(g)
+        if beta == 0:
+            continue
+        k = key(slope, beta, g)
+        if best is None or k < best_key:
+            best, best_key = DdStep(g, beta, -beta * slope), k
     return best if best is not None else Optimal()
 
 

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NotPointedError
-from .polyhedron import UNBOUNDED, Point, Polyhedron, _active, _step_length, is_feasible
+from .polyhedron import UNBOUNDED, Point, Polyhedron, _active, _slack, _step_length, is_feasible
 from .ratlin import Rat, RatMat, RatVec, _pivot, coprime_integer_entries, kernel_basis, vstack
 
 
@@ -110,25 +110,26 @@ def _bland(T: list[list[int]], basis: list[int], ncols: int):
 
 
 def _kernel_step(
-    P: Polyhedron, bx: RatVec, act: tuple[int, ...]
+    P: Polyhedron, slack: RatVec, act: tuple[int, ...]
 ) -> Optional[tuple[RatVec, Rat]]:
     """A direction w and step beta > 0 along the kernel of [A; B_act].
 
-    x is feasible and given as bx = B x, and ``act`` lists the B-rows
-    active at it.  Returns None when that kernel is trivial, i.e. x is a
-    vertex.  Otherwise w is the first kernel vector, or its negation when
-    only the negation is bounded, so x + beta*w is feasible and makes one
-    more independent row active.  P must be pointed.  A kernel vector
-    satisfies A w = 0 and w != 0, so its step length needs no checks.
+    x is feasible and given by its slack d - Bx, and ``act`` lists the
+    B-rows active at it.  Returns None when that kernel is trivial, i.e. x
+    is a vertex.  Otherwise w is the first kernel vector, or its negation
+    when only the negation is bounded, so x + beta*w is feasible and makes
+    one more independent row active.  B w is computed once and negated
+    for -w.  P must be pointed.
     """
     ker = kernel_basis(vstack(P.A, P.B.take_rows(act)))
     if not ker:
         return None
     w = ker[0]
-    beta = _step_length(P, bx, w)
+    bw = P.B.matvec(w)
+    beta = _step_length(slack, bw)
     if beta is UNBOUNDED:
         w = -w
-        beta = _step_length(P, bx, w)
+        beta = _step_length(slack, -bw)
         if beta is UNBOUNDED:
             raise AssertionError("feasible line found in a pointed polyhedron")
     return w, beta
@@ -137,12 +138,12 @@ def _kernel_step(
 def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     """Walk within the optimal face until the active system has rank n.
 
-    x is the simplex's feasible point; each step computes B x once and
-    keeps x feasible, so the walk runs no membership checks.
+    x is the simplex's feasible point; each step computes its slack once
+    and keeps x feasible, so the walk runs no membership checks.
     """
     for _ in range(P.n + P.B.m + 1):
-        bx = P.B.matvec(x)
-        step = _kernel_step(P, bx, _active(P, bx))
+        slack = _slack(P, x)
+        step = _kernel_step(P, slack, _active(slack))
         if step is None:
             return x
         w, beta = step
@@ -257,9 +258,9 @@ def verify_unique(
     if optimum.value != c.dot(xstar):
         raise ValueError("xstar is not optimal for the given objective")
 
-    bx = P.B.matvec(xstar)
-    act = _active(P, bx)
-    step = _kernel_step(P, bx, act)
+    slack = _slack(P, xstar)
+    act = _active(slack)
+    step = _kernel_step(P, slack, act)
     if step is not None:
         w, beta = step
         return UniquenessReport(False, xstar + beta * w)
@@ -278,5 +279,5 @@ def verify_unique(
     if out.value == 0:
         return UniquenessReport(True, None)
     w = out.vertex  # nonzero, with A w = 0
-    beta = _step_length(P, bx, w)
+    beta = _step_length(slack, P.B.matvec(w))
     return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))

@@ -2,9 +2,11 @@
 
 Membership, active inequality rows, and maximal feasible step lengths are
 all decided by exact comparison; there is no tolerance parameter anywhere
-in this module.  The module also owns the line-oriented instance file
-format (constraint system plus objective) and the one-line point format,
-both of which round-trip exactly.
+in this module.  The unchecked helpers describe a point x by its slack
+d - Bx, and ``_step_length`` is the package's one ratio test for maximal
+steps.  The module also owns the line-oriented instance file format
+(constraint system plus objective) and the one-line point format, both of
+which round-trip exactly.
 """
 
 from __future__ import annotations
@@ -128,12 +130,17 @@ def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
     """Indices j of B with (Bx)_j = d_j, ascending.  x must be feasible."""
     if not is_feasible(P, x):
         raise ValueError("active_rows requires a feasible point")
-    return _active(P, P.B.matvec(x))
+    return _active(_slack(P, x))
 
 
-def _active(P: Polyhedron, bx: RatVec) -> tuple[int, ...]:
-    """``active_rows`` without its check, from a feasible x given as bx = B x."""
-    return tuple(j for j, (v, bound) in enumerate(zip(bx, P.d)) if v == bound)
+def _slack(P: Polyhedron, x: Point) -> RatVec:
+    """The slack d - Bx of x; x is feasible exactly when it is >= 0 and Ax = b."""
+    return P.d - P.B.matvec(x)
+
+
+def _active(slack: RatVec) -> tuple[int, ...]:
+    """The rows with zero slack, ascending: ``active_rows`` without its check."""
+    return tuple(j for j, s in enumerate(slack) if s == 0)
 
 
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
@@ -152,19 +159,22 @@ def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
         raise ValueError("direction leaves the equality subspace (A g != 0)")
     if g.is_zero():
         return Fraction(0)
-    return _step_length(P, P.B.matvec(x0), g)
+    return _step_length(_slack(P, x0), P.B.matvec(g))
 
 
-def _step_length(P: Polyhedron, bx: RatVec, g: RatVec) -> Union[Rat, _Unbounded]:
-    """``max_step`` without its checks, from a feasible x0 given as bx = B x0.
+def _step_length(slack: RatVec, image: RatVec) -> Union[Rat, _Unbounded]:
+    """The largest beta with slack - beta*image >= 0, or UNBOUNDED.
 
-    g must be nonzero and satisfy A g = 0.
+    The package's one ratio test for maximal steps (the simplex keeps its
+    own leaving-row rule): each row with image_j > 0 caps beta at
+    slack_j / image_j and the smallest cap wins.  slack must be >= 0.
+    ``max_step`` passes the slack d - Bx0 and the image Bg of a direction
+    g with Ag = 0; the conformal walk passes a slack S v of its sign cone.
     """
-    bg = P.B.matvec(g)
     best: Optional[Fraction] = None
-    for j in range(P.B.m):
-        if bg[j] > 0:
-            bound = (P.d[j] - bx[j]) / bg[j]
+    for s, a in zip(slack, image):
+        if a > 0:
+            bound = s / a
             if best is None or bound < best:
                 best = bound
     return UNBOUNDED if best is None else best

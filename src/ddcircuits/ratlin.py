@@ -61,7 +61,9 @@ class RatVec:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rat | int]):
-        self.entries: tuple[Fraction, ...] = tuple(Fraction(e) for e in entries)
+        self.entries: tuple[Fraction, ...] = tuple(
+            e if type(e) is Fraction else Fraction(e) for e in entries
+        )
 
     @classmethod
     def zeros(cls, dim: int) -> "RatVec":
@@ -140,7 +142,9 @@ class RatMat:
     __slots__ = ("entries", "n")
 
     def __init__(self, rows: Iterable[Iterable[Rat | int]], cols: Optional[int] = None):
-        entries = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        entries = tuple(
+            tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in rows
+        )
         if cols is None:
             if not entries:
                 raise ValueError("column count required for a matrix with no rows")
@@ -161,9 +165,6 @@ class RatMat:
     @property
     def m(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> RatVec:
-        return RatVec(self.entries[i])
 
     def iter_rows(self) -> Iterator[RatVec]:
         for row in self.entries:

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,9 +20,9 @@ from ddcircuits import (
     verify_conformal,
 )
 from ddcircuits.conformal import format_conformal
-from ddcircuits.ratlin import rank
+from ddcircuits.ratlin import kernel_basis, rank
 
-from instgen import mixed_instances
+from instgen import dense_polytope, dense_rational_system, mixed_instances
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TWO_TRIANGLES = build_reduction(
@@ -140,3 +142,34 @@ class TestInvariantsOnRandomInstances:
 def test_serialization_layout():
     total = decompose(UNIT_SQUARE, RatVec([1, 1]))
     assert format_conformal(total) == "1 | 0 1\n1 | 1 0\n"
+
+
+def _pinned_sums():
+    """120 decompositions on dense, non-TU rational systems: LP optimum
+    minus start on 40 polytopes, and on 40 systems the first kernel vector
+    of A and the sum of its kernel basis.  Some walks start where the first
+    kernel vector of the active rows is parallel to the residual."""
+    sums = []
+    rng = random.Random(1)
+    for _ in range(40):
+        P, c, x0 = dense_polytope(rng)
+        sums.append((P, decompose(P, solve_lp(P, c).vertex - x0)))
+    rng = random.Random(2)
+    for _ in range(40):
+        P = dense_rational_system(rng)
+        ker = kernel_basis(P.A)
+        total = ker[0]
+        for v in ker[1:]:
+            total = total + v
+        sums.append((P, decompose(P, ker[0])))
+        sums.append((P, decompose(P, total)))
+    return sums
+
+
+def test_decompositions_pinned():
+    sums = _pinned_sums()
+    assert len(sums) == 120
+    assert sum(len(s.terms) for _, s in sums) == 292
+    assert all(verify_conformal(P, s) for P, s in sums)
+    digest = hashlib.sha256(repr([s for _, s in sums]).encode()).hexdigest()
+    assert digest == "e32146c8273efaa737109114d70f44c300d882c40ac495925ba958ec0ef3a286"

@@ -147,6 +147,12 @@ def test_ties_go_to_earliest_circuit(rule):
     assert step == DdStep(Circuit((0, 1)), Fraction(1), Fraction(1))
 
 
+@pytest.mark.parametrize("rule", [exact_dd_step, steepest_descent_step])
+def test_circuit_with_zero_slope_is_no_step(rule):
+    # (0, 1) has a positive step but c.g = 0; (1, 0) improves but is blocked
+    assert rule(UNIT_SQUARE, RatVec([-1, 0]), RatVec([1, 0])) == Optimal()
+
+
 class TestAugment:
     def test_square_two_steps(self):
         trace = augment(UNIT_SQUARE, RatVec([-3, -1]), RatVec([0, 0]), "exact")

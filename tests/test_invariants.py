@@ -4,7 +4,8 @@ The runtime needs only the standard library, and all arithmetic is exact:
 no module may import a third-party package, write a float or complex
 literal, or use the name ``float``.  The integer elimination kernel holds
 rows of ints, where ``int / int`` would silently give a float, so its
-functions may not use true division at all.
+functions may not use true division at all.  A module-level private
+helper (``_name``) that nothing else in the package refers to is dead code.
 """
 
 import ast
@@ -49,6 +50,39 @@ def violations(source: str, integer_functions=()) -> list[str]:
     return found
 
 
+def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each module-level ``_name`` function or class that
+    no code outside its own definition refers to, in any of ``sources``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(_refers_to(t, name, skip=node) for t in trees.values()):
+                found.append(f"{module}:{name}")
+    return found
+
+
+def _refers_to(tree: ast.AST, name: str, skip: ast.AST) -> bool:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name == name
+        ):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def test_package_has_modules():
     assert PACKAGE / "ratlin.py" in MODULES
 
@@ -90,3 +124,33 @@ def test_checker_flags_each_kind():
         "line 8",
         "line 9",
     ]
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unreferenced_private_helpers(sources) == []
+
+
+def test_checker_flags_unreferenced_helpers():
+    sources = {
+        "a.py": (
+            "def _used(x):\n"
+            "    return x\n"
+            "def _shared():\n"
+            "    return 1\n"
+            "def _dead(x):\n"
+            "    return _dead(x - 1) if x else 0\n"
+            "class _Sentinel:\n"
+            "    pass\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+            "def public(x: _Sentinel):\n"
+            "    def _inner():\n"
+            "        return x\n"
+            "    return _used(x)\n"
+        ),
+        "b.py": "from .a import _shared\n\nx = _shared()\n",
+    }
+    assert unreferenced_private_helpers(sources) == ["a.py:_dead", "a.py:_Unused"]
