@@ -16,9 +16,9 @@ columns: a nonzero kernel vector g is a circuit exactly when the rows of
 B vanishing on g, stacked on A, have rank n - 1.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
-criterion.  It scans subsets of rows of B of size n - 1 - rank(A) that are
-independent modulo the row space of A and reads the one-dimensional
-kernel of each full subset from the scan's reduced echelon form.  Many
+criterion.  It extends the polyhedron's echelon of A by subsets of rows
+of B of size n - 1 - rank(A) that are independent modulo the row space of
+A and reads the one-dimensional kernel of each full subset from it.  Many
 subsets span the same kernel, so a leaf whose sign-normalized kernel
 vector an earlier leaf already gave is dropped before it is oriented, and
 each distinct circuit is oriented once, to its canonical sign (first
@@ -30,20 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .errors import NotPointedError, SizeGuardExceeded
 from .polyhedron import Polyhedron
 from .ratlin import (
     RatMat,
     RatVec,
+    _echelon,
     _echelon_kernel,
-    _pivot,
-    _rref,
+    _extend,
     coprime_integer_entries,
     rank,
     sign_normalized,
-    vstack,
 )
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -180,8 +178,8 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     if not P.A.matvec(v).is_zero():
         return False
     bv = P.B.matvec(v)
-    zero_rows = [j for j, e in enumerate(bv) if e == 0]
-    return rank(vstack(P.A, P.B.take_rows(zero_rows))) == P.n - 1
+    zero_rows = (row for row, e in zip(P.B.entries, bv) if e == 0)
+    return len(_echelon(zero_rows, *P._a_echelon)[1]) == P.n - 1
 
 
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
@@ -200,30 +198,6 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     raise AssertionError("kernel direction with zero B-image in a pointed system")
 
 
-def _extend(
-    rows: list[list[int]], leads: list[int], vec: tuple[int, ...]
-) -> Optional[tuple[list[list[int]], list[int]]]:
-    """The reduced echelon form (rows, leads) with the integer row vec
-    added, or None when vec lies in its row space.
-
-    Rows are primitive integer rows, as ``_pivot`` keeps them: vec is
-    reduced against each lead it meets, and its first nonzero entry
-    becomes a new lead.  Works on a copy of the outer list; ``_pivot``
-    rebinds rows and never changes a row list in place, so the input stays
-    valid and can be shared by the other branches of the subset scan.
-    """
-    rows = rows + [list(vec)]
-    new = len(leads)
-    for i, lead in enumerate(leads):
-        if rows[new][lead]:
-            _pivot(rows, i, lead)
-    lead = next((j for j, a in enumerate(rows[new]) if a != 0), None)
-    if lead is None:
-        return None
-    _pivot(rows, new, lead)
-    return rows, leads + [lead]
-
-
 def enumerate_circuits(
     P: Polyhedron, *, work_budget: int = DEFAULT_WORK_BUDGET
 ) -> list[Circuit]:
@@ -240,9 +214,7 @@ def enumerate_circuits(
         raise NotPointedError("circuit enumeration requires a pointed polyhedron")
     n = P.n
 
-    rows = [list(coprime_integer_entries(arow)) for arow in P.A.entries]
-    leads = _rref(rows, n)
-    rows = rows[: len(leads)]
+    rows, leads = P._a_echelon
     k = n - 1 - len(leads)
     if k < 0:
         return []
@@ -258,41 +230,35 @@ def enumerate_circuits(
             seen.add(key)
             reps.append(ints)
 
+    # Depth first over subsets of reps independent modulo A, in reps order: an
+    # entry (i, rows, leads) adds reps[i] to the echelon, or nothing if i is None.
+    # A scan node costs one unit and a leaf one more; with k = 0, A is the leaf.
     found: list[Circuit] = []
     leaves: set[tuple[int, ...]] = set()  # sign-normalized leaf kernels seen so far
-    budget = [work_budget]
-
-    def charge() -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
+    budget = work_budget
+    stack = [(None, rows, leads)]
+    while stack:
+        i, rows, leads = stack.pop()
+        if i is not None:
+            ext = _extend(rows, leads, reps[i])
+            if ext is None:
+                continue
+            rows, leads = ext
+        need = n - 1 - len(leads)
+        budget -= 1 + (need == 0 and k > 0)
+        if budget < 0:
             raise SizeGuardExceeded(
                 f"circuit enumeration exceeded its work budget of {work_budget} "
                 f"nodes (n={n}, m_B={P.B.m})"
             )
-
-    def emit(rows: list, leads: list[int]) -> None:
-        charge()
+        if need:
+            start = 0 if i is None else i + 1
+            stack.extend((j, rows, leads) for j in reversed(range(start, len(reps) - need + 1)))
+            continue
         ker = _echelon_kernel(rows, leads, n)
         if len(ker) != 1:  # pragma: no cover - rank is n-1 by construction
             raise AssertionError("expected a one-dimensional kernel")
-        if ker[0] in leaves:
-            return
-        leaves.add(ker[0])
-        found.append(canonical_orientation(P, Circuit(ker[0])))
-
-    def scan(start: int, rows: list, leads: list[int]) -> None:
-        charge()
-        need = n - 1 - len(leads)
-        if need == 0:
-            emit(rows, leads)
-            return
-        for pos in range(start, len(reps) - need + 1):
-            ext = _extend(rows, leads, reps[pos])
-            if ext is not None:
-                scan(pos + 1, *ext)
-
-    if k == 0:
-        emit(rows, leads)
-    else:
-        scan(0, rows, leads)
+        if ker[0] not in leaves:
+            leaves.add(ker[0])
+            found.append(canonical_orientation(P, Circuit(ker[0])))
     return sorted(found, key=lambda circ: circ.entries)

@@ -22,7 +22,8 @@ Each round locates an extreme ray of the minimal face of F(z) containing
 the current residual r: starting from v = r, it repeatedly picks a kernel
 direction of the rows active at v and moves until one more row hits
 zero, which raises the active rank; when the active system reaches rank
-n - 1 its kernel is spanned by v, which is the desired circuit.  The
+n - 1 its kernel is spanned by v, which is the desired circuit.  Active
+rows stay active; the walk adds each newly active row to its echelon.  The
 emitted step length is the largest alpha keeping r - alpha*g inside
 F(z), so at least one support coordinate dies per term and the face
 dimension drops strictly, which bounds the term count by
@@ -36,16 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuits import Circuit, circuit_from_vector, is_circuit_direction
-from .polyhedron import UNBOUNDED, Polyhedron, _active, _step_length
+from .errors import NotPointedError
+from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _step_length
 from .ratlin import (
     Rat,
     RatMat,
     RatVec,
+    _echelon_kernel,
     coprime_integer_entries,
-    kernel_basis,
-    rank,
     sign_normalized,
-    vstack,
 )
 
 
@@ -65,9 +65,10 @@ def _extreme_ray_of_minimal_face(
     ``slack`` is S r.  Returned oriented as the walk's end point, so its
     S-image is >= 0.
     """
-    v = r
+    v, echelon, before = r, P._a_echelon, None
     while True:
-        ker = kernel_basis(vstack(P.A, P.B.take_rows(_active(slack))))
+        echelon = _extend_active(P, echelon, slack, before)
+        ker = [RatVec(w) for w in _echelon_kernel(*echelon, P.n)]
         if len(ker) == 1:
             return circuit_from_vector(v)
         w = ker[0]
@@ -81,16 +82,18 @@ def _extreme_ray_of_minimal_face(
             if t is UNBOUNDED:  # pragma: no cover - Bw = 0 is impossible when pointed
                 raise AssertionError("direction with zero B-image in a pointed system")
         v = v - t * w
-        slack = slack - t * sw
+        before, slack = slack, slack - t * sw
 
 
 def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     """Conformal sum for z: positive, pairwise sign-compatible circuit terms.
 
-    Requires Az = 0 and z != 0.  The terms are listed in canonical
-    (lexicographic) circuit order; the reconstruction, the sign coupling
-    to Bz, and the term bound n - rank(A) all hold exactly.
+    Requires a pointed P, Az = 0 and z != 0.  The terms are listed in
+    canonical (lexicographic) circuit order; the reconstruction, the sign
+    coupling to Bz, and the term bound n - rank(A) all hold exactly.
     """
+    if not P.pointed:
+        raise NotPointedError("conformal decomposition requires a pointed polyhedron")
     if z.dim != P.n:
         raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
     if z.is_zero():
@@ -103,14 +106,14 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         [[-a for a in row] if e < 0 else row for row, e in zip(P.B.entries, bz)],
         cols=P.n,
     )
-    bound = P.n - rank(P.A)
+    bound = P.n - len(P._a_echelon[1])  # rank(A)
     terms: list[tuple[Fraction, Circuit]] = []
     r = z
     slack = RatVec(abs(e) for e in bz)
     while not r.is_zero():
         g = _extreme_ray_of_minimal_face(P, S, r, slack)
         sg = S.matvec(g.vec)
-        if any(sg[j] for j in _active(slack)):  # pragma: no cover - by face construction
+        if any(e for e, s in zip(sg, slack) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")
         alpha = _step_length(slack, sg)
         if alpha is UNBOUNDED or alpha <= 0:  # pragma: no cover
@@ -138,7 +141,7 @@ def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:
         return False
     if any(alpha <= 0 for alpha, _ in s.terms):
         return False
-    if len(s.terms) > P.n - rank(P.A):
+    if len(s.terms) > P.n - len(P._a_echelon[1]):
         return False
     total = RatVec.zeros(P.n)
     for alpha, g in s.terms:

@@ -23,7 +23,8 @@ solver finishes with a purification walk: while the active rows at the
 current optimum have rank below n, it moves along a kernel direction of
 the active system until one more independent row becomes active.  Each
 step keeps feasibility and the objective value, and raises the active
-rank, so at most n steps reach a true vertex.
+rank, so at most n steps reach a true vertex.  Active rows stay active,
+so the walk only adds each newly active row to its echelon.
 
 Uniqueness of an optimum x* is decided with one more LP (Mangasarian,
 LAA 1979; Appa, JORS 2002).  Let I be the B-rows active at x*.  The
@@ -42,8 +43,16 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NotPointedError
-from .polyhedron import UNBOUNDED, Point, Polyhedron, _active, _slack, _step_length, is_feasible
-from .ratlin import Rat, RatMat, RatVec, _pivot, coprime_integer_entries, kernel_basis, vstack
+from .polyhedron import (
+    UNBOUNDED,
+    Point,
+    Polyhedron,
+    _extend_active,
+    _slack,
+    _step_length,
+    is_feasible,
+)
+from .ratlin import Echelon, Rat, RatMat, RatVec, _echelon_kernel, _pivot, coprime_integer_entries
 
 
 @dataclass(frozen=True)
@@ -109,22 +118,20 @@ def _bland(T: list[list[int]], basis: list[int], ncols: int):
         basis[leave] = enter
 
 
-def _kernel_step(
-    P: Polyhedron, slack: RatVec, act: tuple[int, ...]
-) -> Optional[tuple[RatVec, Rat]]:
+def _kernel_step(P: Polyhedron, slack: RatVec, echelon: Echelon) -> Optional[tuple[RatVec, Rat]]:
     """A direction w and step beta > 0 along the kernel of [A; B_act].
 
-    x is feasible and given by its slack d - Bx, and ``act`` lists the
-    B-rows active at it.  Returns None when that kernel is trivial, i.e. x
-    is a vertex.  Otherwise w is the first kernel vector, or its negation
-    when only the negation is bounded, so x + beta*w is feasible and makes
-    one more independent row active.  B w is computed once and negated
-    for -w.  P must be pointed.
+    x is feasible and given by its slack d - Bx, and ``echelon`` is that of
+    A stacked on the B-rows active at it.  Returns None when that kernel is
+    trivial, i.e. x is a vertex.  Otherwise w is the first kernel vector,
+    or its negation when only the negation is bounded, so x + beta*w is
+    feasible and makes one more independent row active.  B w is computed
+    once and negated for -w.  P must be pointed.
     """
-    ker = kernel_basis(vstack(P.A, P.B.take_rows(act)))
+    ker = _echelon_kernel(*echelon, P.n)
     if not ker:
         return None
-    w = ker[0]
+    w = RatVec(ker[0])
     bw = P.B.matvec(w)
     beta = _step_length(slack, bw)
     if beta is UNBOUNDED:
@@ -141,9 +148,10 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     x is the simplex's feasible point; each step computes its slack once
     and keeps x feasible, so the walk runs no membership checks.
     """
+    slack, echelon, before = _slack(P, x), P._a_echelon, None
     for _ in range(P.n + P.B.m + 1):
-        slack = _slack(P, x)
-        step = _kernel_step(P, slack, _active(slack))
+        echelon = _extend_active(P, echelon, slack, before)
+        step = _kernel_step(P, slack, echelon)
         if step is None:
             return x
         w, beta = step
@@ -152,6 +160,7 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
                 "purification direction changes the objective; solver invariant broken"
             )
         x = x + beta * w
+        before, slack = slack, _slack(P, x)
     raise AssertionError("purification failed to reach a vertex")
 
 
@@ -259,19 +268,18 @@ def verify_unique(
         raise ValueError("xstar is not optimal for the given objective")
 
     slack = _slack(P, xstar)
-    act = _active(slack)
-    step = _kernel_step(P, slack, act)
+    step = _kernel_step(P, slack, _extend_active(P, P._a_echelon, slack))
     if step is not None:
         w, beta = step
         return UniquenessReport(False, xstar + beta * w)
 
-    B_I = P.B.take_rows(act)
-    row_sum = B_I.transpose().matvec(RatVec([1] * len(act)))
+    B_I = [row for row, s in zip(P.B.entries, slack) if s == 0]
+    row_sum = RatVec(sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n))
     cone = Polyhedron(
-        vstack(P.A, RatMat([c.entries], cols=P.n)),
+        RatMat(P.A.entries + (c.entries,), cols=P.n),
         RatVec.zeros(P.A.m + 1),
-        vstack(B_I, RatMat([(-row_sum).entries], cols=P.n)),
-        RatVec.zeros(len(act)).concat(RatVec([1])),
+        RatMat(B_I + [(-row_sum).entries], cols=P.n),
+        RatVec([0] * len(B_I) + [1]),
     )
     out = solve_lp(cone, row_sum)
     if not isinstance(out, LpOptimal):  # pragma: no cover - the region is a polytope containing 0

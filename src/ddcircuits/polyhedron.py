@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import NotPointedError, ParseError
-from .ratlin import Rat, RatMat, RatVec, parse_rat, rank, vstack
+from .ratlin import Echelon, Rat, RatMat, RatVec, _echelon, parse_rat, vstack
 
 
 class _Unbounded:
@@ -49,9 +49,11 @@ class Polyhedron:
     ``allow_non_pointed=True``, since circuits and vertex-based steps are
     only well-defined over pointed regions.  A may have zero rows (pure
     inequality systems such as boxes), and so may B.
+    A is reduced once: ``_a_echelon`` is its echelon, which pointedness
+    and the other modules extend by rows of B.
     """
 
-    __slots__ = ("A", "b", "B", "d", "n", "pointed")
+    __slots__ = ("A", "b", "B", "d", "n", "pointed", "_a_echelon")
 
     def __init__(
         self,
@@ -75,7 +77,8 @@ class Polyhedron:
         self.B = B
         self.d = d
         self.n = A.n
-        self.pointed = rank(vstack(A, B)) == A.n
+        self._a_echelon = _echelon(A.entries)
+        self.pointed = len(_echelon(B.entries, *self._a_echelon)[1]) == A.n
         if not self.pointed and not allow_non_pointed:
             raise NotPointedError(
                 "the system contains a line (rank [A; B] < n); "
@@ -141,6 +144,15 @@ def _slack(P: Polyhedron, x: Point) -> RatVec:
 def _active(slack: RatVec) -> tuple[int, ...]:
     """The rows with zero slack, ascending: ``active_rows`` without its check."""
     return tuple(j for j, s in enumerate(slack) if s == 0)
+
+
+def _extend_active(P: Polyhedron, echelon: Echelon, slack: RatVec, before=None) -> Echelon:
+    """``echelon`` extended by the B-rows with zero slack; given the slack
+    ``before`` a move that keeps active rows active, only by the rows the
+    move made active."""
+    B = P.B.entries
+    new = (B[j] for j, s in enumerate(slack) if s == 0 and (before is None or before[j]))
+    return _echelon(new, *echelon)
 
 
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:

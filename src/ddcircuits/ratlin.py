@@ -3,14 +3,16 @@
 Scalars are arbitrary-precision rationals (``fractions.Fraction``,
 re-exported as ``Rat``): always stored in lowest terms with a positive
 denominator, so arithmetic never rounds.  Vectors and matrices are
-immutable and hashable.  Elimination always pivots on the first nonzero
-entry in column order, which makes every operation deterministic:
-identical inputs yield bit-identical outputs.  Nothing in this module
-touches floating point, and no tolerance parameter exists.
+immutable and hashable.  Elimination adds rows one at a time, and gives
+the reduced row echelon form in any row order, so identical inputs yield
+bit-identical outputs.  Nothing in this module touches floating point,
+and no tolerance parameter exists.
 
-``_pivot`` is the package's one elimination step: rank, kernels and
-solving here, the simplex tableau in ``lp`` and the circuit scan in
-``circuits`` are all sequences of it.  It works fraction-free on
+``_pivot`` is the package's one elimination step, used by the simplex in
+``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
+echelon.  Rank, kernels, solving, each polyhedron's echelon of A (reduced
+once) and the circuit scan and active-set walks that extend it all go
+through ``_extend``.  The step works fraction-free on
 primitive integer rows (lists of ints with gcd 1, each standing for any of
 its positive multiples; ``coprime_integer_entries`` makes them): the other
 rows become ``p*row - f*pivot_row`` over their content, in the line of
@@ -33,6 +35,10 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rat = Fraction
+
+# A reduced echelon form (rows, leads) of primitive integer rows: row i has
+# a positive entry in column leads[i] and every other row is 0 there.
+Echelon = tuple[list[list[int]], list[int]]
 
 # ASCII digits only: ``\d`` and ``int()`` also accept other Unicode digits.
 _RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -253,30 +259,48 @@ def _pivot(rows: list[list[int]], r: int, col: int) -> None:
             rows[i] = new
 
 
-def _rref(rows: list[list[int]], ncols: int) -> list[int]:
-    """Reduced row echelon form of the first ``ncols`` columns, in place.
+def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Optional[Echelon]:
+    """The echelon (rows, leads) with the primitive integer row vec added,
+    or None when vec lies in its row space.
 
-    Returns the pivot columns; row i holds the positive entry of pivot i,
-    and every other row is 0 in that column.
+    vec is reduced against each lead it meets, and its first nonzero entry
+    becomes a new lead.  A row is 0 before its lead, so in whatever order
+    rows arrive, the leads are the pivot columns of the reduced row echelon
+    form, and each row is a positive multiple of its row there.  Works on a
+    copy of the outer list; ``_pivot`` rebinds rows and never changes a row
+    list in place, so the input stays valid and can be shared.
     """
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
+    rows = rows + [list(vec)]
+    new = len(leads)
+    for i, lead in enumerate(leads):
+        if rows[new][lead]:
+            _pivot(rows, i, lead)
+    lead = next((j for j, a in enumerate(rows[new]) if a != 0), None)
+    if lead is None:
+        return None
+    _pivot(rows, new, lead)
+    return rows, leads + [lead]
+
+
+def _echelon(vecs: Iterable[Sequence[Rat]], rows=(), leads=()) -> Echelon:
+    """The echelon (rows, leads), empty by default, extended by the rational
+    rows ``vecs``, each scaled with ``coprime_integer_entries``; a row in the
+    span of those before it is skipped, so ``len(leads)`` is the rank.  Once
+    every column is a lead, the other rows are not read.
+    """
+    rows, leads = list(rows), list(leads)
+    for vec in vecs:
+        if len(leads) == len(vec):
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        _pivot(rows, r, col)
-        pivots.append(col)
-    return pivots
+        ext = _extend(rows, leads, coprime_integer_entries(vec))
+        if ext is not None:
+            rows, leads = ext
+    return rows, leads
 
 
 def rank(M: RatMat) -> int:
     """Dimension of the row space, by exact integer elimination."""
-    rows = [list(coprime_integer_entries(row)) for row in M.entries]
-    return len(_rref(rows, M.n))
+    return len(_echelon(M.entries)[1])
 
 
 def coprime_integer_entries(values: Sequence[Fraction | int]) -> tuple[int, ...]:
@@ -309,17 +333,14 @@ def kernel_basis(M: RatMat) -> list[RatVec]:
     nonzero entry positive, so equal kernels produce equal bases.  An
     empty list means the kernel is trivial.
     """
-    rows = [list(coprime_integer_entries(row)) for row in M.entries]
-    return [RatVec(v) for v in _echelon_kernel(rows, _rref(rows, M.n), M.n)]
+    return [RatVec(v) for v in _echelon_kernel(*_echelon(M.entries), M.n)]
 
 
 def _echelon_kernel(
     rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
 ) -> list[tuple[int, ...]]:
-    """``kernel_basis`` as int tuples, read from a reduced echelon form of
-    integer rows: row i has a positive entry p_i in column ``pivots[i]``
-    and 0 in the other pivot columns, in any column order, and rows past
-    the last pivot are ignored.
+    """``kernel_basis`` as int tuples, read from an ``Echelon`` (rows,
+    pivots) in any order; p_i is the entry of row i in column ``pivots[i]``.
 
     For a free column, the kernel vector of the unit-pivot form has 1
     there and -row_i[free] / p_i at ``pivots[i]``; scaled by the lcm L of
@@ -351,13 +372,10 @@ def solve(M: RatMat, rhs: RatVec) -> Optional[RatVec]:
     """
     if rhs.dim != M.m:
         raise ValueError(f"right-hand side has {rhs.dim} entries, matrix has {M.m} rows")
-    rows = [list(coprime_integer_entries(row + (b,))) for row, b in zip(M.entries, rhs.entries)]
-    if not rows:
-        return RatVec.zeros(M.n)
-    pivots = _rref(rows, M.n + 1)
-    if pivots and pivots[-1] == M.n:
+    rows, leads = _echelon(row + (b,) for row, b in zip(M.entries, rhs.entries))
+    if M.n in leads:
         return None
     x = [Fraction(0)] * M.n
-    for i, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[i][M.n], rows[i][pc])
+    for row, pc in zip(rows, leads):
+        x[pc] = Fraction(row[M.n], row[pc])
     return RatVec(x)

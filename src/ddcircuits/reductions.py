@@ -134,29 +134,22 @@ def longest_cycle_oracle(
     for idx, (tail, head) in enumerate(G.arcs):
         by_tail[tail].append((head, idx))
 
+    # Each cycle is walked once, from its smallest node; the best key is the least.
     best: Optional[tuple[Rat, tuple[int, ...]]] = None
-
-    def consider(arc_indices: list[int]) -> None:
-        nonlocal best
-        cost = sum((costs[i] for i in arc_indices), Fraction(0))
-        key = (cost, tuple(sorted(arc_indices)))
-        if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
-            best = key
-
-    def walk(start: int, node: int, visited: set[int], path: list[int]) -> None:
-        for head, idx in by_tail[node]:
-            if head == start:
-                consider(path + [idx])
-            elif head > start and head not in visited:
-                visited.add(head)
-                walk(start, head, visited, path + [idx])
-                visited.remove(head)
-
     for start in range(1, G.nodes + 1):
-        walk(start, start, {start}, [])
+        stack = [(start, (start,), ())]  # (node, path nodes, path arcs)
+        while stack:
+            node, visited, path = stack.pop()
+            for head, idx in by_tail[node]:
+                if head == start:
+                    arcs = path + (idx,)
+                    key = (-sum((costs[i] for i in arcs), Fraction(0)), tuple(sorted(arcs)))
+                    best = key if best is None else min(best, key)
+                elif head > start and head not in visited:
+                    stack.append((head, visited + (head,), path + (idx,)))
     if best is None:
         return None
-    return best[1], best[0]
+    return best[1], -best[0]
 
 
 def verify_correspondence(

@@ -10,6 +10,7 @@ from ddcircuits import (
     ConformalSum,
     Digraph,
     LpOptimal,
+    NotPointedError,
     Polyhedron,
     RatVec,
     build_reduction,
@@ -20,7 +21,7 @@ from ddcircuits import (
     verify_conformal,
 )
 from ddcircuits.conformal import format_conformal
-from ddcircuits.ratlin import kernel_basis, rank
+from ddcircuits.ratlin import RatMat, kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
 
@@ -65,6 +66,19 @@ class TestDecompose:
         tri = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance.polyhedron
         with pytest.raises(ValueError):
             decompose(tri, RatVec([1, 0, 0]))
+
+    @pytest.mark.parametrize("z", [(1, 0), (0, 1)])
+    def test_rejects_non_pointed(self, z):
+        # the strip {0 <= x1 <= 1} contains the line along x2
+        strip = Polyhedron(
+            RatMat([], cols=2),
+            RatVec([]),
+            RatMat([[1, 0], [-1, 0]]),
+            RatVec([1, 0]),
+            allow_non_pointed=True,
+        )
+        with pytest.raises(NotPointedError):
+            decompose(strip, RatVec(z))
 
 
 class TestVerifyConformal:

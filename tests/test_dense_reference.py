@@ -4,13 +4,14 @@ enumeration's one orientation per circuit.
 ``ratlin._pivot`` holds primitive integer rows: each stands for any of its
 positive multiples, so it is the Fraction step up to a positive factor per
 row.  Here every step the package takes is checked against the dense
-Fraction step from ``oracles`` on the same rows, and the pivot log (row,
-column, pivot row divided by its pivot entry) and the LP, uniqueness,
-enumeration and decomposition results must hash to the digest the
-Fraction step gave before the integer step replaced it.  The enumeration
-drops a leaf whose kernel an earlier leaf already gave before it orients
-it; its work-budget accounting is pinned by the exact budgets recorded
-before that change.
+Fraction step from ``oracles`` on the same rows.  The LP, uniqueness,
+enumeration and decomposition results must hash to the digest recorded
+before A was reduced once per polyhedron and the active-set walks began to
+extend their echelon, and the pivot log (row, column, pivot row divided by
+its pivot entry) to the digest recorded with that echelon builder.  The
+enumeration drops a leaf whose kernel an earlier leaf already gave before
+it orients it; its work-budget accounting is pinned by the exact budgets
+recorded before that change.
 """
 
 import hashlib
@@ -41,7 +42,7 @@ from ddcircuits.ratlin import kernel_basis, sign_normalized
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
 from oracles import dense_pivot, positive_multiple
 
-PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp, ddcircuits.circuits)
+PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp)
 INTEGER_PIVOT = ddcircuits.ratlin._pivot
 
 
@@ -89,18 +90,27 @@ def _run_checked(monkeypatch):
     return [_results(P, c, x0) for P, c, x0 in _instances()], log
 
 
-# Recorded with the Fraction step (each pivot row divided to a unit entry),
-# which made the same 2061 pivots as the dense formula: sha256 over the
-# repr of (pivot log, results) on ``_instances()``.
-FRACTION_STEP_PIVOTS = 2061
-FRACTION_STEP_DIGEST = "19c7c7969c97fb88ae40164ee68e0923058ff0a83542735bc97a375f752be485"
+# sha256 over the repr of the results on ``_instances()``, recorded before
+# the echelon of A was kept per polyhedron and the walks extended their
+# echelon instead of eliminating [A; B_active] again.  Output must not move.
+RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584aa1"
+
+# The number of pivots and a sha256 over the repr of their log, recorded
+# with the one echelon builder ``ratlin._extend``, which pivots once per
+# lead a new row is reduced against and once on the row's own lead.
+ECHELON_PIVOTS = 2156
+PIVOT_LOG_DIGEST = "99d86be94161d1fc224f06478d505e66a5ef1bac052728bae40e28262a2ed1ab"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def test_same_results_and_pivot_log_as_fraction_step(monkeypatch):
     results, log = _run_checked(monkeypatch)
-    assert len(log) == FRACTION_STEP_PIVOTS
-    digest = hashlib.sha256(repr((log, results)).encode()).hexdigest()
-    assert digest == FRACTION_STEP_DIGEST
+    assert _digest(results) == RESULTS_DIGEST
+    assert len(log) == ECHELON_PIVOTS
+    assert _digest(log) == PIVOT_LOG_DIGEST
 
 
 def _enumeration_systems():

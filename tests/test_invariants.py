@@ -6,6 +6,10 @@ literal, or use the name ``float``.  The integer elimination kernel holds
 rows of ints, where ``int / int`` would silently give a float, so its
 functions may not use true division at all.  A module-level private
 helper (``_name``) that nothing else in the package refers to is dead code.
+Elimination has one home: only ``ratlin`` and the simplex in ``lp`` use
+the elimination step, only ``ratlin`` and the circuit scan the echelon
+builder, and every other module extends an echelon with the fold
+``ratlin._echelon`` instead of stacking matrices for ``kernel_basis``.
 """
 
 import ast
@@ -19,9 +23,18 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 # The functions, per module, that compute on integer rows.
 INTEGER_KERNEL = {
-    "ratlin.py": ("_pivot", "_echelon_kernel"),
+    "ratlin.py": ("_pivot", "_extend", "_echelon", "_echelon_kernel"),
     "lp.py": ("_bland",),
-    "circuits.py": ("_extend",),
+    "circuits.py": ("enumerate_circuits",),
+}
+
+# The modules allowed to refer to each elimination entry point.  The
+# circuit scan extends its echelons by rows that are primitive integer rows
+# already, so it calls the echelon builder itself instead of the fold.
+ELIMINATION_HOMES = {
+    "_pivot": {"ratlin.py", "lp.py"},
+    "_extend": {"ratlin.py", "circuits.py"},
+    "kernel_basis": {"ratlin.py", "__init__.py"},
 }
 
 
@@ -67,7 +80,19 @@ def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
     return found
 
 
-def _refers_to(tree: ast.AST, name: str, skip: ast.AST) -> bool:
+def misplaced_references(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module that refers to a name of
+    ``ELIMINATION_HOMES`` outside its allowed modules."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for name, homes in ELIMINATION_HOMES.items():
+            if module not in homes and _refers_to(tree, name):
+                found.append(f"{module}:{name}")
+    return found
+
+
+def _refers_to(tree: ast.AST, name: str, skip: ast.AST | None = None) -> bool:
     stack = [tree]
     while stack:
         node = stack.pop()
@@ -154,3 +179,24 @@ def test_checker_flags_unreferenced_helpers():
         "b.py": "from .a import _shared\n\nx = _shared()\n",
     }
     assert unreferenced_private_helpers(sources) == ["a.py:_dead", "a.py:_Unused"]
+
+
+def test_elimination_stays_in_its_modules():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert misplaced_references(sources) == []
+
+
+def test_checker_flags_misplaced_elimination():
+    sources = {
+        "ratlin.py": "def _pivot(rows, r, col):\n    pass\ndef kernel_basis(M):\n    pass\n",
+        "lp.py": "from .ratlin import _pivot\nfrom . import ratlin\nratlin._extend([], [], ())\n",
+        "circuits.py": "from .ratlin import _echelon, _extend\n",
+        "conformal.py": "from .ratlin import kernel_basis as kb\n",
+        "__init__.py": "from .ratlin import kernel_basis\n",
+        "polyhedron.py": "def f(_pivot):\n    return _pivot\n",
+    }
+    assert misplaced_references(sources) == [
+        "lp.py:_extend",
+        "conformal.py:kernel_basis",
+        "polyhedron.py:_pivot",
+    ]

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from ddcircuits.ratlin import (
     RatMat,
     RatVec,
+    _echelon,
+    _echelon_kernel,
     _pivot,
     coprime_integer_entries,
     format_rat,
@@ -216,6 +218,24 @@ def test_pivot_matches_dense_step(M, data):
         assert all(type(a) is int for a in row) and gcd(*row) in (0, 1)
         assert positive_multiple(row, ref)
     assert before == snapshot
+
+
+@given(_small_matrices(), st.data())
+def test_echelon_fold_is_the_canonical_form(M, data):
+    # shuffled rows with dependent rows appended give the pivot columns of
+    # the reduced row echelon form as leads, and the kernel of M; extending
+    # the echelon of a prefix by the rest is the fold over all rows
+    extra = data.draw(st.lists(st.tuples(_SPARSE, _SPARSE, st.sampled_from(M.entries)), max_size=3))
+    dependent = [
+        tuple(a * x + b * y for x, y in zip(row, M.entries[0])) for a, b, row in extra
+    ]
+    rows = data.draw(st.permutations(list(M.entries) + dependent))
+    echelon = _echelon(rows)
+    prefix_ranks = [0] + [minor_rank([row[: j + 1] for row in M.entries], j + 1) for j in range(M.n)]
+    assert sorted(echelon[1]) == [j for j in range(M.n) if prefix_ranks[j + 1] > prefix_ranks[j]]
+    assert _echelon_kernel(*echelon, M.n) == [v.entries for v in kernel_basis(M)]
+    k = data.draw(st.integers(0, len(rows)))
+    assert _echelon(rows[k:], *_echelon(rows[:k])) == echelon
 
 
 @given(st.lists(_rationals(), max_size=6))
