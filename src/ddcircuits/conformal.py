@@ -15,20 +15,22 @@ rows off supp(Bz) are active from the start.  As a point x of a
 polyhedron is described by its slack d - Bx, a vector v of F(z) is
 described by its slack S v: the active rows are its zeros, and the
 largest t keeping v - t*w in F(z) is
-``polyhedron._step_length(S v, S w)``.  A move updates the slack by the
+``polyhedron._step_length(S v, S w)``.  Moves update the slack by the
 rank-one rule S(v - t*w) = S v - t*S w instead of a fresh product with B.
 
 Each round locates an extreme ray of the minimal face of F(z) containing
-the current residual r: starting from v = r, it repeatedly picks a kernel
-direction of the rows active at v and moves until one more row hits
-zero, which raises the active rank; when the active system reaches rank
-n - 1 its kernel is spanned by v, which is the desired circuit.  Active
-rows stay active; the walk adds each newly active row to its echelon.  The
-emitted step length is the largest alpha keeping r - alpha*g inside
-F(z), so at least one support coordinate dies per term and the face
-dimension drops strictly, which bounds the term count by
-dim F(z) <= n - rank(A).  All updates are exact and termination is the
-literal equality r = 0.
+the current residual r with ``polyhedron._walk``, the active-set walk LP
+purification uses.  It runs on u = -v in the cone {u : Au = 0, S u <= 0},
+whose slack -S u is S v: from u = -r, each move goes along a kernel
+direction of the active rows until one more row hits zero, which raises
+the active rank; when the active system reaches rank n - 1 its kernel is
+spanned by v, which is the desired circuit.  The rows active at r stay
+active across terms, so the decomposition keeps their echelon and
+extends it only by the rows each term makes active.  The emitted step
+length is the largest alpha keeping r - alpha*g inside F(z), so at least
+one support coordinate dies per term and the face dimension drops
+strictly, which bounds the term count by dim F(z) <= n - rank(A).  All
+updates are exact and termination is the literal equality r = 0.
 """
 
 from __future__ import annotations
@@ -38,15 +40,8 @@ from fractions import Fraction
 
 from .circuits import Circuit, circuit_from_vector, is_circuit_direction
 from .errors import NotPointedError
-from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _step_length
-from .ratlin import (
-    Rat,
-    RatMat,
-    RatVec,
-    _echelon_kernel,
-    coprime_integer_entries,
-    sign_normalized,
-)
+from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _step_length, _walk
+from .ratlin import Rat, RatMat, RatVec
 
 
 @dataclass(frozen=True)
@@ -55,34 +50,6 @@ class ConformalSum:
 
     terms: tuple[tuple[Rat, Circuit], ...]
     target: RatVec
-
-
-def _extreme_ray_of_minimal_face(
-    P: Polyhedron, S: RatMat, r: RatVec, slack: RatVec
-) -> Circuit:
-    """An extreme ray of the face of F(z) whose active pattern matches r.
-
-    ``slack`` is S r.  Returned oriented as the walk's end point, so its
-    S-image is >= 0.
-    """
-    v, echelon, before = r, P._a_echelon, None
-    while True:
-        echelon = _extend_active(P, echelon, slack, before)
-        ker = [RatVec(w) for w in _echelon_kernel(*echelon, P.n)]
-        if len(ker) == 1:
-            return circuit_from_vector(v)
-        w = ker[0]
-        if sign_normalized(coprime_integer_entries(v.entries)) == w.entries:
-            w = ker[1]  # a step along a multiple of v would end at v = 0
-        sw = S.matvec(w)
-        t = _step_length(slack, sw)
-        if t is UNBOUNDED:
-            w, sw = -w, -sw
-            t = _step_length(slack, sw)
-            if t is UNBOUNDED:  # pragma: no cover - Bw = 0 is impossible when pointed
-                raise AssertionError("direction with zero B-image in a pointed system")
-        v = v - t * w
-        before, slack = slack, slack - t * sw
 
 
 def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
@@ -108,10 +75,17 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     )
     bound = P.n - len(P._a_echelon[1])  # rank(A)
     terms: list[tuple[Fraction, Circuit]] = []
-    r = z
-    slack = RatVec(abs(e) for e in bz)
+    r, slack = z, RatVec(abs(e) for e in bz)
+    echelon, before = P._a_echelon, None
     while not r.is_zero():
-        g = _extreme_ray_of_minimal_face(P, S, r, slack)
+        # The echelon of the rows active at r, and the walk from u = -r to
+        # an extreme ray of the minimal face of F(z) containing r; the
+        # circuit is oriented as v = -u, so its S-image is >= 0.
+        echelon = _extend_active(P, echelon, slack, before)
+        u = -r
+        for u, _ in _walk(P, S, u, slack, echelon, cone=True):
+            pass
+        g = circuit_from_vector(-u)
         sg = S.matvec(g.vec)
         if any(e for e, s in zip(sg, slack) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")
@@ -122,7 +96,7 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         if len(terms) > bound:  # pragma: no cover
             raise AssertionError("conformal decomposition exceeded its term bound")
         r = r - alpha * g.vec
-        slack = slack - alpha * sg
+        before, slack = slack, slack - alpha * sg
     terms.sort(key=lambda term: term[1].entries)
     return ConformalSum(tuple(terms), z)
 

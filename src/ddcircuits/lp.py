@@ -19,18 +19,17 @@ divide each row's entries by its basic entry.
 The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
 point (the split system has more vertices than the original one), so the
-solver finishes with a purification walk: while the active rows at the
-current optimum have rank below n, it moves along a kernel direction of
-the active system until one more independent row becomes active.  Each
-step keeps feasibility and the objective value, and raises the active
-rank, so at most n steps reach a true vertex.  Active rows stay active,
-so the walk only adds each newly active row to its echelon.
+solver finishes with purification: ``polyhedron._walk`` moves along a
+kernel direction of the active system until one more independent row
+becomes active, while the active rows have rank below n.  Each move keeps
+feasibility and the objective value, and raises the active rank, so at
+most n moves reach a true vertex.
 
 Uniqueness of an optimum x* is decided with one more LP (Mangasarian,
 LAA 1979; Appa, JORS 2002).  Let I be the B-rows active at x*.  The
 optimal face is {x*} exactly when the cone {w : Aw = 0, c.w = 0,
-B_I w <= 0} is {0}.  If [A; B_I] has a kernel, x* is not a vertex and a
-kernel direction already leaves it within the optimal face.  Otherwise the
+B_I w <= 0} is {0}.  If [A; B_I] has a kernel, x* is not a vertex and the
+walk's first move already leaves it within the optimal face.  Otherwise the
 cone is pointed, and one LP over its slice -1^T B_I w <= 1 maximizes
 -1^T B_I w, a quantity that is positive on every nonzero cone vector; its
 optimum is 0 exactly when the cone is {0}.
@@ -50,9 +49,10 @@ from .polyhedron import (
     _extend_active,
     _slack,
     _step_length,
+    _walk,
     is_feasible,
 )
-from .ratlin import Echelon, Rat, RatMat, RatVec, _echelon_kernel, _pivot, coprime_integer_entries
+from .ratlin import Rat, RatMat, RatVec, _pivot, coprime_integer_entries
 
 
 @dataclass(frozen=True)
@@ -118,50 +118,19 @@ def _bland(T: list[list[int]], basis: list[int], ncols: int):
         basis[leave] = enter
 
 
-def _kernel_step(P: Polyhedron, slack: RatVec, echelon: Echelon) -> Optional[tuple[RatVec, Rat]]:
-    """A direction w and step beta > 0 along the kernel of [A; B_act].
-
-    x is feasible and given by its slack d - Bx, and ``echelon`` is that of
-    A stacked on the B-rows active at it.  Returns None when that kernel is
-    trivial, i.e. x is a vertex.  Otherwise w is the first kernel vector,
-    or its negation when only the negation is bounded, so x + beta*w is
-    feasible and makes one more independent row active.  B w is computed
-    once and negated for -w.  P must be pointed.
-    """
-    ker = _echelon_kernel(*echelon, P.n)
-    if not ker:
-        return None
-    w = RatVec(ker[0])
-    bw = P.B.matvec(w)
-    beta = _step_length(slack, bw)
-    if beta is UNBOUNDED:
-        w = -w
-        beta = _step_length(slack, -bw)
-        if beta is UNBOUNDED:
-            raise AssertionError("feasible line found in a pointed polyhedron")
-    return w, beta
-
-
 def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     """Walk within the optimal face until the active system has rank n.
 
-    x is the simplex's feasible point; each step computes its slack once
-    and keeps x feasible, so the walk runs no membership checks.
+    x is the simplex's feasible point; its slack is computed once and every
+    move keeps x feasible, so the walk runs no membership checks.
     """
-    slack, echelon, before = _slack(P, x), P._a_echelon, None
-    for _ in range(P.n + P.B.m + 1):
-        echelon = _extend_active(P, echelon, slack, before)
-        step = _kernel_step(P, slack, echelon)
-        if step is None:
-            return x
-        w, beta = step
+    slack = _slack(P, x)
+    for x, w in _walk(P, P.B, x, slack, _extend_active(P, P._a_echelon, slack)):
         if c.dot(w) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
             )
-        x = x + beta * w
-        before, slack = slack, _slack(P, x)
-    raise AssertionError("purification failed to reach a vertex")
+    return x
 
 
 def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
@@ -248,8 +217,9 @@ def verify_unique(
     must be pointed.
 
     With I the B-rows active at xstar: a nonzero kernel vector w of
-    [A; B_I] means xstar is not a vertex, and the witness is the point
-    where the ray from xstar along w (or -w) leaves P.  Otherwise one LP
+    [A; B_I] means xstar is not a vertex, and the witness is the end of the
+    active-set walk's first move, where the ray from xstar along w (or -w)
+    leaves P.  Otherwise one LP
     minimizes (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0,
     B_I w <= 0, -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is
     unique; else its vertex w is a nonzero direction of the optimal face,
@@ -268,10 +238,8 @@ def verify_unique(
         raise ValueError("xstar is not optimal for the given objective")
 
     slack = _slack(P, xstar)
-    step = _kernel_step(P, slack, _extend_active(P, P._a_echelon, slack))
-    if step is not None:
-        w, beta = step
-        return UniquenessReport(False, xstar + beta * w)
+    for witness, _ in _walk(P, P.B, xstar, slack, _extend_active(P, P._a_echelon, slack)):
+        return UniquenessReport(False, witness)
 
     B_I = [row for row, s in zip(P.B.entries, slack) if s == 0]
     row_sum = RatVec(sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n))

@@ -4,9 +4,13 @@ Membership, active inequality rows, and maximal feasible step lengths are
 all decided by exact comparison; there is no tolerance parameter anywhere
 in this module.  The unchecked helpers describe a point x by its slack
 d - Bx, and ``_step_length`` is the package's one ratio test for maximal
-steps.  The module also owns the line-oriented instance file format
-(constraint system plus objective) and the one-line point format, both of
-which round-trip exactly.
+steps.  ``_walk`` is the package's one active-set walk: it moves inside
+the kernel of the tight rows until one more row is tight, updates the
+slack by a rank-one step and extends the echelon of the tight rows.  LP
+purification and the uniqueness check walk P itself, and the conformal
+decomposition walks a sign cone.  The module also owns the line-oriented
+instance file format (constraint system plus objective) and the one-line
+point format, both of which round-trip exactly, on one row parser.
 """
 
 from __future__ import annotations
@@ -14,10 +18,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import NotPointedError, ParseError
-from .ratlin import Echelon, Rat, RatMat, RatVec, _echelon, parse_rat, vstack
+from .ratlin import (
+    Echelon,
+    Rat,
+    RatMat,
+    RatVec,
+    _echelon,
+    _echelon_kernel,
+    coprime_integer_entries,
+    parse_rat,
+    sign_normalized,
+    vstack,
+)
 
 
 class _Unbounded:
@@ -155,6 +170,47 @@ def _extend_active(P: Polyhedron, echelon: Echelon, slack: RatVec, before=None) 
     return _echelon(new, *echelon)
 
 
+def _walk(
+    P: Polyhedron, M: RatMat, x: RatVec, slack: RatVec, echelon: Echelon, cone: bool = False
+) -> Iterator[tuple[RatVec, RatVec]]:
+    """The active-set walk from x: each move makes one more row tight.
+
+    The region is {x : Ax = b, Mx <= d} with M = B, or with ``cone`` the
+    cone {u : Au = 0, Mu <= 0} with M = B up to row signs.  ``slack`` is
+    d - Mx (d = 0 on the cone) and ``echelon`` is that of A stacked on the
+    B-rows tight at x.  A move takes the first kernel vector w of the
+    echelon, or its negation when only the negation is bounded, and goes the
+    largest step t that ``_step_length`` allows; the slack falls by t*Mw and
+    the echelon gains the rows the move made tight.  On the cone the kernel
+    vector along x itself is passed over, since it leads to 0.  The walk
+    ends at a trivial kernel (a vertex), or on the cone when only x's own
+    ray is left (an extreme ray).  Each move raises the rank of the echelon,
+    so there are at most n.  Yields (x, w) after each move; a caller that
+    stops early saves the extension of the echelon.  P must be pointed.
+    """
+    for moves in range(P.n + 1):
+        ker = _echelon_kernel(*echelon, P.n)
+        if len(ker) == int(cone):
+            return
+        if moves == P.n:  # pragma: no cover - each move raises the rank
+            raise AssertionError("the active-set walk exceeded n moves")
+        w = ker[0]
+        if cone and sign_normalized(coprime_integer_entries(x.entries)) == w:
+            w = ker[1]
+        w = RatVec(w)
+        mw = M.matvec(w)
+        t = _step_length(slack, mw)
+        if t is UNBOUNDED:
+            w, mw = -w, -mw
+            t = _step_length(slack, mw)
+            if t is UNBOUNDED:  # pragma: no cover - Mw = 0 is impossible when pointed
+                raise AssertionError("feasible line found in a pointed polyhedron")
+        x = x + t * w
+        before, slack = slack, slack - t * mw
+        yield x, w
+        echelon = _extend_active(P, echelon, slack, before)
+
+
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
     """Largest beta >= 0 with x0 + beta*g feasible, or UNBOUNDED.
 
@@ -181,7 +237,8 @@ def _step_length(slack: RatVec, image: RatVec) -> Union[Rat, _Unbounded]:
     own leaving-row rule): each row with image_j > 0 caps beta at
     slack_j / image_j and the smallest cap wins.  slack must be >= 0.
     ``max_step`` passes the slack d - Bx0 and the image Bg of a direction
-    g with Ag = 0; the conformal walk passes a slack S v of its sign cone.
+    g with Ag = 0; the conformal decomposition passes a slack S v of its
+    sign cone.
     """
     best: Optional[Fraction] = None
     for s, a in zip(slack, image):
@@ -233,27 +290,25 @@ def _tokens(line: str) -> list[tuple[int, str]]:
     return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
 
 
-def _parse_row(line_no: int, line: str, count: int, what: str) -> list[Fraction]:
+def _parse_row(line_no: int, line: str, count: Optional[int], what: str) -> list[Fraction]:
+    """The rationals on ``line``: exactly ``count`` of them, or any number
+    when ``count`` is None."""
     toks = _tokens(line)
-    if len(toks) < count:
+    if count is not None and len(toks) != count:
         raise ParseError(
             f"expected {count} rationals for {what}, found {len(toks)}",
             line_no,
-            len(line) + 1,
+            len(line) + 1 if len(toks) < count else toks[count][0],
         )
-    if len(toks) > count:
-        raise ParseError(
-            f"expected {count} rationals for {what}, found {len(toks)}",
-            line_no,
-            toks[count][0],
-        )
-    row = []
-    for col, tok in toks:
-        try:
-            row.append(parse_rat(tok))
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no, col) from None
-    return row
+    return [_parse_rat(line_no, col, tok) for col, tok in toks]
+
+
+def _parse_rat(line_no: int, col: int, tok: str) -> Fraction:
+    """``parse_rat``, with a malformed token reported as ParseError at ``col``."""
+    try:
+        return parse_rat(tok)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no, col) from None
 
 
 def _parse_header(line_no: int, line: str) -> tuple[int, int, int]:
@@ -359,21 +414,7 @@ def parse_point_line(
     line: str, *, line_no: int = 1, expected_dim: Optional[int] = None
 ) -> RatVec:
     """Parse one line of space-separated rationals as a point."""
-    toks = _tokens(line)
-    if expected_dim is not None and len(toks) != expected_dim:
-        col = len(line) + 1 if len(toks) < expected_dim else toks[expected_dim][0]
-        raise ParseError(
-            f"expected {expected_dim} rationals for a point, found {len(toks)}",
-            line_no,
-            col,
-        )
-    values = []
-    for col, tok in toks:
-        try:
-            values.append(parse_rat(tok))
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no, col) from None
-    return RatVec(values)
+    return RatVec(_parse_row(line_no, line, expected_dim, "a point"))
 
 
 def parse_point_text(text: str, *, expected_dim: Optional[int] = None) -> RatVec:

@@ -11,7 +11,7 @@ and no tolerance parameter exists.
 ``_pivot`` is the package's one elimination step, used by the simplex in
 ``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
 echelon.  Rank, kernels, solving, each polyhedron's echelon of A (reduced
-once) and the circuit scan and active-set walks that extend it all go
+once) and the circuit scan and the active-set walk that extend it all go
 through ``_extend``.  The step works fraction-free on
 primitive integer rows (lists of ints with gcd 1, each standing for any of
 its positive multiples; ``coprime_integer_entries`` makes them): the other
@@ -187,12 +187,6 @@ class RatMat:
 
     def take_rows(self, indices: Sequence[int]) -> "RatMat":
         return RatMat([self.entries[i] for i in indices], cols=self.n)
-
-    def transpose(self) -> "RatMat":
-        return RatMat(
-            [[self.entries[i][j] for i in range(self.m)] for j in range(self.n)],
-            cols=self.m,
-        )
 
     def scale_rows(self, factor) -> "RatMat":
         f = Fraction(factor)

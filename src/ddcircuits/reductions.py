@@ -21,8 +21,8 @@ from typing import Optional
 from .circuits import DEFAULT_WORK_BUDGET
 from .ddstep import DdStep, Optimal, exact_dd_step
 from .errors import ParseError, SizeGuardExceeded
-from .polyhedron import Instance, Point, Polyhedron, _data_lines, _parse_count, _tokens
-from .ratlin import Rat, RatMat, RatVec, parse_rat, vstack
+from .polyhedron import Instance, Point, Polyhedron, _data_lines, _parse_count, _parse_rat, _tokens
+from .ratlin import Rat, RatMat, RatVec, vstack
 
 MAX_ORACLE_NODES = 8
 
@@ -222,11 +222,7 @@ def parse_digraph_text(text: str) -> Digraph:
             raise ParseError("either every arc line has a cost or none does", no, 1)
         arcs.append((tail, head))
         if line_has_cost:
-            col, tok = toks[2]
-            try:
-                costs.append(parse_rat(tok))
-            except ValueError as exc:
-                raise ParseError(str(exc), no, col) from None
+            costs.append(_parse_rat(no, *toks[2]))
     try:
         return Digraph(nodes, tuple(arcs), tuple(costs) if has_costs else None)
     except ValueError as exc:

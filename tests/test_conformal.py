@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import ddcircuits.ratlin
 from ddcircuits import (
     Circuit,
     ConformalSum,
@@ -187,3 +188,28 @@ def test_decompositions_pinned():
     assert all(verify_conformal(P, s) for P, s in sums)
     digest = hashlib.sha256(repr([s for _, s in sums]).encode()).hexdigest()
     assert digest == "e32146c8273efaa737109114d70f44c300d882c40ac495925ba958ec0ef3a286"
+
+
+# The echelon builder calls made by the 40 polytope decompositions of
+# ``_pinned_sums``.  Each decomposition keeps the echelon of the residual's
+# active rows across terms and extends it only by the rows a term made
+# active, so no walk adds a row an earlier term had added.
+DECOMPOSE_EXTEND_CALLS = 237
+
+
+def test_decompose_extends_each_row_once(monkeypatch):
+    rng = random.Random(1)
+    cases = []
+    for _ in range(40):
+        P, c, x0 = dense_polytope(rng)
+        cases.append((P, solve_lp(P, c).vertex - x0))
+    real = ddcircuits.ratlin._extend
+    calls = []
+
+    def counting(rows, leads, vec):
+        calls.append(vec)
+        return real(rows, leads, vec)
+
+    monkeypatch.setattr(ddcircuits.ratlin, "_extend", counting)
+    assert sum(len(decompose(P, z).terms) for P, z in cases) == 104
+    assert len(calls) == DECOMPOSE_EXTEND_CALLS

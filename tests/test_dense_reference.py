@@ -8,7 +8,8 @@ Fraction step from ``oracles`` on the same rows.  The LP, uniqueness,
 enumeration and decomposition results must hash to the digest recorded
 before A was reduced once per polyhedron and the active-set walks began to
 extend their echelon, and the pivot log (row, column, pivot row divided by
-its pivot entry) to the digest recorded with that echelon builder.  The
+its pivot entry) to the digest recorded with that echelon builder once
+the decomposition kept its residual's echelon across terms.  The
 enumeration drops a leaf whose kernel an earlier leaf already gave before
 it orients it; its work-budget accounting is pinned by the exact budgets
 recorded before that change.
@@ -97,9 +98,11 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 
 # The number of pivots and a sha256 over the repr of their log, recorded
 # with the one echelon builder ``ratlin._extend``, which pivots once per
-# lead a new row is reduced against and once on the row's own lead.
-ECHELON_PIVOTS = 2156
-PIVOT_LOG_DIGEST = "99d86be94161d1fc224f06478d505e66a5ef1bac052728bae40e28262a2ed1ab"
+# lead a new row is reduced against and once on the row's own lead, and
+# with the decomposition keeping the echelon of its residual's active rows
+# across terms.
+ECHELON_PIVOTS = 2132
+PIVOT_LOG_DIGEST = "f6caa53663b387c3467157e50c409b0970afeb74edb21fac183e8dbe469b21b9"
 
 
 def _digest(value) -> str:

@@ -10,6 +10,8 @@ Elimination has one home: only ``ratlin`` and the simplex in ``lp`` use
 the elimination step, only ``ratlin`` and the circuit scan the echelon
 builder, and every other module extends an echelon with the fold
 ``ratlin._echelon`` instead of stacking matrices for ``kernel_basis``.
+Only the circuit scan and the active-set walk in ``polyhedron`` read a
+kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
 """
 
 import ast
@@ -35,6 +37,7 @@ ELIMINATION_HOMES = {
     "_pivot": {"ratlin.py", "lp.py"},
     "_extend": {"ratlin.py", "circuits.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
+    "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
 
 
@@ -191,12 +194,13 @@ def test_checker_flags_misplaced_elimination():
         "ratlin.py": "def _pivot(rows, r, col):\n    pass\ndef kernel_basis(M):\n    pass\n",
         "lp.py": "from .ratlin import _pivot\nfrom . import ratlin\nratlin._extend([], [], ())\n",
         "circuits.py": "from .ratlin import _echelon, _extend\n",
-        "conformal.py": "from .ratlin import kernel_basis as kb\n",
+        "conformal.py": "from .ratlin import kernel_basis as kb\nker = ratlin._echelon_kernel\n",
         "__init__.py": "from .ratlin import kernel_basis\n",
-        "polyhedron.py": "def f(_pivot):\n    return _pivot\n",
+        "polyhedron.py": "from .ratlin import _echelon_kernel\ndef f(_pivot):\n    return _pivot\n",
     }
     assert misplaced_references(sources) == [
         "lp.py:_extend",
         "conformal.py:kernel_basis",
+        "conformal.py:_echelon_kernel",
         "polyhedron.py:_pivot",
     ]
