@@ -18,11 +18,12 @@ B vanishing on g, stacked on A, have rank n - 1.
 Enumeration is a deliberately exponential desk-scale oracle built on that
 criterion.  It extends the polyhedron's echelon of A by subsets of rows
 of B of size n - 1 - rank(A) that are independent modulo the row space of
-A and reads the one-dimensional kernel of each full subset from it.  Many
-subsets span the same kernel, so a leaf whose sign-normalized kernel
-vector an earlier leaf already gave is dropped before it is oriented, and
-each distinct circuit is oriented once, to its canonical sign (first
-nonzero entry of Bg positive).
+A, taking them as the primitive integer rows of the polyhedron's integer
+image of B, and reads the one-dimensional kernel of each full subset from
+it.  Many subsets span the same kernel, so a leaf whose sign-normalized
+kernel vector an earlier leaf already gave is dropped before it is
+oriented, and each distinct circuit is oriented once, to its canonical
+sign (first nonzero entry of Bg positive).
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotPointedError, SizeGuardExceeded
-from .polyhedron import Polyhedron
+from .polyhedron import Polyhedron, _image, _int_image
 from .ratlin import (
     RatMat,
     RatVec,
-    _echelon,
     _echelon_kernel,
     _extend,
+    _extend_rows,
     coprime_integer_entries,
     rank,
     sign_normalized,
@@ -177,20 +178,20 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
         return False
     if not P.A.matvec(v).is_zero():
         return False
-    bv = P.B.matvec(v)
-    zero_rows = (row for row, e in zip(P.B.entries, bv) if e == 0)
-    return len(_echelon(zero_rows, *P._a_echelon)[1]) == P.n - 1
+    zero_rows = (q for q, e in zip(_int_image(P).rows, _image(P, v)) if e == 0)
+    return len(_extend_rows(zero_rows, *P._a_echelon)[1]) == P.n - 1
 
 
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     """Flip the sign so the first nonzero entry of B g is positive.
 
-    Goes through the rows of B with the integer entries of g and stops at
-    the first one with (B g)_j != 0, so it does not compute all of B g.
+    Goes through the nonzeros of the primitive integer rows of B, which
+    have the signs of B's rows, and stops at the first one with
+    (B g)_j != 0, so it does not compute all of B g.
     """
     g = circ.entries
-    for row in P.B.entries:
-        e = sum(a * b for a, b in zip(row, g) if a and b)
+    for row in _int_image(P).nonzeros:
+        e = sum(a * g[j] for j, a in row)
         if e > 0:
             return circ
         if e < 0:
@@ -221,8 +222,7 @@ def enumerate_circuits(
 
     reps: list[tuple[int, ...]] = []  # one integer row per parallel class of B
     seen: set[tuple[int, ...]] = set()
-    for row in P.B.entries:
-        ints = coprime_integer_entries(row)
+    for ints in _int_image(P).rows:
         if not any(ints):
             continue
         key = sign_normalized(ints)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -429,7 +430,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing changes only the namespace it returns, never the parser, so
+    in-process callers that run ``main`` many times share one tree.
+    """
     parser = _ArgumentParser(
         prog="ddcircuits",
         description="Exact-rational circuit-step toolkit for pointed polyhedra.",

@@ -8,23 +8,26 @@ polynomial-time dimension-factor approximation of deepest-descent steps.
 
 The implementation walks the sign-restricted subcone
 
-    F(z) = {v : Av = 0, S v >= 0}
+    F(z) = {v : Av = 0, sigma_j (Bv)_j >= 0 for every row j}
 
-where S is B with row j negated where (Bz)_j < 0, so S z = |Bz| and the
-rows off supp(Bz) are active from the start.  As a point x of a
-polyhedron is described by its slack d - Bx, a vector v of F(z) is
-described by its slack S v: the active rows are its zeros, and the
-largest t keeping v - t*w in F(z) is
-``polyhedron._step_length(S v, S w)``.  Moves update the slack by the
-rank-one rule S(v - t*w) = S v - t*S w instead of a fresh product with B.
+where sigma_j is -1 where (Bz)_j < 0 and 1 elsewhere, so the rows off
+supp(Bz) are active from the start.  The signs sigma are all the walk is
+given: as a point x of a polyhedron is described by its slack in row
+units, a vector v of F(z) is described by sigma_j q_j.v, with q_j the
+primitive integer row of B_j (``polyhedron._image``).  The active rows are
+its zeros, and the largest t keeping v - t*w in F(z) is
+``polyhedron._step_length`` of it and the signed image of w.  Moves
+update the slack by the rank-one rule instead of a fresh product with B,
+and the image of a circuit is an int product.
 
 Each round locates an extreme ray of the minimal face of F(z) containing
 the current residual r with ``polyhedron._walk``, the active-set walk LP
-purification uses.  It runs on u = -v in the cone {u : Au = 0, S u <= 0},
-whose slack -S u is S v: from u = -r, each move goes along a kernel
-direction of the active rows until one more row hits zero, which raises
-the active rank; when the active system reaches rank n - 1 its kernel is
-spanned by v, which is the desired circuit.  The rows active at r stay
+purification uses.  It runs on u = -v in the cone
+{u : Au = 0, sigma_j (Bu)_j <= 0}, whose slack is that of v: from
+u = -r, each move goes along a kernel direction of the active rows until
+one more row hits zero, which raises the active rank; when the active
+system reaches rank n - 1 its kernel is spanned by v, which is the
+desired circuit.  The rows active at r stay
 active across terms, so the decomposition keeps their echelon and
 extends it only by the rows each term makes active.  The emitted step
 length is the largest alpha keeping r - alpha*g inside F(z), so at least
@@ -40,8 +43,8 @@ from fractions import Fraction
 
 from .circuits import Circuit, circuit_from_vector, is_circuit_direction
 from .errors import NotPointedError
-from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _step_length, _walk
-from .ratlin import Rat, RatMat, RatVec
+from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _image, _step_length, _walk
+from .ratlin import Rat, RatVec
 
 
 @dataclass(frozen=True)
@@ -68,25 +71,22 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     if not P.A.matvec(z).is_zero():
         raise ValueError("decompose requires A z = 0")
 
-    bz = P.B.matvec(z)
-    S = RatMat(
-        [[-a for a in row] if e < 0 else row for row, e in zip(P.B.entries, bz)],
-        cols=P.n,
-    )
+    bz = _image(P, z)
+    signs = [-1 if e < 0 else 1 for e in bz]
     bound = P.n - len(P._a_echelon[1])  # rank(A)
     terms: list[tuple[Fraction, Circuit]] = []
-    r, slack = z, RatVec(abs(e) for e in bz)
+    r, slack = z, [Fraction(abs(e)) for e in bz]
     echelon, before = P._a_echelon, None
     while not r.is_zero():
         # The echelon of the rows active at r, and the walk from u = -r to
         # an extreme ray of the minimal face of F(z) containing r; the
-        # circuit is oriented as v = -u, so its S-image is >= 0.
+        # circuit is oriented as v = -u, so its signed image is >= 0.
         echelon = _extend_active(P, echelon, slack, before)
         u = -r
-        for u, _ in _walk(P, S, u, slack, echelon, cone=True):
+        for u, _ in _walk(P, signs, u, slack, echelon, cone=True):
             pass
         g = circuit_from_vector(-u)
-        sg = S.matvec(g.vec)
+        sg = [a if s > 0 else -a for a, s in zip(_image(P, g.entries), signs)]
         if any(e for e, s in zip(sg, slack) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")
         alpha = _step_length(slack, sg)
@@ -95,8 +95,8 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         terms.append((alpha, g))
         if len(terms) > bound:  # pragma: no cover
             raise AssertionError("conformal decomposition exceeded its term bound")
-        r = r - alpha * g.vec
-        before, slack = slack, slack - alpha * sg
+        r = RatVec(a - alpha * b if b else a for a, b in zip(r, g.entries))
+        before, slack = slack, [s - alpha * a if a else s for s, a in zip(slack, sg)]
     terms.sort(key=lambda term: term[1].entries)
     return ConformalSum(tuple(terms), z)
 

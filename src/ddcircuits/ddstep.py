@@ -22,7 +22,7 @@ from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import decompose
 from .errors import IterationCapExceeded, LpInfeasibleError, LpUnboundedError
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
-from .polyhedron import UNBOUNDED, Point, Polyhedron, _slack, _step_length, is_feasible
+from .polyhedron import UNBOUNDED, Point, Polyhedron, _image, _slack, _step_length, is_feasible
 from .ratlin import Rat, RatVec
 
 
@@ -120,7 +120,7 @@ def _approx_step(
     if c.dot(alpha * g.vec) >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    beta = _step_length(_slack(P, x0), P.B.matvec(g.vec))
+    beta = _step_length(_slack(P, x0), _image(P, g.entries))
     if beta is UNBOUNDED:  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("unbounded improving step under a bounded LP")
     return DdStep(g, beta, -beta * c.dot(g.vec))
@@ -164,13 +164,12 @@ def _scan(P: Polyhedron, c: RatVec, x0: Point, circuits: list[Circuit], key) -> 
     best: Optional[DdStep] = None
     best_key = None
     for g in circuits:
-        gv = g.vec
-        slope = c.dot(gv)
+        slope = c.dot(g.vec)
         if slope == 0:
             continue
-        bg = P.B.matvec(gv)
+        bg = _image(P, g.entries)
         if slope > 0:
-            g, slope, bg = -g, -slope, -bg
+            g, slope, bg = -g, -slope, [-a for a in bg]
         beta = _step_length(slack, bg)
         if beta is UNBOUNDED:
             return UnboundedImprovement(g)

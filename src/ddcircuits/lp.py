@@ -47,6 +47,7 @@ from .polyhedron import (
     Point,
     Polyhedron,
     _extend_active,
+    _image,
     _slack,
     _step_length,
     _walk,
@@ -125,8 +126,8 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     move keeps x feasible, so the walk runs no membership checks.
     """
     slack = _slack(P, x)
-    for x, w in _walk(P, P.B, x, slack, _extend_active(P, P._a_echelon, slack)):
-        if c.dot(w) != 0:
+    for x, w in _walk(P, None, x, slack, _extend_active(P, P._a_echelon, slack)):
+        if sum(a * b for a, b in zip(c, w) if b) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
             )
@@ -238,7 +239,7 @@ def verify_unique(
         raise ValueError("xstar is not optimal for the given objective")
 
     slack = _slack(P, xstar)
-    for witness, _ in _walk(P, P.B, xstar, slack, _extend_active(P, P._a_echelon, slack)):
+    for witness, _ in _walk(P, None, xstar, slack, _extend_active(P, P._a_echelon, slack)):
         return UniquenessReport(False, witness)
 
     B_I = [row for row, s in zip(P.B.entries, slack) if s == 0]
@@ -255,5 +256,5 @@ def verify_unique(
     if out.value == 0:
         return UniquenessReport(True, None)
     w = out.vertex  # nonzero, with A w = 0
-    beta = _step_length(slack, P.B.matvec(w))
+    beta = _step_length(slack, _image(P, w))
     return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))

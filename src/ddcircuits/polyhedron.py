@@ -2,15 +2,22 @@
 
 Membership, active inequality rows, and maximal feasible step lengths are
 all decided by exact comparison; there is no tolerance parameter anywhere
-in this module.  The unchecked helpers describe a point x by its slack
-d - Bx, and ``_step_length`` is the package's one ratio test for maximal
-steps.  ``_walk`` is the package's one active-set walk: it moves inside
-the kernel of the tight rows until one more row is tight, updates the
-slack by a rank-one step and extends the echelon of the tight rows.  LP
+in this module.  The unchecked helpers work in row units: each polyhedron
+holds, built on first use, an integer image of B, where row B_i is s_i
+times a primitive integer row q_i (s_i > 0).  ``_image(P, v)`` is the
+vector of products q_i.v, in ints when v is integral, and ``_slack``
+describes a point x by d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
+ratio of a slack to an image is the same in row units, and so are its
+zeros and signs, so ``_step_length``, the package's one ratio test for
+maximal steps, and ``_active`` give what d - Bx and Bv would give.
+``_walk`` is the package's one active-set walk: it moves inside the
+kernel of the tight rows until one more row is tight, updates the slack
+by a rank-one step and extends the echelon of the tight rows.  LP
 purification and the uniqueness check walk P itself, and the conformal
-decomposition walks a sign cone.  The module also owns the line-oriented
-instance file format (constraint system plus objective) and the one-line
-point format, both of which round-trip exactly, on one row parser.
+decomposition walks a sign cone, given by the row signs of its vector.
+The module also owns the line-oriented instance file format (constraint
+system plus objective) and the one-line point format, both of which
+round-trip exactly, on one row parser.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from math import lcm
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import NotPointedError, ParseError
 from .ratlin import (
@@ -28,6 +36,7 @@ from .ratlin import (
     RatVec,
     _echelon,
     _echelon_kernel,
+    _extend_rows,
     coprime_integer_entries,
     parse_rat,
     sign_normalized,
@@ -65,10 +74,12 @@ class Polyhedron:
     only well-defined over pointed regions.  A may have zero rows (pure
     inequality systems such as boxes), and so may B.
     A is reduced once: ``_a_echelon`` is its echelon, which pointedness
-    and the other modules extend by rows of B.
+    and the other modules extend by rows of B.  The integer image of B
+    (``_int_image``) is built on first use, not here, since many
+    polyhedra are only parsed, checked or solved by the simplex.
     """
 
-    __slots__ = ("A", "b", "B", "d", "n", "pointed", "_a_echelon")
+    __slots__ = ("A", "b", "B", "d", "n", "pointed", "_a_echelon", "_b_image")
 
     def __init__(
         self,
@@ -93,6 +104,7 @@ class Polyhedron:
         self.d = d
         self.n = A.n
         self._a_echelon = _echelon(A.entries)
+        self._b_image = None
         self.pointed = len(_echelon(B.entries, *self._a_echelon)[1]) == A.n
         if not self.pointed and not allow_non_pointed:
             raise NotPointedError(
@@ -129,6 +141,53 @@ class Polyhedron:
         return f"Polyhedron(n={self.n}, m_A={self.A.m}, m_B={self.B.m})"
 
 
+class _IntImage(NamedTuple):
+    """B in row units: B_i = s_i * rows[i] with rows[i] primitive and s_i > 0."""
+
+    rows: tuple[tuple[int, ...], ...]
+    nonzeros: tuple[tuple[tuple[int, int], ...], ...]  # (column, entry) of each row
+    bounds: tuple[Fraction, ...]  # d_i / s_i
+
+
+def _int_image(P: Polyhedron) -> _IntImage:
+    """P's integer image of B, built on the first call and then kept.
+
+    A zero row of B stays a zero row, with s_i = 1.
+    """
+    image = P._b_image
+    if image is None:
+        rows = tuple(coprime_integer_entries(row) for row in P.B.entries)
+        bounds = []
+        for row, q, d in zip(P.B.entries, rows, P.d):
+            j = next((j for j, a in enumerate(q) if a), None)
+            bounds.append(d if j is None else d * q[j] / row[j])
+        nonzeros = tuple(tuple((j, a) for j, a in enumerate(q) if a) for q in rows)
+        image = P._b_image = _IntImage(rows, nonzeros, tuple(bounds))
+    return image
+
+
+def _image(P: Polyhedron, v: Sequence[Union[Rat, int]]) -> list:
+    """B v in row units: the products q_i.v with the rows of ``_int_image``.
+
+    v is a RatVec or a sequence of ints or Fractions.  It is scaled to ints
+    by one common denominator D, the products are int dot products over the
+    nonzeros of each row, and only when D > 1 is each one made a Fraction
+    over D.  An integral v, such as a kernel vector of an echelon or a
+    circuit, gets a list of ints.
+    """
+    den = lcm(*(e.denominator for e in v))
+    ints = [e.numerator * (den // e.denominator) for e in v]
+    out = []
+    for row in _int_image(P).nonzeros:
+        total = 0
+        for j, a in row:
+            total += a * ints[j]
+        out.append(total)
+    if den == 1:
+        return out
+    return [Fraction(total, den) for total in out]
+
+
 def is_pointed(P: Polyhedron) -> bool:
     """True iff rank of A stacked on B equals the ambient dimension."""
     return P.pointed
@@ -140,8 +199,7 @@ def is_feasible(P: Polyhedron, x: RatVec) -> bool:
         raise ValueError(f"point has dimension {x.dim}, expected {P.n}")
     if P.A.matvec(x) != P.b:
         return False
-    bx = P.B.matvec(x)
-    return all(v <= bound for v, bound in zip(bx, P.d))
+    return all(s >= 0 for s in _slack(P, x))
 
 
 def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
@@ -151,42 +209,55 @@ def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
     return _active(_slack(P, x))
 
 
-def _slack(P: Polyhedron, x: Point) -> RatVec:
-    """The slack d - Bx of x; x is feasible exactly when it is >= 0 and Ax = b."""
-    return P.d - P.B.matvec(x)
+def _slack(P: Polyhedron, x: Point) -> list[Fraction]:
+    """The slack of x in row units: (d - Bx)_i / s_i, Fractions.
+
+    x is feasible exactly when it is >= 0 and Ax = b.
+    """
+    return [b - e for b, e in zip(_int_image(P).bounds, _image(P, x))]
 
 
-def _active(slack: RatVec) -> tuple[int, ...]:
+def _active(slack: Sequence[Rat]) -> tuple[int, ...]:
     """The rows with zero slack, ascending: ``active_rows`` without its check."""
     return tuple(j for j, s in enumerate(slack) if s == 0)
 
 
-def _extend_active(P: Polyhedron, echelon: Echelon, slack: RatVec, before=None) -> Echelon:
+def _extend_active(
+    P: Polyhedron, echelon: Echelon, slack: Sequence[Rat], before=None
+) -> Echelon:
     """``echelon`` extended by the B-rows with zero slack; given the slack
     ``before`` a move that keeps active rows active, only by the rows the
-    move made active."""
-    B = P.B.entries
-    new = (B[j] for j, s in enumerate(slack) if s == 0 and (before is None or before[j]))
-    return _echelon(new, *echelon)
+    move made active.  The rows are those of ``_int_image``, so they are
+    not converted again."""
+    rows = _int_image(P).rows
+    new = (rows[j] for j, s in enumerate(slack) if s == 0 and (before is None or before[j]))
+    return _extend_rows(new, *echelon)
 
 
 def _walk(
-    P: Polyhedron, M: RatMat, x: RatVec, slack: RatVec, echelon: Echelon, cone: bool = False
-) -> Iterator[tuple[RatVec, RatVec]]:
+    P: Polyhedron,
+    signs: Optional[Sequence[int]],
+    x: RatVec,
+    slack: list[Fraction],
+    echelon: Echelon,
+    cone: bool = False,
+) -> Iterator[tuple[RatVec, tuple[int, ...]]]:
     """The active-set walk from x: each move makes one more row tight.
 
-    The region is {x : Ax = b, Mx <= d} with M = B, or with ``cone`` the
-    cone {u : Au = 0, Mu <= 0} with M = B up to row signs.  ``slack`` is
-    d - Mx (d = 0 on the cone) and ``echelon`` is that of A stacked on the
-    B-rows tight at x.  A move takes the first kernel vector w of the
-    echelon, or its negation when only the negation is bounded, and goes the
-    largest step t that ``_step_length`` allows; the slack falls by t*Mw and
-    the echelon gains the rows the move made tight.  On the cone the kernel
-    vector along x itself is passed over, since it leads to 0.  The walk
-    ends at a trivial kernel (a vertex), or on the cone when only x's own
-    ray is left (an extreme ray).  Each move raises the rank of the echelon,
-    so there are at most n.  Yields (x, w) after each move; a caller that
-    stops early saves the extension of the echelon.  P must be pointed.
+    With ``signs`` None the region is P, {x : Ax = b, Bx <= d}; with
+    ``cone`` it is the cone {u : Au = 0, SBu <= 0}, where S is the diagonal
+    of the row signs ``signs`` (each 1 or -1).  ``slack`` is the slack of x
+    in row units (``_slack``; on the cone, -S q_i.u) and ``echelon`` is that
+    of A stacked on the B-rows tight at x.  A move takes the first kernel
+    vector w of the echelon, an int tuple, or its negation when only the
+    negation is bounded, and goes the largest step t that ``_step_length``
+    allows; the slack falls by t times the signed image of w and the echelon
+    gains the rows the move made tight.  On the cone the kernel vector along
+    x itself is passed over, since it leads to 0.  The walk ends at a
+    trivial kernel (a vertex), or on the cone when only x's own ray is left
+    (an extreme ray).  Each move raises the rank of the echelon, so there
+    are at most n.  Yields (x, w) after each move; a caller that stops early
+    saves the extension of the echelon.  P must be pointed.
     """
     for moves in range(P.n + 1):
         ker = _echelon_kernel(*echelon, P.n)
@@ -197,16 +268,17 @@ def _walk(
         w = ker[0]
         if cone and sign_normalized(coprime_integer_entries(x.entries)) == w:
             w = ker[1]
-        w = RatVec(w)
-        mw = M.matvec(w)
+        mw = _image(P, w)
+        if signs is not None:
+            mw = [a if s > 0 else -a for a, s in zip(mw, signs)]
         t = _step_length(slack, mw)
         if t is UNBOUNDED:
-            w, mw = -w, -mw
+            w, mw = tuple(-a for a in w), [-a for a in mw]
             t = _step_length(slack, mw)
-            if t is UNBOUNDED:  # pragma: no cover - Mw = 0 is impossible when pointed
+            if t is UNBOUNDED:  # pragma: no cover - Bw = 0 is impossible when pointed
                 raise AssertionError("feasible line found in a pointed polyhedron")
-        x = x + t * w
-        before, slack = slack, slack - t * mw
+        x = RatVec(a + t * b if b else a for a, b in zip(x, w))
+        before, slack = slack, [s - t * a if a else s for s, a in zip(slack, mw)]
         yield x, w
         echelon = _extend_active(P, echelon, slack, before)
 
@@ -227,18 +299,21 @@ def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
         raise ValueError("direction leaves the equality subspace (A g != 0)")
     if g.is_zero():
         return Fraction(0)
-    return _step_length(_slack(P, x0), P.B.matvec(g))
+    return _step_length(_slack(P, x0), _image(P, g))
 
 
-def _step_length(slack: RatVec, image: RatVec) -> Union[Rat, _Unbounded]:
+def _step_length(
+    slack: Sequence[Rat], image: Sequence[Union[Rat, int]]
+) -> Union[Rat, _Unbounded]:
     """The largest beta with slack - beta*image >= 0, or UNBOUNDED.
 
     The package's one ratio test for maximal steps (the simplex keeps its
     own leaving-row rule): each row with image_j > 0 caps beta at
-    slack_j / image_j and the smallest cap wins.  slack must be >= 0.
-    ``max_step`` passes the slack d - Bx0 and the image Bg of a direction
-    g with Ag = 0; the conformal decomposition passes a slack S v of its
-    sign cone.
+    slack_j / image_j and the smallest cap wins.  slack must be >= 0 and
+    hold Fractions (image may hold ints).  ``max_step`` passes the slack of
+    x0 and the image of a direction g with Ag = 0, both in row units; the
+    conformal decomposition passes the slack of a vector of its sign cone
+    and a signed image.
     """
     best: Optional[Fraction] = None
     for s, a in zip(slack, image):

@@ -12,11 +12,13 @@ and no tolerance parameter exists.
 ``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
 echelon.  Rank, kernels, solving, each polyhedron's echelon of A (reduced
 once) and the circuit scan and the active-set walk that extend it all go
-through ``_extend``.  The step works fraction-free on
-primitive integer rows (lists of ints with gcd 1, each standing for any of
-its positive multiples; ``coprime_integer_entries`` makes them): the other
-rows become ``p*row - f*pivot_row`` over their content, in the line of
-Bareiss (Math. Comp. 1968) and Edmonds (1967).  Each row stays a positive
+through ``_extend``; ``_echelon`` folds it over rational rows and
+``_extend_rows`` over rows that are primitive integer rows already.  The
+step works fraction-free on primitive integer rows (lists of ints with
+gcd 1, each standing for any of its positive multiples;
+``coprime_integer_entries`` makes them): the other rows become
+``p*row - f*pivot_row`` over their content, in the line of Bareiss
+(Math. Comp. 1968) and Edmonds (1967).  Each row stays a positive
 multiple of the row the unit-pivot Fraction step would give, so every
 zero pattern and every sign, and hence every pivot choice, is the one
 that step makes.  Results are read out as ``Fraction``s only at the end.
@@ -24,7 +26,9 @@ The systems the package solves (incidence matrices, B = [I; -I], tableaux
 of slack and artificial columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
 incidence matrices are totally unimodular, so their integer rows stay
-small.
+small.  ``RatMat.matvec`` serves A and the independent checkers: the hot
+products with B go through each polyhedron's integer image of B
+(``polyhedron._image``).
 """
 
 from __future__ import annotations
@@ -279,14 +283,21 @@ def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Opti
 def _echelon(vecs: Iterable[Sequence[Rat]], rows=(), leads=()) -> Echelon:
     """The echelon (rows, leads), empty by default, extended by the rational
     rows ``vecs``, each scaled with ``coprime_integer_entries``; a row in the
-    span of those before it is skipped, so ``len(leads)`` is the rank.  Once
-    every column is a lead, the other rows are not read.
+    span of those before it is skipped, so ``len(leads)`` is the rank.
+    """
+    return _extend_rows(map(coprime_integer_entries, vecs), rows, leads)
+
+
+def _extend_rows(ints: Iterable[Sequence[int]], rows=(), leads=()) -> Echelon:
+    """``_echelon`` for rows that are primitive integer rows already, such
+    as a polyhedron's integer image of B.  Once every column is a lead, the
+    other rows are not used.
     """
     rows, leads = list(rows), list(leads)
-    for vec in vecs:
+    for vec in ints:
         if len(leads) == len(vec):
             break
-        ext = _extend(rows, leads, coprime_integer_entries(vec))
+        ext = _extend(rows, leads, vec)
         if ext is not None:
             rows, leads = ext
     return rows, leads

@@ -12,6 +12,9 @@ builder, and every other module extends an echelon with the fold
 ``ratlin._echelon`` instead of stacking matrices for ``kernel_basis``.
 Only the circuit scan and the active-set walk in ``polyhedron`` read a
 kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
+Products with B go through each polyhedron's integer image of B
+(``polyhedron._image``); only the independent checkers multiply by the
+rational B itself.
 """
 
 import ast
@@ -25,9 +28,10 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 # The functions, per module, that compute on integer rows.
 INTEGER_KERNEL = {
-    "ratlin.py": ("_pivot", "_extend", "_echelon", "_echelon_kernel"),
+    "ratlin.py": ("_pivot", "_extend", "_echelon", "_extend_rows", "_echelon_kernel"),
     "lp.py": ("_bland",),
     "circuits.py": ("enumerate_circuits",),
+    "polyhedron.py": ("_image",),
 }
 
 # The modules allowed to refer to each elimination entry point.  The
@@ -39,6 +43,10 @@ ELIMINATION_HOMES = {
     "kernel_basis": {"ratlin.py", "__init__.py"},
     "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
+
+# The functions allowed to compute ``P.B.matvec``: the checkers, which
+# stay independent of the integer image they check.
+B_PRODUCT_CHECKERS = {"verify_conformal", "lift", "is_extreme_ray"}
 
 
 def violations(source: str, integer_functions=()) -> list[str]:
@@ -92,6 +100,26 @@ def misplaced_references(sources: dict[str, str]) -> list[str]:
         for name, homes in ELIMINATION_HOMES.items():
             if module not in homes and _refers_to(tree, name):
                 found.append(f"{module}:{name}")
+    return found
+
+
+def rational_b_products(source: str) -> list[str]:
+    """``line N: f`` for each call ``<expr>.B.matvec(...)`` in a module-level
+    function f (``<module>`` outside any) other than ``B_PRODUCT_CHECKERS``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+        if owner in B_PRODUCT_CHECKERS:
+            continue
+        for node in ast.walk(stmt):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "matvec"
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "B"
+            ):
+                found.append(f"line {node.lineno}: {owner}")
     return found
 
 
@@ -203,4 +231,43 @@ def test_checker_flags_misplaced_elimination():
         "conformal.py:kernel_basis",
         "conformal.py:_echelon_kernel",
         "polyhedron.py:_pivot",
+    ]
+
+
+def test_rational_b_products_only_in_checkers():
+    found = {
+        path.name: rational_b_products(path.read_text(encoding="utf-8")) for path in MODULES
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_checker_flags_rational_b_products():
+    source = (
+        "bx = P.B.matvec(x)\n"
+        "def _slack(P, x):\n"
+        "    return P.d - P.B.matvec(x)\n"
+        "def lift(P, v):\n"
+        "    return P.B.matvec(v)\n"
+        "def verify_conformal(P, s):\n"
+        "    def inner(g):\n"
+        "        return P.B.matvec(g)\n"
+        "    return inner\n"
+        "def is_extreme_ray(P, L):\n"
+        "    return P.A.matvec(L.x), S.matvec(L.x), P.B.take_rows(())\n"
+        "def scan(P, g):\n"
+        "    return [P.B.matvec(g)]\n"
+    )
+    assert rational_b_products(source) == ["line 1: <module>", "line 3: _slack", "line 13: scan"]
+
+
+def test_checker_flags_true_division_in_image():
+    source = (
+        "def _image(P, v):\n"
+        "    den = lcm(*(e.denominator for e in v))\n"
+        "    return [Fraction(t, den) for t in v] + [t / den for t in v]\n"
+        "def _slack(P, x):\n"
+        "    return [b / 2 for b in x]\n"
+    )
+    assert violations(source, INTEGER_KERNEL["polyhedron.py"]) == [
+        "line 3: true division in _image"
     ]

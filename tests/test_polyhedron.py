@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from ddcircuits import (
     parse_instance_text,
     parse_point_text,
 )
-from ddcircuits.ratlin import RatMat
+from ddcircuits.polyhedron import _active, _image, _slack, _step_length
+from ddcircuits.ratlin import RatMat, coprime_integer_entries
+from instgen import dense_polytope, dense_rational_system, gen_box, gen_circulation
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance.polyhedron
@@ -138,6 +141,65 @@ def test_max_step_is_maximal(x1, x2, g1, g2):
             bg = UNIT_SQUARE.B.matvec(g)
             endpoint = active_rows(UNIT_SQUARE, x0 + beta * g)
             assert any(bg[j] > 0 for j in endpoint)
+
+
+SYSTEMS = {
+    "dense": dense_rational_system,
+    "polytope": lambda rng: dense_polytope(rng)[0],
+    "box": lambda rng: gen_box(rng)[0],
+    "circulation": lambda rng: gen_circulation(rng)[0],
+}
+
+
+def _vector(rng: random.Random, n: int, integral: bool) -> RatVec:
+    """Random rationals; the first entry is not an integer unless ``integral``."""
+    entries = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+    if integral:
+        entries = [Fraction(e.numerator) for e in entries]
+    else:
+        entries[0] += Fraction(1, rng.choice((2, 3, 5)))
+    return RatVec(entries)
+
+
+@given(
+    st.sampled_from(sorted(SYSTEMS)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_row_units_match_plain_fractions(kind, seed, integral_x, integral_g):
+    """The slack and image in row units give the ratio test, the active set
+    and the signs that d - Bx and Bg in plain Fractions give.  B is the
+    system's B plus a row with content > 1, a non-integral row and a zero
+    row; d makes a random subset of the rows tight at x."""
+    rng = random.Random(seed)
+    base = SYSTEMS[kind](rng)
+    n = base.n
+    q = coprime_integer_entries(base.B.entries[0])
+    rows = list(base.B.entries) + [
+        [rng.randint(2, 5) * a for a in q],
+        [Fraction(a, rng.randint(2, 5)) for a in q],
+        [0] * n,
+    ]
+    B = RatMat(rows, cols=n)
+    x = _vector(rng, n, integral_x)
+    d = RatVec(
+        e + rng.choice((0, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+        for e in B.matvec(x)
+    )
+    P = Polyhedron(base.A, base.A.matvec(x), B, d)
+    g = _vector(rng, n, integral_g)
+
+    plain_slack = P.d - P.B.matvec(x)
+    plain_image = P.B.matvec(g)
+    caps = [s / a for s, a in zip(plain_slack, plain_image) if a > 0]
+    slack, image = _slack(P, x), _image(P, g)
+    assert _step_length(slack, image) == (min(caps) if caps else UNBOUNDED)
+    assert _active(slack) == tuple(j for j, s in enumerate(plain_slack) if s == 0)
+    assert [(e > 0) - (e < 0) for e in image] == [(e > 0) - (e < 0) for e in plain_image]
+    assert all(type(s) is Fraction for s in slack)
+    if integral_g:
+        assert all(type(e) is int for e in image)
 
 
 SQUARE_TEXT = """2 0 4
