@@ -25,19 +25,29 @@ becomes active, while the active rows have rank below n.  Each move keeps
 feasibility and the objective value, and raises the active rank, so at
 most n moves reach a true vertex.
 
-Uniqueness of an optimum x* is decided with one more LP (Mangasarian,
-LAA 1979; Appa, JORS 2002).  Let I be the B-rows active at x*.  The
-optimal face is {x*} exactly when the cone {w : Aw = 0, c.w = 0,
-B_I w <= 0} is {0}.  If [A; B_I] has a kernel, x* is not a vertex and the
-walk's first move already leaves it within the optimal face.  Otherwise the
-cone is pointed, and one LP over its slice -1^T B_I w <= 1 maximizes
--1^T B_I w, a quantity that is positive on every nonzero cone vector; its
-optimum is 0 exactly when the cone is {0}.
+Uniqueness of an optimum is first read off the final phase-2 tableau
+(Mangasarian, "Uniqueness of solution in linear programming", LAA 1979;
+Appa, JORS 2002).  Every other optimum of the split problem raises some
+nonbasic variable from 0, and one with a positive reduced cost makes the
+objective worse.  So when every nonbasic reduced cost is positive, except
+the twin x-_j or x+_j of a basic split variable (its reduced cost is 0,
+and raising it leaves x unchanged), the optimum is unique; ``LpOptimal``
+records this as ``unique``.  A free variable with both halves nonbasic has
+reduced costs r and -r and fails the test, as it should.  Degenerate
+optima can be unique with a zero reduced cost, so a failed test decides
+nothing, and ``verify_unique`` falls back to the general check.  There,
+let I be the B-rows active at x*.  The optimal face is {x*} exactly when
+the cone {w : Aw = 0, c.w = 0, B_I w <= 0} is {0}.  If [A; B_I] has a
+kernel, x* is not a vertex and the walk's first move already leaves it
+within the optimal face.  Otherwise the cone is pointed, and one LP over
+its slice -1^T B_I w <= 1 maximizes -1^T B_I w, a quantity that is
+positive on every nonzero cone vector; its optimum is 0 exactly when the
+cone is {0}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -58,8 +68,16 @@ from .ratlin import Rat, RatMat, RatVec, _pivot, coprime_integer_entries
 
 @dataclass(frozen=True)
 class LpOptimal:
+    """An optimal vertex and its value.
+
+    ``unique`` is True when the final simplex tableau proves the optimum
+    unique (every nonbasic reduced cost positive); False means the tableau
+    does not decide it.  It takes no part in equality or repr.
+    """
+
     vertex: Point
     value: Rat
+    unique: bool = field(default=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,6 +135,18 @@ def _bland(T: list[list[int]], basis: list[int], ncols: int):
             return "unbounded", enter
         _pivot(T, leave, enter)
         basis[leave] = enter
+
+
+def _unique_by_reduced_costs(cost: list[int], basis: list[int], n: int) -> bool:
+    """Whether an optimal phase-2 cost row proves the optimum unique.
+
+    Columns are [x+ | x- | slacks].  Every nonbasic reduced cost must be
+    positive, except that of a basic split variable's twin (x-_j for a
+    basic x+_j, and back), which is 0 and leaves x unchanged.
+    """
+    skip = set(basis)
+    skip.update((j + n) % (2 * n) for j in basis if j < 2 * n)
+    return all(r > 0 for j, r in enumerate(cost) if j not in skip)
 
 
 def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
@@ -204,7 +234,7 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
         w[jb] = Fraction(T[i][-1], T[i][jb])
     x = RatVec(w[j] - w[n + j] for j in range(n))
     x = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, c.dot(x))
+    return LpOptimal(x, c.dot(x), _unique_by_reduced_costs(T[-1][:ncols], basis, n))
 
 
 def verify_unique(
@@ -217,15 +247,17 @@ def verify_unique(
     infeasible or non-optimal xstar is a usage error (ValueError), and P
     must be pointed.
 
-    With I the B-rows active at xstar: a nonzero kernel vector w of
-    [A; B_I] means xstar is not a vertex, and the witness is the end of the
-    active-set walk's first move, where the ray from xstar along w (or -w)
-    leaves P.  Otherwise one LP
-    minimizes (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0,
-    B_I w <= 0, -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is
-    unique; else its vertex w is a nonzero direction of the optimal face,
-    and the witness is xstar + max_step*w, or xstar + w when the optimal
-    face is unbounded along w.
+    When xstar is the caller's optimal vertex and its tableau's reduced
+    costs proved it unique (``optimum.unique``), the answer is unique with
+    no further work.  Otherwise, with I the B-rows active at xstar: a
+    nonzero kernel vector w of [A; B_I] means xstar is not a vertex, and
+    the witness is the end of the active-set walk's first move, where the
+    ray from xstar along w (or -w) leaves P.  Else one LP minimizes
+    (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0, B_I w <= 0,
+    -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is unique; else
+    its vertex w is a nonzero direction of the optimal face, and the
+    witness is xstar + max_step*w, or xstar + w when the optimal face is
+    unbounded along w.
     """
     if not P.pointed:
         raise NotPointedError("verify_unique requires a pointed polyhedron")
@@ -237,6 +269,8 @@ def verify_unique(
             raise ValueError("xstar cannot be optimal: the LP has no optimum")
     if optimum.value != c.dot(xstar):
         raise ValueError("xstar is not optimal for the given objective")
+    if optimum.unique and xstar == optimum.vertex:
+        return UniquenessReport(True, None)
 
     slack = _slack(P, xstar)
     for witness, _ in _walk(P, None, xstar, slack, _extend_active(P, P._a_echelon, slack)):

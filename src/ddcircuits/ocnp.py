@@ -3,10 +3,13 @@
 Question: is there an optimum x* such that x* - x0 is a circuit
 direction?  With a unique optimum the only candidate is x* itself, so the
 decision reduces to one LP solve, a uniqueness verification, and one
-extreme-ray rank check on x* - x0.  Uniqueness is never assumed: when
-verification fails the verdict is NotUnique and no answer is attempted,
-since the multi-optimum variant of the question is intractable in
-general.
+extreme-ray rank check on x* - x0.  The verification reads the LP's final
+reduced costs first (Mangasarian, LAA 1979) and needs no second LP when
+they prove x* unique; only a degenerate or non-unique optimum falls back
+to the active-set walk and the tangent-cone LP.  Uniqueness is never
+assumed: when verification fails the verdict is NotUnique and no answer
+is attempted, since the multi-optimum variant of the question is
+intractable in general.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ enumeration and decomposition results must hash to the digest recorded
 before A was reduced once per polyhedron and the active-set walks began to
 extend their echelon, and the pivot log (row, column, pivot row divided by
 its pivot entry) to the digest recorded with that echelon builder once
-the decomposition kept its residual's echelon across terms.  The
+the decomposition kept its residual's echelon across terms, under the
+full uniqueness check; the default path, which trusts the tableau's
+reduced costs where they prove the optimum unique, has its own pin.  The
 enumeration drops a leaf whose kernel an earlier leaf already gave before
 it orients it; its work-budget accounting is pinned by the exact budgets
 recorded before that change.
@@ -62,9 +64,15 @@ def _instances():
     return out
 
 
-def _results(P, c, x0):
+def _results(P, c, x0, full_check):
+    """``full_check`` hands ``verify_unique`` a hand-built optimum, which
+    carries no tableau verdict, so it runs the walk and the tangent-cone LP
+    even where the reduced costs already proved the optimum unique."""
     lp = solve_lp(P, c)
-    unique = verify_unique(P, c, lp.vertex, optimum=lp) if isinstance(lp, LpOptimal) else None
+    unique = None
+    if isinstance(lp, LpOptimal):
+        optimum = LpOptimal(lp.vertex, lp.value) if full_check else lp
+        unique = verify_unique(P, c, lp.vertex, optimum=optimum)
     if x0 is not None and isinstance(lp, LpOptimal) and lp.vertex != x0:
         z = lp.vertex - x0
     else:
@@ -73,7 +81,7 @@ def _results(P, c, x0):
     return lp, unique, enumerate_circuits(P), None if z is None else decompose(P, z)
 
 
-def _run_checked(monkeypatch):
+def _run_checked(monkeypatch, full_check):
     """Results and pivot log, with every step checked against the dense
     Fraction step on the same rows."""
     log = []
@@ -88,7 +96,7 @@ def _run_checked(monkeypatch):
 
     for module in PIVOTING_MODULES:
         monkeypatch.setattr(module, "_pivot", checked)
-    return [_results(P, c, x0) for P, c, x0 in _instances()], log
+    return [_results(P, c, x0, full_check) for P, c, x0 in _instances()], log
 
 
 # sha256 over the repr of the results on ``_instances()``, recorded before
@@ -100,9 +108,15 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # with the one echelon builder ``ratlin._extend``, which pivots once per
 # lead a new row is reduced against and once on the row's own lead, and
 # with the decomposition keeping the echelon of its residual's active rows
-# across terms.
+# across terms.  Recorded before the tableau's reduced costs could prove an
+# optimum unique, so it pins the full uniqueness check.
 ECHELON_PIVOTS = 2132
 PIVOT_LOG_DIGEST = "f6caa53663b387c3467157e50c409b0970afeb74edb21fac183e8dbe469b21b9"
+
+# The same pins on the default path, where ``verify_unique`` skips the walk
+# and the tangent-cone LP for every optimum the reduced costs proved unique.
+SHORTCUT_PIVOTS = 1498
+SHORTCUT_LOG_DIGEST = "971d6c491747ce53dfc40d7bde2c2183d4b793d4ccf492de3734e6bd62485ee2"
 
 
 def _digest(value) -> str:
@@ -110,10 +124,17 @@ def _digest(value) -> str:
 
 
 def test_same_results_and_pivot_log_as_fraction_step(monkeypatch):
-    results, log = _run_checked(monkeypatch)
+    results, log = _run_checked(monkeypatch, full_check=True)
     assert _digest(results) == RESULTS_DIGEST
     assert len(log) == ECHELON_PIVOTS
     assert _digest(log) == PIVOT_LOG_DIGEST
+
+
+def test_shortcut_keeps_results_and_drops_pivots(monkeypatch):
+    results, log = _run_checked(monkeypatch, full_check=False)
+    assert _digest(results) == RESULTS_DIGEST
+    assert len(log) == SHORTCUT_PIVOTS
+    assert _digest(log) == SHORTCUT_LOG_DIGEST
 
 
 def _enumeration_systems():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ddcircuits import (
     Digraph,
@@ -11,15 +12,25 @@ from ddcircuits import (
     NotPointedError,
     Polyhedron,
     RatVec,
+    UniquenessReport,
     build_reduction,
     is_feasible,
     solve_lp,
     verify_unique,
 )
+import ddcircuits.lp
+from ddcircuits.lp import _unique_by_reduced_costs
 from ddcircuits.polyhedron import active_rows
 from ddcircuits.ratlin import RatMat, rank, vstack
 
-from instgen import gen_box, gen_circulation, gen_tulike
+from instgen import (
+    dense_polytope,
+    exhaustive_digraphs,
+    gen_box,
+    gen_circulation,
+    gen_tulike,
+    random_digraph,
+)
 from oracles import brute_force_vertices, min_over_vertices, probe_unique
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
@@ -213,19 +224,30 @@ def _tie_prone(rng, c):
 
 
 class TestVerifyUniqueAgainstProbes:
-    """The tangent-cone test against the 2n-probe oracle of tests/oracles.py."""
+    """Both uniqueness paths against the 2n-probe oracle of tests/oracles.py."""
 
     def _check(self, P, c, xstar):
-        report = verify_unique(P, c, xstar)
+        """Check xstar twice: with the ``solve_lp`` outcome, which may take
+        the reduced-cost shortcut, and with a hand-built optimum, which
+        carries no tableau verdict and forces the walk and tangent-cone LP."""
+        out = solve_lp(P, c)
         unique, _ = probe_unique(P, c, xstar)
-        assert report.unique == unique
-        if unique:
-            assert report.witness is None
-        else:
-            assert is_feasible(P, report.witness)
-            assert c.dot(report.witness) == c.dot(xstar)
-            assert report.witness != xstar
-        return report
+        # xstar and out.vertex share the optimal face
+        assert unique or not out.unique
+        reports = [
+            verify_unique(P, c, xstar, optimum=optimum)
+            for optimum in (out, LpOptimal(out.vertex, out.value))
+        ]
+        for report in reports:
+            assert report.unique == unique
+            if unique:
+                assert report.witness is None
+            else:
+                assert is_feasible(P, report.witness)
+                assert c.dot(report.witness) == c.dot(xstar)
+                assert report.witness != xstar
+        assert reports[0] == reports[1] == verify_unique(P, c, xstar)
+        return reports[0]
 
     def test_seeded_boxes_and_circulations(self):
         rng = random.Random(20791)
@@ -236,7 +258,6 @@ class TestVerifyUniqueAgainstProbes:
             out = solve_lp(P, c)
             assert isinstance(out, LpOptimal)
             report = self._check(P, c, out.vertex)
-            assert verify_unique(P, c, out.vertex, optimum=out) == report
             if not report.unique:
                 not_unique += 1
                 # the midpoint of two optima is an optimal non-vertex point
@@ -260,3 +281,82 @@ class TestVerifyUniqueAgainstProbes:
                 RatVec([1, 0]),
                 optimum=LpOptimal(RatVec([1, 0]), Fraction(-2)),
             )
+
+
+@given(
+    st.sampled_from([gen_box, gen_circulation, dense_polytope]),
+    st.integers(0, 2**32 - 1),
+)
+def test_tableau_uniqueness_is_sound(gen, seed):
+    rng = random.Random(seed)
+    P, c, _ = gen(rng)
+    c = _tie_prone(rng, c)
+    out = solve_lp(P, c)
+    assert isinstance(out, LpOptimal)
+    if out.unique:
+        assert probe_unique(P, c, out.vertex)[0]
+
+
+def test_reductions_are_proved_unique_by_the_tableau():
+    """The reduced costs alone settle the unique optimum of every perturbed
+    circulation LP here, so ``ocnp`` solves one LP per instance."""
+    rng = random.Random(5)
+    graphs = list(exhaustive_digraphs((2, 3)))
+    graphs += [random_digraph(rng, 3, 5, 9) for _ in range(40)]
+    assert len(graphs) == 106
+    for graph in graphs:
+        inst = build_reduction(graph).instance
+        assert solve_lp(inst.polyhedron, inst.objective).unique
+
+
+class TestReducedCostShortcut:
+    """Where the tableau cannot decide, the shortcut declines and the full
+    check answers."""
+
+    def test_degenerate_unique_apex(self, monkeypatch):
+        # square pyramid over [-1, 1]^2 with apex (0, 0, 1): four facets meet there
+        pyramid = Polyhedron(
+            RatMat([], cols=3),
+            RatVec([]),
+            RatMat([[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]),
+            RatVec([0, 1, 1, 1, 1]),
+        )
+        c = RatVec([0, 0, -1])
+        final = []  # the cost row and basis of each simplex phase
+        real = ddcircuits.lp._bland
+
+        def spy(T, basis, ncols):
+            status = real(T, basis, ncols)
+            final.append((T[-1][:ncols], list(basis)))
+            return status
+
+        monkeypatch.setattr(ddcircuits.lp, "_bland", spy)
+        out = solve_lp(pyramid, c)
+        cost, basis = final[-1]
+        assert out.vertex == RatVec([0, 0, 1])
+        # a nonbasic slack column (index >= 2n) keeps reduced cost 0
+        assert [j for j in range(6, len(cost)) if j not in basis and cost[j] == 0]
+        assert not out.unique
+        report = verify_unique(pyramid, c, out.vertex, optimum=out)
+        assert report == UniquenessReport(True, None)
+        assert probe_unique(pyramid, c, out.vertex)[0]
+
+    def test_free_coordinate_with_both_halves_nonbasic(self):
+        # Hand-built cost rows: the smallest-index rule favours the x
+        # columns and seldom ends with both halves of a coordinate
+        # nonbasic.  Columns are x+_1 x+_2 x-_1 x-_2 s_1 s_2, and x_2's
+        # halves cost r and -r, so no r passes.
+        for r in (-1, 0, 1):
+            assert not _unique_by_reduced_costs([0, r, 0, -r, 0, 3], [0, 4], 2)
+        assert _unique_by_reduced_costs([0, 0, 0, 0, 2, 3], [0, 3], 2)
+
+    def test_non_vertex_point_skips_the_shortcut(self):
+        c = RatVec([-1, 0])
+        out = solve_lp(UNIT_SQUARE, c)
+        midpoint = RatVec([1, Fraction(1, 2)])
+        # even an optimum that claims uniqueness is not trusted for another point
+        for optimum in (out, LpOptimal(out.vertex, out.value, unique=True)):
+            report = verify_unique(UNIT_SQUARE, c, midpoint, optimum=optimum)
+            assert not report.unique
+            assert is_feasible(UNIT_SQUARE, report.witness)
+            assert c.dot(report.witness) == c.dot(midpoint)
