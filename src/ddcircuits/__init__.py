@@ -59,7 +59,6 @@ from .polyhedron import (
     format_instance,
     format_point,
     is_feasible,
-    is_pointed,
     load_instance,
     max_step,
     parse_instance_text,

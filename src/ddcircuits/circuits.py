@@ -2,8 +2,9 @@
 
 A circuit is a nonzero kernel vector of A, scaled to coprime integers,
 whose image under B has inclusion-minimal support among all nonzero
-kernel images.  Over a pointed system these directions are exactly the
-potential edge directions of the polyhedron family with fixed A and B.
+kernel images.  Every Polyhedron is pointed, and over a pointed system
+these directions are exactly the potential edge directions of the
+polyhedron family with fixed A and B.
 
 The circuits are the extreme rays of a lifted cone in dimension
 n + 2*m_B: a vector v with Av = 0 lifts to (v, y+, y-) where y+ and y-
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotPointedError, SizeGuardExceeded
+from .errors import SizeGuardExceeded
 from .polyhedron import Polyhedron, _image, _int_image
 from .ratlin import (
     RatMat,
@@ -211,8 +212,6 @@ def enumerate_circuits(
     this loses no circuits.  The result is sorted lexicographically by
     entries.
     """
-    if not P.pointed:
-        raise NotPointedError("circuit enumeration requires a pointed polyhedron")
     n = P.n
 
     rows, leads = P._a_echelon

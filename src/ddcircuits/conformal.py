@@ -41,10 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import Circuit, circuit_from_vector, is_circuit_direction
-from .errors import NotPointedError
+from .circuits import Circuit, circuit_from_vector, is_extreme_ray, lift
 from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _image, _step_length, _walk
-from .ratlin import Rat, RatVec
+from .ratlin import Rat, RatVec, rank
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,11 @@ class ConformalSum:
 def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     """Conformal sum for z: positive, pairwise sign-compatible circuit terms.
 
-    Requires a pointed P, Az = 0 and z != 0.  The terms are listed in
+    Requires Az = 0 and z != 0; P is pointed, as every Polyhedron is, so
+    the sign cone F(z) holds no line.  The terms are listed in
     canonical (lexicographic) circuit order; the reconstruction, the sign
     coupling to Bz, and the term bound n - rank(A) all hold exactly.
     """
-    if not P.pointed:
-        raise NotPointedError("conformal decomposition requires a pointed polyhedron")
     if z.dim != P.n:
         raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
     if z.is_zero():
@@ -83,7 +81,7 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         # circuit is oriented as v = -u, so its signed image is >= 0.
         echelon = _extend_active(P, echelon, slack, before)
         u = -r
-        for u, _ in _walk(P, signs, u, slack, echelon, cone=True):
+        for u, _ in _walk(P, signs, u, slack, echelon):
             pass
         g = circuit_from_vector(-u)
         sg = [a if s > 0 else -a for a, s in zip(_image(P, g.entries), signs)]
@@ -107,7 +105,11 @@ def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:
     Checks exact reconstruction, positivity of the coefficients, the term
     bound n - rank(A), componentwise sign-compatibility of every B g_i
     with B target (including vanishing where B target does), and that
-    every g_i is a circuit direction.
+    every g_i lies in ker(A) and is a circuit direction.  The checks stay
+    independent of the code they check: the term bound reads rank(A) from
+    ``ratlin.rank``, not the polyhedron's cached echelon, and each circuit
+    is tested with ``is_extreme_ray`` on its lift, which works on the
+    rational A and B, not on the integer image of B.
     """
     if s.target.dim != P.n:
         return False
@@ -115,7 +117,7 @@ def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:
         return False
     if any(alpha <= 0 for alpha, _ in s.terms):
         return False
-    if len(s.terms) > P.n - len(P._a_echelon[1]):
+    if len(s.terms) > P.n - rank(P.A):
         return False
     total = RatVec.zeros(P.n)
     for alpha, g in s.terms:
@@ -130,7 +132,9 @@ def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:
                 return False
             if bt[j] == 0 and bg[j] != 0:
                 return False
-    return all(is_circuit_direction(P, g.vec) for _, g in s.terms)
+    return all(
+        P.A.matvec(g.vec).is_zero() and is_extreme_ray(P, lift(P, g.vec)) for _, g in s.terms
+    )
 
 
 def format_conformal(s: ConformalSum) -> str:

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import NotPointedError
 from .polyhedron import (
     UNBOUNDED,
     Point,
@@ -168,11 +167,9 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     """Minimize c over P exactly.
 
     Returns an optimal vertex with its value, a certified unbounded
-    improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  The
-    polyhedron must be pointed.
+    improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  P is
+    pointed, as every Polyhedron is, so an optimum is attained at a vertex.
     """
-    if not P.pointed:
-        raise NotPointedError("solve_lp requires a pointed polyhedron")
     if c.dim != P.n:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
     n, m_b = P.n, P.B.m
@@ -244,8 +241,8 @@ def verify_unique(
 
     ``optimum`` is the caller's ``solve_lp(P, c)`` outcome; without it the
     LP is solved here once to learn the optimal value.  Passing an
-    infeasible or non-optimal xstar is a usage error (ValueError), and P
-    must be pointed.
+    infeasible or non-optimal xstar is a usage error (ValueError).  P is
+    pointed, as every Polyhedron is.
 
     When xstar is the caller's optimal vertex and its tableau's reduced
     costs proved it unique (``optimum.unique``), the answer is unique with
@@ -259,8 +256,6 @@ def verify_unique(
     witness is xstar + max_step*w, or xstar + w when the optimal face is
     unbounded along w.
     """
-    if not P.pointed:
-        raise NotPointedError("verify_unique requires a pointed polyhedron")
     if not is_feasible(P, xstar):
         raise ValueError("xstar is not feasible")
     if optimum is None:

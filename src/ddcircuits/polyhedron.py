@@ -68,28 +68,20 @@ Point = RatVec
 class Polyhedron:
     """The system (A, b, B, d) in n variables.
 
-    Pointedness (rank of A stacked on B equals n) is decided at
-    construction time and cached; non-pointed systems are rejected unless
-    ``allow_non_pointed=True``, since circuits and vertex-based steps are
-    only well-defined over pointed regions.  A may have zero rows (pure
-    inequality systems such as boxes), and so may B.
-    A is reduced once: ``_a_echelon`` is its echelon, which pointedness
-    and the other modules extend by rows of B.  The integer image of B
+    Every Polyhedron is pointed: circuits and vertex-based steps are only
+    well-defined over pointed regions, so construction raises
+    NotPointedError when the rank of A stacked on B is below n, and no
+    other module checks it again.  A may have zero rows (pure inequality systems such as
+    boxes), and so may B.
+    A is reduced once: ``_a_echelon`` is its echelon, which the pointedness
+    check and the other modules extend by rows of B.  The integer image of B
     (``_int_image``) is built on first use, not here, since many
     polyhedra are only parsed, checked or solved by the simplex.
     """
 
-    __slots__ = ("A", "b", "B", "d", "n", "pointed", "_a_echelon", "_b_image")
+    __slots__ = ("A", "b", "B", "d", "n", "_a_echelon", "_b_image")
 
-    def __init__(
-        self,
-        A: RatMat,
-        b: RatVec,
-        B: RatMat,
-        d: RatVec,
-        *,
-        allow_non_pointed: bool = False,
-    ):
+    def __init__(self, A: RatMat, b: RatVec, B: RatMat, d: RatVec):
         if A.n != B.n:
             raise ValueError(f"A has {A.n} columns but B has {B.n}")
         if A.n < 1:
@@ -105,12 +97,8 @@ class Polyhedron:
         self.n = A.n
         self._a_echelon = _echelon(A.entries)
         self._b_image = None
-        self.pointed = len(_echelon(B.entries, *self._a_echelon)[1]) == A.n
-        if not self.pointed and not allow_non_pointed:
-            raise NotPointedError(
-                "the system contains a line (rank [A; B] < n); "
-                "pass allow_non_pointed=True to build it anyway"
-            )
+        if len(_echelon(B.entries, *self._a_echelon)[1]) < A.n:
+            raise NotPointedError("the system contains a line (rank [A; B] < n)")
 
     @classmethod
     def box(cls, lows, highs) -> "Polyhedron":
@@ -188,11 +176,6 @@ def _image(P: Polyhedron, v: Sequence[Union[Rat, int]]) -> list:
     return [Fraction(total, den) for total in out]
 
 
-def is_pointed(P: Polyhedron) -> bool:
-    """True iff rank of A stacked on B equals the ambient dimension."""
-    return P.pointed
-
-
 def is_feasible(P: Polyhedron, x: RatVec) -> bool:
     """Exact membership test: Ax = b and Bx <= d entrywise."""
     if x.dim != P.n:
@@ -240,13 +223,12 @@ def _walk(
     x: RatVec,
     slack: list[Fraction],
     echelon: Echelon,
-    cone: bool = False,
 ) -> Iterator[tuple[RatVec, tuple[int, ...]]]:
     """The active-set walk from x: each move makes one more row tight.
 
-    With ``signs`` None the region is P, {x : Ax = b, Bx <= d}; with
-    ``cone`` it is the cone {u : Au = 0, SBu <= 0}, where S is the diagonal
-    of the row signs ``signs`` (each 1 or -1).  ``slack`` is the slack of x
+    With ``signs`` None the region is P, {x : Ax = b, Bx <= d}; else it is
+    the cone {u : Au = 0, SBu <= 0}, where S is the diagonal of the row
+    signs ``signs`` (each 1 or -1).  ``slack`` is the slack of x
     in row units (``_slack``; on the cone, -S q_i.u) and ``echelon`` is that
     of A stacked on the B-rows tight at x.  A move takes the first kernel
     vector w of the echelon, an int tuple, or its negation when only the
@@ -257,8 +239,11 @@ def _walk(
     trivial kernel (a vertex), or on the cone when only x's own ray is left
     (an extreme ray).  Each move raises the rank of the echelon, so there
     are at most n.  Yields (x, w) after each move; a caller that stops early
-    saves the extension of the echelon.  P must be pointed.
+    saves the extension of the echelon.  P is pointed, as every Polyhedron
+    is, so neither region holds a line and every kernel vector is bounded
+    one way.
     """
+    cone = signs is not None
     for moves in range(P.n + 1):
         ker = _echelon_kernel(*echelon, P.n)
         if len(ker) == int(cone):
@@ -269,7 +254,7 @@ def _walk(
         if cone and sign_normalized(coprime_integer_entries(x.entries)) == w:
             w = ker[1]
         mw = _image(P, w)
-        if signs is not None:
+        if cone:
             mw = [a if s > 0 else -a for a, s in zip(mw, signs)]
         t = _step_length(slack, mw)
         if t is UNBOUNDED:
@@ -406,8 +391,11 @@ def _parse_count(line_no: int, col: int, tok: str, what: str) -> int:
     raise ParseError(f"malformed {what} {tok!r}", line_no, col)
 
 
-def parse_instance_text(text: str, *, allow_non_pointed: bool = False) -> Instance:
-    """Parse an instance file; malformed input raises ParseError with position."""
+def parse_instance_text(text: str) -> Instance:
+    """Parse an instance file; malformed input raises ParseError with position.
+
+    A well-formed system that is not pointed raises NotPointedError, from
+    the Polyhedron constructor."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError("empty instance file", 1, 1)
@@ -454,19 +442,13 @@ def parse_instance_text(text: str, *, allow_non_pointed: bool = False) -> Instan
         extra_no, extra = lines[pos]
         raise ParseError("unexpected extra line after the objective", extra_no, 1)
 
-    P = Polyhedron(
-        RatMat(a_rows, cols=n),
-        b,
-        RatMat(b_rows, cols=n),
-        d,
-        allow_non_pointed=allow_non_pointed,
-    )
+    P = Polyhedron(RatMat(a_rows, cols=n), b, RatMat(b_rows, cols=n), d)
     return Instance(P, c)
 
 
-def load_instance(path, *, allow_non_pointed: bool = False) -> Instance:
+def load_instance(path) -> Instance:
     with open(path, "r", encoding="ascii") as handle:
-        return parse_instance_text(handle.read(), allow_non_pointed=allow_non_pointed)
+        return parse_instance_text(handle.read())
 
 
 def format_instance(inst: Instance) -> str:
@@ -485,20 +467,14 @@ def format_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_point_line(
-    line: str, *, line_no: int = 1, expected_dim: Optional[int] = None
-) -> RatVec:
-    """Parse one line of space-separated rationals as a point."""
-    return RatVec(_parse_row(line_no, line, expected_dim, "a point"))
-
-
 def parse_point_text(text: str, *, expected_dim: Optional[int] = None) -> RatVec:
-    """Parse the first data line of ``text`` as a point."""
+    """Parse the first data line of ``text`` as a point: space-separated
+    rationals, exactly ``expected_dim`` of them unless that is None."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError("no point data found", 1, 1)
     line_no, line = lines[0]
-    return parse_point_line(line, line_no=line_no, expected_dim=expected_dim)
+    return RatVec(_parse_row(line_no, line, expected_dim, "a point"))
 
 
 def format_point(x: RatVec) -> str:

@@ -176,10 +176,6 @@ class RatMat:
     def m(self) -> int:
         return len(self.entries)
 
-    def iter_rows(self) -> Iterator[RatVec]:
-        for row in self.entries:
-            yield RatVec(row)
-
     def matvec(self, v: RatVec) -> RatVec:
         if v.dim != self.n:
             raise ValueError(f"dimension mismatch: matrix has {self.n} columns, vector {v.dim}")

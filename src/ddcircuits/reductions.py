@@ -87,7 +87,6 @@ class ReductionInstance:
     instance: Instance
     x0: Point
     source: Digraph
-    arc_index_map: tuple[tuple[int, int], ...]
 
 
 def build_reduction(G: Digraph) -> ReductionInstance:
@@ -108,9 +107,7 @@ def build_reduction(G: Digraph) -> ReductionInstance:
     d = RatVec([Fraction(1)] * G.m + [Fraction(0)] * G.m)
     objective = RatVec(-c for c in weighted.costs)
     P = Polyhedron(A, RatVec.zeros(G.nodes), B, d)
-    return ReductionInstance(
-        Instance(P, objective), RatVec.zeros(G.m), weighted, weighted.arcs
-    )
+    return ReductionInstance(Instance(P, objective), RatVec.zeros(G.m), weighted)
 
 
 def longest_cycle_oracle(

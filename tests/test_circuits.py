@@ -175,20 +175,6 @@ class TestEnumerate:
         with pytest.raises(SizeGuardExceeded):
             enumerate_circuits(circulation(TRIANGLE_GRAPH), work_budget=0)
 
-    def test_rejects_non_pointed(self):
-        from ddcircuits import NotPointedError
-        from ddcircuits.ratlin import RatMat
-
-        loose = Polyhedron(
-            RatMat([], cols=2),
-            RatVec([]),
-            RatMat([[1, 0]]),
-            RatVec([0]),
-            allow_non_pointed=True,
-        )
-        with pytest.raises(NotPointedError):
-            enumerate_circuits(loose)
-
     def test_trivial_kernel_no_circuits(self):
         from ddcircuits.ratlin import RatMat
 

@@ -217,6 +217,16 @@ class TestErrors:
         assert main(["circuits", square_file, "--work-budget", "0"]) == 66
         assert "work budget" in capsys.readouterr().err
 
+    def test_not_pointed_exit(self, tmp_path, capsys):
+        path = tmp_path / "strip.lp"
+        path.write_text("2 0 2\n1 0\n-1 0\n1 0\n0 1\n")
+        assert main(["circuits", str(path)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "rank [A; B] < n" in captured.err
+        assert "allow_non_pointed" not in captured.err
+
     def test_bad_point_dimension(self, square_file, capsys):
         assert main(["ddstep", square_file, "--from", "1 2 3"]) == 64
         capsys.readouterr()

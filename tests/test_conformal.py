@@ -5,13 +5,14 @@ from itertools import combinations
 
 import pytest
 
+import ddcircuits.circuits
+import ddcircuits.conformal
 import ddcircuits.ratlin
 from ddcircuits import (
     Circuit,
     ConformalSum,
     Digraph,
     LpOptimal,
-    NotPointedError,
     Polyhedron,
     RatVec,
     build_reduction,
@@ -22,7 +23,7 @@ from ddcircuits import (
     verify_conformal,
 )
 from ddcircuits.conformal import format_conformal
-from ddcircuits.ratlin import RatMat, kernel_basis, rank
+from ddcircuits.ratlin import kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
 
@@ -68,19 +69,6 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(tri, RatVec([1, 0, 0]))
 
-    @pytest.mark.parametrize("z", [(1, 0), (0, 1)])
-    def test_rejects_non_pointed(self, z):
-        # the strip {0 <= x1 <= 1} contains the line along x2
-        strip = Polyhedron(
-            RatMat([], cols=2),
-            RatVec([]),
-            RatMat([[1, 0], [-1, 0]]),
-            RatVec([1, 0]),
-            allow_non_pointed=True,
-        )
-        with pytest.raises(NotPointedError):
-            decompose(strip, RatVec(z))
-
 
 class TestVerifyConformal:
     def test_accepts_decompose_output(self):
@@ -108,6 +96,21 @@ class TestVerifyConformal:
             ((Fraction(1), Circuit((1, 0))),), RatVec([1, 1])
         )
         assert not verify_conformal(UNIT_SQUARE, bad)
+
+    def test_rejects_non_circuit_independently(self, monkeypatch):
+        # (1, 1) passes every other check on the square; the circuit check
+        # must not rest on the fast-path membership test it is meant to check
+        monkeypatch.setattr(ddcircuits.circuits, "is_circuit_direction", lambda P, v: True)
+        monkeypatch.setattr(
+            ddcircuits.conformal, "is_circuit_direction", lambda P, v: True, raising=False
+        )
+        bad = ConformalSum(((1, Circuit((1, 1))),), RatVec([1, 1]))
+        assert not verify_conformal(UNIT_SQUARE, bad)
+
+    def test_rejects_term_outside_kernel(self):
+        tri = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance.polyhedron
+        bad = ConformalSum(((1, Circuit((1, 0, 0))),), RatVec([1, 0, 0]))
+        assert not verify_conformal(tri, bad)
 
     def test_rejects_nonpositive_alpha(self):
         bad = ConformalSum(

@@ -14,7 +14,10 @@ Only the circuit scan and the active-set walk in ``polyhedron`` read a
 kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
 Products with B go through each polyhedron's integer image of B
 (``polyhedron._image``); only the independent checkers multiply by the
-rational B itself.
+rational B itself.  Pointedness is decided in one place: only the
+``Polyhedron`` constructor raises ``NotPointedError``, and besides
+``polyhedron`` only ``errors`` (which defines it), ``cli`` (which maps it
+to exit 65) and ``__init__`` (which re-exports it) refer to it.
 """
 
 import ast
@@ -47,6 +50,10 @@ ELIMINATION_HOMES = {
 # The functions allowed to compute ``P.B.matvec``: the checkers, which
 # stay independent of the integer image they check.
 B_PRODUCT_CHECKERS = {"verify_conformal", "lift", "is_extreme_ray"}
+
+# The modules that may refer to NotPointedError, and the one that raises it.
+NOT_POINTED_HOMES = {"errors.py", "polyhedron.py", "cli.py", "__init__.py"}
+NOT_POINTED_RAISER = "polyhedron.py"
 
 
 def violations(source: str, integer_functions=()) -> list[str]:
@@ -120,6 +127,23 @@ def rational_b_products(source: str) -> list[str]:
                 and node.func.value.attr == "B"
             ):
                 found.append(f"line {node.lineno}: {owner}")
+    return found
+
+
+def not_pointed_outside_home(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module outside ``NOT_POINTED_HOMES`` that
+    refers to NotPointedError, and ``module:line N`` for each ``raise`` of it
+    outside ``NOT_POINTED_RAISER``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module not in NOT_POINTED_HOMES and _refers_to(tree, "NotPointedError"):
+            found.append(f"{module}:NotPointedError")
+        if module == NOT_POINTED_RAISER:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc and _refers_to(node.exc, "NotPointedError"):
+                found.append(f"{module}:line {node.lineno}")
     return found
 
 
@@ -270,4 +294,34 @@ def test_checker_flags_true_division_in_image():
     )
     assert violations(source, INTEGER_KERNEL["polyhedron.py"]) == [
         "line 3: true division in _image"
+    ]
+
+
+def test_pointedness_is_decided_in_polyhedron():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert not_pointed_outside_home(sources) == []
+
+
+def test_checker_flags_not_pointed_outside_polyhedron():
+    sources = {
+        "errors.py": "class NotPointedError(Exception):\n    pass\n",
+        "polyhedron.py": "def f():\n    raise NotPointedError('line')\n",
+        "__init__.py": "from .errors import NotPointedError\n",
+        "cli.py": (
+            "from . import errors\n"
+            "CODES = {errors.NotPointedError: 65}\n"
+            "def g():\n"
+            "    raise errors.NotPointedError\n"
+        ),
+        "lp.py": (
+            "from .errors import NotPointedError\n"
+            "def solve_lp(P):\n"
+            "    if not P.pointed:\n"
+            "        raise NotPointedError('solve_lp requires a pointed polyhedron')\n"
+        ),
+    }
+    assert not_pointed_outside_home(sources) == [
+        "cli.py:line 4",
+        "lp.py:NotPointedError",
+        "lp.py:line 4",
     ]

@@ -9,7 +9,6 @@ from ddcircuits import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
-    NotPointedError,
     Polyhedron,
     RatVec,
     UniquenessReport,
@@ -92,17 +91,6 @@ class TestSolveLp:
         out = solve_lp(diamond, RatVec([0, 0]))
         assert isinstance(out, LpOptimal)
         _assert_vertex(diamond, out.vertex)
-
-    def test_rejects_non_pointed(self):
-        loose = Polyhedron(
-            RatMat([], cols=2),
-            RatVec([]),
-            RatMat([[1, 0]]),
-            RatVec([0]),
-            allow_non_pointed=True,
-        )
-        with pytest.raises(NotPointedError):
-            solve_lp(loose, RatVec([1, 1]))
 
     def test_equality_only_system(self):
         # m_B = 0: the feasible region is the single point (1, 1)
@@ -199,19 +187,6 @@ class TestVerifyUnique:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
             verify_unique(UNIT_SQUARE, RatVec([-1, -1]), RatVec([2, 2]))
-
-    def test_rejects_non_pointed(self):
-        # min x2 over {x2 >= 0}: every (t, 0) is optimal along a line
-        loose = Polyhedron(
-            RatMat([], cols=2),
-            RatVec([]),
-            RatMat([[0, -1]]),
-            RatVec([0]),
-            allow_non_pointed=True,
-        )
-        optimum = LpOptimal(RatVec([0, 0]), Fraction(0))
-        with pytest.raises(NotPointedError):
-            verify_unique(loose, RatVec([0, 1]), optimum.vertex, optimum=optimum)
 
 
 def _tie_prone(rng, c):

@@ -11,7 +11,7 @@ near-valid files whose tokens include non-ASCII digits such as "٣" and
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddcircuits import ParseError
+from ddcircuits import NotPointedError, ParseError
 from ddcircuits.polyhedron import parse_instance_text, parse_point_text
 from ddcircuits.reductions import parse_digraph_text
 
@@ -44,8 +44,17 @@ def _parse_or_locate(parse, text):
         assert 1 <= exc.column <= width + 1
 
 
+def _parse_instance(text):
+    """``parse_instance_text``, with NotPointedError a documented outcome: the
+    constructor raises it only after a complete parse of the system."""
+    try:
+        parse_instance_text(text)
+    except NotPointedError:
+        pass
+
+
 PARSERS = {
-    "instance": lambda text: parse_instance_text(text, allow_non_pointed=True),
+    "instance": _parse_instance,
     "point": parse_point_text,
     "point-dim-2": lambda text: parse_point_text(text, expected_dim=2),
     "digraph": parse_digraph_text,

@@ -17,7 +17,7 @@ from ddcircuits import (
     format_instance,
     format_point,
     is_feasible,
-    is_pointed,
+    load_instance,
     max_step,
     parse_instance_text,
     parse_point_text,
@@ -29,35 +29,43 @@ from instgen import dense_polytope, dense_rational_system, gen_box, gen_circulat
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance.polyhedron
 
-HALF_PLANE = Polyhedron(
-    RatMat([], cols=2),
-    RatVec([]),
-    RatMat([[1, 0]]),
-    RatVec([0]),
-    allow_non_pointed=True,
-)
-
 HALF_LINE = Polyhedron(
     RatMat([], cols=1), RatVec([]), RatMat([[-1]]), RatVec([0])
 )  # {x >= 0} in R^1
 
+# {x1 <= 0} in R^2 and its instance file: the x2 axis is a line inside it
+HALF_PLANE_SYSTEM = (RatMat([], cols=2), RatVec([]), RatMat([[1, 0]]), RatVec([0]))
+HALF_PLANE_TEXT = "2 0 1\n1 0\n0\n-1 -1\n"
+
 
 class TestPointedness:
+    """Every Polyhedron is pointed: the constructor is the one place that
+    rejects a system containing a line, whichever way the system comes in."""
+
     def test_unit_square(self):
-        assert is_pointed(UNIT_SQUARE)
+        P = UNIT_SQUARE
+        assert Polyhedron(P.A, P.b, P.B, P.d) == P
 
     def test_half_plane_contains_line(self):
-        assert not is_pointed(HALF_PLANE)
+        with pytest.raises(NotPointedError) as info:
+            Polyhedron(*HALF_PLANE_SYSTEM)
+        assert "allow_non_pointed" not in str(info.value)
 
     def test_constructor_rejects_non_pointed(self):
+        # rank [A; B] = 1 < 2 with an equality row in place of the inequality
         with pytest.raises(NotPointedError):
-            Polyhedron(
-                RatMat([], cols=2), RatVec([]), RatMat([[1, 0]]), RatVec([0])
-            )
+            Polyhedron(RatMat([[1, 1]]), RatVec([1]), RatMat([[2, 2]]), RatVec([3]))
 
     def test_triangle_circulation(self):
         # the box rows alone have rank n
-        assert is_pointed(TRIANGLE)
+        P = TRIANGLE
+        assert Polyhedron(P.A, P.b, P.B, P.d) == P
+
+    def test_load_rejects_non_pointed(self, tmp_path):
+        path = tmp_path / "half_plane.lp"
+        path.write_text(HALF_PLANE_TEXT)
+        with pytest.raises(NotPointedError):
+            load_instance(path)
 
 
 class TestFeasibility:
@@ -256,11 +264,8 @@ class TestInstanceFormat:
             parse_instance_text("2 x 4\n")
 
     def test_non_pointed_file_rejected(self):
-        text = "2 0 1\n1 0\n0\n-1 -1\n"
         with pytest.raises(NotPointedError):
-            parse_instance_text(text)
-        inst = parse_instance_text(text, allow_non_pointed=True)
-        assert not is_pointed(inst.polyhedron)
+            parse_instance_text(HALF_PLANE_TEXT)
 
 
 class TestPointFormat:

@@ -253,8 +253,8 @@ def test_coprime_integer_entries(values):
 def test_products_match_dense_sums(M, data):
     v = RatVec(data.draw(st.lists(_SPARSE, min_size=M.n, max_size=M.n)))
     assert M.matvec(v) == dense_matvec(M, v)
-    for i, row in enumerate(M.iter_rows()):
-        assert row.dot(v) == dense_matvec(M, v)[i]
+    for i, row in enumerate(M.entries):
+        assert RatVec(row).dot(v) == dense_matvec(M, v)[i]
 
 
 @given(_matrices())
