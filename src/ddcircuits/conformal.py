@@ -27,19 +27,28 @@ purification uses.  It runs on u = -v in the cone
 u = -r, each move goes along a kernel direction of the active rows until
 one more row hits zero, which raises the active rank; when the active
 system reaches rank n - 1 its kernel is spanned by v, which is the
-desired circuit.  The rows active at r stay
+desired circuit.  The residual is carried negated, as -r, so each walk
+starts from it as it is and only the circuit, an int tuple, is negated.
+The rows active at r stay
 active across terms, so the decomposition keeps their echelon and
 extends it only by the rows each term makes active.  The emitted step
 length is the largest alpha keeping r - alpha*g inside F(z), so at least
 one support coordinate dies per term and the face dimension drops
 strictly, which bounds the term count by dim F(z) <= n - rank(A).  All
 updates are exact and termination is the literal equality r = 0.
+
+The private generator ``_terms`` yields the terms in the order the walk
+finds them, each after its checks; ``decompose`` collects all of them in
+canonical circuit order, and the approximate dd-step
+(``ddstep._approx_step``) stops reading once no later term can be the
+best one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .circuits import Circuit, circuit_from_vector, is_extreme_ray, lift
 from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _image, _step_length, _walk
@@ -62,6 +71,15 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     canonical (lexicographic) circuit order; the reconstruction, the sign
     coupling to Bz, and the term bound n - rank(A) all hold exactly.
     """
+    return ConformalSum(tuple(sorted(_terms(P, z), key=lambda term: term[1].entries)), z)
+
+
+def _terms(P: Polyhedron, z: RatVec) -> Iterator[tuple[Fraction, Circuit]]:
+    """The terms (alpha, g) of ``decompose(P, z)`` in the order the walk
+    finds them; a caller that stops early saves the later walks.
+
+    The arguments are checked on the first ``next``.
+    """
     if z.dim != P.n:
         raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
     if z.is_zero():
@@ -72,31 +90,30 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     bz = _image(P, z)
     signs = [-1 if e < 0 else 1 for e in bz]
     bound = P.n - len(P._a_echelon[1])  # rank(A)
-    terms: list[tuple[Fraction, Circuit]] = []
-    r, slack = z, [Fraction(abs(e)) for e in bz]
-    echelon, before = P._a_echelon, None
-    while not r.is_zero():
-        # The echelon of the rows active at r, and the walk from u = -r to
-        # an extreme ray of the minimal face of F(z) containing r; the
-        # circuit is oriented as v = -u, so its signed image is >= 0.
+    u_res, slack = -z, [Fraction(abs(e)) for e in bz]
+    echelon, before, count = P._a_echelon, None, 0
+    while not u_res.is_zero():
+        # The echelon of the rows active at the residual r = -u_res, and the
+        # walk from u_res to an extreme ray of the minimal face of F(z)
+        # containing r; the circuit is oriented as v = -u, so its signed
+        # image is >= 0.
         echelon = _extend_active(P, echelon, slack, before)
-        u = -r
+        u = u_res
         for u, _ in _walk(P, signs, u, slack, echelon):
             pass
-        g = circuit_from_vector(-u)
+        g = -circuit_from_vector(u)
         sg = [a if s > 0 else -a for a, s in zip(_image(P, g.entries), signs)]
         if any(e for e, s in zip(sg, slack) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")
         alpha = _step_length(slack, sg)
         if alpha is UNBOUNDED or alpha <= 0:  # pragma: no cover
             raise AssertionError("no positive step along the selected circuit")
-        terms.append((alpha, g))
-        if len(terms) > bound:  # pragma: no cover
+        count += 1
+        if count > bound:  # pragma: no cover
             raise AssertionError("conformal decomposition exceeded its term bound")
-        r = RatVec(a - alpha * b if b else a for a, b in zip(r, g.entries))
+        u_res = RatVec(a + alpha * b if b else a for a, b in zip(u_res, g.entries))
         before, slack = slack, [s - alpha * a if a else s for s, a in zip(slack, sg)]
-    terms.sort(key=lambda term: term[1].entries)
-    return ConformalSum(tuple(terms), z)
+        yield alpha, g
 
 
 def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:

@@ -7,10 +7,14 @@ maximizing the improvement -c.(alpha g).  The approximate step never
 enumerates: it solves the LP once, conformally decomposes x* - x0, picks
 the term with the best objective contribution and extends it to its
 maximal feasible length, which guarantees at least 1/(n - rank A) of the
-exact improvement.  x* does not depend on the iterate, so augmentation in
-approx mode solves the LP once per run and decomposes x* - x from every
-iterate x.  The steepest-descent comparator minimizes c.g / |g|_1 and
-carries no approximation claim.
+exact improvement.  It reads the terms as the decomposition finds them
+and stops once no later term can win: every term t has c.t <= 0, so the
+terms still to come, which sum to the residual r, each contribute at
+least c.r, and a best contribution below c.r is final.  x* does not
+depend on the iterate, so augmentation in approx mode solves the LP once
+per run and decomposes x* - x from every iterate x.  The
+steepest-descent comparator minimizes c.g / |g|_1 and carries no
+approximation claim.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
-from .conformal import decompose
+from .conformal import _terms
 from .errors import IterationCapExceeded, LpInfeasibleError, LpUnboundedError
 from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
 from .polyhedron import UNBOUNDED, Point, Polyhedron, _image, _slack, _step_length, is_feasible
@@ -79,10 +83,15 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
     """Dimension-factor approximate deepest-descent step (no enumeration).
 
     Solves the LP, conformally decomposes x* - x0, picks the term with
-    the smallest c.(alpha g) and extends it to the maximal feasible step.
-    The improvement is at least 1/(n - rank A) of the exact deepest
-    descent improvement.  An unbounded or infeasible LP is reported as a
-    distinct error.
+    the smallest c.(alpha g) (ties to the earliest in canonical circuit
+    order) and extends it to the maximal feasible step.  The improvement
+    is at least 1/(n - rank A) of the exact deepest descent improvement.
+    The decomposition stops early, with the same choice: x* is optimal and
+    x* - t feasible for every term t, so c.t <= 0, and the terms not yet
+    found each contribute at least c.r, with r the residual left.  Once
+    the best contribution is strictly below c.r, no later term beats or
+    ties it.  An unbounded or infeasible LP is reported as a distinct
+    error.
     """
     if not is_feasible(P, x0):
         raise ValueError("approx_dd_step requires a feasible starting point")
@@ -108,22 +117,34 @@ def _approx_step(
 ) -> Union[DdStep, Optimal]:
     """``approx_dd_step`` from the LP optimum of (P, c), without its checks.
 
-    x0 must be feasible.  The best term g of the decomposition satisfies
-    A g = 0 and g != 0, so its maximal step needs no further checks.
+    x0 must be feasible and ``optimum`` the LP's.  The best term has the
+    smallest key (c.(alpha g), g.entries), the term ``min`` picks from the
+    full decomposition in canonical order.  Every term t has c.t <= 0
+    (x* - t is feasible and x* optimal), so each term still to come gains
+    at least c.r, with r the residual left; once the best gain is below
+    c.r, no later term beats or ties it and the walk stops.  The best term
+    g satisfies A g = 0 and g != 0, so its maximal step needs no further
+    checks.
     """
     z = optimum.vertex - x0
     if z.is_zero():
         return Optimal()
-    total = decompose(P, z)
-    best_term = min(total.terms, key=lambda term: c.dot(term[0] * term[1].vec))
-    alpha, g = best_term
-    if c.dot(alpha * g.vec) >= 0:
+    rest = c.dot(z)
+    best_key = None
+    for alpha, g in _terms(P, z):
+        gain = alpha * c.dot(g.vec)
+        rest -= gain
+        if best_key is None or (gain, g.entries) < best_key:
+            best_key, best_g = (gain, g.entries), g
+        if best_key[0] < rest:
+            break
+    if best_key[0] >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    beta = _step_length(_slack(P, x0), _image(P, g.entries))
+    beta = _step_length(_slack(P, x0), _image(P, best_g.entries))
     if beta is UNBOUNDED:  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("unbounded improving step under a bounded LP")
-    return DdStep(g, beta, -beta * c.dot(g.vec))
+    return DdStep(best_g, beta, -beta * c.dot(best_g.vec))
 
 
 def steepest_descent_step(

@@ -244,9 +244,11 @@ def verify_unique(
     infeasible or non-optimal xstar is a usage error (ValueError).  P is
     pointed, as every Polyhedron is.
 
-    When xstar is the caller's optimal vertex and its tableau's reduced
-    costs proved it unique (``optimum.unique``), the answer is unique with
-    no further work.  Otherwise, with I the B-rows active at xstar: a
+    When xstar is the optimal vertex and its tableau's reduced costs
+    proved it unique (``optimum.unique``, which only ``solve_lp`` sets),
+    the answer is unique with no further work; for the caller's own
+    vertex only its value is compared, since the solver built it
+    feasible.  Otherwise, with I the B-rows active at xstar: a
     nonzero kernel vector w of [A; B_I] means xstar is not a vertex, and
     the witness is the end of the active-set walk's first move, where the
     ray from xstar along w (or -w) leaves P.  Else one LP minimizes
@@ -256,7 +258,8 @@ def verify_unique(
     witness is xstar + max_step*w, or xstar + w when the optimal face is
     unbounded along w.
     """
-    if not is_feasible(P, xstar):
+    own_vertex = optimum is not None and optimum.unique and xstar == optimum.vertex
+    if not own_vertex and not is_feasible(P, xstar):
         raise ValueError("xstar is not feasible")
     if optimum is None:
         optimum = solve_lp(P, c)

@@ -22,7 +22,7 @@ from ddcircuits import (
     solve_lp,
     verify_conformal,
 )
-from ddcircuits.conformal import format_conformal
+from ddcircuits.conformal import _terms, format_conformal
 from ddcircuits.ratlin import kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
@@ -191,6 +191,11 @@ def test_decompositions_pinned():
     assert all(verify_conformal(P, s) for P, s in sums)
     digest = hashlib.sha256(repr([s for _, s in sums]).encode()).hexdigest()
     assert digest == "e32146c8273efaa737109114d70f44c300d882c40ac495925ba958ec0ef3a286"
+
+
+def test_decompose_sorts_the_walk_order_terms():
+    for P, s in _pinned_sums():
+        assert s.terms == tuple(sorted(_terms(P, s.target), key=lambda term: term[1].entries))
 
 
 # The echelon builder calls made by the 40 polytope decompositions of

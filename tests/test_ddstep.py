@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ddcircuits.ddstep
 
@@ -19,6 +20,7 @@ from ddcircuits import (
     approx_dd_step,
     augment,
     build_reduction,
+    decompose,
     enumerate_circuits,
     exact_dd_step,
     max_step,
@@ -26,10 +28,11 @@ from ddcircuits import (
     steepest_descent_step,
     verify_unique,
 )
+from ddcircuits.conformal import _terms
 from ddcircuits.polyhedron import UNBOUNDED
 from ddcircuits.ratlin import RatMat, rank
 
-from instgen import dense_polytope, mixed_instances
+from instgen import dense_polytope, gen_box, gen_circulation, mixed_instances
 from oracles import per_step_approx_augment
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
@@ -122,6 +125,110 @@ class TestApproxStep:
             factor = P.n - rank(P.A)
             best = exact.improvement if isinstance(exact, DdStep) else Fraction(0)
             assert best * factor >= gap
+
+
+def _full_rule(P, c, x, optimum):
+    """The approximate step read off the whole decomposition: the first
+    term of ``decompose``'s canonical order with the smallest c.(alpha g),
+    then its maximal step."""
+    z = optimum.vertex - x
+    if z.is_zero():
+        return Optimal()
+    alpha, g = min(decompose(P, z).terms, key=lambda term: c.dot(term[0] * term[1].vec))
+    slope = c.dot(g.vec)
+    if alpha * slope >= 0:
+        return Optimal()
+    beta = max_step(P, x, g.vec)
+    return DdStep(g, beta, -beta * slope)
+
+
+def _recording(walked):
+    """A stand-in for ``_terms`` that appends each term it yields to walked."""
+
+    def recording(P, z):
+        for term in _terms(P, z):
+            walked.append(term)
+            yield term
+
+    return recording
+
+
+def _walked_terms(P, c, x, optimum):
+    """``_approx_step``'s outcome and the terms it read, in walk order."""
+    walked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ddcircuits.ddstep, "_terms", _recording(walked))
+        res = ddcircuits.ddstep._approx_step(P, c, x, optimum)
+    return res, walked
+
+
+def _check_early_stop(P, c, x, optimum):
+    res, walked = _walked_terms(P, c, x, optimum)
+    assert res == _full_rule(P, c, x, optimum)
+    z = optimum.vertex - x
+    if z.is_zero():
+        assert walked == []
+        return res
+    every = list(_terms(P, z))
+    assert walked == every[: len(walked)]
+
+    def key(term):
+        return (c.dot(term[0] * term[1].vec), term[1].entries)
+
+    best = min(map(key, walked))
+    assert all(best < key(term) for term in every[len(walked):])
+    return res
+
+
+@given(
+    st.sampled_from([gen_box, gen_circulation, dense_polytope]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_early_stop_picks_the_full_decompositions_term(gen, seed, data):
+    """Tie-prone costs (zero entries, +-1 entries and so equal gains), along
+    the whole augmentation from the start, and from optimal starts other
+    than x*, where every gain is 0."""
+    P, c, x0 = gen(random.Random(seed))
+    c = RatVec([data.draw(st.sampled_from([0, 1, -1, e])) for e in c])
+    optimum = solve_lp(P, c)
+    assert isinstance(optimum, LpOptimal)
+    trace = augment(P, c, x0, "approx")
+    outcomes = [_check_early_stop(P, c, x, optimum) for x in trace.iterates]
+    assert outcomes == [*trace.steps, Optimal()]
+    report = verify_unique(P, c, optimum.vertex, optimum=optimum)
+    if not report.unique:
+        for other in (report.witness, (optimum.vertex + report.witness) * Fraction(1, 2)):
+            assert _check_early_stop(P, c, other, optimum) == Optimal()
+
+
+def test_early_stop_on_equal_gains():
+    # both unit terms of the square gain -1; the earliest circuit wins, and
+    # the first term alone cannot settle it
+    c, x = RatVec([-1, -1]), RatVec([0, 0])
+    res, walked = _walked_terms(UNIT_SQUARE, c, x, solve_lp(UNIT_SQUARE, c))
+    assert res == DdStep(Circuit((0, 1)), Fraction(1), Fraction(1))
+    assert len(walked) == 2
+
+
+# Terms the approximate step reads over the augmentations of the 40
+# ``dense_polytope(random.Random(1))`` instances, and the terms of the full
+# decompositions of x* - x at the same iterates.
+APPROX_WALKED_TERMS = 146
+APPROX_FULL_TERMS = 196
+
+
+def test_early_stop_walks_fewer_terms(monkeypatch):
+    walked = []
+    monkeypatch.setattr(ddcircuits.ddstep, "_terms", _recording(walked))
+    rng = random.Random(1)
+    full = 0
+    for _ in range(40):
+        P, c, x0 = dense_polytope(rng)
+        xstar = solve_lp(P, c).vertex
+        trace = augment(P, c, x0, "approx")
+        full += sum(len(decompose(P, xstar - x).terms) for x in trace.iterates if x != xstar)
+    assert (len(walked), full) == (APPROX_WALKED_TERMS, APPROX_FULL_TERMS)
 
 
 class TestSteepestStep:

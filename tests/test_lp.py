@@ -185,8 +185,36 @@ class TestVerifyUnique:
             verify_unique(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]))
 
     def test_infeasible_rejected(self):
+        x = RatVec([2, 2])
+        # also with a hand-built optimum at that point
+        for optimum in (None, LpOptimal(x, Fraction(-4))):
+            with pytest.raises(ValueError):
+                verify_unique(UNIT_SQUARE, RatVec([-1, -1]), x, optimum=optimum)
+
+    def test_own_unique_vertex_is_not_rechecked(self, monkeypatch):
+        checked = []
+        real = ddcircuits.lp.is_feasible
+
+        def counting(P, x):
+            checked.append(x)
+            return real(P, x)
+
+        monkeypatch.setattr(ddcircuits.lp, "is_feasible", counting)
+        c = RatVec([-1, -1])
+        out = solve_lp(UNIT_SQUARE, c)
+        assert out.unique
+        assert verify_unique(UNIT_SQUARE, c, out.vertex, optimum=out).unique
+        assert checked == []
+        # the value is still compared
         with pytest.raises(ValueError):
-            verify_unique(UNIT_SQUARE, RatVec([-1, -1]), RatVec([2, 2]))
+            verify_unique(
+                UNIT_SQUARE, c, out.vertex, optimum=LpOptimal(out.vertex, Fraction(-1), unique=True)
+            )
+        # any other path checks the point
+        assert verify_unique(UNIT_SQUARE, c, out.vertex).unique
+        hand_built = LpOptimal(out.vertex, out.value)
+        assert verify_unique(UNIT_SQUARE, c, out.vertex, optimum=hand_built).unique
+        assert checked == [out.vertex, out.vertex]
 
 
 def _tie_prone(rng, c):
