@@ -2,8 +2,10 @@
 
 One command per process, no network access, no configuration beyond an
 optional work-budget override.  Data goes to stdout (or the requested
-output file); diagnostics go to stderr.  Every number printed is a
-rational string or an integer; floating point never appears.
+output file); diagnostics go to stderr.  Each command builds one
+document and prints it through ``_emit``, as a sorted JSON line or as
+text that mirrors it.  Every number printed is a rational string or an
+integer; floating point never appears.
 
 Exit codes:
   0   success (for ``ocnp``: the optimum is a circuit neighbor)
@@ -41,7 +43,7 @@ from .errors import (
     ParseError,
     SizeGuardExceeded,
 )
-from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp, verify_unique
+from .lp import LpInfeasible, LpUnbounded, solve_lp, verify_unique
 from .ocnp import AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor, NotUnique, decide_ocnp
 from .polyhedron import (
     _COUNT_RE,
@@ -51,10 +53,9 @@ from .polyhedron import (
     load_instance,
     parse_point_text,
 )
-from .ratlin import RatVec, parse_rat, rank
+from .ratlin import _RAT_RE, RatVec, rank
 from .reductions import (
     build_reduction,
-    format_digraph,
     load_digraph,
     longest_cycle_oracle,
     verify_correspondence,
@@ -96,34 +97,51 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
+    """The one reader of a count from the command line or the environment."""
     if not _COUNT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _emit(args, doc: dict, lines: list[str]) -> None:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _load_point(value: str, n: int) -> RatVec:
-    """``zeros``, an inline point (every token a rational), or else a path.
-
-    An inline point never reads a file, even one named like it.
-    """
-    if value == "zeros":
-        return RatVec.zeros(n)
     try:
-        inline = [parse_rat(tok) for tok in value.split()]
-    except ValueError:
-        inline = []
-    if not inline:
-        with open(value, "r", encoding="ascii") as handle:
-            value = handle.read()
-    return parse_point_text(value, expected_dim=n)
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {len(text)} digits (too many to convert)"
+        ) from None
+
+
+def _text(value) -> str:
+    """A document value as text: a list as its items joined by spaces, a
+    flag as ``yes``/``no``."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return " ".join(str(item) for item in value)
+    return str(value)
+
+
+def _lines(doc: dict) -> str:
+    """One ``key: value`` line per entry of ``doc``, in insertion order."""
+    return "".join(f"{key}: {_text(value)}\n" for key, value in doc.items())
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_text(value) for value in row] for row in rows)
+    return buf.getvalue()
+
+
+def _emit(args, doc: dict, text: str | None = None) -> None:
+    """Write a command's output to its ``-o`` file, or else to stdout.
+
+    With ``--format json`` the output is ``doc`` as one sorted JSON line;
+    otherwise it is ``text``, by default ``_lines(doc)``.
+    """
+    if args.format == "json":
+        text = json.dumps(doc, sort_keys=True) + "\n"
+    elif text is None:
+        text = _lines(doc)
+    _write_text(getattr(args, "output", "-"), text)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -134,15 +152,29 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
+def _load_point(value: str, n: int) -> RatVec:
+    """``zeros``, an inline point (every token has the form of a rational),
+    or else the path of a one-line point file.
+
+    An inline point never reads a file, even one named like it.
+    """
+    if value == "zeros":
+        return RatVec.zeros(n)
+    tokens = value.split()
+    if not tokens or not all(_RAT_RE.fullmatch(tok) for tok in tokens):
+        with open(value, "r", encoding="ascii") as handle:
+            value = handle.read()
+    return parse_point_text(value, expected_dim=n)
+
+
 def cmd_solve(args) -> int:
     inst = load_instance(args.file)
     outcome = solve_lp(inst.polyhedron, inst.objective)
     if isinstance(outcome, LpInfeasible):
-        _emit(args, {"status": "infeasible"}, ["status: infeasible"])
+        _emit(args, {"status": "infeasible"})
         return EXIT_INFEASIBLE
     if isinstance(outcome, LpUnbounded):
-        doc = {"status": "unbounded", "direction": format_point(outcome.direction)}
-        _emit(args, doc, ["status: unbounded", f"direction: {doc['direction']}"])
+        _emit(args, {"status": "unbounded", "direction": format_point(outcome.direction)})
         return EXIT_UNBOUNDED
     report = verify_unique(
         inst.polyhedron, inst.objective, outcome.vertex, optimum=outcome
@@ -153,16 +185,9 @@ def cmd_solve(args) -> int:
         "value": str(outcome.value),
         "unique": report.unique,
     }
-    lines = [
-        "status: optimal",
-        f"x: {doc['x']}",
-        f"value: {doc['value']}",
-        f"unique: {'yes' if report.unique else 'no'}",
-    ]
     if not report.unique:
         doc["witness"] = format_point(report.witness)
-        lines.append(f"witness: {doc['witness']}")
-    _emit(args, doc, lines)
+    _emit(args, doc)
     return EXIT_OK
 
 
@@ -170,21 +195,16 @@ def cmd_circuits(args) -> int:
     inst = load_instance(args.file)
     circuits = enumerate_circuits(inst.polyhedron, work_budget=args.work_budget)
     doc = {"circuits": [list(c.entries) for c in circuits]}
-    _emit(args, doc, [c.to_text() for c in circuits])
+    _emit(args, doc, "".join(f"{c.to_text()}\n" for c in circuits))
     return EXIT_OK
 
 
 def _step_result(args, res) -> int:
     if isinstance(res, Optimal):
-        _emit(args, {"status": "optimal"}, ["status: optimal"])
+        _emit(args, {"status": "optimal"})
         return EXIT_OK
     if isinstance(res, UnboundedImprovement):
-        doc = {"status": "unbounded-improvement", "circuit": list(res.g.entries)}
-        _emit(
-            args,
-            doc,
-            ["status: unbounded-improvement", f"circuit: {res.g.to_text()}"],
-        )
+        _emit(args, {"status": "unbounded-improvement", "circuit": list(res.g.entries)})
         return EXIT_UNBOUNDED
     assert isinstance(res, DdStep)
     doc = {
@@ -193,16 +213,7 @@ def _step_result(args, res) -> int:
         "alpha": str(res.alpha),
         "improvement": str(res.improvement),
     }
-    _emit(
-        args,
-        doc,
-        [
-            "status: step",
-            f"circuit: {res.g.to_text()}",
-            f"alpha: {res.alpha}",
-            f"improvement: {res.improvement}",
-        ],
-    )
+    _emit(args, doc)
     return EXIT_OK
 
 
@@ -223,23 +234,19 @@ def cmd_ocnp(args) -> int:
     x0 = _load_point(args.from_point, inst.polyhedron.n)
     verdict = decide_ocnp(inst.polyhedron, inst.objective, x0)
     if isinstance(verdict, CircuitNeighbor):
-        doc = {"verdict": "circuit-neighbor", "xstar": format_point(verdict.xstar)}
-        _emit(args, doc, ["verdict: circuit-neighbor", f"xstar: {doc['xstar']}"])
+        _emit(args, {"verdict": "circuit-neighbor", "xstar": format_point(verdict.xstar)})
         return EXIT_OK
     if isinstance(verdict, NotCircuitNeighbor):
-        doc = {"verdict": "not-circuit-neighbor", "xstar": format_point(verdict.xstar)}
-        _emit(args, doc, ["verdict: not-circuit-neighbor", f"xstar: {doc['xstar']}"])
+        _emit(args, {"verdict": "not-circuit-neighbor", "xstar": format_point(verdict.xstar)})
         return EXIT_FAIL
     if isinstance(verdict, AlreadyOptimal):
-        _emit(args, {"verdict": "already-optimal"}, ["verdict: already-optimal"])
+        _emit(args, {"verdict": "already-optimal"})
         return EXIT_ALREADY_OPTIMAL
     assert isinstance(verdict, NotUnique)
     doc = {"verdict": "not-unique"}
-    lines = ["verdict: not-unique"]
     if verdict.report.witness is not None:
         doc["witness"] = format_point(verdict.report.witness)
-        lines.append(f"witness: {doc['witness']}")
-    _emit(args, doc, lines)
+    _emit(args, doc)
     return EXIT_NOT_UNIQUE
 
 
@@ -254,61 +261,40 @@ def cmd_decompose(args) -> int:
             {"alpha": str(alpha), "circuit": list(g.entries)} for alpha, g in total.terms
         ]
     }
-    _emit(args, doc, format_conformal(total).splitlines())
+    _emit(args, doc, format_conformal(total))
     return EXIT_OK
+
+
+_TRACE_COLUMNS = ("iteration", "circuit", "alpha", "improvement", "objective_after")
 
 
 def cmd_augment(args) -> int:
     inst = load_instance(args.file)
+    c = inst.objective
     x0 = _load_point(args.from_point, inst.polyhedron.n)
     trace = augment(
         inst.polyhedron,
-        inst.objective,
+        c,
         x0,
         args.mode,
         max_iters=args.max_iters,
         work_budget=args.work_budget,
     )
+    rows = [
+        (i, list(step.g.entries), str(step.alpha), str(step.improvement), str(c.dot(x)))
+        for i, (step, x) in enumerate(zip(trace.steps, trace.iterates[1:]), start=1)
+    ]
     if args.trace is not None:
-        _write_text(args.trace, _trace_csv(inst, trace))
-    final = trace.final
+        _write_text(args.trace, _csv(_TRACE_COLUMNS, rows))
     doc = {
         "steps": len(trace.steps),
-        "final": format_point(final),
-        "objective": str(inst.objective.dot(final)),
-        "trace": [
-            {
-                "iteration": i,
-                "circuit": list(step.g.entries),
-                "alpha": str(step.alpha),
-                "improvement": str(step.improvement),
-                "objective_after": str(inst.objective.dot(trace.iterates[i])),
-            }
-            for i, step in enumerate(trace.steps, start=1)
-        ],
+        "final": format_point(trace.final),
+        "objective": str(c.dot(trace.final)),
     }
-    _emit(
-        args,
-        doc,
-        [
-            f"steps: {doc['steps']}",
-            f"final: {doc['final']}",
-            f"objective: {doc['objective']}",
-        ],
-    )
+    text = _lines(doc)  # the trace is JSON-only on stdout
+    doc["trace"] = [dict(zip(_TRACE_COLUMNS, row)) for row in rows]
+    _emit(args, doc, text)
     return EXIT_OK
-
-
-def _trace_csv(inst: Instance, trace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["iteration", "circuit", "alpha", "improvement", "objective_after"])
-    for i, step in enumerate(trace.steps, start=1):
-        after = inst.objective.dot(trace.iterates[i])
-        writer.writerow(
-            [i, step.g.to_text(), str(step.alpha), str(step.improvement), str(after)]
-        )
-    return buf.getvalue()
 
 
 def _instance_doc(inst: Instance) -> dict:
@@ -326,44 +312,25 @@ def _instance_doc(inst: Instance) -> dict:
 
 
 def cmd_reduce(args) -> int:
-    graph = load_digraph(args.file)
-    reduction = build_reduction(graph)
-    if args.format == "json":
-        payload = json.dumps({"instance": _instance_doc(reduction.instance)}, sort_keys=True) + "\n"
-    else:
-        payload = format_instance(reduction.instance)
-    _write_text(args.output, payload)
+    instance = build_reduction(load_digraph(args.file)).instance
+    _emit(args, {"instance": _instance_doc(instance)}, format_instance(instance))
     return EXIT_OK
 
 
 def cmd_longest_cycle(args) -> int:
-    graph = load_digraph(args.file)
-    result = longest_cycle_oracle(graph)
+    result = longest_cycle_oracle(load_digraph(args.file))
     if result is None:
-        _emit(args, {"status": "no-cycle"}, ["no-cycle"])
+        _emit(args, {"status": "no-cycle"}, "no-cycle\n")
         return EXIT_OK
     arcs, cost = result
-    doc = {
-        "status": "cycle",
-        "arcs": [a + 1 for a in arcs],
-        "cost": str(cost),
-    }
-    _emit(
-        args,
-        doc,
-        [f"arcs: {' '.join(str(a + 1) for a in arcs)}", f"cost: {cost}"],
-    )
+    cycle = {"arcs": [a + 1 for a in arcs], "cost": str(cost)}
+    _emit(args, {"status": "cycle", **cycle}, _lines(cycle))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    graph = load_digraph(args.file)
-    ok = verify_correspondence(graph, work_budget=args.work_budget)
-    _emit(
-        args,
-        {"correspondence": ok},
-        [f"correspondence: {'ok' if ok else 'FAIL'}"],
-    )
+    ok = verify_correspondence(load_digraph(args.file), work_budget=args.work_budget)
+    _emit(args, {"correspondence": ok}, f"correspondence: {'ok' if ok else 'FAIL'}\n")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -416,17 +383,8 @@ def cmd_bench(args) -> int:
                 len(approx),
             )
         )
-    if args.format == "json":
-        rows = [dict(zip(_BENCH_COLUMNS, rec)) for rec in records]
-        payload = json.dumps({"rows": rows}, sort_keys=True) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(_BENCH_COLUMNS))
-        for rec in records:
-            writer.writerow(list(rec))
-        payload = buf.getvalue()
-    _write_text(args.output, payload)
+    doc = {"rows": [dict(zip(_BENCH_COLUMNS, rec)) for rec in records]}
+    _emit(args, doc, _csv(_BENCH_COLUMNS, records))
     return EXIT_OK
 
 
@@ -524,11 +482,10 @@ def _default_budget() -> int:
     raw = os.environ.get("DDCIRCUITS_WORK_BUDGET")
     if raw is None:
         return DEFAULT_WORK_BUDGET
-    if not _COUNT_RE.fullmatch(raw):
-        raise ValueError(
-            f"DDCIRCUITS_WORK_BUDGET must be a non-negative integer, got {raw!r}"
-        )
-    return int(raw)
+    try:
+        return _non_negative_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"DDCIRCUITS_WORK_BUDGET: {exc}") from None
 
 
 def main(argv=None) -> int:

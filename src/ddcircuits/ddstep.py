@@ -251,7 +251,7 @@ def augment(
         circuits = enumerate_circuits(P, work_budget=work_budget)
     steps: list[DdStep] = []
     iterates: list[Point] = [x0]
-    x = x0
+    x, cx = x0, c.dot(x0)
     while True:
         if mode == "approx":
             res = _approx_step(P, c, x, optimum)
@@ -267,8 +267,9 @@ def augment(
                 AugmentationTrace(tuple(steps), tuple(iterates), mode),
             )
         new_x = x + res.alpha * res.g.vec
-        if c.dot(new_x) >= c.dot(x):  # pragma: no cover - steps always improve
+        new_cx = c.dot(new_x)
+        if new_cx >= cx:  # pragma: no cover - steps always improve
             raise AssertionError("augmentation step failed to decrease the objective")
         steps.append(res)
         iterates.append(new_x)
-        x = new_x
+        x, cx = new_x, new_cx

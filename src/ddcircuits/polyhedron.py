@@ -371,14 +371,14 @@ def _parse_rat(line_no: int, col: int, tok: str) -> Fraction:
         raise ParseError(str(exc), line_no, col) from None
 
 
-def _parse_header(line_no: int, line: str) -> tuple[int, int, int]:
+def _parse_header(line_no: int, line: str, fields: str) -> tuple[int, ...]:
+    """The counts on a header line, one for each name in ``fields``."""
     toks = _tokens(line)
-    if len(toks) != 3:
+    if len(toks) != len(fields.split()):
         raise ParseError(
-            f"header must be 'n m_A m_B', found {len(toks)} tokens", line_no, 1
+            f"header must be '{fields}', found {len(toks)} tokens", line_no, 1
         )
-    n, m_a, m_b = (_parse_count(line_no, col, tok, "count") for col, tok in toks)
-    return n, m_a, m_b
+    return tuple(_parse_count(line_no, col, tok, "count") for col, tok in toks)
 
 
 def _parse_count(line_no: int, col: int, tok: str, what: str) -> int:
@@ -411,7 +411,7 @@ def parse_instance_text(text: str) -> Instance:
         return item
 
     line_no, line = next_line("header")
-    n, m_a, m_b = _parse_header(line_no, line)
+    n, m_a, m_b = _parse_header(line_no, line, "n m_A m_B")
     if n < 1:
         raise ParseError("dimension n must be at least 1", line_no, 1)
 
@@ -468,11 +468,13 @@ def format_instance(inst: Instance) -> str:
 
 
 def parse_point_text(text: str, *, expected_dim: Optional[int] = None) -> RatVec:
-    """Parse the first data line of ``text`` as a point: space-separated
+    """Parse the one data line of ``text`` as a point: space-separated
     rationals, exactly ``expected_dim`` of them unless that is None."""
     lines = _data_lines(text)
     if not lines:
         raise ParseError("no point data found", 1, 1)
+    if len(lines) > 1:
+        raise ParseError("unexpected extra line after the point", lines[1][0], 1)
     line_no, line = lines[0]
     return RatVec(_parse_row(line_no, line, expected_dim, "a point"))
 

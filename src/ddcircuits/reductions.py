@@ -21,7 +21,16 @@ from typing import Optional
 from .circuits import DEFAULT_WORK_BUDGET
 from .ddstep import DdStep, Optimal, exact_dd_step
 from .errors import ParseError, SizeGuardExceeded
-from .polyhedron import Instance, Point, Polyhedron, _data_lines, _parse_count, _parse_rat, _tokens
+from .polyhedron import (
+    Instance,
+    Point,
+    Polyhedron,
+    _data_lines,
+    _parse_count,
+    _parse_header,
+    _parse_rat,
+    _tokens,
+)
 from .ratlin import Rat, RatMat, RatVec, vstack
 
 MAX_ORACLE_NODES = 8
@@ -194,10 +203,7 @@ def parse_digraph_text(text: str) -> Digraph:
     if not lines:
         raise ParseError("empty graph file", 1, 1)
     head_no, head_line = lines[0]
-    head_toks = _tokens(head_line)
-    if len(head_toks) != 2:
-        raise ParseError("header must be '|V| m' with nonnegative integers", head_no, 1)
-    nodes, m = (_parse_count(head_no, col, tok, "count") for col, tok in head_toks)
+    nodes, m = _parse_header(head_no, head_line, "|V| m")
     if len(lines) - 1 != m:
         raise ParseError(
             f"expected {m} arc lines, found {len(lines) - 1}",

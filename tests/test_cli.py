@@ -1,12 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from ddcircuits import Digraph, build_reduction, format_instance, parse_instance_text
 from ddcircuits.cli import main
+from test_golden import INSTANCES, STARTS, _write_fixtures
 
 SQUARE_TEXT = """2 0 4
 1 0
@@ -27,6 +30,9 @@ INFEASIBLE_TEXT = """1 0 2
 """
 
 TRIANGLE_GRAPH_TEXT = "3 3\n1 2\n2 3\n3 1\n"
+
+# more digits than int() converts by default
+HUGE = "9" * 5000
 
 
 @pytest.fixture
@@ -232,6 +238,62 @@ class TestErrors:
         capsys.readouterr()
 
 
+def _mirror_cases():
+    cases = [(f"solve-{name}", ["solve", f"{name}.lp"]) for name in (*INSTANCES, "k3")]
+    for name, start in STARTS:
+        for mode in ("exact", "approx"):
+            for command in ("ddstep", "augment"):
+                argv = [command, f"{name}.lp", "--from", start, "--mode", mode]
+                cases.append((f"{command}-{mode}-{name}", argv))
+        cases.append((f"ocnp-{name}", ["ocnp", f"{name}.lp", "--from", start]))
+    return cases
+
+
+MIRROR_CASES = _mirror_cases()
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    _write_fixtures(str(directory))
+    return directory
+
+
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list):
+        return " ".join(str(item) for item in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in MIRROR_CASES], ids=[i for i, _ in MIRROR_CASES])
+def test_text_mirrors_json_document(argv, golden_dir, monkeypatch):
+    """Each text line is ``key: value`` for one key of the JSON document: a
+    list as its items joined by spaces, a flag as yes/no.  ``augment``'s
+    per-step trace is JSON-only."""
+    monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
+    argv = [str(golden_dir / a) if a.endswith(".lp") else a for a in argv]
+    outputs = {}
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([*argv, "--format", fmt])
+        outputs[fmt] = (code, out.getvalue())
+    assert outputs["text"][0] == outputs["json"][0]
+    text, payload = outputs["text"][1], outputs["json"][1]
+    if not payload:  # an error exit prints nothing in either format
+        assert text == ""
+        return
+    doc = json.loads(payload)
+    if argv[0] == "augment":
+        assert isinstance(doc.pop("trace"), list)
+    lines = text.splitlines()
+    keys = [line.split(": ", 1)[0] for line in lines]
+    assert sorted(keys) == sorted(doc)
+    assert lines == [f"{key}: {_text_value(doc[key])}" for key in keys]
+
+
 def _run_cli(args, hashseed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
@@ -309,6 +371,11 @@ class TestBench:
         pytest.param(["ocnp", "{square}", "--from", "0"], None, 64, id="inline-point-beats-file-named-0"),
         pytest.param(["ocnp", "{square}", "--from", "٣ 1"], None, 64, id="from-non-ascii-digit"),
         pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "1"], None, 70, id="iteration-cap"),
+        pytest.param(["ddstep", "{square}", "--from", "two_lines.pt"], None, 64, id="from-file-two-data-lines"),
+        pytest.param(["ocnp", "{square}", "--from", HUGE + " 1"], None, 64, id="from-inline-huge-entry"),
+        pytest.param(["ocnp", "{square}", "--from", "1/0 1"], None, 64, id="from-inline-zero-denominator"),
+        pytest.param(["circuits", "{square}", "--work-budget", HUGE], None, 64, id="budget-too-long"),
+        pytest.param(["circuits", "{square}"], HUGE, 64, id="env-budget-too-long"),
     ],
 )
 def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
@@ -327,6 +394,7 @@ def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
         paths[name] = str(path)
     # a point file named like an inline point; "--from 0" must not read it
     (tmp_path / "0").write_text("0 1\n")
+    (tmp_path / "two_lines.pt").write_text("0 0\n1 1\n")
     monkeypatch.chdir(tmp_path)
     if env_budget is None:
         monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
@@ -338,6 +406,26 @@ def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
         assert "error:" in err
     if env_budget not in (None, "0") and code == 64:
         assert "DDCIRCUITS_WORK_BUDGET" in err
+    # a rejected count is reported by its own message, not argparse's
+    # fallback naming the converter
+    assert "_non_negative_int" not in err
+
+
+@pytest.mark.parametrize(
+    "point, column, message",
+    [
+        pytest.param(HUGE + " 1", 1, "Exceeds the limit", id="huge-entry"),
+        pytest.param("1/0 1", 1, "zero denominator", id="zero-denominator"),
+        pytest.param("1 1/0", 3, "zero denominator", id="zero-denominator-second"),
+    ],
+)
+def test_inline_point_is_parsed_not_opened(point, column, message, square_file, capsys):
+    # tokens of the rational grammar make the point inline, so a bad value
+    # is a parse error with its position, never a missing or overlong path
+    assert main(["ocnp", square_file, "--from", point]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1, column {column}: ")
+    assert message in err
 
 
 def test_help_exits_zero(capsys):

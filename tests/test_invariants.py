@@ -5,7 +5,9 @@ no module may import a third-party package, write a float or complex
 literal, or use the name ``float``.  The integer elimination kernel holds
 rows of ints, where ``int / int`` would silently give a float, so its
 functions may not use true division at all.  A module-level private
-helper (``_name``) that nothing else in the package refers to is dead code.
+helper (``_name``) that nothing else in the package refers to is dead code,
+and so is an imported name its module never reads (the re-exports of
+``__init__`` aside).
 Elimination has one home: only ``ratlin`` and the simplex in ``lp`` use
 the elimination step, only ``ratlin`` and the circuit scan the echelon
 builder, and every other module extends an echelon with the fold
@@ -95,6 +97,27 @@ def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
                 continue
             if not any(_refers_to(t, name, skip=node) for t in trees.values()):
                 found.append(f"{module}:{name}")
+    return found
+
+
+def unused_imports(source: str) -> list[str]:
+    """``line N: name`` for each name an import binds that the module never
+    reads; ``from __future__`` imports bind no name."""
+    tree = ast.parse(source)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append(f"line {node.lineno}: {name}")
     return found
 
 
@@ -234,6 +257,37 @@ def test_checker_flags_unreferenced_helpers():
         "b.py": "from .a import _shared\n\nx = _shared()\n",
     }
     assert unreferenced_private_helpers(sources) == ["a.py:_dead", "a.py:_Unused"]
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in MODULES
+        if path.name != "__init__.py"  # its imports are the public re-exports
+    }
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_checker_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "import sys\n"
+        "from .lp import LpOptimal, solve_lp\n"
+        "from .reductions import (\n"
+        "    format_digraph,\n"
+        "    load_digraph,\n"
+        ")\n"
+        "def f(path) -> LpOptimal:\n"
+        "    sys = 1\n"
+        "    return solve_lp(load_digraph(os.path.join(path, 'x')))\n"
+    )
+    assert unused_imports(source) == [
+        "line 3: js",
+        "line 4: sys",
+        "line 6: format_digraph",
+    ]
 
 
 def test_elimination_stays_in_its_modules():

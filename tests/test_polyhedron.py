@@ -263,6 +263,11 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance_text("2 x 4\n")
 
+    def test_header_token_count_names_the_fields(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance_text("# box\n2 0\n")
+        assert str(err.value) == "line 2, column 1: header must be 'n m_A m_B', found 2 tokens"
+
     def test_non_pointed_file_rejected(self):
         with pytest.raises(NotPointedError):
             parse_instance_text(HALF_PLANE_TEXT)
@@ -281,3 +286,13 @@ class TestPointFormat:
         with pytest.raises(ParseError) as err:
             parse_point_text("+1 2")
         assert err.value.column == 1
+
+    def test_rejects_a_second_data_line(self):
+        # a point is one data line; comments and blank lines do not count
+        with pytest.raises(ParseError) as err:
+            parse_point_text("0 0\n# next\n1 1\n", expected_dim=2)
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_comments_and_blank_lines_around_the_point(self):
+        text = "# start\n\n1/2 -1\n\n# end\n"
+        assert parse_point_text(text, expected_dim=2) == RatVec([Fraction(1, 2), -1])

@@ -228,6 +228,11 @@ class TestGraphFormat:
         assert err.value.line == 2
         assert err.value.column == 5
 
+    def test_header_token_count_names_the_fields(self):
+        with pytest.raises(ParseError) as err:
+            parse_digraph_text("3 3 3\n1 2\n2 3\n3 1\n")
+        assert str(err.value) == "line 1, column 1: header must be '|V| m', found 3 tokens"
+
     def test_arc_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_digraph_text("3 3\n1 2\n2 3\n")
