@@ -46,14 +46,14 @@ from .errors import (
 from .lp import LpInfeasible, LpUnbounded, solve_lp, verify_unique
 from .ocnp import AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor, NotUnique, decide_ocnp
 from .polyhedron import (
-    _COUNT_RE,
     Instance,
+    _read_text,
     format_instance,
     format_point,
     load_instance,
     parse_point_text,
 )
-from .ratlin import _RAT_RE, RatVec, rank
+from .ratlin import _RAT_RE, RatVec, parse_count, parse_int, rank
 from .reductions import (
     build_reduction,
     load_digraph,
@@ -96,16 +96,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _non_negative_int(text: str) -> int:
-    """The one reader of a count from the command line or the environment."""
-    if not _COUNT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {len(text)} digits (too many to convert)"
-        ) from None
+def _argument(read):
+    """The token reader ``read`` as an argparse type, which reports the
+    reader's own message instead of argparse's fallback naming the type."""
+
+    def convert(text: str):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _text(value) -> str:
@@ -162,8 +163,7 @@ def _load_point(value: str, n: int) -> RatVec:
         return RatVec.zeros(n)
     tokens = value.split()
     if not tokens or not all(_RAT_RE.fullmatch(tok) for tok in tokens):
-        with open(value, "r", encoding="ascii") as handle:
-            value = handle.read()
+        value = _read_text(value)
     return parse_point_text(value, expected_dim=n)
 
 
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--work-budget",
-            type=_non_negative_int,
+            type=_argument(parse_count),
             help="work budget for enumeration-backed oracles "
             "(default: $DDCIRCUITS_WORK_BUDGET, else the built-in budget)",
         )
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_point", required=True, metavar="PT")
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--trace", metavar="OUT.csv", help="write the step trace as CSV")
-    p.add_argument("--max-iters", type=_non_negative_int, default=10_000)
+    p.add_argument("--max-iters", type=_argument(parse_count), default=10_000)
     add_common(p)
     p.set_defaults(handler=cmd_augment)
 
@@ -468,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="random digraph benchmark, reproducible CSV")
-    p.add_argument("--nodes", type=_non_negative_int, required=True, metavar="K")
-    p.add_argument("--trials", type=_non_negative_int, required=True, metavar="T")
-    p.add_argument("--seed", type=int, required=True, metavar="S")
+    p.add_argument("--nodes", type=_argument(parse_count), required=True, metavar="K")
+    p.add_argument("--trials", type=_argument(parse_count), required=True, metavar="T")
+    p.add_argument("--seed", type=_argument(parse_int), required=True, metavar="S")
     p.add_argument("-o", "--output", default="-", metavar="OUT.csv")
     add_common(p)
     p.set_defaults(handler=cmd_bench)
@@ -483,8 +483,8 @@ def _default_budget() -> int:
     if raw is None:
         return DEFAULT_WORK_BUDGET
     try:
-        return _non_negative_int(raw)
-    except argparse.ArgumentTypeError as exc:
+        return parse_count(raw)
+    except ValueError as exc:
         raise ValueError(f"DDCIRCUITS_WORK_BUDGET: {exc}") from None
 
 

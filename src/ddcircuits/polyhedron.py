@@ -17,7 +17,9 @@ purification and the uniqueness check walk P itself, and the conformal
 decomposition walks a sign cone, given by the row signs of its vector.
 The module also owns the line-oriented instance file format (constraint
 system plus objective) and the one-line point format, both of which
-round-trip exactly, on one row parser.
+round-trip exactly, on one row parser; ``_read_text``, the one reader of
+input files; and ``_located``, which places any token reader's error at its
+line and column.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .ratlin import (
     _echelon_kernel,
     _extend_rows,
     coprime_integer_entries,
+    parse_count,
     parse_rat,
     sign_normalized,
     vstack,
@@ -246,7 +249,7 @@ def _walk(
     cone = signs is not None
     for moves in range(P.n + 1):
         ker = _echelon_kernel(*echelon, P.n)
-        if len(ker) == int(cone):
+        if len(ker) == (1 if cone else 0):
             return
         if moves == P.n:  # pragma: no cover - each move raises the rank
             raise AssertionError("the active-set walk exceeded n moves")
@@ -326,23 +329,35 @@ class Instance:
 #                      (m_A rationals; the b line is omitted when m_A = 0)
 #   next m_B lines:    rows of B, then one line d (omitted when m_B = 0)
 #   last line:         objective c (n rationals)
-# Points serialize as a single line of n rationals.  Rationals are "p/q"
-# or "p" with an optional leading minus on p only.  Blank lines and lines
-# starting with '#' are ignored.
+# Points serialize as a single line of n rationals.  Counts and rationals
+# are tokens of the grammar in ``ratlin``.  Blank lines and lines starting
+# with '#' are ignored.
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\S+")
-# A count in ASCII digits; ``str.isdigit`` also accepts superscript and
-# Arabic-Indic digits, which ``int()`` converts or rejects.
-_COUNT_RE = re.compile(r"[0-9]+")
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
+def _read_text(path) -> str:
+    """The text of an input file, the package's one file reader.  A byte that
+    is not ASCII, even in a comment, is a ParseError at its line and column."""
+    with open(path, encoding="ascii", errors="replace") as handle:
+        text = handle.read()
+    bad = text.find("\ufffd")  # "replace" puts U+FFFD for each such byte
+    if bad >= 0:
+        lines = text[: bad + 1].splitlines()
+        raise ParseError("a byte that is not ASCII", len(lines), len(lines[-1]))
+    return text
+
+
+def _data_lines(text: str, what: str) -> list[tuple[int, str]]:
+    """(number, line) of each line that is neither blank nor a comment."""
     out = []
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             out.append((i, line))
+    if not out:
+        raise ParseError(f"no {what} data found", 1, 1)
     return out
 
 
@@ -350,45 +365,36 @@ def _tokens(line: str) -> list[tuple[int, str]]:
     return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(line)]
 
 
+def _located(read, line_no: int, col: int, *args):
+    """``read(*args)``, with a ValueError it raises made a ParseError there."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no, col) from None
+
+
 def _parse_row(line_no: int, line: str, count: Optional[int], what: str) -> list[Fraction]:
     """The rationals on ``line``: exactly ``count`` of them, or any number
     when ``count`` is None."""
-    toks = _tokens(line)
+    toks = line.split()  # the tokens of _tokens, without their columns
     if count is not None and len(toks) != count:
         raise ParseError(
             f"expected {count} rationals for {what}, found {len(toks)}",
             line_no,
-            len(line) + 1 if len(toks) < count else toks[count][0],
+            len(line) + 1 if len(toks) < count else _tokens(line)[count][0],
         )
-    return [_parse_rat(line_no, col, tok) for col, tok in toks]
-
-
-def _parse_rat(line_no: int, col: int, tok: str) -> Fraction:
-    """``parse_rat``, with a malformed token reported as ParseError at ``col``."""
     try:
-        return parse_rat(tok)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no, col) from None
+        return [parse_rat(tok) for tok in toks]
+    except ValueError:  # again with the columns, to place the error
+        return [_located(parse_rat, line_no, col, tok) for col, tok in _tokens(line)]
 
 
 def _parse_header(line_no: int, line: str, fields: str) -> tuple[int, ...]:
     """The counts on a header line, one for each name in ``fields``."""
     toks = _tokens(line)
     if len(toks) != len(fields.split()):
-        raise ParseError(
-            f"header must be '{fields}', found {len(toks)} tokens", line_no, 1
-        )
-    return tuple(_parse_count(line_no, col, tok, "count") for col, tok in toks)
-
-
-def _parse_count(line_no: int, col: int, tok: str, what: str) -> int:
-    """A nonnegative integer in ASCII digits, or ParseError at ``col``."""
-    if _COUNT_RE.fullmatch(tok):
-        try:
-            return int(tok)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ParseError(f"malformed {what} {tok!r}", line_no, col)
+        raise ParseError(f"header must be '{fields}', found {len(toks)} tokens", line_no, 1)
+    return tuple(_located(parse_count, line_no, col, tok) for col, tok in toks)
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -396,87 +402,58 @@ def parse_instance_text(text: str) -> Instance:
 
     A well-formed system that is not pointed raises NotPointedError, from
     the Polyhedron constructor."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty instance file", 1, 1)
-    pos = 0
-
-    def next_line(what: str) -> tuple[int, str]:
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 0
-            raise ParseError(f"unexpected end of file, expected {what}", last + 1, 1)
-        item = lines[pos]
-        pos += 1
-        return item
-
-    line_no, line = next_line("header")
-    n, m_a, m_b = _parse_header(line_no, line, "n m_A m_B")
+    lines = _data_lines(text, "instance")
+    n, m_a, m_b = _parse_header(*lines[0], "n m_A m_B")
     if n < 1:
-        raise ParseError("dimension n must be at least 1", line_no, 1)
+        raise ParseError("dimension n must be at least 1", lines[0][0], 1)
+    rest, end = iter(lines[1:]), lines[-1][0] + 1
 
-    a_rows = []
-    for i in range(m_a):
-        line_no, line = next_line(f"row {i + 1} of A")
-        a_rows.append(_parse_row(line_no, line, n, f"row {i + 1} of A"))
-    if m_a > 0:
-        line_no, line = next_line("vector b")
-        b = RatVec(_parse_row(line_no, line, m_a, "vector b"))
-    else:
-        b = RatVec([])
+    # (lines, rationals on each, name): b and d only when A and B have rows
+    sections = (
+        (m_a, n, "row {} of A"),
+        (min(m_a, 1), m_a, "vector b"),
+        (m_b, n, "row {} of B"),
+        (min(m_b, 1), m_b, "vector d"),
+        (1, n, "objective c"),
+    )
+    data = []
+    for count, width, name in sections:
+        rows = []
+        for i in range(1, count + 1):
+            line_no, line = next(rest, (end, None))
+            if line is None:
+                raise ParseError(f"unexpected end of file, expected {name.format(i)}", end, 1)
+            rows.append(_parse_row(line_no, line, width, name.format(i)))
+        data.append(rows)
+    extra = next(rest, None)
+    if extra is not None:
+        raise ParseError("unexpected extra line after the objective", extra[0], 1)
 
-    b_rows = []
-    for i in range(m_b):
-        line_no, line = next_line(f"row {i + 1} of B")
-        b_rows.append(_parse_row(line_no, line, n, f"row {i + 1} of B"))
-    if m_b > 0:
-        line_no, line = next_line("vector d")
-        d = RatVec(_parse_row(line_no, line, m_b, "vector d"))
-    else:
-        d = RatVec([])
-
-    line_no, line = next_line("objective c")
-    c = RatVec(_parse_row(line_no, line, n, "objective c"))
-
-    if pos != len(lines):
-        extra_no, extra = lines[pos]
-        raise ParseError("unexpected extra line after the objective", extra_no, 1)
-
-    P = Polyhedron(RatMat(a_rows, cols=n), b, RatMat(b_rows, cols=n), d)
-    return Instance(P, c)
+    A, b, B, d, (c,) = data
+    P = Polyhedron(RatMat(A, cols=n), RatVec(sum(b, [])), RatMat(B, cols=n), RatVec(sum(d, [])))
+    return Instance(P, RatVec(c))
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_instance_text(handle.read())
+    return parse_instance_text(_read_text(path))
 
 
 def format_instance(inst: Instance) -> str:
     """Serialize an instance; parsing the result reproduces it exactly."""
     P = inst.polyhedron
-    out = [f"{P.n} {P.A.m} {P.B.m}"]
-    for row in P.A.entries:
-        out.append(" ".join(str(a) for a in row))
-    if P.A.m > 0:
-        out.append(P.b.to_text())
-    for row in P.B.entries:
-        out.append(" ".join(str(a) for a in row))
-    if P.B.m > 0:
-        out.append(P.d.to_text())
-    out.append(inst.objective.to_text())
-    return "\n".join(out) + "\n"
+    # the sections in file order, as parse_instance_text reads them
+    rows = [*P.A.entries, *([P.b] if P.A.m else []), *P.B.entries, *([P.d] if P.B.m else [])]
+    out = [f"{P.n} {P.A.m} {P.B.m}"] + [" ".join(str(a) for a in row) for row in rows]
+    return "\n".join(out + [inst.objective.to_text()]) + "\n"
 
 
 def parse_point_text(text: str, *, expected_dim: Optional[int] = None) -> RatVec:
     """Parse the one data line of ``text`` as a point: space-separated
     rationals, exactly ``expected_dim`` of them unless that is None."""
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("no point data found", 1, 1)
+    lines = _data_lines(text, "point")
     if len(lines) > 1:
         raise ParseError("unexpected extra line after the point", lines[1][0], 1)
-    line_no, line = lines[0]
-    return RatVec(_parse_row(line_no, line, expected_dim, "a point"))
+    return RatVec(_parse_row(*lines[0], expected_dim, "a point"))
 
 
 def format_point(x: RatVec) -> str:

@@ -28,12 +28,14 @@ products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
 incidence matrices are totally unimodular, so their integer rows stay
 small.  ``RatMat.matvec`` serves A and the independent checkers: the hot
 products with B go through each polyhedron's integer image of B
-(``polyhedron._image``).
+(``polyhedron._image``).  The module also owns the token grammar of every
+input and ``_to_int``, the one conversion of text to an int.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -44,8 +46,34 @@ Rat = Fraction
 # a positive entry in column leads[i] and every other row is 0 there.
 Echelon = tuple[list[list[int]], list[int]]
 
-# ASCII digits only: ``\d`` and ``int()`` also accept other Unicode digits.
+# The token grammar of every input, in ASCII digits: ``\d`` and ``int()``
+# also take other Unicode digits, and ``int()`` a plus, spaces and "_".
+_COUNT_RE = re.compile(r"[0-9]+")
+_INT_RE = re.compile(r"-?[0-9]+")
 _RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _to_int(digits: str) -> int:
+    """The one text-to-int converter, for digits the grammar above matched."""
+    try:
+        return int(digits)
+    except ValueError:  # only on more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a number may have at most {limit} digits") from None
+
+
+def parse_count(token: str) -> int:
+    """A non-negative integer in ASCII digits."""
+    if not _COUNT_RE.fullmatch(token):
+        raise ValueError(f"expected a non-negative integer, got {token!r}")
+    return _to_int(token)
+
+
+def parse_int(token: str) -> int:
+    """An integer in ASCII digits with an optional leading minus."""
+    if not _INT_RE.fullmatch(token):
+        raise ValueError(f"expected an integer, got {token!r}")
+    return _to_int(token)
 
 
 def parse_rat(token: str) -> Rat:
@@ -54,10 +82,11 @@ def parse_rat(token: str) -> Rat:
         raise ValueError(f"malformed rational {token!r}")
     if "/" in token:
         p, q = token.split("/")
-        if int(q) == 0:
+        den = _to_int(q)
+        if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(token))
+        return Fraction(_to_int(p), den)
+    return Fraction(_to_int(token))
 
 
 def format_rat(value: Rat) -> str:

@@ -26,12 +26,12 @@ from .polyhedron import (
     Point,
     Polyhedron,
     _data_lines,
-    _parse_count,
+    _located,
     _parse_header,
-    _parse_rat,
+    _read_text,
     _tokens,
 )
-from .ratlin import Rat, RatMat, RatVec, vstack
+from .ratlin import Rat, RatMat, RatVec, parse_count, parse_rat, vstack
 
 MAX_ORACLE_NODES = 8
 
@@ -53,16 +53,21 @@ class Digraph:
         if self.nodes < 0:
             raise ValueError("node count must be nonnegative")
         for tail, head in self.arcs:
-            if not (1 <= tail <= self.nodes and 1 <= head <= self.nodes):
-                raise ValueError(f"arc ({tail}, {head}) leaves the node range 1..{self.nodes}")
-            if tail == head:
-                raise ValueError(f"self-loop at node {tail} is not allowed")
+            _check_arc(self.nodes, tail, head)
         if self.costs is not None and len(self.costs) != len(self.arcs):
             raise ValueError("cost vector length must equal the arc count")
 
     @property
     def m(self) -> int:
         return len(self.arcs)
+
+
+def _check_arc(nodes: int, tail: int, head: int) -> None:
+    """Reject an arc that leaves the node range 1..nodes or is a self-loop."""
+    if not (1 <= tail <= nodes and 1 <= head <= nodes):
+        raise ValueError(f"arc ({tail}, {head}) leaves the node range 1..{nodes}")
+    if tail == head:
+        raise ValueError(f"self-loop at node {tail} is not allowed")
 
 
 def perturb_costs(G: Digraph) -> Digraph:
@@ -199,42 +204,30 @@ def verify_correspondence(
 # ---------------------------------------------------------------------------
 
 def parse_digraph_text(text: str) -> Digraph:
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("empty graph file", 1, 1)
-    head_no, head_line = lines[0]
-    nodes, m = _parse_header(head_no, head_line, "|V| m")
+    lines = _data_lines(text, "graph")
+    nodes, m = _parse_header(*lines[0], "|V| m")
     if len(lines) - 1 != m:
-        raise ParseError(
-            f"expected {m} arc lines, found {len(lines) - 1}",
-            lines[-1][0] if len(lines) > 1 else head_no,
-            1,
-        )
+        raise ParseError(f"expected {m} arc lines, found {len(lines) - 1}", lines[-1][0], 1)
     arcs: list[tuple[int, int]] = []
     costs: list[Fraction] = []
-    has_costs: Optional[bool] = None
+    has_costs: Optional[bool] = None  # set by the first arc line
     for no, line in lines[1:]:
         toks = _tokens(line)
         if len(toks) not in (2, 3):
             raise ParseError("arc line must be 'tail head [cost]'", no, 1)
-        tail, head = (_parse_count(no, col, tok, "node index") for col, tok in toks[:2])
-        line_has_cost = len(toks) == 3
-        if has_costs is None:
-            has_costs = line_has_cost
-        elif has_costs != line_has_cost:
+        if has_costs is not None and has_costs != (len(toks) == 3):
             raise ParseError("either every arc line has a cost or none does", no, 1)
+        has_costs = len(toks) == 3
+        tail, head = (_located(parse_count, no, col, tok) for col, tok in toks[:2])
+        _located(_check_arc, no, toks[0][0], nodes, tail, head)
         arcs.append((tail, head))
-        if line_has_cost:
-            costs.append(_parse_rat(no, *toks[2]))
-    try:
-        return Digraph(nodes, tuple(arcs), tuple(costs) if has_costs else None)
-    except ValueError as exc:
-        raise ParseError(str(exc), head_no, 1) from None
+        if has_costs:
+            costs.append(_located(parse_rat, no, *toks[2]))
+    return Digraph(nodes, tuple(arcs), tuple(costs) if has_costs else None)
 
 
 def load_digraph(path) -> Digraph:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_digraph_text(handle.read())
+    return parse_digraph_text(_read_text(path))
 
 
 def format_digraph(G: Digraph) -> str:

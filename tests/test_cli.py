@@ -376,6 +376,11 @@ class TestBench:
         pytest.param(["ocnp", "{square}", "--from", "1/0 1"], None, 64, id="from-inline-zero-denominator"),
         pytest.param(["circuits", "{square}", "--work-budget", HUGE], None, 64, id="budget-too-long"),
         pytest.param(["circuits", "{square}"], HUGE, 64, id="env-budget-too-long"),
+        pytest.param(["bench", "--nodes", "3", "--trials", "1", "--seed", "1_0"], None, 64, id="bench-seed-underscore"),
+        pytest.param(["bench", "--nodes", "3", "--trials", "1", "--seed", "٣"], None, 64, id="bench-seed-non-ascii-digit"),
+        pytest.param(["bench", "--nodes", "3", "--trials", "1", "--seed", "+7"], None, 64, id="bench-seed-plus"),
+        pytest.param(["bench", "--nodes", "3", "--trials", "1", "--seed", " 7"], None, 64, id="bench-seed-space"),
+        pytest.param(["bench", "--nodes", "3", "--trials", "1", "--seed", "-7"], None, 0, id="bench-seed-negative"),
     ],
 )
 def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
@@ -414,7 +419,7 @@ def test_exit_code_table(argv, env_budget, code, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "point, column, message",
     [
-        pytest.param(HUGE + " 1", 1, "Exceeds the limit", id="huge-entry"),
+        pytest.param(HUGE + " 1", 1, "a number may have at most", id="huge-entry"),
         pytest.param("1/0 1", 1, "zero denominator", id="zero-denominator"),
         pytest.param("1 1/0", 3, "zero denominator", id="zero-denominator-second"),
     ],
@@ -426,6 +431,41 @@ def test_inline_point_is_parsed_not_opened(point, column, message, square_file, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: line 1, column {column}: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, line, column",
+    [
+        pytest.param(["solve", "input"], "1 0 0\n" + HUGE + "\n", 2, 1, id="instance-entry"),
+        pytest.param(["reduce", "input"], "2 2\n1 2 1\n2 1 " + HUGE + "\n", 3, 5, id="graph-cost"),
+        pytest.param(["ocnp", "{square}", "--from", "input"], "0 -" + HUGE + "\n", 1, 3, id="point-file"),
+    ],
+)
+def test_over_long_number_is_located(argv, text, line, column, square_file, tmp_path, monkeypatch, capsys):
+    # the toolkit's own message at the number, not the interpreter's advice
+    (tmp_path / "input").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(square=square_file) for arg in argv]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}, column {column}: a number may have at most ")
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, data, where",
+    [
+        pytest.param(["solve", "input"], b"# caf\xc3\xa9\r\n" + SQUARE_TEXT.encode(), "line 1, column 6: a byte that is not ASCII", id="instance-comment"),
+        pytest.param(["reduce", "input"], b"3 3\n1 2\r2 3\n3 1 \xff\n", "line 4, column 5: a byte that is not ASCII", id="graph"),
+        pytest.param(["ocnp", "{square}", "--from", "input"], b"\x0b0 0\xe2\n", "line 2, column 4: a byte that is not ASCII", id="point-file"),
+    ],
+)
+def test_non_ascii_byte_is_located(argv, data, where, square_file, tmp_path, monkeypatch, capsys):
+    # lines are counted as str.splitlines counts them: "\r\n", "\r" and
+    # "\x0b" each end one
+    (tmp_path / "input").write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(square=square_file) for arg in argv]) == 64
+    assert capsys.readouterr().err == f"error: {where}\n"
 
 
 def test_help_exits_zero(capsys):

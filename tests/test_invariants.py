@@ -19,7 +19,10 @@ Products with B go through each polyhedron's integer image of B
 rational B itself.  Pointedness is decided in one place: only the
 ``Polyhedron`` constructor raises ``NotPointedError``, and besides
 ``polyhedron`` only ``errors`` (which defines it), ``cli`` (which maps it
-to exit 65) and ``__init__`` (which re-exports it) refer to it.
+to exit 65) and ``__init__`` (which re-exports it) refer to it.  Text
+becomes an int in one place: only ``ratlin._to_int`` calls the builtin
+``int``, behind the token grammar, and no command-line option converts
+its value with ``type=int``.
 """
 
 import ast
@@ -56,6 +59,9 @@ B_PRODUCT_CHECKERS = {"verify_conformal", "lift", "is_extreme_ray"}
 # The modules that may refer to NotPointedError, and the one that raises it.
 NOT_POINTED_HOMES = {"errors.py", "polyhedron.py", "cli.py", "__init__.py"}
 NOT_POINTED_RAISER = "polyhedron.py"
+
+# The one function that may call the builtin ``int``: (module, function).
+INT_CONVERTER = ("ratlin.py", "_to_int")
 
 
 def violations(source: str, integer_functions=()) -> list[str]:
@@ -168,6 +174,27 @@ def not_pointed_outside_home(sources: dict[str, str]) -> list[str]:
             if isinstance(node, ast.Raise) and node.exc and _refers_to(node.exc, "NotPointedError"):
                 found.append(f"{module}:line {node.lineno}")
     return found
+
+
+def int_conversions(module: str, source: str) -> list[str]:
+    """``line N: f`` for each call ``int(...)`` in a module-level function or
+    class f (``<module>`` outside any) other than ``INT_CONVERTER``, and
+    ``line N: type=int`` for each call that passes ``type=int``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            if _is_int(node.func) and (module, owner) != INT_CONVERTER:
+                found.append(f"line {node.lineno}: {owner}")
+            if any(kw.arg == "type" and _is_int(kw.value) for kw in node.keywords):
+                found.append(f"line {node.lineno}: type=int")
+    return found
+
+
+def _is_int(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "int"
 
 
 def _refers_to(tree: ast.AST, name: str, skip: ast.AST | None = None) -> bool:
@@ -379,3 +406,35 @@ def test_checker_flags_not_pointed_outside_polyhedron():
         "lp.py:NotPointedError",
         "lp.py:line 4",
     ]
+
+
+def test_text_becomes_an_int_in_one_converter():
+    found = {
+        path.name: int_conversions(path.name, path.read_text(encoding="utf-8"))
+        for path in MODULES
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_checker_flags_int_conversions():
+    source = (
+        "n = int('3')\n"
+        "def _to_int(digits):\n"
+        "    return int(digits)\n"
+        "def _walk(ker, cone):\n"
+        "    return len(ker) == int(cone)\n"
+        "def build(p):\n"
+        "    p.add_argument('--seed', type=int)\n"
+        "    p.add_argument('--nodes', type=parse_count)\n"
+        "    return isinstance(p, int), [int]\n"
+        "class Reader:\n"
+        "    def read(self, tok):\n"
+        "        return int(tok)\n"
+    )
+    assert int_conversions("ratlin.py", source) == [
+        "line 1: <module>",
+        "line 5: _walk",
+        "line 7: type=int",
+        "line 12: Reader",
+    ]
+    assert "line 3: _to_int" in int_conversions("cli.py", source)

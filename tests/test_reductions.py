@@ -244,3 +244,27 @@ class TestGraphFormat:
     def test_self_loop_reported(self):
         with pytest.raises(ParseError):
             parse_digraph_text("2 1\n1 1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "# g\n3 3\n1 2\n2 3\n3 9\n",
+                "line 5, column 1: arc (3, 9) leaves the node range 1..3",
+                id="head-out-of-range",
+            ),
+            pytest.param(
+                "2 1\n 1 1\n", "line 2, column 2: self-loop at node 1 is not allowed", id="self-loop"
+            ),
+            pytest.param(
+                "2 1\n0 2 1/2\n",
+                "line 2, column 1: arc (0, 2) leaves the node range 1..2",
+                id="tail-zero-with-cost",
+            ),
+        ],
+    )
+    def test_bad_arc_reported_at_its_line(self, text, message):
+        # at the arc's own line and its first token, not at the header
+        with pytest.raises(ParseError) as err:
+            parse_digraph_text(text)
+        assert str(err.value) == message
