@@ -28,7 +28,6 @@ from .ddstep import (
 )
 from .errors import (
     IterationCapExceeded,
-    LpInfeasibleError,
     LpUnboundedError,
     NotPointedError,
     ParseError,

@@ -12,10 +12,11 @@ Exit codes:
   1   ``ocnp``: not a circuit neighbor / ``verify``: correspondence failed
   2   ``ocnp``: the starting point is already the unique optimum
   3   ``ocnp``: the LP optimum is not unique
-  4   the LP is infeasible
+  4   ``solve``: the LP is infeasible
   5   the LP (or the improvement) is unbounded
   64  usage error: bad command line or DDCIRCUITS_WORK_BUDGET, malformed
-      file, malformed point, bad dimensions
+      file, malformed point, bad dimensions, a starting point that is
+      not feasible
   65  the system is not pointed
   66  a size guard rejected the instance (work budget exceeded)
   70  the augmentation iteration cap was hit
@@ -37,7 +38,6 @@ from .conformal import decompose, format_conformal
 from .ddstep import DdStep, Optimal, UnboundedImprovement, approx_dd_step, augment, exact_dd_step
 from .errors import (
     IterationCapExceeded,
-    LpInfeasibleError,
     LpUnboundedError,
     NotPointedError,
     ParseError,
@@ -78,7 +78,6 @@ _EXIT_CODES = {
     ParseError: EXIT_USAGE,
     NotPointedError: EXIT_NOT_POINTED,
     SizeGuardExceeded: EXIT_SIZE_GUARD,
-    LpInfeasibleError: EXIT_INFEASIBLE,
     LpUnboundedError: EXIT_UNBOUNDED,
     IterationCapExceeded: EXIT_ITERATION_CAP,
     ValueError: EXIT_USAGE,

@@ -38,10 +38,10 @@ strictly, which bounds the term count by dim F(z) <= n - rank(A).  All
 updates are exact and termination is the literal equality r = 0.
 
 The private generator ``_terms`` yields the terms in the order the walk
-finds them, each after its checks; ``decompose`` collects all of them in
-canonical circuit order, and the approximate dd-step
-(``ddstep._approx_step``) stops reading once no later term can be the
-best one.
+finds them, each after its checks; ``decompose`` checks its argument
+once and collects all of them in canonical circuit order, and the
+approximate dd-step (``ddstep._approx_step``) stops reading once no
+later term can be the best one.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     canonical (lexicographic) circuit order; the reconstruction, the sign
     coupling to Bz, and the term bound n - rank(A) all hold exactly.
     """
+    if z.dim != P.n:
+        raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
+    if z.is_zero():
+        raise ValueError("cannot decompose the zero vector")
+    if not P.A.matvec(z).is_zero():
+        raise ValueError("decompose requires A z = 0")
     return ConformalSum(tuple(sorted(_terms(P, z), key=lambda term: term[1].entries)), z)
 
 
@@ -78,15 +84,9 @@ def _terms(P: Polyhedron, z: RatVec) -> Iterator[tuple[Fraction, Circuit]]:
     """The terms (alpha, g) of ``decompose(P, z)`` in the order the walk
     finds them; a caller that stops early saves the later walks.
 
-    The arguments are checked on the first ``next``.
+    z must be a nonzero vector of ker A, as ``decompose`` checks; the
+    approximate step's z = x* - x0 is one by construction.
     """
-    if z.dim != P.n:
-        raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
-    if z.is_zero():
-        raise ValueError("cannot decompose the zero vector")
-    if not P.A.matvec(z).is_zero():
-        raise ValueError("decompose requires A z = 0")
-
     bz = _image(P, z)
     signs = [-1 if e < 0 else 1 for e in bz]
     bound = P.n - len(P._a_echelon[1])  # rank(A)

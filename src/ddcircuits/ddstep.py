@@ -14,18 +14,20 @@ least c.r, and a best contribution below c.r is final.  x* does not
 depend on the iterate, so augmentation in approx mode solves the LP once
 per run and decomposes x* - x from every iterate x.  The
 steepest-descent comparator minimizes c.g / |g|_1 and carries no
-approximation claim.
+approximation claim.  All four entry points go through one gate,
+``_rule``, which checks the mode and the start and prepares the rule
+once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import _terms
-from .errors import IterationCapExceeded, LpInfeasibleError, LpUnboundedError
-from .lp import LpInfeasible, LpOptimal, LpUnbounded, solve_lp
+from .errors import IterationCapExceeded, LpUnboundedError
+from .lp import LpOptimal, LpUnbounded, solve_lp
 from .polyhedron import UNBOUNDED, Point, Polyhedron, _image, _slack, _step_length, is_feasible
 from .ratlin import Rat, RatVec
 
@@ -57,6 +59,34 @@ class UnboundedImprovement:
 
 StepOutcome = Union[DdStep, Optimal, UnboundedImprovement]
 
+_STEP_RULES = ("exact", "approx", "steepest")
+
+
+def _rule(
+    P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int
+) -> Callable[[Point], StepOutcome]:
+    """The step rule ``mode`` as a function of a feasible iterate.
+
+    The one gate of the step rules: it checks the mode and the start x0
+    once and does the rule's per-run work once, the circuit list for
+    ``exact`` and ``steepest`` and the LP optimum for ``approx``.  An
+    unbounded LP raises LpUnboundedError; the LP is never infeasible,
+    since x0 is feasible.
+    """
+    if mode not in _STEP_RULES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
+    if not is_feasible(P, x0):
+        raise ValueError("the starting point is not feasible")
+    if mode == "approx":
+        optimum = solve_lp(P, c)
+        if isinstance(optimum, LpUnbounded):
+            raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
+        assert isinstance(optimum, LpOptimal)
+        return lambda x: _approx_step(P, c, x, optimum)
+    circuits = enumerate_circuits(P, work_budget=work_budget)
+    key = _deepest if mode == "exact" else _steepest
+    return lambda x: _scan(P, c, x, circuits, key)
+
 
 def exact_dd_step(
     P: Polyhedron,
@@ -74,9 +104,7 @@ def exact_dd_step(
     improving feasible circuit exists and UnboundedImprovement as soon as
     an improving circuit has no finite step length.
     """
-    if not is_feasible(P, x0):
-        raise ValueError("exact_dd_step requires a feasible starting point")
-    return _scan(P, c, x0, enumerate_circuits(P, work_budget=work_budget), _deepest)
+    return _rule(P, c, x0, "exact", work_budget)(x0)
 
 
 def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal]:
@@ -90,26 +118,9 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
     x* - t feasible for every term t, so c.t <= 0, and the terms not yet
     found each contribute at least c.r, with r the residual left.  Once
     the best contribution is strictly below c.r, no later term beats or
-    ties it.  An unbounded or infeasible LP is reported as a distinct
-    error.
+    ties it.  An unbounded LP raises LpUnboundedError.
     """
-    if not is_feasible(P, x0):
-        raise ValueError("approx_dd_step requires a feasible starting point")
-    return _approx_step(P, c, x0, _lp_optimum(P, c))
-
-
-def _lp_optimum(P: Polyhedron, c: RatVec) -> LpOptimal:
-    """The LP optimum the approximate step decomposes against.
-
-    An unbounded or infeasible LP raises its distinct error.
-    """
-    outcome = solve_lp(P, c)
-    if isinstance(outcome, LpUnbounded):
-        raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
-    if isinstance(outcome, LpInfeasible):  # pragma: no cover - x0 is feasible
-        raise LpInfeasibleError("the LP is infeasible")
-    assert isinstance(outcome, LpOptimal)
-    return outcome
+    return _rule(P, c, x0, "approx", DEFAULT_WORK_BUDGET)(x0)
 
 
 def _approx_step(
@@ -160,9 +171,7 @@ def steepest_descent_step(
     considered; ties go to canonical order.  Enumeration-backed, desk
     scale only, no approximation guarantee.
     """
-    if not is_feasible(P, x0):
-        raise ValueError("steepest_descent_step requires a feasible starting point")
-    return _scan(P, c, x0, enumerate_circuits(P, work_budget=work_budget), _steepest)
+    return _rule(P, c, x0, "steepest", work_budget)(x0)
 
 
 def _deepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
@@ -219,9 +228,6 @@ class AugmentationTrace:
         return self.iterates[-1]
 
 
-_STEP_RULES = ("exact", "approx", "steepest")
-
-
 def augment(
     P: Polyhedron,
     c: RatVec,
@@ -241,22 +247,12 @@ def augment(
     mode solves the LP once per run, not once per step: every step
     decomposes x* - x against the same optimum x*.
     """
-    if mode not in _STEP_RULES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
-    if not is_feasible(P, x0):
-        raise ValueError("augment requires a feasible starting point")
-    if mode == "approx":
-        optimum = _lp_optimum(P, c)
-    else:
-        circuits = enumerate_circuits(P, work_budget=work_budget)
+    step = _rule(P, c, x0, mode, work_budget)
     steps: list[DdStep] = []
     iterates: list[Point] = [x0]
     x, cx = x0, c.dot(x0)
     while True:
-        if mode == "approx":
-            res = _approx_step(P, c, x, optimum)
-        else:
-            res = _scan(P, c, x, circuits, _deepest if mode == "exact" else _steepest)
+        res = step(x)
         if isinstance(res, Optimal):
             return AugmentationTrace(tuple(steps), tuple(iterates), mode)
         if isinstance(res, UnboundedImprovement):

@@ -22,10 +22,6 @@ class SizeGuardExceeded(ToolkitError):
     """An exponential-time oracle was asked to exceed its work budget."""
 
 
-class LpInfeasibleError(ToolkitError):
-    """An operation that needs a feasible LP was handed an infeasible one."""
-
-
 class LpUnboundedError(ToolkitError):
     """An operation that needs a bounded LP was handed an unbounded one."""
 

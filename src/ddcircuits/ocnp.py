@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .circuits import is_circuit_direction
-from .errors import LpInfeasibleError, LpUnboundedError
-from .lp import LpInfeasible, LpOptimal, LpUnbounded, UniquenessReport, solve_lp, verify_unique
+from .errors import LpUnboundedError
+from .lp import LpOptimal, LpUnbounded, UniquenessReport, solve_lp, verify_unique
 from .polyhedron import Point, Polyhedron, is_feasible
 from .ratlin import RatVec
 
@@ -50,17 +50,15 @@ OcnpVerdict = Union[AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor, NotUniq
 def decide_ocnp(P: Polyhedron, c: RatVec, x0: Point) -> OcnpVerdict:
     """Decide whether the unique optimum is one circuit step away from x0.
 
-    x0 must be feasible and the LP bounded; an unbounded or infeasible LP
-    raises a distinct error.  The verdict is invariant under positive
+    x0 must be feasible and the LP bounded; an unbounded LP raises
+    LpUnboundedError.  The verdict is invariant under positive
     scaling of c.
     """
     if not is_feasible(P, x0):
-        raise ValueError("decide_ocnp requires a feasible starting point")
+        raise ValueError("the starting point is not feasible")
     outcome = solve_lp(P, c)
     if isinstance(outcome, LpUnbounded):
         raise LpUnboundedError("the LP is unbounded; no optimum exists")
-    if isinstance(outcome, LpInfeasible):  # pragma: no cover - x0 is feasible
-        raise LpInfeasibleError("the LP is infeasible")
     assert isinstance(outcome, LpOptimal)
     report = verify_unique(P, c, outcome.vertex, optimum=outcome)
     if not report.unique:

@@ -43,7 +43,6 @@ from .ratlin import (
     parse_count,
     parse_rat,
     sign_normalized,
-    vstack,
 )
 
 
@@ -111,10 +110,7 @@ class Polyhedron:
         if lows.dim != highs.dim:
             raise ValueError("low and high bounds must have the same dimension")
         n = lows.dim
-        ident = RatMat.identity(n)
-        B = vstack(ident, ident.scale_rows(-1))
-        d = highs.concat(-lows)
-        return cls(RatMat([], cols=n), RatVec([]), B, d)
+        return cls(RatMat([], cols=n), RatVec([]), _box_rows(n), highs.concat(-lows))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -130,6 +126,15 @@ class Polyhedron:
 
     def __repr__(self) -> str:
         return f"Polyhedron(n={self.n}, m_A={self.A.m}, m_B={self.B.m})"
+
+
+def _box_rows(n: int) -> RatMat:
+    """B = [I; -I], the inequality rows of a box in n variables."""
+    zero = Fraction(0)
+    rows = [[zero] * n for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][i], rows[n + i][i] = Fraction(1), Fraction(-1)
+    return RatMat(rows, cols=n)
 
 
 class _IntImage(NamedTuple):

@@ -217,10 +217,6 @@ class RatMat:
     def take_rows(self, indices: Sequence[int]) -> "RatMat":
         return RatMat([self.entries[i] for i in indices], cols=self.n)
 
-    def scale_rows(self, factor) -> "RatMat":
-        f = Fraction(factor)
-        return RatMat([[a * f for a in row] for row in self.entries], cols=self.n)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMat)

@@ -25,13 +25,14 @@ from .polyhedron import (
     Instance,
     Point,
     Polyhedron,
+    _box_rows,
     _data_lines,
     _located,
     _parse_header,
     _read_text,
     _tokens,
 )
-from .ratlin import Rat, RatMat, RatVec, parse_count, parse_rat, vstack
+from .ratlin import Rat, RatMat, RatVec, parse_count, parse_rat
 
 MAX_ORACLE_NODES = 8
 
@@ -116,11 +117,9 @@ def build_reduction(G: Digraph) -> ReductionInstance:
         raise ValueError("the reduction needs at least one arc")
     weighted = perturb_costs(G)
     A = incidence_matrix(weighted)
-    ident = RatMat.identity(G.m)
-    B = vstack(ident, ident.scale_rows(-1))
     d = RatVec([Fraction(1)] * G.m + [Fraction(0)] * G.m)
     objective = RatVec(-c for c in weighted.costs)
-    P = Polyhedron(A, RatVec.zeros(G.nodes), B, d)
+    P = Polyhedron(A, RatVec.zeros(G.nodes), _box_rows(G.m), d)
     return ReductionInstance(Instance(P, objective), RatVec.zeros(G.m), weighted)
 
 

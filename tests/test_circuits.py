@@ -49,6 +49,10 @@ class TestCircuitType:
     def test_negation(self):
         assert (-Circuit((1, -2))).entries == (-1, 2)
 
+    def test_requires_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            Circuit((Fraction(1, 2), 1))
+
 
 class TestLift:
     def test_square_axis(self):
@@ -69,6 +73,10 @@ class TestLift:
     def test_rejects_non_kernel(self):
         with pytest.raises(ValueError):
             lift(TRIANGLE, RatVec([1, 0, 0]))
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dimension 1, expected 2"):
+            lift(UNIT_SQUARE, RatVec([1]))
 
 
 class TestExtremeRay:
@@ -97,6 +105,18 @@ class TestExtremeRay:
         with pytest.raises(ValueError):
             is_extreme_ray(UNIT_SQUARE, bad)
 
+    @pytest.mark.parametrize(
+        "P, x, yplus, yminus, message",
+        [
+            pytest.param(UNIT_SQUARE, [1, 0], [1, 0, 0], [0, 0, 1], "dimensions", id="dimensions"),
+            pytest.param(UNIT_SQUARE, [1, 0], [1, 0, 0, -1], [0, 0, 1, -1], "negative", id="negative-part"),
+            pytest.param(TRIANGLE, [1, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], "A x", id="off-kernel"),
+        ],
+    )
+    def test_malformed_lift_rejected(self, P, x, yplus, yminus, message):
+        with pytest.raises(ValueError, match=message):
+            is_extreme_ray(P, ConeLift(RatVec(x), RatVec(yplus), RatVec(yminus)))
+
 
 class TestCircuitDirection:
     def test_square_axis(self):
@@ -107,6 +127,10 @@ class TestCircuitDirection:
 
     def test_triangle_cycle(self):
         assert is_circuit_direction(TRIANGLE, RatVec([1, 1, 1]))
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dimension 3, expected 2"):
+            is_circuit_direction(UNIT_SQUARE, RatVec([1, 0, 0]))
 
     def test_zero_and_non_kernel(self):
         assert not is_circuit_direction(UNIT_SQUARE, RatVec([0, 0]))
@@ -170,6 +194,12 @@ class TestEnumerate:
     def test_complete_digraph_has_eleven_circuits(self):
         graph = Digraph(3, ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)))
         assert len(enumerate_circuits(circulation(graph))) == 11
+
+    def test_zero_row_of_b_is_skipped(self):
+        # the square with the row 0 <= 1 added: it bounds no direction
+        B = RatMat([[1, 0], [0, 0], [0, 1], [-1, 0], [0, -1]])
+        P = Polyhedron(RatMat([], cols=2), RatVec([]), B, RatVec([1, 1, 1, 0, 0]))
+        assert enumerate_circuits(P) == enumerate_circuits(UNIT_SQUARE)
 
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):

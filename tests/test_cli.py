@@ -468,6 +468,25 @@ def test_non_ascii_byte_is_located(argv, data, where, square_file, tmp_path, mon
     assert capsys.readouterr().err == f"error: {where}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["ddstep", "--mode", "exact"], id="ddstep-exact"),
+        pytest.param(["ddstep", "--mode", "approx"], id="ddstep-approx"),
+        pytest.param(["augment", "--mode", "exact"], id="augment-exact"),
+        pytest.param(["augment", "--mode", "approx"], id="augment-approx"),
+        pytest.param(["ocnp"], id="ocnp"),
+    ],
+)
+def test_infeasible_start_is_a_usage_error(argv, square_file, capsys):
+    # one message for every command, naming no function of the package
+    command, *options = argv
+    assert main([command, square_file, "--from", "5 5", *options]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the starting point is not feasible\n"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ocnp", "--help"])

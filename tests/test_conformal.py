@@ -69,6 +69,10 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(tri, RatVec([1, 0, 0]))
 
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="dimension 3, expected 2"):
+            decompose(UNIT_SQUARE, RatVec([1, 0, 0]))
+
 
 class TestVerifyConformal:
     def test_accepts_decompose_output(self):
@@ -111,6 +115,23 @@ class TestVerifyConformal:
         tri = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance.polyhedron
         bad = ConformalSum(((1, Circuit((1, 0, 0))),), RatVec([1, 0, 0]))
         assert not verify_conformal(tri, bad)
+
+    @pytest.mark.parametrize(
+        "terms, target",
+        [
+            pytest.param(((1, Circuit((1, 0))),), (1, 0, 0), id="target-dimension"),
+            pytest.param(((1, Circuit((1, 0, 0))),), (1, 0), id="term-dimension"),
+            # each sum reconstructs (1, 0) within the term bound
+            pytest.param(
+                ((2, Circuit((1, 0))), (1, Circuit((-1, 0)))), (1, 0), id="sign-against-target"
+            ),
+            pytest.param(
+                ((1, Circuit((1, 1))), (1, Circuit((0, -1)))), (1, 0), id="nonzero-where-target-is-zero"
+            ),
+        ],
+    )
+    def test_rejects_broken_invariant(self, terms, target):
+        assert not verify_conformal(UNIT_SQUARE, ConformalSum(terms, RatVec(target)))
 
     def test_rejects_nonpositive_alpha(self):
         bad = ConformalSum(

@@ -312,6 +312,22 @@ class TestAugment:
             augment(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]), "fastest")
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        pytest.param(exact_dd_step, id="exact"),
+        pytest.param(approx_dd_step, id="approx"),
+        pytest.param(steepest_descent_step, id="steepest"),
+        pytest.param(lambda P, c, x0: augment(P, c, x0, "exact"), id="augment-exact"),
+        pytest.param(lambda P, c, x0: augment(P, c, x0, "approx"), id="augment-approx"),
+        pytest.param(lambda P, c, x0: augment(P, c, x0, "steepest"), id="augment-steepest"),
+    ],
+)
+def test_every_rule_rejects_an_infeasible_start(rule):
+    with pytest.raises(ValueError, match="^the starting point is not feasible$"):
+        rule(UNIT_SQUARE, RatVec([-1, -1]), RatVec([2, 2]))
+
+
 def approx_instances():
     rng = random.Random(4041)
     return mixed_instances(seed=4040, count=18) + [dense_polytope(rng) for _ in range(6)]

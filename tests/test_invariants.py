@@ -22,7 +22,9 @@ rational B itself.  Pointedness is decided in one place: only the
 to exit 65) and ``__init__`` (which re-exports it) refer to it.  Text
 becomes an int in one place: only ``ratlin._to_int`` calls the builtin
 ``int``, behind the token grammar, and no command-line option converts
-its value with ``type=int``.
+its value with ``type=int``.  Every exception class of ``errors`` other
+than ``ToolkitError`` has a ``raise`` site in another module that can
+fire, that is, one outside any statement marked ``# pragma: no cover``.
 """
 
 import ast
@@ -191,6 +193,32 @@ def int_conversions(module: str, source: str) -> list[str]:
             if any(kw.arg == "type" and _is_int(kw.value) for kw in node.keywords):
                 found.append(f"line {node.lineno}: type=int")
     return found
+
+
+def unraised_errors(sources: dict[str, str]) -> list[str]:
+    """The name of each class ``errors.py`` defines, ``ToolkitError`` aside,
+    that no other module raises outside a statement whose first line is
+    marked ``# pragma: no cover``, the mark of a raise that cannot fire."""
+    defined = [
+        node.name
+        for node in ast.parse(sources["errors.py"]).body
+        if isinstance(node, ast.ClassDef) and node.name != "ToolkitError"
+    ]
+    raised = set()
+    for module, source in sources.items():
+        if module == "errors.py":
+            continue
+        lines = source.splitlines()
+        stack: list[ast.AST] = [ast.parse(source)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.stmt) and "pragma: no cover" in lines[node.lineno - 1]:
+                continue
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+            stack.extend(ast.iter_child_nodes(node))
+    return [name for name in defined if name not in raised]
 
 
 def _is_int(node: ast.AST) -> bool:
@@ -438,3 +466,47 @@ def test_checker_flags_int_conversions():
         "line 12: Reader",
     ]
     assert "line 3: _to_int" in int_conversions("cli.py", source)
+
+
+def test_every_error_class_is_raised():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert unraised_errors(sources) == []
+
+
+def test_checker_flags_unraised_errors():
+    sources = {
+        "errors.py": (
+            "class ToolkitError(Exception):\n"
+            "    pass\n"
+            "class ParseError(ToolkitError):\n"
+            "    pass\n"
+            "class GuardError(ToolkitError):\n"
+            "    pass\n"
+            "class DeadError(ToolkitError):\n"
+            "    pass\n"
+            "class SelfError(ToolkitError):\n"
+            "    pass\n"
+            "class MappedError(ToolkitError):\n"
+            "    pass\n"
+            "def f():\n"
+            "    raise SelfError('only here')\n"
+        ),
+        "polyhedron.py": (
+            "from . import errors\n"
+            "def parse(text):\n"
+            "    if not text:\n"
+            "        raise errors.ParseError('empty', 1, 1)\n"
+            "    try:\n"
+            "        pass\n"
+            "    except ValueError as exc:\n"
+            "        raise GuardError from exc\n"
+        ),
+        "lp.py": (
+            "def solve(P):\n"
+            "    if P.empty:  # pragma: no cover - x0 is feasible\n"
+            "        raise DeadError('the LP is infeasible')\n"
+            "    raise ValueError(DeadError)\n"
+        ),
+        "cli.py": "CODES = {MappedError: 4}\n",
+    }
+    assert unraised_errors(sources) == ["DeadError", "SelfError", "MappedError"]

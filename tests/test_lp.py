@@ -18,7 +18,7 @@ from ddcircuits import (
     verify_unique,
 )
 import ddcircuits.lp
-from ddcircuits.lp import _unique_by_reduced_costs
+from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
 from ddcircuits.polyhedron import active_rows
 from ddcircuits.ratlin import RatMat, rank, vstack
 
@@ -65,6 +65,10 @@ class TestSolveLp:
     def test_triangle_circulation(self):
         out = solve_lp(TRIANGLE.polyhedron, TRIANGLE.objective)
         assert out == LpOptimal(RatVec([1, 1, 1]), Fraction(-31, 8))
+
+    def test_objective_dimension_checked(self):
+        with pytest.raises(ValueError, match="objective has dimension 1, expected 2"):
+            solve_lp(UNIT_SQUARE, RatVec([1]))
 
     def test_infeasible(self):
         P = Polyhedron(
@@ -138,6 +142,23 @@ class TestSolveLp:
         assert a == b
 
 
+@pytest.mark.parametrize(
+    "c, x",
+    [
+        pytest.param((0, 0), (Fraction(1, 2), Fraction(1, 2)), id="centre-zero-objective"),
+        pytest.param((0, -1), (Fraction(1, 2), 1), id="top-edge-midpoint"),
+    ],
+)
+def test_purification_moves_to_a_vertex(c, x):
+    # an optimal point that is not a vertex: the walk must move and keep the value
+    c, x = RatVec(c), RatVec(x)
+    vertex = _purify_to_vertex(UNIT_SQUARE, c, x)
+    assert vertex != x
+    assert is_feasible(UNIT_SQUARE, vertex)
+    _assert_vertex(UNIT_SQUARE, vertex)
+    assert c.dot(vertex) == c.dot(x)
+
+
 class TestOracleAgreement:
     def test_value_matches_vertex_enumeration(self):
         rng = random.Random(4821)
@@ -183,6 +204,10 @@ class TestVerifyUnique:
     def test_non_optimal_rejected(self):
         with pytest.raises(ValueError):
             verify_unique(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]))
+
+    def test_lp_without_optimum_rejected(self):
+        with pytest.raises(ValueError, match="the LP has no optimum"):
+            verify_unique(HALF_LINE, RatVec([-1]), RatVec([0]))
 
     def test_infeasible_rejected(self):
         x = RatVec([2, 2])

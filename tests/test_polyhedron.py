@@ -68,6 +68,25 @@ class TestPointedness:
             load_instance(path)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "A, b, B, d, message",
+        [
+            pytest.param(RatMat([[1]]), [0], RatMat([[1, 0]]), [1], "A has 1 columns but B has 2", id="columns"),
+            pytest.param(RatMat([], cols=0), [], RatMat([], cols=0), [], "at least 1", id="no-variables"),
+            pytest.param(RatMat([[1, 0]]), [], RatMat([[1, 0], [0, 1]]), [1, 1], "b has 0 entries", id="b-length"),
+            pytest.param(RatMat([], cols=2), [], RatMat([[1, 0], [0, 1]]), [1], "d has 1 entries", id="d-length"),
+        ],
+    )
+    def test_dimensions_checked(self, A, b, B, d, message):
+        with pytest.raises(ValueError, match=message):
+            Polyhedron(A, RatVec(b), B, RatVec(d))
+
+    def test_box_bounds_must_agree(self):
+        with pytest.raises(ValueError, match="same dimension"):
+            Polyhedron.box([0, 0], [1])
+
+
 class TestFeasibility:
     def test_square_inside(self):
         assert is_feasible(UNIT_SQUARE, RatVec([Fraction(1, 2), Fraction(1, 2)]))
@@ -127,6 +146,10 @@ class TestMaxStep:
     def test_requires_feasible_start(self):
         with pytest.raises(ValueError):
             max_step(UNIT_SQUARE, RatVec([3, 0]), RatVec([1, 0]))
+
+    def test_requires_matching_dimension(self):
+        with pytest.raises(ValueError, match="direction has dimension 1, expected 2"):
+            max_step(UNIT_SQUARE, RatVec([0, 0]), RatVec([1]))
 
 
 @given(

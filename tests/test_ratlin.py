@@ -277,3 +277,20 @@ def test_vstack_and_vector_algebra():
     assert u.dot(v) == 0
     assert (-u).is_zero() is False
     assert RatVec.zeros(3).is_zero()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: RatMat([]), "column count required", id="matrix-without-rows-or-columns"),
+        pytest.param(lambda: RatMat([[1, 2], [3]]), "ragged row", id="ragged-matrix"),
+        pytest.param(lambda: RatVec([1, 2]) + RatVec([1]), "dimension mismatch: 2 vs 1", id="vector-sum"),
+        pytest.param(lambda: RatVec([1]).dot(RatVec([1, 2])), "dimension mismatch: 1 vs 2", id="dot-product"),
+        pytest.param(lambda: RatMat([[1, 2]]).matvec(RatVec([1])), "matrix has 2 columns", id="matvec"),
+        pytest.param(lambda: vstack(), "at least one matrix", id="vstack-nothing"),
+        pytest.param(lambda: vstack(RatMat([[1, 2]]), RatMat([[1]])), "column mismatch", id="vstack-columns"),
+    ],
+)
+def test_dimensions_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -7,6 +7,8 @@ import pytest
 import ddcircuits.reductions
 
 from ddcircuits import (
+    Circuit,
+    DdStep,
     Digraph,
     LpOptimal,
     ParseError,
@@ -42,6 +44,17 @@ class TestDigraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Digraph(2, ((1, 3),))
+
+    @pytest.mark.parametrize(
+        "nodes, arcs, costs, message",
+        [
+            pytest.param(-1, (), None, "node count must be nonnegative", id="negative-nodes"),
+            pytest.param(2, ((1, 2),), (1, 2), "cost vector length", id="cost-count"),
+        ],
+    )
+    def test_rejects_bad_shape(self, nodes, arcs, costs, message):
+        with pytest.raises(ValueError, match=message):
+            Digraph(nodes, arcs, costs)
 
     def test_allows_parallel_arcs(self):
         g = Digraph(2, ((1, 2), (1, 2)))
@@ -163,6 +176,32 @@ class TestCorrespondence:
     def test_acyclic_vacuous(self):
         assert verify_correspondence(Digraph(3, ((1, 2), (1, 3), (2, 3))))
 
+    def test_arcless_graph_vacuous(self):
+        assert verify_correspondence(Digraph(2, ()))
+
+    @pytest.mark.parametrize(
+        "graph, step",
+        [
+            pytest.param(
+                TRIANGLE, DdStep(Circuit((1, 1, 1)), Fraction(2), Fraction(31, 4)), id="alpha-not-one"
+            ),
+            pytest.param(
+                TRIANGLE, DdStep(Circuit((2, 1, 1)), Fraction(1), Fraction(31, 8)), id="entry-not-zero-one"
+            ),
+            pytest.param(
+                TRIANGLE, DdStep(Circuit((1, 1, 0)), Fraction(1), Fraction(11, 4)), id="support-not-the-cycle"
+            ),
+            pytest.param(
+                Digraph(3, ((1, 2), (2, 3), (1, 3))),
+                DdStep(Circuit((1, 1, -1)), Fraction(1), Fraction(1)),
+                id="step-without-a-cycle",
+            ),
+        ],
+    )
+    def test_step_that_is_not_the_cycle_fails(self, graph, step, monkeypatch):
+        monkeypatch.setattr(ddcircuits.reductions, "exact_dd_step", lambda *args, **kwargs: step)
+        assert not verify_correspondence(graph)
+
     def test_exhaustive_small_catalog(self):
         for g in exhaustive_digraphs(node_counts=(2, 3)):
             assert verify_correspondence(g), g
@@ -240,6 +279,10 @@ class TestGraphFormat:
     def test_mixed_cost_presence(self):
         with pytest.raises(ParseError):
             parse_digraph_text("2 2\n1 2 1\n2 1\n")
+
+    def test_arc_line_token_count(self):
+        with pytest.raises(ParseError, match="^line 2, column 1: arc line must be"):
+            parse_digraph_text("2 1\n1\n")
 
     def test_self_loop_reported(self):
         with pytest.raises(ParseError):
