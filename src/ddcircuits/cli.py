@@ -333,6 +333,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _node_count(token: str) -> int:
+    """A node count for ``bench``: a graph needs two nodes for an arc,
+    since self-loops are rejected."""
+    nodes = parse_count(token)
+    if nodes < 2:
+        raise ValueError(f"a graph needs at least 2 nodes to have an arc, got {nodes}")
+    return nodes
+
+
 def _random_digraph(rng: random.Random, nodes: int) -> Digraph:
     pairs = [(i, j) for i in range(1, nodes + 1) for j in range(1, nodes + 1) if i != j]
     upper = min(2 * nodes, len(pairs))
@@ -467,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="random digraph benchmark, reproducible CSV")
-    p.add_argument("--nodes", type=_argument(parse_count), required=True, metavar="K")
+    p.add_argument("--nodes", type=_argument(_node_count), required=True, metavar="K")
     p.add_argument("--trials", type=_argument(parse_count), required=True, metavar="T")
     p.add_argument("--seed", type=_argument(parse_int), required=True, metavar="S")
     p.add_argument("-o", "--output", default="-", metavar="OUT.csv")

@@ -15,10 +15,14 @@ supp(Bz) are active from the start.  The signs sigma are all the walk is
 given: as a point x of a polyhedron is described by its slack in row
 units, a vector v of F(z) is described by sigma_j q_j.v, with q_j the
 primitive integer row of B_j (``polyhedron._image``).  The active rows are
-its zeros, and the largest t keeping v - t*w in F(z) is
-``polyhedron._step_length`` of it and the signed image of w.  Moves
-update the slack by the rank-one rule instead of a fresh product with B,
-and the image of a circuit is an int product.
+its zeros.  Everything is ints over one positive denominator D, as in
+``polyhedron._slack``: the residual, negated, is U/D and its slack S/D.
+The row that limits a step along a circuit g is ``polyhedron._ratio_test``
+of S and the signed image sg of g, which compares the ratios by
+cross-multiplication, and the step is alpha = S_j / (D * sg_j), the only
+Fraction a term makes.  The move is ``polyhedron._move``, the rank-one
+rule of the walk: U <- sg_j*U + S_j*g, S <- sg_j*S - S_j*sg and
+D <- sg_j*D, then one gcd.
 
 Each round locates an extreme ray of the minimal face of F(z) containing
 the current residual r with ``polyhedron._walk``, the active-set walk LP
@@ -28,7 +32,9 @@ u = -r, each move goes along a kernel direction of the active rows until
 one more row hits zero, which raises the active rank; when the active
 system reaches rank n - 1 its kernel is spanned by v, which is the
 desired circuit.  The residual is carried negated, as -r, so each walk
-starts from it as it is and only the circuit, an int tuple, is negated.
+starts from it as it is.  The circuit is the walk's end E, an int vector,
+divided by gcd(E) and negated, and its signed image is the walk's slack
+at E divided by the same gcd, with no product with B.
 The rows active at r stay
 active across terms, so the decomposition keeps their echelon and
 extends it only by the rows each term makes active.  The emitted step
@@ -48,11 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
-from .circuits import Circuit, circuit_from_vector, is_extreme_ray, lift
-from .polyhedron import UNBOUNDED, Polyhedron, _extend_active, _image, _step_length, _walk
-from .ratlin import Rat, RatVec, rank
+from .circuits import Circuit, is_extreme_ray, lift
+from .polyhedron import Polyhedron, _extend_active, _image, _move, _ratio_test, _walk
+from .ratlin import Rat, RatVec, _int_vector, rank
 
 
 @dataclass(frozen=True)
@@ -87,33 +94,36 @@ def _terms(P: Polyhedron, z: RatVec) -> Iterator[tuple[Fraction, Circuit]]:
     z must be a nonzero vector of ker A, as ``decompose`` checks; the
     approximate step's z = x* - x0 is one by construction.
     """
-    bz = _image(P, z)
+    Z, D = _int_vector(z)
+    bz = _image(P, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
     bound = P.n - len(P._a_echelon[1])  # rank(A)
-    u_res, slack = -z, [Fraction(abs(e)) for e in bz]
+    # The residual r is carried negated, -r = U/D, with its slack S/D.
+    U, S = [-e for e in Z], [abs(e) for e in bz]
     echelon, before, count = P._a_echelon, None, 0
-    while not u_res.is_zero():
-        # The echelon of the rows active at the residual r = -u_res, and the
-        # walk from u_res to an extreme ray of the minimal face of F(z)
-        # containing r; the circuit is oriented as v = -u, so its signed
-        # image is >= 0.
-        echelon = _extend_active(P, echelon, slack, before)
-        u = u_res
-        for u, _ in _walk(P, signs, u, slack, echelon):
+    while any(U):
+        # The echelon of the rows active at r, and the walk from U to an
+        # extreme ray of the minimal face of F(z) containing r.  The walk's
+        # slack at its end E is -sigma_i q_i.E, so the circuit g = -E/gcd(E)
+        # has the signed image sg = S_E/gcd(E), which is >= 0.
+        echelon = _extend_active(P, echelon, S, before)
+        end, end_slack = U, S
+        for end, end_slack, _, _ in _walk(P, signs, U, S, D, echelon):
             pass
-        g = -circuit_from_vector(u)
-        sg = [a if s > 0 else -a for a, s in zip(_image(P, g.entries), signs)]
-        if any(e for e, s in zip(sg, slack) if s == 0):  # pragma: no cover - by face construction
+        k = gcd(*end)
+        g = Circuit(tuple(-e // k for e in end))
+        sg = [e // k for e in end_slack]
+        if any(e for e, s in zip(sg, S) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")
-        alpha = _step_length(slack, sg)
-        if alpha is UNBOUNDED or alpha <= 0:  # pragma: no cover
+        j = _ratio_test(S, sg)
+        if j is None or S[j] == 0:  # pragma: no cover
             raise AssertionError("no positive step along the selected circuit")
         count += 1
         if count > bound:  # pragma: no cover
             raise AssertionError("conformal decomposition exceeded its term bound")
-        u_res = RatVec(a + alpha * b if b else a for a, b in zip(u_res, g.entries))
-        before, slack = slack, [s - alpha * a if a else s for s, a in zip(slack, sg)]
-        yield alpha, g
+        yield Fraction(S[j], D * sg[j]), g
+        before = S
+        U, S, D = _move(U, S, D, g.entries, sg, j)
 
 
 def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:

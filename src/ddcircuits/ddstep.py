@@ -22,14 +22,15 @@ once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from fractions import Fraction
+from typing import Callable, Optional, Sequence, Union
 
 from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import _terms
 from .errors import IterationCapExceeded, LpUnboundedError
 from .lp import LpOptimal, LpUnbounded, solve_lp
-from .polyhedron import UNBOUNDED, Point, Polyhedron, _image, _slack, _step_length, is_feasible
-from .ratlin import Rat, RatVec
+from .polyhedron import Point, Polyhedron, _image, _ratio_test, _slack, is_feasible
+from .ratlin import Rat, RatVec, _int_vector
 
 
 @dataclass(frozen=True)
@@ -140,22 +141,27 @@ def _approx_step(
     z = optimum.vertex - x0
     if z.is_zero():
         return Optimal()
+    C, den = _int_vector(c)  # c = C / den
     rest = c.dot(z)
     best_key = None
     for alpha, g in _terms(P, z):
-        gain = alpha * c.dot(g.vec)
+        slope = Fraction(_dot(C, g.entries), den)
+        gain = alpha * slope
         rest -= gain
         if best_key is None or (gain, g.entries) < best_key:
-            best_key, best_g = (gain, g.entries), g
+            best_key, best_g, best_slope = (gain, g.entries), g, slope
         if best_key[0] < rest:
             break
     if best_key[0] >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    beta = _step_length(_slack(P, x0), _image(P, best_g.entries))
-    if beta is UNBOUNDED:  # pragma: no cover - would contradict a bounded LP
+    _, S, D = _slack(P, x0)
+    image = _image(P, best_g.entries)
+    j = _ratio_test(S, image)
+    if j is None:  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("unbounded improving step under a bounded LP")
-    return DdStep(best_g, beta, -beta * c.dot(best_g.vec))
+    beta = Fraction(S[j], D * image[j])
+    return DdStep(best_g, beta, -beta * best_slope)
 
 
 def steepest_descent_step(
@@ -182,29 +188,39 @@ def _steepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
     return slope / g.l1
 
 
+def _dot(C: Sequence[int], g: Sequence[int]) -> int:
+    """The int dot product C.g."""
+    return sum(a * b for a, b in zip(C, g) if a)
+
+
 def _scan(P: Polyhedron, c: RatVec, x0: Point, circuits: list[Circuit], key) -> StepOutcome:
     """The feasible improving circuit step with the smallest key.
 
     ``key(c.g, beta, g)`` ranks a step of maximal length beta along g.
     Since c.(-g) = -c.g, at most one orientation of a circuit improves:
     the sign of c.g picks it, and its slope and B g are computed once.
-    Ties go to the earliest circuit.  x0 must be feasible.
+    Ties go to the earliest circuit.  x0 must be feasible.  The slope is
+    an int dot product with c over its common denominator, the ratio test
+    reads the int slack of x0, and only a step of positive length forms
+    Fractions, for beta, the slope and the key.
     """
-    slack = _slack(P, x0)
+    C, den = _int_vector(c)  # c = C / den
+    _, S, D = _slack(P, x0)
     best: Optional[DdStep] = None
     best_key = None
     for g in circuits:
-        slope = c.dot(g.vec)
+        slope = _dot(C, g.entries)
         if slope == 0:
             continue
         bg = _image(P, g.entries)
         if slope > 0:
             g, slope, bg = -g, -slope, [-a for a in bg]
-        beta = _step_length(slack, bg)
-        if beta is UNBOUNDED:
+        j = _ratio_test(S, bg)
+        if j is None:
             return UnboundedImprovement(g)
-        if beta == 0:
+        if S[j] == 0:
             continue
+        beta, slope = Fraction(S[j], D * bg[j]), Fraction(slope, den)
         k = key(slope, beta, g)
         if best is None or k < best_key:
             best, best_key = DdStep(g, beta, -beta * slope), k

@@ -52,13 +52,14 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .polyhedron import (
-    UNBOUNDED,
     Point,
     Polyhedron,
     _extend_active,
     _image,
+    _move,
+    _point,
+    _ratio_test,
     _slack,
-    _step_length,
     _walk,
     is_feasible,
 )
@@ -154,13 +155,15 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     x is the simplex's feasible point; its slack is computed once and every
     move keeps x feasible, so the walk runs no membership checks.
     """
-    slack = _slack(P, x)
-    for x, w in _walk(P, None, x, slack, _extend_active(P, P._a_echelon, slack)):
+    X, S, D = _slack(P, x)
+    moved = False
+    for X, _, D, w in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
+        moved = True
         if sum(a * b for a, b in zip(c, w) if b) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
             )
-    return x
+    return _point(X, D) if moved else x
 
 
 def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
@@ -270,11 +273,11 @@ def verify_unique(
     if optimum.unique and xstar == optimum.vertex:
         return UniquenessReport(True, None)
 
-    slack = _slack(P, xstar)
-    for witness, _ in _walk(P, None, xstar, slack, _extend_active(P, P._a_echelon, slack)):
-        return UniquenessReport(False, witness)
+    X, S, D = _slack(P, xstar)
+    for X1, _, D1, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
+        return UniquenessReport(False, _point(X1, D1))
 
-    B_I = [row for row, s in zip(P.B.entries, slack) if s == 0]
+    B_I = [row for row, s in zip(P.B.entries, S) if s == 0]
     row_sum = RatVec(sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n))
     cone = Polyhedron(
         RatMat(P.A.entries + (c.entries,), cols=P.n),
@@ -288,5 +291,10 @@ def verify_unique(
     if out.value == 0:
         return UniquenessReport(True, None)
     w = out.vertex  # nonzero, with A w = 0
-    beta = _step_length(slack, _image(P, w))
-    return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))
+    W = coprime_integer_entries(w.entries)  # a positive multiple of w
+    image = _image(P, W)
+    j = _ratio_test(S, image)
+    if j is None:
+        return UniquenessReport(False, xstar + w)
+    X, _, D = _move(X, S, D, W, image, j)
+    return UniquenessReport(False, _point(X, D))

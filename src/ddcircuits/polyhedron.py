@@ -2,19 +2,24 @@
 
 Membership, active inequality rows, and maximal feasible step lengths are
 all decided by exact comparison; there is no tolerance parameter anywhere
-in this module.  The unchecked helpers work in row units: each polyhedron
-holds, built on first use, an integer image of B, where row B_i is s_i
-times a primitive integer row q_i (s_i > 0).  ``_image(P, v)`` is the
-vector of products q_i.v, in ints when v is integral, and ``_slack``
-describes a point x by d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
+in this module.  The unchecked helpers work in row units and in ints: each
+polyhedron holds, built on first use, an integer image of B, where row B_i
+is s_i times a primitive integer row q_i (s_i > 0), with the bounds
+d_i/s_i as ints over one common denominator.  ``_image(P, v)`` is the
+vector of products q_i.v, in ints when v is integral.  ``_slack`` gives a
+point x as one int vector over one positive denominator, (X, S, D) with
+x = X/D and S/D the slack d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
 ratio of a slack to an image is the same in row units, and so are its
-zeros and signs, so ``_step_length``, the package's one ratio test for
-maximal steps, and ``_active`` give what d - Bx and Bv would give.
+zeros and signs, so ``_ratio_test``, the package's one ratio test for
+maximal steps, which compares S_i/a_i by cross-multiplication and returns
+the limiting row, and ``_active`` give what d - Bx and Bv would give.
 ``_walk`` is the package's one active-set walk: it moves inside the
-kernel of the tight rows until one more row is tight, updates the slack
-by a rank-one step and extends the echelon of the tight rows.  LP
-purification and the uniqueness check walk P itself, and the conformal
-decomposition walks a sign cone, given by the row signs of its vector.
+kernel of the tight rows until one more row is tight, moves X, S and D by
+one rank-one step in ints (``_move``) and extends the echelon of the
+tight rows.  LP purification and the uniqueness check walk P itself, and
+the conformal decomposition walks a sign cone, given by the row signs of
+its vector.  Fractions are made only at the boundary: the step lengths
+and points the callers hand out.
 The module also owns the line-oriented instance file format (constraint
 system plus objective) and the one-line point format, both of which
 round-trip exactly, on one row parser; ``_read_text``, the one reader of
@@ -27,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import NotPointedError, ParseError
@@ -39,6 +44,7 @@ from .ratlin import (
     _echelon,
     _echelon_kernel,
     _extend_rows,
+    _int_vector,
     coprime_integer_entries,
     parse_count,
     parse_rat,
@@ -142,7 +148,8 @@ class _IntImage(NamedTuple):
 
     rows: tuple[tuple[int, ...], ...]
     nonzeros: tuple[tuple[tuple[int, int], ...], ...]  # (column, entry) of each row
-    bounds: tuple[Fraction, ...]  # d_i / s_i
+    bounds: tuple[int, ...]  # d_i / s_i = bounds[i] / den
+    den: int  # the least common denominator of the d_i / s_i, > 0
 
 
 def _int_image(P: Polyhedron) -> _IntImage:
@@ -158,7 +165,8 @@ def _int_image(P: Polyhedron) -> _IntImage:
             j = next((j for j, a in enumerate(q) if a), None)
             bounds.append(d if j is None else d * q[j] / row[j])
         nonzeros = tuple(tuple((j, a) for j, a in enumerate(q) if a) for q in rows)
-        image = P._b_image = _IntImage(rows, nonzeros, tuple(bounds))
+        ints, den = _int_vector(bounds)
+        image = P._b_image = _IntImage(rows, nonzeros, tuple(ints), den)
     return image
 
 
@@ -171,8 +179,7 @@ def _image(P: Polyhedron, v: Sequence[Union[Rat, int]]) -> list:
     over D.  An integral v, such as a kernel vector of an echelon or a
     circuit, gets a list of ints.
     """
-    den = lcm(*(e.denominator for e in v))
-    ints = [e.numerator * (den // e.denominator) for e in v]
+    ints, den = _int_vector(v)
     out = []
     for row in _int_image(P).nonzeros:
         total = 0
@@ -190,31 +197,47 @@ def is_feasible(P: Polyhedron, x: RatVec) -> bool:
         raise ValueError(f"point has dimension {x.dim}, expected {P.n}")
     if P.A.matvec(x) != P.b:
         return False
-    return all(s >= 0 for s in _slack(P, x))
+    return all(s >= 0 for s in _slack(P, x)[1])
 
 
 def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
     """Indices j of B with (Bx)_j = d_j, ascending.  x must be feasible."""
     if not is_feasible(P, x):
         raise ValueError("active_rows requires a feasible point")
-    return _active(_slack(P, x))
+    return _active(_slack(P, x)[1])
 
 
-def _slack(P: Polyhedron, x: Point) -> list[Fraction]:
-    """The slack of x in row units: (d - Bx)_i / s_i, Fractions.
+def _slack(P: Polyhedron, x: Point) -> tuple[list[int], list[int], int]:
+    """(X, S, D): x = X/D and its slack in row units, (d - Bx)_i / s_i =
+    S_i/D, as ints over one denominator D > 0.
 
-    x is feasible exactly when it is >= 0 and Ax = b.
+    D is the least common multiple of the denominators of x and of the
+    bounds, so gcd(X, S, D) = 1: for each prime p of D, some entry of x or
+    of the bounds has p to D's full power in its denominator, and that
+    entry's X_i or S_i is then not a multiple of p.  x is feasible exactly
+    when S >= 0 and Ax = b.
     """
-    return [b - e for b, e in zip(_int_image(P).bounds, _image(P, x))]
+    image = _int_image(P)
+    X, den = _int_vector(x)
+    D = lcm(den, image.den)
+    if D != den:
+        X = [e * (D // den) for e in X]
+    f = D // image.den
+    return X, [b * f - e for b, e in zip(image.bounds, _image(P, X))], D
 
 
-def _active(slack: Sequence[Rat]) -> tuple[int, ...]:
+def _point(X: Sequence[int], D: int) -> RatVec:
+    """The point X/D of the int form of ``_slack``."""
+    return RatVec(Fraction(e, D) for e in X)
+
+
+def _active(slack: Sequence[int]) -> tuple[int, ...]:
     """The rows with zero slack, ascending: ``active_rows`` without its check."""
     return tuple(j for j, s in enumerate(slack) if s == 0)
 
 
 def _extend_active(
-    P: Polyhedron, echelon: Echelon, slack: Sequence[Rat], before=None
+    P: Polyhedron, echelon: Echelon, slack: Sequence[int], before=None
 ) -> Echelon:
     """``echelon`` extended by the B-rows with zero slack; given the slack
     ``before`` a move that keeps active rows active, only by the rows the
@@ -225,31 +248,72 @@ def _extend_active(
     return _extend_rows(new, *echelon)
 
 
+def _ratio_test(slack: Sequence[int], image: Sequence[int]) -> Optional[int]:
+    """The row that limits a step: the j with image_j > 0 whose ratio
+    slack_j / image_j is smallest, the first on ties, or None when no
+    image_j is positive and the step is unbounded.
+
+    The package's one ratio test for maximal steps (the simplex keeps its
+    own leaving-row rule).  slack_i / a_i < slack_j / a_j is decided as
+    slack_i * a_j < slack_j * a_i, with no division.  slack is the S of
+    ``_slack`` (or of a vector of a sign cone), >= 0, and image the int
+    image of a direction in the same row units; a common positive
+    denominator of either side changes no ratio's order.  The largest
+    step is then S_j / (D * image_j).
+    """
+    best = None
+    for i, a in enumerate(image):
+        if a > 0 and (best is None or slack[i] * a_best < s_best * a):
+            best, s_best, a_best = i, slack[i], a
+    return best
+
+
+def _move(
+    X: Sequence[int], S: Sequence[int], D: int, w: Sequence[int], image: Sequence[int], j: int
+) -> tuple[list[int], list[int], int]:
+    """(X, S, D) moved along the int direction w, with int image ``image``,
+    by the step t = S_j / (D * image_j) that makes row j tight.
+
+    x + t*w is (a*X + S_j*w) / (a*D) and its slack (a*S - S_j*image) /
+    (a*D), with a = image_j > 0; one gcd over all three keeps the form in
+    lowest terms.
+    """
+    a, s = image[j], S[j]
+    X = [a * x + s * e if e else a * x for x, e in zip(X, w)]
+    S = [a * t - s * e if e else a * t for t, e in zip(S, image)]
+    D *= a
+    g = gcd(D, *X, *S)
+    if g > 1:
+        X, S, D = [e // g for e in X], [e // g for e in S], D // g
+    return X, S, D
+
+
 def _walk(
     P: Polyhedron,
     signs: Optional[Sequence[int]],
-    x: RatVec,
-    slack: list[Fraction],
+    X: Sequence[int],
+    S: Sequence[int],
+    D: int,
     echelon: Echelon,
-) -> Iterator[tuple[RatVec, tuple[int, ...]]]:
-    """The active-set walk from x: each move makes one more row tight.
+) -> Iterator[tuple[list[int], list[int], int, tuple[int, ...]]]:
+    """The active-set walk from X/D: each move makes one more row tight.
 
     With ``signs`` None the region is P, {x : Ax = b, Bx <= d}; else it is
-    the cone {u : Au = 0, SBu <= 0}, where S is the diagonal of the row
-    signs ``signs`` (each 1 or -1).  ``slack`` is the slack of x
-    in row units (``_slack``; on the cone, -S q_i.u) and ``echelon`` is that
-    of A stacked on the B-rows tight at x.  A move takes the first kernel
-    vector w of the echelon, an int tuple, or its negation when only the
-    negation is bounded, and goes the largest step t that ``_step_length``
-    allows; the slack falls by t times the signed image of w and the echelon
-    gains the rows the move made tight.  On the cone the kernel vector along
-    x itself is passed over, since it leads to 0.  The walk ends at a
-    trivial kernel (a vertex), or on the cone when only x's own ray is left
-    (an extreme ray).  Each move raises the rank of the echelon, so there
-    are at most n.  Yields (x, w) after each move; a caller that stops early
-    saves the extension of the echelon.  P is pointed, as every Polyhedron
-    is, so neither region holds a line and every kernel vector is bounded
-    one way.
+    the cone {u : Au = 0, sigma_i q_i.u <= 0 for every row i}, with sigma
+    the row signs ``signs`` (each 1 or -1).  (X, S, D) is the start in the
+    int form of ``_slack`` (on the cone, S_i = -sigma_i q_i.X; D is carried
+    there, but only the direction of X is read), and ``echelon`` is that
+    of A stacked on the B-rows tight at the start.  A move takes the first
+    kernel vector w of the echelon, an int tuple, or its negation when only
+    the negation is bounded, goes as far as ``_ratio_test`` allows by
+    ``_move``, and extends the echelon by the rows the move made tight.  On
+    the cone the kernel vector along X itself is passed over, since it
+    leads to 0.  The walk ends at a trivial kernel (a vertex), or on the
+    cone when only X's own ray is left (an extreme ray).  Each move raises
+    the rank of the echelon, so there are at most n.  Yields (X, S, D, w)
+    after each move; a caller that stops early saves the extension of the
+    echelon.  P is pointed, as every Polyhedron is, so neither region holds
+    a line and every kernel vector is bounded one way.
     """
     cone = signs is not None
     for moves in range(P.n + 1):
@@ -259,21 +323,21 @@ def _walk(
         if moves == P.n:  # pragma: no cover - each move raises the rank
             raise AssertionError("the active-set walk exceeded n moves")
         w = ker[0]
-        if cone and sign_normalized(coprime_integer_entries(x.entries)) == w:
+        if cone and sign_normalized(coprime_integer_entries(X)) == w:
             w = ker[1]
-        mw = _image(P, w)
+        image = _image(P, w)
         if cone:
-            mw = [a if s > 0 else -a for a, s in zip(mw, signs)]
-        t = _step_length(slack, mw)
-        if t is UNBOUNDED:
-            w, mw = tuple(-a for a in w), [-a for a in mw]
-            t = _step_length(slack, mw)
-            if t is UNBOUNDED:  # pragma: no cover - Bw = 0 is impossible when pointed
+            image = [a if s > 0 else -a for a, s in zip(image, signs)]
+        j = _ratio_test(S, image)
+        if j is None:
+            w, image = tuple(-a for a in w), [-a for a in image]
+            j = _ratio_test(S, image)
+            if j is None:  # pragma: no cover - Bw = 0 is impossible when pointed
                 raise AssertionError("feasible line found in a pointed polyhedron")
-        x = RatVec(a + t * b if b else a for a, b in zip(x, w))
-        before, slack = slack, [s - t * a if a else s for s, a in zip(slack, mw)]
-        yield x, w
-        echelon = _extend_active(P, echelon, slack, before)
+        before = S
+        X, S, D = _move(X, S, D, w, image, j)
+        yield X, S, D, w
+        echelon = _extend_active(P, echelon, S, before)
 
 
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
@@ -292,29 +356,11 @@ def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
         raise ValueError("direction leaves the equality subspace (A g != 0)")
     if g.is_zero():
         return Fraction(0)
-    return _step_length(_slack(P, x0), _image(P, g))
-
-
-def _step_length(
-    slack: Sequence[Rat], image: Sequence[Union[Rat, int]]
-) -> Union[Rat, _Unbounded]:
-    """The largest beta with slack - beta*image >= 0, or UNBOUNDED.
-
-    The package's one ratio test for maximal steps (the simplex keeps its
-    own leaving-row rule): each row with image_j > 0 caps beta at
-    slack_j / image_j and the smallest cap wins.  slack must be >= 0 and
-    hold Fractions (image may hold ints).  ``max_step`` passes the slack of
-    x0 and the image of a direction g with Ag = 0, both in row units; the
-    conformal decomposition passes the slack of a vector of its sign cone
-    and a signed image.
-    """
-    best: Optional[Fraction] = None
-    for s, a in zip(slack, image):
-        if a > 0:
-            bound = s / a
-            if best is None or bound < best:
-                best = bound
-    return UNBOUNDED if best is None else best
+    _, S, D = _slack(P, x0)
+    G, den = _int_vector(g)  # g = G / den
+    image = _image(P, G)
+    j = _ratio_test(S, image)
+    return UNBOUNDED if j is None else Fraction(S[j] * den, D * image[j])
 
 
 @dataclass(frozen=True)

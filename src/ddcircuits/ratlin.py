@@ -329,13 +329,19 @@ def rank(M: RatMat) -> int:
     return len(_echelon(M.entries)[1])
 
 
+def _int_vector(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """(V, D): the rational vector ``values`` as the ints V over its least
+    common denominator D > 0, so that values = V / D."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def coprime_integer_entries(values: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, preserving orientation.
 
     Zeros stay 0, and a vector of coprime integers comes back unchanged.
     """
-    den = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
+    ints = _int_vector(values)[0]
     g = gcd(*ints)
     if g > 1:
         ints = [a // g for a in ints]

@@ -10,7 +10,10 @@ as signed maximal minors.  Approx augmentation is the plain loop over the
 public single step, which solves the LP afresh from every iterate.  The
 dense elimination step and product form every term, zeros included; they
 are the references for the zero-skipping, fraction-free versions in
-``ratlin``.
+``ratlin``.  The Fraction ratio test, walk and conformal terms are the
+references for the int forms in ``polyhedron`` and ``conformal``: they
+carry every point, slack and step length as Fractions, and take the slack
+d - Bx and the image Bw with the rational B, not in row units.
 """
 
 from fractions import Fraction
@@ -26,11 +29,22 @@ from ddcircuits import (
     Optimal,
     Polyhedron,
     RatVec,
+    UNBOUNDED,
     approx_dd_step,
     is_feasible,
     solve_lp,
 )
-from ddcircuits.ratlin import RatMat, rank, solve, vstack
+from ddcircuits.circuits import circuit_from_vector
+from ddcircuits.polyhedron import _extend_active
+from ddcircuits.ratlin import (
+    RatMat,
+    _echelon_kernel,
+    coprime_integer_entries,
+    rank,
+    sign_normalized,
+    solve,
+    vstack,
+)
 
 
 def brute_force_vertices(P: Polyhedron) -> list[RatVec]:
@@ -268,3 +282,69 @@ def positive_multiple(row, ref) -> bool:
 def dense_matvec(M: RatMat, v: RatVec) -> RatVec:
     """M v with every product formed, zeros included."""
     return RatVec(sum((a * b for a, b in zip(row, v.entries)), Fraction(0)) for row in M.entries)
+
+
+def fraction_step_length(slack, image):
+    """The largest beta with slack - beta*image >= 0, or UNBOUNDED: each
+    row with image_j > 0 caps beta at the Fraction slack_j / image_j and
+    the smallest cap wins."""
+    caps = [s / a for s, a in zip(slack, image) if a > 0]
+    return min(caps) if caps else UNBOUNDED
+
+
+def _signed(signs, values):
+    return list(values) if signs is None else [s * e for s, e in zip(signs, values)]
+
+
+def fraction_walk(P: Polyhedron, signs, x: RatVec, echelon):
+    """``polyhedron._walk`` on Fractions: yields (x, w) after each move.
+
+    The slack of x is d - Bx on P and -sigma_i (Bx)_i on the cone of the
+    row signs sigma, and the image of w is B w (signed on the cone), all
+    with the rational B; each move goes the ``fraction_step_length`` of
+    them.  The kernel vectors come from the same echelon, which gains the
+    rows each move made tight.
+    """
+    cone = signs is not None
+    bx = P.B.matvec(x)
+    slack = [-e for e in _signed(signs, bx)] if cone else list(P.d - bx)
+    for moves in range(P.n + 1):
+        ker = _echelon_kernel(*echelon, P.n)
+        if len(ker) == (1 if cone else 0):
+            return
+        assert moves < P.n, "the reference walk exceeded n moves"
+        w = ker[0]
+        if cone and sign_normalized(coprime_integer_entries(x.entries)) == w:
+            w = ker[1]
+        image = _signed(signs, P.B.matvec(RatVec(w)))
+        t = fraction_step_length(slack, image)
+        if t is UNBOUNDED:
+            w, image = tuple(-a for a in w), [-a for a in image]
+            t = fraction_step_length(slack, image)
+        x = x + t * RatVec(w)
+        before, slack = slack, [s - t * a for s, a in zip(slack, image)]
+        yield x, w
+        echelon = _extend_active(P, echelon, slack, before)
+
+
+def fraction_terms(P: Polyhedron, z: RatVec) -> list:
+    """The terms (alpha, g) of ``conformal._terms`` in walk order, by the
+    Fraction walk on the sign cone of z: the residual -r and its slack are
+    Fractions, and alpha is the ``fraction_step_length`` of the slack and
+    the signed image of the circuit."""
+    bz = P.B.matvec(z)
+    signs = [-1 if e < 0 else 1 for e in bz]
+    u_res, slack = -z, [abs(e) for e in bz]
+    echelon, before, terms = P._a_echelon, None, []
+    while not u_res.is_zero():
+        echelon = _extend_active(P, echelon, slack, before)
+        u = u_res
+        for u, _ in fraction_walk(P, signs, u, echelon):
+            pass
+        g = -circuit_from_vector(u)
+        sg = _signed(signs, P.B.matvec(g.vec))
+        alpha = fraction_step_length(slack, sg)
+        u_res = u_res + alpha * g.vec
+        before, slack = slack, [s - alpha * a for s, a in zip(slack, sg)]
+        terms.append((alpha, g))
+    return terms

@@ -342,6 +342,14 @@ class TestBench:
             "approx_iters",
         }
 
+    @pytest.mark.parametrize("nodes", ["0", "1"])
+    def test_graph_without_arcs_is_rejected_at_the_flag(self, nodes, capsys):
+        # a graph with fewer than 2 nodes has no arc, since self-loops are rejected
+        assert main(["bench", "--nodes", nodes, "--trials", "1", "--seed", "1"]) == 64
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --nodes: a graph needs at least 2 nodes to have an arc, got {nodes}\n"
+        )
+
 
 @pytest.mark.parametrize(
     "argv, env_budget, code",
@@ -361,6 +369,8 @@ class TestBench:
         pytest.param(["augment", "{square}", "--from", "0 0", "--max-iters", "-1"], None, 64, id="max-iters-negative"),
         pytest.param(["bench", "--nodes", "4", "--trials", "-2", "--seed", "1"], None, 64, id="bench-trials-negative"),
         pytest.param(["bench", "--nodes", "-3", "--trials", "1", "--seed", "1"], None, 64, id="bench-nodes-negative"),
+        pytest.param(["bench", "--nodes", "0", "--trials", "1", "--seed", "1"], None, 64, id="bench-nodes-zero"),
+        pytest.param(["bench", "--nodes", "1", "--trials", "1", "--seed", "1"], None, 64, id="bench-nodes-one"),
         pytest.param(["circuits", "{square}"], "abc", 64, id="env-budget-not-integer"),
         pytest.param(["circuits", "{square}"], "-5", 64, id="env-budget-negative"),
         pytest.param(["solve", "{not_pointed}"], None, 65, id="not-pointed"),

@@ -26,6 +26,7 @@ from ddcircuits.conformal import _terms, format_conformal
 from ddcircuits.ratlin import kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
+from oracles import fraction_terms
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TWO_TRIANGLES = build_reduction(
@@ -212,6 +213,11 @@ def test_decompositions_pinned():
     assert all(verify_conformal(P, s) for P, s in sums)
     digest = hashlib.sha256(repr([s for _, s in sums]).encode()).hexdigest()
     assert digest == "e32146c8273efaa737109114d70f44c300d882c40ac495925ba958ec0ef3a286"
+
+
+def test_terms_match_the_fraction_reference():
+    for P, s in _pinned_sums():
+        assert list(_terms(P, s.target)) == fraction_terms(P, s.target)
 
 
 def test_decompose_sorts_the_walk_order_terms():

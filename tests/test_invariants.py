@@ -2,9 +2,14 @@
 
 The runtime needs only the standard library, and all arithmetic is exact:
 no module may import a third-party package, write a float or complex
-literal, or use the name ``float``.  The integer elimination kernel holds
-rows of ints, where ``int / int`` would silently give a float, so its
-functions may not use true division at all.  A module-level private
+literal, or use the name ``float``.  The integer kernel (the elimination,
+the circuit scan, and the image, slack, ratio test and walk behind the
+active-set walk and the conformal decomposition) holds rows and vectors
+of ints, where ``int / int`` would silently give a float, so its functions
+may not use true division at all.  Nor may they compute with Fractions:
+they name no rational type except to build a Fraction that they return or
+yield as it is, call no rational vector method, and pass a rational
+argument on to a call without touching it.  A module-level private
 helper (``_name``) that nothing else in the package refers to is dead code,
 and so is an imported name its module never reads (the re-exports of
 ``__init__`` aside).
@@ -36,13 +41,19 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddcircuits"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-# The functions, per module, that compute on integer rows.
+# The functions, per module, that compute on integer rows and vectors.
 INTEGER_KERNEL = {
     "ratlin.py": ("_pivot", "_extend", "_echelon", "_extend_rows", "_echelon_kernel"),
     "lp.py": ("_bland",),
     "circuits.py": ("enumerate_circuits",),
-    "polyhedron.py": ("_image",),
+    "polyhedron.py": ("_image", "_slack", "_ratio_test", "_move", "_walk"),
+    "conformal.py": ("_terms",),
 }
+
+# The rational types, and the methods of RatVec, RatMat and Circuit that
+# compute with Fractions: the integer kernel may use neither.
+RATIONAL_TYPES = {"Fraction", "Rat", "RatVec", "Point"}
+RATIONAL_METHODS = {"dot", "matvec", "vec", "is_zero"}
 
 # The modules allowed to refer to each elimination entry point.  The
 # circuit scan extends its echelons by rows that are primitive integer rows
@@ -89,6 +100,61 @@ def violations(source: str, integer_functions=()) -> list[str]:
                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                     found.append(f"line {node.lineno}: true division in {func.name}")
     return found
+
+
+def fraction_arithmetic(source: str, integer_functions) -> list[str]:
+    """``line N: f`` for each place where a function f of
+    ``integer_functions`` computes with Fractions: a name of
+    ``RATIONAL_TYPES`` other than the callee of a call whose value f
+    returns or yields as it is (alone, or as an item of a tuple, list or
+    comprehension), an attribute of ``RATIONAL_METHODS``, or a parameter
+    annotated with a rational type used other than as an argument of a
+    call.  Annotations are not read."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name not in integer_functions:
+            continue
+        arguments = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+        rational = {a.arg for a in arguments if a.annotation and _names(a.annotation) & RATIONAL_TYPES}
+        parents: dict[ast.AST, ast.AST] = {}
+        stack: list[ast.AST] = list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.AnnAssign):
+                children = [node.target] + ([node.value] if node.value else [])
+            else:
+                children = list(ast.iter_child_nodes(node))
+            for child in children:
+                parents[child] = node
+            stack.extend(children)
+            parent = parents.get(node)
+            if isinstance(node, ast.Name) and node.id in RATIONAL_TYPES:
+                bad = not _returned_as_built(node, parents)
+            elif isinstance(node, ast.Name) and node.id in rational:
+                bad = not (isinstance(parent, ast.Call) and node in parent.args)
+            else:
+                bad = isinstance(node, ast.Attribute) and node.attr in RATIONAL_METHODS
+            if bad:
+                found.append((node.lineno, func.name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _returned_as_built(name: ast.Name, parents: dict[ast.AST, ast.AST]) -> bool:
+    """Whether ``name`` is the callee of a call whose value is returned or
+    yielded as it is, alone or as an item of a tuple, list or comprehension."""
+    call = parents.get(name)
+    if not isinstance(call, ast.Call) or call.func is not name:
+        return False
+    child, node = call, parents.get(call)
+    while isinstance(node, (ast.Tuple, ast.List)) or (
+        isinstance(node, (ast.ListComp, ast.GeneratorExp)) and node.elt is child
+    ):
+        child, node = node, parents.get(node)
+    return isinstance(node, (ast.Return, ast.Yield))
 
 
 def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
@@ -393,12 +459,57 @@ def test_checker_flags_rational_b_products():
     assert rational_b_products(source) == ["line 1: <module>", "line 3: _slack", "line 13: scan"]
 
 
+@pytest.mark.parametrize("module", INTEGER_KERNEL)
+def test_integer_kernel_makes_no_fraction_arithmetic(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert fraction_arithmetic(source, INTEGER_KERNEL[module]) == []
+
+
+def test_checker_flags_fraction_arithmetic():
+    source = (
+        "def _walk(P, signs, X: list[int], S, D: int, x: RatVec) -> Iterator[Fraction]:\n"
+        "    t: Fraction = Fraction(S[0], D)\n"
+        "    X = [e + t for e in X]\n"
+        "    u = -x\n"
+        "    X, den = _int_vector(x)\n"
+        "    g = circuit.vec\n"
+        "    yield Fraction(S[0], D), g\n"
+        "    yield [Fraction(e, D) for e in X]\n"
+        "    yield Fraction(S[0], D) * 2\n"
+        "    yield RatVec.zeros(len(X))\n"
+        "    return f(Fraction(1))\n"
+        "def _slack(P, x: Point):\n"
+        "    return x.dot(x), _point(x, 1), P.A.matvec(x), x.dim\n"
+        "def _terms(P, z: Sequence[Rat]):\n"
+        "    while not z.is_zero():\n"
+        "        return Fraction(1) + Fraction(2)\n"
+        "def other(x: RatVec):\n"
+        "    return -x + Fraction(1, 2)\n"
+    )
+    assert fraction_arithmetic(source, ("_walk", "_slack", "_terms")) == [
+        "line 2: _walk",
+        "line 4: _walk",
+        "line 6: _walk",
+        "line 9: _walk",
+        "line 10: _walk",
+        "line 11: _walk",
+        "line 13: _slack",
+        "line 13: _slack",
+        "line 13: _slack",
+        "line 13: _slack",
+        "line 15: _terms",
+        "line 15: _terms",
+        "line 16: _terms",
+        "line 16: _terms",
+    ]
+
+
 def test_checker_flags_true_division_in_image():
     source = (
         "def _image(P, v):\n"
         "    den = lcm(*(e.denominator for e in v))\n"
         "    return [Fraction(t, den) for t in v] + [t / den for t in v]\n"
-        "def _slack(P, x):\n"
+        "def max_step(P, x):\n"
         "    return [b / 2 for b in x]\n"
     )
     assert violations(source, INTEGER_KERNEL["polyhedron.py"]) == [

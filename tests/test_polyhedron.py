@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,9 +23,19 @@ from ddcircuits import (
     parse_instance_text,
     parse_point_text,
 )
-from ddcircuits.polyhedron import _active, _image, _slack, _step_length
-from ddcircuits.ratlin import RatMat, coprime_integer_entries
+from ddcircuits.conformal import _terms
+from ddcircuits.polyhedron import (
+    _active,
+    _extend_active,
+    _image,
+    _point,
+    _ratio_test,
+    _slack,
+    _walk,
+)
+from ddcircuits.ratlin import RatMat, _int_vector, coprime_integer_entries, kernel_basis
 from instgen import dense_polytope, dense_rational_system, gen_box, gen_circulation
+from oracles import fraction_terms, fraction_walk
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance.polyhedron
@@ -192,18 +203,11 @@ def _vector(rng: random.Random, n: int, integral: bool) -> RatVec:
     return RatVec(entries)
 
 
-@given(
-    st.sampled_from(sorted(SYSTEMS)),
-    st.integers(0, 2**32 - 1),
-    st.booleans(),
-    st.booleans(),
-)
-def test_row_units_match_plain_fractions(kind, seed, integral_x, integral_g):
-    """The slack and image in row units give the ratio test, the active set
-    and the signs that d - Bx and Bg in plain Fractions give.  B is the
-    system's B plus a row with content > 1, a non-integral row and a zero
-    row; d makes a random subset of the rows tight at x."""
-    rng = random.Random(seed)
+def _system_at(rng: random.Random, kind: str, integral_x: bool) -> tuple[Polyhedron, RatVec]:
+    """A system of ``kind`` whose B gains a row with content > 1, a
+    non-integral row and a zero row, and a point x of it, not integral
+    unless ``integral_x``, at which d makes a random subset of the rows
+    tight."""
     base = SYSTEMS[kind](rng)
     n = base.n
     q = coprime_integer_entries(base.B.entries[0])
@@ -218,19 +222,86 @@ def test_row_units_match_plain_fractions(kind, seed, integral_x, integral_g):
         e + rng.choice((0, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
         for e in B.matvec(x)
     )
-    P = Polyhedron(base.A, base.A.matvec(x), B, d)
-    g = _vector(rng, n, integral_g)
+    return Polyhedron(base.A, base.A.matvec(x), B, d), x
+
+
+@given(
+    st.sampled_from(sorted(SYSTEMS)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_row_units_match_plain_fractions(kind, seed, integral_x, integral_g):
+    """The slack and image in row units give the ratio test, the active set
+    and the signs that d - Bx and Bg in plain Fractions give; x and its
+    slack are ints over one denominator, in lowest terms.  B is the
+    system's B plus a row with content > 1, a non-integral row and a zero
+    row; d makes a random subset of the rows tight at x."""
+    rng = random.Random(seed)
+    P, x = _system_at(rng, kind, integral_x)
+    g = _vector(rng, P.n, integral_g)
 
     plain_slack = P.d - P.B.matvec(x)
     plain_image = P.B.matvec(g)
-    caps = [s / a for s, a in zip(plain_slack, plain_image) if a > 0]
-    slack, image = _slack(P, x), _image(P, g)
-    assert _step_length(slack, image) == (min(caps) if caps else UNBOUNDED)
-    assert _active(slack) == tuple(j for j, s in enumerate(plain_slack) if s == 0)
+    # (cap, row) of each row that caps the step: the least is the first
+    # row with the smallest cap
+    caps = [(s / a, j) for j, (s, a) in enumerate(zip(plain_slack, plain_image)) if a > 0]
+    (X, S, D), image = _slack(P, x), _image(P, g)
+    G, den = _int_vector(g)
+    int_image = _image(P, G)
+    j = _ratio_test(S, int_image)
+    cap = UNBOUNDED if j is None else (Fraction(S[j] * den, D * int_image[j]), j)
+    assert cap == (min(caps) if caps else UNBOUNDED)
+    assert _active(S) == tuple(j for j, s in enumerate(plain_slack) if s == 0)
     assert [(e > 0) - (e < 0) for e in image] == [(e > 0) - (e < 0) for e in plain_image]
-    assert all(type(s) is Fraction for s in slack)
+    scales = []  # s_i with B_i = s_i * q_i
+    for row in P.B.entries:
+        q = coprime_integer_entries(row)
+        i = next((i for i, a in enumerate(q) if a), None)
+        scales.append(1 if i is None else row[i] / q[i])
+    assert [Fraction(e, D) * s for e, s in zip(S, scales)] == list(plain_slack)
+    assert all(type(e) is int for e in (*X, *S, *int_image, D))
+    assert D > 0 and gcd(D, *X, *S) == 1 and [Fraction(e, D) for e in X] == list(x)
     if integral_g:
         assert all(type(e) is int for e in image)
+
+
+@given(st.sampled_from(sorted(SYSTEMS)), st.integers(0, 2**32 - 1), st.booleans())
+def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
+    """The int walk passes through the points and directions of the
+    Fraction reference walk: on P from a point of ``_system_at`` with
+    fewer than n of its tight rows kept tight, most often not a vertex,
+    and on the sign cone of a kernel vector z of A, whose conformal terms
+    match the reference's too."""
+    rng = random.Random(seed)
+    P, x = _system_at(rng, kind, integral_x)
+    keep = set(rng.sample(range(P.B.m), rng.randint(0, P.n - 1)))
+    d = RatVec(
+        e if j in keep or s else e + Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        for j, (e, s) in enumerate(zip(P.d, P.d - P.B.matvec(x)))
+    )
+    P = Polyhedron(P.A, P.b, P.B, d)
+    X, S, D = _slack(P, x)
+    echelon = _extend_active(P, P._a_echelon, S)
+    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, None, X, S, D, echelon)]
+    assert walk == list(fraction_walk(P, None, x, echelon))
+
+    ker = kernel_basis(P.A)
+    if not ker:
+        return
+    z = RatVec.zeros(P.n)
+    for v in ker:
+        z = z + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * v
+    if z.is_zero():
+        z = ker[0]
+    Z, D = _int_vector(z)
+    bz = _image(P, Z)
+    signs = [-1 if e < 0 else 1 for e in bz]
+    S = [abs(e) for e in bz]
+    echelon = _extend_active(P, P._a_echelon, S)
+    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, signs, [-e for e in Z], S, D, echelon)]
+    assert walk == list(fraction_walk(P, signs, -z, echelon))
+    assert list(_terms(P, z)) == fraction_terms(P, z)
 
 
 SQUARE_TEXT = """2 0 4
