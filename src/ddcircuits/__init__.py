@@ -7,15 +7,9 @@ decision for unique-optimum LPs, and circulation-LP benchmark instances
 with brute-force cycle oracles.  All arithmetic is exact rational.
 """
 
-from .circuits import (
-    Circuit,
-    ConeLift,
-    enumerate_circuits,
-    is_circuit_direction,
-    is_extreme_ray,
-    lift,
-)
-from .conformal import ConformalSum, decompose, verify_conformal
+from .certify import ConeLift, is_extreme_ray, lift, verify_conformal
+from .circuits import Circuit, enumerate_circuits, is_circuit_direction
+from .conformal import ConformalSum, decompose
 from .ddstep import (
     AugmentationTrace,
     DdStep,
@@ -63,7 +57,7 @@ from .polyhedron import (
     parse_instance_text,
     parse_point_text,
 )
-from .ratlin import Rat, RatMat, RatVec, kernel_basis, parse_rat, rank, solve, vstack
+from .ratlin import Rat, RatMat, RatVec, kernel_basis, parse_rat, rank
 from .reductions import (
     Digraph,
     ReductionInstance,

@@ -1,20 +1,14 @@
-"""Circuits of a constraint pair (A, B) and the sign-split cone behind them.
+"""Circuits of a constraint pair (A, B): recognition and enumeration.
 
 A circuit is a nonzero kernel vector of A, scaled to coprime integers,
 whose image under B has inclusion-minimal support among all nonzero
 kernel images.  Every Polyhedron is pointed, and over a pointed system
 these directions are exactly the potential edge directions of the
-polyhedron family with fixed A and B.
-
-The circuits are the extreme rays of a lifted cone in dimension
-n + 2*m_B: a vector v with Av = 0 lifts to (v, y+, y-) where y+ and y-
-split Bv into its positive and negative parts.  The lift lies on a
-one-dimensional face of the cone (an extreme ray) exactly when the
-constraints active at it have rank n + 2*m_B - 1, and for v != 0 such
-extreme rays are precisely the circuit directions.  ``is_extreme_ray``
-decides this on the lift; ``is_circuit_direction`` decides the same in n
-columns: a nonzero kernel vector g is a circuit exactly when the rows of
-B vanishing on g, stacked on A, have rank n - 1.
+polyhedron family with fixed A and B.  They are the extreme rays of the
+sign-split cone, which ``certify.is_extreme_ray`` tests on the lift;
+``is_circuit_direction`` decides the same in n columns: a nonzero kernel
+vector g is a circuit exactly when the rows of B vanishing on g, stacked
+on A, have rank n - 1.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
 criterion.  It extends the polyhedron's echelon of A by subsets of rows
@@ -30,19 +24,16 @@ sign (first nonzero entry of Bg positive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import SizeGuardExceeded
 from .polyhedron import Polyhedron, _image, _int_image
 from .ratlin import (
-    RatMat,
     RatVec,
     _echelon_kernel,
     _extend,
     _extend_rows,
     coprime_integer_entries,
-    rank,
     sign_normalized,
 )
 
@@ -91,87 +82,14 @@ def circuit_from_vector(v: RatVec) -> Circuit:
     return Circuit(coprime_integer_entries(v.entries))
 
 
-@dataclass(frozen=True)
-class ConeLift:
-    """A member (x, y+, y-) of the sign-split cone of (A, B).
-
-    The canonical lift has disjoint supports, min(y+_i, y-_i) = 0 for all
-    i; arbitrary members (for instance y+_i = y-_i = 1, the trivial
-    non-circuit rays) are representable too.
-    """
-
-    x: RatVec
-    yplus: RatVec
-    yminus: RatVec
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.yplus.is_zero() and self.yminus.is_zero()
-
-
-def lift(P: Polyhedron, v: RatVec) -> ConeLift:
-    """Canonical lift of a kernel vector: split Bv into positive and negative parts."""
-    if v.dim != P.n:
-        raise ValueError(f"vector has dimension {v.dim}, expected {P.n}")
-    if not P.A.matvec(v).is_zero():
-        raise ValueError("lift requires A v = 0")
-    bv = P.B.matvec(v)
-    zero = Fraction(0)
-    yplus = RatVec(max(e, zero) for e in bv)
-    yminus = RatVec(max(-e, zero) for e in bv)
-    return ConeLift(v, yplus, yminus)
-
-
-def is_extreme_ray(P: Polyhedron, L: ConeLift) -> bool:
-    """Rank test: does L span a one-dimensional face of the sign-split cone?
-
-    The cone lives in dimension N = n + 2*m_B with constraints Ax = 0,
-    Bx - y+ + y- = 0, y+ >= 0, y- >= 0.  L is an extreme ray exactly when
-    the rows active at L have rank N - 1.  Zero lifts and non-members are
-    usage errors.
-    """
-    n, m_b = P.n, P.B.m
-    if L.x.dim != n or L.yplus.dim != m_b or L.yminus.dim != m_b:
-        raise ValueError("lift dimensions do not match the polyhedron")
-    if L.is_zero():
-        raise ValueError("the zero lift spans no ray")
-    if any(e < 0 for e in L.yplus) or any(e < 0 for e in L.yminus):
-        raise ValueError("lift is not a cone member: negative split part")
-    if not P.A.matvec(L.x).is_zero():
-        raise ValueError("lift is not a cone member: A x != 0")
-    if P.B.matvec(L.x) != L.yplus - L.yminus:
-        raise ValueError("lift is not a cone member: B x != y+ - y-")
-
-    total = n + 2 * m_b
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows: list[list[Fraction]] = []
-    for arow in P.A.entries:
-        rows.append(list(arow) + [zero] * (2 * m_b))
-    for i in range(m_b):
-        row = list(P.B.entries[i]) + [zero] * (2 * m_b)
-        row[n + i] = -one
-        row[n + m_b + i] = one
-        rows.append(row)
-    for i in range(m_b):
-        if L.yplus[i] == 0:
-            row = [zero] * total
-            row[n + i] = one
-            rows.append(row)
-        if L.yminus[i] == 0:
-            row = [zero] * total
-            row[n + m_b + i] = one
-            rows.append(row)
-    return rank(RatMat(rows, cols=total)) == total - 1
-
-
 def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     """True iff v is a positive multiple of a circuit of (A, B).
 
     False for the zero vector and for vectors outside ker(A); otherwise
     true exactly when rank([A; B_Z]) = n - 1, where Z holds the rows of B
-    vanishing on v.  This is ``is_extreme_ray`` on the canonical lift,
-    whose active rows have rank 2*m_B + rank([A; B_Z]).  The verdict is
-    invariant under positive scaling of v.
+    vanishing on v.  This is ``certify.is_extreme_ray`` on the canonical
+    lift, whose active rows have rank 2*m_B + rank([A; B_Z]).  The verdict
+    is invariant under positive scaling of v.
     """
     if v.dim != P.n:
         raise ValueError(f"vector has dimension {v.dim}, expected {P.n}")
@@ -179,7 +97,8 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
         return False
     if not P.A.matvec(v).is_zero():
         return False
-    zero_rows = (q for q, e in zip(_int_image(P).rows, _image(P, v)) if e == 0)
+    image = _image(P, coprime_integer_entries(v.entries))  # zeros where B v has them
+    zero_rows = (q for q, e in zip(_int_image(P).rows, image) if e == 0)
     return len(_extend_rows(zero_rows, *P._a_echelon)[1]) == P.n - 1
 
 

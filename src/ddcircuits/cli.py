@@ -14,7 +14,8 @@ Exit codes:
   3   ``ocnp``: the LP optimum is not unique
   4   ``solve``: the LP is infeasible
   5   the LP (or the improvement) is unbounded
-  64  usage error: bad command line or DDCIRCUITS_WORK_BUDGET, malformed
+  64  usage error: bad command line or DDCIRCUITS_WORK_BUDGET (read only
+      by the commands that take ``--work-budget``), malformed
       file, malformed point, bad dimensions, a starting point that is
       not feasible
   65  the system is not pointed
@@ -409,16 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *, budget=False):
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-        p.add_argument(
-            "--work-budget",
-            type=_argument(parse_count),
-            help="work budget for enumeration-backed oracles "
-            "(default: $DDCIRCUITS_WORK_BUDGET, else the built-in budget)",
-        )
+        if budget:  # only the commands that can enumerate circuits read a budget
+            p.add_argument(
+                "--work-budget",
+                type=_argument(parse_count),
+                help="work budget for enumeration-backed oracles "
+                "(default: $DDCIRCUITS_WORK_BUDGET, else the built-in budget)",
+            )
 
     p = sub.add_parser("solve", help="solve the LP: optimum, value, uniqueness")
     p.add_argument("file")
@@ -427,14 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circuits", help="enumerate all circuits (desk scale)")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(handler=cmd_circuits)
 
     p = sub.add_parser("ddstep", help="one deepest-descent step from a point")
     p.add_argument("file")
     p.add_argument("--from", dest="from_point", required=True, metavar="PT")
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(handler=cmd_ddstep)
 
     p = sub.add_parser("ocnp", help="decide the optimal circuit-neighbor question")
@@ -456,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--trace", metavar="OUT.csv", help="write the step trace as CSV")
     p.add_argument("--max-iters", type=_argument(parse_count), default=10_000)
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("reduce", help="build the circulation LP of a digraph")
@@ -472,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the dd-step / longest-cycle match")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", help="random digraph benchmark, reproducible CSV")
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_argument(parse_count), required=True, metavar="T")
     p.add_argument("--seed", type=_argument(parse_int), required=True, metavar="S")
     p.add_argument("-o", "--output", default="-", metavar="OUT.csv")
-    add_common(p)
+    add_common(p, budget=True)
     p.set_defaults(handler=cmd_bench)
 
     return parser
@@ -504,7 +506,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.work_budget is None:
+        if "work_budget" in vars(args) and args.work_budget is None:
             args.work_budget = _default_budget()
         return args.handler(args)
     except tuple(_EXIT_CODES) as exc:

@@ -47,7 +47,8 @@ The private generator ``_terms`` yields the terms in the order the walk
 finds them, each after its checks; ``decompose`` checks its argument
 once and collects all of them in canonical circuit order, and the
 approximate dd-step (``ddstep._approx_step``) stops reading once no
-later term can be the best one.
+later term can be the best one.  ``certify.verify_conformal`` checks a
+sum independently of this module.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .circuits import Circuit, is_extreme_ray, lift
+from .circuits import Circuit
 from .polyhedron import Polyhedron, _extend_active, _image, _move, _ratio_test, _walk
-from .ratlin import Rat, RatVec, _int_vector, rank
+from .ratlin import Rat, RatVec, _int_vector
 
 
 @dataclass(frozen=True)
@@ -124,44 +125,6 @@ def _terms(P: Polyhedron, z: RatVec) -> Iterator[tuple[Fraction, Circuit]]:
         yield Fraction(S[j], D * sg[j]), g
         before = S
         U, S, D = _move(U, S, D, g.entries, sg, j)
-
-
-def verify_conformal(P: Polyhedron, s: ConformalSum) -> bool:
-    """Check every conformal-sum invariant; True iff all hold.
-
-    Checks exact reconstruction, positivity of the coefficients, the term
-    bound n - rank(A), componentwise sign-compatibility of every B g_i
-    with B target (including vanishing where B target does), and that
-    every g_i lies in ker(A) and is a circuit direction.  The checks stay
-    independent of the code they check: the term bound reads rank(A) from
-    ``ratlin.rank``, not the polyhedron's cached echelon, and each circuit
-    is tested with ``is_extreme_ray`` on its lift, which works on the
-    rational A and B, not on the integer image of B.
-    """
-    if s.target.dim != P.n:
-        return False
-    if any(g.vec.dim != P.n for _, g in s.terms):
-        return False
-    if any(alpha <= 0 for alpha, _ in s.terms):
-        return False
-    if len(s.terms) > P.n - rank(P.A):
-        return False
-    total = RatVec.zeros(P.n)
-    for alpha, g in s.terms:
-        total = total + alpha * g.vec
-    if total != s.target:
-        return False
-    bt = P.B.matvec(s.target)
-    for _, g in s.terms:
-        bg = P.B.matvec(g.vec)
-        for j in range(P.B.m):
-            if bg[j] * bt[j] < 0:
-                return False
-            if bt[j] == 0 and bg[j] != 0:
-                return False
-    return all(
-        P.A.matvec(g.vec).is_zero() and is_extreme_ray(P, lift(P, g.vec)) for _, g in s.terms
-    )
 
 
 def format_conformal(s: ConformalSum) -> str:

@@ -6,7 +6,7 @@ in this module.  The unchecked helpers work in row units and in ints: each
 polyhedron holds, built on first use, an integer image of B, where row B_i
 is s_i times a primitive integer row q_i (s_i > 0), with the bounds
 d_i/s_i as ints over one common denominator.  ``_image(P, v)`` is the
-vector of products q_i.v, in ints when v is integral.  ``_slack`` gives a
+int vector of products q_i.v for an int vector v.  ``_slack`` gives a
 point x as one int vector over one positive denominator, (X, S, D) with
 x = X/D and S/D the slack d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
 ratio of a slack to an image is the same in row units, and so are its
@@ -170,25 +170,21 @@ def _int_image(P: Polyhedron) -> _IntImage:
     return image
 
 
-def _image(P: Polyhedron, v: Sequence[Union[Rat, int]]) -> list:
-    """B v in row units: the products q_i.v with the rows of ``_int_image``.
+def _image(P: Polyhedron, v: Sequence[int]) -> list[int]:
+    """B v in row units: the products q_i.v with the rows of ``_int_image``,
+    as int dot products over the nonzeros of each row.
 
-    v is a RatVec or a sequence of ints or Fractions.  It is scaled to ints
-    by one common denominator D, the products are int dot products over the
-    nonzeros of each row, and only when D > 1 is each one made a Fraction
-    over D.  An integral v, such as a kernel vector of an echelon or a
-    circuit, gets a list of ints.
+    v is an int vector, such as a kernel vector of an echelon, a circuit or
+    the X of ``_slack``; a rational direction is scaled to ints first, which
+    keeps every zero and sign of the image.
     """
-    ints, den = _int_vector(v)
     out = []
     for row in _int_image(P).nonzeros:
         total = 0
         for j, a in row:
-            total += a * ints[j]
+            total += a * v[j]
         out.append(total)
-    if den == 1:
-        return out
-    return [Fraction(total, den) for total in out]
+    return out
 
 
 def is_feasible(P: Polyhedron, x: RatVec) -> bool:

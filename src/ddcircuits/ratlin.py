@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: vectors, matrices, rank, kernels, solving.
+"""Exact rational linear algebra: vectors, matrices, rank and kernels.
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``,
 re-exported as ``Rat``): always stored in lowest terms with a positive
@@ -10,7 +10,7 @@ and no tolerance parameter exists.
 
 ``_pivot`` is the package's one elimination step, used by the simplex in
 ``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
-echelon.  Rank, kernels, solving, each polyhedron's echelon of A (reduced
+echelon.  Rank, kernels, each polyhedron's echelon of A (reduced
 once) and the circuit scan and the active-set walk that extend it all go
 through ``_extend``; ``_echelon`` folds it over rational rows and
 ``_extend_rows`` over rows that are primitive integer rows already.  The
@@ -26,7 +26,7 @@ The systems the package solves (incidence matrices, B = [I; -I], tableaux
 of slack and artificial columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
 incidence matrices are totally unimodular, so their integer rows stay
-small.  ``RatMat.matvec`` serves A and the independent checkers: the hot
+small.  ``RatMat.matvec`` serves A and the checkers in ``certify``: the hot
 products with B go through each polyhedron's integer image of B
 (``polyhedron._image``).  The module also owns the token grammar of every
 input and ``_to_int``, the one conversion of text to an int.
@@ -89,11 +89,6 @@ def parse_rat(token: str) -> Rat:
     return Fraction(_to_int(token))
 
 
-def format_rat(value: Rat) -> str:
-    """ASCII form ``p/q``, or ``p`` when the denominator is 1."""
-    return str(value)
-
-
 class RatVec:
     """Immutable exact-rational vector; equality is entrywise and exact."""
 
@@ -152,9 +147,6 @@ class RatVec:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.entries) if a != 0)
-
     def concat(self, other: "RatVec") -> "RatVec":
         return RatVec(self.entries + other.entries)
 
@@ -194,13 +186,6 @@ class RatMat:
         self.entries = entries
         self.n = cols
 
-    @classmethod
-    def identity(cls, k: int) -> "RatMat":
-        return cls(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)],
-            cols=k,
-        )
-
     @property
     def m(self) -> int:
         return len(self.entries)
@@ -214,9 +199,6 @@ class RatMat:
             for row in self.entries
         )
 
-    def take_rows(self, indices: Sequence[int]) -> "RatMat":
-        return RatMat([self.entries[i] for i in indices], cols=self.n)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RatMat)
@@ -229,19 +211,6 @@ class RatMat:
 
     def __repr__(self) -> str:
         return f"RatMat({self.m}x{self.n})"
-
-
-def vstack(*mats: RatMat) -> RatMat:
-    """Stack matrices vertically; all must agree on the column count."""
-    if not mats:
-        raise ValueError("vstack needs at least one matrix")
-    cols = mats[0].n
-    rows: list[tuple[Fraction, ...]] = []
-    for mat in mats:
-        if mat.n != cols:
-            raise ValueError(f"column mismatch: {mat.n} vs {cols}")
-        rows.extend(mat.entries)
-    return RatMat(rows, cols=cols)
 
 
 def _pivot(rows: list[list[int]], r: int, col: int) -> None:
@@ -393,21 +362,3 @@ def _echelon_kernel(
         g = gcd(*vec)
         basis.append(sign_normalized([a // g for a in vec]))
     return basis
-
-
-def solve(M: RatMat, rhs: RatVec) -> Optional[RatVec]:
-    """One exact solution of M x = rhs, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the particular solution is the one
-    elimination produces: x at pivot column ``pc`` of row i is its
-    right-hand side over its pivot entry.
-    """
-    if rhs.dim != M.m:
-        raise ValueError(f"right-hand side has {rhs.dim} entries, matrix has {M.m} rows")
-    rows, leads = _echelon(row + (b,) for row, b in zip(M.entries, rhs.entries))
-    if M.n in leads:
-        return None
-    x = [Fraction(0)] * M.n
-    for row, pc in zip(rows, leads):
-        x[pc] = Fraction(row[M.n], row[pc])
-    return RatVec(x)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from ddcircuits import Digraph, NotPointedError, Polyhedron, RatVec, build_reduction
-from ddcircuits.ratlin import RatMat, vstack
+from ddcircuits.ratlin import RatMat
 
 
 def exhaustive_digraphs(node_counts=(2, 3), max_arcs=None):
@@ -139,5 +139,5 @@ def dense_polytope(rng: random.Random):
     box = Polyhedron.box([0] * n, upper)
     slack = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(n)]
     d = RatVec(list(box.d.entries) + [e + s for e, s in zip(dense.matvec(x0), slack)])
-    P = Polyhedron(eq, eq.matvec(x0), vstack(box.B, dense), d)
+    P = Polyhedron(eq, eq.matvec(x0), RatMat(box.B.entries + dense.entries, cols=n), d)
     return P, RatVec([rat(nonzero=True) for _ in range(n)]), x0

@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to cross-check the package.
 
-These deliberately avoid the code paths they verify: vertices come from
-solving square subsystems, uniqueness from probing every coordinate of the
-optimal face rather than from the tangent cone, and cycle indicators come
-from a plain graph walk, not from any kernel or cone computation.  The
-determinant oracles use no elimination at all: determinants by cofactor
-expansion, rank as the order of the largest nonzero minor, and circuits
-as signed maximal minors.  Approx augmentation is the plain loop over the
-public single step, which solves the LP afresh from every iterate.  The
+These deliberately avoid the code paths they verify: uniqueness comes
+from probing every coordinate of the optimal face rather than from the
+tangent cone, and cycle indicators come from a plain graph walk, not from
+any kernel or cone computation.  The determinant oracles use no
+elimination at all: determinants by cofactor expansion, rank as the order
+of the largest nonzero minor, circuits as signed maximal minors, and
+vertices as the feasible solutions of square subsystems by Cramer's
+rule.  Approx augmentation is the plain loop over the public single
+step, which solves the LP afresh from every iterate.  The
 dense elimination step and product form every term, zeros included; they
 are the references for the zero-skipping, fraction-free versions in
 ``ratlin``.  The Fraction ratio test, walk and conformal terms are the
@@ -36,31 +37,20 @@ from ddcircuits import (
 )
 from ddcircuits.circuits import circuit_from_vector
 from ddcircuits.polyhedron import _extend_active
-from ddcircuits.ratlin import (
-    RatMat,
-    _echelon_kernel,
-    coprime_integer_entries,
-    rank,
-    sign_normalized,
-    solve,
-    vstack,
-)
+from ddcircuits.ratlin import RatMat, _echelon_kernel, coprime_integer_entries, sign_normalized
 
 
 def brute_force_vertices(P: Polyhedron) -> list[RatVec]:
-    """All vertices of P: feasible solutions of full-rank n-row subsystems."""
-    stacked = vstack(P.A, P.B)
-    rhs = list(P.b.entries) + list(P.d.entries)
+    """All vertices of P: the feasible solutions of the nonsingular n-row
+    subsystems of [A; B] x = [b; d], each by ``cramer``.  Cofactor
+    determinants cost n! terms, so this is for n <= 4."""
+    rows = P.A.entries + P.B.entries
+    rhs = P.b.entries + P.d.entries
     seen = set()
-    for combo in combinations(range(stacked.m), P.n):
-        sub = stacked.take_rows(combo)
-        if rank(sub) < P.n:
-            continue
-        x = solve(sub, RatVec([rhs[i] for i in combo]))
-        if x is None:
-            continue
-        if is_feasible(P, x):
-            seen.add(x.entries)
+    for combo in combinations(range(len(rows)), P.n):
+        x = cramer([rows[i] for i in combo], [rhs[i] for i in combo])
+        if x is not None and is_feasible(P, RatVec(x)):
+            seen.add(tuple(x))
     return [RatVec(v) for v in sorted(seen)]
 
 
@@ -79,7 +69,7 @@ def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec 
     direction r gives the witness xstar + r.
     """
     face = Polyhedron(
-        vstack(P.A, RatMat([c.entries], cols=P.n)),
+        RatMat(P.A.entries + (c.entries,), cols=P.n),
         P.b.concat(RatVec([c.dot(xstar)])),
         P.B,
         P.d,
@@ -131,6 +121,20 @@ def det(rows) -> Fraction:
             minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
             total += (-1) ** j * a * det(minor)
     return total
+
+
+def cramer(rows, rhs) -> list[Fraction] | None:
+    """The solution of the square system rows x = rhs by Cramer's rule,
+    x_j = det(rows with column j replaced by rhs) / det(rows), or None
+    when det(rows) = 0."""
+    rows = [tuple(row) for row in rows]
+    full = det(rows)
+    if full == 0:
+        return None
+    return [
+        det([row[:j] + (b,) + row[j + 1 :] for row, b in zip(rows, rhs)]) / full
+        for j in range(len(rows))
+    ]
 
 
 def minor_rank(rows, ncols: int) -> int:

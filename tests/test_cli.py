@@ -372,6 +372,8 @@ class TestBench:
         pytest.param(["bench", "--nodes", "0", "--trials", "1", "--seed", "1"], None, 64, id="bench-nodes-zero"),
         pytest.param(["bench", "--nodes", "1", "--trials", "1", "--seed", "1"], None, 64, id="bench-nodes-one"),
         pytest.param(["circuits", "{square}"], "abc", 64, id="env-budget-not-integer"),
+        pytest.param(["solve", "{square}"], "abc", 0, id="env-budget-unread-by-solve"),
+        pytest.param(["solve", "{square}", "--work-budget", "5"], None, 64, id="solve-takes-no-budget"),
         pytest.param(["circuits", "{square}"], "-5", 64, id="env-budget-negative"),
         pytest.param(["solve", "{not_pointed}"], None, 65, id="not-pointed"),
         pytest.param(["circuits", "{square}", "--work-budget", "0"], None, 66, id="budget-zero"),

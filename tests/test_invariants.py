@@ -20,8 +20,10 @@ builder, and every other module extends an echelon with the fold
 Only the circuit scan and the active-set walk in ``polyhedron`` read a
 kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
 Products with B go through each polyhedron's integer image of B
-(``polyhedron._image``); only the independent checkers multiply by the
-rational B itself.  Pointedness is decided in one place: only the
+(``polyhedron._image``); only the functions of ``certify``, the
+independent checkers, multiply by the rational B itself, and ``certify``
+imports nothing from the modules whose results it checks, nor any
+private helper.  Pointedness is decided in one place: only the
 ``Polyhedron`` constructor raises ``NotPointedError``, and besides
 ``polyhedron`` only ``errors`` (which defines it), ``cli`` (which maps it
 to exit 65) and ``__init__`` (which re-exports it) refer to it.  Text
@@ -65,9 +67,12 @@ ELIMINATION_HOMES = {
     "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
 
-# The functions allowed to compute ``P.B.matvec``: the checkers, which
-# stay independent of the integer image they check.
-B_PRODUCT_CHECKERS = {"verify_conformal", "lift", "is_extreme_ray"}
+# The module whose functions may compute ``P.B.matvec``: the checkers,
+# which stay independent of the integer image they check.
+CHECKERS = "certify.py"
+
+# The modules whose results the checkers check, none of which they import.
+CHECKED_MODULES = {"lp", "circuits", "conformal", "ddstep", "ocnp", "reductions", "cli"}
 
 # The modules that may refer to NotPointedError, and the one that raises it.
 NOT_POINTED_HOMES = {"errors.py", "polyhedron.py", "cli.py", "__init__.py"}
@@ -207,14 +212,16 @@ def misplaced_references(sources: dict[str, str]) -> list[str]:
     return found
 
 
-def rational_b_products(source: str) -> list[str]:
+def rational_b_products(module: str, source: str) -> list[str]:
     """``line N: f`` for each call ``<expr>.B.matvec(...)`` in a module-level
-    function f (``<module>`` outside any) other than ``B_PRODUCT_CHECKERS``."""
+    function f (``<module>`` outside any), unless ``module`` is ``CHECKERS``
+    and f a function."""
     found = []
     for stmt in ast.parse(source).body:
-        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
-        if owner in B_PRODUCT_CHECKERS:
+        is_function = isinstance(stmt, ast.FunctionDef)
+        if is_function and module == CHECKERS:
             continue
+        owner = stmt.name if is_function else "<module>"
         for node in ast.walk(stmt):
             if (
                 isinstance(node, ast.Call)
@@ -224,6 +231,27 @@ def rational_b_products(source: str) -> list[str]:
                 and node.func.value.attr == "B"
             ):
                 found.append(f"line {node.lineno}: {owner}")
+    return found
+
+
+def checker_imports(source: str) -> list[str]:
+    """``line N: name`` for each import of a module of ``CHECKED_MODULES``
+    (``from .lp import``, ``from . import lp``, ``import ddcircuits.lp``)
+    and each imported name that starts with ``_``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom):
+            modules, names = [node.module or ""], [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if set(module.split(".")) & CHECKED_MODULES:
+                found.append(f"line {node.lineno}: {module}")
+        for name in names:
+            if name in CHECKED_MODULES or name.startswith("_"):
+                found.append(f"line {node.lineno}: {name}")
     return found
 
 
@@ -435,7 +463,8 @@ def test_checker_flags_misplaced_elimination():
 
 def test_rational_b_products_only_in_checkers():
     found = {
-        path.name: rational_b_products(path.read_text(encoding="utf-8")) for path in MODULES
+        path.name: rational_b_products(path.name, path.read_text(encoding="utf-8"))
+        for path in MODULES
     }
     assert {module: lines for module, lines in found.items() if lines} == {}
 
@@ -456,7 +485,48 @@ def test_checker_flags_rational_b_products():
         "def scan(P, g):\n"
         "    return [P.B.matvec(g)]\n"
     )
-    assert rational_b_products(source) == ["line 1: <module>", "line 3: _slack", "line 13: scan"]
+    assert rational_b_products("certify.py", source) == ["line 1: <module>"]
+    # the checkers' names exempt nothing outside their module
+    assert rational_b_products("conformal.py", source) == [
+        "line 1: <module>",
+        "line 3: _slack",
+        "line 5: lift",
+        "line 8: verify_conformal",
+        "line 13: scan",
+    ]
+
+
+def test_checkers_import_no_checked_code():
+    assert checker_imports((PACKAGE / CHECKERS).read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_checker_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from fractions import Fraction\n"
+        "from .polyhedron import Polyhedron, _image\n"
+        "from .ratlin import RatMat, rank as _rank\n"
+        "from .lp import solve_lp\n"
+        "from . import circuits, ratlin\n"
+        "import ddcircuits.conformal\n"
+        "from ddcircuits.ddstep import augment\n"
+        "from .ocnp import decide_ocnp\n"
+        "from .reductions import Digraph\n"
+        "from .cli import main\n"
+        "def f():\n"
+        "    from .ratlin import _echelon\n"
+    )
+    assert checker_imports(source) == [
+        "line 3: _image",
+        "line 5: lp",
+        "line 6: circuits",
+        "line 7: ddcircuits.conformal",
+        "line 8: ddcircuits.ddstep",
+        "line 9: ocnp",
+        "line 10: reductions",
+        "line 11: cli",
+        "line 13: _echelon",
+    ]
 
 
 @pytest.mark.parametrize("module", INTEGER_KERNEL)

@@ -20,7 +20,7 @@ from ddcircuits import (
 import ddcircuits.lp
 from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
 from ddcircuits.polyhedron import active_rows
-from ddcircuits.ratlin import RatMat, rank, vstack
+from ddcircuits.ratlin import RatMat
 
 from instgen import (
     dense_polytope,
@@ -30,7 +30,7 @@ from instgen import (
     gen_tulike,
     random_digraph,
 )
-from oracles import brute_force_vertices, min_over_vertices, probe_unique
+from oracles import brute_force_vertices, min_over_vertices, minor_rank, probe_unique
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 HALF_LINE = Polyhedron(RatMat([], cols=1), RatVec([]), RatMat([[-1]]), RatVec([0]))
@@ -46,7 +46,7 @@ STRIP = Polyhedron(
 
 def _assert_vertex(P, x):
     act = active_rows(P, x)
-    assert rank(vstack(P.A, P.B.take_rows(act))) == P.n
+    assert minor_rank(P.A.entries + tuple(P.B.entries[j] for j in act), P.n) == P.n
 
 
 class TestSolveLp:

@@ -12,16 +12,14 @@ from ddcircuits.ratlin import (
     _echelon_kernel,
     _pivot,
     coprime_integer_entries,
-    format_rat,
     kernel_basis,
     parse_rat,
     rank,
-    solve,
-    vstack,
 )
 
 from oracles import (
     coprime,
+    cramer,
     dense_matvec,
     dense_pivot,
     minor_kernel_vector,
@@ -37,16 +35,19 @@ TRIANGLE_INCIDENCE = RatMat(
         [0, -1, 1],
     ]
 )
+IDENTITY = RatMat([[1, 0], [0, 1]])
 
 
 class TestRatParsing:
     def test_roundtrip(self):
+        # a parsed rational prints as the token it came from, which is how
+        # every output writes a rational
         for text in ("3/2", "-3/2", "7", "-7", "0"):
-            assert format_rat(parse_rat(text)) == text
+            assert str(parse_rat(text)) == text
 
     def test_lowest_terms(self):
         assert parse_rat("6/4") == Fraction(3, 2)
-        assert format_rat(parse_rat("6/4")) == "3/2"
+        assert str(parse_rat("6/4")) == "3/2"
 
     @pytest.mark.parametrize("bad", ["+3", "3/-2", "3/0", "1.5", "x", "", "3 /2", "--3"])
     def test_rejects_malformed(self, bad):
@@ -56,7 +57,7 @@ class TestRatParsing:
 
 class TestRank:
     def test_identity(self):
-        assert rank(RatMat.identity(2)) == 2
+        assert rank(IDENTITY) == 2
 
     def test_zero_matrix(self):
         assert rank(RatMat([[0] * 4 for _ in range(3)])) == 0
@@ -72,7 +73,7 @@ class TestKernelBasis:
         assert basis == [RatVec([1, 1])]
 
     def test_identity_trivial_kernel(self):
-        assert kernel_basis(RatMat.identity(2)) == []
+        assert kernel_basis(IDENTITY) == []
 
     def test_triangle_incidence(self):
         assert kernel_basis(TRIANGLE_INCIDENCE) == [RatVec([1, 1, 1])]
@@ -87,23 +88,6 @@ class TestKernelBasis:
         # first nonzero entry positive
         first = next(e for e in vec if e != 0)
         assert first > 0
-
-
-class TestSolve:
-    def test_identity(self):
-        x = solve(RatMat.identity(2), RatVec([Fraction(3, 2), -2]))
-        assert x == RatVec([Fraction(3, 2), -2])
-
-    def test_underdetermined_particular(self):
-        x = solve(RatMat([[1, 1]]), RatVec([1]))
-        assert x == RatVec([1, 0])
-
-    def test_inconsistent(self):
-        assert solve(RatMat([[1], [1]]), RatVec([0, 1])) is None
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve(RatMat([[1, 1]]), RatVec([1, 2]))
 
 
 def _rationals():
@@ -137,17 +121,6 @@ def test_kernel_vectors_annihilated(M):
         assert all(e.denominator == 1 for e in v)
         first = next(e for e in ints if e != 0)
         assert first > 0
-
-
-@given(_matrices(), st.data())
-def test_solve_exact_when_solvable(M, data):
-    target = RatVec(
-        data.draw(st.lists(_rationals(), min_size=M.n, max_size=M.n))
-    )
-    rhs = M.matvec(target)
-    x = solve(M, rhs)
-    assert x is not None
-    assert M.matvec(x) == rhs
 
 
 _SPARSE = st.sampled_from(
@@ -190,14 +163,16 @@ def test_kernel_basis_against_minors(M):
 
 
 @given(_small_matrices(), st.data())
-def test_solve_against_minor_ranks(M, data):
-    rhs = RatVec(data.draw(st.lists(_SPARSE, min_size=M.m, max_size=M.m)))
-    augmented = [row + (b,) for row, b in zip(M.entries, rhs)]
-    consistent = minor_rank(M.entries, M.n) == minor_rank(augmented, M.n + 1)
-    x = solve(M, rhs)
-    assert (x is not None) == consistent
+def test_cramer_against_minor_ranks(M, data):
+    # Cramer's rule, the vertex oracle's solver, solves a square system
+    # exactly when it is nonsingular
+    k = min(M.m, M.n)
+    square = RatMat([row[:k] for row in M.entries[:k]])
+    rhs = RatVec(data.draw(st.lists(_SPARSE, min_size=k, max_size=k)))
+    x = cramer(square.entries, rhs.entries)
+    assert (x is not None) == (minor_rank(square.entries, k) == k)
     if x is not None:
-        assert M.matvec(x) == rhs
+        assert square.matvec(RatVec(x)) == rhs
 
 
 @given(_small_matrices(), st.data())
@@ -267,8 +242,8 @@ def test_deterministic(M):
 def test_vstack_and_vector_algebra():
     a = RatMat([[1, 2]])
     b = RatMat([], cols=2)
-    stacked = vstack(b, a)
-    assert stacked.m == 1 and stacked.n == 2
+    stacked = RatMat(b.entries + a.entries, cols=2)
+    assert stacked.m == 1 and stacked.n == 2 and stacked.entries == a.entries
     u = RatVec([1, Fraction(1, 2)])
     v = RatVec([-1, 2])
     assert u + v == RatVec([0, Fraction(5, 2)])
@@ -287,8 +262,6 @@ def test_vstack_and_vector_algebra():
         pytest.param(lambda: RatVec([1, 2]) + RatVec([1]), "dimension mismatch: 2 vs 1", id="vector-sum"),
         pytest.param(lambda: RatVec([1]).dot(RatVec([1, 2])), "dimension mismatch: 1 vs 2", id="dot-product"),
         pytest.param(lambda: RatMat([[1, 2]]).matvec(RatVec([1])), "matrix has 2 columns", id="matvec"),
-        pytest.param(lambda: vstack(), "at least one matrix", id="vstack-nothing"),
-        pytest.param(lambda: vstack(RatMat([[1, 2]]), RatMat([[1]])), "column mismatch", id="vstack-columns"),
     ],
 )
 def test_dimensions_checked(build, message):
