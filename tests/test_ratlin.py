@@ -123,6 +123,21 @@ def test_kernel_vectors_annihilated(M):
         assert first > 0
 
 
+@given(_matrices(), st.data())
+def test_solve_exact_when_solvable(M, data):
+    # Cramer's rule, the vertex oracle's solver, gives back exactly the
+    # point that produced the right-hand side of a nonsingular square system
+    k = min(M.m, M.n)
+    square = RatMat([row[:k] for row in M.entries[:k]])
+    target = RatVec(data.draw(st.lists(_rationals(), min_size=k, max_size=k)))
+    rhs = square.matvec(target)
+    x = cramer(square.entries, rhs.entries)
+    assert (x is not None) == (rank(square) == k)
+    if x is not None:
+        assert RatVec(x) == target
+        assert square.matvec(RatVec(x)) == rhs
+
+
 _SPARSE = st.sampled_from(
     [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
 )
@@ -163,7 +178,7 @@ def test_kernel_basis_against_minors(M):
 
 
 @given(_small_matrices(), st.data())
-def test_cramer_against_minor_ranks(M, data):
+def test_solve_against_minor_ranks(M, data):
     # Cramer's rule, the vertex oracle's solver, solves a square system
     # exactly when it is nonsingular
     k = min(M.m, M.n)
@@ -262,6 +277,11 @@ def test_vstack_and_vector_algebra():
         pytest.param(lambda: RatVec([1, 2]) + RatVec([1]), "dimension mismatch: 2 vs 1", id="vector-sum"),
         pytest.param(lambda: RatVec([1]).dot(RatVec([1, 2])), "dimension mismatch: 1 vs 2", id="dot-product"),
         pytest.param(lambda: RatMat([[1, 2]]).matvec(RatVec([1])), "matrix has 2 columns", id="matvec"),
+        pytest.param(
+            lambda: RatMat(RatMat([[1, 2]]).entries + RatMat([[1]]).entries, cols=2),
+            "ragged row",
+            id="vstack-columns",
+        ),
     ],
 )
 def test_dimensions_checked(build, message):
