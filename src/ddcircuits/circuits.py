@@ -11,27 +11,38 @@ vector g is a circuit exactly when the rows of B vanishing on g, stacked
 on A, have rank n - 1.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
-criterion.  It extends the polyhedron's echelon of A by subsets of rows
-of B of size n - 1 - rank(A) that are independent modulo the row space of
-A, taking them as the primitive integer rows of the polyhedron's integer
-image of B, and reads the one-dimensional kernel of each full subset from
-it.  Many subsets span the same kernel, so a leaf whose sign-normalized
-kernel vector an earlier leaf already gave is dropped before it is
-oriented, and each distinct circuit is oriented once, to its canonical
-sign (first nonzero entry of Bg positive).
+criterion.  The rows of [A; B] that vanish on a subspace of ker A form a
+flat of their matroid that contains A, and a circuit is exactly such a
+flat of rank n - 1.  The scan walks these flats depth first, each once,
+by prefix-preserving closure (the ppc-extension of Uno, Kiyomi and
+Arimura, LCM ver. 2, FIMI 2004) over one representative per parallel
+class of B's rows, taken as the primitive integer rows of the
+polyhedron's integer image of B.  A flat is held in kernel coordinates:
+an integer basis K of its kernel as primitive columns, each followed by
+its products pi_l = q_l.K with the representatives q_l, so the rows in
+the flat are those with pi_l = 0, and adding q_l closes the flat with
+exactly the rows whose pi is parallel to pi_l.  The child generated by l
+is visited only when l comes after the flat's own generator and first in
+its direction among the nonzero pi, which makes the closure add no row
+before l, and when enough representatives remain after l to reach rank
+n - 1.  A child's block is one fraction-free column step on its parent's,
+made when the child is taken from the stack.  The children of a flat
+with a two-dimensional kernel are circuits, read from the two columns of
+K directly, so no circuit is found twice and each is oriented once, to
+its canonical sign (first nonzero entry of Bg positive).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import neg
 
 from .errors import SizeGuardExceeded
 from .polyhedron import Polyhedron, _image, _int_image
 from .ratlin import (
     RatVec,
     _echelon_kernel,
-    _extend,
     _extend_rows,
     coprime_integer_entries,
     sign_normalized,
@@ -56,10 +67,7 @@ class Circuit:
             raise ValueError("a circuit must be a nonzero vector")
         if any(not isinstance(e, int) for e in self.entries):
             raise ValueError("circuit entries must be integers")
-        g = 0
-        for e in self.entries:
-            g = gcd(g, abs(e))
-        if g != 1:
+        if gcd(*self.entries) != 1:
             raise ValueError("circuit entries must be coprime")
 
     @property
@@ -119,64 +127,122 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     raise AssertionError("kernel direction with zero B-image in a pointed system")
 
 
+def _cut(block: list[list[int]], r: int) -> list[list[int]]:
+    """The block of the flat one row larger: the columns, as combinations
+    of ``block``'s, that vanish in row r.
+
+    One fraction-free column step removes the column s whose entry p in
+    row r is the nonzero of least size, and every other column with entry
+    f != 0 there becomes p*col - f*col_s over its content; a column with
+    f = 0 is in the smaller kernel already and is kept.  Columns are never
+    changed in place, so the children of a flat share its block.
+    """
+    pi = [col[r] for col in block]
+    s = min((abs(f), t) for t, f in enumerate(pi) if f)[1]
+    p, pivot = pi[s], block[s]
+    out = []
+    for t, col in enumerate(block):
+        f = pi[t]
+        if t == s:
+            continue
+        if f:
+            col = [p * a - f * b for a, b in zip(col, pivot)]
+            g = gcd(*col)
+            if g > 1:
+                col = [a // g for a in col]
+        out.append(col)
+    return out
+
+
+def _children(
+    block: list[list[int]], n: int, i: int, last: int
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(l, direction) for each representative l with i < l <= last that
+    generates a child of the flat by the ppc test: its projection row
+    (entry n + l of each column of ``block``) is nonzero, and no
+    representative before l has a projection in the same direction, so
+    closing the flat with l adds no row before l.  The direction is the
+    row made primitive with its first nonzero positive.
+    """
+    zero = (0,) * len(block)  # a row is below it when its first nonzero is negative
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for l, pi in enumerate(zip(*(col[n : n + last + 1] for col in block))):
+        if pi == zero:
+            continue
+        g = gcd(*pi)
+        if pi < zero:
+            pi = tuple(map(neg, pi))
+        if g != 1:
+            pi = tuple(a // g for a in pi)
+        if pi not in seen:
+            seen.add(pi)
+            if l > i:
+                out.append((l, pi))
+    return out
+
+
 def enumerate_circuits(
     P: Polyhedron, *, work_budget: int = DEFAULT_WORK_BUDGET
 ) -> list[Circuit]:
     """All circuits of (A, B), one canonical representative per +/- pair.
 
-    Intended for desk-scale systems: the subset scan is exponential, and
-    a configurable work budget aborts runs that would exceed it.  Rows of
-    B that are scalar multiples of each other induce the same vanishing
-    constraint, so only one representative per parallel class is scanned;
-    this loses no circuits.  The result is sorted lexicographically by
-    entries.
+    Intended for desk-scale systems: the number of flats is exponential,
+    and a configurable work budget aborts runs that would exceed it.  One
+    unit of the budget is one flat visited: the root, every inner flat and
+    every circuit.  Rows of B that are scalar multiples of each other
+    induce the same vanishing constraint, so only one representative per
+    parallel class is scanned; this loses no circuits.  The result is
+    sorted lexicographically by entries.
     """
     n = P.n
-
     rows, leads = P._a_echelon
     k = n - 1 - len(leads)
     if k < 0:
         return []
 
-    reps: list[tuple[int, ...]] = []  # one integer row per parallel class of B
+    reps: list[int] = []  # the first row of B of each parallel class
     seen: set[tuple[int, ...]] = set()
-    for ints in _int_image(P).rows:
-        if not any(ints):
-            continue
+    for i, ints in enumerate(_int_image(P).rows):
         key = sign_normalized(ints)
-        if key not in seen:
+        if any(ints) and key not in seen:
             seen.add(key)
-            reps.append(ints)
+            reps.append(i)
 
-    # Depth first over subsets of reps independent modulo A, in reps order: an
-    # entry (i, rows, leads) adds reps[i] to the echelon, or nothing if i is None.
-    # A scan node costs one unit and a leaf one more; with k = 0, A is the leaf.
+    # A flat's block: a basis of its kernel as columns, each followed by
+    # its products with the representatives.  Depth first from the root,
+    # the kernel of A: an entry (block, l) is the child generated by
+    # representative l of the flat with that block, or the root if l is -1.
+    root = []
+    for col in _echelon_kernel(rows, leads, n):
+        image = _image(P, col)
+        root.append(list(col) + [image[i] for i in reps])
     found: list[Circuit] = []
-    leaves: set[tuple[int, ...]] = set()  # sign-normalized leaf kernels seen so far
     budget = work_budget
-    stack = [(None, rows, leads)]
+    stack = [(root, -1)]
     while stack:
-        i, rows, leads = stack.pop()
-        if i is not None:
-            ext = _extend(rows, leads, reps[i])
-            if ext is None:
-                continue
-            rows, leads = ext
-        need = n - 1 - len(leads)
-        budget -= 1 + (need == 0 and k > 0)
+        block, i = stack.pop()
+        if i >= 0:
+            block = _cut(block, n + i)
+        d = len(block)
+        # A child's kernel has d - 1 dimensions, so it needs d - 2 more
+        # generators after its own to reach a circuit.
+        kids = _children(block, n, i, len(reps) - d + 1) if d > 1 else []
+        budget -= 1 + len(kids) if d == 2 else 1  # a circuit is a flat too
         if budget < 0:
             raise SizeGuardExceeded(
                 f"circuit enumeration exceeded its work budget of {work_budget} "
-                f"nodes (n={n}, m_B={P.B.m})"
+                f"flats (n={n}, m_B={P.B.m})"
             )
-        if need:
-            start = 0 if i is None else i + 1
-            stack.extend((j, rows, leads) for j in reversed(range(start, len(reps) - need + 1)))
-            continue
-        ker = _echelon_kernel(rows, leads, n)
-        if len(ker) != 1:  # pragma: no cover - rank is n-1 by construction
-            raise AssertionError("expected a one-dimensional kernel")
-        if ker[0] not in leaves:
-            leaves.add(ker[0])
-            found.append(canonical_orientation(P, Circuit(ker[0])))
+        if d == 1:  # the root, when the kernel of A is a line
+            found.append(canonical_orientation(P, Circuit(tuple(block[0][:n]))))
+        elif d > 2:
+            stack.extend((block, l) for l, _ in reversed(kids))
+        else:  # each child is a line of the kernel, a circuit
+            k0, k1 = (col[:n] for col in block)
+            for _, (a, b) in kids:
+                g = [b * x - a * y for x, y in zip(k0, k1)]
+                c = gcd(*g)
+                entries = tuple(g) if c == 1 else tuple(e // c for e in g)
+                found.append(canonical_orientation(P, Circuit(entries)))
     return sorted(found, key=lambda circ: circ.entries)

@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--work-budget",
                 type=_argument(parse_count),
-                help="work budget for enumeration-backed oracles "
+                help="work budget for enumeration-backed oracles, in flats "
+                "visited by the circuit scan, each circuit included "
                 "(default: $DDCIRCUITS_WORK_BUDGET, else the built-in budget)",
             )
 

@@ -11,7 +11,7 @@ and no tolerance parameter exists.
 ``_pivot`` is the package's one elimination step, used by the simplex in
 ``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
 echelon.  Rank, kernels, each polyhedron's echelon of A (reduced
-once) and the circuit scan and the active-set walk that extend it all go
+once) and the circuit test and the active-set walk that extend it all go
 through ``_extend``; ``_echelon`` folds it over rational rows and
 ``_extend_rows`` over rows that are primitive integer rows already.  The
 step works fraction-free on primitive integer rows (lists of ints with

@@ -8,10 +8,15 @@ from ddcircuits import Digraph, NotPointedError, Polyhedron, RatVec, build_reduc
 from ddcircuits.ratlin import RatMat
 
 
+def all_arcs(nodes: int) -> list[tuple[int, int]]:
+    """Every arc (i, j) with i != j on nodes 1..nodes, in row order."""
+    return [(i, j) for i in range(1, nodes + 1) for j in range(1, nodes + 1) if i != j]
+
+
 def exhaustive_digraphs(node_counts=(2, 3), max_arcs=None):
     """Every labeled digraph (no self-loops, at least one arc) at the given sizes."""
     for nodes in node_counts:
-        pairs = [(i, j) for i in range(1, nodes + 1) for j in range(1, nodes + 1) if i != j]
+        pairs = all_arcs(nodes)
         top = len(pairs) if max_arcs is None else min(max_arcs, len(pairs))
         for m in range(1, top + 1):
             for combo in combinations(pairs, m):
@@ -20,9 +25,25 @@ def exhaustive_digraphs(node_counts=(2, 3), max_arcs=None):
 
 def random_digraph(rng: random.Random, min_nodes, max_nodes, max_arcs) -> Digraph:
     nodes = rng.randint(min_nodes, max_nodes)
-    pairs = [(i, j) for i in range(1, nodes + 1) for j in range(1, nodes + 1) if i != j]
+    pairs = all_arcs(nodes)
     m = rng.randint(2, min(max_arcs, len(pairs)))
     return Digraph(nodes, tuple(rng.sample(pairs, m)))
+
+
+def verify_class_digraphs(rng: random.Random, node_counts=(5, 6), per_class=2):
+    """``per_class`` digraphs for each (|V|, m) with |V| <= m <= 2|V|: the
+    graph class the correspondence check is benchmarked on, drawn as
+    uniform samples of m distinct arcs."""
+    out = []
+    for nodes in node_counts:
+        pairs = all_arcs(nodes)
+        for m in range(nodes, min(2 * nodes, len(pairs)) + 1):
+            out += [Digraph(nodes, tuple(rng.sample(pairs, m))) for _ in range(per_class)]
+    return out
+
+
+def complete_digraph(nodes: int) -> Digraph:
+    return Digraph(nodes, tuple(all_arcs(nodes)))
 
 
 def _nonzero_int(rng: random.Random, lo=-4, hi=4) -> int:

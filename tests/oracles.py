@@ -7,8 +7,10 @@ any kernel or cone computation.  The determinant oracles use no
 elimination at all: determinants by cofactor expansion, rank as the order
 of the largest nonzero minor, circuits as signed maximal minors, and
 vertices as the feasible solutions of square subsystems by Cramer's
-rule.  Approx augmentation is the plain loop over the public single
-step, which solves the LP afresh from every iterate.  The
+rule, and the flats the circuit scan visits as the closed row sets whose
+greedy basis leaves room for a circuit.  Approx augmentation is the
+plain loop over the public single step, which solves the LP afresh from
+every iterate.  The
 dense elimination step and product form every term, zeros included; they
 are the references for the zero-skipping, fraction-free versions in
 ``ratlin``.  The Fraction ratio test, walk and conformal terms are the
@@ -189,6 +191,43 @@ def minor_circuits(P: Polyhedron) -> list[tuple[int, ...]]:
         first = next(e for e in bv if e != 0)
         found.add(coprime(v if first > 0 else [-e for e in v]))
     return sorted(found)
+
+
+def ppc_flat_count(P: Polyhedron) -> int:
+    """The number of flats the circuit scan visits, from minor ranks.
+
+    The flats are the closed sets of the rows of [A; B] that contain A,
+    over the first row of each parallel class of B's nonzero rows (the
+    representatives 0..M-1).  A flat of rank rank(A) + t is visited when
+    t <= k = n - 1 - rank(A) and its greedy basis b_1 < ... < b_t (the
+    representatives that raise the rank, taken in order) leaves enough
+    representatives for a circuit: t = 0 or b_t + (k - t) < M.  Each such
+    basis is tried as a subset: it must be independent modulo A, and the
+    greedy basis of its closure must be itself.  No flat is visited when
+    k < 0.
+    """
+    n, a_rows = P.n, list(P.A.entries)
+    reps = []
+    for row in P.B.entries:
+        if any(row) and all(minor_rank([rep, row], n) == 2 for rep in reps):
+            reps.append(row)
+    rank_a = minor_rank(a_rows, n)
+    k, m = n - 1 - rank_a, len(reps)
+    count = 0
+    for t in range(k + 1):
+        for basis in combinations(range(m), t):
+            if t and basis[-1] + (k - t) >= m:
+                continue
+            chosen = a_rows + [reps[b] for b in basis]
+            if minor_rank(chosen, n) != rank_a + t:
+                continue
+            flat = [j for j in range(m) if minor_rank(chosen + [reps[j]], n) == rank_a + t]
+            greedy = []
+            for j in flat:
+                if minor_rank(a_rows + [reps[b] for b in greedy + [j]], n) > rank_a + len(greedy):
+                    greedy.append(j)
+            count += tuple(greedy) == basis
+    return count
 
 
 def undirected_cycle_indicators(G: Digraph) -> list[tuple[int, ...]]:

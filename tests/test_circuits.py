@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,8 +21,14 @@ from ddcircuits import (
 from ddcircuits.circuits import canonical_orientation, circuit_from_vector
 from ddcircuits.ratlin import RatMat, kernel_basis
 
-from instgen import dense_rational_system, exhaustive_digraphs, mixed_instances
-from oracles import minor_circuits, undirected_cycle_indicators
+from instgen import (
+    complete_digraph,
+    dense_rational_system,
+    exhaustive_digraphs,
+    mixed_instances,
+    verify_class_digraphs,
+)
+from oracles import minor_circuits, ppc_flat_count, undirected_cycle_indicators
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 
@@ -255,6 +262,83 @@ class TestEnumerate:
             assert got == minor_circuits(P)
             total += len(got)
         assert total > 25
+
+
+def _system(a_rows, b_rows, n):
+    """The pointed system A x = 0, B x <= 1."""
+    zeros, ones = RatVec([0] * len(a_rows)), RatVec([1] * len(b_rows))
+    return Polyhedron(RatMat(a_rows, cols=n), zeros, RatMat(b_rows, cols=n), ones)
+
+
+def _box_rows(n):
+    return [[1 if j == i else 0 for j in range(n)] for i in range(n)] + [
+        [-1 if j == i else 0 for j in range(n)] for i in range(n)
+    ]
+
+
+# Systems where the flat walk starts or branches unusually: rows of B in
+# the row space of A (the root flat holds them), zero rows of B, parallel
+# and antiparallel rows of B, a line as the kernel of A (k = 0: the root is
+# the one circuit) and a trivial kernel (k < 0: no flat, no circuit).
+EDGE_SYSTEMS = {
+    "b-in-row-space-of-a": _system(
+        [[1, 0, 1, 0], [0, 1, 0, 1]],
+        _box_rows(4) + [[1, 1, 1, 1], [2, -1, 2, -1], [1, 0, 1, 0]],
+        4,
+    ),
+    "zero-rows-of-b": _system(
+        [[1, 1, 1]], [[0, 0, 0]] + _box_rows(3)[:4] + [[0, 0, 0]] + _box_rows(3)[4:], 3
+    ),
+    "parallel-rows-of-b": _system(
+        [],
+        [[1, 2, 0], [2, 4, 0], [-1, -2, 0], [0, 1, 1], [0, -3, -3], [1, 0, 0], [0, 0, 1], [-1, 1, -1]],
+        3,
+    ),
+    "line-kernel": _system([[1, 1, 0], [0, 1, 1]], _box_rows(3), 3),
+    "trivial-kernel": _system([[1, 0], [0, 1]], _box_rows(2), 2),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_edge_cases_match_minor_oracle(name):
+    P = EDGE_SYSTEMS[name]
+    got = [c.entries for c in enumerate_circuits(P)]
+    assert got == minor_circuits(P)
+    assert (got == []) == (name == "trivial-kernel")
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_edge_case_budget_is_flat_count(name):
+    # the smallest budget that completes is the number of flats visited;
+    # with any flat to visit, budget 0 raises, since the root costs one
+    P = EDGE_SYSTEMS[name]
+    flats = ppc_flat_count(P)
+    assert (flats == 0) == (name == "trivial-kernel")
+    assert enumerate_circuits(P, work_budget=flats) == enumerate_circuits(P)
+    if flats:
+        with pytest.raises(SizeGuardExceeded):
+            enumerate_circuits(P, work_budget=flats - 1)
+
+
+def _digest_systems():
+    """The circulation LPs of two seeded digraphs per (|V|, m) class with
+    |V| in {5, 6} and |V| <= m <= 2|V|, then of K4 and K5."""
+    graphs = verify_class_digraphs(random.Random(1919))
+    graphs += [complete_digraph(4), complete_digraph(5)]
+    return [circulation(G) for G in graphs]
+
+
+# sha256 over the repr of the lists of circuit entries of ``_digest_systems()``
+# (1170 circuits), recorded with the subset scan, before the enumeration
+# walked flats.  The benchmark's digest of the correspondence check sees
+# only its verdicts, so this is what pins the enumerated circuits there.
+ENUMERATION_DIGEST = "142d3114569374d5aa73d8d3263d7c4306ea77db2a4c50bd2b092464d77d1aae"
+
+
+def test_enumerated_circuits_digest():
+    lists = [[c.entries for c in enumerate_circuits(P)] for P in _digest_systems()]
+    assert sum(map(len, lists)) == 1170
+    assert hashlib.sha256(repr(lists).encode()).hexdigest() == ENUMERATION_DIGEST
 
 
 def test_n_column_test_matches_lifted_rank_test():

@@ -29,6 +29,12 @@ INFEASIBLE_TEXT = """1 0 2
 -1
 """
 
+# x1 + x2 = x2 + x3 = 0 in the unit box: the kernel of A is a line
+LINE_KERNEL_TEXT = (
+    "3 2 6\n1 1 0\n0 1 1\n0 0\n"
+    "1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n1 1 1 0 0 0\n1 1 1\n"
+)
+
 TRIANGLE_GRAPH_TEXT = "3 3\n1 2\n2 3\n3 1\n"
 
 # more digits than int() converts by default
@@ -222,6 +228,21 @@ class TestErrors:
     def test_size_guard_exit(self, square_file, capsys):
         assert main(["circuits", square_file, "--work-budget", "0"]) == 66
         assert "work budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flats",
+        [
+            pytest.param(SQUARE_TEXT, 3, id="square"),  # the root and two circuits
+            pytest.param(LINE_KERNEL_TEXT, 1, id="line-kernel"),  # the root is the circuit
+        ],
+    )
+    def test_size_guard_counts_flats(self, tmp_path, capsys, monkeypatch, text, flats):
+        monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
+        path = tmp_path / "system.lp"
+        path.write_text(text)
+        assert main(["circuits", str(path), "--work-budget", str(flats - 1)]) == 66
+        assert "work budget" in capsys.readouterr().err
+        assert main(["circuits", str(path), "--work-budget", str(flats)]) == 0
 
     def test_not_pointed_exit(self, tmp_path, capsys):
         path = tmp_path / "strip.lp"

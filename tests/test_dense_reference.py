@@ -1,5 +1,5 @@
 """The integer elimination step against the Fraction step, and the circuit
-enumeration's one orientation per circuit.
+enumeration's one visit per flat and one orientation per circuit.
 
 ``ratlin._pivot`` holds primitive integer rows: each stands for any of its
 positive multiples, so it is the Fraction step up to a positive factor per
@@ -8,13 +8,18 @@ Fraction step from ``oracles`` on the same rows.  The LP, uniqueness,
 enumeration and decomposition results must hash to the digest recorded
 before A was reduced once per polyhedron and the active-set walks began to
 extend their echelon, and the pivot log (row, column, pivot row divided by
-its pivot entry) to the digest recorded with that echelon builder once
-the decomposition kept its residual's echelon across terms, under the
-full uniqueness check; the default path, which trusts the tableau's
-reduced costs where they prove the optimum unique, has its own pin.  The
-enumeration drops a leaf whose kernel an earlier leaf already gave before
-it orients it; its work-budget accounting is pinned by the exact budgets
-recorded before that change.
+its pivot entry) to its pin, under the full uniqueness check; the default
+path, which trusts the tableau's reduced costs where they prove the
+optimum unique, has its own pin.  The enumeration walks flats in kernel
+coordinates and makes no elimination step, so the pivot logs hold the
+LP, uniqueness and decomposition steps alone.  Its work budget counts the
+flats it visits, pinned as the exact budgets below, which equal the
+brute-force count of ``oracles.ppc_flat_count``.
+
+Re-derive the pins, for an intended change of the pivot log or of what a
+budget unit counts only, and say which moved and why:
+
+    PYTHONPATH=src python tests/test_dense_reference.py
 """
 
 import hashlib
@@ -43,7 +48,7 @@ from ddcircuits import (
 from ddcircuits.ratlin import kernel_basis, sign_normalized
 
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
-from oracles import dense_pivot, positive_multiple
+from oracles import dense_pivot, positive_multiple, ppc_flat_count
 
 PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp)
 INTEGER_PIVOT = ddcircuits.ratlin._pivot
@@ -104,19 +109,20 @@ def _run_checked(monkeypatch, full_check):
 # echelon instead of eliminating [A; B_active] again.  Output must not move.
 RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584aa1"
 
-# The number of pivots and a sha256 over the repr of their log, recorded
-# with the one echelon builder ``ratlin._extend``, which pivots once per
-# lead a new row is reduced against and once on the row's own lead, and
-# with the decomposition keeping the echelon of its residual's active rows
-# across terms.  Recorded before the tableau's reduced costs could prove an
-# optimum unique, so it pins the full uniqueness check.
-ECHELON_PIVOTS = 2132
-PIVOT_LOG_DIGEST = "f6caa53663b387c3467157e50c409b0970afeb74edb21fac183e8dbe469b21b9"
+# The number of pivots and a sha256 over the repr of their log, under the
+# full uniqueness check.  Recorded when the enumeration began to walk flats
+# in kernel coordinates: the log of the LP, uniqueness and decomposition
+# steps, each pivoting once per lead a new row of ``ratlin._extend`` is
+# reduced against and once on the row's own lead, with the decomposition
+# keeping the echelon of its residual's active rows across terms.  It is
+# the log pinned before with the steps the subset scan made dropped.
+ECHELON_PIVOTS = 1639
+PIVOT_LOG_DIGEST = "ce50e0325e6f242bdb71c65e82e6f0463781c6fc16d8010faac3862a7b58216c"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 1498
-SHORTCUT_LOG_DIGEST = "971d6c491747ce53dfc40d7bde2c2183d4b793d4ccf492de3734e6bd62485ee2"
+SHORTCUT_PIVOTS = 1005
+SHORTCUT_LOG_DIGEST = "ef4c7709820d73bf45d112295da685254a39b77fdb9377ef6ec0d480faf708ef"
 
 
 def _digest(value) -> str:
@@ -164,9 +170,12 @@ def test_each_circuit_oriented_once(monkeypatch):
 
 
 # The smallest work budget with which each enumeration completes, recorded
-# before repeated leaves were dropped ahead of orientation; the budget
-# counts scan nodes and leaves, so it must not move.
-EXACT_BUDGETS = {"square": 5, "k3": 55, "random5": 239, "dense0": 16, "dense1": 30, "dense2": 9}
+# when a unit became one flat visited (the root, each inner flat and each
+# circuit); it must not move unless what a unit counts changes.
+EXACT_BUDGETS = {"square": 3, "k3": 26, "random5": 44, "dense0": 10, "dense1": 20, "dense2": 5}
+
+# The systems small enough for the minor-rank flat count.
+FLAT_COUNTED = ("square", "dense0", "dense1", "dense2")
 
 
 @pytest.mark.parametrize("name", EXACT_BUDGETS)
@@ -176,3 +185,41 @@ def test_work_budget_accounting(name):
     enumerate_circuits(P, work_budget=budget)
     with pytest.raises(SizeGuardExceeded):
         enumerate_circuits(P, work_budget=budget - 1)
+
+
+@pytest.mark.parametrize("name", FLAT_COUNTED)
+def test_budget_counts_each_flat_once(name):
+    assert EXACT_BUDGETS[name] == ppc_flat_count(_enumeration_systems()[name])
+
+
+def _exact_budget(P) -> int:
+    """The smallest work budget with which ``enumerate_circuits(P)`` completes."""
+    low, high = -1, 1  # low fails, high is to be tried
+    while True:
+        try:
+            enumerate_circuits(P, work_budget=high)
+            break
+        except SizeGuardExceeded:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            enumerate_circuits(P, work_budget=mid)
+            high = mid
+        except SizeGuardExceeded:
+            low = mid
+    return high
+
+
+if __name__ == "__main__":
+    systems = _enumeration_systems()
+    budgets = ", ".join(f'"{name}": {_exact_budget(P)}' for name, P in systems.items())
+    print(f"EXACT_BUDGETS = {{{budgets}}}")
+    for full_check, count, digest in (
+        (True, "ECHELON_PIVOTS", "PIVOT_LOG_DIGEST"),
+        (False, "SHORTCUT_PIVOTS", "SHORTCUT_LOG_DIGEST"),
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            _, log = _run_checked(patch, full_check)
+        print(f"{count} = {len(log)}")
+        print(f'{digest} = "{_digest(log)}"')

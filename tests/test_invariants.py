@@ -14,9 +14,9 @@ helper (``_name``) that nothing else in the package refers to is dead code,
 and so is an imported name its module never reads (the re-exports of
 ``__init__`` aside).
 Elimination has one home: only ``ratlin`` and the simplex in ``lp`` use
-the elimination step, only ``ratlin`` and the circuit scan the echelon
-builder, and every other module extends an echelon with the fold
-``ratlin._echelon`` instead of stacking matrices for ``kernel_basis``.
+the elimination step, only ``ratlin`` the echelon builder, and every other
+module extends an echelon with the folds ``ratlin._echelon`` and
+``ratlin._extend_rows`` instead of stacking matrices for ``kernel_basis``.
 Only the circuit scan and the active-set walk in ``polyhedron`` read a
 kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
 Products with B go through each polyhedron's integer image of B
@@ -47,7 +47,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 INTEGER_KERNEL = {
     "ratlin.py": ("_pivot", "_extend", "_echelon", "_extend_rows", "_echelon_kernel"),
     "lp.py": ("_bland",),
-    "circuits.py": ("enumerate_circuits",),
+    "circuits.py": ("_cut", "_children", "enumerate_circuits"),
     "polyhedron.py": ("_image", "_slack", "_ratio_test", "_move", "_walk"),
     "conformal.py": ("_terms",),
 }
@@ -58,11 +58,11 @@ RATIONAL_TYPES = {"Fraction", "Rat", "RatVec", "Point"}
 RATIONAL_METHODS = {"dot", "matvec", "vec", "is_zero"}
 
 # The modules allowed to refer to each elimination entry point.  The
-# circuit scan extends its echelons by rows that are primitive integer rows
-# already, so it calls the echelon builder itself instead of the fold.
+# circuit scan walks flats in kernel coordinates, and reads only the kernel
+# of A from an echelon.
 ELIMINATION_HOMES = {
     "_pivot": {"ratlin.py", "lp.py"},
-    "_extend": {"ratlin.py", "circuits.py"},
+    "_extend": {"ratlin.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
     "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
@@ -455,6 +455,7 @@ def test_checker_flags_misplaced_elimination():
     }
     assert misplaced_references(sources) == [
         "lp.py:_extend",
+        "circuits.py:_extend",
         "conformal.py:kernel_basis",
         "conformal.py:_echelon_kernel",
         "polyhedron.py:_pivot",
