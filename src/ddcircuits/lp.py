@@ -6,15 +6,26 @@ the smallest-index anti-cycling rule (smallest eligible entering column;
 ratio ties broken by smallest basic variable index), so the solver always
 terminates and is fully deterministic.
 
-The tableau is an integer one: each row, the cost rows included, is
-scaled to coprime integers and pivoted with ``ratlin._pivot``, so row i is
-a positive multiple of its unit-basis form and its basic entry is
-positive.  The entering test reads only signs of the cost row; the ratio
-test compares rhs_i / a_i with rhs_k / a_k as rhs_i * a_k against
-rhs_k * a_i; phase 1 is infeasible when an artificial basic row keeps a
-positive right-hand side.  These are the decisions of the unit-basis
-tableau, so the pivots are the same.  The vertex and the unbounded ray
-divide each row's entries by its basic entry.
+The tableau is an integer one, with the columns [x+ | x- | slacks | rhs]
+and no artificial columns.  Row i starts as a positive multiple of U_i,
+the row [a_i | -a_i | e_i | rhs_i] with a nonnegative right-hand side
+that its artificial column makes basic with entry 1; B's rows come from
+the polyhedron's integer image as [q_i | -q_i | e_i/s_i | d_i/s_i] times
+a positive factor, so neither B nor d is read as Fractions.  Each row is
+pivoted with ``ratlin._pivot``, so it stays a positive multiple of its
+unit-basis form and its basic entry is positive.  An artificial column
+never enters and no rule reads its entries, so it is not stored; while
+artificial i is basic, its label ``ncols + i`` stays in the basis for the
+ratio test's ties and the phase-1 checks.  The phase-1 cost row is built already priced out, as minus
+the sum of the U_i (times the lcm of their factors), and the phase-2 cost
+row is reduced against each basic row alone (``ratlin._combine``): the
+rows a price-out pivot would also visit are 0 in the basic column.  The
+entering test reads only signs of the cost row; the ratio test compares
+rhs_i / a_i with rhs_k / a_k as rhs_i * a_k against rhs_k * a_i; phase 1
+is infeasible when an artificial basic row keeps a positive right-hand
+side.  These are the decisions of the unit-basis tableau with its
+artificial columns, so the pivots are the same.  The vertex and the
+unbounded ray divide each row's entries by its basic entry.
 
 The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
@@ -49,13 +60,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Optional, Sequence, Union
 
 from .polyhedron import (
     Point,
     Polyhedron,
     _extend_active,
     _image,
+    _int_image,
+    _IntImage,
     _move,
     _point,
     _ratio_test,
@@ -63,7 +77,15 @@ from .polyhedron import (
     _walk,
     is_feasible,
 )
-from .ratlin import Rat, RatMat, RatVec, _pivot, coprime_integer_entries
+from .ratlin import (
+    Rat,
+    RatMat,
+    RatVec,
+    _combine,
+    _int_vector,
+    _pivot,
+    coprime_integer_entries,
+)
 
 
 @dataclass(frozen=True)
@@ -166,39 +188,65 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     return _point(X, D) if moved else x
 
 
-def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
-    """Minimize c over P exactly.
+def _simplex(
+    a_rows: Sequence[tuple[list[int], int]], image: _IntImage, cost: Sequence[int]
+) -> tuple[str, list[list[int]], list[int], Optional[int]]:
+    """The two-phase simplex in ints: (status, T, basis, enter) with status
+    'infeasible', 'optimal' or 'unbounded' and, unless infeasible, the final
+    phase-2 tableau, its basis and the unbounded entering column.
 
-    Returns an optimal vertex with its value, a certified unbounded
-    improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  P is
-    pointed, as every Polyhedron is, so an optimum is attained at a vertex.
+    The constraint rows are those of A, each as (V, w) with V the ints of
+    [a_i | b_i] over w > 0, then those of B from its integer image; the
+    columns are [x+ | x- | slacks | rhs] and ``cost`` is the phase-2 cost
+    of x+ and x-.  Each row is U_i times a positive factor, where U_i is
+    the row [a_i | -a_i | e_i | rhs_i] with a nonnegative right-hand side
+    that the artificial column i would make basic with entry 1.  The
+    artificial columns are not stored: they never enter and no rule reads
+    them; only their labels ``ncols + i`` stay in the basis while basic.
     """
-    if c.dim != P.n:
-        raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
-    n, m_b = P.n, P.B.m
+    n = len(cost) // 2
+    m_b = len(image.rows)
     ncols = 2 * n + m_b
-    m = P.A.m + m_b
+    lines = [(V[:n] + [-a for a in V[:n]] + [0] * m_b + V[n:], w) for V, w in a_rows]
+    for i, (nonzeros, bound, (sn, sd)) in enumerate(
+        zip(image.nonzeros, image.bounds, image.scales)
+    ):
+        # U_i = s_i * [q_i | -q_i | e_i / s_i | bound_i / den], times den * sd.
+        f = image.den * sn
+        line = [0] * (ncols + 1)
+        for j, a in nonzeros:
+            line[j], line[n + j] = f * a, -f * a
+        line[2 * n + i] = image.den * sd
+        line[-1] = sn * bound
+        lines.append((line, image.den * sd))
 
-    # One integer tableau: a row [x+ | x- | slacks | artificials | rhs] per
-    # constraint, scaled to coprime integers with a nonnegative right-hand
-    # side, then the cost row.  Phase 1 starts from the artificial basis
-    # and minimizes their sum.
+    # Phase 1 minimizes the sum of the artificials.  Priced out against the
+    # artificial basis, its cost row is minus the sum of the U_i, here
+    # times the lcm L of the factors.
+    L = lcm(*[w for _, w in lines])  # a list, as in ``ratlin._int_vector``
     T: list[list[int]] = []
-    for i, (row, rhs) in enumerate(zip(P.A.entries + P.B.entries, P.b.entries + P.d.entries)):
-        unit = [1 if k == i else 0 for k in range(m)]
-        line = list(row) + [-a for a in row] + unit[P.A.m :] + [rhs]
-        if rhs < 0:
+    phase1 = [0] * (ncols + 1)
+    for line, w in lines:
+        if line[-1] < 0:
             line = [-a for a in line]
-        T.append(list(coprime_integer_entries(line[:-1] + unit + line[-1:])))
-    T.append([0] * ncols + [1] * m + [0])
+        k = L // w
+        for j, a in enumerate(line):
+            if a:
+                phase1[j] -= k * a
+        g = gcd(*line)
+        if g > 1:
+            line = [a // g for a in line]
+        T.append(line)
+    m = len(T)
+    g = gcd(*phase1)
+    T.append([a // g for a in phase1] if g > 1 else phase1)
     basis = [ncols + i for i in range(m)]
-    for i, jb in enumerate(basis):  # price out the basis
-        _pivot(T, i, jb)
     status, _ = _bland(T, basis, ncols)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below by 0
         raise AssertionError("phase-1 objective reported unbounded")
+    T.pop()
     if any(T[i][-1] > 0 for i in range(m) if basis[i] >= ncols):
-        return LpInfeasible()
+        return "infeasible", T, basis, None
 
     # Drive artificials out of the basis; rows they cannot leave are redundant.
     keep = []
@@ -210,15 +258,36 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
             _pivot(T, i, j)
             basis[i] = j
         keep.append(i)
+    T = [T[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: the real objective over the split variables.
-    T = [T[i][:ncols] + T[i][-1:] for i in keep]
-    cost = coprime_integer_entries(c.entries + tuple(-a for a in c.entries))
-    T.append(list(cost) + [0] * (m_b + 1))
-    for i, jb in enumerate(basis):
-        _pivot(T, i, jb)
+    # Phase 2: the real objective, reduced against each basic row.
+    row2 = list(cost) + [0] * (m_b + 1)
+    for row, jb in zip(T, basis):
+        f = row2[jb]
+        if f:
+            row2 = _combine(row2, row[jb], f, [(j, b) for j, b in enumerate(row) if b])
+    T.append(row2)
     status, enter = _bland(T, basis, ncols)
+    return status, T, basis, enter
+
+
+def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
+    """Minimize c over P exactly.
+
+    Returns an optimal vertex with its value, a certified unbounded
+    improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  P is
+    pointed, as every Polyhedron is, so an optimum is attained at a vertex.
+    """
+    if c.dim != P.n:
+        raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
+    n = P.n
+    a_rows = [_int_vector(row + (rhs,)) for row, rhs in zip(P.A.entries, P.b.entries)]
+    cost = coprime_integer_entries([*c.entries] + [-a for a in c.entries])
+    status, T, basis, enter = _simplex(a_rows, _int_image(P), cost)
+    if status == "infeasible":
+        return LpInfeasible()
+    ncols = len(T[-1]) - 1
 
     # Row i reads its basic variable basis[i] after division by its entry.
     if status == "unbounded":

@@ -5,7 +5,8 @@ all decided by exact comparison; there is no tolerance parameter anywhere
 in this module.  The unchecked helpers work in row units and in ints: each
 polyhedron holds, built on first use, an integer image of B, where row B_i
 is s_i times a primitive integer row q_i (s_i > 0), with the bounds
-d_i/s_i as ints over one common denominator.  ``_image(P, v)`` is the
+d_i/s_i as ints over one common denominator; the simplex in ``lp`` builds
+its B rows from it.  ``_image(P, v)`` is the
 int vector of products q_i.v for an int vector v.  ``_slack`` gives a
 point x as one int vector over one positive denominator, (X, S, D) with
 x = X/D and S/D the slack d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
@@ -150,6 +151,7 @@ class _IntImage(NamedTuple):
     nonzeros: tuple[tuple[tuple[int, int], ...], ...]  # (column, entry) of each row
     bounds: tuple[int, ...]  # d_i / s_i = bounds[i] / den
     den: int  # the least common denominator of the d_i / s_i, > 0
+    scales: tuple[tuple[int, int], ...]  # s_i = scales[i][0] / scales[i][1] in lowest terms
 
 
 def _int_image(P: Polyhedron) -> _IntImage:
@@ -160,13 +162,15 @@ def _int_image(P: Polyhedron) -> _IntImage:
     image = P._b_image
     if image is None:
         rows = tuple(coprime_integer_entries(row) for row in P.B.entries)
-        bounds = []
+        bounds, scales = [], []
         for row, q, d in zip(P.B.entries, rows, P.d):
             j = next((j for j, a in enumerate(q) if a), None)
-            bounds.append(d if j is None else d * q[j] / row[j])
+            s = Fraction(1) if j is None else row[j] / q[j]
+            bounds.append(d / s)
+            scales.append((s.numerator, s.denominator))
         nonzeros = tuple(tuple((j, a) for j, a in enumerate(q) if a) for q in rows)
         ints, den = _int_vector(bounds)
-        image = P._b_image = _IntImage(rows, nonzeros, tuple(ints), den)
+        image = P._b_image = _IntImage(rows, nonzeros, tuple(ints), den, tuple(scales))
     return image
 
 

@@ -10,7 +10,9 @@ and no tolerance parameter exists.
 
 ``_pivot`` is the package's one elimination step, used by the simplex in
 ``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
-echelon.  Rank, kernels, each polyhedron's echelon of A (reduced
+echelon; ``_combine`` is its one row update, which ``_extend`` and the
+simplex's phase-2 cost row also use where only one row is nonzero in the
+pivot column.  Rank, kernels, each polyhedron's echelon of A (reduced
 once) and the circuit test and the active-set walk that extend it all go
 through ``_extend``; ``_echelon`` folds it over rational rows and
 ``_extend_rows`` over rows that are primitive integer rows already.  The
@@ -23,7 +25,7 @@ multiple of the row the unit-pivot Fraction step would give, so every
 zero pattern and every sign, and hence every pivot choice, is the one
 that step makes.  Results are read out as ``Fraction``s only at the end.
 The systems the package solves (incidence matrices, B = [I; -I], tableaux
-of slack and artificial columns) are mostly zeros, so ``_pivot`` and the
+of slack columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
 incidence matrices are totally unimodular, so their integer rows stay
 small.  ``RatMat.matvec`` serves A and the checkers in ``certify``: the hot
@@ -219,14 +221,14 @@ def _pivot(rows: list[list[int]], r: int, col: int) -> None:
     other row.
 
     Each row is a list of ints standing for any of its positive multiples.
-    A row with entry f != 0 in ``col`` becomes ``p*row - f*pivot_row``
-    divided by its content, so every row the step rewrites is primitive
-    (gcd 1) (Bareiss, Math. Comp. 1968; Edmonds, 1967).  That is a positive
-    multiple of what the unit-pivot Fraction step gives, so every zero
-    pattern and sign, hence every pivot choice, is the Fraction step's.  The nonzeros of the pivot row are read once and
-    only they are subtracted.  Rows are rebound to new lists, never
-    changed in place, so a caller may pivot on a copy of the outer list
-    while other copies share its rows.
+    A row with entry f != 0 in ``col`` becomes ``_combine(row, p, f, ...)``,
+    ``p*row - f*pivot_row`` divided by its content, so every row the step
+    rewrites is primitive (gcd 1) (Bareiss, Math. Comp. 1968; Edmonds,
+    1967).  That is a positive multiple of what the unit-pivot Fraction
+    step gives, so every zero pattern and sign, hence every pivot choice,
+    is the Fraction step's.  The nonzeros of the pivot row are read once.
+    Rows are rebound to new lists, never changed in place, so a caller may
+    pivot on a copy of the outer list while other copies share its rows.
     """
     pr = rows[r]
     p = pr[col]
@@ -238,13 +240,23 @@ def _pivot(rows: list[list[int]], r: int, col: int) -> None:
     for i, row in enumerate(rows):
         f = row[col]
         if f and i != r:
-            new = [p * a for a in row] if p != 1 else row[:]
-            for j, b in nonzeros:
-                new[j] -= f * b
-            g = gcd(*new)
-            if g > 1:
-                new = [a // g for a in new]
-            rows[i] = new
+            rows[i] = _combine(row, p, f, nonzeros)
+
+
+def _combine(vec: Sequence[int], p: int, f: int, nonzeros) -> list[int]:
+    """``p*vec - f*row`` over its content, as a new list: the one row update
+    of the elimination, where ``nonzeros`` are the (column, entry) pairs of
+    row, p > 0 is row's entry in a column and f is vec's there, so the
+    result is 0 in that column and a positive multiple of the unit-pivot
+    Fraction step's row.  Only row's nonzeros are subtracted.
+    """
+    new = [p * a for a in vec] if p != 1 else list(vec)
+    for j, b in nonzeros:
+        new[j] -= f * b
+    g = gcd(*new)
+    if g > 1:
+        new = [a // g for a in new]
+    return new
 
 
 def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Optional[Echelon]:
@@ -252,21 +264,25 @@ def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Opti
     or None when vec lies in its row space.
 
     vec is reduced against each lead it meets, and its first nonzero entry
-    becomes a new lead.  A row is 0 before its lead, so in whatever order
-    rows arrive, the leads are the pivot columns of the reduced row echelon
-    form, and each row is a positive multiple of its row there.  Works on a
-    copy of the outer list; ``_pivot`` rebinds rows and never changes a row
-    list in place, so the input stays valid and can be shared.
+    becomes a new lead.  Only vec is nonzero in a lead's column, so each
+    reduction is one ``_combine`` of vec with that lead's row, and only the
+    new lead is pivoted on the whole echelon.  A row is 0 before its lead,
+    so in whatever order rows arrive, the leads are the pivot columns of
+    the reduced row echelon form, and each row is a positive multiple of
+    its row there.  Works on a copy of the outer list; ``_pivot`` rebinds
+    rows and never changes a row list in place, so the input stays valid
+    and can be shared.
     """
-    rows = rows + [list(vec)]
-    new = len(leads)
-    for i, lead in enumerate(leads):
-        if rows[new][lead]:
-            _pivot(rows, i, lead)
-    lead = next((j for j, a in enumerate(rows[new]) if a != 0), None)
+    new = vec
+    for row, lead in zip(rows, leads):
+        f = new[lead]
+        if f:
+            new = _combine(new, row[lead], f, [(j, b) for j, b in enumerate(row) if b])
+    lead = next((j for j, a in enumerate(new) if a != 0), None)
     if lead is None:
         return None
-    _pivot(rows, new, lead)
+    rows = rows + [list(new)]
+    _pivot(rows, len(leads), lead)
     return rows, leads + [lead]
 
 
@@ -300,8 +316,12 @@ def rank(M: RatMat) -> int:
 
 def _int_vector(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(V, D): the rational vector ``values`` as the ints V over its least
-    common denominator D > 0, so that values = V / D."""
-    den = lcm(*(v.denominator for v in values))
+    common denominator D > 0, so that values = V / D.
+
+    The lcm's arguments come from a list: a generator's argument tuple is
+    resized as it fills, and CPython's tuple free lists then keep one more
+    short tuple per call, up to 2000 of each length."""
+    den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

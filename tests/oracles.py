@@ -8,7 +8,10 @@ elimination at all: determinants by cofactor expansion, rank as the order
 of the largest nonzero minor, circuits as signed maximal minors, and
 vertices as the feasible solutions of square subsystems by Cramer's
 rule, and the flats the circuit scan visits as the closed row sets whose
-greedy basis leaves room for a circuit.  Approx augmentation is the
+greedy basis leaves room for a circuit.  The artificial-column simplex is
+the tableau ``lp`` built before it took B's rows from the integer image:
+one artificial column per row, a price-out pivot per basic row in each
+phase, and the rows scaled from their Fractions.  Approx augmentation is the
 plain loop over the public single step, which solves the LP afresh from
 every iterate.  The
 dense elimination step and product form every term, zeros included; they
@@ -27,6 +30,7 @@ from ddcircuits import (
     AugmentationTrace,
     Digraph,
     IterationCapExceeded,
+    LpInfeasible,
     LpOptimal,
     LpUnbounded,
     Optimal,
@@ -38,8 +42,15 @@ from ddcircuits import (
     solve_lp,
 )
 from ddcircuits.circuits import circuit_from_vector
+from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
 from ddcircuits.polyhedron import _extend_active
-from ddcircuits.ratlin import RatMat, _echelon_kernel, coprime_integer_entries, sign_normalized
+from ddcircuits.ratlin import (
+    RatMat,
+    _echelon_kernel,
+    _pivot,
+    coprime_integer_entries,
+    sign_normalized,
+)
 
 
 def brute_force_vertices(P: Polyhedron) -> list[RatVec]:
@@ -391,3 +402,86 @@ def fraction_terms(P: Polyhedron, z: RatVec) -> list:
         before, slack = slack, [s - alpha * a for s, a in zip(slack, sg)]
         terms.append((alpha, g))
     return terms
+
+
+def _recorded_bland(T, basis, ncols, phases):
+    """Bland's rule on the integer tableau, as ``lp._bland``; appends
+    (status, entering column or None, basis) to ``phases`` at the end."""
+    m = len(T) - 1
+    while True:
+        cost = T[-1]
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            phases.append(("optimal", None, tuple(basis)))
+            return "optimal", None
+        leave = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave, rhs_best, a_best = i, T[i][-1], a
+                    continue
+                lhs, rhs = T[i][-1] * a_best, rhs_best * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, rhs_best, a_best = i, T[i][-1], a
+        if leave is None:
+            phases.append(("unbounded", enter, tuple(basis)))
+            return "unbounded", enter
+        _pivot(T, leave, enter)
+        basis[leave] = enter
+
+
+def artificial_column_lp(P: Polyhedron, c: RatVec):
+    """(outcome, phases): ``solve_lp`` on the artificial-column tableau, and
+    (status, entering column, basis) at the end of each Bland run.
+
+    Each row [x+ | x- | slacks | artificials | rhs] is scaled from its
+    Fractions to coprime ints with a nonnegative right-hand side; phase 1
+    prices out the artificial basis and phase 2 its basis by a ``_pivot``
+    per basic row."""
+    n, m_b = P.n, P.B.m
+    ncols = 2 * n + m_b
+    m = P.A.m + m_b
+    phases = []
+    T = []
+    for i, (row, rhs) in enumerate(zip(P.A.entries + P.B.entries, P.b.entries + P.d.entries)):
+        unit = [1 if k == i else 0 for k in range(m)]
+        line = list(row) + [-a for a in row] + unit[P.A.m :] + [rhs]
+        if rhs < 0:
+            line = [-a for a in line]
+        T.append(list(coprime_integer_entries(line[:-1] + unit + line[-1:])))
+    T.append([0] * ncols + [1] * m + [0])
+    basis = [ncols + i for i in range(m)]
+    for i, jb in enumerate(basis):
+        _pivot(T, i, jb)
+    _recorded_bland(T, basis, ncols, phases)
+    if any(T[i][-1] > 0 for i in range(m) if basis[i] >= ncols):
+        return LpInfeasible(), phases
+    keep = []
+    for i in range(m):
+        if basis[i] >= ncols:
+            j = next((j for j in range(ncols) if T[i][j] != 0), None)
+            if j is None:
+                continue
+            _pivot(T, i, j)
+            basis[i] = j
+        keep.append(i)
+    basis = [basis[i] for i in keep]
+    T = [T[i][:ncols] + T[i][-1:] for i in keep]
+    cost = coprime_integer_entries(c.entries + tuple(-a for a in c.entries))
+    T.append(list(cost) + [0] * (m_b + 1))
+    for i, jb in enumerate(basis):
+        _pivot(T, i, jb)
+    status, enter = _recorded_bland(T, basis, ncols, phases)
+    if status == "unbounded":
+        ray = [Fraction(0)] * ncols
+        ray[enter] = Fraction(1)
+        for i, jb in enumerate(basis):
+            ray[jb] = Fraction(-T[i][enter], T[i][jb])
+        return LpUnbounded(RatVec(ray[j] - ray[n + j] for j in range(n))), phases
+    w = [Fraction(0)] * ncols
+    for i, jb in enumerate(basis):
+        w[jb] = Fraction(T[i][-1], T[i][jb])
+    x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))
+    unique = _unique_by_reduced_costs(T[-1][:ncols], basis, n)
+    return LpOptimal(x, c.dot(x), unique), phases

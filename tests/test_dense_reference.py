@@ -3,8 +3,10 @@ enumeration's one visit per flat and one orientation per circuit.
 
 ``ratlin._pivot`` holds primitive integer rows: each stands for any of its
 positive multiples, so it is the Fraction step up to a positive factor per
-row.  Here every step the package takes is checked against the dense
-Fraction step from ``oracles`` on the same rows.  The LP, uniqueness,
+row.  Here every such step the package takes is checked against the
+dense Fraction step from ``oracles`` on the same rows; the one-row
+reductions of ``ratlin._combine`` are checked in ``test_ratlin`` (the
+echelon builder) and ``test_tableau_reference`` (the simplex).  The LP, uniqueness,
 enumeration and decomposition results must hash to the digest recorded
 before A was reduced once per polyhedron and the active-set walks began to
 extend their echelon, and the pivot log (row, column, pivot row divided by
@@ -110,19 +112,21 @@ def _run_checked(monkeypatch, full_check):
 RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584aa1"
 
 # The number of pivots and a sha256 over the repr of their log, under the
-# full uniqueness check.  Recorded when the enumeration began to walk flats
-# in kernel coordinates: the log of the LP, uniqueness and decomposition
-# steps, each pivoting once per lead a new row of ``ratlin._extend`` is
-# reduced against and once on the row's own lead, with the decomposition
-# keeping the echelon of its residual's active rows across terms.  It is
-# the log pinned before with the steps the subset scan made dropped.
-ECHELON_PIVOTS = 1639
-PIVOT_LOG_DIGEST = "ce50e0325e6f242bdb71c65e82e6f0463781c6fc16d8010faac3862a7b58216c"
+# full uniqueness check.  Recorded when the simplex stopped storing
+# artificial columns and pricing out its bases with a pivot per basic row,
+# and ``ratlin._extend`` began to reduce a new row against each lead it
+# meets with one ``_combine`` instead of a pivot: the log holds the
+# simplex's Bland and drive-out pivots on rows without artificial entries,
+# and one pivot per row ``_extend`` adds, on the row's own lead, with the
+# decomposition keeping the echelon of its residual's active rows across
+# terms.
+ECHELON_PIVOTS = 768
+PIVOT_LOG_DIGEST = "51f89dc7ebd45afd3791133ca46a240c62e2729582dcdbe6315ecb35ee2aa954"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 1005
-SHORTCUT_LOG_DIGEST = "ef4c7709820d73bf45d112295da685254a39b77fdb9377ef6ec0d480faf708ef"
+SHORTCUT_PIVOTS = 470
+SHORTCUT_LOG_DIGEST = "d2e304ff810972b56e2b18fa2ed9c2708fb2171e052463a702d911d282350c2d"
 
 
 def _digest(value) -> str:

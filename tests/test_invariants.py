@@ -20,7 +20,8 @@ module extends an echelon with the folds ``ratlin._echelon`` and
 Only the circuit scan and the active-set walk in ``polyhedron`` read a
 kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
 Products with B go through each polyhedron's integer image of B
-(``polyhedron._image``); only the functions of ``certify``, the
+(``polyhedron._image``), and the simplex reads B and d only from that
+image; only the functions of ``certify``, the
 independent checkers, multiply by the rational B itself, and ``certify``
 imports nothing from the modules whose results it checks, nor any
 private helper.  Pointedness is decided in one place: only the
@@ -45,8 +46,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 # The functions, per module, that compute on integer rows and vectors.
 INTEGER_KERNEL = {
-    "ratlin.py": ("_pivot", "_extend", "_echelon", "_extend_rows", "_echelon_kernel"),
-    "lp.py": ("_bland",),
+    "ratlin.py": ("_pivot", "_combine", "_extend", "_echelon", "_extend_rows", "_echelon_kernel"),
+    "lp.py": ("_bland", "_simplex"),
     "circuits.py": ("_cut", "_children", "enumerate_circuits"),
     "polyhedron.py": ("_image", "_slack", "_ratio_test", "_move", "_walk"),
     "conformal.py": ("_terms",),
@@ -62,10 +63,15 @@ RATIONAL_METHODS = {"dot", "matvec", "vec", "is_zero"}
 # of A from an echelon.
 ELIMINATION_HOMES = {
     "_pivot": {"ratlin.py", "lp.py"},
+    "_combine": {"ratlin.py", "lp.py"},
     "_extend": {"ratlin.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
     "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
+
+# The functions, per module, that read B and d only through the integer
+# image: the simplex builds its tableau rows from ``_int_image``.
+IMAGE_READERS = {"lp.py": ("solve_lp", "_simplex")}
 
 # The module whose functions may compute ``P.B.matvec``: the checkers,
 # which stay independent of the integer image they check.
@@ -231,6 +237,24 @@ def rational_b_products(module: str, source: str) -> list[str]:
                 and node.func.value.attr == "B"
             ):
                 found.append(f"line {node.lineno}: {owner}")
+    return found
+
+
+def rational_b_reads(source: str, functions) -> list[str]:
+    """``line N: f`` for each read of ``<expr>.B.entries`` or ``<expr>.d``
+    in a function f of ``functions``."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name not in functions:
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "d"
+                or node.attr == "entries"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "B"
+            ):
+                found.append(f"line {node.lineno}: {func.name}")
     return found
 
 
@@ -495,6 +519,23 @@ def test_checker_flags_rational_b_products():
         "line 8: verify_conformal",
         "line 13: scan",
     ]
+
+
+@pytest.mark.parametrize("module", IMAGE_READERS)
+def test_simplex_reads_b_through_the_image(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert rational_b_reads(source, IMAGE_READERS[module]) == []
+
+
+def test_checker_flags_rational_b_reads():
+    source = (
+        "def solve_lp(P, c):\n"
+        "    rows = P.B.entries\n"
+        "    return P.d, P.B.m, P.A.entries, _int_image(P).bounds\n"
+        "def verify_unique(P, c):\n"
+        "    return P.B.entries, P.d\n"
+    )
+    assert rational_b_reads(source, ("solve_lp",)) == ["line 2: solve_lp", "line 3: solve_lp"]
 
 
 def test_checkers_import_no_checked_code():

@@ -10,6 +10,7 @@ from ddcircuits.ratlin import (
     RatVec,
     _echelon,
     _echelon_kernel,
+    _extend,
     _pivot,
     coprime_integer_entries,
     kernel_basis,
@@ -208,6 +209,35 @@ def test_pivot_matches_dense_step(M, data):
         assert all(type(a) is int for a in row) and gcd(*row) in (0, 1)
         assert positive_multiple(row, ref)
     assert before == snapshot
+
+
+@given(_small_matrices(), st.data())
+def test_extend_matches_dense_steps(M, data):
+    # each row added to the echelon is reduced against every lead it meets
+    # and then pivoted on its own lead; the echelon must hold a primitive
+    # positive multiple of each row the dense Fraction steps give, with
+    # the same leads, and a dependent row must be refused
+    extra = data.draw(st.lists(st.tuples(_SPARSE, st.sampled_from(M.entries)), max_size=2))
+    vecs = list(M.entries) + [tuple(a * x for x in row) for a, row in extra]
+    rows, leads, dense = [], [], []
+    for vec in data.draw(st.permutations(vecs)):
+        ext = _extend(rows, leads, coprime_integer_entries(vec))
+        dense.append(list(vec))
+        new = len(dense) - 1
+        for i, lead in enumerate(leads):
+            if dense[new][lead]:
+                dense_pivot(dense, i, lead)
+        lead = next((j for j, a in enumerate(dense[new]) if a), None)
+        if lead is None:
+            assert ext is None
+            dense.pop()
+            continue
+        dense_pivot(dense, new, lead)
+        rows, leads = ext
+        assert leads[-1] == lead
+        for row, ref in zip(rows, dense):
+            assert all(type(a) is int for a in row) and gcd(*row) == 1
+            assert positive_multiple(row, ref)
 
 
 @given(_small_matrices(), st.data())
