@@ -85,11 +85,6 @@ class Circuit:
         return " ".join(str(e) for e in self.entries)
 
 
-def circuit_from_vector(v: RatVec) -> Circuit:
-    """Scale a rational direction to coprime integers, keeping orientation."""
-    return Circuit(coprime_integer_entries(v.entries))
-
-
 def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     """True iff v is a positive multiple of a circuit of (A, B).
 

@@ -6,17 +6,17 @@ desk-scale, enumeration-backed oracle) and keeps the feasible step
 maximizing the improvement -c.(alpha g).  The approximate step never
 enumerates: it solves the LP once, conformally decomposes x* - x0, picks
 the term with the best objective contribution and extends it to its
-maximal feasible length, which guarantees at least 1/(n - rank A) of the
-exact improvement.  It reads the terms as the decomposition finds them
-and stops once no later term can win: every term t has c.t <= 0, so the
-terms still to come, which sum to the residual r, each contribute at
-least c.r, and a best contribution below c.r is final.  x* does not
-depend on the iterate, so augmentation in approx mode solves the LP once
-per run and decomposes x* - x from every iterate x.  The
-steepest-descent comparator minimizes c.g / |g|_1 and carries no
-approximation claim.  All four entry points go through one gate,
-``_rule``, which checks the mode and the start and prepares the rule
-once per run.
+maximal feasible length by the exact step's scan over that one circuit,
+which guarantees at least 1/(n - rank A) of the exact improvement.  It
+reads the terms as the decomposition finds them and stops once no later
+term can win: every term t has c.t <= 0, so the terms still to come,
+which sum to the residual r, each contribute at least c.r, and a best
+contribution below c.r is final.  x* does not depend on the iterate, so
+augmentation in approx mode solves the LP once per run and decomposes
+x* - x from every iterate x.  The steepest-descent comparator minimizes
+c.g / |g|_1 and carries no approximation claim.  All four entry points
+go through one gate, ``_rule``, which checks the mode and the start and
+prepares the rule once per run.
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ def _approx_step(
     (x* - t is feasible and x* optimal), so each term still to come gains
     at least c.r, with r the residual left; once the best gain is below
     c.r, no later term beats or ties it and the walk stops.  The best term
-    g satisfies A g = 0 and g != 0, so its maximal step needs no further
-    checks.
+    g is then extended by the deepest-descent scan over g alone: c.g < 0
+    and x0 + alpha*g is feasible with alpha > 0, so the scan neither flips
+    nor skips it and returns its maximal step.
     """
     z = optimum.vertex - x0
     if z.is_zero():
@@ -145,23 +146,19 @@ def _approx_step(
     rest = c.dot(z)
     best_key = None
     for alpha, g in _terms(P, z):
-        slope = Fraction(_dot(C, g.entries), den)
-        gain = alpha * slope
+        gain = alpha * Fraction(_dot(C, g.entries), den)
         rest -= gain
         if best_key is None or (gain, g.entries) < best_key:
-            best_key, best_g, best_slope = (gain, g.entries), g, slope
+            best_key, best_g = (gain, g.entries), g
         if best_key[0] < rest:
             break
     if best_key[0] >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    _, S, D = _slack(P, x0)
-    image = _image(P, best_g.entries)
-    j = _ratio_test(S, image)
-    if j is None:  # pragma: no cover - would contradict a bounded LP
-        raise AssertionError("unbounded improving step under a bounded LP")
-    beta = Fraction(S[j], D * image[j])
-    return DdStep(best_g, beta, -beta * best_slope)
+    step = _scan(P, c, x0, [best_g], _deepest)
+    if not isinstance(step, DdStep):  # pragma: no cover - would contradict a bounded LP
+        raise AssertionError("the best term gives no maximal step under a bounded LP")
+    return step
 
 
 def steepest_descent_step(

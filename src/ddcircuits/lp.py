@@ -64,18 +64,17 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .polyhedron import (
+    UNBOUNDED,
     Point,
     Polyhedron,
     _extend_active,
-    _image,
     _int_image,
     _IntImage,
-    _move,
     _point,
-    _ratio_test,
     _slack,
     _walk,
     is_feasible,
+    max_step,
 )
 from .ratlin import (
     Rat,
@@ -343,8 +342,8 @@ def verify_unique(
         return UniquenessReport(True, None)
 
     X, S, D = _slack(P, xstar)
-    for X1, _, D1, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
-        return UniquenessReport(False, _point(X1, D1))
+    for X, _, D, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
+        return UniquenessReport(False, _point(X, D))
 
     B_I = [row for row, s in zip(P.B.entries, S) if s == 0]
     row_sum = RatVec(sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n))
@@ -360,10 +359,5 @@ def verify_unique(
     if out.value == 0:
         return UniquenessReport(True, None)
     w = out.vertex  # nonzero, with A w = 0
-    W = coprime_integer_entries(w.entries)  # a positive multiple of w
-    image = _image(P, W)
-    j = _ratio_test(S, image)
-    if j is None:
-        return UniquenessReport(False, xstar + w)
-    X, _, D = _move(X, S, D, W, image, j)
-    return UniquenessReport(False, _point(X, D))
+    beta = max_step(P, xstar, w)
+    return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))

@@ -84,8 +84,9 @@ class Polyhedron:
     boxes), and so may B.
     A is reduced once: ``_a_echelon`` is its echelon, which the pointedness
     check and the other modules extend by rows of B.  The integer image of B
-    (``_int_image``) is built on first use, not here, since many
-    polyhedra are only parsed, checked or solved by the simplex.
+    (``_int_image``) is built on first use, not here: building it in the
+    constructor, even reusing its rows for the pointedness check, was
+    measured to move its cost into instance setup rather than save it.
     """
 
     __slots__ = ("A", "b", "B", "d", "n", "_a_echelon", "_b_image")
@@ -117,7 +118,7 @@ class Polyhedron:
         if lows.dim != highs.dim:
             raise ValueError("low and high bounds must have the same dimension")
         n = lows.dim
-        return cls(RatMat([], cols=n), RatVec([]), _box_rows(n), highs.concat(-lows))
+        return cls(RatMat([], cols=n), RatVec([]), _box_rows(n), RatVec([*highs, *(-lows)]))
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -109,9 +109,6 @@ class RatVec:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.entries)
 
@@ -148,9 +145,6 @@ class RatVec:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def concat(self, other: "RatVec") -> "RatVec":
-        return RatVec(self.entries + other.entries)
 
     def to_text(self) -> str:
         return " ".join(str(a) for a in self.entries)

@@ -41,7 +41,7 @@ from ddcircuits import (
     is_feasible,
     solve_lp,
 )
-from ddcircuits.circuits import circuit_from_vector
+from ddcircuits.circuits import Circuit
 from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
 from ddcircuits.polyhedron import _extend_active
 from ddcircuits.ratlin import (
@@ -83,7 +83,7 @@ def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec 
     """
     face = Polyhedron(
         RatMat(P.A.entries + (c.entries,), cols=P.n),
-        P.b.concat(RatVec([c.dot(xstar)])),
+        RatVec([*P.b, c.dot(xstar)]),
         P.B,
         P.d,
     )
@@ -395,7 +395,7 @@ def fraction_terms(P: Polyhedron, z: RatVec) -> list:
         u = u_res
         for u, _ in fraction_walk(P, signs, u, echelon):
             pass
-        g = -circuit_from_vector(u)
+        g = -Circuit(coprime_integer_entries(u.entries))
         sg = _signed(signs, P.B.matvec(g.vec))
         alpha = fraction_step_length(slack, sg)
         u_res = u_res + alpha * g.vec

@@ -28,8 +28,8 @@ from ddcircuits import (
     verify_unique,
 )
 from ddcircuits.ocnp import AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor
-from ddcircuits.circuits import canonical_orientation, circuit_from_vector
-from ddcircuits.ratlin import rank
+from ddcircuits.circuits import Circuit, canonical_orientation
+from ddcircuits.ratlin import coprime_integer_entries, rank
 from ddcircuits.reductions import perturb_costs
 from fractions import Fraction
 
@@ -114,7 +114,7 @@ def test_criterion_2_ocnp_oracle_equivalence():
         if d.is_zero():
             expected_kind = AlreadyOptimal
         else:
-            canon = canonical_orientation(P, circuit_from_vector(d))
+            canon = canonical_orientation(P, Circuit(coprime_integer_entries(d.entries)))
             members = {circ.entries for circ in enumerate_circuits(P)}
             expected_kind = (
                 CircuitNeighbor if canon.entries in members else NotCircuitNeighbor
@@ -234,6 +234,36 @@ def test_criterion_7_convergence(ratio_battery):
         violations,
         f"200 runs, max iterations {max_iters}, max n*bits {max_budget}",
     )
+
+
+# The smallest k * improvement / gap over every exact and approx step of
+# the ratio battery, per factor k = n - rank A.  The paper's argument needs
+# only 1; a weaker step rule that still meets it falls below these.
+CONTRACTION_FLOORS = {1: Fraction(1), 2: Fraction(1), 3: Fraction(4, 3), 4: Fraction(4, 3)}
+
+
+def test_every_step_contracts_the_gap(ratio_battery):
+    """k * improvement >= gap on every exact and approx augmentation step.
+
+    x* - x splits into at most k conformal terms, so the best term gains at
+    least gap/k, and the approximate step extends it to its maximal length;
+    an exact dd-step gains at least as much.  So gap' <= (1 - 1/k) * gap.
+    """
+    worst = {}
+    violations = []
+    for item in ratio_battery:
+        P, c, x0 = item["P"], item["c"], item["x0"]
+        k = P.n - rank(P.A)
+        for mode in ("exact", "approx"):
+            trace = augment(P, c, x0, mode)
+            for step, x in zip(trace.steps, trace.iterates):
+                ratio = k * step.improvement / (c.dot(x) - item["lp"].value)
+                if ratio < 1:
+                    violations.append((mode, c.entries, x.entries, str(ratio)))
+                worst[mode, k] = min(worst.get((mode, k), ratio), ratio)
+    assert not violations, violations[:3]
+    assert sorted(worst) == [(mode, k) for mode in ("approx", "exact") for k in CONTRACTION_FLOORS]
+    assert all(ratio >= CONTRACTION_FLOORS[k] for (_, k), ratio in worst.items()), worst
 
 
 SQUARE_TEXT = "2 0 4\n1 0\n0 1\n-1 0\n0 -1\n1 1 0 0\n-1 -2\n"

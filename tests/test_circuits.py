@@ -18,8 +18,8 @@ from ddcircuits import (
     is_extreme_ray,
     lift,
 )
-from ddcircuits.circuits import canonical_orientation, circuit_from_vector
-from ddcircuits.ratlin import RatMat, kernel_basis
+from ddcircuits.circuits import canonical_orientation
+from ddcircuits.ratlin import RatMat, coprime_integer_entries, kernel_basis
 
 from instgen import (
     complete_digraph,
@@ -50,8 +50,10 @@ class TestCircuitType:
             Circuit((0, 0))
 
     def test_from_vector_scales(self):
-        circ = circuit_from_vector(RatVec([Fraction(1, 2), Fraction(3, 2)]))
+        """A rational direction scales to coprime integers, keeping orientation."""
+        circ = Circuit(coprime_integer_entries(RatVec([Fraction(1, 2), Fraction(3, 2)]).entries))
         assert circ.entries == (1, 3)
+        assert Circuit(coprime_integer_entries([Fraction(-2, 3), 0, 4])).entries == (-1, 0, 6)
 
     def test_negation(self):
         assert (-Circuit((1, -2))).entries == (-1, 2)
@@ -189,7 +191,7 @@ class TestEnumerate:
             if v.is_zero():
                 continue
             member = is_circuit_direction(UNIT_SQUARE, v)
-            canon = canonical_orientation(UNIT_SQUARE, circuit_from_vector(v))
+            canon = canonical_orientation(UNIT_SQUARE, Circuit(coprime_integer_entries(v.entries)))
             assert member == (canon.entries in circuits)
 
     def test_matches_cycle_oracle_catalog(self):
@@ -246,7 +248,7 @@ class TestEnumerate:
             if v.is_zero():
                 continue
             member = is_circuit_direction(diamond, v)
-            canon = canonical_orientation(diamond, circuit_from_vector(v))
+            canon = canonical_orientation(diamond, Circuit(coprime_integer_entries(v.entries)))
             assert member == (canon.entries in circuits)
 
     def test_deterministic(self):

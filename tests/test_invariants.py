@@ -19,6 +19,10 @@ module extends an echelon with the folds ``ratlin._echelon`` and
 ``ratlin._extend_rows`` instead of stacking matrices for ``kernel_basis``.
 Only the circuit scan and the active-set walk in ``polyhedron`` read a
 kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
+Maximal steps have one home too: besides ``polyhedron``, only the circuit
+scan in ``ddstep`` and the decomposition in ``conformal`` run the ratio
+test, and only ``conformal`` moves an int point by hand; ``lp`` steps
+through the walk and ``max_step``.
 Products with B go through each polyhedron's integer image of B
 (``polyhedron._image``), and the simplex reads B and d only from that
 image; only the functions of ``certify``, the
@@ -33,9 +37,13 @@ becomes an int in one place: only ``ratlin._to_int`` calls the builtin
 its value with ``type=int``.  Every exception class of ``errors`` other
 than ``ToolkitError`` has a ``raise`` site in another module that can
 fire, that is, one outside any statement marked ``# pragma: no cover``.
+Every public name the benchmark's tracer wraps (``TRACED`` in
+``perfbench/tracing.py``) is a callable of its package module, so cutting
+one fails here and not only in a traced benchmark run.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -43,6 +51,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddcircuits"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # The functions, per module, that compute on integer rows and vectors.
 INTEGER_KERNEL = {
@@ -67,6 +76,12 @@ ELIMINATION_HOMES = {
     "_extend": {"ratlin.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
     "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
+}
+
+# The modules allowed to refer to each helper of a maximal step.
+STEP_HOMES = {
+    "_ratio_test": {"polyhedron.py", "ddstep.py", "conformal.py"},
+    "_move": {"polyhedron.py", "conformal.py"},
 }
 
 # The functions, per module, that read B and d only through the integer
@@ -206,13 +221,13 @@ def unused_imports(source: str) -> list[str]:
     return found
 
 
-def misplaced_references(sources: dict[str, str]) -> list[str]:
+def misplaced_references(sources: dict[str, str], homes_of=ELIMINATION_HOMES) -> list[str]:
     """``module:name`` for each module that refers to a name of
-    ``ELIMINATION_HOMES`` outside its allowed modules."""
+    ``homes_of`` outside its allowed modules."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
-        for name, homes in ELIMINATION_HOMES.items():
+        for name, homes in homes_of.items():
             if module not in homes and _refers_to(tree, name):
                 found.append(f"{module}:{name}")
     return found
@@ -486,6 +501,25 @@ def test_checker_flags_misplaced_elimination():
     ]
 
 
+def test_maximal_steps_stay_in_their_modules():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert misplaced_references(sources, STEP_HOMES) == []
+
+
+def test_checker_flags_misplaced_step_helpers():
+    sources = {
+        "polyhedron.py": "def _ratio_test(S, a):\n    pass\ndef _move(X, S, D, w, a, j):\n    pass\n",
+        "ddstep.py": "from .polyhedron import _ratio_test, _move\n",
+        "conformal.py": "from . import polyhedron\npolyhedron._move([], [], 1, [], [], 0)\n",
+        "lp.py": "from .polyhedron import _image, _move as step\nj = polyhedron._ratio_test\n",
+    }
+    assert misplaced_references(sources, STEP_HOMES) == [
+        "ddstep.py:_move",
+        "lp.py:_ratio_test",
+        "lp.py:_move",
+    ]
+
+
 def test_rational_b_products_only_in_checkers():
     found = {
         path.name: rational_b_products(path.name, path.read_text(encoding="utf-8"))
@@ -733,3 +767,45 @@ def test_checker_flags_unraised_errors():
         "cli.py": "CODES = {MappedError: 4}\n",
     }
     assert unraised_errors(sources) == ["DeadError", "SelfError", "MappedError"]
+
+
+def traced_names(source: str) -> tuple[str, ...]:
+    """The ``module.name`` strings of the ``TRACED`` tuple in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "TRACED" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED assignment")
+
+
+def unresolved_names(names) -> list[str]:
+    """Each ``module.name`` of ``names`` that is not a callable of
+    ``ddcircuits.<module>``."""
+    found = []
+    for name in names:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"ddcircuits.{module}"), attr, None)):
+            found.append(name)
+    return found
+
+
+def test_traced_names_resolve():
+    names = traced_names(TRACER.read_text(encoding="utf-8"))
+    assert names
+    assert unresolved_names(names) == []
+
+
+def test_checker_flags_untraceable_names():
+    source = (
+        "import time\n"
+        "TRACED = (\n"
+        "    'ratlin.rank',\n"
+        "    'circuits.not_defined',\n"
+        "    'polyhedron.UNBOUNDED',\n"
+        "    'polyhedron.max_step',\n"
+        ")\n"
+        "_KEEP_RESULTS = ('ratlin.gone',)\n"
+    )
+    names = traced_names(source)
+    assert unresolved_names(names) == ["circuits.not_defined", "polyhedron.UNBOUNDED"]

@@ -11,9 +11,11 @@ from ddcircuits import (
     LpUnbounded,
     Polyhedron,
     RatVec,
+    UNBOUNDED,
     UniquenessReport,
     build_reduction,
     is_feasible,
+    max_step,
     solve_lp,
     verify_unique,
 )
@@ -274,6 +276,9 @@ class TestVerifyUniqueAgainstProbes:
                 assert is_feasible(P, report.witness)
                 assert c.dot(report.witness) == c.dot(xstar)
                 assert report.witness != xstar
+                # the witness ends the maximal step from xstar, or is one
+                # unit along an unbounded direction of the optimal face
+                assert max_step(P, xstar, report.witness - xstar) in (1, UNBOUNDED)
         assert reports[0] == reports[1] == verify_unique(P, c, xstar)
         return reports[0]
 

@@ -17,8 +17,8 @@ from ddcircuits import (
     solve_lp,
     verify_unique,
 )
-from ddcircuits.circuits import canonical_orientation, circuit_from_vector
-from ddcircuits.ratlin import RatMat
+from ddcircuits.circuits import Circuit, canonical_orientation
+from ddcircuits.ratlin import RatMat, coprime_integer_entries
 
 from instgen import gen_box, gen_circulation
 
@@ -32,7 +32,7 @@ def brute_force_is_circuit_neighbor(P, xstar, x0) -> bool:
         return False
     if not P.A.matvec(d).is_zero():
         return False
-    canon = canonical_orientation(P, circuit_from_vector(d))
+    canon = canonical_orientation(P, Circuit(coprime_integer_entries(d.entries)))
     return canon.entries in {c.entries for c in enumerate_circuits(P)}
 
 
