@@ -39,7 +39,7 @@ from math import gcd
 from operator import neg
 
 from .errors import SizeGuardExceeded
-from .polyhedron import Polyhedron, _image, _int_image
+from .polyhedron import Polyhedron, _image, _int_image, _solves_a
 from .ratlin import (
     RatVec,
     _echelon_kernel,
@@ -98,9 +98,10 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
         raise ValueError(f"vector has dimension {v.dim}, expected {P.n}")
     if v.is_zero():
         return False
-    if not P.A.matvec(v).is_zero():
+    G = coprime_integer_entries(v.entries)
+    if not _solves_a(P, G, 0):
         return False
-    image = _image(P, coprime_integer_entries(v.entries))  # zeros where B v has them
+    image = _image(P, G)  # zeros where B v has them
     zero_rows = (q for q, e in zip(_int_image(P).rows, image) if e == 0)
     return len(_extend_rows(zero_rows, *P._a_echelon)[1]) == P.n - 1
 
@@ -227,7 +228,7 @@ def enumerate_circuits(
         if budget < 0:
             raise SizeGuardExceeded(
                 f"circuit enumeration exceeded its work budget of {work_budget} "
-                f"flats (n={n}, m_B={P.B.m})"
+                f"flats (n={n}, m_B={len(_int_image(P).rows)})"
             )
         if d == 1:  # the root, when the kernel of A is a line
             found.append(canonical_orientation(P, Circuit(tuple(block[0][:n]))))

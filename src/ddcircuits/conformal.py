@@ -59,7 +59,15 @@ from math import gcd
 from typing import Iterator
 
 from .circuits import Circuit
-from .polyhedron import Polyhedron, _extend_active, _image, _move, _ratio_test, _walk
+from .polyhedron import (
+    Polyhedron,
+    _extend_active,
+    _image,
+    _move,
+    _ratio_test,
+    _solves_a,
+    _walk,
+)
 from .ratlin import Rat, RatVec, _int_vector
 
 
@@ -83,7 +91,7 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
     if z.is_zero():
         raise ValueError("cannot decompose the zero vector")
-    if not P.A.matvec(z).is_zero():
+    if not _solves_a(P, _int_vector(z)[0], 0):
         raise ValueError("decompose requires A z = 0")
     return ConformalSum(tuple(sorted(_terms(P, z), key=lambda term: term[1].entries)), z)
 

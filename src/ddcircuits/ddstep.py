@@ -69,24 +69,25 @@ def _rule(
     """The step rule ``mode`` as a function of a feasible iterate.
 
     The one gate of the step rules: it checks the mode and the start x0
-    once and does the rule's per-run work once, the circuit list for
-    ``exact`` and ``steepest`` and the LP optimum for ``approx``.  An
-    unbounded LP raises LpUnboundedError; the LP is never infeasible,
-    since x0 is feasible.
+    once and does the rule's per-run work once: c as ints over one
+    denominator for every mode, the circuit list for ``exact`` and
+    ``steepest`` and the LP optimum for ``approx``.  An unbounded LP raises
+    LpUnboundedError; the LP is never infeasible, since x0 is feasible.
     """
     if mode not in _STEP_RULES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
     if not is_feasible(P, x0):
         raise ValueError("the starting point is not feasible")
+    cint = _int_vector(c)  # c = C / den
     if mode == "approx":
         optimum = solve_lp(P, c)
         if isinstance(optimum, LpUnbounded):
             raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
         assert isinstance(optimum, LpOptimal)
-        return lambda x: _approx_step(P, c, x, optimum)
+        return lambda x: _approx_step(P, cint, x, optimum)
     circuits = enumerate_circuits(P, work_budget=work_budget)
     key = _deepest if mode == "exact" else _steepest
-    return lambda x: _scan(P, c, x, circuits, key)
+    return lambda x: _scan(P, cint, x, circuits, key)
 
 
 def exact_dd_step(
@@ -125,10 +126,11 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
 
 
 def _approx_step(
-    P: Polyhedron, c: RatVec, x0: Point, optimum: LpOptimal
+    P: Polyhedron, cint: tuple[list[int], int], x0: Point, optimum: LpOptimal
 ) -> Union[DdStep, Optimal]:
     """``approx_dd_step`` from the LP optimum of (P, c), without its checks.
 
+    ``cint`` is c as ints over one denominator, (C, den) with c = C / den,
     x0 must be feasible and ``optimum`` the LP's.  The best term has the
     smallest key (c.(alpha g), g.entries), the term ``min`` picks from the
     full decomposition in canonical order.  Every term t has c.t <= 0
@@ -142,8 +144,9 @@ def _approx_step(
     z = optimum.vertex - x0
     if z.is_zero():
         return Optimal()
-    C, den = _int_vector(c)  # c = C / den
-    rest = c.dot(z)
+    C, den = cint
+    Z, dz = _int_vector(z)
+    rest = Fraction(_dot(C, Z), den * dz)  # c.z
     best_key = None
     for alpha, g in _terms(P, z):
         gain = alpha * Fraction(_dot(C, g.entries), den)
@@ -155,7 +158,7 @@ def _approx_step(
     if best_key[0] >= 0:
         # x0 is already optimal (possible only with multiple optima).
         return Optimal()
-    step = _scan(P, c, x0, [best_g], _deepest)
+    step = _scan(P, cint, x0, [best_g], _deepest)
     if not isinstance(step, DdStep):  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("the best term gives no maximal step under a bounded LP")
     return step
@@ -190,18 +193,21 @@ def _dot(C: Sequence[int], g: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(C, g) if a)
 
 
-def _scan(P: Polyhedron, c: RatVec, x0: Point, circuits: list[Circuit], key) -> StepOutcome:
+def _scan(
+    P: Polyhedron, cint: tuple[list[int], int], x0: Point, circuits: list[Circuit], key
+) -> StepOutcome:
     """The feasible improving circuit step with the smallest key.
 
     ``key(c.g, beta, g)`` ranks a step of maximal length beta along g.
     Since c.(-g) = -c.g, at most one orientation of a circuit improves:
     the sign of c.g picks it, and its slope and B g are computed once.
-    Ties go to the earliest circuit.  x0 must be feasible.  The slope is
-    an int dot product with c over its common denominator, the ratio test
-    reads the int slack of x0, and only a step of positive length forms
-    Fractions, for beta, the slope and the key.
+    Ties go to the earliest circuit.  x0 must be feasible.  c comes as
+    ints over one denominator, ``cint`` = (C, den) with c = C / den, and
+    the slope is an int dot product with C; the ratio test reads the int
+    slack of x0, and only a step of positive length forms Fractions, for
+    beta, the slope and the key.
     """
-    C, den = _int_vector(c)  # c = C / den
+    C, den = cint
     _, S, D = _slack(P, x0)
     best: Optional[DdStep] = None
     best_key = None

@@ -9,9 +9,10 @@ terminates and is fully deterministic.
 The tableau is an integer one, with the columns [x+ | x- | slacks | rhs]
 and no artificial columns.  Row i starts as a positive multiple of U_i,
 the row [a_i | -a_i | e_i | rhs_i] with a nonnegative right-hand side
-that its artificial column makes basic with entry 1; B's rows come from
-the polyhedron's integer image as [q_i | -q_i | e_i/s_i | d_i/s_i] times
-a positive factor, so neither B nor d is read as Fractions.  Each row is
+that its artificial column makes basic with entry 1; A's rows are the
+polyhedron's int rows of [a_i | b_i] as they are, and B's come from its
+integer image as [q_i | -q_i | e_i/s_i | d_i/s_i] times a positive
+factor, so no row of the system is read as Fractions.  Each row is
 pivoted with ``ratlin._pivot``, so it stays a positive multiple of its
 unit-basis form and its basic entry is positive.  An artificial column
 never enters and no rule reads its entries, so it is not stored; while
@@ -70,18 +71,17 @@ from .polyhedron import (
     _extend_active,
     _int_image,
     _IntImage,
+    _max_step,
     _point,
     _slack,
     _walk,
     is_feasible,
-    max_step,
 )
 from .ratlin import (
     Rat,
     RatMat,
     RatVec,
     _combine,
-    _int_vector,
     _pivot,
     coprime_integer_entries,
 )
@@ -281,9 +281,8 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     if c.dim != P.n:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
     n = P.n
-    a_rows = [_int_vector(row + (rhs,)) for row, rhs in zip(P.A.entries, P.b.entries)]
     cost = coprime_integer_entries([*c.entries] + [-a for a in c.entries])
-    status, T, basis, enter = _simplex(a_rows, _int_image(P), cost)
+    status, T, basis, enter = _simplex(P._a_rows, _int_image(P), cost)
     if status == "infeasible":
         return LpInfeasible()
     ncols = len(T[-1]) - 1
@@ -327,7 +326,8 @@ def verify_unique(
     -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is unique; else
     its vertex w is a nonzero direction of the optimal face, and the
     witness is xstar + max_step*w, or xstar + w when the optimal face is
-    unbounded along w.
+    unbounded along w.  The step is ``max_step``'s, from the slack of
+    xstar computed once here, without checking xstar again.
     """
     own_vertex = optimum is not None and optimum.unique and xstar == optimum.vertex
     if not own_vertex and not is_feasible(P, xstar):
@@ -342,8 +342,8 @@ def verify_unique(
         return UniquenessReport(True, None)
 
     X, S, D = _slack(P, xstar)
-    for X, _, D, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
-        return UniquenessReport(False, _point(X, D))
+    for end, _, den, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
+        return UniquenessReport(False, _point(end, den))
 
     B_I = [row for row, s in zip(P.B.entries, S) if s == 0]
     row_sum = RatVec(sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n))
@@ -359,5 +359,5 @@ def verify_unique(
     if out.value == 0:
         return UniquenessReport(True, None)
     w = out.vertex  # nonzero, with A w = 0
-    beta = max_step(P, xstar, w)
+    beta = _max_step(P, S, D, w)
     return UniquenessReport(False, xstar + (w if beta is UNBOUNDED else beta * w))

@@ -2,11 +2,18 @@
 
 Membership, active inequality rows, and maximal feasible step lengths are
 all decided by exact comparison; there is no tolerance parameter anywhere
-in this module.  The unchecked helpers work in row units and in ints: each
-polyhedron holds, built on first use, an integer image of B, where row B_i
-is s_i times a primitive integer row q_i (s_i > 0), with the bounds
-d_i/s_i as ints over one common denominator; the simplex in ``lp`` builds
-its B rows from it.  ``_image(P, v)`` is the
+in this module.  Each polyhedron holds its system in ints, each row
+converted once: the rows [a_i | b_i] of A as ints over one denominator
+each, which the simplex in ``lp`` and the tests of Ax = b and Av = 0
+(``_solves_a``) read, and an integer image of B, where row B_i is s_i
+times a primitive integer row q_i (s_i > 0), with the bounds d_i/s_i as
+ints over one common denominator; the simplex builds its B rows from it.
+``_image_of`` is the one image builder.  The instance parser and the
+circulation reduction hand over int rows, so their polyhedra build the
+image with the system and make no Fraction per entry; a polyhedron given
+as RatMat and RatVec builds it on first use.  A, b, B and d as Fractions
+are views, built on first read when the rows came as ints.  The unchecked
+helpers work in row units and in ints.  ``_image(P, v)`` is the
 int vector of products q_i.v for an int vector v.  ``_slack`` gives a
 point x as one int vector over one positive denominator, (X, S, D) with
 x = X/D and S/D the slack d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
@@ -23,7 +30,8 @@ its vector.  Fractions are made only at the boundary: the step lengths
 and points the callers hand out.
 The module also owns the line-oriented instance file format (constraint
 system plus objective) and the one-line point format, both of which
-round-trip exactly, on one row parser; ``_read_text``, the one reader of
+round-trip exactly, on one row parser, which reads each token as an int
+pair (p, q) in lowest terms; ``_read_text``, the one reader of
 input files; and ``_located``, which places any token reader's error at its
 line and column.
 """
@@ -34,7 +42,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import NotPointedError, ParseError
 from .ratlin import (
@@ -42,13 +50,13 @@ from .ratlin import (
     Rat,
     RatMat,
     RatVec,
-    _echelon,
     _echelon_kernel,
     _extend_rows,
     _int_vector,
+    _primitive,
+    _rat_pair,
     coprime_integer_entries,
     parse_count,
-    parse_rat,
     sign_normalized,
 )
 
@@ -82,14 +90,23 @@ class Polyhedron:
     NotPointedError when the rank of A stacked on B is below n, and no
     other module checks it again.  A may have zero rows (pure inequality systems such as
     boxes), and so may B.
-    A is reduced once: ``_a_echelon`` is its echelon, which the pointedness
-    check and the other modules extend by rows of B.  The integer image of B
-    (``_int_image``) is built on first use, not here: building it in the
-    constructor, even reusing its rows for the pointedness check, was
+    The system is held in ints, and each row is converted once.  A is
+    ``_a_rows``: each row [a_i | b_i] as (V_i, w_i), its ints V_i over
+    their least common denominator w_i > 0, which the simplex and the
+    tests of Ax = b and Av = 0 read.  B and d are their integer image
+    (``_int_image``).  ``_a_echelon`` is the echelon of A's primitive rows,
+    which the pointedness check and the other modules extend by rows of B.
+    The instance parser and the circulation reduction hand over int rows
+    (``_from_ints``), so their image is built with the polyhedron and no
+    Fraction is made per entry.  The public constructor takes A, b, B and
+    d as RatMat and RatVec and builds the image on first use: building it
+    there eagerly, even reusing its rows for the pointedness check, was
     measured to move its cost into instance setup rather than save it.
+    ``A``, ``b``, ``B`` and ``d`` are read-only views, the constructor's
+    arguments or else built from the ints on first read.
     """
 
-    __slots__ = ("A", "b", "B", "d", "n", "_a_echelon", "_b_image")
+    __slots__ = ("n", "_a_rows", "_a_echelon", "_b_image", "_A", "_b", "_B", "_d")
 
     def __init__(self, A: RatMat, b: RatVec, B: RatMat, d: RatVec):
         if A.n != B.n:
@@ -100,15 +117,71 @@ class Polyhedron:
             raise ValueError(f"b has {b.dim} entries but A has {A.m} rows")
         if d.dim != B.m:
             raise ValueError(f"d has {d.dim} entries but B has {B.m} rows")
-        self.A = A
-        self.b = b
-        self.B = B
-        self.d = d
-        self.n = A.n
-        self._a_echelon = _echelon(A.entries)
+        self._A, self._b, self._B, self._d = A, b, B, d
         self._b_image = None
-        if len(_echelon(B.entries, *self._a_echelon)[1]) < A.n:
+        a_rows = [_int_vector(row + (rhs,)) for row, rhs in zip(A.entries, b.entries)]
+        self._core(A.n, a_rows, map(coprime_integer_entries, B.entries))
+
+    @classmethod
+    def _from_ints(
+        cls,
+        n: int,
+        a_rows: list[tuple[list[int], int]],
+        b_rows: Iterable[tuple[Sequence[int], int]],
+        bounds: Iterable[tuple[int, int]],
+    ) -> "Polyhedron":
+        """The polyhedron of int rows: A's rows (V_i, w_i) as ``_a_rows``
+        holds them, B's rows (N_i, L_i) and d's entries (p_i, q_i) as
+        ``_image_of`` takes them.  n >= 1."""
+        P = cls.__new__(cls)
+        P._A = P._b = P._B = P._d = None
+        P._b_image = _image_of(b_rows, bounds)
+        P._core(n, a_rows, P._b_image.rows)
+        return P
+
+    def _core(
+        self, n: int, a_rows: list[tuple[list[int], int]], b_rows: Iterable[Sequence[int]]
+    ) -> None:
+        """Set n, A's int rows and their echelon, and check pointedness with
+        the primitive rows ``b_rows`` of B, read only until the rank is n."""
+        self.n = n
+        self._a_rows = a_rows
+        self._a_echelon = _extend_rows(_primitive(V[:n]) for V, _ in a_rows)
+        if len(_extend_rows(b_rows, *self._a_echelon)[1]) < n:
             raise NotPointedError("the system contains a line (rank [A; B] < n)")
+
+    @property
+    def A(self) -> RatMat:
+        if self._A is None:
+            n = self.n
+            self._A = RatMat([[Fraction(a, w) for a in V[:n]] for V, w in self._a_rows], cols=n)
+        return self._A
+
+    @property
+    def b(self) -> RatVec:
+        if self._b is None:
+            self._b = RatVec([Fraction(V[-1], w) for V, w in self._a_rows])
+        return self._b
+
+    @property
+    def B(self) -> RatMat:
+        """B_i = s_i q_i, from the integer image when not given."""
+        if self._B is None:
+            image = _int_image(self)
+            rows = zip(image.rows, image.scales)
+            self._B = RatMat([[Fraction(sn * a, sd) for a in q] for q, (sn, sd) in rows], cols=self.n)
+        return self._B
+
+    @property
+    def d(self) -> RatVec:
+        """d_i = s_i (bounds_i / den), from the integer image when not given."""
+        if self._d is None:
+            image = _int_image(self)
+            den = image.den
+            self._d = RatVec(
+                [Fraction(sn * t, sd * den) for t, (sn, sd) in zip(image.bounds, image.scales)]
+            )
+        return self._d
 
     @classmethod
     def box(cls, lows, highs) -> "Polyhedron":
@@ -118,7 +191,10 @@ class Polyhedron:
         if lows.dim != highs.dim:
             raise ValueError("low and high bounds must have the same dimension")
         n = lows.dim
-        return cls(RatMat([], cols=n), RatVec([]), _box_rows(n), RatVec([*highs, *(-lows)]))
+        if n < 1:
+            raise ValueError("the ambient dimension must be at least 1")
+        bounds = [(e.numerator, e.denominator) for e in (*highs, *(-lows))]
+        return cls._from_ints(n, [], _box_rows(n), bounds)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -136,13 +212,13 @@ class Polyhedron:
         return f"Polyhedron(n={self.n}, m_A={self.A.m}, m_B={self.B.m})"
 
 
-def _box_rows(n: int) -> RatMat:
-    """B = [I; -I], the inequality rows of a box in n variables."""
-    zero = Fraction(0)
-    rows = [[zero] * n for _ in range(2 * n)]
+def _box_rows(n: int) -> list[tuple[list[int], int]]:
+    """B = [I; -I], the inequality rows of a box in n variables, as
+    ``Polyhedron._from_ints`` takes them."""
+    rows = [[0] * n for _ in range(2 * n)]
     for i in range(n):
-        rows[i][i], rows[n + i][i] = Fraction(1), Fraction(-1)
-    return RatMat(rows, cols=n)
+        rows[i][i], rows[n + i][i] = 1, -1
+    return [(row, 1) for row in rows]
 
 
 class _IntImage(NamedTuple):
@@ -155,24 +231,60 @@ class _IntImage(NamedTuple):
     scales: tuple[tuple[int, int], ...]  # s_i = scales[i][0] / scales[i][1] in lowest terms
 
 
-def _int_image(P: Polyhedron) -> _IntImage:
-    """P's integer image of B, built on the first call and then kept.
+def _image_of(
+    rows: Iterable[tuple[Sequence[int], int]], bounds: Iterable[tuple[int, int]]
+) -> _IntImage:
+    """The integer image of B and d, the package's one image builder.
 
-    A zero row of B stays a zero row, with s_i = 1.
+    Row i of B is N_i / L_i, ints over their least common denominator
+    L_i > 0 (``ratlin._int_vector``), and d_i = p_i / q_i with q_i > 0.
+    With g_i = gcd(N_i), B_i is s_i q_i for the primitive row
+    q_i = N_i / g_i and s_i = g_i / L_i, which is in lowest terms: each
+    prime power of L_i is the whole denominator power of some entry, and
+    that entry's N_j is then not a multiple of the prime.  d_i / s_i is
+    p_i L_i / (q_i g_i), put in lowest terms by one gcd; no Fraction is
+    made.  A zero row stays a zero row, with s_i = 1.
     """
+    prims, scales, nums, dens = [], [], [], []
+    for (N, L), (p, q) in zip(rows, bounds):
+        g = gcd(*N) or 1  # a zero row has L_i = 1, so s_i = 1
+        prims.append(tuple([a // g for a in N]) if g > 1 else tuple(N))
+        scales.append((g, L))
+        num, den = p * L, q * g
+        t = gcd(num, den)
+        nums.append(num // t)
+        dens.append(den // t)
+    den = lcm(*dens)
+    return _IntImage(
+        tuple(prims),
+        tuple([tuple([(j, a) for j, a in enumerate(q) if a]) for q in prims]),
+        tuple([a * (den // e) for a, e in zip(nums, dens)]),
+        den,
+        tuple(scales),
+    )
+
+
+def _int_image(P: Polyhedron) -> _IntImage:
+    """P's integer image of B: built with P from int rows, else from the
+    rational B and d on the first call, and then kept."""
     image = P._b_image
     if image is None:
-        rows = tuple(coprime_integer_entries(row) for row in P.B.entries)
-        bounds, scales = [], []
-        for row, q, d in zip(P.B.entries, rows, P.d):
-            j = next((j for j, a in enumerate(q) if a), None)
-            s = Fraction(1) if j is None else row[j] / q[j]
-            bounds.append(d / s)
-            scales.append((s.numerator, s.denominator))
-        nonzeros = tuple(tuple((j, a) for j, a in enumerate(q) if a) for q in rows)
-        ints, den = _int_vector(bounds)
-        image = P._b_image = _IntImage(rows, nonzeros, tuple(ints), den, tuple(scales))
+        bounds = [(e.numerator, e.denominator) for e in P._d]
+        image = P._b_image = _image_of([_int_vector(row) for row in P._B.entries], bounds)
     return image
+
+
+def _solves_a(P: Polyhedron, X: Sequence[int], D: int) -> bool:
+    """Whether A x = b for x = X/D, in ints: V_i[:n].X = V_i[n] * D for each
+    row (V_i, w_i) of ``_a_rows``.  With D = 0, whether A X = 0."""
+    for V, _ in P._a_rows:
+        total = 0
+        for a, e in zip(V, X):  # V has n + 1 entries, X n
+            if a:
+                total += a * e
+        if total != V[-1] * D:
+            return False
+    return True
 
 
 def _image(P: Polyhedron, v: Sequence[int]) -> list[int]:
@@ -196,9 +308,8 @@ def is_feasible(P: Polyhedron, x: RatVec) -> bool:
     """Exact membership test: Ax = b and Bx <= d entrywise."""
     if x.dim != P.n:
         raise ValueError(f"point has dimension {x.dim}, expected {P.n}")
-    if P.A.matvec(x) != P.b:
-        return False
-    return all(s >= 0 for s in _slack(P, x)[1])
+    X, S, D = _slack(P, x)
+    return _solves_a(P, X, D) and all(s >= 0 for s in S)
 
 
 def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
@@ -353,12 +464,18 @@ def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
         raise ValueError("max_step requires a feasible starting point")
     if g.dim != P.n:
         raise ValueError(f"direction has dimension {g.dim}, expected {P.n}")
-    if not P.A.matvec(g).is_zero():
+    if not _solves_a(P, _int_vector(g)[0], 0):
         raise ValueError("direction leaves the equality subspace (A g != 0)")
-    if g.is_zero():
-        return Fraction(0)
     _, S, D = _slack(P, x0)
+    return _max_step(P, S, D, g)
+
+
+def _max_step(P: Polyhedron, S: Sequence[int], D: int, g: RatVec) -> Union[Rat, _Unbounded]:
+    """``max_step`` from the int slack (S, D) of ``_slack`` at a feasible
+    x0, for g with Ag = 0, without its checks."""
     G, den = _int_vector(g)  # g = G / den
+    if not any(G):
+        return Fraction(0)
     image = _image(P, G)
     j = _ratio_test(S, image)
     return UNBOUNDED if j is None else Fraction(S[j] * den, D * image[j])
@@ -425,9 +542,12 @@ def _located(read, line_no: int, col: int, *args):
         raise ParseError(str(exc), line_no, col) from None
 
 
-def _parse_row(line_no: int, line: str, count: Optional[int], what: str) -> list[Fraction]:
-    """The rationals on ``line``: exactly ``count`` of them, or any number
-    when ``count`` is None."""
+def _parse_row(
+    line_no: int, line: str, count: Optional[int], what: str
+) -> list[tuple[int, int]]:
+    """The rationals on ``line`` as (p, q) pairs in lowest terms, q > 0:
+    exactly ``count`` of them, or any number when ``count`` is None.  The
+    one row parser of the instance and point formats."""
     toks = line.split()  # the tokens of _tokens, without their columns
     if count is not None and len(toks) != count:
         raise ParseError(
@@ -436,9 +556,16 @@ def _parse_row(line_no: int, line: str, count: Optional[int], what: str) -> list
             len(line) + 1 if len(toks) < count else _tokens(line)[count][0],
         )
     try:
-        return [parse_rat(tok) for tok in toks]
+        return [_rat_pair(tok) for tok in toks]
     except ValueError:  # again with the columns, to place the error
-        return [_located(parse_rat, line_no, col, tok) for col, tok in _tokens(line)]
+        return [_located(_rat_pair, line_no, col, tok) for col, tok in _tokens(line)]
+
+
+def _int_row(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The rationals p/q of ``pairs`` as ints over their least common
+    denominator: ``ratlin._int_vector`` for parsed pairs."""
+    den = lcm(*[q for _, q in pairs])
+    return [p * (den // q) for p, q in pairs], den
 
 
 def _parse_header(line_no: int, line: str, fields: str) -> tuple[int, ...]:
@@ -452,8 +579,9 @@ def _parse_header(line_no: int, line: str, fields: str) -> tuple[int, ...]:
 def parse_instance_text(text: str) -> Instance:
     """Parse an instance file; malformed input raises ParseError with position.
 
-    A well-formed system that is not pointed raises NotPointedError, from
-    the Polyhedron constructor."""
+    The rows go to the polyhedron as ints (``Polyhedron._from_ints``); only
+    the objective becomes Fractions.  A well-formed system that is not
+    pointed raises NotPointedError, from the Polyhedron constructor."""
     lines = _data_lines(text, "instance")
     n, m_a, m_b = _parse_header(*lines[0], "n m_A m_B")
     if n < 1:
@@ -482,8 +610,9 @@ def parse_instance_text(text: str) -> Instance:
         raise ParseError("unexpected extra line after the objective", extra[0], 1)
 
     A, b, B, d, (c,) = data
-    P = Polyhedron(RatMat(A, cols=n), RatVec(sum(b, [])), RatMat(B, cols=n), RatVec(sum(d, [])))
-    return Instance(P, RatVec(c))
+    a_rows = [_int_row(row + [rhs]) for row, rhs in zip(A, sum(b, []))]
+    P = Polyhedron._from_ints(n, a_rows, [_int_row(row) for row in B], sum(d, []))
+    return Instance(P, RatVec([Fraction(p, q) for p, q in c]))
 
 
 def load_instance(path) -> Instance:
@@ -505,7 +634,7 @@ def parse_point_text(text: str, *, expected_dim: Optional[int] = None) -> RatVec
     lines = _data_lines(text, "point")
     if len(lines) > 1:
         raise ParseError("unexpected extra line after the point", lines[1][0], 1)
-    return RatVec(_parse_row(*lines[0], expected_dim, "a point"))
+    return RatVec([Fraction(p, q) for p, q in _parse_row(*lines[0], expected_dim, "a point")])
 
 
 def format_point(x: RatVec) -> str:

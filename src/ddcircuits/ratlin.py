@@ -28,10 +28,12 @@ The systems the package solves (incidence matrices, B = [I; -I], tableaux
 of slack columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
 incidence matrices are totally unimodular, so their integer rows stay
-small.  ``RatMat.matvec`` serves A and the checkers in ``certify``: the hot
-products with B go through each polyhedron's integer image of B
-(``polyhedron._image``).  The module also owns the token grammar of every
-input and ``_to_int``, the one conversion of text to an int.
+small.  ``RatMat.matvec`` serves the checkers in ``certify``: the hot
+products with A and B go through each polyhedron's int rows of A and
+integer image of B (``polyhedron._solves_a`` and ``_image``).  The module
+also owns the token grammar of every input, ``_to_int``, the one
+conversion of text to an int, and ``_rat_pair``, the one reader of a
+rational token, which gives it as an int pair in lowest terms.
 """
 
 from __future__ import annotations
@@ -80,15 +82,24 @@ def parse_int(token: str) -> int:
 
 def parse_rat(token: str) -> Rat:
     """Parse ``p/q`` (or ``p``) with an optional leading minus on p only."""
+    return Fraction(*_rat_pair(token))
+
+
+def _rat_pair(token: str) -> tuple[int, int]:
+    """The rational token ``p/q`` (or ``p``) as the ints (p, q) in lowest
+    terms with q > 0, the one token reader of ``parse_rat`` and the row
+    parser; it makes no Fraction."""
     if not _RAT_RE.fullmatch(token):
         raise ValueError(f"malformed rational {token!r}")
-    if "/" in token:
-        p, q = token.split("/")
-        den = _to_int(q)
-        if den == 0:
-            raise ValueError(f"zero denominator in {token!r}")
-        return Fraction(_to_int(p), den)
-    return Fraction(_to_int(token))
+    p, _, q = token.partition("/")
+    if not q:
+        return _to_int(p), 1
+    den = _to_int(q)
+    if den == 0:
+        raise ValueError(f"zero denominator in {token!r}")
+    num = _to_int(p)
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 class RatVec:
@@ -97,8 +108,9 @@ class RatVec:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rat | int]):
+        # from a list: see ``_int_vector`` on tuples built from generators
         self.entries: tuple[Fraction, ...] = tuple(
-            e if type(e) is Fraction else Fraction(e) for e in entries
+            [e if type(e) is Fraction else Fraction(e) for e in entries]
         )
 
     @classmethod
@@ -170,7 +182,7 @@ class RatMat:
 
     def __init__(self, rows: Iterable[Iterable[Rat | int]], cols: Optional[int] = None):
         entries = tuple(
-            tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in rows
+            [tuple([e if type(e) is Fraction else Fraction(e) for e in row]) for row in rows]
         )
         if cols is None:
             if not entries:
@@ -312,9 +324,11 @@ def _int_vector(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """(V, D): the rational vector ``values`` as the ints V over its least
     common denominator D > 0, so that values = V / D.
 
-    The lcm's arguments come from a list: a generator's argument tuple is
-    resized as it fills, and CPython's tuple free lists then keep one more
-    short tuple per call, up to 2000 of each length."""
+    The lcm's arguments come from a list: a tuple built from a generator,
+    an argument tuple or ``tuple(...)``, is resized as it fills, and
+    CPython's tuple free lists then keep one more short tuple per call, up
+    to 2000 of each length.  The package builds tuples from lists for this
+    reason."""
     den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -324,11 +338,15 @@ def coprime_integer_entries(values: Sequence[Fraction | int]) -> tuple[int, ...]
 
     Zeros stay 0, and a vector of coprime integers comes back unchanged.
     """
-    ints = _int_vector(values)[0]
+    return _primitive(_int_vector(values)[0])
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """An int vector over the gcd of its entries, orientation kept: the
+    primitive integer row of ``coprime_integer_entries`` for a row that is
+    ints already.  A zero vector stays zero."""
     g = gcd(*ints)
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
+    return tuple([a // g for a in ints]) if g > 1 else tuple(ints)
 
 
 def sign_normalized(ints: Sequence[int]) -> tuple[int, ...]:
@@ -368,7 +386,7 @@ def _echelon_kernel(
         if free in pivot_set:
             continue
         terms = [(pc, row[pc], row[free]) for row, pc in zip(rows, pivots) if row[free]]
-        den = lcm(*(p for _, p, _ in terms))
+        den = lcm(*[p for _, p, _ in terms])
         vec = [0] * ncols
         vec[free] = den
         for pc, p, a in terms:

@@ -29,10 +29,11 @@ from .polyhedron import (
     _data_lines,
     _located,
     _parse_header,
+    _point,
     _read_text,
     _tokens,
 )
-from .ratlin import Rat, RatMat, RatVec, parse_count, parse_rat
+from .ratlin import Rat, RatMat, _int_vector, parse_count, parse_rat
 
 MAX_ORACLE_NODES = 8
 
@@ -87,12 +88,16 @@ def perturb_costs(G: Digraph) -> Digraph:
 
 def incidence_matrix(G: Digraph) -> RatMat:
     """Node-arc incidence: +1 at the tail, -1 at the head of every arc."""
-    zero = Fraction(0)
-    rows = [[zero] * G.m for _ in range(G.nodes)]
+    return RatMat(_incidence_rows(G), cols=G.m)
+
+
+def _incidence_rows(G: Digraph) -> list[list[int]]:
+    """The rows of ``incidence_matrix`` as ints."""
+    rows = [[0] * G.m for _ in range(G.nodes)]
     for j, (tail, head) in enumerate(G.arcs):
-        rows[tail - 1][j] = Fraction(1)
-        rows[head - 1][j] = Fraction(-1)
-    return RatMat(rows, cols=G.m)
+        rows[tail - 1][j] = 1
+        rows[head - 1][j] = -1
+    return rows
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,18 @@ def build_reduction(G: Digraph) -> ReductionInstance:
     inequalities: the box 0 <= x <= 1 (B = [I; -I], d = (1...1, 0...0));
     objective: the negated perturbed costs; start: the zero flow.  The
     resulting system is pointed, totally unimodular, and has a unique
-    optimum.
+    optimum.  The rows go to the polyhedron as ints; only the objective
+    is made of Fractions.
     """
     if G.m == 0:
         raise ValueError("the reduction needs at least one arc")
+    m = G.m
     weighted = perturb_costs(G)
-    A = incidence_matrix(weighted)
-    d = RatVec([Fraction(1)] * G.m + [Fraction(0)] * G.m)
-    objective = RatVec(-c for c in weighted.costs)
-    P = Polyhedron(A, RatVec.zeros(G.nodes), _box_rows(G.m), d)
-    return ReductionInstance(Instance(P, objective), RatVec.zeros(G.m), weighted)
+    a_rows = [(row + [0], 1) for row in _incidence_rows(G)]
+    P = Polyhedron._from_ints(m, a_rows, _box_rows(m), [(1, 1)] * m + [(0, 1)] * m)
+    costs, den = _int_vector(weighted.costs)
+    objective = _point([-e for e in costs], den)
+    return ReductionInstance(Instance(P, objective), _point([0] * m, 1), weighted)
 
 
 def longest_cycle_oracle(

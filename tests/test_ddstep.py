@@ -30,7 +30,7 @@ from ddcircuits import (
 )
 from ddcircuits.conformal import _terms
 from ddcircuits.polyhedron import UNBOUNDED
-from ddcircuits.ratlin import RatMat, rank
+from ddcircuits.ratlin import RatMat, _int_vector, rank
 
 from instgen import dense_polytope, gen_box, gen_circulation, mixed_instances
 from oracles import per_step_approx_augment
@@ -158,7 +158,7 @@ def _walked_terms(P, c, x, optimum):
     walked = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ddcircuits.ddstep, "_terms", _recording(walked))
-        res = ddcircuits.ddstep._approx_step(P, c, x, optimum)
+        res = ddcircuits.ddstep._approx_step(P, _int_vector(c), x, optimum)
     return res, walked
 
 

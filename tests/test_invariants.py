@@ -3,9 +3,10 @@
 The runtime needs only the standard library, and all arithmetic is exact:
 no module may import a third-party package, write a float or complex
 literal, or use the name ``float``.  The integer kernel (the elimination,
-the circuit scan, and the image, slack, ratio test and walk behind the
-active-set walk and the conformal decomposition) holds rows and vectors
-of ints, where ``int / int`` would silently give a float, so its functions
+the circuit scan, the image, slack, ratio test and walk behind the
+active-set walk and the conformal decomposition, and the row parser and
+int core that the instance parser and the circulation reduction build
+each polyhedron with) holds rows and vectors of ints, where ``int / int`` would silently give a float, so its functions
 may not use true division at all.  Nor may they compute with Fractions:
 they name no rational type except to build a Fraction that they return or
 yield as it is, call no rational vector method, and pass a rational
@@ -53,13 +54,38 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ddcircuits"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# The functions, per module, that compute on integer rows and vectors.
+# The functions, per module, that compute on integer rows and vectors,
+# among them the int row parser and the int core that the parser and the
+# circulation reduction build each polyhedron with.
 INTEGER_KERNEL = {
-    "ratlin.py": ("_pivot", "_combine", "_extend", "_echelon", "_extend_rows", "_echelon_kernel"),
+    "ratlin.py": (
+        "_pivot",
+        "_combine",
+        "_extend",
+        "_echelon",
+        "_extend_rows",
+        "_echelon_kernel",
+        "_rat_pair",
+        "_primitive",
+    ),
     "lp.py": ("_bland", "_simplex"),
     "circuits.py": ("_cut", "_children", "enumerate_circuits"),
-    "polyhedron.py": ("_image", "_slack", "_ratio_test", "_move", "_walk"),
+    "polyhedron.py": (
+        "_image",
+        "_slack",
+        "_ratio_test",
+        "_move",
+        "_walk",
+        "_parse_row",
+        "_int_row",
+        "_from_ints",
+        "_core",
+        "_image_of",
+        "_solves_a",
+        "_box_rows",
+    ),
     "conformal.py": ("_terms",),
+    "reductions.py": ("build_reduction", "_incidence_rows"),
 }
 
 # The rational types, and the methods of RatVec, RatMat and Circuit that
@@ -631,8 +657,12 @@ def test_checker_flags_fraction_arithmetic():
         "        return Fraction(1) + Fraction(2)\n"
         "def other(x: RatVec):\n"
         "    return -x + Fraction(1, 2)\n"
+        "def _parse_row(line_no, line, count, what):\n"
+        "    pairs = [_rat_pair(tok) for tok in line.split()]\n"
+        "    row = [Fraction(p, q) for p, q in pairs]\n"
+        "    return _int_vector(row)\n"
     )
-    assert fraction_arithmetic(source, ("_walk", "_slack", "_terms")) == [
+    assert fraction_arithmetic(source, ("_walk", "_slack", "_terms", "_parse_row")) == [
         "line 2: _walk",
         "line 4: _walk",
         "line 6: _walk",
@@ -647,6 +677,7 @@ def test_checker_flags_fraction_arithmetic():
         "line 15: _terms",
         "line 16: _terms",
         "line 16: _terms",
+        "line 21: _parse_row",
     ]
 
 
