@@ -39,7 +39,7 @@ from math import gcd
 from operator import neg
 
 from .errors import SizeGuardExceeded
-from .polyhedron import Polyhedron, _image, _int_image, _solves_a
+from .polyhedron import Polyhedron, _image, _solves_a
 from .ratlin import (
     RatVec,
     _echelon_kernel,
@@ -102,7 +102,7 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     if not _solves_a(P, G, 0):
         return False
     image = _image(P, G)  # zeros where B v has them
-    zero_rows = (q for q, e in zip(_int_image(P).rows, image) if e == 0)
+    zero_rows = (q for q, e in zip(P._b_image.rows, image) if e == 0)
     return len(_extend_rows(zero_rows, *P._a_echelon)[1]) == P.n - 1
 
 
@@ -114,7 +114,7 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
     (B g)_j != 0, so it does not compute all of B g.
     """
     g = circ.entries
-    for row in _int_image(P).nonzeros:
+    for row in P._b_image.nonzeros:
         e = sum(a * g[j] for j, a in row)
         if e > 0:
             return circ
@@ -199,7 +199,7 @@ def enumerate_circuits(
 
     reps: list[int] = []  # the first row of B of each parallel class
     seen: set[tuple[int, ...]] = set()
-    for i, ints in enumerate(_int_image(P).rows):
+    for i, ints in enumerate(P._b_image.rows):
         key = sign_normalized(ints)
         if any(ints) and key not in seen:
             seen.add(key)
@@ -228,7 +228,7 @@ def enumerate_circuits(
         if budget < 0:
             raise SizeGuardExceeded(
                 f"circuit enumeration exceeded its work budget of {work_budget} "
-                f"flats (n={n}, m_B={len(_int_image(P).rows)})"
+                f"flats (n={n}, m_B={len(P._b_image.rows)})"
             )
         if d == 1:  # the root, when the kernel of A is a line
             found.append(canonical_orientation(P, Circuit(tuple(block[0][:n]))))

@@ -91,19 +91,22 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
         raise ValueError(f"vector has dimension {z.dim}, expected {P.n}")
     if z.is_zero():
         raise ValueError("cannot decompose the zero vector")
-    if not _solves_a(P, _int_vector(z)[0], 0):
+    zint = _int_vector(z)
+    if not _solves_a(P, zint[0], 0):
         raise ValueError("decompose requires A z = 0")
-    return ConformalSum(tuple(sorted(_terms(P, z), key=lambda term: term[1].entries)), z)
+    return ConformalSum(tuple(sorted(_terms(P, zint), key=lambda term: term[1].entries)), z)
 
 
-def _terms(P: Polyhedron, z: RatVec) -> Iterator[tuple[Fraction, Circuit]]:
+def _terms(P: Polyhedron, zint: tuple[list[int], int]) -> Iterator[tuple[Fraction, Circuit]]:
     """The terms (alpha, g) of ``decompose(P, z)`` in the order the walk
     finds them; a caller that stops early saves the later walks.
 
-    z must be a nonzero vector of ker A, as ``decompose`` checks; the
-    approximate step's z = x* - x0 is one by construction.
+    ``zint`` is z as ints over one denominator, (Z, D) with z = Z / D, as
+    ``ratlin._int_vector`` gives it.  z must be a nonzero vector of ker A,
+    as ``decompose`` checks; the approximate step's z = x* - x0 is one by
+    construction.
     """
-    Z, D = _int_vector(z)
+    Z, D = zint
     bz = _image(P, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
     bound = P.n - len(P._a_echelon[1])  # rank(A)

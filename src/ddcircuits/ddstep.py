@@ -145,10 +145,10 @@ def _approx_step(
     if z.is_zero():
         return Optimal()
     C, den = cint
-    Z, dz = _int_vector(z)
+    Z, dz = zint = _int_vector(z)
     rest = Fraction(_dot(C, Z), den * dz)  # c.z
     best_key = None
-    for alpha, g in _terms(P, z):
+    for alpha, g in _terms(P, zint):
         gain = alpha * Fraction(_dot(C, g.entries), den)
         rest -= gain
         if best_key is None or (gain, g.entries) < best_key:

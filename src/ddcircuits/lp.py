@@ -69,7 +69,6 @@ from .polyhedron import (
     Point,
     Polyhedron,
     _extend_active,
-    _int_image,
     _IntImage,
     _max_step,
     _point,
@@ -93,12 +92,15 @@ class LpOptimal:
 
     ``unique`` is True when the final simplex tableau proves the optimum
     unique (every nonbasic reduced cost positive); False means the tableau
-    does not decide it.  It takes no part in equality or repr.
+    does not decide it.  ``objective`` is the c that ``solve_lp`` minimized,
+    None for an optimum built by hand.  Neither takes part in equality or
+    repr.
     """
 
     vertex: Point
     value: Rat
     unique: bool = field(default=False, compare=False, repr=False)
+    objective: Optional[RatVec] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
     n = P.n
     cost = coprime_integer_entries([*c.entries] + [-a for a in c.entries])
-    status, T, basis, enter = _simplex(P._a_rows, _int_image(P), cost)
+    status, T, basis, enter = _simplex(P._a_rows, P._b_image, cost)
     if status == "infeasible":
         return LpInfeasible()
     ncols = len(T[-1]) - 1
@@ -301,7 +303,7 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
         w[jb] = Fraction(T[i][-1], T[i][jb])
     x = RatVec(w[j] - w[n + j] for j in range(n))
     x = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, c.dot(x), _unique_by_reduced_costs(T[-1][:ncols], basis, n))
+    return LpOptimal(x, c.dot(x), _unique_by_reduced_costs(T[-1][:ncols], basis, n), c)
 
 
 def verify_unique(
@@ -316,12 +318,12 @@ def verify_unique(
 
     When xstar is the optimal vertex and its tableau's reduced costs
     proved it unique (``optimum.unique``, which only ``solve_lp`` sets),
-    the answer is unique with no further work; for the caller's own
-    vertex only its value is compared, since the solver built it
-    feasible.  Otherwise, with I the B-rows active at xstar: a
-    nonzero kernel vector w of [A; B_I] means xstar is not a vertex, and
-    the witness is the end of the active-set walk's first move, where the
-    ray from xstar along w (or -w) leaves P.  Else one LP minimizes
+    the answer is unique with no further work: the solver built xstar
+    feasible, and of value ``optimum.value`` for its ``objective``, so the
+    value is compared only when that is not c.  Otherwise, with I the
+    B-rows active at xstar: a nonzero kernel vector w of [A; B_I] means
+    xstar is not a vertex, and the witness is the end of the active-set
+    walk's first move, where the ray from xstar along w (or -w) leaves P.  Else one LP minimizes
     (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0, B_I w <= 0,
     -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is unique; else
     its vertex w is a nonzero direction of the optimal face, and the
@@ -330,6 +332,8 @@ def verify_unique(
     xstar computed once here, without checking xstar again.
     """
     own_vertex = optimum is not None and optimum.unique and xstar == optimum.vertex
+    if own_vertex and c == optimum.objective:
+        return UniquenessReport(True, None)
     if not own_vertex and not is_feasible(P, xstar):
         raise ValueError("xstar is not feasible")
     if optimum is None:

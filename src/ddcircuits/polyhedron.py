@@ -8,12 +8,13 @@ each, which the simplex in ``lp`` and the tests of Ax = b and Av = 0
 (``_solves_a``) read, and an integer image of B, where row B_i is s_i
 times a primitive integer row q_i (s_i > 0), with the bounds d_i/s_i as
 ints over one common denominator; the simplex builds its B rows from it.
-``_image_of`` is the one image builder.  The instance parser and the
-circulation reduction hand over int rows, so their polyhedra build the
-image with the system and make no Fraction per entry; a polyhedron given
-as RatMat and RatVec builds it on first use.  A, b, B and d as Fractions
-are views, built on first read when the rows came as ints.  The unchecked
-helpers work in row units and in ints.  ``_image(P, v)`` is the
+``_image_of`` is the one image builder, and ``Polyhedron._build`` the one
+builder of the int form, which every polyhedron goes through and which
+builds the image with the system.  The instance parser and the circulation
+reduction hand over int rows and make no Fraction per entry; the public
+constructor converts its RatMat and RatVec arguments to the same rows.  A,
+b, B and d as Fractions are views, built from the ints on first read.  The
+unchecked helpers work in row units and in ints.  ``_image(P, v)`` is the
 int vector of products q_i.v for an int vector v.  ``_slack`` gives a
 point x as one int vector over one positive denominator, (X, S, D) with
 x = X/D and S/D the slack d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
@@ -88,22 +89,20 @@ class Polyhedron:
     Every Polyhedron is pointed: circuits and vertex-based steps are only
     well-defined over pointed regions, so construction raises
     NotPointedError when the rank of A stacked on B is below n, and no
-    other module checks it again.  A may have zero rows (pure inequality systems such as
-    boxes), and so may B.
-    The system is held in ints, and each row is converted once.  A is
-    ``_a_rows``: each row [a_i | b_i] as (V_i, w_i), its ints V_i over
-    their least common denominator w_i > 0, which the simplex and the
-    tests of Ax = b and Av = 0 read.  B and d are their integer image
-    (``_int_image``).  ``_a_echelon`` is the echelon of A's primitive rows,
-    which the pointedness check and the other modules extend by rows of B.
-    The instance parser and the circulation reduction hand over int rows
-    (``_from_ints``), so their image is built with the polyhedron and no
-    Fraction is made per entry.  The public constructor takes A, b, B and
-    d as RatMat and RatVec and builds the image on first use: building it
-    there eagerly, even reusing its rows for the pointedness check, was
-    measured to move its cost into instance setup rather than save it.
-    ``A``, ``b``, ``B`` and ``d`` are read-only views, the constructor's
-    arguments or else built from the ints on first read.
+    other module checks it again.  A may have zero rows (pure inequality
+    systems such as boxes), and so may B.
+    The system is held in ints, and each row is converted once, by one
+    builder (``_build``) that every constructor calls.  A is ``_a_rows``:
+    each row [a_i | b_i] as (V_i, w_i), its ints V_i over their least
+    common denominator w_i > 0, which the simplex and the tests of Ax = b
+    and Av = 0 read.  B and d are their integer image ``_b_image``, built
+    with the polyhedron.  ``_a_echelon`` is the echelon of A's primitive
+    rows, which the pointedness check extends by the image's rows, and the
+    other modules by rows of B.  The instance parser and the circulation
+    reduction hand over int rows (``_from_ints``), and the public
+    constructor converts its RatMat and RatVec arguments to the same rows.
+    ``A``, ``b``, ``B`` and ``d`` are read-only views, built from the ints
+    on first read.
     """
 
     __slots__ = ("n", "_a_rows", "_a_echelon", "_b_image", "_A", "_b", "_B", "_d")
@@ -117,37 +116,36 @@ class Polyhedron:
             raise ValueError(f"b has {b.dim} entries but A has {A.m} rows")
         if d.dim != B.m:
             raise ValueError(f"d has {d.dim} entries but B has {B.m} rows")
-        self._A, self._b, self._B, self._d = A, b, B, d
-        self._b_image = None
         a_rows = [_int_vector(row + (rhs,)) for row, rhs in zip(A.entries, b.entries)]
-        self._core(A.n, a_rows, map(coprime_integer_entries, B.entries))
+        bounds = [(e.numerator, e.denominator) for e in d]
+        self._build(A.n, a_rows, [_int_vector(row) for row in B.entries], bounds)
 
     @classmethod
-    def _from_ints(
-        cls,
+    def _from_ints(cls, n, a_rows, b_rows, bounds) -> "Polyhedron":
+        """The polyhedron of int rows, as ``_build`` takes them."""
+        P = cls.__new__(cls)
+        P._build(n, a_rows, b_rows, bounds)
+        return P
+
+    def _build(
+        self,
         n: int,
         a_rows: list[tuple[list[int], int]],
         b_rows: Iterable[tuple[Sequence[int], int]],
         bounds: Iterable[tuple[int, int]],
-    ) -> "Polyhedron":
-        """The polyhedron of int rows: A's rows (V_i, w_i) as ``_a_rows``
-        holds them, B's rows (N_i, L_i) and d's entries (p_i, q_i) as
-        ``_image_of`` takes them.  n >= 1."""
-        P = cls.__new__(cls)
-        P._A = P._b = P._B = P._d = None
-        P._b_image = _image_of(b_rows, bounds)
-        P._core(n, a_rows, P._b_image.rows)
-        return P
-
-    def _core(
-        self, n: int, a_rows: list[tuple[list[int], int]], b_rows: Iterable[Sequence[int]]
     ) -> None:
-        """Set n, A's int rows and their echelon, and check pointedness with
-        the primitive rows ``b_rows`` of B, read only until the rank is n."""
+        """Set the int form, the one place it is set: n >= 1, A's rows
+        (V_i, w_i) as ``_a_rows`` holds them and their echelon, and the
+        image of B's rows (N_i, L_i) and d's entries (p_i, q_i) as
+        ``_image_of`` takes them.  Pointedness is checked on the image's
+        primitive rows, read only until the rank is n.  The views are
+        built on first read."""
         self.n = n
         self._a_rows = a_rows
         self._a_echelon = _extend_rows(_primitive(V[:n]) for V, _ in a_rows)
-        if len(_extend_rows(b_rows, *self._a_echelon)[1]) < n:
+        self._b_image = _image_of(b_rows, bounds)
+        self._A = self._b = self._B = self._d = None
+        if len(_extend_rows(self._b_image.rows, *self._a_echelon)[1]) < n:
             raise NotPointedError("the system contains a line (rank [A; B] < n)")
 
     @property
@@ -165,18 +163,17 @@ class Polyhedron:
 
     @property
     def B(self) -> RatMat:
-        """B_i = s_i q_i, from the integer image when not given."""
+        """B_i = s_i q_i, from the integer image."""
         if self._B is None:
-            image = _int_image(self)
-            rows = zip(image.rows, image.scales)
+            rows = zip(self._b_image.rows, self._b_image.scales)
             self._B = RatMat([[Fraction(sn * a, sd) for a in q] for q, (sn, sd) in rows], cols=self.n)
         return self._B
 
     @property
     def d(self) -> RatVec:
-        """d_i = s_i (bounds_i / den), from the integer image when not given."""
+        """d_i = s_i (bounds_i / den), from the integer image."""
         if self._d is None:
-            image = _int_image(self)
+            image = self._b_image
             den = image.den
             self._d = RatVec(
                 [Fraction(sn * t, sd * den) for t, (sn, sd) in zip(image.bounds, image.scales)]
@@ -209,7 +206,7 @@ class Polyhedron:
         return hash((self.A, self.b, self.B, self.d))
 
     def __repr__(self) -> str:
-        return f"Polyhedron(n={self.n}, m_A={self.A.m}, m_B={self.B.m})"
+        return f"Polyhedron(n={self.n}, m_A={len(self._a_rows)}, m_B={len(self._b_image.rows)})"
 
 
 def _box_rows(n: int) -> list[tuple[list[int], int]]:
@@ -264,16 +261,6 @@ def _image_of(
     )
 
 
-def _int_image(P: Polyhedron) -> _IntImage:
-    """P's integer image of B: built with P from int rows, else from the
-    rational B and d on the first call, and then kept."""
-    image = P._b_image
-    if image is None:
-        bounds = [(e.numerator, e.denominator) for e in P._d]
-        image = P._b_image = _image_of([_int_vector(row) for row in P._B.entries], bounds)
-    return image
-
-
 def _solves_a(P: Polyhedron, X: Sequence[int], D: int) -> bool:
     """Whether A x = b for x = X/D, in ints: V_i[:n].X = V_i[n] * D for each
     row (V_i, w_i) of ``_a_rows``.  With D = 0, whether A X = 0."""
@@ -288,7 +275,7 @@ def _solves_a(P: Polyhedron, X: Sequence[int], D: int) -> bool:
 
 
 def _image(P: Polyhedron, v: Sequence[int]) -> list[int]:
-    """B v in row units: the products q_i.v with the rows of ``_int_image``,
+    """B v in row units: the products q_i.v with the rows of ``P._b_image``,
     as int dot products over the nonzeros of each row.
 
     v is an int vector, such as a kernel vector of an echelon, a circuit or
@@ -296,7 +283,7 @@ def _image(P: Polyhedron, v: Sequence[int]) -> list[int]:
     keeps every zero and sign of the image.
     """
     out = []
-    for row in _int_image(P).nonzeros:
+    for row in P._b_image.nonzeros:
         total = 0
         for j, a in row:
             total += a * v[j]
@@ -329,7 +316,7 @@ def _slack(P: Polyhedron, x: Point) -> tuple[list[int], list[int], int]:
     entry's X_i or S_i is then not a multiple of p.  x is feasible exactly
     when S >= 0 and Ax = b.
     """
-    image = _int_image(P)
+    image = P._b_image
     X, den = _int_vector(x)
     D = lcm(den, image.den)
     if D != den:
@@ -353,9 +340,9 @@ def _extend_active(
 ) -> Echelon:
     """``echelon`` extended by the B-rows with zero slack; given the slack
     ``before`` a move that keeps active rows active, only by the rows the
-    move made active.  The rows are those of ``_int_image``, so they are
+    move made active.  The rows are those of ``P._b_image``, so they are
     not converted again."""
-    rows = _int_image(P).rows
+    rows = P._b_image.rows
     new = (rows[j] for j, s in enumerate(slack) if s == 0 and (before is None or before[j]))
     return _extend_rows(new, *echelon)
 

@@ -23,7 +23,7 @@ from ddcircuits import (
     verify_conformal,
 )
 from ddcircuits.conformal import _terms, format_conformal
-from ddcircuits.ratlin import kernel_basis, rank
+from ddcircuits.ratlin import _int_vector, kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
 from oracles import fraction_terms
@@ -217,12 +217,13 @@ def test_decompositions_pinned():
 
 def test_terms_match_the_fraction_reference():
     for P, s in _pinned_sums():
-        assert list(_terms(P, s.target)) == fraction_terms(P, s.target)
+        assert list(_terms(P, _int_vector(s.target))) == fraction_terms(P, s.target)
 
 
 def test_decompose_sorts_the_walk_order_terms():
     for P, s in _pinned_sums():
-        assert s.terms == tuple(sorted(_terms(P, s.target), key=lambda term: term[1].entries))
+        terms = _terms(P, _int_vector(s.target))
+        assert s.terms == tuple(sorted(terms, key=lambda term: term[1].entries))
 
 
 # The echelon builder calls made by the 40 polytope decompositions of

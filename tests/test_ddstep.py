@@ -127,6 +127,17 @@ class TestApproxStep:
             assert best * factor >= gap
 
 
+def _assert_contracts(P, c, trace):
+    """k * improvement >= gap on every step of an exact or approx ``trace``,
+    with k = n - rank A and gap = c.x - c.x* at the step's iterate: x* - x
+    splits into at most k conformal terms, so the best one gains at least
+    gap / k, and either step gains at least as much."""
+    k = P.n - rank(P.A)
+    value = solve_lp(P, c).value
+    for step, x in zip(trace.steps, trace.iterates):
+        assert k * step.improvement >= c.dot(x) - value
+
+
 def _full_rule(P, c, x, optimum):
     """The approximate step read off the whole decomposition: the first
     term of ``decompose``'s canonical order with the smallest c.(alpha g),
@@ -145,8 +156,8 @@ def _full_rule(P, c, x, optimum):
 def _recording(walked):
     """A stand-in for ``_terms`` that appends each term it yields to walked."""
 
-    def recording(P, z):
-        for term in _terms(P, z):
+    def recording(P, zint):
+        for term in _terms(P, zint):
             walked.append(term)
             yield term
 
@@ -169,7 +180,7 @@ def _check_early_stop(P, c, x, optimum):
     if z.is_zero():
         assert walked == []
         return res
-    every = list(_terms(P, z))
+    every = list(_terms(P, _int_vector(z)))
     assert walked == every[: len(walked)]
 
     def key(term):
@@ -194,6 +205,7 @@ def test_early_stop_picks_the_full_decompositions_term(gen, seed, data):
     optimum = solve_lp(P, c)
     assert isinstance(optimum, LpOptimal)
     trace = augment(P, c, x0, "approx")
+    _assert_contracts(P, c, trace)
     outcomes = [_check_early_stop(P, c, x, optimum) for x in trace.iterates]
     assert outcomes == [*trace.steps, Optimal()]
     report = verify_unique(P, c, optimum.vertex, optimum=optimum)
@@ -227,6 +239,7 @@ def test_early_stop_walks_fewer_terms(monkeypatch):
         P, c, x0 = dense_polytope(rng)
         xstar = solve_lp(P, c).vertex
         trace = augment(P, c, x0, "approx")
+        _assert_contracts(P, c, trace)
         full += sum(len(decompose(P, xstar - x).terms) for x in trace.iterates if x != xstar)
     assert (len(walked), full) == (APPROX_WALKED_TERMS, APPROX_FULL_TERMS)
 
@@ -264,6 +277,7 @@ class TestAugment:
     def test_square_two_steps(self):
         trace = augment(UNIT_SQUARE, RatVec([-3, -1]), RatVec([0, 0]), "exact")
         assert len(trace.steps) == 2
+        _assert_contracts(UNIT_SQUARE, RatVec([-3, -1]), trace)
         assert trace.final == RatVec([1, 1])
         assert trace.iterates == (RatVec([0, 0]), RatVec([1, 0]), RatVec([1, 1]))
 
@@ -284,11 +298,13 @@ class TestAugment:
             Fraction(31, 8),
             Fraction(199, 64),
         ]
+        _assert_contracts(TWO_TRIANGLES.polyhedron, TWO_TRIANGLES.objective, trace)
 
     def test_approx_mode_reaches_optimum(self):
         c = RatVec([-3, -1])
         trace = augment(UNIT_SQUARE, c, RatVec([0, 0]), "approx")
         assert trace.final == RatVec([1, 1])
+        _assert_contracts(UNIT_SQUARE, c, trace)
 
     def test_steepest_mode_reaches_optimum(self):
         c = RatVec([-3, -1])
@@ -301,11 +317,13 @@ class TestAugment:
         trace = augment(TWO_TRIANGLES.polyhedron, c, RatVec.zeros(6), "exact")
         values = [c.dot(x) for x in trace.iterates]
         assert all(a > b for a, b in zip(values, values[1:]))
+        _assert_contracts(TWO_TRIANGLES.polyhedron, c, trace)
 
     def test_iteration_cap(self):
         with pytest.raises(IterationCapExceeded) as err:
             augment(UNIT_SQUARE, RatVec([-3, -1]), RatVec([0, 0]), "exact", max_iters=1)
         assert len(err.value.trace.steps) == 1
+        _assert_contracts(UNIT_SQUARE, RatVec([-3, -1]), err.value.trace)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -338,6 +356,7 @@ class TestApproxAugmentAgainstPerStepReference:
         for P, c, x0 in approx_instances():
             trace = augment(P, c, x0, "approx")
             assert trace == per_step_approx_augment(P, c, x0)
+            _assert_contracts(P, c, trace)
             opt = solve_lp(P, c)
             assert c.dot(trace.final) == opt.value
             if verify_unique(P, c, opt.vertex, optimum=opt).unique:
@@ -353,6 +372,7 @@ class TestApproxAugmentAgainstPerStepReference:
                     per_step_approx_augment(P, c, x0, max_iters=cap)
                 assert err.value.trace == ref.value.trace
                 assert len(err.value.trace.steps) == cap
+                _assert_contracts(P, c, err.value.trace)
 
     def test_one_lp_per_run(self, monkeypatch):
         calls = []

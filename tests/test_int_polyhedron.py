@@ -27,7 +27,6 @@ from ddcircuits import (
     parse_instance_text,
     parse_point_text,
 )
-from ddcircuits.polyhedron import _int_image
 from ddcircuits.ratlin import RatMat
 from ddcircuits.reductions import parse_digraph_text
 
@@ -91,7 +90,7 @@ def assert_image(P: Polyhedron, B: RatMat, d: RatVec) -> None:
     """P's integer image checked with Fraction against the rational B and d:
     B_i = s_i q_i with q_i primitive and s_i > 0 in lowest terms, and the
     bounds d_i / s_i over their least common denominator."""
-    image = _int_image(P)
+    image = P._b_image
     assert len(image.rows) == B.m
     ratios = []
     for q, (sn, sd), row, d_i in zip(image.rows, image.scales, B.entries, d):
@@ -114,7 +113,7 @@ def assert_same(P: Polyhedron, Q: Polyhedron) -> None:
     assert (P.n, P.A, P.b, P.B, P.d) == (Q.n, Q.A, Q.b, Q.B, Q.d)
     assert P._a_rows == Q._a_rows
     assert P._a_echelon == Q._a_echelon
-    image, other = _int_image(P), _int_image(Q)
+    image, other = P._b_image, Q._b_image
     for field in image._fields:
         assert getattr(image, field) == getattr(other, field), field
 
@@ -156,7 +155,7 @@ def test_parsed_matches_rational(name, text):
 def test_edge_rows_image():
     """The image of the edge rows, by hand: B_i = s_i q_i, bounds d_i / s_i."""
     P = parse_instance_text(EDGE_TEXT).polyhedron
-    image = _int_image(P)
+    image = P._b_image
     assert image.rows == ((1, 2, 3), (1, 2, 0), (0, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1))
     assert image.scales == ((2, 1), (2, 3), (1, 1), (1, 1), (3, 2), (1, 1))
     # d / s = (-3/2, 1, 0, -2, -2/9, 5) over 18
@@ -168,7 +167,7 @@ def test_edge_rows_image():
 
 
 def test_bounds_in_lowest_terms():
-    image = _int_image(parse_instance_text(NO_EQUALITIES).polyhedron)
+    image = parse_instance_text(NO_EQUALITIES).polyhedron._b_image
     assert (image.rows, image.scales, image.bounds, image.den) == (
         ((1,), (-1,)), ((2, 1), (1, 1)), (2, 0), 1
     )

@@ -4,9 +4,10 @@ The runtime needs only the standard library, and all arithmetic is exact:
 no module may import a third-party package, write a float or complex
 literal, or use the name ``float``.  The integer kernel (the elimination,
 the circuit scan, the image, slack, ratio test and walk behind the
-active-set walk and the conformal decomposition, and the row parser and
-int core that the instance parser and the circulation reduction build
-each polyhedron with) holds rows and vectors of ints, where ``int / int`` would silently give a float, so its functions
+active-set walk and the conformal decomposition, the row parser that the
+instance parser reads rows with, and the int builder that every
+polyhedron is built with) holds rows and vectors of ints, where
+``int / int`` would silently give a float, so its functions
 may not use true division at all.  Nor may they compute with Fractions:
 they name no rational type except to build a Fraction that they return or
 yield as it is, call no rational vector method, and pass a rational
@@ -29,7 +30,10 @@ Products with B go through each polyhedron's integer image of B
 image; only the functions of ``certify``, the
 independent checkers, multiply by the rational B itself, and ``certify``
 imports nothing from the modules whose results it checks, nor any
-private helper.  Pointedness is decided in one place: only the
+private helper.  A polyhedron's int form has one builder: only
+``Polyhedron._build`` assigns ``_a_rows``, ``_a_echelon`` and
+``_b_image``, and only ``Polyhedron._from_ints`` makes a Polyhedron by
+``__new__``, past the checks of its constructor.  Pointedness is decided in one place: only the
 ``Polyhedron`` constructor raises ``NotPointedError``, and besides
 ``polyhedron`` only ``errors`` (which defines it), ``cli`` (which maps it
 to exit 65) and ``__init__`` (which re-exports it) refer to it.  Text
@@ -55,8 +59,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # The functions, per module, that compute on integer rows and vectors,
-# among them the int row parser and the int core that the parser and the
-# circulation reduction build each polyhedron with.
+# among them the int row parser and the int builder that every polyhedron
+# is built with.
 INTEGER_KERNEL = {
     "ratlin.py": (
         "_pivot",
@@ -79,7 +83,7 @@ INTEGER_KERNEL = {
         "_parse_row",
         "_int_row",
         "_from_ints",
-        "_core",
+        "_build",
         "_image_of",
         "_solves_a",
         "_box_rows",
@@ -111,8 +115,15 @@ STEP_HOMES = {
 }
 
 # The functions, per module, that read B and d only through the integer
-# image: the simplex builds its tableau rows from ``_int_image``.
+# image: the simplex builds its tableau rows from ``P._b_image``.
 IMAGE_READERS = {"lp.py": ("solve_lp", "_simplex")}
+
+# A polyhedron's int form, the one function that assigns it, and the one
+# that makes a Polyhedron by ``__new__``: (module, function), a method
+# named by its class.
+INT_FORM = {"_a_rows", "_a_echelon", "_b_image"}
+INT_FORM_BUILDER = ("polyhedron.py", "Polyhedron._build")
+BARE_MAKER = ("polyhedron.py", "Polyhedron._from_ints")
 
 # The module whose functions may compute ``P.B.matvec``: the checkers,
 # which stay independent of the integer image they check.
@@ -297,6 +308,58 @@ def rational_b_reads(source: str, functions) -> list[str]:
             ):
                 found.append(f"line {node.lineno}: {func.name}")
     return found
+
+
+def int_form_writes(module: str, source: str) -> list[str]:
+    """``line N: f`` for each assignment to an attribute of ``INT_FORM``
+    (also by ``setattr``) in a function f other than ``INT_FORM_BUILDER``,
+    and for each ``__new__`` call of a Polyhedron in one other than
+    ``BARE_MAKER``: a call that names ``Polyhedron``, or any in its class.
+    f is a module-level function, ``Class.method`` or ``Class``, and
+    ``<module>`` outside any."""
+    found = []
+    for owner, node in _owned_nodes(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {
+                t.attr
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+            }
+            bad = bool(names & INT_FORM) and (module, owner) != INT_FORM_BUILDER
+        elif isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "setattr"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+        ):
+            named = {a.value for a in node.args if isinstance(a, ast.Constant)}
+            bad = bool(named & INT_FORM) and (module, owner) != INT_FORM_BUILDER
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            bad = (
+                node.func.attr == "__new__"
+                and (owner.startswith("Polyhedron.") or _refers_to(node, "Polyhedron"))
+                and (module, owner) != BARE_MAKER
+            )
+        else:
+            bad = False
+        if bad:
+            found.append((node.lineno, owner))
+    return [f"line {line}: {owner}" for line, owner in sorted(found)]
+
+
+def _owned_nodes(tree: ast.Module):
+    """(owner, node) for every node of ``tree``, with the owner named as
+    ``int_form_writes`` names it."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                owner = stmt.name
+                if isinstance(item, ast.FunctionDef):
+                    owner = f"{stmt.name}.{item.name}"
+                yield from ((owner, node) for node in ast.walk(item))
+        else:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+            yield from ((owner, node) for node in ast.walk(stmt))
 
 
 def checker_imports(source: str) -> list[str]:
@@ -591,11 +654,65 @@ def test_checker_flags_rational_b_reads():
     source = (
         "def solve_lp(P, c):\n"
         "    rows = P.B.entries\n"
-        "    return P.d, P.B.m, P.A.entries, _int_image(P).bounds\n"
+        "    return P.d, P.B.m, P.A.entries, P._b_image.bounds\n"
         "def verify_unique(P, c):\n"
         "    return P.B.entries, P.d\n"
     )
     assert rational_b_reads(source, ("solve_lp",)) == ["line 2: solve_lp", "line 3: solve_lp"]
+
+
+def test_int_form_has_one_builder():
+    found = {
+        path.name: int_form_writes(path.name, path.read_text(encoding="utf-8"))
+        for path in MODULES
+    }
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_checker_flags_a_second_int_form_builder():
+    source = (
+        "class Polyhedron:\n"
+        "    def _build(self, n, a_rows, b_rows, bounds):\n"
+        "        self._a_rows, self._a_echelon = a_rows, _echelon(a_rows)\n"
+        "        self._b_image = _image_of(b_rows, bounds)\n"
+        "    @classmethod\n"
+        "    def _from_ints(cls, n, a_rows, b_rows, bounds):\n"
+        "        P = cls.__new__(cls)\n"
+        "        P._build(n, a_rows, b_rows, bounds)\n"
+        "        return P\n"
+        "    def _core(self, n, a_rows):\n"
+        "        self._a_rows = a_rows\n"
+        "        self._a_echelon += ()\n"
+        "    @classmethod\n"
+        "    def _lazy(cls, image):\n"
+        "        P = cls.__new__(cls)\n"
+        "        P._b_image: _IntImage = image\n"
+        "        return P\n"
+        "def _lazy_image(P):\n"
+        "    if P._b_image is None:\n"
+        "        setattr(P, '_b_image', _image_of(P._B, P._d))\n"
+        "    return P._b_image\n"
+        "class _Unbounded:\n"
+        "    def __new__(cls):\n"
+        "        return super().__new__(cls)\n"
+        "Q = Polyhedron.__new__(Polyhedron)\n"
+        "R = object.__new__(Polyhedron)\n"
+    )
+    assert int_form_writes("polyhedron.py", source) == [
+        "line 11: Polyhedron._core",
+        "line 12: Polyhedron._core",
+        "line 15: Polyhedron._lazy",
+        "line 16: Polyhedron._lazy",
+        "line 20: _lazy_image",
+        "line 25: <module>",
+        "line 26: <module>",
+    ]
+    # the builder and the maker are exempt only in their module
+    assert int_form_writes("lp.py", source)[:3] == [
+        "line 3: Polyhedron._build",
+        "line 4: Polyhedron._build",
+        "line 7: Polyhedron._from_ints",
+    ]
 
 
 def test_checkers_import_no_checked_code():

@@ -308,7 +308,7 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     echelon = _extend_active(P, P._a_echelon, S)
     walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, signs, [-e for e in Z], S, D, echelon)]
     assert walk == list(fraction_walk(P, signs, -z, echelon))
-    assert list(_terms(P, z)) == fraction_terms(P, z)
+    assert list(_terms(P, (Z, D))) == fraction_terms(P, z)
 
 
 SQUARE_TEXT = """2 0 4
