@@ -17,19 +17,38 @@ x* - x from every iterate x.  The steepest-descent comparator minimizes
 c.g / |g|_1 and carries no approximation claim.  All four entry points
 go through one gate, ``_rule``, which checks the mode and the start and
 prepares the rule once per run.
+
+The rules and the augmentation loop carry the iterate in the int form of
+``polyhedron._slack``, (X, S, D) with x = X/D and slack S/D, from the
+start to the end of a run: x0's slack is computed once, by the gate's
+feasibility check; each step moves (X, S, D) by the rank-one step of
+``polyhedron._advance`` to the row the scan's ratio test made tight, with
+the image the scan computed; and c.x is the int C.X over den*D.  The
+approximate rule holds x* as ints over one denominator and forms x* - x
+in ints.  Fractions are made only for each step's alpha and improvement
+(and the keys that rank them) and for each recorded iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Sequence, Union
 
 from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
 from .conformal import _terms
 from .errors import IterationCapExceeded, LpUnboundedError
 from .lp import LpOptimal, LpUnbounded, solve_lp
-from .polyhedron import Point, Polyhedron, _image, _ratio_test, _slack, is_feasible
+from .polyhedron import (
+    Point,
+    Polyhedron,
+    _advance,
+    _feasible_slack,
+    _image,
+    _point,
+    _ratio_test,
+)
 from .ratlin import Rat, RatVec, _int_vector
 
 
@@ -62,21 +81,33 @@ StepOutcome = Union[DdStep, Optimal, UnboundedImprovement]
 
 _STEP_RULES = ("exact", "approx", "steepest")
 
+# An iterate x in the int form of ``polyhedron._slack``: (X, S, D) with
+# x = X/D and slack S/D in row units.
+Iterate = tuple[list[int], list[int], int]
+
+# A rule's answer at an iterate: the outcome and, for a DdStep, the image
+# of its circuit and the row that limits the step, which ``_advance`` reads.
+RuleResult = tuple[StepOutcome, Optional[tuple[list[int], int]]]
+
 
 def _rule(
     P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int
-) -> Callable[[Point], StepOutcome]:
-    """The step rule ``mode`` as a function of a feasible iterate.
+) -> tuple[Callable[[Iterate], RuleResult], Iterate, tuple[list[int], int]]:
+    """The step rule ``mode`` as a function of a feasible int iterate, the
+    start x0 as one, and c as ints over one denominator, (C, den) with
+    c = C / den.
 
     The one gate of the step rules: it checks the mode and the start x0
-    once and does the rule's per-run work once: c as ints over one
-    denominator for every mode, the circuit list for ``exact`` and
-    ``steepest`` and the LP optimum for ``approx``.  An unbounded LP raises
+    once and does the rule's per-run work once: x0's slack, which is both
+    the feasibility check and the first iterate, c in ints for every mode,
+    the circuit list for ``exact`` and ``steepest`` and, for ``approx``,
+    the LP optimum x* as ints over one denominator.  An unbounded LP raises
     LpUnboundedError; the LP is never infeasible, since x0 is feasible.
     """
     if mode not in _STEP_RULES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
-    if not is_feasible(P, x0):
+    start = _feasible_slack(P, x0)
+    if start is None:
         raise ValueError("the starting point is not feasible")
     cint = _int_vector(c)  # c = C / den
     if mode == "approx":
@@ -84,10 +115,17 @@ def _rule(
         if isinstance(optimum, LpUnbounded):
             raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
         assert isinstance(optimum, LpOptimal)
-        return lambda x: _approx_step(P, cint, x, optimum)
+        xstar = _int_vector(optimum.vertex)
+        return (lambda it: _approx_step(P, cint, it, xstar)), start, cint
     circuits = enumerate_circuits(P, work_budget=work_budget)
     key = _deepest if mode == "exact" else _steepest
-    return lambda x: _scan(P, cint, x, circuits, key)
+    return (lambda it: _scan(P, cint, it, circuits, key)), start, cint
+
+
+def _first_step(P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int) -> StepOutcome:
+    """The outcome of the step rule ``mode`` at x0."""
+    step, start, _ = _rule(P, c, x0, mode, work_budget)
+    return step(start)[0]
 
 
 def exact_dd_step(
@@ -106,7 +144,7 @@ def exact_dd_step(
     improving feasible circuit exists and UnboundedImprovement as soon as
     an improving circuit has no finite step length.
     """
-    return _rule(P, c, x0, "exact", work_budget)(x0)
+    return _first_step(P, c, x0, "exact", work_budget)
 
 
 def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal]:
@@ -122,33 +160,41 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
     the best contribution is strictly below c.r, no later term beats or
     ties it.  An unbounded LP raises LpUnboundedError.
     """
-    return _rule(P, c, x0, "approx", DEFAULT_WORK_BUDGET)(x0)
+    return _first_step(P, c, x0, "approx", DEFAULT_WORK_BUDGET)
 
 
 def _approx_step(
-    P: Polyhedron, cint: tuple[list[int], int], x0: Point, optimum: LpOptimal
-) -> Union[DdStep, Optimal]:
-    """``approx_dd_step`` from the LP optimum of (P, c), without its checks.
+    P: Polyhedron, cint: tuple[list[int], int], it: Iterate, xstar: tuple[list[int], int]
+) -> RuleResult:
+    """``approx_dd_step`` at the int iterate ``it``, without its checks.
 
     ``cint`` is c as ints over one denominator, (C, den) with c = C / den,
-    x0 must be feasible and ``optimum`` the LP's.  The best term has the
-    smallest key (c.(alpha g), g.entries), the term ``min`` picks from the
-    full decomposition in canonical order.  Every term t has c.t <= 0
-    (x* - t is feasible and x* optimal), so each term still to come gains
-    at least c.r, with r the residual left; once the best gain is below
-    c.r, no later term beats or ties it and the walk stops.  The best term
-    g is then extended by the deepest-descent scan over g alone: c.g < 0
-    and x0 + alpha*g is feasible with alpha > 0, so the scan neither flips
-    nor skips it and returns its maximal step.
+    ``it`` a feasible iterate (X, S, D) and ``xstar`` the LP optimum x* of
+    (P, c) as ints over one denominator, (Xs, Ds).  z = x* - x is
+    (Xs*D - X*Ds) / (Ds*D), put in lowest terms by one gcd, which is
+    ``ratlin._int_vector(z)``.  The best term has the smallest key
+    (c.(alpha g), g.entries), the term ``min`` picks from the full
+    decomposition in canonical order.  Every term t has c.t <= 0 (x* - t
+    is feasible and x* optimal), so each term still to come gains at least
+    c.r, with r the residual left; once the best gain is below c.r, no
+    later term beats or ties it and the walk stops.  The best term g is
+    then extended by the deepest-descent scan over g alone: c.g < 0 and
+    x + alpha*g is feasible with alpha > 0, so the scan neither flips nor
+    skips it and returns its maximal step.
     """
-    z = optimum.vertex - x0
-    if z.is_zero():
-        return Optimal()
+    X, _, D = it
+    Xs, Ds = xstar
+    Z = [a * D - b * Ds for a, b in zip(Xs, X)]
+    if not any(Z):
+        return Optimal(), None
+    dz = Ds * D
+    common = gcd(dz, *Z)
+    if common > 1:
+        Z, dz = [e // common for e in Z], dz // common
     C, den = cint
-    Z, dz = zint = _int_vector(z)
     rest = Fraction(_dot(C, Z), den * dz)  # c.z
     best_key = None
-    for alpha, g in _terms(P, zint):
+    for alpha, g in _terms(P, (Z, dz)):
         gain = alpha * Fraction(_dot(C, g.entries), den)
         rest -= gain
         if best_key is None or (gain, g.entries) < best_key:
@@ -156,12 +202,12 @@ def _approx_step(
         if best_key[0] < rest:
             break
     if best_key[0] >= 0:
-        # x0 is already optimal (possible only with multiple optima).
-        return Optimal()
-    step = _scan(P, cint, x0, [best_g], _deepest)
-    if not isinstance(step, DdStep):  # pragma: no cover - would contradict a bounded LP
+        # x is already optimal (possible only with multiple optima).
+        return Optimal(), None
+    res = _scan(P, cint, it, [best_g], _deepest)
+    if not isinstance(res[0], DdStep):  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("the best term gives no maximal step under a bounded LP")
-    return step
+    return res
 
 
 def steepest_descent_step(
@@ -177,7 +223,7 @@ def steepest_descent_step(
     considered; ties go to canonical order.  Enumeration-backed, desk
     scale only, no approximation guarantee.
     """
-    return _rule(P, c, x0, "steepest", work_budget)(x0)
+    return _first_step(P, c, x0, "steepest", work_budget)
 
 
 def _deepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
@@ -194,23 +240,25 @@ def _dot(C: Sequence[int], g: Sequence[int]) -> int:
 
 
 def _scan(
-    P: Polyhedron, cint: tuple[list[int], int], x0: Point, circuits: list[Circuit], key
-) -> StepOutcome:
+    P: Polyhedron, cint: tuple[list[int], int], it: Iterate, circuits: list[Circuit], key
+) -> RuleResult:
     """The feasible improving circuit step with the smallest key.
 
     ``key(c.g, beta, g)`` ranks a step of maximal length beta along g.
     Since c.(-g) = -c.g, at most one orientation of a circuit improves:
     the sign of c.g picks it, and its slope and B g are computed once.
-    Ties go to the earliest circuit.  x0 must be feasible.  c comes as
-    ints over one denominator, ``cint`` = (C, den) with c = C / den, and
-    the slope is an int dot product with C; the ratio test reads the int
-    slack of x0, and only a step of positive length forms Fractions, for
-    beta, the slope and the key.
+    Ties go to the earliest circuit.  ``it`` is a feasible iterate
+    (X, S, D).  c comes as ints over one denominator, ``cint`` = (C, den)
+    with c = C / den, and the slope is an int dot product with C; the
+    ratio test reads the int slack S, and only a step of positive length
+    forms Fractions, for beta, the slope and the key.  A DdStep comes with
+    its image B g and limiting row, so the move along it tests no ratio
+    again.
     """
     C, den = cint
-    _, S, D = _slack(P, x0)
+    _, S, D = it
     best: Optional[DdStep] = None
-    best_key = None
+    best_key = limit = None
     for g in circuits:
         slope = _dot(C, g.entries)
         if slope == 0:
@@ -220,14 +268,14 @@ def _scan(
             g, slope, bg = -g, -slope, [-a for a in bg]
         j = _ratio_test(S, bg)
         if j is None:
-            return UnboundedImprovement(g)
+            return UnboundedImprovement(g), None
         if S[j] == 0:
             continue
         beta, slope = Fraction(S[j], D * bg[j]), Fraction(slope, den)
         k = key(slope, beta, g)
         if best is None or k < best_key:
-            best, best_key = DdStep(g, beta, -beta * slope), k
-    return best if best is not None else Optimal()
+            best, best_key, limit = DdStep(g, beta, -beta * slope), k, (bg, j)
+    return (best, limit) if best is not None else (Optimal(), None)
 
 
 @dataclass(frozen=True)
@@ -264,14 +312,17 @@ def augment(
     that many raises IterationCapExceeded with the partial trace attached.
     An unbounded improving direction raises LpUnboundedError.  Approx
     mode solves the LP once per run, not once per step: every step
-    decomposes x* - x against the same optimum x*.
+    decomposes x* - x against the same optimum x*.  The loop carries the
+    iterate as (X, S, D) and c.x as the int C.X over den*D, moves it by
+    ``polyhedron._advance`` along each step, and makes a RatVec only for
+    each recorded iterate.
     """
-    step = _rule(P, c, x0, mode, work_budget)
+    step, it, (C, _) = _rule(P, c, x0, mode, work_budget)
     steps: list[DdStep] = []
     iterates: list[Point] = [x0]
-    x, cx = x0, c.dot(x0)
+    cx = _dot(C, it[0])  # c.x = cx / (den * D)
     while True:
-        res = step(x)
+        res, limit = step(it)
         if isinstance(res, Optimal):
             return AugmentationTrace(tuple(steps), tuple(iterates), mode)
         if isinstance(res, UnboundedImprovement):
@@ -281,10 +332,10 @@ def augment(
                 f"augmentation did not converge within {max_iters} iterations",
                 AugmentationTrace(tuple(steps), tuple(iterates), mode),
             )
-        new_x = x + res.alpha * res.g.vec
-        new_cx = c.dot(new_x)
-        if new_cx >= cx:  # pragma: no cover - steps always improve
+        moved = X, _, D = _advance(it, res.g.entries, *limit)
+        moved_cx = _dot(C, X)
+        if moved_cx * it[2] >= cx * D:  # pragma: no cover - steps always improve
             raise AssertionError("augmentation step failed to decrease the objective")
         steps.append(res)
-        iterates.append(new_x)
-        x, cx = new_x, new_cx
+        iterates.append(_point(X, D))
+        it, cx = moved, moved_cx

@@ -306,6 +306,17 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     return LpOptimal(x, c.dot(x), _unique_by_reduced_costs(T[-1][:ncols], basis, n), c)
 
 
+def _proven_unique(optimum: Optional[LpOptimal], c: RatVec, xstar: Point) -> bool:
+    """Whether ``optimum`` is ``solve_lp``'s for c, with its tableau's proof
+    that its vertex, which is xstar, is the only optimum."""
+    return (
+        optimum is not None
+        and optimum.unique
+        and optimum.objective == c
+        and xstar == optimum.vertex
+    )
+
+
 def verify_unique(
     P: Polyhedron, c: RatVec, xstar: Point, *, optimum: Optional[LpOptimal] = None
 ) -> UniquenessReport:
@@ -316,12 +327,13 @@ def verify_unique(
     infeasible or non-optimal xstar is a usage error (ValueError).  P is
     pointed, as every Polyhedron is.
 
-    When xstar is the optimal vertex and its tableau's reduced costs
-    proved it unique (``optimum.unique``, which only ``solve_lp`` sets),
-    the answer is unique with no further work: the solver built xstar
-    feasible, and of value ``optimum.value`` for its ``objective``, so the
-    value is compared only when that is not c.  Otherwise, with I the
-    B-rows active at xstar: a nonzero kernel vector w of [A; B_I] means
+    When ``optimum`` is ``solve_lp``'s own for this c (its ``objective``
+    is c), xstar is its vertex and the tableau's reduced costs proved it
+    unique (``optimum.unique``), the answer is unique with no further work:
+    the solver built xstar feasible and of value ``optimum.value``.  A
+    hand-built optimum carries no objective, so its ``unique`` is not
+    trusted and xstar is checked as for any other optimum.  Otherwise,
+    with I the B-rows active at xstar: a nonzero kernel vector w of [A; B_I] means
     xstar is not a vertex, and the witness is the end of the active-set
     walk's first move, where the ray from xstar along w (or -w) leaves P.  Else one LP minimizes
     (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0, B_I w <= 0,
@@ -331,10 +343,9 @@ def verify_unique(
     unbounded along w.  The step is ``max_step``'s, from the slack of
     xstar computed once here, without checking xstar again.
     """
-    own_vertex = optimum is not None and optimum.unique and xstar == optimum.vertex
-    if own_vertex and c == optimum.objective:
+    if _proven_unique(optimum, c, xstar):
         return UniquenessReport(True, None)
-    if not own_vertex and not is_feasible(P, xstar):
+    if not is_feasible(P, xstar):
         raise ValueError("xstar is not feasible")
     if optimum is None:
         optimum = solve_lp(P, c)
@@ -342,7 +353,7 @@ def verify_unique(
             raise ValueError("xstar cannot be optimal: the LP has no optimum")
     if optimum.value != c.dot(xstar):
         raise ValueError("xstar is not optimal for the given objective")
-    if optimum.unique and xstar == optimum.vertex:
+    if _proven_unique(optimum, c, xstar):
         return UniquenessReport(True, None)
 
     X, S, D = _slack(P, xstar)

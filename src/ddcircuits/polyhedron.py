@@ -25,7 +25,11 @@ the limiting row, and ``_active`` give what d - Bx and Bv would give.
 ``_walk`` is the package's one active-set walk: it moves inside the
 kernel of the tight rows until one more row is tight, moves X, S and D by
 one rank-one step in ints (``_move``) and extends the echelon of the
-tight rows.  LP purification and the uniqueness check walk P itself, and
+tight rows; ``_advance`` makes the same move for an iterate of the
+augmentation loop in ``ddstep``, along a circuit whose image and limiting
+row its scan computed.  ``is_feasible`` decides x on its slack, and
+``_feasible_slack`` hands that slack on to callers that go on from x.
+LP purification and the uniqueness check walk P itself, and
 the conformal decomposition walks a sign cone, given by the row signs of
 its vector.  Fractions are made only at the boundary: the step lengths
 and points the callers hand out.
@@ -293,17 +297,24 @@ def _image(P: Polyhedron, v: Sequence[int]) -> list[int]:
 
 def is_feasible(P: Polyhedron, x: RatVec) -> bool:
     """Exact membership test: Ax = b and Bx <= d entrywise."""
+    return _feasible_slack(P, x) is not None
+
+
+def _feasible_slack(P: Polyhedron, x: Point) -> Optional[tuple[list[int], list[int], int]]:
+    """The int form (X, S, D) of ``_slack`` of x when x is in P, else None:
+    ``is_feasible``'s test, for callers that go on from the slack."""
     if x.dim != P.n:
         raise ValueError(f"point has dimension {x.dim}, expected {P.n}")
-    X, S, D = _slack(P, x)
-    return _solves_a(P, X, D) and all(s >= 0 for s in S)
+    X, S, D = slack = _slack(P, x)
+    return slack if _solves_a(P, X, D) and all(s >= 0 for s in S) else None
 
 
 def active_rows(P: Polyhedron, x: Point) -> tuple[int, ...]:
     """Indices j of B with (Bx)_j = d_j, ascending.  x must be feasible."""
-    if not is_feasible(P, x):
+    slack = _feasible_slack(P, x)
+    if slack is None:
         raise ValueError("active_rows requires a feasible point")
-    return _active(_slack(P, x)[1])
+    return _active(slack[1])
 
 
 def _slack(P: Polyhedron, x: Point) -> tuple[list[int], list[int], int]:
@@ -387,6 +398,17 @@ def _move(
     return X, S, D
 
 
+def _advance(
+    it: tuple[Sequence[int], Sequence[int], int], w: Sequence[int], image: Sequence[int], j: int
+) -> tuple[list[int], list[int], int]:
+    """The iterate ``it`` = (X, S, D) of ``_slack`` after the maximal step
+    along the int direction w: ``image`` is w's image and j the row that
+    ``_ratio_test`` of S and ``image`` found, which the step makes tight.
+    The augmentation's move, by the rank-one rule ``_move``; the caller's
+    scan has computed the image and the ratio test already."""
+    return _move(*it, w, image, j)
+
+
 def _walk(
     P: Polyhedron,
     signs: Optional[Sequence[int]],
@@ -447,13 +469,14 @@ def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:
     the direction is unbounded.  g must satisfy Ag = 0, so equality rows
     never move.  The degenerate direction g = 0 yields step 0.
     """
-    if not is_feasible(P, x0):
+    slack = _feasible_slack(P, x0)
+    if slack is None:
         raise ValueError("max_step requires a feasible starting point")
     if g.dim != P.n:
         raise ValueError(f"direction has dimension {g.dim}, expected {P.n}")
     if not _solves_a(P, _int_vector(g)[0], 0):
         raise ValueError("direction leaves the equality subspace (A g != 0)")
-    _, S, D = _slack(P, x0)
+    _, S, D = slack
     return _max_step(P, S, D, g)
 
 

@@ -11,9 +11,11 @@ rule, and the flats the circuit scan visits as the closed row sets whose
 greedy basis leaves room for a circuit.  The artificial-column simplex is
 the tableau ``lp`` built before it took B's rows from the integer image:
 one artificial column per row, a price-out pivot per basic row in each
-phase, and the rows scaled from their Fractions.  Approx augmentation is the
-plain loop over the public single step, which solves the LP afresh from
-every iterate.  The
+phase, and the rows scaled from their Fractions.  Augmentation in each
+mode is the plain loop over that mode's public single step, which checks
+each iterate, prepares its rule afresh (the LP in approx mode, the
+circuit list in the others) and moves the point with RatVec arithmetic.
+The
 dense elimination step and product form every term, zeros included; they
 are the references for the zero-skipping, fraction-free versions in
 ``ratlin``.  The Fraction ratio test, walk and conformal terms are the
@@ -33,13 +35,17 @@ from ddcircuits import (
     LpInfeasible,
     LpOptimal,
     LpUnbounded,
+    LpUnboundedError,
     Optimal,
     Polyhedron,
     RatVec,
     UNBOUNDED,
+    UnboundedImprovement,
     approx_dd_step,
+    exact_dd_step,
     is_feasible,
     solve_lp,
+    steepest_descent_step,
 )
 from ddcircuits.circuits import Circuit
 from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
@@ -99,25 +105,36 @@ def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec 
     return True, None
 
 
-def per_step_approx_augment(
-    P: Polyhedron, c: RatVec, x0: RatVec, *, max_iters: int = 10_000
-) -> AugmentationTrace:
-    """Approx augmentation that calls the public ``approx_dd_step`` at every
-    iterate, and so solves the LP again for every step.
+# The public single step of each augmentation mode.
+PUBLIC_STEPS = {
+    "exact": exact_dd_step,
+    "approx": approx_dd_step,
+    "steepest": steepest_descent_step,
+}
 
-    Same contract as ``augment(P, c, x0, "approx", max_iters=...)``: a run
+
+def per_step_augment(
+    P: Polyhedron, c: RatVec, x0: RatVec, mode: str, *, max_iters: int = 10_000
+) -> AugmentationTrace:
+    """Augmentation that calls the public single step of ``mode`` at every
+    iterate, and so prepares the rule again for every step.
+
+    Same contract as ``augment(P, c, x0, mode, max_iters=...)``: a run
     that needs one more step after ``max_iters`` raises
-    IterationCapExceeded with the partial trace attached.
+    IterationCapExceeded with the partial trace attached, and an improving
+    circuit with no finite step raises LpUnboundedError.
     """
     steps, iterates, x = [], [x0], x0
     while True:
-        res = approx_dd_step(P, c, x)
+        res = PUBLIC_STEPS[mode](P, c, x)
         if isinstance(res, Optimal):
-            return AugmentationTrace(tuple(steps), tuple(iterates), "approx")
+            return AugmentationTrace(tuple(steps), tuple(iterates), mode)
+        if isinstance(res, UnboundedImprovement):
+            raise LpUnboundedError("improving circuit with unbounded step length")
         if len(steps) == max_iters:
             raise IterationCapExceeded(
                 f"augmentation did not converge within {max_iters} iterations",
-                AugmentationTrace(tuple(steps), tuple(iterates), "approx"),
+                AugmentationTrace(tuple(steps), tuple(iterates), mode),
             )
         x = x + res.alpha * res.g.vec
         steps.append(res)

@@ -57,7 +57,8 @@ def _catalog():
 
 @pytest.fixture(scope="session")
 def ratio_battery():
-    """Shared per-instance artifacts for criteria 3, 4, and 7."""
+    """Shared per-instance artifacts for criteria 3, 4, and 7 and the
+    convergence tests, among them the exact and approx augmentation from x0."""
     battery = []
     for P, c, x0 in mixed_instances(seed=424242, count=200):
         lp_out = solve_lp(P, c)
@@ -72,6 +73,7 @@ def ratio_battery():
                 "exact": exact_dd_step(P, c, x0),
                 "approx": approx_dd_step(P, c, x0),
                 "dec": decompose(P, z) if not z.is_zero() else None,
+                "traces": {mode: augment(P, c, x0, mode) for mode in ("exact", "approx")},
             }
         )
     return battery
@@ -215,8 +217,7 @@ def test_criterion_7_convergence(ratio_battery):
     max_iters = 0
     max_budget = 0
     for item in ratio_battery:
-        P, c, x0 = item["P"], item["c"], item["x0"]
-        trace = augment(P, c, x0, "exact")
+        P, c, trace = item["P"], item["c"], item["traces"]["exact"]
         if c.dot(trace.final) != item["lp"].value:
             violations.append(("suboptimal endpoint", c.entries))
         values = [c.dot(x) for x in trace.iterates]
@@ -252,10 +253,9 @@ def test_every_step_contracts_the_gap(ratio_battery):
     worst = {}
     violations = []
     for item in ratio_battery:
-        P, c, x0 = item["P"], item["c"], item["x0"]
+        P, c = item["P"], item["c"]
         k = P.n - rank(P.A)
-        for mode in ("exact", "approx"):
-            trace = augment(P, c, x0, mode)
+        for mode, trace in item["traces"].items():
             for step, x in zip(trace.steps, trace.iterates):
                 ratio = k * step.improvement / (c.dot(x) - item["lp"].value)
                 if ratio < 1:
@@ -264,6 +264,31 @@ def test_every_step_contracts_the_gap(ratio_battery):
     assert not violations, violations[:3]
     assert sorted(worst) == [(mode, k) for mode in ("approx", "exact") for k in CONTRACTION_FLOORS]
     assert all(ratio >= CONTRACTION_FLOORS[k] for (_, k), ratio in worst.items()), worst
+
+
+def test_iteration_count_is_bounded(ratio_battery):
+    """A run of T >= 1 exact or approx steps has g <= ((k-1)/k)^(T-1) * gap0,
+    with gap0 the gap at x0, g the gap before the last step and
+    k = n - rank A: each of the T - 1 steps before it keeps at most
+    (1 - 1/k) of the gap.  This is T <= k ln(gap0/g) + 1 without logarithms,
+    and at k = 1 the first step reaches x*, so T <= 1."""
+    violations = []
+    longest = {}
+    for item in ratio_battery:
+        P, c, value = item["P"], item["c"], item["lp"].value
+        k = P.n - rank(P.A)
+        for mode, trace in item["traces"].items():
+            T = len(trace.steps)
+            if T == 0:
+                continue
+            gap0 = c.dot(trace.iterates[0]) - value
+            g = c.dot(trace.iterates[T - 1]) - value
+            if g > Fraction(k - 1, k) ** (T - 1) * gap0 or (k == 1 and T > 1):
+                violations.append((mode, k, T, str(gap0), str(g)))
+            longest[mode, k] = max(longest.get((mode, k), 0), T)
+    assert not violations, violations[:3]
+    # the bound is exercised past a single step at every k > 1
+    assert all(T >= 2 for (_, k), T in longest.items() if k > 1), longest
 
 
 SQUARE_TEXT = "2 0 4\n1 0\n0 1\n-1 0\n0 -1\n1 1 0 0\n-1 -2\n"

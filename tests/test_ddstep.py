@@ -12,6 +12,7 @@ from ddcircuits import (
     Digraph,
     IterationCapExceeded,
     LpOptimal,
+    LpUnbounded,
     LpUnboundedError,
     Optimal,
     Polyhedron,
@@ -29,11 +30,11 @@ from ddcircuits import (
     verify_unique,
 )
 from ddcircuits.conformal import _terms
-from ddcircuits.polyhedron import UNBOUNDED
+from ddcircuits.polyhedron import UNBOUNDED, _slack
 from ddcircuits.ratlin import RatMat, _int_vector, rank
 
 from instgen import dense_polytope, gen_box, gen_circulation, mixed_instances
-from oracles import per_step_approx_augment
+from oracles import per_step_augment
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance
@@ -169,7 +170,9 @@ def _walked_terms(P, c, x, optimum):
     walked = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ddcircuits.ddstep, "_terms", _recording(walked))
-        res = ddcircuits.ddstep._approx_step(P, _int_vector(c), x, optimum)
+        res, _ = ddcircuits.ddstep._approx_step(
+            P, _int_vector(c), _slack(P, x), _int_vector(optimum.vertex)
+        )
     return res, walked
 
 
@@ -351,28 +354,70 @@ def approx_instances():
     return mixed_instances(seed=4040, count=18) + [dense_polytope(rng) for _ in range(6)]
 
 
-class TestApproxAugmentAgainstPerStepReference:
-    def test_same_steps_and_iterates(self):
+def unbounded_instances():
+    """Unbounded LPs with a feasible start: every mode raises at its first step."""
+    wedge = Polyhedron(
+        RatMat([], cols=2), RatVec([]), RatMat([[-1, 0], [0, -1], [1, -1]]), RatVec([0, 0, 1])
+    )
+    ray = Polyhedron(
+        RatMat([[1, -1, 0]]),
+        RatVec([0]),
+        RatMat([[-1, 0, 0], [0, 0, -1], [0, 0, 1]]),
+        RatVec([0, 0, 2]),
+    )
+    return [
+        (HALF_LINE, RatVec([-1]), RatVec([3])),
+        (wedge, RatVec([-1, -2]), RatVec([1, 0])),
+        (wedge, RatVec([1, -1]), RatVec([0, 0])),
+        (ray, RatVec([-1, 0, 1]), RatVec([1, 1, 2])),
+    ]
+
+
+MODES = ("exact", "approx", "steepest")
+
+
+class TestAugmentAgainstPerStep:
+    """``augment`` against ``oracles.per_step_augment``, which calls the
+    public single step of the mode at every iterate."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_steps_and_iterates(self, mode):
         for P, c, x0 in approx_instances():
-            trace = augment(P, c, x0, "approx")
-            assert trace == per_step_approx_augment(P, c, x0)
-            _assert_contracts(P, c, trace)
+            trace = augment(P, c, x0, mode)
+            assert trace == per_step_augment(P, c, x0, mode)
+            if mode != "steepest":
+                _assert_contracts(P, c, trace)
             opt = solve_lp(P, c)
             assert c.dot(trace.final) == opt.value
             if verify_unique(P, c, opt.vertex, optimum=opt).unique:
                 assert trace.final == opt.vertex
 
-    def test_iteration_cap_gives_same_partial_trace(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_iteration_cap_gives_same_partial_trace(self, mode):
         for P, c, x0 in approx_instances():
-            taken = len(augment(P, c, x0, "approx").steps)
+            taken = len(augment(P, c, x0, mode).steps)
             for cap in range(taken):
                 with pytest.raises(IterationCapExceeded) as err:
-                    augment(P, c, x0, "approx", max_iters=cap)
+                    augment(P, c, x0, mode, max_iters=cap)
                 with pytest.raises(IterationCapExceeded) as ref:
-                    per_step_approx_augment(P, c, x0, max_iters=cap)
+                    per_step_augment(P, c, x0, mode, max_iters=cap)
                 assert err.value.trace == ref.value.trace
                 assert len(err.value.trace.steps) == cap
-                _assert_contracts(P, c, err.value.trace)
+                if mode != "steepest":
+                    _assert_contracts(P, c, err.value.trace)
+            assert augment(P, c, x0, mode, max_iters=taken) == per_step_augment(
+                P, c, x0, mode, max_iters=taken
+            )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unbounded_lp_raises_in_both(self, mode):
+        for P, c, x0 in unbounded_instances():
+            assert isinstance(solve_lp(P, c), LpUnbounded)
+            for cap in (0, 10_000):
+                with pytest.raises(LpUnboundedError):
+                    augment(P, c, x0, mode, max_iters=cap)
+                with pytest.raises(LpUnboundedError):
+                    per_step_augment(P, c, x0, mode, max_iters=cap)
 
     def test_one_lp_per_run(self, monkeypatch):
         calls = []
@@ -390,6 +435,37 @@ class TestApproxAugmentAgainstPerStepReference:
                 runs += 1
                 assert len(calls) == 1
         assert runs >= 5
+
+
+# The RatVec methods that compute with Fractions, operators included.
+RATVEC_ARITHMETIC = ("dot", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ratvec_arithmetic_does_not_grow_with_the_steps(mode, monkeypatch):
+    """The loop carries its iterate in ints, so a whole run makes the same
+    RatVec arithmetic as one capped before its first move: only the rule's
+    set-up computes with RatVecs, and the steps do not."""
+    calls = []
+    for name in RATVEC_ARITHMETIC:
+
+        def counting(*args, _real=getattr(RatVec, name)):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(RatVec, name, counting)
+    moving = 0
+    for P, c, x0 in approx_instances():
+        calls.clear()
+        try:
+            augment(P, c, x0, mode, max_iters=0)
+        except IterationCapExceeded:
+            pass
+        first = len(calls)
+        calls.clear()
+        moving += len(augment(P, c, x0, mode).steps) >= 2
+        assert len(calls) == first
+    assert moving >= 5
 
 
 def test_reduction_steps_are_unit_zero_one():

@@ -4,11 +4,11 @@ The runtime needs only the standard library, and all arithmetic is exact:
 no module may import a third-party package, write a float or complex
 literal, or use the name ``float``.  The integer kernel (the elimination,
 the circuit scan, the image, slack, ratio test and walk behind the
-active-set walk and the conformal decomposition, the row parser that the
-instance parser reads rows with, and the int builder that every
-polyhedron is built with) holds rows and vectors of ints, where
-``int / int`` would silently give a float, so its functions
-may not use true division at all.  Nor may they compute with Fractions:
+active-set walk and the conformal decomposition, the move of an
+augmentation iterate, the row parser that the instance parser reads rows
+with, and the int builder that every polyhedron is built with) holds rows
+and vectors of ints, where ``int / int`` would silently give a float, so
+its functions may not use true division at all.  Nor may they compute with Fractions:
 they name no rational type except to build a Fraction that they return or
 yield as it is, call no rational vector method, and pass a rational
 argument on to a call without touching it.  A module-level private
@@ -24,7 +24,8 @@ kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
 Maximal steps have one home too: besides ``polyhedron``, only the circuit
 scan in ``ddstep`` and the decomposition in ``conformal`` run the ratio
 test, and only ``conformal`` moves an int point by hand; ``lp`` steps
-through the walk and ``max_step``.
+through the walk and ``max_step``, and the augmentation loop in
+``ddstep`` through ``polyhedron._advance``.
 Products with B go through each polyhedron's integer image of B
 (``polyhedron._image``), and the simplex reads B and d only from that
 image; only the functions of ``certify``, the
@@ -79,6 +80,7 @@ INTEGER_KERNEL = {
         "_slack",
         "_ratio_test",
         "_move",
+        "_advance",
         "_walk",
         "_parse_row",
         "_int_row",

@@ -232,7 +232,8 @@ class TestVerifyUnique:
         assert out.unique
         assert verify_unique(UNIT_SQUARE, c, out.vertex, optimum=out).unique
         assert checked == []
-        # the value is still compared
+        # a hand-built optimum's claim is not trusted: the point is checked
+        # and the value compared
         with pytest.raises(ValueError):
             verify_unique(
                 UNIT_SQUARE, c, out.vertex, optimum=LpOptimal(out.vertex, Fraction(-1), unique=True)
@@ -241,7 +242,29 @@ class TestVerifyUnique:
         assert verify_unique(UNIT_SQUARE, c, out.vertex).unique
         hand_built = LpOptimal(out.vertex, out.value)
         assert verify_unique(UNIT_SQUARE, c, out.vertex, optimum=hand_built).unique
-        assert checked == [out.vertex, out.vertex]
+        assert checked == [out.vertex, out.vertex, out.vertex]
+
+    def test_hand_built_unique_claim_outside_p_is_rejected(self):
+        c, x = RatVec([-1, -1]), RatVec([2, 2])
+        with pytest.raises(ValueError, match="^xstar is not feasible$"):
+            verify_unique(UNIT_SQUARE, c, x, optimum=LpOptimal(x, c.dot(x), unique=True))
+
+    def test_hand_built_unique_claim_on_an_edge_is_rechecked(self):
+        c, x = RatVec([-1, 0]), RatVec([1, 0])
+        claimed = LpOptimal(x, Fraction(-1), unique=True)
+        report = verify_unique(UNIT_SQUARE, c, x, optimum=claimed)
+        assert report == verify_unique(UNIT_SQUARE, c, x)
+        assert report == UniquenessReport(False, RatVec([1, 1]))
+
+    def test_unique_claim_for_another_objective_is_rechecked(self):
+        # solve_lp's own proof for c' = (-1, -1) says nothing about c = (-1, 0)
+        c, other = RatVec([-1, 0]), RatVec([-1, -1])
+        out = solve_lp(UNIT_SQUARE, other)
+        assert out.unique and c.dot(out.vertex) == -1
+        claimed = LpOptimal(out.vertex, Fraction(-1), unique=True, objective=other)
+        assert verify_unique(UNIT_SQUARE, c, out.vertex, optimum=claimed) == UniquenessReport(
+            False, RatVec([1, 0])
+        )
 
 
 def _tie_prone(rng, c):
