@@ -101,7 +101,7 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     G = coprime_integer_entries(v.entries)
     if not _solves_a(P, G, 0):
         return False
-    image = _image(P, G)  # zeros where B v has them
+    image = _image(P._b_image, G)  # zeros where B v has them
     zero_rows = (q for q, e in zip(P._b_image.rows, image) if e == 0)
     return len(_extend_rows(zero_rows, *P._a_echelon)[1]) == P.n - 1
 
@@ -211,7 +211,7 @@ def enumerate_circuits(
     # representative l of the flat with that block, or the root if l is -1.
     root = []
     for col in _echelon_kernel(rows, leads, n):
-        image = _image(P, col)
+        image = _image(P._b_image, col)
         root.append(list(col) + [image[i] for i in reps])
     found: list[Circuit] = []
     budget = work_budget

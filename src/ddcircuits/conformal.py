@@ -107,7 +107,7 @@ def _terms(P: Polyhedron, zint: tuple[list[int], int]) -> Iterator[tuple[Fractio
     construction.
     """
     Z, D = zint
-    bz = _image(P, Z)
+    bz = _image(P._b_image, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
     bound = P.n - len(P._a_echelon[1])  # rank(A)
     # The residual r is carried negated, -r = U/D, with its slack S/D.

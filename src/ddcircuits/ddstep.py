@@ -263,7 +263,7 @@ def _scan(
         slope = _dot(C, g.entries)
         if slope == 0:
             continue
-        bg = _image(P, g.entries)
+        bg = _image(P._b_image, g.entries)
         if slope > 0:
             g, slope, bg = -g, -slope, [-a for a in bg]
         j = _ratio_test(S, bg)

@@ -9,24 +9,27 @@ terminates and is fully deterministic.
 The tableau is an integer one, with the columns [x+ | x- | slacks | rhs]
 and no artificial columns.  Row i starts as a positive multiple of U_i,
 the row [a_i | -a_i | e_i | rhs_i] with a nonnegative right-hand side
-that its artificial column makes basic with entry 1; A's rows are the
-polyhedron's int rows of [a_i | b_i] as they are, and B's come from its
-integer image as [q_i | -q_i | e_i/s_i | d_i/s_i] times a positive
-factor, so no row of the system is read as Fractions.  Each row is
-pivoted with ``ratlin._pivot``, so it stays a positive multiple of its
-unit-basis form and its basic entry is positive.  An artificial column
-never enters and no rule reads its entries, so it is not stored; while
-artificial i is basic, its label ``ncols + i`` stays in the basis for the
-ratio test's ties and the phase-1 checks.  The phase-1 cost row is built already priced out, as minus
-the sum of the U_i (times the lcm of their factors), and the phase-2 cost
-row is reduced against each basic row alone (``ratlin._combine``): the
-rows a price-out pivot would also visit are 0 in the basic column.  The
-entering test reads only signs of the cost row; the ratio test compares
-rhs_i / a_i with rhs_k / a_k as rhs_i * a_k against rhs_k * a_i; phase 1
-is infeasible when an artificial basic row keeps a positive right-hand
-side.  These are the decisions of the unit-basis tableau with its
-artificial columns, so the pivots are the same.  The vertex and the
-unbounded ray divide each row's entries by its basic entry.
+that its artificial column makes basic with entry 1.  Every row comes
+from the polyhedron's integer images of A and B, in one loop, as
+s_i [q_i | -q_i | e_i/s_i | rhs_i/s_i] times a positive factor, where a
+row of A has no slack column e_i, so no row of the system is read as
+Fractions.  Each row is pivoted with ``ratlin._pivot``, so it stays a
+positive multiple of its unit-basis form and its basic entry is
+positive.  An artificial column never enters and no rule reads its
+entries, so it is not stored; while artificial i is basic, its label
+``ncols + i`` stays in the basis for the ratio test's ties and the
+phase-1 checks.  The phase-1 cost row is built already priced out, as
+minus the sum of the U_i (times the lcm of their factors), and the
+phase-2 cost row is reduced against each basic row alone
+(``ratlin._combine``): the rows a price-out pivot would also visit are 0
+in the basic column.  The entering test reads only signs of the cost
+row; the ratio test compares rhs_i / a_i with rhs_k / a_k as
+rhs_i * a_k against rhs_k * a_i; phase 1 is infeasible when an
+artificial basic row keeps a positive right-hand side.  These are the
+decisions of the unit-basis tableau with its artificial columns, so the
+pivots are the same.  The vertex and the unbounded ray are read from the
+rows whose basic column is one of x+ or x-, each divided by its basic
+entry.
 
 The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
@@ -69,12 +72,12 @@ from .polyhedron import (
     Point,
     Polyhedron,
     _extend_active,
+    _feasible_slack,
     _IntImage,
     _max_step,
     _point,
     _slack,
     _walk,
-    is_feasible,
 )
 from .ratlin import (
     Rat,
@@ -190,36 +193,38 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
 
 
 def _simplex(
-    a_rows: Sequence[tuple[list[int], int]], image: _IntImage, cost: Sequence[int]
+    a_image: _IntImage, b_image: _IntImage, cost: Sequence[int]
 ) -> tuple[str, list[list[int]], list[int], Optional[int]]:
     """The two-phase simplex in ints: (status, T, basis, enter) with status
     'infeasible', 'optimal' or 'unbounded' and, unless infeasible, the final
     phase-2 tableau, its basis and the unbounded entering column.
 
-    The constraint rows are those of A, each as (V, w) with V the ints of
-    [a_i | b_i] over w > 0, then those of B from its integer image; the
-    columns are [x+ | x- | slacks | rhs] and ``cost`` is the phase-2 cost
-    of x+ and x-.  Each row is U_i times a positive factor, where U_i is
-    the row [a_i | -a_i | e_i | rhs_i] with a nonnegative right-hand side
-    that the artificial column i would make basic with entry 1.  The
+    The constraint rows are those of A, then those of B, each from its
+    polyhedron's integer image; the columns are [x+ | x- | slacks | rhs]
+    and ``cost`` is the phase-2 cost of x+ and x-.  Each row is U_i times
+    a positive factor, where U_i is the row [a_i | -a_i | e_i | rhs_i]
+    with a nonnegative right-hand side that the artificial column i would
+    make basic with entry 1; a row of A has no slack column.  The
     artificial columns are not stored: they never enter and no rule reads
     them; only their labels ``ncols + i`` stay in the basis while basic.
     """
     n = len(cost) // 2
-    m_b = len(image.rows)
+    m_b = len(b_image.rows)
     ncols = 2 * n + m_b
-    lines = [(V[:n] + [-a for a in V[:n]] + [0] * m_b + V[n:], w) for V, w in a_rows]
-    for i, (nonzeros, bound, (sn, sd)) in enumerate(
-        zip(image.nonzeros, image.bounds, image.scales)
-    ):
-        # U_i = s_i * [q_i | -q_i | e_i / s_i | bound_i / den], times den * sd.
-        f = image.den * sn
-        line = [0] * (ncols + 1)
-        for j, a in nonzeros:
-            line[j], line[n + j] = f * a, -f * a
-        line[2 * n + i] = image.den * sd
-        line[-1] = sn * bound
-        lines.append((line, image.den * sd))
+    lines = []
+    for image, slack in ((a_image, None), (b_image, 2 * n)):
+        for i, (nonzeros, bound, (sn, sd)) in enumerate(
+            zip(image.nonzeros, image.bounds, image.scales)
+        ):
+            # U_i = s_i * [q_i | -q_i | e_i / s_i | bound_i / den], times den * sd.
+            f, w = image.den * sn, image.den * sd
+            line = [0] * (ncols + 1)
+            for j, a in nonzeros:
+                line[j], line[n + j] = f * a, -f * a
+            if slack is not None:
+                line[slack + i] = w
+            line[-1] = sn * bound
+            lines.append((line, w))
 
     # Phase 1 minimizes the sum of the artificials.  Priced out against the
     # artificial basis, its cost row is minus the sum of the U_i, here
@@ -284,37 +289,29 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
     n = P.n
     cost = coprime_integer_entries([*c.entries] + [-a for a in c.entries])
-    status, T, basis, enter = _simplex(P._a_rows, P._b_image, cost)
+    status, T, basis, enter = _simplex(P._a_image, P._b_image, cost)
     if status == "infeasible":
         return LpInfeasible()
-    ncols = len(T[-1]) - 1
 
-    # Row i reads its basic variable basis[i] after division by its entry.
+    # Row i reads its basic variable basis[i] after division by its entry;
+    # only the columns of x+ and x- are read.
+    split = 2 * n
     if status == "unbounded":
-        ray = [Fraction(0)] * ncols
-        ray[enter] = Fraction(1)
+        ray = [Fraction(0)] * split
+        if enter < split:
+            ray[enter] = Fraction(1)
         for i, jb in enumerate(basis):
-            ray[jb] = Fraction(-T[i][enter], T[i][jb])
-        direction = RatVec(ray[j] - ray[n + j] for j in range(n))
-        return LpUnbounded(direction)
+            if jb < split:
+                ray[jb] = Fraction(-T[i][enter], T[i][jb])
+        return LpUnbounded(RatVec(ray[j] - ray[n + j] for j in range(n)))
 
-    w = [Fraction(0)] * ncols
+    w = [Fraction(0)] * split
     for i, jb in enumerate(basis):
-        w[jb] = Fraction(T[i][-1], T[i][jb])
-    x = RatVec(w[j] - w[n + j] for j in range(n))
-    x = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, c.dot(x), _unique_by_reduced_costs(T[-1][:ncols], basis, n), c)
-
-
-def _proven_unique(optimum: Optional[LpOptimal], c: RatVec, xstar: Point) -> bool:
-    """Whether ``optimum`` is ``solve_lp``'s for c, with its tableau's proof
-    that its vertex, which is xstar, is the only optimum."""
-    return (
-        optimum is not None
-        and optimum.unique
-        and optimum.objective == c
-        and xstar == optimum.vertex
-    )
+        if jb < split:
+            w[jb] = Fraction(T[i][-1], T[i][jb])
+    x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))
+    unique = _unique_by_reduced_costs(T[-1][:-1], basis, n)
+    return LpOptimal(x, c.dot(x), unique, c)
 
 
 def verify_unique(
@@ -327,25 +324,29 @@ def verify_unique(
     infeasible or non-optimal xstar is a usage error (ValueError).  P is
     pointed, as every Polyhedron is.
 
-    When ``optimum`` is ``solve_lp``'s own for this c (its ``objective``
-    is c), xstar is its vertex and the tableau's reduced costs proved it
-    unique (``optimum.unique``), the answer is unique with no further work:
-    the solver built xstar feasible and of value ``optimum.value``.  A
-    hand-built optimum carries no objective, so its ``unique`` is not
-    trusted and xstar is checked as for any other optimum.  Otherwise,
-    with I the B-rows active at xstar: a nonzero kernel vector w of [A; B_I] means
-    xstar is not a vertex, and the witness is the end of the active-set
-    walk's first move, where the ray from xstar along w (or -w) leaves P.  Else one LP minimizes
-    (1^T B_I).w over the pointed region {w : Aw = 0, c.w = 0, B_I w <= 0,
-    -1^T B_I w <= 1}.  Its optimum is 0 exactly when xstar is unique; else
-    its vertex w is a nonzero direction of the optimal face, and the
-    witness is xstar + max_step*w, or xstar + w when the optimal face is
-    unbounded along w.  The step is ``max_step``'s, from the slack of
-    xstar computed once here, without checking xstar again.
+    When the caller's ``optimum`` is ``solve_lp``'s own for this c (its
+    ``objective`` is c), xstar is its vertex and the tableau's reduced
+    costs proved it unique (``optimum.unique``), the answer is unique with
+    no further work: the solver built xstar feasible and of value
+    ``optimum.value``.  A hand-built optimum carries no objective, so its
+    ``unique`` is not trusted and xstar is checked as for any other
+    optimum; so is an xstar whose LP is solved here, after its check.
+    Otherwise, with I the B-rows active at xstar: a nonzero kernel vector
+    w of [A; B_I] means xstar is not a vertex, and the witness is the end
+    of the active-set walk's first move, where the ray from xstar along w
+    (or -w) leaves P.  Else one LP minimizes (1^T B_I).w over the pointed
+    region {w : Aw = 0, c.w = 0, B_I w <= 0, -1^T B_I w <= 1}.  Its
+    optimum is 0 exactly when xstar is unique; else its vertex w is a
+    nonzero direction of the optimal face, and the witness is
+    xstar + max_step*w, or xstar + w when the optimal face is unbounded
+    along w.  The slack of xstar is computed once, by the feasibility
+    check, and serves the walk and ``max_step``'s step.
     """
-    if _proven_unique(optimum, c, xstar):
+    proven = optimum is not None and optimum.unique and optimum.objective == c
+    if proven and xstar == optimum.vertex:
         return UniquenessReport(True, None)
-    if not is_feasible(P, xstar):
+    slack = _feasible_slack(P, xstar)
+    if slack is None:
         raise ValueError("xstar is not feasible")
     if optimum is None:
         optimum = solve_lp(P, c)
@@ -353,10 +354,8 @@ def verify_unique(
             raise ValueError("xstar cannot be optimal: the LP has no optimum")
     if optimum.value != c.dot(xstar):
         raise ValueError("xstar is not optimal for the given objective")
-    if _proven_unique(optimum, c, xstar):
-        return UniquenessReport(True, None)
 
-    X, S, D = _slack(P, xstar)
+    X, S, D = slack
     for end, _, den, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
         return UniquenessReport(False, _point(end, den))
 

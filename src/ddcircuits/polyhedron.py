@@ -3,25 +3,26 @@
 Membership, active inequality rows, and maximal feasible step lengths are
 all decided by exact comparison; there is no tolerance parameter anywhere
 in this module.  Each polyhedron holds its system in ints, each row
-converted once: the rows [a_i | b_i] of A as ints over one denominator
-each, which the simplex in ``lp`` and the tests of Ax = b and Av = 0
-(``_solves_a``) read, and an integer image of B, where row B_i is s_i
-times a primitive integer row q_i (s_i > 0), with the bounds d_i/s_i as
-ints over one common denominator; the simplex builds its B rows from it.
+converted once, in one encoding for A and B alike: an integer image,
+where row i is s_i times a primitive integer row q_i (s_i > 0), with its
+right-hand side b_i/s_i or d_i/s_i as ints over one common denominator.
 ``_image_of`` is the one image builder, and ``Polyhedron._build`` the one
 builder of the int form, which every polyhedron goes through and which
-builds the image with the system.  The instance parser and the circulation
-reduction hand over int rows and make no Fraction per entry; the public
-constructor converts its RatMat and RatVec arguments to the same rows.  A,
-b, B and d as Fractions are views, built from the ints on first read.  The
-unchecked helpers work in row units and in ints.  ``_image(P, v)`` is the
-int vector of products q_i.v for an int vector v.  ``_slack`` gives a
-point x as one int vector over one positive denominator, (X, S, D) with
-x = X/D and S/D the slack d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A
-ratio of a slack to an image is the same in row units, and so are its
-zeros and signs, so ``_ratio_test``, the package's one ratio test for
-maximal steps, which compares S_i/a_i by cross-multiplication and returns
-the limiting row, and ``_active`` give what d - Bx and Bv would give.
+builds both images with the system; the simplex in ``lp`` builds every
+tableau row from them.  The instance parser and the circulation reduction
+hand over int rows and make no Fraction per entry; the public constructor
+converts its RatMat and RatVec arguments to the same rows.  A, b, B and d
+as Fractions are views, built from the images on first read (``_view``).
+The unchecked helpers work in row units and in ints.  ``_image(image, v)``
+is the int vector of products q_i.v with the rows of either image for an
+int vector v; Ax = b and Av = 0 compare A's products with its right-hand
+sides (``_solves_a``).  ``_slack`` gives a point x as one int vector
+over one positive denominator, (X, S, D) with x = X/D and S/D the slack
+d_i/s_i - q_i.x, which is (d - Bx)_i / s_i.  A ratio of a slack to an
+image is the same in row units, and so are its zeros and signs, so
+``_ratio_test``, the package's one ratio test for maximal steps, which
+compares S_i/a_i by cross-multiplication and returns the limiting row,
+and ``_active`` give what d - Bx and Bv would give.
 ``_walk`` is the package's one active-set walk: it moves inside the
 kernel of the tight rows until one more row is tight, moves X, S and D by
 one rank-one step in ints (``_move``) and extends the echelon of the
@@ -60,7 +61,6 @@ from .ratlin import (
     _int_vector,
     _primitive,
     _rat_pair,
-    coprime_integer_entries,
     parse_count,
     sign_normalized,
 )
@@ -96,20 +96,19 @@ class Polyhedron:
     other module checks it again.  A may have zero rows (pure inequality
     systems such as boxes), and so may B.
     The system is held in ints, and each row is converted once, by one
-    builder (``_build``) that every constructor calls.  A is ``_a_rows``:
-    each row [a_i | b_i] as (V_i, w_i), its ints V_i over their least
-    common denominator w_i > 0, which the simplex and the tests of Ax = b
-    and Av = 0 read.  B and d are their integer image ``_b_image``, built
-    with the polyhedron.  ``_a_echelon`` is the echelon of A's primitive
-    rows, which the pointedness check extends by the image's rows, and the
-    other modules by rows of B.  The instance parser and the circulation
-    reduction hand over int rows (``_from_ints``), and the public
-    constructor converts its RatMat and RatVec arguments to the same rows.
-    ``A``, ``b``, ``B`` and ``d`` are read-only views, built from the ints
-    on first read.
+    builder (``_build``) that every constructor calls.  A and b are their
+    integer image ``_a_image`` and B and d theirs, ``_b_image``, both built
+    with the polyhedron by ``_image_of``; the simplex builds every tableau
+    row from them.  ``_a_echelon`` is the echelon of A's primitive rows,
+    which the pointedness check extends by B's, and the other modules by
+    rows of B.  The instance parser and the circulation reduction hand
+    over int rows (``_from_ints``), and the public constructor converts its
+    RatMat and RatVec arguments to the same rows.  The images are
+    canonical, so equality and hash compare them.  ``A``, ``b``, ``B`` and
+    ``d`` are read-only views, built from the images on first read.
     """
 
-    __slots__ = ("n", "_a_rows", "_a_echelon", "_b_image", "_A", "_b", "_B", "_d")
+    __slots__ = ("n", "_a_image", "_a_echelon", "_b_image", "_A", "_b", "_B", "_d")
 
     def __init__(self, A: RatMat, b: RatVec, B: RatMat, d: RatVec):
         if A.n != B.n:
@@ -120,34 +119,28 @@ class Polyhedron:
             raise ValueError(f"b has {b.dim} entries but A has {A.m} rows")
         if d.dim != B.m:
             raise ValueError(f"d has {d.dim} entries but B has {B.m} rows")
-        a_rows = [_int_vector(row + (rhs,)) for row, rhs in zip(A.entries, b.entries)]
-        bounds = [(e.numerator, e.denominator) for e in d]
-        self._build(A.n, a_rows, [_int_vector(row) for row in B.entries], bounds)
+        a_rows, b_rows = ([_int_vector(row) for row in M.entries] for M in (A, B))
+        b, d = ([(e.numerator, e.denominator) for e in v] for v in (b, d))
+        self._build(A.n, a_rows, b, b_rows, d)
 
     @classmethod
-    def _from_ints(cls, n, a_rows, b_rows, bounds) -> "Polyhedron":
+    def _from_ints(cls, n, a_rows, b, b_rows, d) -> "Polyhedron":
         """The polyhedron of int rows, as ``_build`` takes them."""
         P = cls.__new__(cls)
-        P._build(n, a_rows, b_rows, bounds)
+        P._build(n, a_rows, b, b_rows, d)
         return P
 
-    def _build(
-        self,
-        n: int,
-        a_rows: list[tuple[list[int], int]],
-        b_rows: Iterable[tuple[Sequence[int], int]],
-        bounds: Iterable[tuple[int, int]],
-    ) -> None:
-        """Set the int form, the one place it is set: n >= 1, A's rows
-        (V_i, w_i) as ``_a_rows`` holds them and their echelon, and the
-        image of B's rows (N_i, L_i) and d's entries (p_i, q_i) as
-        ``_image_of`` takes them.  Pointedness is checked on the image's
-        primitive rows, read only until the rank is n.  The views are
-        built on first read."""
+    def _build(self, n: int, a_rows, b, b_rows, d) -> None:
+        """Set the int form, the one place it is set: n >= 1, the image of
+        A's rows and b's entries, the echelon of its primitive rows, and the
+        image of B's rows and d's entries; each row is (N_i, L_i) and each
+        entry (p_i, q_i), as ``_image_of`` takes them.  Pointedness is
+        checked on A's echelon extended by B's primitive rows, read only
+        until the rank is n.  The views are built on first read."""
         self.n = n
-        self._a_rows = a_rows
-        self._a_echelon = _extend_rows(_primitive(V[:n]) for V, _ in a_rows)
-        self._b_image = _image_of(b_rows, bounds)
+        self._a_image = _image_of(a_rows, b)
+        self._a_echelon = _extend_rows(self._a_image.rows)
+        self._b_image = _image_of(b_rows, d)
         self._A = self._b = self._B = self._d = None
         if len(_extend_rows(self._b_image.rows, *self._a_echelon)[1]) < n:
             raise NotPointedError("the system contains a line (rank [A; B] < n)")
@@ -155,33 +148,25 @@ class Polyhedron:
     @property
     def A(self) -> RatMat:
         if self._A is None:
-            n = self.n
-            self._A = RatMat([[Fraction(a, w) for a in V[:n]] for V, w in self._a_rows], cols=n)
+            self._A, self._b = _view(self._a_image, self.n)
         return self._A
 
     @property
     def b(self) -> RatVec:
         if self._b is None:
-            self._b = RatVec([Fraction(V[-1], w) for V, w in self._a_rows])
+            self._A, self._b = _view(self._a_image, self.n)
         return self._b
 
     @property
     def B(self) -> RatMat:
-        """B_i = s_i q_i, from the integer image."""
         if self._B is None:
-            rows = zip(self._b_image.rows, self._b_image.scales)
-            self._B = RatMat([[Fraction(sn * a, sd) for a in q] for q, (sn, sd) in rows], cols=self.n)
+            self._B, self._d = _view(self._b_image, self.n)
         return self._B
 
     @property
     def d(self) -> RatVec:
-        """d_i = s_i (bounds_i / den), from the integer image."""
         if self._d is None:
-            image = self._b_image
-            den = image.den
-            self._d = RatVec(
-                [Fraction(sn * t, sd * den) for t, (sn, sd) in zip(image.bounds, image.scales)]
-            )
+            self._B, self._d = _view(self._b_image, self.n)
         return self._d
 
     @classmethod
@@ -195,22 +180,18 @@ class Polyhedron:
         if n < 1:
             raise ValueError("the ambient dimension must be at least 1")
         bounds = [(e.numerator, e.denominator) for e in (*highs, *(-lows))]
-        return cls._from_ints(n, [], _box_rows(n), bounds)
+        return cls._from_ints(n, [], [], _box_rows(n), bounds)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polyhedron)
-            and self.A == other.A
-            and self.b == other.b
-            and self.B == other.B
-            and self.d == other.d
-        )
+        key = (self.n, self._a_image, self._b_image)
+        return isinstance(other, Polyhedron) and key == (other.n, other._a_image, other._b_image)
 
     def __hash__(self) -> int:
-        return hash((self.A, self.b, self.B, self.d))
+        return hash((self.n, self._a_image, self._b_image))
 
     def __repr__(self) -> str:
-        return f"Polyhedron(n={self.n}, m_A={len(self._a_rows)}, m_B={len(self._b_image.rows)})"
+        m_a, m_b = len(self._a_image.rows), len(self._b_image.rows)
+        return f"Polyhedron(n={self.n}, m_A={m_a}, m_B={m_b})"
 
 
 def _box_rows(n: int) -> list[tuple[list[int], int]]:
@@ -223,28 +204,32 @@ def _box_rows(n: int) -> list[tuple[list[int], int]]:
 
 
 class _IntImage(NamedTuple):
-    """B in row units: B_i = s_i * rows[i] with rows[i] primitive and s_i > 0."""
+    """A and b, or B and d, in row units: row i is s_i * rows[i] with
+    rows[i] primitive and s_i > 0, and its right-hand side s_i * bounds[i] / den."""
 
     rows: tuple[tuple[int, ...], ...]
     nonzeros: tuple[tuple[tuple[int, int], ...], ...]  # (column, entry) of each row
-    bounds: tuple[int, ...]  # d_i / s_i = bounds[i] / den
-    den: int  # the least common denominator of the d_i / s_i, > 0
+    bounds: tuple[int, ...]  # b_i / s_i or d_i / s_i = bounds[i] / den
+    den: int  # the least common denominator of the right-hand sides / s_i, > 0
     scales: tuple[tuple[int, int], ...]  # s_i = scales[i][0] / scales[i][1] in lowest terms
 
 
 def _image_of(
     rows: Iterable[tuple[Sequence[int], int]], bounds: Iterable[tuple[int, int]]
 ) -> _IntImage:
-    """The integer image of B and d, the package's one image builder.
+    """The integer image of A and b, or of B and d: the package's one
+    image builder.
 
-    Row i of B is N_i / L_i, ints over their least common denominator
-    L_i > 0 (``ratlin._int_vector``), and d_i = p_i / q_i with q_i > 0.
-    With g_i = gcd(N_i), B_i is s_i q_i for the primitive row
+    Row i is N_i / L_i, ints over their least common denominator L_i > 0
+    (``ratlin._int_vector``), and its right-hand side is p_i / q_i with
+    q_i > 0.  With g_i = gcd(N_i), the row is s_i q_i for the primitive row
     q_i = N_i / g_i and s_i = g_i / L_i, which is in lowest terms: each
     prime power of L_i is the whole denominator power of some entry, and
-    that entry's N_j is then not a multiple of the prime.  d_i / s_i is
-    p_i L_i / (q_i g_i), put in lowest terms by one gcd; no Fraction is
-    made.  A zero row stays a zero row, with s_i = 1.
+    that entry's N_j is then not a multiple of the prime.  The right-hand
+    side over s_i is p_i L_i / (q_i g_i), put in lowest terms by one gcd;
+    no Fraction is made.  A zero row stays a zero row, with s_i = 1.  Each
+    field is a function of the rational rows and right-hand sides, so two
+    systems are equal exactly when their images are.
     """
     prims, scales, nums, dens = [], [], [], []
     for (N, L), (p, q) in zip(rows, bounds):
@@ -265,29 +250,34 @@ def _image_of(
     )
 
 
+def _view(image: _IntImage, n: int) -> tuple[RatMat, RatVec]:
+    """The rows s_i q_i and right-hand sides s_i bounds_i / den of an
+    image as Fractions: (A, b) from A's image, (B, d) from B's."""
+    rows, rhs = [], []
+    for q, t, (sn, sd) in zip(image.rows, image.bounds, image.scales):
+        rows.append([Fraction(sn * a, sd) for a in q])
+        rhs.append(Fraction(sn * t, sd * image.den))
+    return RatMat(rows, cols=n), RatVec(rhs)
+
+
 def _solves_a(P: Polyhedron, X: Sequence[int], D: int) -> bool:
-    """Whether A x = b for x = X/D, in ints: V_i[:n].X = V_i[n] * D for each
-    row (V_i, w_i) of ``_a_rows``.  With D = 0, whether A X = 0."""
-    for V, _ in P._a_rows:
-        total = 0
-        for a, e in zip(V, X):  # V has n + 1 entries, X n
-            if a:
-                total += a * e
-        if total != V[-1] * D:
-            return False
-    return True
+    """Whether A x = b for x = X/D, in ints: q_i.X / D = bounds_i / den for
+    each row of A's image, as q_i.X * den = bounds_i * D.  With D = 0,
+    whether A X = 0."""
+    image, den = P._a_image, P._a_image.den
+    return [e * den for e in _image(image, X)] == [t * D for t in image.bounds]
 
 
-def _image(P: Polyhedron, v: Sequence[int]) -> list[int]:
-    """B v in row units: the products q_i.v with the rows of ``P._b_image``,
-    as int dot products over the nonzeros of each row.
+def _image(image: _IntImage, v: Sequence[int]) -> list[int]:
+    """A v or B v in row units: the products q_i.v with the rows of
+    ``image``, A's or B's, as int dot products over the nonzeros of each row.
 
     v is an int vector, such as a kernel vector of an echelon, a circuit or
     the X of ``_slack``; a rational direction is scaled to ints first, which
     keeps every zero and sign of the image.
     """
     out = []
-    for row in P._b_image.nonzeros:
+    for row in image.nonzeros:
         total = 0
         for j, a in row:
             total += a * v[j]
@@ -333,7 +323,7 @@ def _slack(P: Polyhedron, x: Point) -> tuple[list[int], list[int], int]:
     if D != den:
         X = [e * (D // den) for e in X]
     f = D // image.den
-    return X, [b * f - e for b, e in zip(image.bounds, _image(P, X))], D
+    return X, [b * f - e for b, e in zip(image.bounds, _image(image, X))], D
 
 
 def _point(X: Sequence[int], D: int) -> RatVec:
@@ -444,9 +434,9 @@ def _walk(
         if moves == P.n:  # pragma: no cover - each move raises the rank
             raise AssertionError("the active-set walk exceeded n moves")
         w = ker[0]
-        if cone and sign_normalized(coprime_integer_entries(X)) == w:
+        if cone and sign_normalized(_primitive(X)) == w:
             w = ker[1]
-        image = _image(P, w)
+        image = _image(P._b_image, w)
         if cone:
             image = [a if s > 0 else -a for a, s in zip(image, signs)]
         j = _ratio_test(S, image)
@@ -486,7 +476,7 @@ def _max_step(P: Polyhedron, S: Sequence[int], D: int, g: RatVec) -> Union[Rat, 
     G, den = _int_vector(g)  # g = G / den
     if not any(G):
         return Fraction(0)
-    image = _image(P, G)
+    image = _image(P._b_image, G)
     j = _ratio_test(S, image)
     return UNBOUNDED if j is None else Fraction(S[j] * den, D * image[j])
 
@@ -620,8 +610,8 @@ def parse_instance_text(text: str) -> Instance:
         raise ParseError("unexpected extra line after the objective", extra[0], 1)
 
     A, b, B, d, (c,) = data
-    a_rows = [_int_row(row + [rhs]) for row, rhs in zip(A, sum(b, []))]
-    P = Polyhedron._from_ints(n, a_rows, [_int_row(row) for row in B], sum(d, []))
+    a_rows, b_rows = ([_int_row(row) for row in M] for M in (A, B))
+    P = Polyhedron._from_ints(n, a_rows, sum(b, []), b_rows, sum(d, []))
     return Instance(P, RatVec([Fraction(p, q) for p, q in c]))
 
 

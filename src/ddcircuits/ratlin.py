@@ -29,8 +29,8 @@ of slack columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
 incidence matrices are totally unimodular, so their integer rows stay
 small.  ``RatMat.matvec`` serves the checkers in ``certify``: the hot
-products with A and B go through each polyhedron's int rows of A and
-integer image of B (``polyhedron._solves_a`` and ``_image``).  The module
+products with A and B go through each polyhedron's integer images of A
+and B (``polyhedron._image``, and ``_solves_a`` for Ax = b).  The module
 also owns the token grammar of every input, ``_to_int``, the one
 conversion of text to an int, and ``_rat_pair``, the one reader of a
 rational token, which gives it as an int pair in lowest terms.

@@ -123,8 +123,8 @@ def build_reduction(G: Digraph) -> ReductionInstance:
         raise ValueError("the reduction needs at least one arc")
     m = G.m
     weighted = perturb_costs(G)
-    a_rows = [(row + [0], 1) for row in _incidence_rows(G)]
-    P = Polyhedron._from_ints(m, a_rows, _box_rows(m), [(1, 1)] * m + [(0, 1)] * m)
+    a_rows, b = [(row, 1) for row in _incidence_rows(G)], [(0, 1)] * G.nodes
+    P = Polyhedron._from_ints(m, a_rows, b, _box_rows(m), [(1, 1)] * m + [(0, 1)] * m)
     costs, den = _int_vector(weighted.costs)
     objective = _point([-e for e in costs], den)
     return ReductionInstance(Instance(P, objective), _point([0] * m, 1), weighted)

@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.  Every
 assertion is an exact rational comparison; there are no tolerances.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -27,6 +28,7 @@ from ddcircuits import (
     verify_correspondence,
     verify_unique,
 )
+from ddcircuits.cli import _random_digraph, main
 from ddcircuits.ocnp import AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor
 from ddcircuits.circuits import Circuit, canonical_orientation
 from ddcircuits.ratlin import coprime_integer_entries, rank
@@ -40,6 +42,7 @@ from instgen import (
     random_digraph,
 )
 from oracles import directed_simple_cycles, undirected_cycle_indicators
+from test_ddstep import _assert_contracts
 
 
 def _report(number: int, title: str, violations: list, detail: str = "") -> None:
@@ -266,6 +269,19 @@ def test_every_step_contracts_the_gap(ratio_battery):
     assert all(ratio >= CONTRACTION_FLOORS[k] for (_, k), ratio in worst.items()), worst
 
 
+def _iteration_bound_holds(k, c, value, trace) -> bool:
+    """Whether a run of T >= 1 exact or approx steps has
+    g <= ((k-1)/k)^(T-1) * gap0, with gap0 the gap at x0, g the gap before
+    the last step and k = n - rank A, and T <= 1 at k = 1; a run of no
+    steps holds it."""
+    T = len(trace.steps)
+    if T == 0:
+        return True
+    gap0 = c.dot(trace.iterates[0]) - value
+    g = c.dot(trace.iterates[T - 1]) - value
+    return g <= Fraction(k - 1, k) ** (T - 1) * gap0 and (k > 1 or T == 1)
+
+
 def test_iteration_count_is_bounded(ratio_battery):
     """A run of T >= 1 exact or approx steps has g <= ((k-1)/k)^(T-1) * gap0,
     with gap0 the gap at x0, g the gap before the last step and
@@ -279,16 +295,40 @@ def test_iteration_count_is_bounded(ratio_battery):
         k = P.n - rank(P.A)
         for mode, trace in item["traces"].items():
             T = len(trace.steps)
-            if T == 0:
-                continue
-            gap0 = c.dot(trace.iterates[0]) - value
-            g = c.dot(trace.iterates[T - 1]) - value
-            if g > Fraction(k - 1, k) ** (T - 1) * gap0 or (k == 1 and T > 1):
-                violations.append((mode, k, T, str(gap0), str(g)))
+            if not _iteration_bound_holds(k, c, value, trace):
+                violations.append((mode, k, T, str(c.dot(trace.iterates[0]) - value)))
             longest[mode, k] = max(longest.get((mode, k), 0), T)
     assert not violations, violations[:3]
     # the bound is exercised past a single step at every k > 1
     assert all(T >= 2 for (_, k), T in longest.items() if k > 1), longest
+
+
+# The ``bench`` settings of the golden fixtures: (nodes, trials, seed).
+BENCH_SETTINGS = ((4, 3, 7), (5, 2, 1))
+
+
+def test_bench_runs_contract_the_gap(capsys):
+    """Every step of ``bench``'s exact and approx runs, on the graphs it
+    draws for the golden settings, meets k * improvement >= gap, and each
+    run the iteration bound.  The graphs are drawn again as ``bench`` draws
+    them, and each run's step count is the one ``bench`` reports."""
+    steps = 0
+    for nodes, trials, seed in BENCH_SETTINGS:
+        argv = ["bench", "--nodes", str(nodes), "--trials", str(trials), "--seed", str(seed)]
+        assert main([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        rng = random.Random(seed)
+        for row in rows:
+            reduction = build_reduction(_random_digraph(rng, nodes))
+            P, c = reduction.instance.polyhedron, reduction.instance.objective
+            k, value = P.n - rank(P.A), solve_lp(P, c).value
+            for mode in ("exact", "approx"):
+                trace = augment(P, c, reduction.x0, mode)
+                assert len(trace.steps) == row[f"{mode}_iters"]
+                _assert_contracts(P, c, trace)
+                assert _iteration_bound_holds(k, c, value, trace), (seed, row["graph_id"], mode)
+                steps += len(trace.steps)
+    assert steps > 0
 
 
 SQUARE_TEXT = "2 0 4\n1 0\n0 1\n-1 0\n0 -1\n1 1 0 0\n-1 -2\n"

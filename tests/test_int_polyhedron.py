@@ -5,8 +5,8 @@ rows as ints (``Polyhedron._from_ints``); the public constructor takes
 RatMat and RatVec and converts them itself.  For every catalogue, golden
 and battery instance and for the seeded generators, both paths must give
 equal polyhedra with equal hashes, equal views A, b, B and d, and equal
-int cores: the rows of A, the echelon of A and every field of the
-integer image of B.  The twin on the rational side is read here with
+int cores: every field of the integer images of A and of B, and the
+echelon of A.  The twin on the rational side is read here with
 plain ``Fraction`` from the text, independently of the package's parser.
 """
 
@@ -86,14 +86,14 @@ def rational_twin(P: Polyhedron) -> Polyhedron:
     )
 
 
-def assert_image(P: Polyhedron, B: RatMat, d: RatVec) -> None:
-    """P's integer image checked with Fraction against the rational B and d:
-    B_i = s_i q_i with q_i primitive and s_i > 0 in lowest terms, and the
-    bounds d_i / s_i over their least common denominator."""
-    image = P._b_image
-    assert len(image.rows) == B.m
+def assert_image(image, M: RatMat, v: RatVec) -> None:
+    """An integer image checked with Fraction against the rational rows M
+    and right-hand sides v, (A, b) or (B, d): M_i = s_i q_i with q_i
+    primitive and s_i > 0 in lowest terms, and the bounds v_i / s_i over
+    their least common denominator."""
+    assert len(image.rows) == M.m
     ratios = []
-    for q, (sn, sd), row, d_i in zip(image.rows, image.scales, B.entries, d):
+    for q, (sn, sd), row, d_i in zip(image.rows, image.scales, M.entries, v):
         s = Fraction(sn, sd)
         assert s > 0 and (s.numerator, s.denominator) == (sn, sd)
         assert gcd(*q) == (1 if any(q) else 0)
@@ -105,17 +105,17 @@ def assert_image(P: Polyhedron, B: RatMat, d: RatVec) -> None:
 
 
 def assert_same(P: Polyhedron, Q: Polyhedron) -> None:
-    """P and Q are equal in every form; Q's B and d are the reference for
-    the integer image."""
-    assert_image(P, Q.B, Q.d)
+    """P and Q are equal in every form; Q's views are the reference for
+    the integer images."""
+    assert_image(P._a_image, Q.A, Q.b)
+    assert_image(P._b_image, Q.B, Q.d)
     assert P == Q and Q == P
     assert hash(P) == hash(Q)
     assert (P.n, P.A, P.b, P.B, P.d) == (Q.n, Q.A, Q.b, Q.B, Q.d)
-    assert P._a_rows == Q._a_rows
     assert P._a_echelon == Q._a_echelon
-    image, other = P._b_image, Q._b_image
-    for field in image._fields:
-        assert getattr(image, field) == getattr(other, field), field
+    for image, other in ((P._a_image, Q._a_image), (P._b_image, Q._b_image)):
+        for field in image._fields:
+            assert getattr(image, field) == getattr(other, field), field
 
 
 def assert_round_trip(inst: Instance) -> None:
@@ -160,7 +160,11 @@ def test_edge_rows_image():
     assert image.scales == ((2, 1), (2, 3), (1, 1), (1, 1), (3, 2), (1, 1))
     # d / s = (-3/2, 1, 0, -2, -2/9, 5) over 18
     assert (image.bounds, image.den) == ((-27, 18, 0, -36, -4, 90), 18)
-    assert P._a_rows == [([1, 0, 2, -1], 2), ([0, 0, 0, 0], 1)]
+    # A = (1/2, 0, 1; 0, 0, 0) = (1/2) (1, 0, 2); 1 (0, 0, 0), b / s = (-1, 0)
+    image = P._a_image
+    assert (image.rows, image.scales, image.bounds, image.den) == (
+        ((1, 0, 2), (0, 0, 0)), ((1, 2), (1, 1)), (-1, 0), 1
+    )
     assert P.A == RatMat([[Fraction(1, 2), 0, 1], [0, 0, 0]])
     assert P.b == RatVec([Fraction(-1, 2), 0])
     assert P.d == RatVec([-3, Fraction(2, 3), 0, -2, Fraction(-1, 3), 5])
@@ -171,6 +175,17 @@ def test_bounds_in_lowest_terms():
     assert (image.rows, image.scales, image.bounds, image.den) == (
         ((1,), (-1,)), ((2, 1), (1, 1)), (2, 0), 1
     )
+
+
+def test_equality_and_hash_read_no_view():
+    """Equality and hash compare the images, which are canonical, and build
+    no Fraction view; a row scaled by 2, with its bound, is another system."""
+    P, Q = (parse_instance_text(NO_EQUALITIES).polyhedron for _ in range(2))
+    scaled = parse_instance_text("1 0 2\n1\n-1\n2 0\n1\n").polyhedron
+    assert P == Q and hash(P) == hash(Q) and P != scaled
+    for R in (P, Q, scaled):
+        assert (R._A, R._b, R._B, R._d) == (None,) * 4
+    assert P.B != scaled.B
 
 
 def test_point_tokens_are_reduced():

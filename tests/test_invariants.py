@@ -27,12 +27,12 @@ test, and only ``conformal`` moves an int point by hand; ``lp`` steps
 through the walk and ``max_step``, and the augmentation loop in
 ``ddstep`` through ``polyhedron._advance``.
 Products with B go through each polyhedron's integer image of B
-(``polyhedron._image``), and the simplex reads B and d only from that
-image; only the functions of ``certify``, the
+(``polyhedron._image``), and the simplex reads A, b, B and d only from
+the integer images; only the functions of ``certify``, the
 independent checkers, multiply by the rational B itself, and ``certify``
 imports nothing from the modules whose results it checks, nor any
 private helper.  A polyhedron's int form has one builder: only
-``Polyhedron._build`` assigns ``_a_rows``, ``_a_echelon`` and
+``Polyhedron._build`` assigns ``_a_image``, ``_a_echelon`` and
 ``_b_image``, and only ``Polyhedron._from_ints`` makes a Polyhedron by
 ``__new__``, past the checks of its constructor.  Pointedness is decided in one place: only the
 ``Polyhedron`` constructor raises ``NotPointedError``, and besides
@@ -116,14 +116,15 @@ STEP_HOMES = {
     "_move": {"polyhedron.py", "conformal.py"},
 }
 
-# The functions, per module, that read B and d only through the integer
-# image: the simplex builds its tableau rows from ``P._b_image``.
+# The functions, per module, that read A, b, B and d only through the
+# integer images: the simplex builds its tableau rows from ``P._a_image``
+# and ``P._b_image``.
 IMAGE_READERS = {"lp.py": ("solve_lp", "_simplex")}
 
 # A polyhedron's int form, the one function that assigns it, and the one
 # that makes a Polyhedron by ``__new__``: (module, function), a method
 # named by its class.
-INT_FORM = {"_a_rows", "_a_echelon", "_b_image"}
+INT_FORM = {"_a_image", "_a_echelon", "_b_image"}
 INT_FORM_BUILDER = ("polyhedron.py", "Polyhedron._build")
 BARE_MAKER = ("polyhedron.py", "Polyhedron._from_ints")
 
@@ -295,18 +296,18 @@ def rational_b_products(module: str, source: str) -> list[str]:
 
 
 def rational_b_reads(source: str, functions) -> list[str]:
-    """``line N: f`` for each read of ``<expr>.B.entries`` or ``<expr>.d``
-    in a function f of ``functions``."""
+    """``line N: f`` for each read of ``<expr>.A.entries``, ``<expr>.b``,
+    ``<expr>.B.entries`` or ``<expr>.d`` in a function f of ``functions``."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef) or func.name not in functions:
             continue
         for node in ast.walk(func):
             if isinstance(node, ast.Attribute) and (
-                node.attr == "d"
+                node.attr in ("b", "d")
                 or node.attr == "entries"
                 and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "B"
+                and node.value.attr in ("A", "B")
             ):
                 found.append(f"line {node.lineno}: {func.name}")
     return found
@@ -656,11 +657,19 @@ def test_checker_flags_rational_b_reads():
     source = (
         "def solve_lp(P, c):\n"
         "    rows = P.B.entries\n"
-        "    return P.d, P.B.m, P.A.entries, P._b_image.bounds\n"
+        "    return P.d, P.B.m, P.A.m, P._a_image.bounds, P._b_image.bounds\n"
+        "def _simplex(P, c):\n"
+        "    rows = P.A.entries\n"
+        "    return P.b, P._a_image.rows\n"
         "def verify_unique(P, c):\n"
-        "    return P.B.entries, P.d\n"
+        "    return P.A.entries, P.b, P.B.entries, P.d\n"
     )
-    assert rational_b_reads(source, ("solve_lp",)) == ["line 2: solve_lp", "line 3: solve_lp"]
+    assert rational_b_reads(source, ("solve_lp", "_simplex")) == [
+        "line 2: solve_lp",
+        "line 3: solve_lp",
+        "line 5: _simplex",
+        "line 6: _simplex",
+    ]
 
 
 def test_int_form_has_one_builder():
@@ -674,16 +683,16 @@ def test_int_form_has_one_builder():
 def test_checker_flags_a_second_int_form_builder():
     source = (
         "class Polyhedron:\n"
-        "    def _build(self, n, a_rows, b_rows, bounds):\n"
-        "        self._a_rows, self._a_echelon = a_rows, _echelon(a_rows)\n"
-        "        self._b_image = _image_of(b_rows, bounds)\n"
+        "    def _build(self, n, a_rows, b, b_rows, d):\n"
+        "        self._a_image, self._a_echelon = _image_of(a_rows, b), _echelon(a_rows)\n"
+        "        self._b_image = _image_of(b_rows, d)\n"
         "    @classmethod\n"
-        "    def _from_ints(cls, n, a_rows, b_rows, bounds):\n"
+        "    def _from_ints(cls, n, a_rows, b, b_rows, d):\n"
         "        P = cls.__new__(cls)\n"
-        "        P._build(n, a_rows, b_rows, bounds)\n"
+        "        P._build(n, a_rows, b, b_rows, d)\n"
         "        return P\n"
         "    def _core(self, n, a_rows):\n"
-        "        self._a_rows = a_rows\n"
+        "        self._a_image = a_rows\n"
         "        self._a_echelon += ()\n"
         "    @classmethod\n"
         "    def _lazy(cls, image):\n"

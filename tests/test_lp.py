@@ -220,13 +220,13 @@ class TestVerifyUnique:
 
     def test_own_unique_vertex_is_not_rechecked(self, monkeypatch):
         checked = []
-        real = ddcircuits.lp.is_feasible
+        real = ddcircuits.lp._feasible_slack
 
         def counting(P, x):
             checked.append(x)
             return real(P, x)
 
-        monkeypatch.setattr(ddcircuits.lp, "is_feasible", counting)
+        monkeypatch.setattr(ddcircuits.lp, "_feasible_slack", counting)
         c = RatVec([-1, -1])
         out = solve_lp(UNIT_SQUARE, c)
         assert out.unique

@@ -256,7 +256,7 @@ def test_row_units_match_plain_fractions(kind, seed, integral_x, integral_g):
     caps = [(s / a, j) for j, (s, a) in enumerate(zip(plain_slack, plain_image)) if a > 0]
     X, S, D = _slack(P, x)
     G, den = _int_vector(g)
-    image = _image(P, G)
+    image = _image(P._b_image, G)
     j = _ratio_test(S, image)
     cap = UNBOUNDED if j is None else (Fraction(S[j] * den, D * image[j]), j)
     assert cap == (min(caps) if caps else UNBOUNDED)
@@ -302,7 +302,7 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     if z.is_zero():
         z = ker[0]
     Z, D = _int_vector(z)
-    bz = _image(P, Z)
+    bz = _image(P._b_image, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
     S = [abs(e) for e in bz]
     echelon = _extend_active(P, P._a_echelon, S)
