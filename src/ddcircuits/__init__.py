@@ -18,7 +18,6 @@ from .ddstep import (
     approx_dd_step,
     augment,
     exact_dd_step,
-    steepest_descent_step,
 )
 from .errors import (
     IterationCapExceeded,
@@ -62,7 +61,6 @@ from .reductions import (
     Digraph,
     ReductionInstance,
     build_reduction,
-    incidence_matrix,
     longest_cycle_oracle,
     perturb_costs,
     verify_correspondence,

@@ -74,10 +74,6 @@ class Circuit:
     def vec(self) -> RatVec:
         return RatVec(self.entries)
 
-    @property
-    def l1(self) -> int:
-        return sum(abs(e) for e in self.entries)
-
     def __neg__(self) -> "Circuit":
         return Circuit(tuple(-e for e in self.entries))
 

@@ -1,5 +1,5 @@
 """Deepest-descent circuit steps: exact oracle, dimension-factor
-approximation, steepest-descent comparator, and the augmentation loop.
+approximation, and the augmentation loop.
 
 The exact step scans every circuit in its improving orientation (a
 desk-scale, enumeration-backed oracle) and keeps the feasible step
@@ -13,10 +13,9 @@ term can win: every term t has c.t <= 0, so the terms still to come,
 which sum to the residual r, each contribute at least c.r, and a best
 contribution below c.r is final.  x* does not depend on the iterate, so
 augmentation in approx mode solves the LP once per run and decomposes
-x* - x from every iterate x.  The steepest-descent comparator minimizes
-c.g / |g|_1 and carries no approximation claim.  All four entry points
-go through one gate, ``_rule``, which checks the mode and the start and
-prepares the rule once per run.
+x* - x from every iterate x.  All three entry points go through one
+gate, ``_rule``, which checks the mode and the start and prepares the
+rule once per run.
 
 The rules and the augmentation loop carry the iterate in the int form of
 ``polyhedron._slack``, (X, S, D) with x = X/D and slack S/D, from the
@@ -26,7 +25,7 @@ feasibility check; each step moves (X, S, D) by the rank-one step of
 the image the scan computed; and c.x is the int C.X over den*D.  The
 approximate rule holds x* as ints over one denominator and forms x* - x
 in ints.  Fractions are made only for each step's alpha and improvement
-(and the keys that rank them) and for each recorded iterate.
+and for each recorded iterate.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class UnboundedImprovement:
 
 StepOutcome = Union[DdStep, Optimal, UnboundedImprovement]
 
-_STEP_RULES = ("exact", "approx", "steepest")
+_STEP_RULES = ("exact", "approx")
 
 # An iterate x in the int form of ``polyhedron._slack``: (X, S, D) with
 # x = X/D and slack S/D in row units.
@@ -100,7 +99,7 @@ def _rule(
     The one gate of the step rules: it checks the mode and the start x0
     once and does the rule's per-run work once: x0's slack, which is both
     the feasibility check and the first iterate, c in ints for every mode,
-    the circuit list for ``exact`` and ``steepest`` and, for ``approx``,
+    the circuit list for ``exact`` and, for ``approx``,
     the LP optimum x* as ints over one denominator.  An unbounded LP raises
     LpUnboundedError; the LP is never infeasible, since x0 is feasible.
     """
@@ -118,8 +117,7 @@ def _rule(
         xstar = _int_vector(optimum.vertex)
         return (lambda it: _approx_step(P, cint, it, xstar)), start, cint
     circuits = enumerate_circuits(P, work_budget=work_budget)
-    key = _deepest if mode == "exact" else _steepest
-    return (lambda it: _scan(P, cint, it, circuits, key)), start, cint
+    return (lambda it: _scan(P, cint, it, circuits)), start, cint
 
 
 def _first_step(P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int) -> StepOutcome:
@@ -204,34 +202,10 @@ def _approx_step(
     if best_key[0] >= 0:
         # x is already optimal (possible only with multiple optima).
         return Optimal(), None
-    res = _scan(P, cint, it, [best_g], _deepest)
+    res = _scan(P, cint, it, [best_g])
     if not isinstance(res[0], DdStep):  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("the best term gives no maximal step under a bounded LP")
     return res
-
-
-def steepest_descent_step(
-    P: Polyhedron,
-    c: RatVec,
-    x0: Point,
-    *,
-    work_budget: int = DEFAULT_WORK_BUDGET,
-) -> StepOutcome:
-    """Benchmark comparator: minimize c.g / |g|_1, then step maximally.
-
-    Only circuits with c.g < 0 and a positive feasible step are
-    considered; ties go to canonical order.  Enumeration-backed, desk
-    scale only, no approximation guarantee.
-    """
-    return _first_step(P, c, x0, "steepest", work_budget)
-
-
-def _deepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
-    return beta * slope
-
-
-def _steepest(slope: Rat, beta: Rat, g: Circuit) -> Rat:
-    return slope / g.l1
 
 
 def _dot(C: Sequence[int], g: Sequence[int]) -> int:
@@ -240,25 +214,26 @@ def _dot(C: Sequence[int], g: Sequence[int]) -> int:
 
 
 def _scan(
-    P: Polyhedron, cint: tuple[list[int], int], it: Iterate, circuits: list[Circuit], key
+    P: Polyhedron, cint: tuple[list[int], int], it: Iterate, circuits: list[Circuit]
 ) -> RuleResult:
-    """The feasible improving circuit step with the smallest key.
+    """The feasible circuit step of maximal length with the largest
+    improvement -c.(beta g).
 
-    ``key(c.g, beta, g)`` ranks a step of maximal length beta along g.
     Since c.(-g) = -c.g, at most one orientation of a circuit improves:
     the sign of c.g picks it, and its slope and B g are computed once.
-    Ties go to the earliest circuit.  ``it`` is a feasible iterate
-    (X, S, D).  c comes as ints over one denominator, ``cint`` = (C, den)
-    with c = C / den, and the slope is an int dot product with C; the
-    ratio test reads the int slack S, and only a step of positive length
-    forms Fractions, for beta, the slope and the key.  A DdStep comes with
-    its image B g and limiting row, so the move along it tests no ratio
-    again.
+    A later circuit replaces the best only when it improves strictly
+    more, so ties go to the earliest circuit.  ``it`` is a feasible
+    iterate (X, S, D).  c comes as ints over one denominator, ``cint`` =
+    (C, den) with c = C / den, and the slope is an int dot product with C;
+    the ratio test reads the int slack S, and only a step of positive
+    length forms Fractions, for beta and its improvement.  A DdStep comes
+    with its image B g and limiting row, so the move along it tests no
+    ratio again.
     """
     C, den = cint
     _, S, D = it
     best: Optional[DdStep] = None
-    best_key = limit = None
+    limit = None
     for g in circuits:
         slope = _dot(C, g.entries)
         if slope == 0:
@@ -271,10 +246,10 @@ def _scan(
             return UnboundedImprovement(g), None
         if S[j] == 0:
             continue
-        beta, slope = Fraction(S[j], D * bg[j]), Fraction(slope, den)
-        k = key(slope, beta, g)
-        if best is None or k < best_key:
-            best, best_key, limit = DdStep(g, beta, -beta * slope), k, (bg, j)
+        beta = Fraction(S[j], D * bg[j])
+        gain = beta * Fraction(-slope, den)
+        if best is None or gain > best.improvement:
+            best, limit = DdStep(g, beta, gain), (bg, j)
     return (best, limit) if best is not None else (Optimal(), None)
 
 

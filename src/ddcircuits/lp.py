@@ -81,9 +81,9 @@ from .polyhedron import (
 )
 from .ratlin import (
     Rat,
-    RatMat,
     RatVec,
     _combine,
+    _int_vector,
     _pivot,
     coprime_integer_entries,
 )
@@ -340,7 +340,8 @@ def verify_unique(
     nonzero direction of the optimal face, and the witness is
     xstar + max_step*w, or xstar + w when the optimal face is unbounded
     along w.  The slack of xstar is computed once, by the feasibility
-    check, and serves the walk and ``max_step``'s step.
+    check, and serves the walk and ``max_step``'s step.  The cone's rows
+    come from the integer images of A and B, as ints.
     """
     proven = optimum is not None and optimum.unique and optimum.objective == c
     if proven and xstar == optimum.vertex:
@@ -359,15 +360,23 @@ def verify_unique(
     for end, _, den, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
         return UniquenessReport(False, _point(end, den))
 
-    B_I = [row for row, s in zip(P.B.entries, S) if s == 0]
-    row_sum = RatVec(sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n))
-    cone = Polyhedron(
-        RatMat(P.A.entries + (c.entries,), cols=P.n),
-        RatVec.zeros(P.A.m + 1),
-        RatMat(B_I + [(-row_sum).entries], cols=P.n),
-        RatVec([0] * len(B_I) + [1]),
+    a_rows, b_rows = (
+        [([sn * a for a in q], sd) for q, (sn, sd) in zip(image.rows, image.scales)]
+        for image in (P._a_image, P._b_image)
     )
-    out = solve_lp(cone, row_sum)
+    B_I = [row for row, s in zip(b_rows, S) if s == 0]
+    L = lcm(*[sd for _, sd in B_I])
+    N = [sum(row[k] * (L // sd) for row, sd in B_I) for k in range(P.n)]
+    common = gcd(L, *N)  # 1^T B_I = N / L over its least common denominator
+    N, L = [e // common for e in N], L // common
+    cone = Polyhedron._from_ints(
+        P.n,
+        a_rows + [_int_vector(c)],
+        [(0, 1)] * (len(a_rows) + 1),
+        B_I + [([-e for e in N], L)],
+        [(0, 1)] * len(B_I) + [(1, 1)],
+    )
+    out = solve_lp(cone, _point(N, L))
     if not isinstance(out, LpOptimal):  # pragma: no cover - the region is a polytope containing 0
         raise AssertionError("the tangent-cone LP has no optimum")
     if out.value == 0:

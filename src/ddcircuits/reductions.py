@@ -33,7 +33,7 @@ from .polyhedron import (
     _read_text,
     _tokens,
 )
-from .ratlin import Rat, RatMat, _int_vector, parse_count, parse_rat
+from .ratlin import Rat, _int_vector, parse_count, parse_rat
 
 MAX_ORACLE_NODES = 8
 
@@ -86,13 +86,9 @@ def perturb_costs(G: Digraph) -> Digraph:
     return replace(G, costs=costs)
 
 
-def incidence_matrix(G: Digraph) -> RatMat:
-    """Node-arc incidence: +1 at the tail, -1 at the head of every arc."""
-    return RatMat(_incidence_rows(G), cols=G.m)
-
-
 def _incidence_rows(G: Digraph) -> list[list[int]]:
-    """The rows of ``incidence_matrix`` as ints."""
+    """The node-arc incidence matrix as int rows: +1 at the tail, -1 at
+    the head of every arc."""
     rows = [[0] * G.m for _ in range(G.nodes)]
     for j, (tail, head) in enumerate(G.arcs):
         rows[tail - 1][j] = 1

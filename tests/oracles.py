@@ -14,14 +14,16 @@ one artificial column per row, a price-out pivot per basic row in each
 phase, and the rows scaled from their Fractions.  Augmentation in each
 mode is the plain loop over that mode's public single step, which checks
 each iterate, prepares its rule afresh (the LP in approx mode, the
-circuit list in the others) and moves the point with RatVec arithmetic.
+circuit list in exact mode) and moves the point with RatVec arithmetic.
 The
 dense elimination step and product form every term, zeros included; they
 are the references for the zero-skipping, fraction-free versions in
 ``ratlin``.  The Fraction ratio test, walk and conformal terms are the
 references for the int forms in ``polyhedron`` and ``conformal``: they
 carry every point, slack and step length as Fractions, and take the slack
-d - Bx and the image Bw with the rational B, not in row units.
+d - Bx and the image Bw with the rational B, not in row units.  The
+incidence matrix of a digraph is read from its arc list, and the tangent
+cone of ``verify_unique`` is built from the rational views of A and B.
 """
 
 from fractions import Fraction
@@ -45,7 +47,6 @@ from ddcircuits import (
     exact_dd_step,
     is_feasible,
     solve_lp,
-    steepest_descent_step,
 )
 from ddcircuits.circuits import Circuit
 from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
@@ -105,11 +106,35 @@ def probe_unique(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[bool, RatVec 
     return True, None
 
 
+def incidence_matrix(G: Digraph) -> RatMat:
+    """Node-arc incidence of G as Fractions: +1 at the tail and -1 at the
+    head of every arc, one column per arc in arc order."""
+    rows = [[Fraction(0)] * G.m for _ in range(G.nodes)]
+    for j, (tail, head) in enumerate(G.arcs):
+        rows[tail - 1][j] += 1
+        rows[head - 1][j] -= 1
+    return RatMat(rows, cols=G.m)
+
+
+def tangent_cone(P: Polyhedron, c: RatVec, xstar: RatVec) -> tuple[Polyhedron, RatVec]:
+    """The region and objective of ``verify_unique``'s tangent-cone LP at
+    xstar, built from the rational views: {w : Aw = 0, c.w = 0, B_I w <= 0,
+    -1^T B_I w <= 1} with I the B-rows tight at xstar, and 1^T B_I."""
+    B_I = [row for row, d in zip(P.B.entries, P.d) if sum(a * x for a, x in zip(row, xstar)) == d]
+    row_sum = RatVec([sum((row[k] for row in B_I), Fraction(0)) for k in range(P.n)])
+    cone = Polyhedron(
+        RatMat(P.A.entries + (c.entries,), cols=P.n),
+        RatVec.zeros(P.A.m + 1),
+        RatMat(B_I + [(-row_sum).entries], cols=P.n),
+        RatVec([0] * len(B_I) + [1]),
+    )
+    return cone, row_sum
+
+
 # The public single step of each augmentation mode.
 PUBLIC_STEPS = {
     "exact": exact_dd_step,
     "approx": approx_dd_step,
-    "steepest": steepest_descent_step,
 }
 
 

@@ -26,7 +26,6 @@ from ddcircuits import (
     exact_dd_step,
     max_step,
     solve_lp,
-    steepest_descent_step,
     verify_unique,
 )
 from ddcircuits.conformal import _terms
@@ -247,30 +246,14 @@ def test_early_stop_walks_fewer_terms(monkeypatch):
     assert (len(walked), full) == (APPROX_WALKED_TERMS, APPROX_FULL_TERMS)
 
 
-class TestSteepestStep:
-    def test_square(self):
-        step = steepest_descent_step(UNIT_SQUARE, RatVec([-3, -1]), RatVec([0, 0]))
-        assert step.g.entries == (1, 0)
-
-    def test_optimal(self):
-        res = steepest_descent_step(UNIT_SQUARE, RatVec([-1, -1]), RatVec([1, 1]))
-        assert res == Optimal()
-
-    def test_triangle(self):
-        step = steepest_descent_step(
-            TRIANGLE.polyhedron, TRIANGLE.objective, RatVec([0, 0, 0])
-        )
-        assert step.g.entries == (1, 1, 1)
-
-
-@pytest.mark.parametrize("rule", [exact_dd_step, steepest_descent_step])
+@pytest.mark.parametrize("rule", [exact_dd_step])
 def test_ties_go_to_earliest_circuit(rule):
-    # both unit steps of the square improve by 1 with the same slope per |g|_1
+    # both unit steps of the square improve by 1
     step = rule(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]))
     assert step == DdStep(Circuit((0, 1)), Fraction(1), Fraction(1))
 
 
-@pytest.mark.parametrize("rule", [exact_dd_step, steepest_descent_step])
+@pytest.mark.parametrize("rule", [exact_dd_step])
 def test_circuit_with_zero_slope_is_no_step(rule):
     # (0, 1) has a positive step but c.g = 0; (1, 0) improves but is blocked
     assert rule(UNIT_SQUARE, RatVec([-1, 0]), RatVec([1, 0])) == Optimal()
@@ -309,12 +292,6 @@ class TestAugment:
         assert trace.final == RatVec([1, 1])
         _assert_contracts(UNIT_SQUARE, c, trace)
 
-    def test_steepest_mode_reaches_optimum(self):
-        c = RatVec([-3, -1])
-        trace = augment(UNIT_SQUARE, c, RatVec([0, 0]), "steepest")
-        assert trace.final == RatVec([1, 1])
-        assert trace.mode == "steepest"
-
     def test_strict_decrease(self):
         c = TWO_TRIANGLES.objective
         trace = augment(TWO_TRIANGLES.polyhedron, c, RatVec.zeros(6), "exact")
@@ -329,8 +306,9 @@ class TestAugment:
         _assert_contracts(UNIT_SQUARE, RatVec([-3, -1]), err.value.trace)
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            augment(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]), "fastest")
+        for mode in ("fastest", "steepest"):
+            with pytest.raises(ValueError, match="^unknown mode"):
+                augment(UNIT_SQUARE, RatVec([-1, -1]), RatVec([0, 0]), mode)
 
 
 @pytest.mark.parametrize(
@@ -338,10 +316,8 @@ class TestAugment:
     [
         pytest.param(exact_dd_step, id="exact"),
         pytest.param(approx_dd_step, id="approx"),
-        pytest.param(steepest_descent_step, id="steepest"),
         pytest.param(lambda P, c, x0: augment(P, c, x0, "exact"), id="augment-exact"),
         pytest.param(lambda P, c, x0: augment(P, c, x0, "approx"), id="augment-approx"),
-        pytest.param(lambda P, c, x0: augment(P, c, x0, "steepest"), id="augment-steepest"),
     ],
 )
 def test_every_rule_rejects_an_infeasible_start(rule):
@@ -373,7 +349,7 @@ def unbounded_instances():
     ]
 
 
-MODES = ("exact", "approx", "steepest")
+MODES = ("exact", "approx")
 
 
 class TestAugmentAgainstPerStep:
@@ -385,8 +361,7 @@ class TestAugmentAgainstPerStep:
         for P, c, x0 in approx_instances():
             trace = augment(P, c, x0, mode)
             assert trace == per_step_augment(P, c, x0, mode)
-            if mode != "steepest":
-                _assert_contracts(P, c, trace)
+            _assert_contracts(P, c, trace)
             opt = solve_lp(P, c)
             assert c.dot(trace.final) == opt.value
             if verify_unique(P, c, opt.vertex, optimum=opt).unique:
@@ -403,8 +378,7 @@ class TestAugmentAgainstPerStep:
                     per_step_augment(P, c, x0, mode, max_iters=cap)
                 assert err.value.trace == ref.value.trace
                 assert len(err.value.trace.steps) == cap
-                if mode != "steepest":
-                    _assert_contracts(P, c, err.value.trace)
+                _assert_contracts(P, c, err.value.trace)
             assert augment(P, c, x0, mode, max_iters=taken) == per_step_augment(
                 P, c, x0, mode, max_iters=taken
             )

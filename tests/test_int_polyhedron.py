@@ -23,7 +23,6 @@ from ddcircuits import (
     RatVec,
     build_reduction,
     format_instance,
-    incidence_matrix,
     parse_instance_text,
     parse_point_text,
 )
@@ -40,6 +39,7 @@ from instgen import (
     mixed_instances,
     verify_class_digraphs,
 )
+from oracles import incidence_matrix
 from test_golden import GRAPHS, INSTANCES
 
 # Edge rows: tokens "2/4" and "-0/3", a zero row of A and one of B, a B

@@ -118,8 +118,8 @@ STEP_HOMES = {
 
 # The functions, per module, that read A, b, B and d only through the
 # integer images: the simplex builds its tableau rows from ``P._a_image``
-# and ``P._b_image``.
-IMAGE_READERS = {"lp.py": ("solve_lp", "_simplex")}
+# and ``P._b_image``, and the uniqueness check its tangent cone.
+IMAGE_READERS = {"lp.py": ("solve_lp", "_simplex", "verify_unique")}
 
 # A polyhedron's int form, the one function that assigns it, and the one
 # that makes a Polyhedron by ``__new__``: (module, function), a method

@@ -30,9 +30,16 @@ from instgen import (
     gen_box,
     gen_circulation,
     gen_tulike,
+    mixed_instances,
     random_digraph,
 )
-from oracles import brute_force_vertices, min_over_vertices, minor_rank, probe_unique
+from oracles import (
+    brute_force_vertices,
+    min_over_vertices,
+    minor_rank,
+    probe_unique,
+    tangent_cone,
+)
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 HALF_LINE = Polyhedron(RatMat([], cols=1), RatVec([]), RatMat([[-1]]), RatVec([0]))
@@ -337,6 +344,34 @@ class TestVerifyUniqueAgainstProbes:
                 RatVec([1, 0]),
                 optimum=LpOptimal(RatVec([1, 0]), Fraction(-2)),
             )
+
+
+def test_tangent_cone_is_built_from_the_images(monkeypatch):
+    """The cone ``verify_unique`` hands to ``solve_lp`` equals the one built
+    from the rational views (``oracles.tangent_cone``), region and objective.
+    A hand-built optimum carries no tableau verdict, and the solver's vertex
+    leaves no kernel to walk, so each check below reaches the cone LP."""
+    cones = []
+    real = ddcircuits.lp.solve_lp
+
+    def capturing(P, c):
+        cones.append((P, c))
+        return real(P, c)
+
+    monkeypatch.setattr(ddcircuits.lp, "solve_lp", capturing)
+    rng = random.Random(3131)
+    battery = mixed_instances(seed=3130, count=45) + [dense_polytope(rng) for _ in range(15)]
+    reached = 0
+    for P, c, _ in battery:
+        for objective in (c, _tie_prone(rng, c)):
+            out = real(P, objective)
+            assert isinstance(out, LpOptimal)
+            cones.clear()
+            verify_unique(P, objective, out.vertex, optimum=LpOptimal(out.vertex, out.value))
+            assert len(cones) == 1
+            assert cones[0] == tangent_cone(P, objective, out.vertex)
+            reached += 1
+    assert reached == 120
 
 
 @given(

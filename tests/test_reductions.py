@@ -16,7 +16,6 @@ from ddcircuits import (
     SizeGuardExceeded,
     build_reduction,
     exact_dd_step,
-    incidence_matrix,
     longest_cycle_oracle,
     perturb_costs,
     solve_lp,
@@ -29,7 +28,7 @@ from ddcircuits.reductions import format_digraph, parse_digraph_text
 from ddcircuits.ratlin import RatMat
 
 from instgen import exhaustive_digraphs, random_digraph
-from oracles import directed_simple_cycles
+from oracles import directed_simple_cycles, incidence_matrix
 
 TRIANGLE = Digraph(3, ((1, 2), (2, 3), (3, 1)))
 COMPLETE3 = Digraph(3, ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)))
