@@ -36,17 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import neg
 
 from .errors import SizeGuardExceeded
-from .polyhedron import Polyhedron, _image, _solves_a
-from .ratlin import (
-    RatVec,
-    _echelon_kernel,
-    _extend_rows,
-    coprime_integer_entries,
-    sign_normalized,
-)
+from .polyhedron import Polyhedron, _extend_active, _image, _solves_a
+from .ratlin import RatVec, _echelon_kernel, coprime_integer_entries, sign_normalized
 
 DEFAULT_WORK_BUDGET = 500_000
 
@@ -75,7 +68,7 @@ class Circuit:
         return RatVec(self.entries)
 
     def __neg__(self) -> "Circuit":
-        return Circuit(tuple(-e for e in self.entries))
+        return Circuit(tuple([-e for e in self.entries]))
 
     def to_text(self) -> str:
         return " ".join(str(e) for e in self.entries)
@@ -98,8 +91,7 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     if not _solves_a(P, G, 0):
         return False
     image = _image(P._b_image, G)  # zeros where B v has them
-    zero_rows = (q for q, e in zip(P._b_image.rows, image) if e == 0)
-    return len(_extend_rows(zero_rows, *P._a_echelon)[1]) == P.n - 1
+    return len(_extend_active(P, P._a_echelon, image)[1]) == P.n - 1
 
 
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
@@ -159,14 +151,14 @@ def _children(
     zero = (0,) * len(block)  # a row is below it when its first nonzero is negative
     seen: set[tuple[int, ...]] = set()
     out = []
-    for l, pi in enumerate(zip(*(col[n : n + last + 1] for col in block))):
+    for l, pi in enumerate(zip(*[col[n : n + last + 1] for col in block])):
         if pi == zero:
             continue
         g = gcd(*pi)
         if pi < zero:
-            pi = tuple(map(neg, pi))
+            pi = tuple([-a for a in pi])
         if g != 1:
-            pi = tuple(a // g for a in pi)
+            pi = tuple([a // g for a in pi])
         if pi not in seen:
             seen.add(pi)
             if l > i:
@@ -235,6 +227,6 @@ def enumerate_circuits(
             for _, (a, b) in kids:
                 g = [b * x - a * y for x, y in zip(k0, k1)]
                 c = gcd(*g)
-                entries = tuple(g) if c == 1 else tuple(e // c for e in g)
+                entries = tuple(g) if c == 1 else tuple([e // c for e in g])
                 found.append(canonical_orientation(P, Circuit(entries)))
     return sorted(found, key=lambda circ: circ.entries)

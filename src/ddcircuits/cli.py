@@ -54,7 +54,7 @@ from .polyhedron import (
     load_instance,
     parse_point_text,
 )
-from .ratlin import _RAT_RE, RatVec, parse_count, parse_int, rank
+from .ratlin import _RAT_RE, RatVec, parse_count, parse_int
 from .reductions import (
     build_reduction,
     load_digraph,
@@ -387,7 +387,7 @@ def cmd_bench(args) -> int:
                 str(exact_imp),
                 str(approx_imp),
                 ratio,
-                P.n - rank(P.A),
+                P.n - len(P._a_echelon[1]),  # n - rank A
                 len(exact),
                 len(approx),
             )

@@ -123,7 +123,7 @@ def _terms(P: Polyhedron, zint: tuple[list[int], int]) -> Iterator[tuple[Fractio
         for end, end_slack, _, _ in _walk(P, signs, U, S, D, echelon):
             pass
         k = gcd(*end)
-        g = Circuit(tuple(-e // k for e in end))
+        g = Circuit(tuple([-e // k for e in end]))
         sg = [e // k for e in end_slack]
         if any(e for e, s in zip(sg, S) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")

@@ -33,12 +33,15 @@ entry.
 
 The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
-point (the split system has more vertices than the original one), so the
-solver finishes with purification: ``polyhedron._walk`` moves along a
-kernel direction of the active system until one more independent row
-becomes active, while the active rows have rank below n.  Each move keeps
-feasibility and the objective value, and raises the active rank, so at
-most n moves reach a true vertex.
+point (the split system has more vertices than the original one), so an
+optimum the tableau leaves open goes through purification:
+``polyhedron._walk`` moves along a kernel direction of the active system
+until one more independent row becomes active, while the active rows
+have rank below n.  Each move keeps feasibility and the objective value,
+and raises the active rank, so at most n moves reach a true vertex.  An
+optimum the tableau proves unique (below) skips the walk: its optimal
+face is the single point x, a face of dimension 0 of the pointed P, and
+so a vertex.
 
 Uniqueness of an optimum is first read off the final phase-2 tableau
 (Mangasarian, "Uniqueness of solution in linear programming", LAA 1979;
@@ -178,18 +181,18 @@ def _unique_by_reduced_costs(cost: list[int], basis: list[int], n: int) -> bool:
 def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     """Walk within the optimal face until the active system has rank n.
 
+    Runs only for an optimum the tableau leaves open: one it proves unique
+    is the whole optimal face, a single point, and so already a vertex.
     x is the simplex's feasible point; its slack is computed once and every
     move keeps x feasible, so the walk runs no membership checks.
     """
     X, S, D = _slack(P, x)
-    moved = False
     for X, _, D, w in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
-        moved = True
         if sum(a * b for a, b in zip(c, w) if b) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
             )
-    return _point(X, D) if moved else x
+    return _point(X, D)
 
 
 def _simplex(
@@ -309,8 +312,10 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     for i, jb in enumerate(basis):
         if jb < split:
             w[jb] = Fraction(T[i][-1], T[i][jb])
-    x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))
+    x = RatVec(w[j] - w[n + j] for j in range(n))
     unique = _unique_by_reduced_costs(T[-1][:-1], basis, n)
+    if not unique:
+        x = _purify_to_vertex(P, c, x)
     return LpOptimal(x, c.dot(x), unique, c)
 
 

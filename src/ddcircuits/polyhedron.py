@@ -339,10 +339,11 @@ def _active(slack: Sequence[int]) -> tuple[int, ...]:
 def _extend_active(
     P: Polyhedron, echelon: Echelon, slack: Sequence[int], before=None
 ) -> Echelon:
-    """``echelon`` extended by the B-rows with zero slack; given the slack
-    ``before`` a move that keeps active rows active, only by the rows the
-    move made active.  The rows are those of ``P._b_image``, so they are
-    not converted again."""
+    """``echelon`` extended by the B-rows with zero slack, or, given a
+    direction's image for ``slack``, by the rows it keeps at zero; given
+    the slack ``before`` a move that keeps active rows active, only by the
+    rows the move made active.  The rows are those of ``P._b_image``, so
+    they are not converted again."""
     rows = P._b_image.rows
     new = (rows[j] for j, s in enumerate(slack) if s == 0 and (before is None or before[j]))
     return _extend_rows(new, *echelon)
@@ -441,7 +442,7 @@ def _walk(
             image = [a if s > 0 else -a for a, s in zip(image, signs)]
         j = _ratio_test(S, image)
         if j is None:
-            w, image = tuple(-a for a in w), [-a for a in image]
+            w, image = tuple([-a for a in w]), [-a for a in image]
             j = _ratio_test(S, image)
             if j is None:  # pragma: no cover - Bw = 0 is impossible when pointed
                 raise AssertionError("feasible line found in a pointed polyhedron")

@@ -355,7 +355,7 @@ def sign_normalized(ints: Sequence[int]) -> tuple[int, ...]:
         if a > 0:
             return tuple(ints)
         if a < 0:
-            return tuple(-b for b in ints)
+            return tuple([-b for b in ints])
     return tuple(ints)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .circuits import DEFAULT_WORK_BUDGET
+from .circuits import DEFAULT_WORK_BUDGET, Circuit
 from .ddstep import DdStep, Optimal, exact_dd_step
 from .errors import ParseError, SizeGuardExceeded
 from .polyhedron import (
@@ -126,21 +126,19 @@ def build_reduction(G: Digraph) -> ReductionInstance:
     return ReductionInstance(Instance(P, objective), _point([0] * m, 1), weighted)
 
 
-def longest_cycle_oracle(
-    G: Digraph, *, max_nodes: int = MAX_ORACLE_NODES
-) -> Optional[tuple[tuple[int, ...], Rat]]:
+def longest_cycle_oracle(G: Digraph) -> Optional[tuple[tuple[int, ...], Rat]]:
     """Exhaustive maximum-cost simple directed cycle, or None if acyclic.
 
     Enumerates every simple directed cycle (distinct nodes; with parallel
     or antiparallel arcs a two-node cycle needs two distinct arcs) and
     returns the best one as (sorted arc indices, total cost).  Ties break
     toward the lexicographically smallest arc set; with perturbed costs
-    ties cannot occur.  Unweighted graphs count arcs.  The node guard
-    keeps the enumeration at desk scale.
+    ties cannot occur.  Unweighted graphs count arcs.  The node guard,
+    ``MAX_ORACLE_NODES``, keeps the enumeration at desk scale.
     """
-    if G.nodes > max_nodes:
+    if G.nodes > MAX_ORACLE_NODES:
         raise SizeGuardExceeded(
-            f"cycle oracle limited to {max_nodes} nodes, got {G.nodes}"
+            f"cycle oracle limited to {MAX_ORACLE_NODES} nodes, got {G.nodes}"
         )
     costs = G.costs if G.costs is not None else tuple(Fraction(1) for _ in G.arcs)
     by_tail: list[list[tuple[int, int]]] = [[] for _ in range(G.nodes + 1)]
@@ -171,11 +169,12 @@ def verify_correspondence(
     """Does the exact dd-step from the zero flow match the longest cycle?
 
     Builds the reduction, takes the exact deepest-descent step from 0,
-    and checks that its circuit is the 0/1 indicator of the oracle's
-    maximum-cost cycle, the step length is 1, and the improvement equals
-    the oracle's cycle cost.  Acyclic graphs pass vacuously (no step, no
-    cycle).  The oracle runs first, so a graph beyond its node guard is
-    rejected before the exponential circuit enumeration starts.
+    and compares it with the one step the oracle predicts: the unit flow
+    on the maximum-cost cycle, a circuit that is the cycle's 0/1
+    indicator, at step length 1, whose improvement is the cycle's cost.
+    An acyclic graph passes when the step finds the zero flow optimal.
+    The oracle runs first, so a graph beyond its node guard is rejected
+    before the exponential circuit enumeration starts.
     """
     if G.m == 0:
         return longest_cycle_oracle(G) is None
@@ -184,19 +183,13 @@ def verify_correspondence(
     P = reduction.instance.polyhedron
     c = reduction.instance.objective
     step = exact_dd_step(P, c, reduction.x0, work_budget=work_budget)
-    if isinstance(step, Optimal):
-        return oracle is None
-    if not isinstance(step, DdStep) or oracle is None:
-        return False
+    if oracle is None:
+        return isinstance(step, Optimal)
     cycle_arcs, cycle_cost = oracle
-    if step.alpha != 1:
-        return False
-    if any(e not in (0, 1) for e in step.g.entries):
-        return False
-    support = tuple(j for j, e in enumerate(step.g.entries) if e == 1)
-    if support != cycle_arcs:
-        return False
-    return step.improvement == cycle_cost
+    indicator = [0] * G.m
+    for j in cycle_arcs:
+        indicator[j] = 1
+    return step == DdStep(Circuit(tuple(indicator)), 1, cycle_cost)
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,9 @@ SQUARE_TEXT = "2 0 4\n1 0\n0 1\n-1 0\n0 -1\n1 1 0 0\n-1 -2\n"
 TRIANGLE_TEXT = "3 3\n1 2\n2 3\n3 1\n"
 
 
-def _battery_transcript(workdir: str, hashseed: str) -> bytes:
+def _battery_transcript(workdir: str, hashseed: str) -> tuple[bytes, list[str]]:
+    """The battery's stdout and exit codes as one transcript, and the
+    commands that did not exit 0: every one of them succeeds."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     commands = [
@@ -352,7 +354,7 @@ def _battery_transcript(workdir: str, hashseed: str) -> bytes:
         ["verify", "triangle.graph"],
         ["bench", "--nodes", "4", "--trials", "5", "--seed", "11"],
     ]
-    blob = b""
+    blob, failed = b"", []
     for cmd in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "ddcircuits", *cmd],
@@ -362,13 +364,17 @@ def _battery_transcript(workdir: str, hashseed: str) -> bytes:
         )
         blob += b"$ " + " ".join(cmd).encode() + b"\n"
         blob += proc.stdout + f"exit={proc.returncode}\n".encode()
-    return blob
+        if proc.returncode != 0:
+            failed.append(f"{' '.join(cmd)}: exit {proc.returncode}")
+    return blob, failed
 
 
 def test_criterion_8_determinism(tmp_path):
     (tmp_path / "square.lp").write_text(SQUARE_TEXT)
     (tmp_path / "triangle.graph").write_text(TRIANGLE_TEXT)
-    first = _battery_transcript(str(tmp_path), "0")
-    second = _battery_transcript(str(tmp_path), "1")
-    violations = [] if first == second else ["byte mismatch between runs"]
+    first, violations = _battery_transcript(str(tmp_path), "0")
+    second, failed = _battery_transcript(str(tmp_path), "1")
+    violations += failed
+    if first != second:
+        violations.append("byte mismatch between runs")
     _report(8, "byte-identical double run", violations, f"{len(first)} bytes")

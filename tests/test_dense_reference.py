@@ -19,7 +19,8 @@ flats it visits, pinned as the exact budgets below, which equal the
 brute-force count of ``oracles.ppc_flat_count``.
 
 Re-derive the pins, for an intended change of the pivot log or of what a
-budget unit counts only, and say which moved and why:
+budget unit counts only, and say which moved and why; the results digest
+is printed too, and must not move:
 
     PYTHONPATH=src python tests/test_dense_reference.py
 """
@@ -119,14 +120,16 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # simplex's Bland and drive-out pivots on rows without artificial entries,
 # and one pivot per row ``_extend`` adds, on the row's own lead, with the
 # decomposition keeping the echelon of its residual's active rows across
-# terms.
-ECHELON_PIVOTS = 768
-PIVOT_LOG_DIGEST = "51f89dc7ebd45afd3791133ca46a240c62e2729582dcdbe6315ecb35ee2aa954"
+# terms.  Re-recorded when ``solve_lp`` stopped purifying an optimum its
+# reduced costs prove unique: that walk only extended the echelon of the
+# vertex's active rows, one pivot per row, and never moved.
+ECHELON_PIVOTS = 720
+PIVOT_LOG_DIGEST = "17d37d1d8b3d6e43205b95640f525c888a0b867ba458396b2c348c80a399a906"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 470
-SHORTCUT_LOG_DIGEST = "d2e304ff810972b56e2b18fa2ed9c2708fb2171e052463a702d911d282350c2d"
+SHORTCUT_PIVOTS = 439
+SHORTCUT_LOG_DIGEST = "5622d8af4b5c115af36d960c3181dd39a3f1a1547dedf71af7a3f612af49e656"
 
 
 def _digest(value) -> str:
@@ -224,6 +227,7 @@ if __name__ == "__main__":
         (False, "SHORTCUT_PIVOTS", "SHORTCUT_LOG_DIGEST"),
     ):
         with pytest.MonkeyPatch.context() as patch:
-            _, log = _run_checked(patch, full_check)
+            results, log = _run_checked(patch, full_check)
+        print(f'RESULTS_DIGEST = "{_digest(results)}"')
         print(f"{count} = {len(log)}")
         print(f'{digest} = "{_digest(log)}"')

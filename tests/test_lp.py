@@ -400,6 +400,32 @@ def test_reductions_are_proved_unique_by_the_tableau():
         assert solve_lp(inst.polyhedron, inst.objective).unique
 
 
+def test_only_an_open_optimum_is_purified(monkeypatch):
+    """``solve_lp`` walks an optimum to a vertex only when its reduced costs
+    leave uniqueness open; one they prove unique is a vertex already."""
+    walked = []
+    real = ddcircuits.lp._purify_to_vertex
+
+    def spy(P, c, x):
+        walked.append(x)
+        return real(P, c, x)
+
+    monkeypatch.setattr(ddcircuits.lp, "_purify_to_vertex", spy)
+    rng = random.Random(2727)
+    battery = mixed_instances(seed=2726, count=60) + [dense_polytope(rng) for _ in range(20)]
+    verdicts = []
+    for P, c, _ in battery:
+        for objective in (c, _tie_prone(rng, c)):
+            walked.clear()
+            out = solve_lp(P, objective)
+            assert isinstance(out, LpOptimal)
+            assert len(walked) == (0 if out.unique else 1)
+            if out.unique:
+                _assert_vertex(P, out.vertex)
+            verdicts.append(out.unique)
+    assert True in verdicts and False in verdicts
+
+
 class TestReducedCostShortcut:
     """Where the tableau cannot decide, the shortcut declines and the full
     check answers."""

@@ -1,4 +1,3 @@
-import functools
 import random
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from ddcircuits import (
     verify_unique,
 )
 from ddcircuits.cli import main
-from ddcircuits.ddstep import Optimal
+from ddcircuits.ddstep import Optimal, UnboundedImprovement
 from ddcircuits.reductions import format_digraph, parse_digraph_text
 from ddcircuits.ratlin import RatMat
 
@@ -195,6 +194,13 @@ class TestCorrespondence:
                 DdStep(Circuit((1, 1, -1)), Fraction(1), Fraction(1)),
                 id="step-without-a-cycle",
             ),
+            pytest.param(
+                TRIANGLE, DdStep(Circuit((1, 1, 1)), Fraction(1), Fraction(3)), id="improvement-not-the-cost"
+            ),
+            pytest.param(TRIANGLE, Optimal(), id="optimal-despite-a-cycle"),
+            pytest.param(
+                TRIANGLE, UnboundedImprovement(Circuit((1, 1, 1))), id="unbounded-improvement"
+            ),
         ],
     )
     def test_step_that_is_not_the_cycle_fails(self, graph, step, monkeypatch):
@@ -208,8 +214,7 @@ class TestCorrespondence:
     def test_oracle_guard_runs_before_the_enumeration(self, tmp_path, monkeypatch, capsys):
         # a graph beyond the oracle's node guard is rejected without an
         # exact dd-step; a guard of 3 nodes stands in for the real 8
-        small_guard = functools.partial(longest_cycle_oracle, max_nodes=3)
-        monkeypatch.setattr(ddcircuits.reductions, "longest_cycle_oracle", small_guard)
+        monkeypatch.setattr(ddcircuits.reductions, "MAX_ORACLE_NODES", 3)
 
         def no_step(*args, **kwargs):
             raise AssertionError("the dd-step ran before the oracle's size guard")
