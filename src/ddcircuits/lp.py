@@ -1,52 +1,85 @@
-"""Exact LP solving over pointed polyhedra: two-phase primal simplex.
+"""Exact LP solving over pointed polyhedra: a two-phase primal simplex on
+one integer tableau builder, in two readings of the same rows.
 
-Free variables are split into nonnegative positive and negative parts and
-every inequality row receives a slack variable.  Both phases pivot under
-the smallest-index anti-cycling rule (smallest eligible entering column;
-ratio ties broken by smallest basic variable index), so the solver always
-terminates and is fully deterministic.
+The bound reading comes first.  A row of B's integer image with one
+nonzero is +-e_j, since its row is primitive, so it bounds x_j; the
+tightest lower and upper bound of each coordinate are kept, and the
+other rows of B keep their slacks.  A coordinate with a lower bound l is
+shifted to it (x_j = l + y_j, with y_j <= u - l under an upper bound
+u); one with only an upper bound u is reflected (x_j = u - y_j); one with
+neither is split (x_j = y+_j - y-_j).  When a bound is read, the
+variables are scaled by B's den, so that every bound is an int, and each
+row is scaled by its own image's den, so that every right-hand side is
+one.  The split reading is the same
+builder reading no row as a bound: every coordinate is split and every
+row of B has a slack, which gives the columns [x+ | x- | slacks].
 
-The tableau is an integer one, with the columns [x+ | x- | slacks | rhs]
-and no artificial columns.  Row i starts as a positive multiple of U_i,
-the row [a_i | -a_i | e_i | rhs_i] with a nonnegative right-hand side
-that its artificial column makes basic with entry 1.  Every row comes
-from the polyhedron's integer images of A and B, in one loop, as
-s_i [q_i | -q_i | e_i/s_i | rhs_i/s_i] times a positive factor, where a
-row of A has no slack column e_i, so no row of the system is read as
-Fractions.  Each row is pivoted with ``ratlin._pivot``, so it stays a
-positive multiple of its unit-basis form and its basic entry is
-positive.  An artificial column never enters and no rule reads its
-entries, so it is not stored; while artificial i is basic, its label
-``ncols + i`` stays in the basis for the ratio test's ties and the
-phase-1 checks.  The phase-1 cost row is built already priced out, as
-minus the sum of the U_i (times the lcm of their factors), and the
-phase-2 cost row is reduced against each basic row alone
-(``ratlin._combine``): the rows a price-out pivot would also visit are 0
-in the basic column.  The entering test reads only signs of the cost
-row; the ratio test compares rhs_i / a_i with rhs_k / a_k as
-rhs_i * a_k against rhs_k * a_i; phase 1 is infeasible when an
-artificial basic row keeps a positive right-hand side.  These are the
-decisions of the unit-basis tableau with its artificial columns, so the
-pivots are the same.  The vertex and the unbounded ray are read from the
-rows whose basic column is one of x+ or x-, each divided by its basic
-entry.
+Both phases of both readings pivot under the smallest-index rule,
+extended to upper bounds (the upper-bounding technique of G. B. Dantzig,
+"Linear Programming and Extensions", 1963).  The
+entering column is the smallest with a negative cost entry.  It rises
+until a basic variable falls to 0, a basic variable reaches its upper
+bound, or the column reaches its own bound; the least step wins, and
+ties go to the smallest variable index, the entering column's own
+included.  A variable at its upper bound u is held complemented, as
+u - y, so every nonbasic variable is at 0 and the entering test reads
+only signs.  A flip complements the entering column and keeps the
+basis; a variable that leaves at its upper bound is complemented in its
+row, the only one where it is nonzero, before the pivot.  This is
+Bland's rule on the problem with the explicit rows y + y' = u, so it
+terminates; with no upper bound, as in the split reading, it is the rule
+on the rows alone.
+
+The tableau is an integer one, with the variable and slack columns, the
+rhs, and no artificial columns.  Row i starts as a positive multiple of
+U_i, the row of the system in the reading's variables, with its slack
+e_i (none for a row of A) and a nonnegative right-hand side that its
+artificial column makes basic with entry 1.  Every row comes from the
+polyhedron's integer images of A and B, in one loop, as s_i times its
+primitive row in the reading's variables, plus its slack, times a
+positive factor, so no row of the system is read as Fractions.  Each
+row is pivoted with ``ratlin._pivot``, so it stays a positive multiple
+of its unit-basis form and its basic entry is positive.  An artificial
+column never enters and no rule reads its entries, so it is not stored;
+while artificial i is basic, its label ``ncols + i`` stays in the basis
+for the ratio test's ties and the phase-1 checks.  The phase-1 cost row
+is built already priced out, as minus the sum of the U_i (times the lcm
+of their factors), and the phase-2 cost row is reduced against each
+basic row alone (``ratlin._combine``): the rows a price-out pivot would
+also visit are 0 in the basic column.  The entering test reads only
+signs of the cost row; the ratio test compares rhs_i / a_i with
+rhs_k / a_k as rhs_i * a_k against rhs_k * a_i; phase 1 is infeasible
+when an artificial basic row keeps a positive right-hand side.  These
+are the decisions of the unit-basis tableau with its artificial columns,
+so the pivots are the same.  The vertex and the unbounded ray are read
+from the rows whose basic column is a variable, each divided by its
+basic entry.
+
+``solve_lp`` returns the bound reading's result only when it is optimal
+and its reduced costs prove the optimum unique (below).  Then x is the
+whole optimal face, the vertex any correct solver reports.  Every other
+outcome, an optimum the bound reading leaves open, an unbounded LP or an
+infeasible one (contradictory bounds l > u among them), is solved again
+by the split reading, whose witness, ray and vertex are those
+``solve_lp`` has always reported.
 
 The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
 point (the split system has more vertices than the original one), so an
-optimum the tableau leaves open goes through purification:
+optimum the split tableau leaves open goes through purification:
 ``polyhedron._walk`` moves along a kernel direction of the active system
 until one more independent row becomes active, while the active rows
 have rank below n.  Each move keeps feasibility and the objective value,
 and raises the active rank, so at most n moves reach a true vertex.  An
-optimum the tableau proves unique (below) skips the walk: its optimal
+optimum a tableau proves unique (below) skips the walk: its optimal
 face is the single point x, a face of dimension 0 of the pointed P, and
 so a vertex.
 
 Uniqueness of an optimum is first read off the final phase-2 tableau
 (Mangasarian, "Uniqueness of solution in linear programming", LAA 1979;
-Appa, JORS 2002).  Every other optimum of the split problem raises some
-nonbasic variable from 0, and one with a positive reduced cost makes the
+Appa, JORS 2002).  Every other optimum of the tableau's problem moves
+some nonbasic variable off its bound, and one with a positive reduced
+cost (in the complemented columns: negative at an upper bound) makes the
 objective worse.  So when every nonbasic reduced cost is positive, except
 the twin x-_j or x+_j of a basic split variable (its reduced cost is 0,
 and raising it leaves x unchanged), the optimum is unique; ``LpOptimal``
@@ -68,7 +101,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .polyhedron import (
     UNBOUNDED,
@@ -96,11 +129,12 @@ from .ratlin import (
 class LpOptimal:
     """An optimal vertex and its value.
 
-    ``unique`` is True when the final simplex tableau proves the optimum
-    unique (every nonbasic reduced cost positive); False means the tableau
-    does not decide it.  ``objective`` is the c that ``solve_lp`` minimized,
-    None for an optimum built by hand.  Neither takes part in equality or
-    repr.
+    ``unique`` is True when a final simplex tableau proves the optimum
+    unique (every nonbasic reduced cost positive): the bound reading's,
+    whose result ``solve_lp`` returns only then, or else the split
+    reading's.  False means neither tableau decides it.  ``objective`` is
+    the c that ``solve_lp`` minimized, None for an optimum built by hand.
+    Neither takes part in equality or repr.
     """
 
     vertex: Point
@@ -134,15 +168,57 @@ class UniquenessReport:
     witness: Optional[Point]
 
 
-def _bland(T: list[list[int]], basis: list[int], ncols: int):
-    """Minimize the cost row T[-1] over the integer constraint rows T[:-1].
+class _Tableau(NamedTuple):
+    """A final simplex tableau and how its columns read x.
+
+    Column j < n is sign_j * (X_j - offset_j) for the scaled coordinate
+    X_j = scale * x_j, and column n + p is the negative part of the split
+    coordinate split[p], whose column is its positive part.  The slack
+    columns follow.  A column in ``flipped`` holds its
+    variable's complement upper[k] - y_k.
+    """
+
+    T: list[list[int]]
+    basis: list[int]
+    signs: list[int]
+    offsets: list[int]
+    split: list[int]
+    scale: int
+    upper: dict[int, int]
+    flipped: set[int]
+
+
+def _flip(T: list[list[int]], k: int, u: int, flipped: set[int]) -> None:
+    """Complement column k of the rows T: its variable y becomes u - y, so
+    each row with entry a there gets -a there and rhs - a*u.  The content
+    of a row does not change, and rows are rebound, never changed in place."""
+    for i, row in enumerate(T):
+        a = row[k]
+        if a:
+            row = list(row)
+            row[k], row[-1] = -a, row[-1] - a * u
+            T[i] = row
+    flipped.symmetric_difference_update((k,))
+
+
+def _bland(
+    T: list[list[int]], basis: list[int], ncols: int, upper: dict[int, int], flipped: set[int]
+):
+    """Minimize the cost row T[-1] over the integer constraint rows T[:-1],
+    each variable k between 0 and ``upper[k]`` where it has one.
 
     The right-hand side is the last column, and only the first ``ncols``
     columns may enter.  Each row is a positive multiple of its unit-basis
-    form, so a column may enter when its cost entry is negative, and row
-    i's ratio rhs_i / a_i is compared with the best row's by
-    cross-multiplication.  Returns ('optimal', None) or ('unbounded',
-    entering column).
+    form, so a column may enter when its cost entry is negative.  Row i
+    with entry a in the entering column stops it at rhs_i / a when a > 0
+    (its basic variable falls to 0), and at (u * b_i - rhs_i) / -a when
+    a < 0 and its basic variable, with basic entry b_i, has upper bound u;
+    the column's own bound stops it at upper[enter].  Steps are compared
+    by cross-multiplication, ties going to the smallest variable index.
+    The entering column at its own bound is complemented (``_flip``,
+    which updates ``flipped``); a variable leaving at its upper bound is
+    complemented in its row before the pivot.  Returns ('optimal', None)
+    or ('unbounded', entering column).
     """
     m = len(T) - 1
     while True:
@@ -151,30 +227,53 @@ def _bland(T: list[list[int]], basis: list[int], ncols: int):
         if enter is None:
             return "optimal", None
         leave = None
+        if enter in upper:
+            leave, num_best, den_best, label = -1, upper[enter], 1, enter
         for i in range(m):
-            a = T[i][enter]
+            row = T[i]
+            a = row[enter]
             if a > 0:
-                if leave is None:
-                    leave, rhs_best, a_best = i, T[i][-1], a
+                num, den = row[-1], a
+            elif a < 0 and basis[i] in upper:
+                jb = basis[i]
+                num, den = upper[jb] * row[jb] - row[-1], -a
+            else:
+                continue
+            if leave is not None:
+                lhs, rhs = num * den_best, num_best * den
+                if lhs > rhs or (lhs == rhs and basis[i] > label):
                     continue
-                lhs, rhs = T[i][-1] * a_best, rhs_best * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, rhs_best, a_best = i, T[i][-1], a
+            leave, num_best, den_best, label = i, num, den, basis[i]
         if leave is None:
             return "unbounded", enter
+        if leave < 0:
+            _flip(T, enter, upper[enter], flipped)
+            continue
+        row = T[leave]
+        if row[enter] < 0:
+            jb = basis[leave]
+            row = list(row)
+            row[jb], row[-1] = -row[jb], row[-1] - row[jb] * upper[jb]
+            T[leave] = row
+            flipped.symmetric_difference_update((jb,))
         _pivot(T, leave, enter)
         basis[leave] = enter
 
 
-def _unique_by_reduced_costs(cost: list[int], basis: list[int], n: int) -> bool:
+def _unique_by_reduced_costs(
+    cost: list[int], basis: list[int], n: int, split: Sequence[int]
+) -> bool:
     """Whether an optimal phase-2 cost row proves the optimum unique.
 
-    Columns are [x+ | x- | slacks].  Every nonbasic reduced cost must be
-    positive, except that of a basic split variable's twin (x-_j for a
-    basic x+_j, and back), which is 0 and leaves x unchanged.
+    Column n + p is the negative part of the split coordinate split[p],
+    whose column is its positive part.  Every nonbasic reduced cost must
+    be positive, except that of a basic split variable's twin, which is 0
+    and leaves x unchanged.
     """
     skip = set(basis)
-    skip.update((j + n) % (2 * n) for j in basis if j < 2 * n)
+    for p, j in enumerate(split):
+        if j in skip or n + p in skip:
+            skip.update((j, n + p))
     return all(r > 0 for j, r in enumerate(cost) if j not in skip)
 
 
@@ -196,38 +295,80 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
 
 
 def _simplex(
-    a_image: _IntImage, b_image: _IntImage, cost: Sequence[int]
-) -> tuple[str, list[list[int]], list[int], Optional[int]]:
-    """The two-phase simplex in ints: (status, T, basis, enter) with status
+    a_image: _IntImage, b_image: _IntImage, C: Sequence[int], read_bounds: bool
+) -> tuple[str, Optional[_Tableau], Optional[int]]:
+    """The two-phase simplex in ints: (status, tableau, enter) with status
     'infeasible', 'optimal' or 'unbounded' and, unless infeasible, the final
-    phase-2 tableau, its basis and the unbounded entering column.
+    phase-2 tableau and the unbounded entering column.
 
-    The constraint rows are those of A, then those of B, each from its
-    polyhedron's integer image; the columns are [x+ | x- | slacks | rhs]
-    and ``cost`` is the phase-2 cost of x+ and x-.  Each row is U_i times
-    a positive factor, where U_i is the row [a_i | -a_i | e_i | rhs_i]
-    with a nonnegative right-hand side that the artificial column i would
-    make basic with entry 1; a row of A has no slack column.  The
-    artificial columns are not stored: they never enter and no rule reads
-    them; only their labels ``ncols + i`` stay in the basis while basic.
+    With ``read_bounds`` the rows of B's image with one nonzero are read as
+    bounds, and contradictory bounds end as 'infeasible' with no tableau;
+    without it, as the split reading.  The constraint rows are those of A,
+    then the other rows of B, each from its polyhedron's integer image, in
+    the scaled variables X = scale * x (scale 1 when no bound is read).
+    ``C`` is the objective as coprime ints.  Each row is U_i times the
+    positive factor den * sd * scale, where U_i is s_i times the row's
+    primitive row in the reading's variables, plus its slack e_i, with a
+    nonnegative right-hand side that the artificial column i would make
+    basic with entry 1; a row of A has no slack column.  The artificial
+    columns are not stored: they never enter and no rule reads them; only
+    their labels ``ncols + i`` stay in the basis while basic.
     """
-    n = len(cost) // 2
-    m_b = len(b_image.rows)
-    ncols = 2 * n + m_b
+    n = len(C)
+    lows: list[Optional[int]] = [None] * n  # x_j >= lows[j] / b_image.den
+    highs: list[Optional[int]] = [None] * n  # x_j <= highs[j] / b_image.den
+    kept = []  # the rows of B that keep their slack
+    for i, nonzeros in enumerate(b_image.nonzeros):
+        if read_bounds and len(nonzeros) == 1:
+            ((j, a),) = nonzeros  # a = +-1: the row is primitive
+            t = b_image.bounds[i]
+            if a > 0:
+                highs[j] = t if highs[j] is None else min(highs[j], t)
+            else:
+                lows[j] = -t if lows[j] is None else max(lows[j], -t)
+        else:
+            kept.append(i)
+    if any(l is not None and u is not None and l > u for l, u in zip(lows, highs)):
+        return "infeasible", None, None
+    scale = b_image.den if len(kept) < len(b_image.rows) else 1
+
+    signs, offsets, split, upper = [], [], [], {}
+    for j, (l, u) in enumerate(zip(lows, highs)):
+        if l is not None:
+            signs.append(1)
+            offsets.append(l)
+            if u is not None:
+                upper[j] = u - l
+        elif u is not None:
+            signs.append(-1)
+            offsets.append(u)
+        else:
+            signs.append(1)
+            offsets.append(0)
+            split.append(j)
+    twin = {j: n + p for p, j in enumerate(split)}
+    nvars = n + len(split)
+    ncols = nvars + len(kept)
+
     lines = []
-    for image, slack in ((a_image, None), (b_image, 2 * n)):
-        for i, (nonzeros, bound, (sn, sd)) in enumerate(
-            zip(image.nonzeros, image.bounds, image.scales)
-        ):
-            # U_i = s_i * [q_i | -q_i | e_i / s_i | bound_i / den], times den * sd.
-            f, w = image.den * sn, image.den * sd
-            line = [0] * (ncols + 1)
-            for j, a in nonzeros:
-                line[j], line[n + j] = f * a, -f * a
-            if slack is not None:
-                line[slack + i] = w
-            line[-1] = sn * bound
-            lines.append((line, w))
+    rows = [(a_image, i, None) for i in range(len(a_image.rows))]
+    rows += [(b_image, i, nvars + k) for k, i in enumerate(kept)]
+    for image, i, slack in rows:
+        # The row s_i q_i . x (+ slack) = s_i bound_i / den, with s_i = sn / sd
+        # and x_j = (offset_j + sign_j y_j - y-_j) / scale, times den * sd * scale.
+        sn, sd = image.scales[i]
+        f, w = image.den * sn, image.den * sd * scale
+        line = [0] * (ncols + 1)
+        shift = 0
+        for j, a in image.nonzeros[i]:
+            line[j] = f * a * signs[j]
+            shift += a * offsets[j]
+            if j in twin:
+                line[twin[j]] = -f * a
+        if slack is not None:
+            line[slack] = w
+        line[-1] = sn * (image.bounds[i] * scale - image.den * shift)
+        lines.append((line, w))
 
     # Phase 1 minimizes the sum of the artificials.  Priced out against the
     # artificial basis, its cost row is minus the sum of the U_i, here
@@ -250,12 +391,13 @@ def _simplex(
     g = gcd(*phase1)
     T.append([a // g for a in phase1] if g > 1 else phase1)
     basis = [ncols + i for i in range(m)]
-    status, _ = _bland(T, basis, ncols)
+    flipped: set[int] = set()
+    status, _ = _bland(T, basis, ncols, upper, flipped)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below by 0
         raise AssertionError("phase-1 objective reported unbounded")
     T.pop()
     if any(T[i][-1] > 0 for i in range(m) if basis[i] >= ncols):
-        return "infeasible", T, basis, None
+        return "infeasible", None, None
 
     # Drive artificials out of the basis; rows they cannot leave are redundant.
     keep = []
@@ -270,15 +412,78 @@ def _simplex(
     T = [T[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: the real objective, reduced against each basic row.
-    row2 = list(cost) + [0] * (m_b + 1)
+    # Phase 2: the real objective, on the complemented columns negated, and
+    # reduced against each basic row.
+    row2 = [a * s for a, s in zip(C, signs)] + [-C[j] for j in split] + [0] * (len(kept) + 1)
+    for k in flipped:
+        row2[k] = -row2[k]
     for row, jb in zip(T, basis):
         f = row2[jb]
         if f:
             row2 = _combine(row2, row[jb], f, [(j, b) for j, b in enumerate(row) if b])
     T.append(row2)
-    status, enter = _bland(T, basis, ncols)
-    return status, T, basis, enter
+    status, enter = _bland(T, basis, ncols, upper, flipped)
+    tableau = _Tableau(T, basis, signs, offsets, split, scale, upper, flipped)
+    return status, tableau, enter
+
+
+def _vertex(tab: _Tableau) -> Point:
+    """The point x of a tableau's basic solution, one Fraction per entry:
+    each variable is num / den, 0 / 1 while nonbasic, before its
+    complement is undone."""
+    n = len(tab.signs)
+    y = [(0, 1)] * (n + len(tab.split))
+    for row, jb in zip(tab.T, tab.basis):
+        if jb < len(y):
+            y[jb] = (row[-1], row[jb])
+    for k in tab.flipped:
+        num, den = y[k]
+        y[k] = (tab.upper[k] * den - num, den)
+    x = [
+        Fraction(o * den + s * num, den * tab.scale)
+        for o, s, (num, den) in zip(tab.offsets, tab.signs, y)
+    ]
+    for p, j in enumerate(tab.split):
+        num, den = y[n + p]
+        if num:
+            x[j] -= Fraction(num, den * tab.scale)
+    return RatVec(x)
+
+
+def _solve(P: Polyhedron, c: RatVec, read_bounds: bool) -> Optional[LpOutcome]:
+    """``solve_lp`` in one reading.  The bound reading returns only an
+    optimum its reduced costs prove unique, and None otherwise."""
+    n = P.n
+    status, tab, enter = _simplex(
+        P._a_image, P._b_image, coprime_integer_entries(c.entries), read_bounds
+    )
+    if read_bounds:
+        if status != "optimal" or not _unique_by_reduced_costs(
+            tab.T[-1][:-1], tab.basis, n, tab.split
+        ):
+            return None
+        x = _vertex(tab)
+        return LpOptimal(x, c.dot(x), True, c)
+    if status == "infeasible":
+        return LpInfeasible()
+
+    # Row i reads its basic variable basis[i] after division by its entry;
+    # only the columns of x+ and x- are read.
+    T, basis, split = tab.T, tab.basis, 2 * n
+    if status == "unbounded":
+        ray = [Fraction(0)] * split
+        if enter < split:
+            ray[enter] = Fraction(1)
+        for i, jb in enumerate(basis):
+            if jb < split:
+                ray[jb] = Fraction(-T[i][enter], T[i][jb])
+        return LpUnbounded(RatVec(ray[j] - ray[n + j] for j in range(n)))
+
+    x = _vertex(tab)
+    unique = _unique_by_reduced_costs(T[-1][:-1], basis, n, tab.split)
+    if not unique:
+        x = _purify_to_vertex(P, c, x)
+    return LpOptimal(x, c.dot(x), unique, c)
 
 
 def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
@@ -290,33 +495,8 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     """
     if c.dim != P.n:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
-    n = P.n
-    cost = coprime_integer_entries([*c.entries] + [-a for a in c.entries])
-    status, T, basis, enter = _simplex(P._a_image, P._b_image, cost)
-    if status == "infeasible":
-        return LpInfeasible()
-
-    # Row i reads its basic variable basis[i] after division by its entry;
-    # only the columns of x+ and x- are read.
-    split = 2 * n
-    if status == "unbounded":
-        ray = [Fraction(0)] * split
-        if enter < split:
-            ray[enter] = Fraction(1)
-        for i, jb in enumerate(basis):
-            if jb < split:
-                ray[jb] = Fraction(-T[i][enter], T[i][jb])
-        return LpUnbounded(RatVec(ray[j] - ray[n + j] for j in range(n)))
-
-    w = [Fraction(0)] * split
-    for i, jb in enumerate(basis):
-        if jb < split:
-            w[jb] = Fraction(T[i][-1], T[i][jb])
-    x = RatVec(w[j] - w[n + j] for j in range(n))
-    unique = _unique_by_reduced_costs(T[-1][:-1], basis, n)
-    if not unique:
-        x = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, c.dot(x), unique, c)
+    out = _solve(P, c, read_bounds=True)
+    return out if out is not None else _solve(P, c, read_bounds=False)
 
 
 def verify_unique(

@@ -525,5 +525,5 @@ def artificial_column_lp(P: Polyhedron, c: RatVec):
     for i, jb in enumerate(basis):
         w[jb] = Fraction(T[i][-1], T[i][jb])
     x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))
-    unique = _unique_by_reduced_costs(T[-1][:ncols], basis, n)
+    unique = _unique_by_reduced_costs(T[-1][:ncols], basis, n, range(n))
     return LpOptimal(x, c.dot(x), unique), phases

@@ -122,14 +122,18 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # decomposition keeping the echelon of its residual's active rows across
 # terms.  Re-recorded when ``solve_lp`` stopped purifying an optimum its
 # reduced costs prove unique: that walk only extended the echelon of the
-# vertex's active rows, one pivot per row, and never moved.
-ECHELON_PIVOTS = 720
-PIVOT_LOG_DIGEST = "17d37d1d8b3d6e43205b95640f525c888a0b867ba458396b2c348c80a399a906"
+# vertex's active rows, one pivot per row, and never moved.  Re-recorded
+# when ``solve_lp`` began with the bound reading, whose tableau reads the
+# +-e_j rows of B as bounds and has fewer rows and columns: the log holds
+# its pivots, and the split reading's only where the bound reading leaves
+# the optimum open or finds none.
+ECHELON_PIVOTS = 521
+PIVOT_LOG_DIGEST = "a247b34b18e13c2fc7084e795f65c800995ce9ab2d65c450ce1a309b4cc6cccb"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 439
-SHORTCUT_LOG_DIGEST = "5622d8af4b5c115af36d960c3181dd39a3f1a1547dedf71af7a3f612af49e656"
+SHORTCUT_PIVOTS = 315
+SHORTCUT_LOG_DIGEST = "6683ba9a78b4f17a8bb8ce3d9363b3eae1b658a0d8eb1676175e919106f00729"
 
 
 def _digest(value) -> str:

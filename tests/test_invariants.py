@@ -73,7 +73,7 @@ INTEGER_KERNEL = {
         "_rat_pair",
         "_primitive",
     ),
-    "lp.py": ("_bland", "_simplex"),
+    "lp.py": ("_flip", "_bland", "_simplex"),
     "circuits.py": ("_cut", "_children", "enumerate_circuits"),
     "polyhedron.py": (
         "_image",
@@ -117,9 +117,12 @@ STEP_HOMES = {
 }
 
 # The functions, per module, that read A, b, B and d only through the
-# integer images: the simplex builds its tableau rows from ``P._a_image``
-# and ``P._b_image``, and the uniqueness check its tangent cone.
-IMAGE_READERS = {"lp.py": ("solve_lp", "_simplex", "verify_unique")}
+# integer images: the simplex builds its tableau rows, in either reading,
+# from ``P._a_image`` and ``P._b_image``, its ratio test and flips read
+# only the tableau, and the uniqueness check builds its tangent cone.
+IMAGE_READERS = {
+    "lp.py": ("solve_lp", "_solve", "_simplex", "_flip", "_bland", "_vertex", "verify_unique")
+}
 
 # A polyhedron's int form, the one function that assigns it, and the one
 # that makes a Polyhedron by ``__new__``: (module, function), a method

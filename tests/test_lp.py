@@ -442,8 +442,8 @@ class TestReducedCostShortcut:
         final = []  # the cost row and basis of each simplex phase
         real = ddcircuits.lp._bland
 
-        def spy(T, basis, ncols):
-            status = real(T, basis, ncols)
+        def spy(T, basis, ncols, *bounds):
+            status = real(T, basis, ncols, *bounds)
             final.append((T[-1][:ncols], list(basis)))
             return status
 
@@ -464,8 +464,8 @@ class TestReducedCostShortcut:
         # nonbasic.  Columns are x+_1 x+_2 x-_1 x-_2 s_1 s_2, and x_2's
         # halves cost r and -r, so no r passes.
         for r in (-1, 0, 1):
-            assert not _unique_by_reduced_costs([0, r, 0, -r, 0, 3], [0, 4], 2)
-        assert _unique_by_reduced_costs([0, 0, 0, 0, 2, 3], [0, 3], 2)
+            assert not _unique_by_reduced_costs([0, r, 0, -r, 0, 3], [0, 4], 2, range(2))
+        assert _unique_by_reduced_costs([0, 0, 0, 0, 2, 3], [0, 3], 2, range(2))
 
     def test_non_vertex_point_skips_the_shortcut(self):
         c = RatVec([-1, 0])

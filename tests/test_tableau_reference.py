@@ -1,13 +1,17 @@
-"""The simplex against the artificial-column tableau it replaced.
+"""The split reading of the simplex against the artificial-column tableau
+it replaced.
 
 ``lp._simplex`` stores no artificial columns, builds the phase-1 cost row
-already priced out and takes B's rows from the integer image.  Each of
-its rows is a positive multiple of the row the artificial-column tableau
-holds, with the artificial entries dropped, so Bland's rule must make the
-same choices: here every outcome (status, vertex, value, ray and the
-``unique`` flag) and, at the end of each phase, the status, the entering
-column and the basis must equal those of ``oracles.artificial_column_lp``
-on a seeded battery and on the edge cases of the tableau build.
+already priced out and takes B's rows from the integer image.  In the
+split reading (``lp._solve`` with ``read_bounds=False``, the reading that
+``solve_lp`` falls back to), each of its rows is a positive multiple of
+the row the artificial-column tableau holds, with the artificial entries
+dropped, so Bland's rule must make the same choices: here every outcome
+(status, vertex, value, ray and the ``unique`` flag) and, at the end of
+each phase, the status, the entering column and the basis must equal
+those of ``oracles.artificial_column_lp`` on a seeded battery and on the
+edge cases of the tableau build.  The bound reading is checked against
+the split reading in ``test_bound_reading``.
 """
 
 import random
@@ -16,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 import ddcircuits.lp
-from ddcircuits import LpInfeasible, LpOptimal, LpUnbounded, Polyhedron, RatVec, solve_lp
+from ddcircuits import LpInfeasible, LpOptimal, LpUnbounded, Polyhedron, RatVec
 from ddcircuits.ratlin import RatMat
 
 from instgen import (
@@ -30,18 +34,18 @@ from oracles import artificial_column_lp
 
 
 def _recorded(monkeypatch, P, c):
-    """``solve_lp(P, c)`` and (status, entering column, basis) at the end
-    of each of its Bland runs."""
+    """The split reading's outcome for (P, c) and (status, entering
+    column, basis) at the end of each of its Bland runs."""
     phases = []
     real = ddcircuits.lp._bland
 
-    def spy(T, basis, ncols):
-        status, enter = real(T, basis, ncols)
+    def spy(T, basis, ncols, *bounds):
+        status, enter = real(T, basis, ncols, *bounds)
         phases.append((status, enter, tuple(basis)))
         return status, enter
 
     monkeypatch.setattr(ddcircuits.lp, "_bland", spy)
-    out = solve_lp(P, c)
+    out = ddcircuits.lp._solve(P, c, read_bounds=False)
     monkeypatch.setattr(ddcircuits.lp, "_bland", real)
     return out, phases
 
