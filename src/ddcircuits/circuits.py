@@ -25,8 +25,9 @@ exactly the rows whose pi is parallel to pi_l.  The child generated by l
 is visited only when l comes after the flat's own generator and first in
 its direction among the nonzero pi, which makes the closure add no row
 before l, and when enough representatives remain after l to reach rank
-n - 1.  A child's block is one fraction-free column step on its parent's,
-made when the child is taken from the stack.  The children of a flat
+n - 1.  A child's block is one fraction-free column step on its parent's
+(``ratlin._cut``, which the active-set walk's block shares), made when
+the child is taken from the stack.  The children of a flat
 with a two-dimensional kernel are circuits, read from the two columns of
 K directly, so no circuit is found twice and each is oriented once, to
 its canonical sign (first nonzero entry of Bg positive).
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import SizeGuardExceeded
-from .polyhedron import Polyhedron, _extend_active, _image, _solves_a
-from .ratlin import RatVec, _echelon_kernel, coprime_integer_entries, sign_normalized
+from .polyhedron import Polyhedron, _a_block, _image, _solves_a
+from .ratlin import RatVec, _cut, _extend_rows, coprime_integer_entries, sign_normalized
 
 DEFAULT_WORK_BUDGET = 500_000
 
@@ -91,7 +92,8 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
     if not _solves_a(P, G, 0):
         return False
     image = _image(P._b_image, G)  # zeros where B v has them
-    return len(_extend_active(P, P._a_echelon, image)[1]) == P.n - 1
+    kept = (q for q, e in zip(P._b_image.rows, image) if e == 0)
+    return len(_extend_rows(kept, *P._a_echelon)[1]) == P.n - 1
 
 
 def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
@@ -109,33 +111,6 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
         if e < 0:
             return -circ
     raise AssertionError("kernel direction with zero B-image in a pointed system")
-
-
-def _cut(block: list[list[int]], r: int) -> list[list[int]]:
-    """The block of the flat one row larger: the columns, as combinations
-    of ``block``'s, that vanish in row r.
-
-    One fraction-free column step removes the column s whose entry p in
-    row r is the nonzero of least size, and every other column with entry
-    f != 0 there becomes p*col - f*col_s over its content; a column with
-    f = 0 is in the smaller kernel already and is kept.  Columns are never
-    changed in place, so the children of a flat share its block.
-    """
-    pi = [col[r] for col in block]
-    s = min((abs(f), t) for t, f in enumerate(pi) if f)[1]
-    p, pivot = pi[s], block[s]
-    out = []
-    for t, col in enumerate(block):
-        f = pi[t]
-        if t == s:
-            continue
-        if f:
-            col = [p * a - f * b for a, b in zip(col, pivot)]
-            g = gcd(*col)
-            if g > 1:
-                col = [a // g for a in col]
-        out.append(col)
-    return out
 
 
 def _children(
@@ -180,9 +155,7 @@ def enumerate_circuits(
     sorted lexicographically by entries.
     """
     n = P.n
-    rows, leads = P._a_echelon
-    k = n - 1 - len(leads)
-    if k < 0:
+    if len(P._a_echelon[1]) == n:  # ker A is {0}
         return []
 
     reps: list[int] = []  # the first row of B of each parallel class
@@ -197,10 +170,7 @@ def enumerate_circuits(
     # its products with the representatives.  Depth first from the root,
     # the kernel of A: an entry (block, l) is the child generated by
     # representative l of the flat with that block, or the root if l is -1.
-    root = []
-    for col in _echelon_kernel(rows, leads, n):
-        image = _image(P._b_image, col)
-        root.append(list(col) + [image[i] for i in reps])
+    root = [col[:n] + [col[n + i] for i in reps] for col in _a_block(P)]
     found: list[Circuit] = []
     budget = work_budget
     stack = [(root, -1)]

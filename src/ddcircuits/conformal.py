@@ -36,8 +36,9 @@ starts from it as it is.  The circuit is the walk's end E, an int vector,
 divided by gcd(E) and negated, and its signed image is the walk's slack
 at E divided by the same gcd, with no product with B.
 The rows active at r stay
-active across terms, so the decomposition keeps their echelon and
-extends it only by the rows each term makes active.  The emitted step
+active across terms, so the decomposition keeps the block of their
+kernel (``polyhedron._tighten`` of A's block) and cuts it only by the
+rows each term makes active.  The emitted step
 length is the largest alpha keeping r - alpha*g inside F(z), so at least
 one support coordinate dies per term and the face dimension drops
 strictly, which bounds the term count by dim F(z) <= n - rank(A).  All
@@ -61,11 +62,12 @@ from typing import Iterator
 from .circuits import Circuit
 from .polyhedron import (
     Polyhedron,
-    _extend_active,
+    _a_block,
     _image,
     _move,
     _ratio_test,
     _solves_a,
+    _tighten,
     _walk,
 )
 from .ratlin import Rat, RatVec, _int_vector
@@ -94,33 +96,36 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     zint = _int_vector(z)
     if not _solves_a(P, zint[0], 0):
         raise ValueError("decompose requires A z = 0")
-    return ConformalSum(tuple(sorted(_terms(P, zint), key=lambda term: term[1].entries)), z)
+    terms = _terms(P, zint, _a_block(P))
+    return ConformalSum(tuple(sorted(terms, key=lambda term: term[1].entries)), z)
 
 
-def _terms(P: Polyhedron, zint: tuple[list[int], int]) -> Iterator[tuple[Fraction, Circuit]]:
+def _terms(
+    P: Polyhedron, zint: tuple[list[int], int], block: list[list[int]]
+) -> Iterator[tuple[Fraction, Circuit]]:
     """The terms (alpha, g) of ``decompose(P, z)`` in the order the walk
     finds them; a caller that stops early saves the later walks.
 
     ``zint`` is z as ints over one denominator, (Z, D) with z = Z / D, as
     ``ratlin._int_vector`` gives it.  z must be a nonzero vector of ker A,
     as ``decompose`` checks; the approximate step's z = x* - x0 is one by
-    construction.
+    construction.  ``block`` is A's, ``polyhedron._a_block(P)``.
     """
     Z, D = zint
     bz = _image(P._b_image, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
-    bound = P.n - len(P._a_echelon[1])  # rank(A)
+    bound = len(block)  # n - rank(A)
     # The residual r is carried negated, -r = U/D, with its slack S/D.
     U, S = [-e for e in Z], [abs(e) for e in bz]
-    echelon, before, count = P._a_echelon, None, 0
+    before, count = None, 0
     while any(U):
-        # The echelon of the rows active at r, and the walk from U to an
+        # The block of the rows active at r, and the walk from U to an
         # extreme ray of the minimal face of F(z) containing r.  The walk's
         # slack at its end E is -sigma_i q_i.E, so the circuit g = -E/gcd(E)
         # has the signed image sg = S_E/gcd(E), which is >= 0.
-        echelon = _extend_active(P, echelon, S, before)
+        block = _tighten(block, P.n, S, before)
         end, end_slack = U, S
-        for end, end_slack, _, _ in _walk(P, signs, U, S, D, echelon):
+        for end, end_slack, _, _ in _walk(P, signs, U, S, D, block):
             pass
         k = gcd(*end)
         g = Circuit(tuple([-e // k for e in end]))

@@ -42,6 +42,7 @@ from .lp import LpOptimal, LpUnbounded, solve_lp
 from .polyhedron import (
     Point,
     Polyhedron,
+    _a_block,
     _advance,
     _feasible_slack,
     _image,
@@ -99,9 +100,10 @@ def _rule(
     The one gate of the step rules: it checks the mode and the start x0
     once and does the rule's per-run work once: x0's slack, which is both
     the feasibility check and the first iterate, c in ints for every mode,
-    the circuit list for ``exact`` and, for ``approx``,
-    the LP optimum x* as ints over one denominator.  An unbounded LP raises
-    LpUnboundedError; the LP is never infeasible, since x0 is feasible.
+    the circuit list for ``exact`` and, for ``approx``, the LP optimum x*
+    as ints over one denominator and A's block, where each decomposition
+    starts.  An unbounded LP raises LpUnboundedError; the LP is never
+    infeasible, since x0 is feasible.
     """
     if mode not in _STEP_RULES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
@@ -114,8 +116,8 @@ def _rule(
         if isinstance(optimum, LpUnbounded):
             raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
         assert isinstance(optimum, LpOptimal)
-        xstar = _int_vector(optimum.vertex)
-        return (lambda it: _approx_step(P, cint, it, xstar)), start, cint
+        xstar, block = _int_vector(optimum.vertex), _a_block(P)
+        return (lambda it: _approx_step(P, cint, it, xstar, block)), start, cint
     circuits = enumerate_circuits(P, work_budget=work_budget)
     return (lambda it: _scan(P, cint, it, circuits)), start, cint
 
@@ -162,15 +164,19 @@ def approx_dd_step(P: Polyhedron, c: RatVec, x0: Point) -> Union[DdStep, Optimal
 
 
 def _approx_step(
-    P: Polyhedron, cint: tuple[list[int], int], it: Iterate, xstar: tuple[list[int], int]
+    P: Polyhedron,
+    cint: tuple[list[int], int],
+    it: Iterate,
+    xstar: tuple[list[int], int],
+    block: list[list[int]],
 ) -> RuleResult:
     """``approx_dd_step`` at the int iterate ``it``, without its checks.
 
     ``cint`` is c as ints over one denominator, (C, den) with c = C / den,
     ``it`` a feasible iterate (X, S, D) and ``xstar`` the LP optimum x* of
-    (P, c) as ints over one denominator, (Xs, Ds).  z = x* - x is
-    (Xs*D - X*Ds) / (Ds*D), put in lowest terms by one gcd, which is
-    ``ratlin._int_vector(z)``.  The best term has the smallest key
+    (P, c) as ints over one denominator, (Xs, Ds); ``block`` is A's.
+    z = x* - x is (Xs*D - X*Ds) / (Ds*D), put in lowest terms by one gcd,
+    which is ``ratlin._int_vector(z)``.  The best term has the smallest key
     (c.(alpha g), g.entries), the term ``min`` picks from the full
     decomposition in canonical order.  Every term t has c.t <= 0 (x* - t
     is feasible and x* optimal), so each term still to come gains at least
@@ -192,7 +198,7 @@ def _approx_step(
     C, den = cint
     rest = Fraction(_dot(C, Z), den * dz)  # c.z
     best_key = None
-    for alpha, g in _terms(P, (Z, dz)):
+    for alpha, g in _terms(P, (Z, dz), block):
         gain = alpha * Fraction(_dot(C, g.entries), den)
         rest -= gain
         if best_key is None or (gain, g.entries) < best_key:

@@ -67,10 +67,11 @@ The reported optimum is always a vertex of the *original* polyhedron.
 A basic solution of the split formulation can project to a non-vertex
 point (the split system has more vertices than the original one), so an
 optimum the split tableau leaves open goes through purification:
-``polyhedron._walk`` moves along a kernel direction of the active system
-until one more independent row becomes active, while the active rows
-have rank below n.  Each move keeps feasibility and the objective value,
-and raises the active rank, so at most n moves reach a true vertex.  An
+``polyhedron._walk`` moves along a vector of the kernel of the active
+system, held as a block of columns, until one more independent row
+becomes active and cuts the block, while the kernel is not trivial.
+Each move keeps feasibility and the objective value, and cuts a column,
+so at most n moves reach a true vertex.  An
 optimum a tableau proves unique (below) skips the walk: its optimal
 face is the single point x, a face of dimension 0 of the pointed P, and
 so a vertex.
@@ -107,12 +108,13 @@ from .polyhedron import (
     UNBOUNDED,
     Point,
     Polyhedron,
-    _extend_active,
+    _a_block,
     _feasible_slack,
     _IntImage,
     _max_step,
     _point,
     _slack,
+    _tighten,
     _walk,
 )
 from .ratlin import (
@@ -286,7 +288,7 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
     move keeps x feasible, so the walk runs no membership checks.
     """
     X, S, D = _slack(P, x)
-    for X, _, D, w in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
+    for X, _, D, w in _walk(P, None, X, S, D, _tighten(_a_block(P), P.n, S)):
         if sum(a * b for a, b in zip(c, w) if b) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
@@ -542,7 +544,7 @@ def verify_unique(
         raise ValueError("xstar is not optimal for the given objective")
 
     X, S, D = slack
-    for end, _, den, _ in _walk(P, None, X, S, D, _extend_active(P, P._a_echelon, S)):
+    for end, _, den, _ in _walk(P, None, X, S, D, _tighten(_a_block(P), P.n, S)):
         return UniquenessReport(False, _point(end, den))
 
     a_rows, b_rows = (

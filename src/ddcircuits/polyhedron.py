@@ -25,12 +25,13 @@ compares S_i/a_i by cross-multiplication and returns the limiting row,
 and ``_active`` give what d - Bx and Bv would give.
 ``_walk`` is the package's one active-set walk: it moves inside the
 kernel of the tight rows until one more row is tight, moves X, S and D by
-one rank-one step in ints (``_move``) and extends the echelon of the
-tight rows; ``_advance`` makes the same move for an iterate of the
-augmentation loop in ``ddstep``, along a circuit whose image and limiting
-row its scan computed.  ``is_feasible`` decides x on its slack, and
-``_feasible_slack`` hands that slack on to callers that go on from x.
-LP purification and the uniqueness check walk P itself, and
+one rank-one step in ints (``_move``) and cuts that kernel, held as a
+block of columns with their images under B (``_a_block``), by the rows
+the move made tight (``_tighten``); ``_advance`` makes the same move for
+an iterate of the augmentation loop in ``ddstep``, along a circuit whose
+image and limiting row its scan computed.  ``is_feasible`` decides x on
+its slack, and ``_feasible_slack`` hands that slack on to callers that go
+on from x.  LP purification and the uniqueness check walk P itself, and
 the conformal decomposition walks a sign cone, given by the row signs of
 its vector.  Fractions are made only at the boundary: the step lengths
 and points the callers hand out.
@@ -52,10 +53,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import NotPointedError, ParseError
 from .ratlin import (
-    Echelon,
     Rat,
     RatMat,
     RatVec,
+    _cut,
     _echelon_kernel,
     _extend_rows,
     _int_vector,
@@ -100,7 +101,7 @@ class Polyhedron:
     integer image ``_a_image`` and B and d theirs, ``_b_image``, both built
     with the polyhedron by ``_image_of``; the simplex builds every tableau
     row from them.  ``_a_echelon`` is the echelon of A's primitive rows,
-    which the pointedness check extends by B's, and the other modules by
+    which the pointedness check extends by B's, and the circuit test by
     rows of B.  The instance parser and the circulation reduction hand
     over int rows (``_from_ints``), and the public constructor converts its
     RatMat and RatVec arguments to the same rows.  The images are
@@ -336,17 +337,22 @@ def _active(slack: Sequence[int]) -> tuple[int, ...]:
     return tuple(j for j, s in enumerate(slack) if s == 0)
 
 
-def _extend_active(
-    P: Polyhedron, echelon: Echelon, slack: Sequence[int], before=None
-) -> Echelon:
-    """``echelon`` extended by the B-rows with zero slack, or, given a
-    direction's image for ``slack``, by the rows it keeps at zero; given
-    the slack ``before`` a move that keeps active rows active, only by the
-    rows the move made active.  The rows are those of ``P._b_image``, so
-    they are not converted again."""
-    rows = P._b_image.rows
-    new = (rows[j] for j, s in enumerate(slack) if s == 0 and (before is None or before[j]))
-    return _extend_rows(new, *echelon)
+def _a_block(P: Polyhedron) -> list[list[int]]:
+    """The block of A's kernel, as ``ratlin._cut`` takes it: each vector v
+    of the kernel basis of ``P._a_echelon`` followed by v's image under B."""
+    return [list(v) + _image(P._b_image, v) for v in _echelon_kernel(*P._a_echelon, P.n)]
+
+
+def _tighten(
+    block: list[list[int]], n: int, slack: Sequence[int], before=None
+) -> list[list[int]]:
+    """``block`` cut by each B-row with zero slack, or, given the slack
+    ``before`` a move that keeps tight rows tight, by each row the move
+    made tight; a row 0 in every column is in the span already."""
+    for i, s in enumerate(slack):
+        if s == 0 and (before is None or before[i]) and any(col[n + i] for col in block):
+            block = _cut(block, n + i)
+    return block
 
 
 def _ratio_test(slack: Sequence[int], image: Sequence[int]) -> Optional[int]:
@@ -406,7 +412,7 @@ def _walk(
     X: Sequence[int],
     S: Sequence[int],
     D: int,
-    echelon: Echelon,
+    block: list[list[int]],
 ) -> Iterator[tuple[list[int], list[int], int, tuple[int, ...]]]:
     """The active-set walk from X/D: each move makes one more row tight.
 
@@ -414,30 +420,31 @@ def _walk(
     the cone {u : Au = 0, sigma_i q_i.u <= 0 for every row i}, with sigma
     the row signs ``signs`` (each 1 or -1).  (X, S, D) is the start in the
     int form of ``_slack`` (on the cone, S_i = -sigma_i q_i.X; D is carried
-    there, but only the direction of X is read), and ``echelon`` is that
-    of A stacked on the B-rows tight at the start.  A move takes the first
-    kernel vector w of the echelon, an int tuple, or its negation when only
-    the negation is bounded, goes as far as ``_ratio_test`` allows by
-    ``_move``, and extends the echelon by the rows the move made tight.  On
-    the cone the kernel vector along X itself is passed over, since it
-    leads to 0.  The walk ends at a trivial kernel (a vertex), or on the
-    cone when only X's own ray is left (an extreme ray).  Each move raises
-    the rank of the echelon, so there are at most n.  Yields (X, S, D, w)
-    after each move; a caller that stops early saves the extension of the
-    echelon.  P is pointed, as every Polyhedron is, so neither region holds
+    there, but only the direction of X is read), and ``block`` is that of
+    the kernel of A stacked on the B-rows tight at the start (``_tighten``).
+    A move reads the first column as w, an int tuple with its first nonzero
+    positive, and w's image, or their negation when only the negation is
+    bounded, goes as far as ``_ratio_test`` allows by ``_move``, and cuts
+    the block by the rows the move made tight.  On the cone the column
+    along X itself is passed over, since it leads to 0.  The walk ends at
+    an empty block (a vertex), or on the cone when only X's own ray is left
+    (an extreme ray).  Each move cuts a column, so there are at most n.
+    Yields (X, S, D, w) after each move; a caller that stops early saves
+    the cut.  P is pointed, as every Polyhedron is, so neither region holds
     a line and every kernel vector is bounded one way.
     """
-    cone = signs is not None
-    for moves in range(P.n + 1):
-        ker = _echelon_kernel(*echelon, P.n)
-        if len(ker) == (1 if cone else 0):
+    cone, n = signs is not None, P.n
+    for moves in range(n + 1):
+        if len(block) == (1 if cone else 0):
             return
-        if moves == P.n:  # pragma: no cover - each move raises the rank
+        if moves == n:  # pragma: no cover - each move cuts a column
             raise AssertionError("the active-set walk exceeded n moves")
-        w = ker[0]
-        if cone and sign_normalized(_primitive(X)) == w:
-            w = ker[1]
-        image = _image(P._b_image, w)
+        col = block[0]
+        if cone and sign_normalized(_primitive(X)) == sign_normalized(col[:n]):
+            col = block[1]
+        if next(a for a in col if a) < 0:
+            col = [-a for a in col]
+        w, image = tuple(col[:n]), col[n:]
         if cone:
             image = [a if s > 0 else -a for a, s in zip(image, signs)]
         j = _ratio_test(S, image)
@@ -449,7 +456,7 @@ def _walk(
         before = S
         X, S, D = _move(X, S, D, w, image, j)
         yield X, S, D, w
-        echelon = _extend_active(P, echelon, S, before)
+        block = _tighten(block, n, S, before)
 
 
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:

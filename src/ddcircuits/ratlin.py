@@ -13,9 +13,9 @@ and no tolerance parameter exists.
 echelon; ``_combine`` is its one row update, which ``_extend`` and the
 simplex's phase-2 cost row also use where only one row is nonzero in the
 pivot column.  Rank, kernels, each polyhedron's echelon of A (reduced
-once) and the circuit test and the active-set walk that extend it all go
-through ``_extend``; ``_echelon`` folds it over rational rows and
-``_extend_rows`` over rows that are primitive integer rows already.  The
+once) and the circuit test that extends it all go through ``_extend``;
+``_echelon`` folds it over rational rows and ``_extend_rows`` over rows
+that are primitive integer rows already.  The
 step works fraction-free on primitive integer rows (lists of ints with
 gcd 1, each standing for any of its positive multiples;
 ``coprime_integer_entries`` makes them): the other rows become
@@ -23,7 +23,10 @@ gcd 1, each standing for any of its positive multiples;
 (Math. Comp. 1968) and Edmonds (1967).  Each row stays a positive
 multiple of the row the unit-pivot Fraction step would give, so every
 zero pattern and every sign, and hence every pivot choice, is the one
-that step makes.  Results are read out as ``Fraction``s only at the end.
+that step makes.  ``_cut`` is the same step on the columns of a kernel
+basis, which it restricts by one row: the circuit scan's flats and the
+active-set walk's kernels go through it.  Results are read out as
+``Fraction``s only at the end.
 The systems the package solves (incidence matrices, B = [I; -I], tableaux
 of slack columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
@@ -290,6 +293,33 @@ def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Opti
     rows = rows + [list(new)]
     _pivot(rows, len(leads), lead)
     return rows, leads + [lead]
+
+
+def _cut(block: list[list[int]], r: int) -> list[list[int]]:
+    """The block of a kernel restricted by one more row: the columns, as
+    combinations of ``block``'s, that vanish in entry r.
+
+    A block is a kernel basis as int columns, each followed by its products
+    with fixed primitive rows, entry r among them.  The first column s with
+    a nonzero entry p there is removed, and every later column with entry
+    f != 0 becomes p*col - f*col_s over its content.  Column s is that of
+    the new row's lead, so the reduced kernel basis of an echelon, in the
+    order of its free columns, stays one up to a nonzero factor per column.
+    Columns are never changed in place, so blocks may share them.
+    """
+    s = next(t for t, col in enumerate(block) if col[r])
+    pivot = block[s]
+    p = pivot[r]
+    out = block[:s]
+    for col in block[s + 1 :]:
+        f = col[r]
+        if f:
+            col = [p * a - f * b for a, b in zip(col, pivot)]
+            g = gcd(*col)
+            if g > 1:
+                col = [a // g for a in col]
+        out.append(col)
+    return out
 
 
 def _echelon(vecs: Iterable[Sequence[Rat]], rows=(), leads=()) -> Echelon:

@@ -16,14 +16,17 @@ mode is the plain loop over that mode's public single step, which checks
 each iterate, prepares its rule afresh (the LP in approx mode, the
 circuit list in exact mode) and moves the point with RatVec arithmetic.
 The
-dense elimination step and product form every term, zeros included; they
-are the references for the zero-skipping, fraction-free versions in
-``ratlin``.  The Fraction ratio test, walk and conformal terms are the
-references for the int forms in ``polyhedron`` and ``conformal``: they
-carry every point, slack and step length as Fractions, and take the slack
-d - Bx and the image Bw with the rational B, not in row units.  The
-incidence matrix of a digraph is read from its arc list, and the tangent
-cone of ``verify_unique`` is built from the rational views of A and B.
+dense elimination step, column step and product form every term, zeros
+included; they are the references for the zero-skipping, fraction-free
+versions in ``ratlin``.  The Fraction ratio test, walk and conformal
+terms are the references for the int forms in ``polyhedron`` and
+``conformal``: they carry every point, slack and step length as
+Fractions, take the slack d - Bx and the image Bw with the rational B,
+not in row units, and read each kernel from ``kernel_basis`` of the
+rational rows of A and of the tight rows of B, not from the walk's
+column steps.  The incidence matrix of a digraph is read from its arc
+list, and the tangent cone of ``verify_unique`` is built from the
+rational views of A and B.
 """
 
 from fractions import Fraction
@@ -50,12 +53,11 @@ from ddcircuits import (
 )
 from ddcircuits.circuits import Circuit
 from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
-from ddcircuits.polyhedron import _extend_active
 from ddcircuits.ratlin import (
     RatMat,
-    _echelon_kernel,
     _pivot,
     coprime_integer_entries,
+    kernel_basis,
     sign_normalized,
 )
 
@@ -364,6 +366,15 @@ def dense_pivot(rows, r: int, col: int) -> None:
             rows[i] = [a - f * b for a, b in zip(row, pr)]
 
 
+def dense_cut(block, r: int) -> list:
+    """``ratlin._cut`` by the unit-pivot Fraction column step: the first
+    column with a nonzero entry in row r is divided by that entry, and
+    every other column col becomes col - col[r] * that column, zeros too."""
+    s = next(t for t, col in enumerate(block) if col[r])
+    pivot = [Fraction(a) / block[s][r] for a in block[s]]
+    return [[a - col[r] * b for a, b in zip(col, pivot)] for t, col in enumerate(block) if t != s]
+
+
 def positive_multiple(row, ref) -> bool:
     """Is ``row`` ``ref`` times a positive rational (both may be zero)?
     This is how an integer row of the fraction-free step stands for the
@@ -392,20 +403,21 @@ def _signed(signs, values):
     return list(values) if signs is None else [s * e for s, e in zip(signs, values)]
 
 
-def fraction_walk(P: Polyhedron, signs, x: RatVec, echelon):
+def fraction_walk(P: Polyhedron, signs, x: RatVec):
     """``polyhedron._walk`` on Fractions: yields (x, w) after each move.
 
     The slack of x is d - Bx on P and -sigma_i (Bx)_i on the cone of the
     row signs sigma, and the image of w is B w (signed on the cone), all
     with the rational B; each move goes the ``fraction_step_length`` of
-    them.  The kernel vectors come from the same echelon, which gains the
-    rows each move made tight.
+    them.  The kernel vectors at each point are ``kernel_basis`` of A
+    stacked on the rows of B with zero slack there, as rational rows.
     """
     cone = signs is not None
     bx = P.B.matvec(x)
     slack = [-e for e in _signed(signs, bx)] if cone else list(P.d - bx)
     for moves in range(P.n + 1):
-        ker = _echelon_kernel(*echelon, P.n)
+        tight = [row for row, s in zip(P.B.entries, slack) if s == 0]
+        ker = [v.entries for v in kernel_basis(RatMat(P.A.entries + tuple(tight), cols=P.n))]
         if len(ker) == (1 if cone else 0):
             return
         assert moves < P.n, "the reference walk exceeded n moves"
@@ -418,9 +430,8 @@ def fraction_walk(P: Polyhedron, signs, x: RatVec, echelon):
             w, image = tuple(-a for a in w), [-a for a in image]
             t = fraction_step_length(slack, image)
         x = x + t * RatVec(w)
-        before, slack = slack, [s - t * a for s, a in zip(slack, image)]
+        slack = [s - t * a for s, a in zip(slack, image)]
         yield x, w
-        echelon = _extend_active(P, echelon, slack, before)
 
 
 def fraction_terms(P: Polyhedron, z: RatVec) -> list:
@@ -431,17 +442,16 @@ def fraction_terms(P: Polyhedron, z: RatVec) -> list:
     bz = P.B.matvec(z)
     signs = [-1 if e < 0 else 1 for e in bz]
     u_res, slack = -z, [abs(e) for e in bz]
-    echelon, before, terms = P._a_echelon, None, []
+    terms = []
     while not u_res.is_zero():
-        echelon = _extend_active(P, echelon, slack, before)
         u = u_res
-        for u, _ in fraction_walk(P, signs, u, echelon):
+        for u, _ in fraction_walk(P, signs, u):
             pass
         g = -Circuit(coprime_integer_entries(u.entries))
         sg = _signed(signs, P.B.matvec(g.vec))
         alpha = fraction_step_length(slack, sg)
         u_res = u_res + alpha * g.vec
-        before, slack = slack, [s - alpha * a for s, a in zip(slack, sg)]
+        slack = [s - alpha * a for s, a in zip(slack, sg)]
         terms.append((alpha, g))
     return terms
 

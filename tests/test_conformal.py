@@ -7,7 +7,7 @@ import pytest
 
 import ddcircuits.circuits
 import ddcircuits.conformal
-import ddcircuits.ratlin
+import ddcircuits.polyhedron
 from ddcircuits import (
     Circuit,
     ConformalSum,
@@ -23,6 +23,7 @@ from ddcircuits import (
     verify_conformal,
 )
 from ddcircuits.conformal import _terms, format_conformal
+from ddcircuits.polyhedron import _a_block
 from ddcircuits.ratlin import _int_vector, kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
@@ -217,35 +218,35 @@ def test_decompositions_pinned():
 
 def test_terms_match_the_fraction_reference():
     for P, s in _pinned_sums():
-        assert list(_terms(P, _int_vector(s.target))) == fraction_terms(P, s.target)
+        assert list(_terms(P, _int_vector(s.target), _a_block(P))) == fraction_terms(P, s.target)
 
 
 def test_decompose_sorts_the_walk_order_terms():
     for P, s in _pinned_sums():
-        terms = _terms(P, _int_vector(s.target))
+        terms = _terms(P, _int_vector(s.target), _a_block(P))
         assert s.terms == tuple(sorted(terms, key=lambda term: term[1].entries))
 
 
-# The echelon builder calls made by the 40 polytope decompositions of
-# ``_pinned_sums``.  Each decomposition keeps the echelon of the residual's
-# active rows across terms and extends it only by the rows a term made
-# active, so no walk adds a row an earlier term had added.
-DECOMPOSE_EXTEND_CALLS = 237
+# The column steps made by the 40 polytope decompositions of
+# ``_pinned_sums``.  Each decomposition keeps the block of the residual's
+# active rows across terms and cuts it only by the rows a term made
+# active, so no walk cuts a row an earlier term had cut.
+DECOMPOSE_CUT_CALLS = 154
 
 
-def test_decompose_extends_each_row_once(monkeypatch):
+def test_decompose_cuts_each_row_once(monkeypatch):
     rng = random.Random(1)
     cases = []
     for _ in range(40):
         P, c, x0 = dense_polytope(rng)
         cases.append((P, solve_lp(P, c).vertex - x0))
-    real = ddcircuits.ratlin._extend
+    real = ddcircuits.polyhedron._cut
     calls = []
 
-    def counting(rows, leads, vec):
-        calls.append(vec)
-        return real(rows, leads, vec)
+    def counting(block, r):
+        calls.append(r)
+        return real(block, r)
 
-    monkeypatch.setattr(ddcircuits.ratlin, "_extend", counting)
+    monkeypatch.setattr(ddcircuits.polyhedron, "_cut", counting)
     assert sum(len(decompose(P, z).terms) for P, z in cases) == 104
-    assert len(calls) == DECOMPOSE_EXTEND_CALLS
+    assert len(calls) == DECOMPOSE_CUT_CALLS

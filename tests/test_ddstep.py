@@ -29,7 +29,7 @@ from ddcircuits import (
     verify_unique,
 )
 from ddcircuits.conformal import _terms
-from ddcircuits.polyhedron import UNBOUNDED, _slack
+from ddcircuits.polyhedron import UNBOUNDED, _a_block, _slack
 from ddcircuits.ratlin import RatMat, _int_vector, rank
 
 from instgen import dense_polytope, gen_box, gen_circulation, mixed_instances
@@ -156,8 +156,8 @@ def _full_rule(P, c, x, optimum):
 def _recording(walked):
     """A stand-in for ``_terms`` that appends each term it yields to walked."""
 
-    def recording(P, zint):
-        for term in _terms(P, zint):
+    def recording(P, zint, block):
+        for term in _terms(P, zint, block):
             walked.append(term)
             yield term
 
@@ -170,7 +170,7 @@ def _walked_terms(P, c, x, optimum):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ddcircuits.ddstep, "_terms", _recording(walked))
         res, _ = ddcircuits.ddstep._approx_step(
-            P, _int_vector(c), _slack(P, x), _int_vector(optimum.vertex)
+            P, _int_vector(c), _slack(P, x), _int_vector(optimum.vertex), _a_block(P)
         )
     return res, walked
 
@@ -182,7 +182,7 @@ def _check_early_stop(P, c, x, optimum):
     if z.is_zero():
         assert walked == []
         return res
-    every = list(_terms(P, _int_vector(z)))
+    every = list(_terms(P, _int_vector(z), _a_block(P)))
     assert walked == every[: len(walked)]
 
     def key(term):

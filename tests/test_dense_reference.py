@@ -12,11 +12,15 @@ before A was reduced once per polyhedron and the active-set walks began to
 extend their echelon, and the pivot log (row, column, pivot row divided by
 its pivot entry) to its pin, under the full uniqueness check; the default
 path, which trusts the tableau's reduced costs where they prove the
-optimum unique, has its own pin.  The enumeration walks flats in kernel
-coordinates and makes no elimination step, so the pivot logs hold the
-LP, uniqueness and decomposition steps alone.  Its work budget counts the
-flats it visits, pinned as the exact budgets below, which equal the
-brute-force count of ``oracles.ppc_flat_count``.
+optimum unique, has its own pin.  The enumeration and the active-set
+walks hold kernels as blocks of columns and restrict them by the column
+step ``ratlin._cut``, not by an elimination step, so the pivot logs hold
+the simplex's steps and the echelons each polyhedron is built with.
+Each column step is checked against the Fraction column step of
+``oracles`` on the same block, and their number is pinned.  The
+enumeration's work budget counts the flats it visits, pinned as the
+exact budgets below, which equal the brute-force count of
+``oracles.ppc_flat_count``.
 
 Re-derive the pins, for an intended change of the pivot log or of what a
 budget unit counts only, and say which moved and why; the results digest
@@ -35,6 +39,7 @@ import pytest
 
 import ddcircuits.circuits
 import ddcircuits.lp
+import ddcircuits.polyhedron
 import ddcircuits.ratlin
 from ddcircuits import (
     Digraph,
@@ -51,10 +56,12 @@ from ddcircuits import (
 from ddcircuits.ratlin import kernel_basis, sign_normalized
 
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
-from oracles import dense_pivot, positive_multiple, ppc_flat_count
+from oracles import dense_cut, dense_pivot, positive_multiple, ppc_flat_count
 
 PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp)
 INTEGER_PIVOT = ddcircuits.ratlin._pivot
+CUTTING_MODULES = (ddcircuits.circuits, ddcircuits.polyhedron)
+INTEGER_CUT = ddcircuits.ratlin._cut
 
 
 def _instances():
@@ -90,9 +97,12 @@ def _results(P, c, x0, full_check):
 
 
 def _run_checked(monkeypatch, full_check):
-    """Results and pivot log, with every step checked against the dense
-    Fraction step on the same rows."""
-    log = []
+    """Results, pivot log and the number of column steps, with every
+    elimination step checked against the dense Fraction step on the same
+    rows, and every column step against the Fraction column step on the
+    same block: a column the step rewrites is the Fraction column times a
+    factor with the sign of the pivot entry, and any other is unchanged."""
+    log, cuts = [], []
 
     def checked(rows, r, col):
         dense = [[Fraction(a) for a in row] for row in rows]
@@ -102,9 +112,24 @@ def _run_checked(monkeypatch, full_check):
         p = rows[r][col]
         log.append((r, col, tuple(Fraction(a) / p for a in rows[r])))
 
+    def checked_cut(block, r):
+        dense = dense_cut(block, r)
+        s = next(t for t, col in enumerate(block) if col[r])
+        p = block[s][r]
+        signs = [-1 if p < 0 and col[r] else 1 for t, col in enumerate(block) if t != s]
+        out = INTEGER_CUT(block, r)
+        assert len(out) == len(dense)
+        for col, ref, sign in zip(out, dense, signs):
+            assert positive_multiple(col, [sign * a for a in ref])
+        cuts.append(r)
+        return out
+
     for module in PIVOTING_MODULES:
         monkeypatch.setattr(module, "_pivot", checked)
-    return [_results(P, c, x0, full_check) for P, c, x0 in _instances()], log
+    for module in CUTTING_MODULES:
+        monkeypatch.setattr(module, "_cut", checked_cut)
+    results = [_results(P, c, x0, full_check) for P, c, x0 in _instances()]
+    return results, log, len(cuts)
 
 
 # sha256 over the repr of the results on ``_instances()``, recorded before
@@ -126,14 +151,23 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # when ``solve_lp`` began with the bound reading, whose tableau reads the
 # +-e_j rows of B as bounds and has fewer rows and columns: the log holds
 # its pivots, and the split reading's only where the bound reading leaves
-# the optimum open or finds none.
-ECHELON_PIVOTS = 521
-PIVOT_LOG_DIGEST = "a247b34b18e13c2fc7084e795f65c800995ce9ab2d65c450ce1a309b4cc6cccb"
+# the optimum open or finds none.  Re-recorded when the active-set walks
+# began to hold their kernel as a block and cut it by ``ratlin._cut``: the
+# log no longer holds a pivot per row a walk or a decomposition extends
+# its echelon by.
+ECHELON_PIVOTS = 429
+PIVOT_LOG_DIGEST = "7ede343add3a50361fda79e11e799c94ca92a645d5f9b2a35f73d1fd384a4967"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 315
-SHORTCUT_LOG_DIGEST = "6683ba9a78b4f17a8bb8ce3d9363b3eae1b658a0d8eb1676175e919106f00729"
+SHORTCUT_PIVOTS = 256
+SHORTCUT_LOG_DIGEST = "8c1c4e9b193a89b3e44ebc3f18dbc63d826ed7542dc095a3ddc9a739dd73b695"
+
+# The column steps (``ratlin._cut``) the circuit scan and the walks make,
+# each checked against the Fraction column step, under the full check and
+# on the default path.
+COLUMN_STEPS = 163
+SHORTCUT_COLUMN_STEPS = 130
 
 
 def _digest(value) -> str:
@@ -141,17 +175,19 @@ def _digest(value) -> str:
 
 
 def test_same_results_and_pivot_log_as_fraction_step(monkeypatch):
-    results, log = _run_checked(monkeypatch, full_check=True)
+    results, log, cuts = _run_checked(monkeypatch, full_check=True)
     assert _digest(results) == RESULTS_DIGEST
     assert len(log) == ECHELON_PIVOTS
     assert _digest(log) == PIVOT_LOG_DIGEST
+    assert cuts == COLUMN_STEPS
 
 
 def test_shortcut_keeps_results_and_drops_pivots(monkeypatch):
-    results, log = _run_checked(monkeypatch, full_check=False)
+    results, log, cuts = _run_checked(monkeypatch, full_check=False)
     assert _digest(results) == RESULTS_DIGEST
     assert len(log) == SHORTCUT_PIVOTS
     assert _digest(log) == SHORTCUT_LOG_DIGEST
+    assert cuts == SHORTCUT_COLUMN_STEPS
 
 
 def _enumeration_systems():
@@ -226,12 +262,13 @@ if __name__ == "__main__":
     systems = _enumeration_systems()
     budgets = ", ".join(f'"{name}": {_exact_budget(P)}' for name, P in systems.items())
     print(f"EXACT_BUDGETS = {{{budgets}}}")
-    for full_check, count, digest in (
-        (True, "ECHELON_PIVOTS", "PIVOT_LOG_DIGEST"),
-        (False, "SHORTCUT_PIVOTS", "SHORTCUT_LOG_DIGEST"),
+    for full_check, count, digest, steps in (
+        (True, "ECHELON_PIVOTS", "PIVOT_LOG_DIGEST", "COLUMN_STEPS"),
+        (False, "SHORTCUT_PIVOTS", "SHORTCUT_LOG_DIGEST", "SHORTCUT_COLUMN_STEPS"),
     ):
         with pytest.MonkeyPatch.context() as patch:
-            results, log = _run_checked(patch, full_check)
+            results, log, cuts = _run_checked(patch, full_check)
         print(f'RESULTS_DIGEST = "{_digest(results)}"')
         print(f"{count} = {len(log)}")
         print(f'{digest} = "{_digest(log)}"')
+        print(f"{steps} = {cuts}")

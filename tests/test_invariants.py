@@ -19,8 +19,10 @@ Elimination has one home: only ``ratlin`` and the simplex in ``lp`` use
 the elimination step, only ``ratlin`` the echelon builder, and every other
 module extends an echelon with the folds ``ratlin._echelon`` and
 ``ratlin._extend_rows`` instead of stacking matrices for ``kernel_basis``.
-Only the circuit scan and the active-set walk in ``polyhedron`` read a
-kernel from an echelon, so ``lp`` and ``conformal`` walk through it.
+Only ``polyhedron`` reads a kernel from an echelon, as the block of A's
+kernel where the circuit scan and the active-set walk start, and only
+those two cut a block with ``ratlin._cut``, so ``lp`` and ``conformal``
+go through the walk.
 Maximal steps have one home too: besides ``polyhedron``, only the circuit
 scan in ``ddstep`` and the decomposition in ``conformal`` run the ratio
 test, and only ``conformal`` moves an int point by hand; ``lp`` steps
@@ -70,17 +72,20 @@ INTEGER_KERNEL = {
         "_echelon",
         "_extend_rows",
         "_echelon_kernel",
+        "_cut",
         "_rat_pair",
         "_primitive",
     ),
     "lp.py": ("_flip", "_bland", "_simplex"),
-    "circuits.py": ("_cut", "_children", "enumerate_circuits"),
+    "circuits.py": ("_children", "enumerate_circuits"),
     "polyhedron.py": (
         "_image",
         "_slack",
         "_ratio_test",
         "_move",
         "_advance",
+        "_a_block",
+        "_tighten",
         "_walk",
         "_parse_row",
         "_int_row",
@@ -100,14 +105,16 @@ RATIONAL_TYPES = {"Fraction", "Rat", "RatVec", "Point"}
 RATIONAL_METHODS = {"dot", "matvec", "vec", "is_zero"}
 
 # The modules allowed to refer to each elimination entry point.  The
-# circuit scan walks flats in kernel coordinates, and reads only the kernel
-# of A from an echelon.
+# circuit scan walks flats in kernel coordinates, from the block of A's
+# kernel that ``polyhedron`` reads from its echelon; it and the active-set
+# walk restrict a block by the column step ``_cut``.
 ELIMINATION_HOMES = {
     "_pivot": {"ratlin.py", "lp.py"},
     "_combine": {"ratlin.py", "lp.py"},
     "_extend": {"ratlin.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
-    "_echelon_kernel": {"ratlin.py", "circuits.py", "polyhedron.py"},
+    "_echelon_kernel": {"ratlin.py", "polyhedron.py"},
+    "_cut": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
 
 # The modules allowed to refer to each helper of a maximal step.
@@ -583,7 +590,10 @@ def test_checker_flags_misplaced_elimination():
         "ratlin.py": "def _pivot(rows, r, col):\n    pass\ndef kernel_basis(M):\n    pass\n",
         "lp.py": "from .ratlin import _pivot\nfrom . import ratlin\nratlin._extend([], [], ())\n",
         "circuits.py": "from .ratlin import _echelon, _extend\n",
-        "conformal.py": "from .ratlin import kernel_basis as kb\nker = ratlin._echelon_kernel\n",
+        "conformal.py": (
+            "from .ratlin import kernel_basis as kb\nker = ratlin._echelon_kernel\n"
+            "block = ratlin._cut(block, 3)\n"
+        ),
         "__init__.py": "from .ratlin import kernel_basis\n",
         "polyhedron.py": "from .ratlin import _echelon_kernel\ndef f(_pivot):\n    return _pivot\n",
     }
@@ -592,6 +602,7 @@ def test_checker_flags_misplaced_elimination():
         "circuits.py:_extend",
         "conformal.py:kernel_basis",
         "conformal.py:_echelon_kernel",
+        "conformal.py:_cut",
         "polyhedron.py:_pivot",
     ]
 

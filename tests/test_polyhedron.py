@@ -25,12 +25,13 @@ from ddcircuits import (
 )
 from ddcircuits.conformal import _terms
 from ddcircuits.polyhedron import (
+    _a_block,
     _active,
-    _extend_active,
     _image,
     _point,
     _ratio_test,
     _slack,
+    _tighten,
     _walk,
 )
 from ddcircuits.ratlin import RatMat, _int_vector, coprime_integer_entries, kernel_basis
@@ -289,9 +290,9 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     )
     P = Polyhedron(P.A, P.b, P.B, d)
     X, S, D = _slack(P, x)
-    echelon = _extend_active(P, P._a_echelon, S)
-    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, None, X, S, D, echelon)]
-    assert walk == list(fraction_walk(P, None, x, echelon))
+    block = _tighten(_a_block(P), P.n, S)
+    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, None, X, S, D, block)]
+    assert walk == list(fraction_walk(P, None, x))
 
     ker = kernel_basis(P.A)
     if not ker:
@@ -305,10 +306,10 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     bz = _image(P._b_image, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
     S = [abs(e) for e in bz]
-    echelon = _extend_active(P, P._a_echelon, S)
-    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, signs, [-e for e in Z], S, D, echelon)]
-    assert walk == list(fraction_walk(P, signs, -z, echelon))
-    assert list(_terms(P, (Z, D))) == fraction_terms(P, z)
+    block = _tighten(_a_block(P), P.n, S)
+    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, signs, [-e for e in Z], S, D, block)]
+    assert walk == list(fraction_walk(P, signs, -z))
+    assert list(_terms(P, (Z, D), _a_block(P))) == fraction_terms(P, z)
 
 
 SQUARE_TEXT = """2 0 4

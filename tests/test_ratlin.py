@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -5,9 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from ddcircuits import Polyhedron
+from ddcircuits.polyhedron import _a_block, _image
 from ddcircuits.ratlin import (
     RatMat,
     RatVec,
+    _cut,
     _echelon,
     _echelon_kernel,
     _extend,
@@ -16,7 +20,10 @@ from ddcircuits.ratlin import (
     kernel_basis,
     parse_rat,
     rank,
+    sign_normalized,
 )
+
+from instgen import dense_polytope, dense_rational_system, gen_box, gen_circulation
 
 from oracles import (
     coprime,
@@ -256,6 +263,46 @@ def test_echelon_fold_is_the_canonical_form(M, data):
     assert _echelon_kernel(*echelon, M.n) == [v.entries for v in kernel_basis(M)]
     k = data.draw(st.integers(0, len(rows)))
     assert _echelon(rows[k:], *_echelon(rows[:k])) == echelon
+
+
+# Systems whose B has dense rational rows, the rows of a box, or those of a
+# circulation.
+_BLOCK_SYSTEMS = {
+    "dense": dense_rational_system,
+    "polytope": lambda rng: dense_polytope(rng)[0],
+    "box": lambda rng: gen_box(rng)[0],
+    "circulation": lambda rng: gen_circulation(rng)[0],
+}
+
+
+@given(st.sampled_from(sorted(_BLOCK_SYSTEMS)), st.integers(0, 2**32 - 1), st.data())
+def test_cut_keeps_the_kernel_basis(kind, seed, data):
+    # A's block cut by rows of B in any order, with a duplicate and the
+    # negation of a row e_j and a row dependent on two others added to B,
+    # is the kernel basis of A stacked on the rows cut so far: each column
+    # is a basis vector up to sign, primitive, followed by its image under
+    # B in row units; a row that is 0 in every column is in the span of
+    # those cut already and is passed over, and a trivial kernel gives an
+    # empty block
+    rng = random.Random(seed)
+    P = _BLOCK_SYSTEMS[kind](rng)
+    n, rows = P.n, [list(row) for row in P.B.entries]
+    e = [Fraction(int(k == rng.randrange(n))) for k in range(n)]
+    rows += [[2 * a for a in e], [-a for a in e], [a - 3 * b for a, b in zip(rows[0], rows[-1])]]
+    P = Polyhedron(P.A, P.b, RatMat(rows, cols=n), RatVec(list(P.d) + [0, 0, 0]))
+    order = data.draw(st.permutations(range(len(rows))))
+    block, cut = _a_block(P), []
+    for i in [None] + order[: data.draw(st.integers(0, len(rows)))]:
+        if i is not None:
+            cut.append(rows[i])
+            if any(col[n + i] for col in block):
+                block = _cut(block, n + i)
+        ker = kernel_basis(RatMat(list(P.A.entries) + cut, cols=n))
+        assert [sign_normalized(col[:n]) for col in block] == [v.entries for v in ker]
+        for col in block:
+            assert gcd(*col[:n]) == 1 and col[n:] == _image(P._b_image, col[:n])
+        if not ker:
+            assert block == []
 
 
 @given(st.lists(_rationals(), max_size=6))
