@@ -177,7 +177,7 @@ def enumerate_circuits(
     while stack:
         block, i = stack.pop()
         if i >= 0:
-            block = _cut(block, n + i)
+            block = _cut(block, n, n + i)
         d = len(block)
         # A child's kernel has d - 1 dimensions, so it needs d - 2 more
         # generators after its own to reach a circuit.

@@ -37,10 +37,14 @@ its vector.  Fractions are made only at the boundary: the step lengths
 and points the callers hand out.
 The module also owns the line-oriented instance file format (constraint
 system plus objective) and the one-line point format, both of which
-round-trip exactly, on one row parser, which reads each token as an int
-pair (p, q) in lowest terms; ``_read_text``, the one reader of
-input files; and ``_located``, which places any token reader's error at its
-line and column.
+round-trip exactly, on one row parser, which checks a line's grammar in
+one match and reads its rationals as ints over one denominator, so the
+instance's rows go to ``_build`` in one pass of ints; ``_read_text``, the
+one reader of input files; and ``_located``, which places any token
+reader's error at its line and column.
+Every Polyhedron is pointed.  Where the +-e_j rows of B bound every
+coordinate, as in boxes and circulations, that needs no elimination;
+other systems extend A's echelon by B's rows.
 """
 
 from __future__ import annotations
@@ -56,14 +60,14 @@ from .ratlin import (
     Rat,
     RatMat,
     RatVec,
+    _RAT_LINE_RE,
     _cut,
     _echelon_kernel,
     _extend_rows,
     _int_vector,
-    _primitive,
     _rat_pair,
+    _to_int,
     parse_count,
-    sign_normalized,
 )
 
 
@@ -101,10 +105,11 @@ class Polyhedron:
     integer image ``_a_image`` and B and d theirs, ``_b_image``, both built
     with the polyhedron by ``_image_of``; the simplex builds every tableau
     row from them.  ``_a_echelon`` is the echelon of A's primitive rows,
-    which the pointedness check extends by B's, and the circuit test by
-    rows of B.  The instance parser and the circulation reduction hand
-    over int rows (``_from_ints``), and the public constructor converts its
-    RatMat and RatVec arguments to the same rows.  The images are
+    which the pointedness check extends by B's where the bound rows of B
+    leave a coordinate unbounded, and the circuit test by rows of B.  The
+    instance parser and the circulation reduction hand over int rows
+    (``_from_ints``), and the public constructor converts its RatMat and
+    RatVec arguments to the same rows.  The images are
     canonical, so equality and hash compare them.  ``A``, ``b``, ``B`` and
     ``d`` are read-only views, built from the images on first read.
     """
@@ -135,15 +140,21 @@ class Polyhedron:
         """Set the int form, the one place it is set: n >= 1, the image of
         A's rows and b's entries, the echelon of its primitive rows, and the
         image of B's rows and d's entries; each row is (N_i, L_i) and each
-        entry (p_i, q_i), as ``_image_of`` takes them.  Pointedness is
-        checked on A's echelon extended by B's primitive rows, read only
-        until the rank is n.  The views are built on first read."""
+        entry (p_i, q_i), as ``_image_of`` takes them.  The views are built
+        on first read.
+
+        A row of B with one nonzero is +-e_j, a bound on x_j (the rows the
+        simplex's bound reading reads as bounds).  When such rows bound
+        every coordinate, rank [A; B] = n and the system is pointed with no
+        elimination; else pointedness is checked on A's echelon extended by
+        B's primitive rows, read only until the rank is n."""
         self.n = n
         self._a_image = _image_of(a_rows, b)
         self._a_echelon = _extend_rows(self._a_image.rows)
         self._b_image = _image_of(b_rows, d)
         self._A = self._b = self._B = self._d = None
-        if len(_extend_rows(self._b_image.rows, *self._a_echelon)[1]) < n:
+        bounded = {row[0][0] for row in self._b_image.nonzeros if len(row) == 1}
+        if len(bounded) < n and len(_extend_rows(self._b_image.rows, *self._a_echelon)[1]) < n:
             raise NotPointedError("the system contains a line (rank [A; B] < n)")
 
     @property
@@ -227,24 +238,29 @@ def _image_of(
     q_i = N_i / g_i and s_i = g_i / L_i, which is in lowest terms: each
     prime power of L_i is the whole denominator power of some entry, and
     that entry's N_j is then not a multiple of the prime.  The right-hand
-    side over s_i is p_i L_i / (q_i g_i), put in lowest terms by one gcd;
-    no Fraction is made.  A zero row stays a zero row, with s_i = 1.  Each
-    field is a function of the rational rows and right-hand sides, so two
-    systems are equal exactly when their images are.
+    side over s_i is p_i L_i / (q_i g_i), put in lowest terms by one gcd
+    unless q_i g_i = 1; no Fraction is made.  A zero row stays a zero row,
+    with s_i = 1.  A row's nonzeros are listed as its primitive row is
+    made.  Each field is a function of the rational rows and right-hand
+    sides, so two systems are equal exactly when their images are.
     """
-    prims, scales, nums, dens = [], [], [], []
+    prims, nonzeros, scales, nums, dens = [], [], [], [], []
     for (N, L), (p, q) in zip(rows, bounds):
         g = gcd(*N) or 1  # a zero row has L_i = 1, so s_i = 1
-        prims.append(tuple([a // g for a in N]) if g > 1 else tuple(N))
+        prim = tuple([a // g for a in N]) if g > 1 else tuple(N)
+        prims.append(prim)
+        nonzeros.append(tuple([(j, a) for j, a in enumerate(prim) if a]))
         scales.append((g, L))
         num, den = p * L, q * g
-        t = gcd(num, den)
-        nums.append(num // t)
-        dens.append(den // t)
+        if den != 1:
+            t = gcd(num, den)
+            num, den = num // t, den // t
+        nums.append(num)
+        dens.append(den)
     den = lcm(*dens)
     return _IntImage(
         tuple(prims),
-        tuple([tuple([(j, a) for j, a in enumerate(q) if a]) for q in prims]),
+        tuple(nonzeros),
         tuple([a * (den // e) for a, e in zip(nums, dens)]),
         den,
         tuple(scales),
@@ -351,7 +367,7 @@ def _tighten(
     made tight; a row 0 in every column is in the span already."""
     for i, s in enumerate(slack):
         if s == 0 and (before is None or before[i]) and any(col[n + i] for col in block):
-            block = _cut(block, n + i)
+            block = _cut(block, n, n + i)
     return block
 
 
@@ -440,8 +456,11 @@ def _walk(
         if moves == n:  # pragma: no cover - each move cuts a column
             raise AssertionError("the active-set walk exceeded n moves")
         col = block[0]
-        if cone and sign_normalized(_primitive(X)) == sign_normalized(col[:n]):
-            col = block[1]
+        if cone:  # is X parallel to col's vector, whose first nonzero is p?
+            k = next(j for j, a in enumerate(col) if a)
+            p, x = col[k], X[k]
+            if x and all(e * p == a * x for e, a in zip(X, col)):
+                col = block[1]
         if next(a for a in col if a) < 0:
             col = [-a for a in col]
         w, image = tuple(col[:n]), col[n:]
@@ -551,29 +570,41 @@ def _located(read, line_no: int, col: int, *args):
 
 
 def _parse_row(
-    line_no: int, line: str, count: Optional[int], what: str
-) -> list[tuple[int, int]]:
-    """The rationals on ``line`` as (p, q) pairs in lowest terms, q > 0:
-    exactly ``count`` of them, or any number when ``count`` is None.  The
-    one row parser of the instance and point formats."""
+    line_no: int, line: str, count: Optional[int], what: str, index: int = 0
+) -> tuple[list[int], int]:
+    """The rationals on ``line`` as ints N over their least common
+    denominator L > 0, (N, L): exactly ``count`` of them, or any number
+    when ``count`` is None.  The one row parser of the instance and point
+    formats.
+
+    One match checks the grammar of the whole line; a token without "/" is
+    then read as an int and only a ``p/q`` token by ``_rat_pair``.  On any
+    error the tokens are read again one by one, each by ``_rat_pair``, so
+    the first bad one is placed at its line and column (``_located``).  The
+    row is named, as ``what.format(index)``, only in an error."""
     toks = line.split()  # the tokens of _tokens, without their columns
     if count is not None and len(toks) != count:
         raise ParseError(
-            f"expected {count} rationals for {what}, found {len(toks)}",
+            f"expected {count} rationals for {what.format(index)}, found {len(toks)}",
             line_no,
             len(line) + 1 if len(toks) < count else _tokens(line)[count][0],
         )
     try:
-        return [_rat_pair(tok) for tok in toks]
+        if not _RAT_LINE_RE.fullmatch(line):
+            raise ValueError
+        if "/" not in line:
+            return list(map(_to_int, toks)), 1
+        nums, dens = [], []
+        for tok in toks:
+            p, q = _rat_pair(tok) if "/" in tok else (_to_int(tok), 1)
+            nums.append(p)
+            dens.append(q)
+        L = lcm(*dens)
+        return [p * (L // q) for p, q in zip(nums, dens)], L
     except ValueError:  # again with the columns, to place the error
-        return [_located(_rat_pair, line_no, col, tok) for col, tok in _tokens(line)]
-
-
-def _int_row(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """The rationals p/q of ``pairs`` as ints over their least common
-    denominator: ``ratlin._int_vector`` for parsed pairs."""
-    den = lcm(*[q for _, q in pairs])
-    return [p * (den // q) for p, q in pairs], den
+        for col, tok in _tokens(line):
+            _located(_rat_pair, line_no, col, tok)
+        raise AssertionError("a bad line with no bad token")  # pragma: no cover
 
 
 def _parse_header(line_no: int, line: str, fields: str) -> tuple[int, ...]:
@@ -611,16 +642,16 @@ def parse_instance_text(text: str) -> Instance:
             line_no, line = next(rest, (end, None))
             if line is None:
                 raise ParseError(f"unexpected end of file, expected {name.format(i)}", end, 1)
-            rows.append(_parse_row(line_no, line, width, name.format(i)))
+            rows.append(_parse_row(line_no, line, width, name, i))
         data.append(rows)
     extra = next(rest, None)
     if extra is not None:
         raise ParseError("unexpected extra line after the objective", extra[0], 1)
 
-    A, b, B, d, (c,) = data
-    a_rows, b_rows = ([_int_row(row) for row in M] for M in (A, B))
-    P = Polyhedron._from_ints(n, a_rows, sum(b, []), b_rows, sum(d, []))
-    return Instance(P, RatVec([Fraction(p, q) for p, q in c]))
+    a_rows, b, b_rows, d, ((c, den),) = data
+    b, d = ([(e, L) for N, L in v for e in N] for v in (b, d))
+    P = Polyhedron._from_ints(n, a_rows, b, b_rows, d)
+    return Instance(P, RatVec([Fraction(e, den) for e in c]))
 
 
 def load_instance(path) -> Instance:
@@ -642,7 +673,8 @@ def parse_point_text(text: str, *, expected_dim: Optional[int] = None) -> RatVec
     lines = _data_lines(text, "point")
     if len(lines) > 1:
         raise ParseError("unexpected extra line after the point", lines[1][0], 1)
-    return RatVec([Fraction(p, q) for p, q in _parse_row(*lines[0], expected_dim, "a point")])
+    N, L = _parse_row(*lines[0], expected_dim, "a point")
+    return RatVec([Fraction(e, L) for e in N])
 
 
 def format_point(x: RatVec) -> str:

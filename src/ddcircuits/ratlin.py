@@ -34,9 +34,11 @@ incidence matrices are totally unimodular, so their integer rows stay
 small.  ``RatMat.matvec`` serves the checkers in ``certify``: the hot
 products with A and B go through each polyhedron's integer images of A
 and B (``polyhedron._image``, and ``_solves_a`` for Ax = b).  The module
-also owns the token grammar of every input, ``_to_int``, the one
-conversion of text to an int, and ``_rat_pair``, the one reader of a
-rational token, which gives it as an int pair in lowest terms.
+also owns the token grammar of every input, and of a line of rationals,
+``_to_int``, the one conversion of text to an int, and ``_rat_pair``, the
+one reader of a rational token with its own grammar check, which gives it
+as an int pair in lowest terms: the instance row reader takes it for
+``p/q`` tokens and, token by token, to place an error.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ Echelon = tuple[list[list[int]], list[int]]
 _COUNT_RE = re.compile(r"[0-9]+")
 _INT_RE = re.compile(r"-?[0-9]+")
 _RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# A line of such rationals, parted by whitespace as ``str.split`` parts it.
+_RAT_LINE_RE = re.compile(rf"\s*{_RAT_RE.pattern}(?:\s+{_RAT_RE.pattern})*\s*")
 
 
 def _to_int(digits: str) -> int:
@@ -295,16 +299,18 @@ def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Opti
     return rows, leads + [lead]
 
 
-def _cut(block: list[list[int]], r: int) -> list[list[int]]:
+def _cut(block: list[list[int]], n: int, r: int) -> list[list[int]]:
     """The block of a kernel restricted by one more row: the columns, as
     combinations of ``block``'s, that vanish in entry r.
 
-    A block is a kernel basis as int columns, each followed by its products
-    with fixed primitive rows, entry r among them.  The first column s with
-    a nonzero entry p there is removed, and every later column with entry
-    f != 0 becomes p*col - f*col_s over its content.  Column s is that of
-    the new row's lead, so the reduced kernel basis of an echelon, in the
-    order of its free columns, stays one up to a nonzero factor per column.
+    A block is a kernel basis as int columns of n entries, each followed by
+    its products with fixed primitive rows, entry r among them.  The first
+    column s with a nonzero entry p there is removed, and every later
+    column with entry f != 0 becomes p*col - f*col_s over its content, the
+    gcd of its first n entries: the products are integer combinations of
+    those, so they share every divisor of them.  Column s is that of the
+    new row's lead, so the reduced kernel basis of an echelon, in the order
+    of its free columns, stays one up to a nonzero factor per column.
     Columns are never changed in place, so blocks may share them.
     """
     s = next(t for t, col in enumerate(block) if col[r])
@@ -315,7 +321,7 @@ def _cut(block: list[list[int]], r: int) -> list[list[int]]:
         f = col[r]
         if f:
             col = [p * a - f * b for a, b in zip(col, pivot)]
-            g = gcd(*col)
+            g = gcd(*col[:n])
             if g > 1:
                 col = [a // g for a in col]
         out.append(col)

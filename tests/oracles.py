@@ -26,9 +26,12 @@ not in row units, and read each kernel from ``kernel_basis`` of the
 rational rows of A and of the tight rows of B, not from the walk's
 column steps.  The incidence matrix of a digraph is read from its arc
 list, and the tangent cone of ``verify_unique`` is built from the
-rational views of A and B.
+rational views of A and B.  The row reader reads each token of a line on
+its own, by its own pattern, into a Fraction.
 """
 
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -42,6 +45,7 @@ from ddcircuits import (
     LpUnbounded,
     LpUnboundedError,
     Optimal,
+    ParseError,
     Polyhedron,
     RatVec,
     UNBOUNDED,
@@ -537,3 +541,41 @@ def artificial_column_lp(P: Polyhedron, c: RatVec):
     x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))
     unique = _unique_by_reduced_costs(T[-1][:ncols], basis, n, range(n))
     return LpOptimal(x, c.dot(x), unique), phases
+
+
+# A rational token: an optional minus, ASCII digits p and optionally "/" and
+# ASCII digits q; the groups are the minus, p and q.
+_RATIONAL_TOKEN = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def fraction_row(line_no: int, line: str, count, what: str) -> list[Fraction]:
+    """The reference of ``polyhedron._parse_row``: the rationals on
+    ``line`` as Fractions, each token read on its own, or the ParseError
+    the row parser raises, with its message, line and column.
+
+    The tokens are the runs of non-whitespace.  A count other than
+    ``count`` is placed at the first token too many, or one past the line.
+    A token is placed at its first character when it is malformed, when q
+    is 0 and when p or q has more digits than the interpreter's limit on
+    converting text to int; q is read before p."""
+    toks = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+    if count is not None and len(toks) != count:
+        col = len(line) + 1 if len(toks) < count else toks[count][0]
+        raise ParseError(f"expected {count} rationals for {what}, found {len(toks)}", line_no, col)
+    limit = sys.get_int_max_str_digits()  # 0 for no limit
+    out = []
+    for col, tok in toks:
+        match = _RATIONAL_TOKEN.fullmatch(tok)
+        if match is None:
+            raise ParseError(f"malformed rational {tok!r}", line_no, col)
+        minus, p, q = match.groups()
+        q = q or "1"
+        if 0 < limit < len(q):
+            raise ParseError(f"a number may have at most {limit} digits", line_no, col)
+        if not q.strip("0"):
+            raise ParseError(f"zero denominator in {tok!r}", line_no, col)
+        if 0 < limit < len(p):
+            raise ParseError(f"a number may have at most {limit} digits", line_no, col)
+        value = Fraction(int(p), int(q))
+        out.append(-value if minus else value)
+    return out

@@ -243,9 +243,9 @@ def test_decompose_cuts_each_row_once(monkeypatch):
     real = ddcircuits.polyhedron._cut
     calls = []
 
-    def counting(block, r):
+    def counting(block, n, r):
         calls.append(r)
-        return real(block, r)
+        return real(block, n, r)
 
     monkeypatch.setattr(ddcircuits.polyhedron, "_cut", counting)
     assert sum(len(decompose(P, z).terms) for P, z in cases) == 104

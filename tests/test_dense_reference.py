@@ -112,12 +112,12 @@ def _run_checked(monkeypatch, full_check):
         p = rows[r][col]
         log.append((r, col, tuple(Fraction(a) / p for a in rows[r])))
 
-    def checked_cut(block, r):
+    def checked_cut(block, n, r):
         dense = dense_cut(block, r)
         s = next(t for t, col in enumerate(block) if col[r])
         p = block[s][r]
         signs = [-1 if p < 0 and col[r] else 1 for t, col in enumerate(block) if t != s]
-        out = INTEGER_CUT(block, r)
+        out = INTEGER_CUT(block, n, r)
         assert len(out) == len(dense)
         for col, ref, sign in zip(out, dense, signs):
             assert positive_multiple(col, [sign * a for a in ref])
@@ -154,14 +154,16 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # the optimum open or finds none.  Re-recorded when the active-set walks
 # began to hold their kernel as a block and cut it by ``ratlin._cut``: the
 # log no longer holds a pivot per row a walk or a decomposition extends
-# its echelon by.
-ECHELON_PIVOTS = 429
-PIVOT_LOG_DIGEST = "7ede343add3a50361fda79e11e799c94ca92a645d5f9b2a35f73d1fd384a4967"
+# its echelon by.  Re-recorded when construction began to read pointedness
+# from the +-e_j rows of B where they bound every coordinate: the log no
+# longer holds the pivots of extending A's echelon by B's rows there.
+ECHELON_PIVOTS = 380
+PIVOT_LOG_DIGEST = "f53a5d029bce8844cb87a3f4b0d84c047ad0c23d6d46b40816cde9dc6cae3e28"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 256
-SHORTCUT_LOG_DIGEST = "8c1c4e9b193a89b3e44ebc3f18dbc63d826ed7542dc095a3ddc9a739dd73b695"
+SHORTCUT_PIVOTS = 215
+SHORTCUT_LOG_DIGEST = "500f030d33d30d3557f3876a514b6f3e2432e103f5e67770495f169b047910ac"
 
 # The column steps (``ratlin._cut``) the circuit scan and the walks make,
 # each checked against the Fraction column step, under the full check and

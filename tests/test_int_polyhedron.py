@@ -8,6 +8,8 @@ equal polyhedra with equal hashes, equal views A, b, B and d, and equal
 int cores: every field of the integer images of A and of B, and the
 echelon of A.  The twin on the rational side is read here with
 plain ``Fraction`` from the text, independently of the package's parser.
+Construction reads pointedness from the +-e_j rows of B where they bound
+every coordinate, and by elimination elsewhere; the two must agree.
 """
 
 import random
@@ -16,6 +18,7 @@ from math import gcd, lcm
 
 import pytest
 
+import ddcircuits.ratlin
 from ddcircuits import (
     Instance,
     NotPointedError,
@@ -23,10 +26,11 @@ from ddcircuits import (
     RatVec,
     build_reduction,
     format_instance,
+    load_instance,
     parse_instance_text,
     parse_point_text,
 )
-from ddcircuits.ratlin import RatMat
+from ddcircuits.ratlin import RatMat, _extend_rows
 from ddcircuits.reductions import parse_digraph_text
 
 from instgen import (
@@ -39,7 +43,7 @@ from instgen import (
     mixed_instances,
     verify_class_digraphs,
 )
-from oracles import incidence_matrix
+from oracles import incidence_matrix, minor_rank
 from test_golden import GRAPHS, INSTANCES
 
 # Edge rows: tokens "2/4" and "-0/3", a zero row of A and one of B, a B
@@ -257,3 +261,94 @@ def test_views_are_read_only():
     for name in ("A", "b", "B", "d"):
         with pytest.raises(AttributeError):
             setattr(P, name, None)
+
+
+def _bounds_every_coordinate(B: RatMat, n: int) -> bool:
+    """Whether the rows of B with one nonzero entry, read as Fractions,
+    have their nonzero in every column."""
+    units = [[j for j, a in enumerate(row) if a] for row in B.entries]
+    return {cols[0] for cols in units if len(cols) == 1} == set(range(n))
+
+
+def test_bound_rows_agree_with_elimination_on_the_catalogue():
+    """On every catalogue system whose bound rows cover every coordinate,
+    so that construction runs no elimination for pointedness, the
+    elimination check finds rank [A; B] = n too; both kinds occur."""
+    systems = _generated() + [build_reduction(G).instance.polyhedron for G in _reduction_graphs()]
+    kinds = set()
+    for P in systems:
+        bounded = _bounds_every_coordinate(P.B, P.n)
+        kinds.add(bounded)
+        if bounded:
+            assert len(_extend_rows(P._b_image.rows, *P._a_echelon)[1]) == P.n
+    assert kinds == {True, False}
+
+
+def test_pointedness_matches_minor_rank():
+    """Small systems with bound rows on a random set of coordinates, some
+    rows with two or more nonzeros and maybe an equality: construction
+    raises NotPointedError exactly when rank [A; B] < n by minors."""
+    rng = random.Random(3030)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        B = []
+        for j in rng.sample(range(n), rng.randint(0, n)):
+            B.append([rng.choice((1, -1, Fraction(1, 2))) * (k == j) for k in range(n)])
+        B += [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        A = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        rng.shuffle(B)
+        pointed = minor_rank(A + B, n) == n
+        outcomes.add((pointed, _bounds_every_coordinate(RatMat(B, cols=n), n)))
+        args = RatMat(A, cols=n), RatVec([0] * len(A)), RatMat(B, cols=n), RatVec([1] * len(B))
+        if pointed:
+            assert Polyhedron(*args).n == n
+        else:
+            with pytest.raises(NotPointedError):
+                Polyhedron(*args)
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "text, pointed",
+    [
+        pytest.param("3 0 4\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n1 1 1 1\n1 1 1\n", False, id="free"),
+        pytest.param("3 0 5\n1 0 0\n0 -1 0\n0 1 0\n1 1 0\n-2 0 0\n1 1 1 1 1\n1 1 1\n", False, id="pair"),
+        pytest.param("3 0 4\n1 0 0\n0 1 0\n0 1 1\n0 -1 0\n1 1 1 1\n1 1 1\n", True, id="row"),
+        pytest.param("3 1 3\n1 0 -1\n0\n1 0 0\n-1 0 0\n0 1 0\n1 1 1\n1 1 1\n", True, id="equality"),
+    ],
+)
+def test_a_coordinate_without_bound_row(text, pointed):
+    """x_3 has no bound row, and the rows through it (none, one with
+    two nonzeros in B, one in A) decide by elimination whether the system
+    holds a line; the parser and the public constructor agree."""
+    if pointed:
+        assert_same(parse_instance_text(text).polyhedron, rational_instance(text).polyhedron)
+    else:
+        for read in (parse_instance_text, rational_instance):
+            with pytest.raises(NotPointedError):
+                read(text)
+
+
+def test_circulations_run_no_pointedness_elimination(monkeypatch, tmp_path):
+    """Loading a circulation file and building a reduction extend A's
+    echelon by A's rows and by no row of B: the box rows bound every arc."""
+    real, vecs = ddcircuits.ratlin._extend, []
+
+    def spy(rows, leads, vec):
+        vecs.append(list(vec))
+        return real(rows, leads, vec)
+
+    monkeypatch.setattr(ddcircuits.ratlin, "_extend", spy)
+    path = tmp_path / "lp.txt"
+    for G in verify_class_digraphs(random.Random(5), per_class=1):
+        path.write_text(format_instance(build_reduction(G).instance), encoding="ascii")
+        vecs.clear()
+        P = load_instance(path).polyhedron
+        loaded = vecs[:]
+        vecs.clear()
+        build_reduction(G)
+        built = vecs[:]
+        vecs.clear()
+        _extend_rows(P._a_image.rows)  # A's echelon alone
+        assert loaded == built == vecs != []

@@ -88,7 +88,6 @@ INTEGER_KERNEL = {
         "_tighten",
         "_walk",
         "_parse_row",
-        "_int_row",
         "_from_ints",
         "_build",
         "_image_of",

@@ -5,15 +5,22 @@ Line numbers count ``str.splitlines`` lines from 1 and may point one past
 the last line (an unexpected end of file); a column may point one past the
 end of its line (a missing token).  Texts mix arbitrary Unicode with
 near-valid files whose tokens include non-ASCII digits such as "٣" and
-"²", which ``str.isdigit`` accepts and ``int`` converts.
+"²", which ``str.isdigit`` accepts and ``int`` converts.  The row reader
+of the instance and point formats, which checks a whole line at once, is
+also checked against a reference that reads each token on its own.
 """
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddcircuits import NotPointedError, ParseError
-from ddcircuits.polyhedron import parse_instance_text, parse_point_text
+from ddcircuits.polyhedron import _parse_row, parse_instance_text, parse_point_text
 from ddcircuits.reductions import parse_digraph_text
+
+from oracles import fraction_row
 
 _TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "-1", "1/2", "-3/4", "3/0", "٣", "²", "１", "x", "+1", "1.5", "#", "0" * 4400]
@@ -85,3 +92,60 @@ def test_parses_or_raises_located_parse_error(name, text):
 def test_non_ascii_digits_and_huge_counts_are_parse_errors(name, text):
     with pytest.raises(ParseError):
         PARSERS[name](text)
+
+
+# Tokens at the edges of the rational grammar, valid (leading zeros, -0,
+# fractions that reduce, that share a factor of their denominators or are
+# 0, 4300 digits) and not (+1, 1_0, a bare minus, a minus after the slash,
+# Arabic-Indic and full-width digits, a zero denominator, more digits than
+# the limit in p or in q), and the separators a line may hold.
+_VALID_TOKENS = st.sampled_from(
+    ["0", "-3", "007", "-0", "4/6", "-10/4", "1/6", "-7/4", "5/12", "0/5", "3/1",
+     "1" * 4300, "-" + "9" * 4300]
+)
+_BAD_TOKENS = st.sampled_from(
+    ["+1", "1_0", "-", "--1", "1/-2", "1/", "/2", "1/2/3", "3/0", "0/00", "٣", "١/٢", "１",
+     "1.5", "x", "1" * 4301, "0" * 4400, "1/" + "2" * 4400, "0" * 4400 + "/0"]
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0b", "\x0c", "\x1c", " \t "])
+_ENDS = st.sampled_from(["", " ", "\t", "\x1c"])
+
+
+@st.composite
+def _row_lines(draw):
+    """A line of edge tokens, at most two of them not valid, between
+    separators, with the count to expect: none, the number of tokens, or
+    one more or fewer."""
+    toks = draw(st.lists(_VALID_TOKENS, max_size=6))
+    for bad in draw(st.lists(_BAD_TOKENS, max_size=2)):
+        toks.insert(draw(st.integers(0, len(toks))), bad)
+    if not toks:
+        toks = ["1"]
+    seps = draw(st.lists(_SEPARATORS, min_size=len(toks) - 1, max_size=len(toks) - 1))
+    line = draw(_ENDS) + "".join(sep + tok for sep, tok in zip([""] + seps, toks)) + draw(_ENDS)
+    return line, draw(st.sampled_from([None, len(toks), len(toks) - 1, len(toks) + 1]))
+
+
+def _outcome(read):
+    """The value of ``read()``, or the message, line and column of its ParseError."""
+    try:
+        return read()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_row_lines())
+@example(case=("-10/4 1/6\t5/12", None))
+@example(case=(" 1/2 ٣ +1", 3))
+def test_row_reader_matches_per_token_fraction_reader(case):
+    line, count = case
+
+    def read():
+        N, L = _parse_row(7, line, count, "row {} of B", 3)
+        assert all(type(a) is int for a in N) and type(L) is int
+        values = [Fraction(a, L) for a in N]
+        assert L == lcm(*[v.denominator for v in values])  # the least one
+        return values
+
+    assert _outcome(read) == _outcome(lambda: fraction_row(7, line, count, "row 3 of B"))

@@ -296,7 +296,7 @@ def test_cut_keeps_the_kernel_basis(kind, seed, data):
         if i is not None:
             cut.append(rows[i])
             if any(col[n + i] for col in block):
-                block = _cut(block, n + i)
+                block = _cut(block, n, n + i)
         ker = kernel_basis(RatMat(list(P.A.entries) + cut, cols=n))
         assert [sign_normalized(col[:n]) for col in block] == [v.entries for v in ker]
         for col in block:
