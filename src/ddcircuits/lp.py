@@ -1,42 +1,37 @@
 """Exact LP solving over pointed polyhedra: a two-phase primal simplex on
-one integer tableau builder, in two readings of the same rows.
+one integer tableau, run once per LP.
 
-The bound reading comes first.  A row of B's integer image with one
-nonzero is +-e_j, since its row is primitive, so it bounds x_j; the
-tightest lower and upper bound of each coordinate are kept, and the
-other rows of B keep their slacks.  A coordinate with a lower bound l is
-shifted to it (x_j = l + y_j, with y_j <= u - l under an upper bound
-u); one with only an upper bound u is reflected (x_j = u - y_j); one with
-neither is split (x_j = y+_j - y-_j).  When a bound is read, the
-variables are scaled by B's den, so that every bound is an int, and each
-row is scaled by its own image's den, so that every right-hand side is
-one.  The split reading is the same
-builder reading no row as a bound: every coordinate is split and every
-row of B has a slack, which gives the columns [x+ | x- | slacks].
+A row of B's integer image with one nonzero is +-e_j, since its row is
+primitive, so it bounds x_j; the tightest lower and upper bound of each
+coordinate are kept, and the other rows of B keep their slacks.  A
+coordinate with a lower bound l is shifted to it (x_j = l + y_j, with
+y_j <= u - l under an upper bound u); one with only an upper bound u is
+reflected (x_j = u - y_j); one with neither is split (x_j = y+_j - y-_j).
+When a bound is read, the variables are scaled by B's den, so that every
+bound is an int, and each row is scaled by its own image's den, so that
+every right-hand side is one.
 
-Both phases of both readings pivot under the smallest-index rule,
-extended to upper bounds (the upper-bounding technique of G. B. Dantzig,
-"Linear Programming and Extensions", 1963).  The
-entering column is the smallest with a negative cost entry.  It rises
-until a basic variable falls to 0, a basic variable reaches its upper
-bound, or the column reaches its own bound; the least step wins, and
-ties go to the smallest variable index, the entering column's own
-included.  A variable at its upper bound u is held complemented, as
-u - y, so every nonbasic variable is at 0 and the entering test reads
-only signs.  A flip complements the entering column and keeps the
-basis; a variable that leaves at its upper bound is complemented in its
-row, the only one where it is nonzero, before the pivot.  This is
-Bland's rule on the problem with the explicit rows y + y' = u, so it
-terminates; with no upper bound, as in the split reading, it is the rule
-on the rows alone.
+Both phases pivot under the smallest-index rule, extended to upper
+bounds (the upper-bounding technique of G. B. Dantzig, "Linear
+Programming and Extensions", 1963).  The entering column is the smallest
+with a negative cost entry.  It rises until a basic variable falls to 0,
+a basic variable reaches its upper bound, or the column reaches its own
+bound; the least step wins, and ties go to the smallest variable index,
+the entering column's own included.  A variable at its upper bound u is
+held complemented, as u - y, so every nonbasic variable is at 0 and the
+entering test reads only signs.  A flip complements the entering column
+and keeps the basis; a variable that leaves at its upper bound is
+complemented in its row, the only one where it is nonzero, before the
+pivot.  This is Bland's rule on the problem with the explicit rows
+y + y' = u, so it terminates.
 
 The tableau is an integer one, with the variable and slack columns, the
 rhs, and no artificial columns.  Row i starts as a positive multiple of
-U_i, the row of the system in the reading's variables, with its slack
+U_i, the row of the system in the tableau's variables, with its slack
 e_i (none for a row of A) and a nonnegative right-hand side that its
 artificial column makes basic with entry 1.  Every row comes from the
 polyhedron's integer images of A and B, in one loop, as s_i times its
-primitive row in the reading's variables, plus its slack, times a
+primitive row in the tableau's variables, plus its slack, times a
 positive factor, so no row of the system is read as Fractions.  Each
 row is pivoted with ``ratlin._pivot``, so it stays a positive multiple
 of its unit-basis form and its basic entry is positive.  An artificial
@@ -51,30 +46,27 @@ signs of the cost row; the ratio test compares rhs_i / a_i with
 rhs_k / a_k as rhs_i * a_k against rhs_k * a_i; phase 1 is infeasible
 when an artificial basic row keeps a positive right-hand side.  These
 are the decisions of the unit-basis tableau with its artificial columns,
-so the pivots are the same.  The vertex and the unbounded ray are read
-from the rows whose basic column is a variable, each divided by its
-basic entry.
+so the pivots are the same.
 
-``solve_lp`` returns the bound reading's result only when it is optimal
-and its reduced costs prove the optimum unique (below).  Then x is the
-whole optimal face, the vertex any correct solver reports.  Every other
-outcome, an optimum the bound reading leaves open, an unbounded LP or an
-infeasible one (contradictory bounds l > u among them), is solved again
-by the split reading, whose witness, ray and vertex are those
-``solve_lp`` has always reported.
+``solve_lp`` runs this simplex once and reads its answer off the one
+final tableau: infeasible when two bounds contradict (l > u) or phase 1
+keeps an artificial positive; an unbounded ray when nothing stops the
+entering column; else the tableau's vertex.  The vertex and the ray are
+read from the rows whose basic column is a variable, each divided by its
+basic entry, and then the complements, signs, shifts and splits are
+undone.
 
 The reported optimum is always a vertex of the *original* polyhedron.
-A basic solution of the split formulation can project to a non-vertex
-point (the split system has more vertices than the original one), so an
-optimum the split tableau leaves open goes through purification:
-``polyhedron._walk`` moves along a vector of the kernel of the active
-system, held as a block of columns, until one more independent row
-becomes active and cuts the block, while the kernel is not trivial.
-Each move keeps feasibility and the objective value, and cuts a column,
-so at most n moves reach a true vertex.  An
-optimum a tableau proves unique (below) skips the walk: its optimal
-face is the single point x, a face of dimension 0 of the pointed P, and
-so a vertex.
+A basic solution of the tableau's problem can project to a non-vertex
+point: a split coordinate with both halves nonbasic is 0, which no row of
+P makes active.  So an optimum the tableau leaves open goes through
+purification: ``polyhedron._walk`` moves along a vector of the kernel of
+the active system, held as a block of columns, until one more
+independent row becomes active and cuts the block, while the kernel is
+not trivial.  Each move keeps feasibility and the objective value, and
+cuts a column, so at most n moves reach a true vertex.  An optimum the
+tableau proves unique (below) skips the walk: its optimal face is the
+single point x, a face of dimension 0 of the pointed P, and so a vertex.
 
 Uniqueness of an optimum is first read off the final phase-2 tableau
 (Mangasarian, "Uniqueness of solution in linear programming", LAA 1979;
@@ -82,7 +74,7 @@ Appa, JORS 2002).  Every other optimum of the tableau's problem moves
 some nonbasic variable off its bound, and one with a positive reduced
 cost (in the complemented columns: negative at an upper bound) makes the
 objective worse.  So when every nonbasic reduced cost is positive, except
-the twin x-_j or x+_j of a basic split variable (its reduced cost is 0,
+the twin y-_j or y+_j of a basic split variable (its reduced cost is 0,
 and raising it leaves x unchanged), the optimum is unique; ``LpOptimal``
 records this as ``unique``.  A free variable with both halves nonbasic has
 reduced costs r and -r and fails the test, as it should.  Degenerate
@@ -131,12 +123,11 @@ from .ratlin import (
 class LpOptimal:
     """An optimal vertex and its value.
 
-    ``unique`` is True when a final simplex tableau proves the optimum
-    unique (every nonbasic reduced cost positive): the bound reading's,
-    whose result ``solve_lp`` returns only then, or else the split
-    reading's.  False means neither tableau decides it.  ``objective`` is
-    the c that ``solve_lp`` minimized, None for an optimum built by hand.
-    Neither takes part in equality or repr.
+    ``unique`` is True when the one final simplex tableau proves the
+    optimum unique (every nonbasic reduced cost positive, a basic split
+    variable's twin aside).  False means the tableau does not decide it.
+    ``objective`` is the c that ``solve_lp`` minimized, None for an
+    optimum built by hand.  Neither takes part in equality or repr.
     """
 
     vertex: Point
@@ -297,31 +288,31 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
 
 
 def _simplex(
-    a_image: _IntImage, b_image: _IntImage, C: Sequence[int], read_bounds: bool
+    a_image: _IntImage, b_image: _IntImage, C: Sequence[int]
 ) -> tuple[str, Optional[_Tableau], Optional[int]]:
     """The two-phase simplex in ints: (status, tableau, enter) with status
     'infeasible', 'optimal' or 'unbounded' and, unless infeasible, the final
     phase-2 tableau and the unbounded entering column.
 
-    With ``read_bounds`` the rows of B's image with one nonzero are read as
-    bounds, and contradictory bounds end as 'infeasible' with no tableau;
-    without it, as the split reading.  The constraint rows are those of A,
-    then the other rows of B, each from its polyhedron's integer image, in
-    the scaled variables X = scale * x (scale 1 when no bound is read).
-    ``C`` is the objective as coprime ints.  Each row is U_i times the
-    positive factor den * sd * scale, where U_i is s_i times the row's
-    primitive row in the reading's variables, plus its slack e_i, with a
-    nonnegative right-hand side that the artificial column i would make
-    basic with entry 1; a row of A has no slack column.  The artificial
-    columns are not stored: they never enter and no rule reads them; only
-    their labels ``ncols + i`` stay in the basis while basic.
+    The rows of B's image with one nonzero are read as bounds, and
+    contradictory bounds end as 'infeasible' with no tableau.  The
+    constraint rows are those of A, then the other rows of B, each from its
+    polyhedron's integer image, in the scaled variables X = scale * x
+    (scale 1 when no bound is read).  ``C`` is the objective as coprime
+    ints.  Each row is U_i times the positive factor den * sd * scale,
+    where U_i is s_i times the row's primitive row in the tableau's
+    variables, plus its slack e_i, with a nonnegative right-hand side that
+    the artificial column i would make basic with entry 1; a row of A has
+    no slack column.  The artificial columns are not stored: they never
+    enter and no rule reads them; only their labels ``ncols + i`` stay in
+    the basis while basic.
     """
     n = len(C)
     lows: list[Optional[int]] = [None] * n  # x_j >= lows[j] / b_image.den
     highs: list[Optional[int]] = [None] * n  # x_j <= highs[j] / b_image.den
     kept = []  # the rows of B that keep their slack
     for i, nonzeros in enumerate(b_image.nonzeros):
-        if read_bounds and len(nonzeros) == 1:
+        if len(nonzeros) == 1:
             ((j, a),) = nonzeros  # a = +-1: the row is primitive
             t = b_image.bounds[i]
             if a > 0:
@@ -429,20 +420,16 @@ def _simplex(
     return status, tableau, enter
 
 
-def _vertex(tab: _Tableau) -> Point:
-    """The point x of a tableau's basic solution, one Fraction per entry:
-    each variable is num / den, 0 / 1 while nonbasic, before its
-    complement is undone."""
+def _to_x(tab: _Tableau, y: list[tuple[int, int]], at: int) -> RatVec:
+    """x from the values num / den of the tableau's variables, one Fraction
+    per entry, with their complements, shifts, signs and splits undone.
+    ``at`` is 1 for a point and 0 for a direction, which has no shift."""
     n = len(tab.signs)
-    y = [(0, 1)] * (n + len(tab.split))
-    for row, jb in zip(tab.T, tab.basis):
-        if jb < len(y):
-            y[jb] = (row[-1], row[jb])
     for k in tab.flipped:
         num, den = y[k]
-        y[k] = (tab.upper[k] * den - num, den)
+        y[k] = (at * tab.upper[k] * den - num, den)
     x = [
-        Fraction(o * den + s * num, den * tab.scale)
+        Fraction(at * o * den + s * num, den * tab.scale)
         for o, s, (num, den) in zip(tab.offsets, tab.signs, y)
     ]
     for p, j in enumerate(tab.split):
@@ -452,44 +439,31 @@ def _vertex(tab: _Tableau) -> Point:
     return RatVec(x)
 
 
-def _solve(P: Polyhedron, c: RatVec, read_bounds: bool) -> Optional[LpOutcome]:
-    """``solve_lp`` in one reading.  The bound reading returns only an
-    optimum its reduced costs prove unique, and None otherwise."""
-    n = P.n
-    status, tab, enter = _simplex(
-        P._a_image, P._b_image, coprime_integer_entries(c.entries), read_bounds
-    )
-    if read_bounds:
-        if status != "optimal" or not _unique_by_reduced_costs(
-            tab.T[-1][:-1], tab.basis, n, tab.split
-        ):
-            return None
-        x = _vertex(tab)
-        return LpOptimal(x, c.dot(x), True, c)
-    if status == "infeasible":
-        return LpInfeasible()
+def _vertex(tab: _Tableau) -> Point:
+    """The point x of a tableau's basic solution: each basic variable is
+    its row's rhs over its basic entry, each nonbasic one 0."""
+    y = [(0, 1)] * (len(tab.signs) + len(tab.split))
+    for row, jb in zip(tab.T, tab.basis):
+        if jb < len(y):
+            y[jb] = (row[-1], row[jb])
+    return _to_x(tab, y, 1)
 
-    # Row i reads its basic variable basis[i] after division by its entry;
-    # only the columns of x+ and x- are read.
-    T, basis, split = tab.T, tab.basis, 2 * n
-    if status == "unbounded":
-        ray = [Fraction(0)] * split
-        if enter < split:
-            ray[enter] = Fraction(1)
-        for i, jb in enumerate(basis):
-            if jb < split:
-                ray[jb] = Fraction(-T[i][enter], T[i][jb])
-        return LpUnbounded(RatVec(ray[j] - ray[n + j] for j in range(n)))
 
-    x = _vertex(tab)
-    unique = _unique_by_reduced_costs(T[-1][:-1], basis, n, tab.split)
-    if not unique:
-        x = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, c.dot(x), unique, c)
+def _ray(tab: _Tableau, enter: int) -> RatVec:
+    """The unbounded ray of a tableau whose column ``enter`` nothing stops:
+    that variable moves by 1 and each basic one by minus its row's entry
+    over its basic entry."""
+    y = [(0, 1)] * (len(tab.signs) + len(tab.split))
+    if enter < len(y):
+        y[enter] = (1, 1)
+    for row, jb in zip(tab.T, tab.basis):
+        if jb < len(y):
+            y[jb] = (-row[enter], row[jb])
+    return _to_x(tab, y, 0)
 
 
 def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
-    """Minimize c over P exactly.
+    """Minimize c over P exactly, with one run of the simplex.
 
     Returns an optimal vertex with its value, a certified unbounded
     improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  P is
@@ -497,8 +471,16 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     """
     if c.dim != P.n:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
-    out = _solve(P, c, read_bounds=True)
-    return out if out is not None else _solve(P, c, read_bounds=False)
+    status, tab, enter = _simplex(P._a_image, P._b_image, coprime_integer_entries(c.entries))
+    if status == "infeasible":
+        return LpInfeasible()
+    if status == "unbounded":
+        return LpUnbounded(_ray(tab, enter))
+    x = _vertex(tab)
+    unique = _unique_by_reduced_costs(tab.T[-1][:-1], tab.basis, P.n, tab.split)
+    if not unique:
+        x = _purify_to_vertex(P, c, x)
+    return LpOptimal(x, c.dot(x), unique, c)
 
 
 def verify_unique(

@@ -144,7 +144,7 @@ class Polyhedron:
         on first read.
 
         A row of B with one nonzero is +-e_j, a bound on x_j (the rows the
-        simplex's bound reading reads as bounds).  When such rows bound
+        simplex reads as bounds).  When such rows bound
         every coordinate, rank [A; B] = n and the system is pointed with no
         elimination; else pointedness is checked on A's echelon extended by
         B's primitive rows, read only until the rank is n."""

@@ -9,16 +9,16 @@ of the largest nonzero minor, circuits as signed maximal minors, and
 vertices as the feasible solutions of square subsystems by Cramer's
 rule, and the flats the circuit scan visits as the closed row sets whose
 greedy basis leaves room for a circuit.  The artificial-column simplex is
-the tableau ``lp`` built before it took B's rows from the integer image:
-one artificial column per row, a price-out pivot per basic row in each
-phase, and the rows scaled from their Fractions.  Augmentation in each
-mode is the plain loop over that mode's public single step, which checks
-each iterate, prepares its rule afresh (the LP in approx mode, the
-circuit list in exact mode) and moves the point with RatVec arithmetic.
-The
-dense elimination step, column step and product form every term, zeros
-included; they are the references for the zero-skipping, fraction-free
-versions in ``ratlin``.  The Fraction ratio test, walk and conformal
+the split reading ``lp`` built before it read the +-e_j rows of B as
+bounds and took B's rows from the integer image: every coordinate split,
+a slack per row of B, one artificial column per row, a price-out pivot
+per basic row in each phase, and the rows scaled from their Fractions.
+Augmentation in each mode is the plain loop over that mode's public
+single step, which checks each iterate, prepares its rule afresh (the LP
+in approx mode, the circuit list in exact mode) and moves the point with
+RatVec arithmetic.  The dense elimination step, column step and product
+form every term, zeros included; they are the references for the
+zero-skipping, fraction-free versions in ``ratlin``.  The Fraction ratio test, walk and conformal
 terms are the references for the int forms in ``polyhedron`` and
 ``conformal``: they carry every point, slack and step length as
 Fractions, take the slack d - Bx and the image Bw with the rational B,
@@ -26,8 +26,10 @@ not in row units, and read each kernel from ``kernel_basis`` of the
 rational rows of A and of the tight rows of B, not from the walk's
 column steps.  The incidence matrix of a digraph is read from its arc
 list, and the tangent cone of ``verify_unique`` is built from the
-rational views of A and B.  The row reader reads each token of a line on
-its own, by its own pattern, into a Fraction.
+rational views of A and B.  The steps from a 0/1 flow on a circulation
+are the directed cycles of its residual digraph, found by the same plain
+graph walk as the cycle indicators.  The row reader reads each token of
+a line on its own, by its own pattern, into a Fraction.
 """
 
 import re
@@ -354,6 +356,24 @@ def directed_simple_cycles(G: Digraph) -> list[tuple[int, ...]]:
     for start in range(1, G.nodes + 1):
         walk(start, start, {start}, [])
     return sorted(cycles)
+
+
+def residual_cycles(G: Digraph, weights, x) -> list[tuple[tuple[int, ...], Fraction]]:
+    """The directed cycles of the residual digraph of the 0/1 flow x on G,
+    each as its signed arc indicator g and its residual weight w.g.
+
+    Arc j runs forward where x_j = 0 and reversed where x_j = 1, so x + g
+    is a 0/1 flow again for every such cycle; the cycles come from
+    ``directed_simple_cycles`` of that digraph."""
+    assert all(e in (0, 1) for e in x), "x is not a 0/1 flow"
+    arcs = tuple(arc if e == 0 else arc[::-1] for arc, e in zip(G.arcs, x))
+    out = []
+    for cycle in directed_simple_cycles(Digraph(G.nodes, arcs)):
+        g = [0] * G.m
+        for j in cycle:
+            g[j] = 1 if x[j] == 0 else -1
+        out.append((tuple(g), sum((weights[j] * g[j] for j in cycle), Fraction(0))))
+    return out
 
 
 def dense_pivot(rows, r: int, col: int) -> None:

@@ -1,18 +1,19 @@
-"""The bound reading of the simplex against its split reading.
+"""The simplex's reading of the +-e_j rows of B as bounds.
 
-``solve_lp`` runs the tableau that reads the +-e_j rows of B as bounds
-first, and returns its result only when its reduced costs prove the
-optimum unique; every other outcome comes from the split reading, which
-reads no row as a bound.  Here the bound reading's own status, value and
-vertex must agree with the split reading's on every catalogue, battery and
-seeded family, each with its own objective and one in {-1, 0, 1}^n, and
-each optimum it proves unique must be confirmed by ``verify_unique``'s
-general check.  The edge cases of the bound reading (tightest bounds, fixed,
-reflected and split coordinates, contradictory bounds, zero rows, bound
-rows with content) are compared with the split reading one by one, Bland's
-rule with bound flips must terminate on Klee-Minty cubes and on systems
-whose right-hand sides are all 0, and the pivot and flip counts on the
-scale circulations are pinned.
+``solve_lp`` runs one tableau, which reads the rows of B with one nonzero
+as bounds on their coordinates, and reads its answer off that tableau
+alone.  Here its status and value must agree with the split reading's
+reference (``oracles.artificial_column_lp``, which reads no row as a
+bound) on every catalogue, battery and seeded family, each with its own
+objective and one in {-1, 0, 1}^n, its vertex wherever either proves the
+optimum unique, and its ray by certificate; each optimum it proves unique
+must be confirmed by ``verify_unique``'s general check.  The edge cases of
+the bounds (tightest bounds, fixed, reflected and split coordinates,
+contradictory bounds, zero rows, bound rows with content) are compared
+with the reference one by one, each kind of outcome must take exactly one
+run of the simplex, Bland's rule with bound flips must terminate on
+Klee-Minty cubes and on systems whose right-hand sides are all 0, and the
+pivot and flip counts on the scale circulations are pinned.
 """
 
 import random
@@ -31,11 +32,10 @@ from ddcircuits import (
     RatVec,
     UniquenessReport,
     build_reduction,
-    is_feasible,
     solve_lp,
     verify_unique,
 )
-from ddcircuits.lp import _solve, _unique_by_reduced_costs, _vertex
+from ddcircuits.lp import _unique_by_reduced_costs
 from ddcircuits.ratlin import RatMat, coprime_integer_entries
 
 from instgen import (
@@ -48,40 +48,21 @@ from instgen import (
     gen_tulike,
     mixed_instances,
 )
+from test_tableau_reference import assert_matches_reference
 
 STATUS = {"optimal": LpOptimal, "unbounded": LpUnbounded, "infeasible": LpInfeasible}
 
 
-def _bound_reading(P, c):
-    """The bound reading's status, its tableau's point and whether its
-    reduced costs prove that point the unique optimum."""
-    status, tab, _ = ddcircuits.lp._simplex(
-        P._a_image, P._b_image, coprime_integer_entries(c.entries), read_bounds=True
-    )
-    if status != "optimal":
-        return status, None, False
-    unique = _unique_by_reduced_costs(tab.T[-1][:-1], tab.basis, P.n, tab.split)
-    return status, _vertex(tab), unique
-
-
 def _compare(P, c):
-    """Check the bound reading against the split reading and ``solve_lp``
-    against both; return whether the bound reading proved the optimum
-    unique, None for an LP with no optimum."""
-    split = _solve(P, c, read_bounds=False)
-    status, x, unique = _bound_reading(P, c)
-    assert STATUS[status] is type(split)
-    out = solve_lp(P, c)
-    assert out == split
-    if status != "optimal":
+    """Check ``solve_lp`` against the split reading's reference and confirm
+    an optimum it proves unique by the general check; return whether it
+    proved the optimum unique, None for an LP with no optimum."""
+    out = assert_matches_reference(P, c)
+    if not isinstance(out, LpOptimal):
         return None
-    assert is_feasible(P, x)
-    assert c.dot(x) == split.value
-    if unique:
-        assert x == split.vertex
-        assert verify_unique(P, c, x) == UniquenessReport(True, None)
-    assert out.unique == (unique or split.unique)
-    return unique
+    if out.unique:
+        assert verify_unique(P, c, out.vertex) == UniquenessReport(True, None)
+    return out.unique
 
 
 def _signs(rng, n):
@@ -136,7 +117,7 @@ OBJECTIVES = ([1, 2], [-1, 1], [-2, -1], [1, -1], [0, 0], [0, -1])
 
 def _tableau(P, c=(1, 1)):
     return ddcircuits.lp._simplex(
-        P._a_image, P._b_image, coprime_integer_entries(RatVec(c).entries), read_bounds=True
+        P._a_image, P._b_image, coprime_integer_entries(RatVec(c).entries)
     )[1]
 
 
@@ -175,7 +156,7 @@ def test_free_coordinate_is_split_and_its_twin_skipped():
     P = _system([[1, 1], [-1, 1], [0, -1]], [2, 2, 0])
     c = RatVec([0, -1])
     status, tab, _ = ddcircuits.lp._simplex(
-        P._a_image, P._b_image, coprime_integer_entries(c.entries), read_bounds=True
+        P._a_image, P._b_image, coprime_integer_entries(c.entries)
     )
     assert status == "optimal" and tab.split == [0]
     # one half of x_1 (column 0 or its twin, column 2) is basic at 0, and
@@ -187,20 +168,41 @@ def test_free_coordinate_is_split_and_its_twin_skipped():
     _compare_all(P, LpOptimal)
 
 
-def test_contradictory_bounds_fall_back_to_the_split_reading(monkeypatch):
-    P = _system(BOX + [[1, 1]], [1, 1, -2, 0, 5])  # x_1 >= 2 > 1 >= x_1
-    status = ddcircuits.lp._simplex(P._a_image, P._b_image, (1, 1), read_bounds=True)
+CONTRADICTORY = _system(BOX + [[1, 1]], [1, 1, -2, 0, 5])  # x_1 >= 2 > 1 >= x_1
+
+
+def test_contradictory_bounds_are_infeasible():
+    P = CONTRADICTORY
+    status = ddcircuits.lp._simplex(P._a_image, P._b_image, (1, 1))
     assert status == ("infeasible", None, None)
-    readings = []
-    real = ddcircuits.lp._solve
+    _compare_all(P, LpInfeasible)
 
-    def spy(P, c, read_bounds):
-        readings.append(read_bounds)
-        return real(P, c, read_bounds)
 
-    monkeypatch.setattr(ddcircuits.lp, "_solve", spy)
-    assert solve_lp(P, RatVec([1, 1])) == LpInfeasible()
-    assert readings == [True, False]
+# One LP of each kind of outcome: (P, c, outcome type, ``unique``).
+ONE_RUN = {
+    "unique-optimum": (_system(BOX, [1, 1, 0, 0]), [-1, -2], LpOptimal, True),
+    "open-optimum": (_system(BOX, [1, 1, 0, 0]), [0, -1], LpOptimal, False),
+    "unbounded": (_system([[-1, 0], [0, -1]], [0, 0]), [-1, 0], LpUnbounded, None),
+    "infeasible": (_system(BOX, [1, 1, 0, 0], [[1, 1]], [3]), [1, 1], LpInfeasible, None),
+    "contradictory-bounds": (CONTRADICTORY, [1, 1], LpInfeasible, None),
+}
+
+
+@pytest.mark.parametrize("case", ONE_RUN)
+def test_one_simplex_run_per_solve(monkeypatch, case):
+    P, c, kind, unique = ONE_RUN[case]
+    statuses = []
+    real = ddcircuits.lp._simplex
+
+    def spy(*args):
+        out = real(*args)
+        statuses.append(out[0])
+        return out
+
+    monkeypatch.setattr(ddcircuits.lp, "_simplex", spy)
+    out = solve_lp(P, RatVec(c))
+    assert type(out) is kind and getattr(out, "unique", None) is unique
+    assert [STATUS[status] for status in statuses] == [kind]
 
 
 @pytest.mark.parametrize(
@@ -208,7 +210,7 @@ def test_contradictory_bounds_fall_back_to_the_split_reading(monkeypatch):
 )
 def test_zero_row_of_b(d, kind):
     P = _system(BOX + [[0, 0]], d)
-    status, tab, _ = ddcircuits.lp._simplex(P._a_image, P._b_image, (1, 1), read_bounds=True)
+    status, tab, _ = ddcircuits.lp._simplex(P._a_image, P._b_image, (1, 1))
     assert STATUS[status] is kind
     if tab is not None:
         assert len(tab.T[0]) == 2 + 1 + 1  # y_1, y_2, the zero row's slack, rhs
@@ -337,9 +339,8 @@ def test_degenerate_systems_terminate(monkeypatch):
 
 # The scale circulations: V nodes, 2V arcs from ``random.Random(V).sample``
 # of the ordered pairs, the default perturbed costs.  (pivots, bound flips)
-# of one ``solve_lp``, which the bound reading answers alone, and the pivots
-# of the split reading on the same LP.
-SCALE_COUNTS = {10: ((22, 4), 124), 20: ((44, 0), 294)}
+# of one ``solve_lp``.
+SCALE_COUNTS = {10: (22, 4), 20: (44, 0)}
 
 
 @pytest.mark.parametrize("V", SCALE_COUNTS)
@@ -348,10 +349,6 @@ def test_scale_circulation_counts(monkeypatch, V):
     inst = build_reduction(graph).instance
     P, c = inst.polyhedron, inst.objective
     counts = _counting(monkeypatch)
-    out = solve_lp(P, c)
-    bound = (counts["_pivot"], counts["_flip"])
-    counts.update(_pivot=0, _flip=0)
-    split = _solve(P, c, read_bounds=False)
-    assert out == split and out.unique
-    assert (bound, counts["_pivot"]) == SCALE_COUNTS[V]
-    assert counts["_flip"] == 0
+    assert solve_lp(P, c).unique
+    assert (counts["_pivot"], counts["_flip"]) == SCALE_COUNTS[V]
+    assert _compare(P, c) is True

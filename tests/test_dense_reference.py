@@ -157,13 +157,16 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # its echelon by.  Re-recorded when construction began to read pointedness
 # from the +-e_j rows of B where they bound every coordinate: the log no
 # longer holds the pivots of extending A's echelon by B's rows there.
-ECHELON_PIVOTS = 380
-PIVOT_LOG_DIGEST = "f53a5d029bce8844cb87a3f4b0d84c047ad0c23d6d46b40816cde9dc6cae3e28"
+# Re-recorded when ``solve_lp`` stopped solving again in the split reading
+# an LP whose bound tableau is infeasible, unbounded or leaves the optimum
+# open: the log holds the pivots of one tableau per LP.
+ECHELON_PIVOTS = 343
+PIVOT_LOG_DIGEST = "8ad02f1f40cbbf30158bc5d0c4b785b088ead84896003da07cbeac7be3b193e4"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 215
-SHORTCUT_LOG_DIGEST = "500f030d33d30d3557f3876a514b6f3e2432e103f5e67770495f169b047910ac"
+SHORTCUT_PIVOTS = 187
+SHORTCUT_LOG_DIGEST = "f532e2987296118aca4a955695550143465426f2610e49ebf78b010fe439171a"
 
 # The column steps (``ratlin._cut``) the circuit scan and the walks make,
 # each checked against the Fraction column step, under the full check and

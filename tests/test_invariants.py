@@ -123,11 +123,20 @@ STEP_HOMES = {
 }
 
 # The functions, per module, that read A, b, B and d only through the
-# integer images: the simplex builds its tableau rows, in either reading,
-# from ``P._a_image`` and ``P._b_image``, its ratio test and flips read
-# only the tableau, and the uniqueness check builds its tangent cone.
+# integer images: the simplex builds its tableau rows from ``P._a_image``
+# and ``P._b_image``, its ratio test, flips, vertex and ray read only the
+# tableau, and the uniqueness check builds its tangent cone.
 IMAGE_READERS = {
-    "lp.py": ("solve_lp", "_solve", "_simplex", "_flip", "_bland", "_vertex", "verify_unique")
+    "lp.py": (
+        "solve_lp",
+        "_simplex",
+        "_flip",
+        "_bland",
+        "_to_x",
+        "_vertex",
+        "_ray",
+        "verify_unique",
+    )
 }
 
 # A polyhedron's int form, the one function that assigns it, and the one
@@ -664,6 +673,13 @@ def test_checker_flags_rational_b_products():
 def test_simplex_reads_b_through_the_image(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert rational_b_reads(source, IMAGE_READERS[module]) == []
+
+
+@pytest.mark.parametrize("module", IMAGE_READERS)
+def test_image_readers_exist(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert set(IMAGE_READERS[module]) <= defined
 
 
 def test_checker_flags_rational_b_reads():

@@ -13,6 +13,7 @@ from ddcircuits import (
     ParseError,
     RatVec,
     SizeGuardExceeded,
+    augment,
     build_reduction,
     exact_dd_step,
     longest_cycle_oracle,
@@ -27,7 +28,7 @@ from ddcircuits.reductions import format_digraph, parse_digraph_text
 from ddcircuits.ratlin import RatMat
 
 from instgen import exhaustive_digraphs, random_digraph
-from oracles import directed_simple_cycles, incidence_matrix
+from oracles import directed_simple_cycles, incidence_matrix, residual_cycles
 
 TRIANGLE = Digraph(3, ((1, 2), (2, 3), (3, 1)))
 COMPLETE3 = Digraph(3, ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)))
@@ -229,6 +230,45 @@ class TestCorrespondence:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cycle oracle limited to 3 nodes, got 4" in captured.err
+
+
+def _check_residual_steps(graph) -> int:
+    """Check every step of exact ``augment`` from the zero flow against
+    the residual-cycle oracle; return the number of steps.
+
+    From a 0/1 flow x a circuit moves exactly when it is a directed cycle
+    of the residual digraph, at step 1, improving by its residual weight.
+    Sums of distinct 2^-i can tie, so the chosen circuit is checked to be
+    among the maximizers, not to be a particular one."""
+    red = build_reduction(graph)
+    P, c = red.instance.polyhedron, red.instance.objective
+    weights = [-e for e in c]
+    trace = augment(P, c, red.x0)
+    for step, x, moved in zip(trace.steps, trace.iterates, trace.iterates[1:]):
+        cycles = residual_cycles(graph, weights, x)
+        best = max(w for _, w in cycles)
+        assert step.alpha == 1
+        assert moved == x + step.g.vec and all(e in (0, 1) for e in moved)
+        assert step.improvement == best > 0
+        assert step.g.entries in {g for g, w in cycles if w == best}
+    assert all(w <= 0 for _, w in residual_cycles(graph, weights, trace.final))
+    return len(trace.steps)
+
+
+class TestResidualCycles:
+    def test_every_exact_step_is_a_heaviest_residual_cycle(self):
+        rng = random.Random(21)
+        graphs = list(exhaustive_digraphs(node_counts=(2, 3)))
+        graphs += [random_digraph(rng, 4, 5, 12) for _ in range(80)]
+        steps = [_check_residual_steps(graph) for graph in graphs]
+        assert 0 in steps and max(steps) >= 3
+
+    def test_oracle_reverses_arcs_of_the_flow(self):
+        # on the triangle carrying its cycle, the residual cycle runs
+        # backwards and gives the cost back
+        weights = [-e for e in build_reduction(TRIANGLE).instance.objective]
+        assert residual_cycles(TRIANGLE, weights, [0, 0, 0]) == [((1, 1, 1), Fraction(31, 8))]
+        assert residual_cycles(TRIANGLE, weights, [1, 1, 1]) == [((-1, -1, -1), Fraction(-31, 8))]
 
 
 class TestPerturbedCycleCosts:
