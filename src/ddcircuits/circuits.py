@@ -8,7 +8,8 @@ polyhedron family with fixed A and B.  They are the extreme rays of the
 sign-split cone, which ``certify.is_extreme_ray`` tests on the lift;
 ``is_circuit_direction`` decides the same in n columns: a nonzero kernel
 vector g is a circuit exactly when the rows of B vanishing on g, stacked
-on A, have rank n - 1.
+on A, have rank n - 1.  Its int core ``_is_circuit`` takes g as a
+primitive int vector, as the OCNP decision forms it.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
 criterion.  The rows of [A; B] that vanish on a subspace of ker A form a
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .errors import SizeGuardExceeded
 from .polyhedron import Polyhedron, _a_block, _image, _solves_a
@@ -88,10 +90,14 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
         raise ValueError(f"vector has dimension {v.dim}, expected {P.n}")
     if v.is_zero():
         return False
-    G = coprime_integer_entries(v.entries)
+    return _is_circuit(P, coprime_integer_entries(v.entries))
+
+
+def _is_circuit(P: Polyhedron, G: Sequence[int]) -> bool:
+    """``is_circuit_direction`` for a nonzero primitive int vector G."""
     if not _solves_a(P, G, 0):
         return False
-    image = _image(P._b_image, G)  # zeros where B v has them
+    image = _image(P._b_image, G)  # zeros where B G has them
     kept = (q for q, e in zip(P._b_image.rows, image) if e == 0)
     return len(_extend_rows(kept, *P._a_echelon)[1]) == P.n - 1
 

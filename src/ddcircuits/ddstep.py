@@ -24,8 +24,9 @@ feasibility check; each step moves (X, S, D) by the rank-one step of
 ``polyhedron._advance`` to the row the scan's ratio test made tight, with
 the image the scan computed; and c.x is the int C.X over den*D.  The
 approximate rule holds x* as ints over one denominator and forms x* - x
-in ints.  Fractions are made only for each step's alpha and improvement
-and for each recorded iterate.
+in ints, and compares its terms' gains as int fractions by
+cross-multiplication.  Fractions are made only for each step's alpha and
+improvement and for each recorded iterate.
 """
 
 from __future__ import annotations
@@ -181,10 +182,12 @@ def _approx_step(
     decomposition in canonical order.  Every term t has c.t <= 0 (x* - t
     is feasible and x* optimal), so each term still to come gains at least
     c.r, with r the residual left; once the best gain is below c.r, no
-    later term beats or ties it and the walk stops.  The best term g is
-    then extended by the deepest-descent scan over g alone: c.g < 0 and
-    x + alpha*g is feasible with alpha > 0, so the scan neither flips nor
-    skips it and returns its maximal step.
+    later term beats or ties it and the walk stops.  The gains and c.r are
+    held as int pairs (numerator, positive denominator), each gain taken
+    off c.r in lowest terms by one gcd, and compared by cross-multiplication.
+    The best term g is then extended by the deepest-descent scan over g
+    alone: c.g < 0 and x + alpha*g is feasible with alpha > 0, so the scan
+    neither flips nor skips it and returns its maximal step.
     """
     X, _, D = it
     Xs, Ds = xstar
@@ -196,16 +199,18 @@ def _approx_step(
     if common > 1:
         Z, dz = [e // common for e in Z], dz // common
     C, den = cint
-    rest = Fraction(_dot(C, Z), den * dz)  # c.z
-    best_key = None
+    rn, rd = _dot(C, Z), den * dz  # c.r = rn / rd, from r = z
+    best_g = None
     for alpha, g in _terms(P, (Z, dz), block):
-        gain = alpha * Fraction(_dot(C, g.entries), den)
-        rest -= gain
-        if best_key is None or (gain, g.entries) < best_key:
-            best_key, best_g = (gain, g.entries), g
-        if best_key[0] < rest:
+        gn, gd = alpha.numerator * _dot(C, g.entries), alpha.denominator * den  # c.(alpha g)
+        rn, rd = rn * gd - gn * rd, rd * gd
+        common = gcd(rn, rd)
+        rn, rd = rn // common, rd // common
+        if best_g is None or (gn * bd, g.entries) < (bn * gd, best_g.entries):
+            best_g, bn, bd = g, gn, gd
+        if bn * rd < rn * bd:
             break
-    if best_key[0] >= 0:
+    if bn >= 0:
         # x is already optimal (possible only with multiple optima).
         return Optimal(), None
     res = _scan(P, cint, it, [best_g])

@@ -115,7 +115,7 @@ from .ratlin import (
     _combine,
     _int_vector,
     _pivot,
-    coprime_integer_entries,
+    _primitive,
 )
 
 
@@ -468,10 +468,13 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     Returns an optimal vertex with its value, a certified unbounded
     improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  P is
     pointed, as every Polyhedron is, so an optimum is attained at a vertex.
+    c is read once as ints over one denominator, c = C/den; the simplex
+    takes C made primitive, and the value of x = X/D is C.X over den*D.
     """
     if c.dim != P.n:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
-    status, tab, enter = _simplex(P._a_image, P._b_image, coprime_integer_entries(c.entries))
+    C, den = _int_vector(c)
+    status, tab, enter = _simplex(P._a_image, P._b_image, _primitive(C))
     if status == "infeasible":
         return LpInfeasible()
     if status == "unbounded":
@@ -480,7 +483,8 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     unique = _unique_by_reduced_costs(tab.T[-1][:-1], tab.basis, P.n, tab.split)
     if not unique:
         x = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, c.dot(x), unique, c)
+    X, D = _int_vector(x)
+    return LpOptimal(x, Fraction(sum(a * b for a, b in zip(C, X) if a), den * D), unique, c)
 
 
 def verify_unique(

@@ -10,6 +10,11 @@ to the active-set walk and the tangent-cone LP.  Uniqueness is never
 assumed: when verification fails the verdict is NotUnique and no answer
 is attempted, since the multi-optimum variant of the question is
 intractable in general.
+The decision works in ints: x0 as the (X0, D0) of its feasibility check
+(``polyhedron._feasible_slack``), x* as ints over one denominator, and
+x* - x0 as their int difference, which goes to the circuit test's int
+core (``circuits._is_circuit``) made primitive.  x* becomes a Fraction
+vector only in the verdict.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .circuits import is_circuit_direction
+from .circuits import _is_circuit
 from .errors import LpUnboundedError
 from .lp import LpOptimal, LpUnbounded, UniquenessReport, solve_lp, verify_unique
-from .polyhedron import Point, Polyhedron, is_feasible
-from .ratlin import RatVec
+from .polyhedron import Point, Polyhedron, _feasible_slack
+from .ratlin import RatVec, _int_vector, _primitive
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,13 @@ def decide_ocnp(P: Polyhedron, c: RatVec, x0: Point) -> OcnpVerdict:
 
     x0 must be feasible and the LP bounded; an unbounded LP raises
     LpUnboundedError.  The verdict is invariant under positive
-    scaling of c.
+    scaling of c.  With x0 = X0/D0 from its feasibility check and
+    x* = X/D, x* - x0 is Z / (D*D0) for Z = X*D0 - X0*D: x0 is the
+    optimum when Z = 0, and otherwise x* - x0 is a circuit direction
+    exactly when Z, made primitive, is a circuit.
     """
-    if not is_feasible(P, x0):
+    slack = _feasible_slack(P, x0)
+    if slack is None:
         raise ValueError("the starting point is not feasible")
     outcome = solve_lp(P, c)
     if isinstance(outcome, LpUnbounded):
@@ -63,9 +72,11 @@ def decide_ocnp(P: Polyhedron, c: RatVec, x0: Point) -> OcnpVerdict:
     report = verify_unique(P, c, outcome.vertex, optimum=outcome)
     if not report.unique:
         return NotUnique(report)
-    direction = outcome.vertex - x0
-    if direction.is_zero():
+    X0, _, D0 = slack
+    X, D = _int_vector(outcome.vertex)
+    Z = [a * D0 - b * D for a, b in zip(X, X0)]
+    if not any(Z):
         return AlreadyOptimal()
-    if is_circuit_direction(P, direction):
+    if _is_circuit(P, _primitive(Z)):
         return CircuitNeighbor(outcome.vertex)
     return NotCircuitNeighbor(outcome.vertex)

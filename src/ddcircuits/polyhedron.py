@@ -37,8 +37,10 @@ its vector.  Fractions are made only at the boundary: the step lengths
 and points the callers hand out.
 The module also owns the line-oriented instance file format (constraint
 system plus objective) and the one-line point format, both of which
-round-trip exactly, on one row parser, which checks a line's grammar in
-one match and reads its rationals as ints over one denominator, so the
+round-trip exactly, on one row parser, which reads a line's integer
+tokens with ``int`` where the line is ASCII with no "+" or "_" (there
+``int`` takes exactly the token grammar) and every other token with the
+grammar-checking ``_rat_pair``, as ints over one denominator, so the
 instance's rows go to ``_build`` in one pass of ints; ``_read_text``, the
 one reader of input files; and ``_located``, which places any token
 reader's error at its line and column.
@@ -60,7 +62,6 @@ from .ratlin import (
     Rat,
     RatMat,
     RatVec,
-    _RAT_LINE_RE,
     _cut,
     _echelon_kernel,
     _extend_rows,
@@ -577,11 +578,14 @@ def _parse_row(
     when ``count`` is None.  The one row parser of the instance and point
     formats.
 
-    One match checks the grammar of the whole line; a token without "/" is
-    then read as an int and only a ``p/q`` token by ``_rat_pair``.  On any
-    error the tokens are read again one by one, each by ``_rat_pair``, so
-    the first bad one is placed at its line and column (``_located``).  The
-    row is named, as ``what.format(index)``, only in an error."""
+    On an ASCII line with no "+" and no "_", ``int`` accepts a token
+    exactly when it has the grammar -?[0-9]+, so a token without "/" is
+    read as an int and only a ``p/q`` token by ``_rat_pair``, which checks
+    its own grammar; on any other line every token is read by
+    ``_rat_pair``.  On any error the tokens are read again one by one, each
+    by ``_rat_pair``, so the first bad one is placed at its line and column
+    (``_located``).  The row is named, as ``what.format(index)``, only in
+    an error."""
     toks = line.split()  # the tokens of _tokens, without their columns
     if count is not None and len(toks) != count:
         raise ParseError(
@@ -589,14 +593,13 @@ def _parse_row(
             line_no,
             len(line) + 1 if len(toks) < count else _tokens(line)[count][0],
         )
+    plain = line.isascii() and "+" not in line and "_" not in line
     try:
-        if not _RAT_LINE_RE.fullmatch(line):
-            raise ValueError
-        if "/" not in line:
+        if plain and "/" not in line:
             return list(map(_to_int, toks)), 1
         nums, dens = [], []
         for tok in toks:
-            p, q = _rat_pair(tok) if "/" in tok else (_to_int(tok), 1)
+            p, q = (_to_int(tok), 1) if plain and "/" not in tok else _rat_pair(tok)
             nums.append(p)
             dens.append(q)
         L = lcm(*dens)

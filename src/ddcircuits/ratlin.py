@@ -34,11 +34,12 @@ incidence matrices are totally unimodular, so their integer rows stay
 small.  ``RatMat.matvec`` serves the checkers in ``certify``: the hot
 products with A and B go through each polyhedron's integer images of A
 and B (``polyhedron._image``, and ``_solves_a`` for Ax = b).  The module
-also owns the token grammar of every input, and of a line of rationals,
-``_to_int``, the one conversion of text to an int, and ``_rat_pair``, the
-one reader of a rational token with its own grammar check, which gives it
-as an int pair in lowest terms: the instance row reader takes it for
-``p/q`` tokens and, token by token, to place an error.
+also owns the token grammar of every input, ``_to_int``, the one
+conversion of text to an int, and ``_rat_pair``, the one reader of a
+rational token with its own grammar check, which gives it as an int pair
+in lowest terms: the instance row reader takes it for ``p/q`` tokens, for
+every token of a line that is not ASCII or holds a "+" or "_", and, token
+by token, to place an error.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ Echelon = tuple[list[list[int]], list[int]]
 _COUNT_RE = re.compile(r"[0-9]+")
 _INT_RE = re.compile(r"-?[0-9]+")
 _RAT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-# A line of such rationals, parted by whitespace as ``str.split`` parts it.
-_RAT_LINE_RE = re.compile(rf"\s*{_RAT_RE.pattern}(?:\s+{_RAT_RE.pattern})*\s*")
 
 
 def _to_int(digits: str) -> int:
-    """The one text-to-int converter, for digits the grammar above matched."""
+    """The one text-to-int converter, for digits the grammar above matched
+    or, in the row parser, ASCII tokens with no "+" or "_", which ``int``
+    reads by that grammar."""
     try:
         return int(digits)
     except ValueError:  # only on more digits than the interpreter converts

@@ -223,6 +223,12 @@ def test_early_stop_on_equal_gains():
     res, walked = _walked_terms(UNIT_SQUARE, c, x, solve_lp(UNIT_SQUARE, c))
     assert res == DdStep(Circuit((0, 1)), Fraction(1), Fraction(1))
     assert len(walked) == 2
+    # the same tie across alpha denominators: on [0, 1/2] x [0, 1] the terms
+    # are (1, (0, 1)) and then (1/2, (1, 0)), and both gain -1
+    box, c = Polyhedron.box([0, 0], [Fraction(1, 2), 1]), RatVec([-2, -1])
+    res, walked = _walked_terms(box, c, x, solve_lp(box, c))
+    assert walked == [(Fraction(1), Circuit((0, 1))), (Fraction(1, 2), Circuit((1, 0)))]
+    assert res == DdStep(Circuit((0, 1)), Fraction(1), Fraction(1))
 
 
 # Terms the approximate step reads over the augmentations of the 40

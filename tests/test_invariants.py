@@ -3,10 +3,11 @@
 The runtime needs only the standard library, and all arithmetic is exact:
 no module may import a third-party package, write a float or complex
 literal, or use the name ``float``.  The integer kernel (the elimination,
-the circuit scan, the image, slack, ratio test and walk behind the
-active-set walk and the conformal decomposition, the move of an
-augmentation iterate, the row parser that the instance parser reads rows
-with, and the int builder that every polyhedron is built with) holds rows
+the circuit scan and the circuit test's int core, the image, slack, ratio
+test and walk behind the active-set walk and the conformal decomposition,
+the move of an augmentation iterate, the approximate step's choice of a
+term, the OCNP decision, the row parser that the instance parser reads
+rows with, and the int builder that every polyhedron is built with) holds rows
 and vectors of ints, where ``int / int`` would silently give a float, so
 its functions may not use true division at all.  Nor may they compute with Fractions:
 they name no rational type except to build a Fraction that they return or
@@ -62,8 +63,9 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # The functions, per module, that compute on integer rows and vectors,
-# among them the int row parser and the int builder that every polyhedron
-# is built with.
+# among them the int row parser, the int builder that every polyhedron
+# is built with, and the OCNP decision and the approximate step, which
+# hand their Fraction arguments on untouched.
 INTEGER_KERNEL = {
     "ratlin.py": (
         "_pivot",
@@ -77,7 +79,9 @@ INTEGER_KERNEL = {
         "_primitive",
     ),
     "lp.py": ("_flip", "_bland", "_simplex"),
-    "circuits.py": ("_children", "enumerate_circuits"),
+    "circuits.py": ("_children", "enumerate_circuits", "_is_circuit"),
+    "ocnp.py": ("decide_ocnp",),
+    "ddstep.py": ("_approx_step",),
     "polyhedron.py": (
         "_image",
         "_slack",

@@ -13,6 +13,7 @@ from ddcircuits import (
     Polyhedron,
     RatVec,
     decide_ocnp,
+    decompose,
     enumerate_circuits,
     solve_lp,
     verify_unique,
@@ -20,7 +21,7 @@ from ddcircuits import (
 from ddcircuits.circuits import Circuit, canonical_orientation
 from ddcircuits.ratlin import RatMat, coprime_integer_entries
 
-from instgen import gen_box, gen_circulation
+from instgen import dense_polytope, gen_box, gen_circulation
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 C = RatVec([-1, -2])
@@ -71,26 +72,44 @@ class TestVerdicts:
             decide_ocnp(UNIT_SQUARE, C, RatVec([5, 5]))
 
 
+def oracle_checked_verdict(P, c, x0):
+    """decide_ocnp's verdict from x0, checked against the brute-force
+    oracle, or None when the LP has no unique optimum to check."""
+    out = solve_lp(P, c)
+    if not isinstance(out, LpOptimal):
+        return None
+    if not verify_unique(P, c, out.vertex).unique:
+        return None
+    verdict = decide_ocnp(P, c, x0)
+    expected = brute_force_is_circuit_neighbor(P, out.vertex, x0)
+    if isinstance(verdict, AlreadyOptimal):
+        assert out.vertex == x0
+    elif isinstance(verdict, CircuitNeighbor):
+        assert expected and verdict.xstar == out.vertex
+    elif isinstance(verdict, NotCircuitNeighbor):
+        assert not expected and verdict.xstar == out.vertex
+    else:
+        raise AssertionError("unique instance produced NotUnique")
+    return verdict
+
+
 class TestOracleAgreement:
     def test_seeded_instances(self):
         rng = random.Random(5150)
         checked = 0
         for _ in range(30):
             P, c, x0 = gen_box(rng) if rng.random() < 0.6 else gen_circulation(rng)
-            out = solve_lp(P, c)
-            if not isinstance(out, LpOptimal):
-                continue
-            if not verify_unique(P, c, out.vertex).unique:
-                continue
-            verdict = decide_ocnp(P, c, x0)
-            expected = brute_force_is_circuit_neighbor(P, out.vertex, x0)
-            if isinstance(verdict, AlreadyOptimal):
-                assert out.vertex == x0
-            elif isinstance(verdict, CircuitNeighbor):
-                assert expected
-            elif isinstance(verdict, NotCircuitNeighbor):
-                assert not expected
-            else:
-                raise AssertionError("unique instance produced NotUnique")
-            checked += 1
+            checked += oracle_checked_verdict(P, c, x0) is not None
         assert checked >= 20
+        # dense_polytope's x0 has thirds and its B usually a denominator, so
+        # x0's slack is over a denominator other than x0's own.  Each of
+        # these draws has a unique optimum and is checked twice: from x0,
+        # which is not a circuit step from x*, and from x* less the first
+        # term of the conformal sum of x* - x0, which is.
+        rng = random.Random(5150)
+        for _ in range(20):
+            P, c, x0 = dense_polytope(rng)
+            assert isinstance(oracle_checked_verdict(P, c, x0), NotCircuitNeighbor)
+            xstar = solve_lp(P, c).vertex
+            alpha, g = decompose(P, xstar - x0).terms[0]
+            assert isinstance(oracle_checked_verdict(P, c, xstar - alpha * g.vec), CircuitNeighbor)
