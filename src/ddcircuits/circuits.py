@@ -30,8 +30,14 @@ n - 1.  A child's block is one fraction-free column step on its parent's
 (``ratlin._cut``, which the active-set walk's block shares), made when
 the child is taken from the stack.  The children of a flat
 with a two-dimensional kernel are circuits, read from the two columns of
-K directly, so no circuit is found twice and each is oriented once, to
-its canonical sign (first nonzero entry of Bg positive).
+K directly, so no circuit is found twice.  Each is formed over the whole
+column, so its products with the representatives come with it, and is
+oriented once from them to its canonical sign (first nonzero entry of Bg
+positive): the first row of B with a nonzero product is the first of its
+class, a representative, so no product with B is taken.  A circuit found
+this way is nonzero and primitive by construction and is built by
+``_trusted``, without the checks of ``Circuit``; ``Circuit.__neg__`` and
+the conformal decomposition build theirs the same way.
 """
 
 from __future__ import annotations
@@ -71,10 +77,18 @@ class Circuit:
         return RatVec(self.entries)
 
     def __neg__(self) -> "Circuit":
-        return Circuit(tuple([-e for e in self.entries]))
+        return _trusted(tuple([-e for e in self.entries]))
 
     def to_text(self) -> str:
         return " ".join(str(e) for e in self.entries)
+
+
+def _trusted(entries: tuple[int, ...]) -> Circuit:
+    """The Circuit of ``entries`` without the checks of ``Circuit``: for
+    code whose entries are nonzero, primitive ints by construction."""
+    circ = object.__new__(Circuit)
+    object.__setattr__(circ, "entries", entries)
+    return circ
 
 
 def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
@@ -107,7 +121,9 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
 
     Goes through the nonzeros of the primitive integer rows of B, which
     have the signs of B's rows, and stops at the first one with
-    (B g)_j != 0, so it does not compute all of B g.
+    (B g)_j != 0, so it does not compute all of B g.  The enumeration
+    orients from its block's products instead (``_oriented``); this is
+    the reference the tests hold it to.
     """
     g = circ.entries
     for row in P._b_image.nonzeros:
@@ -117,6 +133,24 @@ def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
         if e < 0:
             return -circ
     raise AssertionError("kernel direction with zero B-image in a pointed system")
+
+
+def _oriented(col: list[int], n: int) -> Circuit:
+    """The circuit on the line of the block column ``col``, in canonical
+    orientation.
+
+    ``col`` is a kernel vector in its first n entries, followed by its
+    products with the representatives, in B's order.  Rows of one parallel
+    class vanish together, so the first row of B with a nonzero product is
+    the first of its class, a representative, and its product is in
+    ``col``: the circuit is the first n entries over their content,
+    negated when that product is negative.
+    """
+    g = col[:n]
+    k = gcd(*g)
+    if next(a for a in col[n:] if a) < 0:
+        k = -k
+    return _trusted(tuple([a // k for a in g]) if k != 1 else tuple(g))
 
 
 def _children(
@@ -195,14 +229,11 @@ def enumerate_circuits(
                 f"flats (n={n}, m_B={len(P._b_image.rows)})"
             )
         if d == 1:  # the root, when the kernel of A is a line
-            found.append(canonical_orientation(P, Circuit(tuple(block[0][:n]))))
+            found.append(_oriented(block[0], n))
         elif d > 2:
             stack.extend((block, l) for l, _ in reversed(kids))
         else:  # each child is a line of the kernel, a circuit
-            k0, k1 = (col[:n] for col in block)
+            k0, k1 = block
             for _, (a, b) in kids:
-                g = [b * x - a * y for x, y in zip(k0, k1)]
-                c = gcd(*g)
-                entries = tuple(g) if c == 1 else tuple([e // c for e in g])
-                found.append(canonical_orientation(P, Circuit(entries)))
+                found.append(_oriented([b * x - a * y for x, y in zip(k0, k1)], n))
     return sorted(found, key=lambda circ: circ.entries)

@@ -33,8 +33,10 @@ one more row hits zero, which raises the active rank; when the active
 system reaches rank n - 1 its kernel is spanned by v, which is the
 desired circuit.  The residual is carried negated, as -r, so each walk
 starts from it as it is.  The circuit is the walk's end E, an int vector,
-divided by gcd(E) and negated, and its signed image is the walk's slack
-at E divided by the same gcd, with no product with B.
+divided by gcd(E) and negated, so primitive by construction and built by
+``circuits._trusted`` without the checks of ``Circuit``, and its signed
+image is the walk's slack at E divided by the same gcd, with no product
+with B.
 The rows active at r stay
 active across terms, so the decomposition keeps the block of their
 kernel (``polyhedron._tighten`` of A's block) and cuts it only by the
@@ -59,7 +61,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .circuits import Circuit
+from .circuits import Circuit, _trusted
 from .polyhedron import (
     Polyhedron,
     _a_block,
@@ -128,7 +130,7 @@ def _terms(
         for end, end_slack, _, _ in _walk(P, signs, U, S, D, block):
             pass
         k = gcd(*end)
-        g = Circuit(tuple([-e // k for e in end]))
+        g = _trusted(tuple([-e // k for e in end]))
         sg = [e // k for e in end_slack]
         if any(e for e, s in zip(sg, S) if s == 0):  # pragma: no cover - by face construction
             raise AssertionError("extreme ray leaves the minimal face")

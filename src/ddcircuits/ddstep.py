@@ -3,7 +3,10 @@ approximation, and the augmentation loop.
 
 The exact step scans every circuit in its improving orientation (a
 desk-scale, enumeration-backed oracle) and keeps the feasible step
-maximizing the improvement -c.(alpha g).  The approximate step never
+maximizing the improvement -c.(alpha g).  The circuits, their slopes and
+their images under B do not depend on the iterate, so the gate builds
+them into a table once per run, and each step's scan does only the
+ratio tests.  The approximate step never
 enumerates: it solves the LP once, conformally decomposes x* - x0, picks
 the term with the best objective contribution and extends it to its
 maximal feasible length by the exact step's scan over that one circuit,
@@ -90,6 +93,10 @@ Iterate = tuple[list[int], list[int], int]
 # of its circuit and the row that limits the step, which ``_advance`` reads.
 RuleResult = tuple[StepOutcome, Optional[tuple[list[int], int]]]
 
+# An entry of the exact rule's scan table: a circuit in its improving
+# orientation, its slope C.g < 0 with c = C / den, and its image B g.
+ScanEntry = tuple[Circuit, int, list[int]]
+
 
 def _rule(
     P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int
@@ -101,7 +108,9 @@ def _rule(
     The one gate of the step rules: it checks the mode and the start x0
     once and does the rule's per-run work once: x0's slack, which is both
     the feasibility check and the first iterate, c in ints for every mode,
-    the circuit list for ``exact`` and, for ``approx``, the LP optimum x*
+    for ``exact`` the scan table of ``_scan``, each circuit of the
+    enumeration with c.g != 0 in its improving orientation with its slope
+    and image, and, for ``approx``, the LP optimum x*
     as ints over one denominator and A's block, where each decomposition
     starts.  An unbounded LP raises LpUnboundedError; the LP is never
     infeasible, since x0 is feasible.
@@ -119,8 +128,16 @@ def _rule(
         assert isinstance(optimum, LpOptimal)
         xstar, block = _int_vector(optimum.vertex), _a_block(P)
         return (lambda it: _approx_step(P, cint, it, xstar, block)), start, cint
-    circuits = enumerate_circuits(P, work_budget=work_budget)
-    return (lambda it: _scan(P, cint, it, circuits)), start, cint
+    C = cint[0]
+    table = []
+    for g in enumerate_circuits(P, work_budget=work_budget):
+        slope = _dot(C, g.entries)
+        if slope:
+            bg = _image(P._b_image, g.entries)
+            if slope > 0:
+                g, slope, bg = -g, -slope, [-a for a in bg]
+            table.append((g, slope, bg))
+    return (lambda it: _scan(cint, it, table)), start, cint
 
 
 def _first_step(P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int) -> StepOutcome:
@@ -185,9 +202,10 @@ def _approx_step(
     later term beats or ties it and the walk stops.  The gains and c.r are
     held as int pairs (numerator, positive denominator), each gain taken
     off c.r in lowest terms by one gcd, and compared by cross-multiplication.
-    The best term g is then extended by the deepest-descent scan over g
-    alone: c.g < 0 and x + alpha*g is feasible with alpha > 0, so the scan
-    neither flips nor skips it and returns its maximal step.
+    The best term g is then extended by the deepest-descent scan over a
+    one-entry table: c.g < 0 and x + alpha*g is feasible with alpha > 0,
+    so g is in its improving orientation and the scan does not skip it,
+    and it returns g's maximal step.
     """
     X, _, D = it
     Xs, Ds = xstar
@@ -213,7 +231,8 @@ def _approx_step(
     if bn >= 0:
         # x is already optimal (possible only with multiple optima).
         return Optimal(), None
-    res = _scan(P, cint, it, [best_g])
+    entry = (best_g, _dot(C, best_g.entries), _image(P._b_image, best_g.entries))
+    res = _scan(cint, it, [entry])
     if not isinstance(res[0], DdStep):  # pragma: no cover - would contradict a bounded LP
         raise AssertionError("the best term gives no maximal step under a bounded LP")
     return res
@@ -224,34 +243,25 @@ def _dot(C: Sequence[int], g: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(C, g) if a)
 
 
-def _scan(
-    P: Polyhedron, cint: tuple[list[int], int], it: Iterate, circuits: list[Circuit]
-) -> RuleResult:
+def _scan(cint: tuple[list[int], int], it: Iterate, table: list[ScanEntry]) -> RuleResult:
     """The feasible circuit step of maximal length with the largest
-    improvement -c.(beta g).
+    improvement -c.(beta g), over the circuits of ``table``.
 
-    Since c.(-g) = -c.g, at most one orientation of a circuit improves:
-    the sign of c.g picks it, and its slope and B g are computed once.
-    A later circuit replaces the best only when it improves strictly
-    more, so ties go to the earliest circuit.  ``it`` is a feasible
-    iterate (X, S, D).  c comes as ints over one denominator, ``cint`` =
-    (C, den) with c = C / den, and the slope is an int dot product with C;
-    the ratio test reads the int slack S, and only a step of positive
-    length forms Fractions, for beta and its improvement.  A DdStep comes
-    with its image B g and limiting row, so the move along it tests no
-    ratio again.
+    Each entry is (g, slope, B g): a circuit in its improving orientation,
+    its int slope C.g < 0 and its image, made once per run, so the scan
+    does the ratio tests only.  A later circuit replaces the best only
+    when it improves strictly more, so ties go to the earliest entry.
+    ``it`` is a feasible iterate (X, S, D), and c comes as ints over one
+    denominator, ``cint`` = (C, den) with c = C / den.  The ratio test
+    reads the int slack S, and only a step of positive length forms
+    Fractions, for beta and its improvement.  A DdStep comes with its
+    image B g and limiting row, so the move along it tests no ratio again.
     """
-    C, den = cint
+    den = cint[1]
     _, S, D = it
     best: Optional[DdStep] = None
     limit = None
-    for g in circuits:
-        slope = _dot(C, g.entries)
-        if slope == 0:
-            continue
-        bg = _image(P._b_image, g.entries)
-        if slope > 0:
-            g, slope, bg = -g, -slope, [-a for a in bg]
+    for g, slope, bg in table:
         j = _ratio_test(S, bg)
         if j is None:
             return UnboundedImprovement(g), None

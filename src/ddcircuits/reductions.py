@@ -79,10 +79,11 @@ def perturb_costs(G: Digraph) -> Digraph:
     denominator dividing 2^m, every cycle with k arcs costs between k
     (inclusive) and k + 1 (exclusive), distinct arc subsets always have
     distinct total costs, and a cycle with more arcs always costs more.
+    Each cost is made as one Fraction, (2^i + 1) / 2^i.
     """
     if G.costs is not None and any(c != 1 for c in G.costs):
         raise ValueError("perturb_costs requires an unweighted or unit-cost digraph")
-    costs = tuple(Fraction(1) + Fraction(1, 2 ** i) for i in range(1, G.m + 1))
+    costs = tuple([Fraction(2**i + 1, 2**i) for i in range(1, G.m + 1)])
     return replace(G, costs=costs)
 
 
@@ -112,8 +113,9 @@ def build_reduction(G: Digraph) -> ReductionInstance:
     inequalities: the box 0 <= x <= 1 (B = [I; -I], d = (1...1, 0...0));
     objective: the negated perturbed costs; start: the zero flow.  The
     resulting system is pointed, totally unimodular, and has a unique
-    optimum.  The rows go to the polyhedron as ints; only the objective
-    is made of Fractions.
+    optimum.  The rows go to the polyhedron as ints, and the objective is
+    made from the ints -(2^m + 2^(m-i)) over 2^m, the negated costs over
+    their common denominator.
     """
     if G.m == 0:
         raise ValueError("the reduction needs at least one arc")
@@ -121,8 +123,7 @@ def build_reduction(G: Digraph) -> ReductionInstance:
     weighted = perturb_costs(G)
     a_rows, b = [(row, 1) for row in _incidence_rows(G)], [(0, 1)] * G.nodes
     P = Polyhedron._from_ints(m, a_rows, b, _box_rows(m), [(1, 1)] * m + [(0, 1)] * m)
-    costs, den = _int_vector(weighted.costs)
-    objective = _point([-e for e in costs], den)
+    objective = _point([-(2**m + 2 ** (m - i)) for i in range(1, m + 1)], 2**m)
     return ReductionInstance(Instance(P, objective), _point([0] * m, 1), weighted)
 
 
@@ -133,20 +134,22 @@ def longest_cycle_oracle(G: Digraph) -> Optional[tuple[tuple[int, ...], Rat]]:
     or antiparallel arcs a two-node cycle needs two distinct arcs) and
     returns the best one as (sorted arc indices, total cost).  Ties break
     toward the lexicographically smallest arc set; with perturbed costs
-    ties cannot occur.  Unweighted graphs count arcs.  The node guard,
+    ties cannot occur.  Unweighted graphs count arcs.  The costs are read
+    once as ints over their common denominator, the cycles are compared by
+    int sums, and the answer is the one Fraction made.  The node guard,
     ``MAX_ORACLE_NODES``, keeps the enumeration at desk scale.
     """
     if G.nodes > MAX_ORACLE_NODES:
         raise SizeGuardExceeded(
             f"cycle oracle limited to {MAX_ORACLE_NODES} nodes, got {G.nodes}"
         )
-    costs = G.costs if G.costs is not None else tuple(Fraction(1) for _ in G.arcs)
+    costs, den = _int_vector(G.costs) if G.costs is not None else ([1] * G.m, 1)
     by_tail: list[list[tuple[int, int]]] = [[] for _ in range(G.nodes + 1)]
     for idx, (tail, head) in enumerate(G.arcs):
         by_tail[tail].append((head, idx))
 
     # Each cycle is walked once, from its smallest node; the best key is the least.
-    best: Optional[tuple[Rat, tuple[int, ...]]] = None
+    best: Optional[tuple[int, tuple[int, ...]]] = None
     for start in range(1, G.nodes + 1):
         stack = [(start, (start,), ())]  # (node, path nodes, path arcs)
         while stack:
@@ -154,13 +157,13 @@ def longest_cycle_oracle(G: Digraph) -> Optional[tuple[tuple[int, ...], Rat]]:
             for head, idx in by_tail[node]:
                 if head == start:
                     arcs = path + (idx,)
-                    key = (-sum((costs[i] for i in arcs), Fraction(0)), tuple(sorted(arcs)))
+                    key = (-sum([costs[i] for i in arcs]), tuple(sorted(arcs)))
                     best = key if best is None else min(best, key)
                 elif head > start and head not in visited:
                     stack.append((head, visited + (head,), path + (idx,)))
     if best is None:
         return None
-    return best[1], -best[0]
+    return best[1], Fraction(-best[0], den)
 
 
 def verify_correspondence(

@@ -280,7 +280,8 @@ def _box_rows(n):
 
 # Systems where the flat walk starts or branches unusually: rows of B in
 # the row space of A (the root flat holds them), zero rows of B, parallel
-# and antiparallel rows of B, a line as the kernel of A (k = 0: the root is
+# and antiparallel rows of B, also of a first row of its class whose first
+# nonzero is negative, a line as the kernel of A (k = 0: the root is
 # the one circuit) and a trivial kernel (k < 0: no flat, no circuit).
 EDGE_SYSTEMS = {
     "b-in-row-space-of-a": _system(
@@ -295,6 +296,13 @@ EDGE_SYSTEMS = {
         [],
         [[1, 2, 0], [2, 4, 0], [-1, -2, 0], [0, 1, 1], [0, -3, -3], [1, 0, 0], [0, 0, 1], [-1, 1, -1]],
         3,
+    ),
+    # rows 0 and 1 start their classes with a negative entry; rows 2 and 3
+    # are antiparallel to them
+    "antiparallel-rep-points-down": _system(
+        [[1, 1, 1, 1]],
+        [[0, -1, 2, 0], [-2, 0, 1, 1], [0, 2, -4, 0], [2, 0, -1, -1]] + _box_rows(4),
+        4,
     ),
     "line-kernel": _system([[1, 1, 0], [0, 1, 1]], _box_rows(3), 3),
     "trivial-kernel": _system([[1, 0], [0, 1]], _box_rows(2), 2),

@@ -53,6 +53,7 @@ from ddcircuits import (
     solve_lp,
     verify_unique,
 )
+from ddcircuits.circuits import canonical_orientation
 from ddcircuits.ratlin import kernel_basis, sign_normalized
 
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
@@ -208,17 +209,21 @@ def _enumeration_systems():
 
 
 def test_each_circuit_oriented_once(monkeypatch):
-    real = ddcircuits.circuits.canonical_orientation
+    # the enumeration orients each circuit once, from its block's
+    # products, and lands where canonical_orientation's products with B do
+    real = ddcircuits.circuits._oriented
     for P in _enumeration_systems().values():
         oriented = []
 
-        def counting(P, circ):
+        def counting(col, n):
+            circ = real(col, n)
             oriented.append(sign_normalized(circ.entries))
-            return real(P, circ)
+            return circ
 
-        monkeypatch.setattr(ddcircuits.circuits, "canonical_orientation", counting)
+        monkeypatch.setattr(ddcircuits.circuits, "_oriented", counting)
         circuits = enumerate_circuits(P)
         assert len(oriented) == len(set(oriented)) == len(circuits)
+        assert all(canonical_orientation(P, g) == g for g in circuits)
 
 
 # The smallest work budget with which each enumeration completes, recorded

@@ -81,7 +81,7 @@ INTEGER_KERNEL = {
     "lp.py": ("_flip", "_bland", "_simplex"),
     "circuits.py": ("_children", "enumerate_circuits", "_is_circuit"),
     "ocnp.py": ("decide_ocnp",),
-    "ddstep.py": ("_approx_step",),
+    "ddstep.py": ("_rule", "_approx_step"),
     "polyhedron.py": (
         "_image",
         "_slack",
@@ -99,7 +99,7 @@ INTEGER_KERNEL = {
         "_box_rows",
     ),
     "conformal.py": ("_terms",),
-    "reductions.py": ("build_reduction", "_incidence_rows"),
+    "reductions.py": ("build_reduction", "_incidence_rows", "longest_cycle_oracle"),
 }
 
 # The rational types, and the methods of RatVec, RatMat and Circuit that

@@ -25,7 +25,7 @@ from ddcircuits import (
 from ddcircuits.cli import main
 from ddcircuits.ddstep import Optimal, UnboundedImprovement
 from ddcircuits.reductions import format_digraph, parse_digraph_text
-from ddcircuits.ratlin import RatMat
+from ddcircuits.ratlin import RatMat, rank
 
 from instgen import exhaustive_digraphs, random_digraph
 from oracles import directed_simple_cycles, incidence_matrix, residual_cycles
@@ -255,12 +255,42 @@ def _check_residual_steps(graph) -> int:
     return len(trace.steps)
 
 
+def _check_approx_residual_steps(graph) -> int:
+    """Check every step of approximate ``augment`` from the zero flow
+    against the residual-cycle oracle; return the number of steps.
+
+    Each step moves along a directed cycle of the residual digraph at
+    step 1 and improves by that cycle's residual weight, which is at
+    least 1/(n - rank A) of the heaviest residual cycle's weight, the
+    exact step's improvement: the paper's n-approximation, per step."""
+    red = build_reduction(graph)
+    P, c = red.instance.polyhedron, red.instance.objective
+    weights = [-e for e in c]
+    factor = P.n - rank(P.A)
+    trace = augment(P, c, red.x0, "approx")
+    for step, x, moved in zip(trace.steps, trace.iterates, trace.iterates[1:]):
+        cycles = dict(residual_cycles(graph, weights, x))
+        assert step.alpha == 1
+        assert moved == x + step.g.vec
+        assert step.improvement == cycles[step.g.entries] > 0
+        assert max(cycles.values()) <= factor * step.improvement
+    assert all(w <= 0 for _, w in residual_cycles(graph, weights, trace.final))
+    return len(trace.steps)
+
+
+def _residual_graphs():
+    rng = random.Random(21)
+    graphs = list(exhaustive_digraphs(node_counts=(2, 3)))
+    return graphs + [random_digraph(rng, 4, 5, 12) for _ in range(80)]
+
+
 class TestResidualCycles:
     def test_every_exact_step_is_a_heaviest_residual_cycle(self):
-        rng = random.Random(21)
-        graphs = list(exhaustive_digraphs(node_counts=(2, 3)))
-        graphs += [random_digraph(rng, 4, 5, 12) for _ in range(80)]
-        steps = [_check_residual_steps(graph) for graph in graphs]
+        steps = [_check_residual_steps(graph) for graph in _residual_graphs()]
+        assert 0 in steps and max(steps) >= 3
+
+    def test_every_approx_step_is_within_the_factor_of_the_heaviest(self):
+        steps = [_check_approx_residual_steps(graph) for graph in _residual_graphs()]
         assert 0 in steps and max(steps) >= 3
 
     def test_oracle_reverses_arcs_of_the_flow(self):
