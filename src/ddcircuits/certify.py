@@ -20,15 +20,14 @@ from the modules that produce the results they check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyhedron import Polyhedron
 from .ratlin import RatMat, RatVec, rank
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ConeLift:
+class ConeLift(Record):
     """A member (x, y+, y-) of the sign-split cone of (A, B).
 
     The canonical lift has disjoint supports, min(y+_i, y-_i) = 0 for all
@@ -36,6 +35,7 @@ class ConeLift:
     non-circuit rays) are representable too.
     """
 
+    __slots__ = ("x", "yplus", "yminus")
     x: RatVec
     yplus: RatVec
     yminus: RatVec

@@ -34,27 +34,29 @@ K directly, so no circuit is found twice.  Each is formed over the whole
 column, so its products with the representatives come with it, and is
 oriented once from them to its canonical sign (first nonzero entry of Bg
 positive): the first row of B with a nonzero product is the first of its
-class, a representative, so no product with B is taken.  A circuit found
-this way is nonzero and primitive by construction and is built by
-``_trusted``, without the checks of ``Circuit``; ``Circuit.__neg__`` and
-the conformal decomposition build theirs the same way.
+class, a representative, so no product with B is taken.  The package
+keeps no second orientation routine: the tests' reference,
+``canonical_orientation`` in ``tests/oracles.py``, computes B g in full
+from the rational B.  A circuit found this way is nonzero and primitive
+by construction and is built by ``_trusted``, without the checks of
+``Circuit``; ``Circuit.__neg__`` and the conformal decomposition build
+theirs the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .errors import SizeGuardExceeded
 from .polyhedron import Polyhedron, _a_block, _image, _solves_a
 from .ratlin import RatVec, _cut, _extend_rows, coprime_integer_entries, sign_normalized
+from .record import Record
 
 DEFAULT_WORK_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """A coprime-integer kernel direction with support-minimal B-image.
 
     ``entries`` may carry either orientation; g and -g describe the same
@@ -62,6 +64,7 @@ class Circuit:
     nonzero entry of Bg positive).
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
     def __post_init__(self):
@@ -114,25 +117,6 @@ def _is_circuit(P: Polyhedron, G: Sequence[int]) -> bool:
     image = _image(P._b_image, G)  # zeros where B G has them
     kept = (q for q, e in zip(P._b_image.rows, image) if e == 0)
     return len(_extend_rows(kept, *P._a_echelon)[1]) == P.n - 1
-
-
-def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
-    """Flip the sign so the first nonzero entry of B g is positive.
-
-    Goes through the nonzeros of the primitive integer rows of B, which
-    have the signs of B's rows, and stops at the first one with
-    (B g)_j != 0, so it does not compute all of B g.  The enumeration
-    orients from its block's products instead (``_oriented``); this is
-    the reference the tests hold it to.
-    """
-    g = circ.entries
-    for row in P._b_image.nonzeros:
-        e = sum(a * g[j] for j, a in row)
-        if e > 0:
-            return circ
-        if e < 0:
-            return -circ
-    raise AssertionError("kernel direction with zero B-image in a pointed system")
 
 
 def _oriented(col: list[int], n: int) -> Circuit:

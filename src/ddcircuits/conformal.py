@@ -56,7 +56,6 @@ sum independently of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator
@@ -73,12 +72,13 @@ from .polyhedron import (
     _walk,
 )
 from .ratlin import Rat, RatVec, _int_vector
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ConformalSum:
+class ConformalSum(Record):
     """Ordered positive circuit combination reconstructing ``target`` exactly."""
 
+    __slots__ = ("terms", "target")
     terms: tuple[tuple[Rat, Circuit], ...]
     target: RatVec
 

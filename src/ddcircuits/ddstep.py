@@ -34,7 +34,6 @@ improvement and for each recorded iterate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence, Union
@@ -54,30 +53,32 @@ from .polyhedron import (
     _ratio_test,
 )
 from .ratlin import Rat, RatVec, _int_vector
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DdStep:
+class DdStep(Record):
     """A feasible improving circuit step taken at maximal length.
 
     ``g`` is the direction actually stepped (c.g < 0), which may be the
     negation of the canonical enumeration representative.
     """
 
+    __slots__ = ("g", "alpha", "improvement")
     g: Circuit
     alpha: Rat
     improvement: Rat
 
 
-@dataclass(frozen=True)
-class Optimal:
+class Optimal(Record):
     """No feasible improving circuit step exists from the query point."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class UnboundedImprovement:
+
+class UnboundedImprovement(Record):
     """An improving circuit with no finite maximal step length."""
 
+    __slots__ = ("g",)
     g: Circuit
 
 
@@ -274,14 +275,14 @@ def _scan(cint: tuple[list[int], int], it: Iterate, table: list[ScanEntry]) -> R
     return (best, limit) if best is not None else (Optimal(), None)
 
 
-@dataclass(frozen=True)
-class AugmentationTrace:
+class AugmentationTrace(Record):
     """The steps and iterates of one augmentation run.
 
     The objective strictly decreases along ``iterates`` and, when the run
     terminated normally, the final iterate is optimal.
     """
 
+    __slots__ = ("steps", "iterates", "mode")
     steps: tuple[DdStep, ...]
     iterates: tuple[Point, ...]
     mode: str

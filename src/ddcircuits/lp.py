@@ -91,7 +91,6 @@ cone is {0}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence, Union
@@ -117,46 +116,48 @@ from .ratlin import (
     _pivot,
     _primitive,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class LpOptimal:
+class LpOptimal(
+    Record, defaults={"unique": False, "objective": None}, hidden=("unique", "objective")
+):
     """An optimal vertex and its value.
 
     ``unique`` is True when the one final simplex tableau proves the
     optimum unique (every nonbasic reduced cost positive, a basic split
     variable's twin aside).  False means the tableau does not decide it.
     ``objective`` is the c that ``solve_lp`` minimized, None for an
-    optimum built by hand.  Neither takes part in equality or repr.
+    optimum built by hand.  Neither takes part in equality, hash or repr.
     """
 
+    __slots__ = ("vertex", "value", "unique", "objective")
     vertex: Point
     value: Rat
-    unique: bool = field(default=False, compare=False, repr=False)
-    objective: Optional[RatVec] = field(default=None, compare=False, repr=False)
+    unique: bool
+    objective: Optional[RatVec]
 
 
-@dataclass(frozen=True)
-class LpUnbounded:
+class LpUnbounded(Record):
+    __slots__ = ("direction",)
     direction: RatVec
 
 
-@dataclass(frozen=True)
-class LpInfeasible:
-    pass
+class LpInfeasible(Record):
+    __slots__ = ()
 
 
 LpOutcome = Union[LpOptimal, LpUnbounded, LpInfeasible]
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Record):
     """Whether the optimal face is a single point; a witness otherwise.
 
     When ``unique`` is false the witness is feasible, attains the same
     objective value, and differs from the optimum it was checked against.
     """
 
+    __slots__ = ("unique", "witness")
     unique: bool
     witness: Optional[Point]
 
@@ -270,8 +271,9 @@ def _unique_by_reduced_costs(
     return all(r > 0 for j, r in enumerate(cost) if j not in skip)
 
 
-def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
-    """Walk within the optimal face until the active system has rank n.
+def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> tuple[Point, list[int], int]:
+    """Walk within the optimal face until the active system has rank n:
+    the vertex reached, with its int form (X, D), x = X/D, from the walk.
 
     Runs only for an optimum the tableau leaves open: one it proves unique
     is the whole optimal face, a single point, and so already a vertex.
@@ -284,7 +286,7 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> Point:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
             )
-    return _point(X, D)
+    return _point(X, D), X, D
 
 
 def _simplex(
@@ -420,33 +422,37 @@ def _simplex(
     return status, tableau, enter
 
 
-def _to_x(tab: _Tableau, y: list[tuple[int, int]], at: int) -> RatVec:
-    """x from the values num / den of the tableau's variables, one Fraction
-    per entry, with their complements, shifts, signs and splits undone.
-    ``at`` is 1 for a point and 0 for a direction, which has no shift."""
+def _to_x(tab: _Tableau, y: list[tuple[int, int]], at: int) -> tuple[list[int], int]:
+    """(X, D): x = X/D from the values num / den > 0 of the tableau's
+    variables, with their complements, shifts, signs and splits undone,
+    as ints over D = L * scale with L the lcm of the dens.  ``at`` is 1
+    for a point and 0 for a direction, which has no shift."""
     n = len(tab.signs)
     for k in tab.flipped:
         num, den = y[k]
         y[k] = (at * tab.upper[k] * den - num, den)
-    x = [
-        Fraction(at * o * den + s * num, den * tab.scale)
+    L = lcm(*[den for _, den in y])
+    X = [
+        (at * o * den + s * num) * (L // den)
         for o, s, (num, den) in zip(tab.offsets, tab.signs, y)
     ]
     for p, j in enumerate(tab.split):
         num, den = y[n + p]
         if num:
-            x[j] -= Fraction(num, den * tab.scale)
-    return RatVec(x)
+            X[j] -= num * (L // den)
+    return X, L * tab.scale
 
 
-def _vertex(tab: _Tableau) -> Point:
-    """The point x of a tableau's basic solution: each basic variable is
-    its row's rhs over its basic entry, each nonbasic one 0."""
+def _vertex(tab: _Tableau) -> tuple[Point, list[int], int]:
+    """The point x of a tableau's basic solution, with its int form (X, D),
+    x = X/D: each basic variable is its row's rhs over its basic entry,
+    each nonbasic one 0."""
     y = [(0, 1)] * (len(tab.signs) + len(tab.split))
     for row, jb in zip(tab.T, tab.basis):
         if jb < len(y):
             y[jb] = (row[-1], row[jb])
-    return _to_x(tab, y, 1)
+    X, D = _to_x(tab, y, 1)
+    return _point(X, D), X, D
 
 
 def _ray(tab: _Tableau, enter: int) -> RatVec:
@@ -459,7 +465,7 @@ def _ray(tab: _Tableau, enter: int) -> RatVec:
     for row, jb in zip(tab.T, tab.basis):
         if jb < len(y):
             y[jb] = (-row[enter], row[jb])
-    return _to_x(tab, y, 0)
+    return _point(*_to_x(tab, y, 0))
 
 
 def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
@@ -469,7 +475,8 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     improving ray (Ar = 0, Br <= 0, c.r < 0), or infeasibility.  P is
     pointed, as every Polyhedron is, so an optimum is attained at a vertex.
     c is read once as ints over one denominator, c = C/den; the simplex
-    takes C made primitive, and the value of x = X/D is C.X over den*D.
+    takes C made primitive, and the value of the vertex x = X/D is C.X over
+    den*D, with (X, D) as the tableau or the purifying walk hands it over.
     """
     if c.dim != P.n:
         raise ValueError(f"objective has dimension {c.dim}, expected {P.n}")
@@ -479,11 +486,10 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
         return LpInfeasible()
     if status == "unbounded":
         return LpUnbounded(_ray(tab, enter))
-    x = _vertex(tab)
+    x, X, D = _vertex(tab)
     unique = _unique_by_reduced_costs(tab.T[-1][:-1], tab.basis, P.n, tab.split)
     if not unique:
-        x = _purify_to_vertex(P, c, x)
-    X, D = _int_vector(x)
+        x, X, D = _purify_to_vertex(P, c, x)
     return LpOptimal(x, Fraction(sum(a * b for a, b in zip(C, X) if a), den * D), unique, c)
 
 

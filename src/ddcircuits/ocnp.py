@@ -19,7 +19,6 @@ vector only in the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .circuits import _is_circuit
@@ -27,25 +26,27 @@ from .errors import LpUnboundedError
 from .lp import LpOptimal, LpUnbounded, UniquenessReport, solve_lp, verify_unique
 from .polyhedron import Point, Polyhedron, _feasible_slack
 from .ratlin import RatVec, _int_vector, _primitive
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AlreadyOptimal:
+class AlreadyOptimal(Record):
     """x0 itself is the unique optimum (x* - x0 = 0)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class CircuitNeighbor:
+
+class CircuitNeighbor(Record):
+    __slots__ = ("xstar",)
     xstar: Point
 
 
-@dataclass(frozen=True)
-class NotCircuitNeighbor:
+class NotCircuitNeighbor(Record):
+    __slots__ = ("xstar",)
     xstar: Point
 
 
-@dataclass(frozen=True)
-class NotUnique:
+class NotUnique(Record):
+    __slots__ = ("report",)
     report: UniquenessReport
 
 

@@ -52,7 +52,6 @@ other systems extend A's echelon by B's rows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -70,6 +69,7 @@ from .ratlin import (
     _to_int,
     parse_count,
 )
+from .record import Record
 
 
 class _Unbounded:
@@ -509,10 +509,10 @@ def _max_step(P: Polyhedron, S: Sequence[int], D: int, g: RatVec) -> Union[Rat, 
     return UNBOUNDED if j is None else Fraction(S[j] * den, D * image[j])
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """A polyhedron together with the objective to minimize over it."""
 
+    __slots__ = ("polyhedron", "objective")
     polyhedron: Polyhedron
     objective: RatVec
 

@@ -14,7 +14,6 @@ on desk-scale graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,12 +33,12 @@ from .polyhedron import (
     _tokens,
 )
 from .ratlin import Rat, _int_vector, parse_count, parse_rat
+from .record import Record
 
 MAX_ORACLE_NODES = 8
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record, defaults={"costs": None}):
     """A directed graph with 1-indexed nodes and an ordered arc list.
 
     The arc order is significant: the cost perturbation depends on it, so
@@ -47,9 +46,10 @@ class Digraph:
     allowed (they get distinct indices); self-loops are rejected.
     """
 
+    __slots__ = ("nodes", "arcs", "costs")
     nodes: int
     arcs: tuple[tuple[int, int], ...]
-    costs: Optional[tuple[Rat, ...]] = None
+    costs: Optional[tuple[Rat, ...]]
 
     def __post_init__(self):
         if self.nodes < 0:
@@ -84,7 +84,7 @@ def perturb_costs(G: Digraph) -> Digraph:
     if G.costs is not None and any(c != 1 for c in G.costs):
         raise ValueError("perturb_costs requires an unweighted or unit-cost digraph")
     costs = tuple([Fraction(2**i + 1, 2**i) for i in range(1, G.m + 1)])
-    return replace(G, costs=costs)
+    return Digraph(G.nodes, G.arcs, costs)
 
 
 def _incidence_rows(G: Digraph) -> list[list[int]]:
@@ -97,10 +97,10 @@ def _incidence_rows(G: Digraph) -> list[list[int]]:
     return rows
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(Record):
     """A circulation LP built from a digraph, plus its zero starting flow."""
 
+    __slots__ = ("instance", "x0", "source")
     instance: Instance
     x0: Point
     source: Digraph

@@ -29,7 +29,9 @@ list, and the tangent cone of ``verify_unique`` is built from the
 rational views of A and B.  The steps from a 0/1 flow on a circulation
 are the directed cycles of its residual digraph, found by the same plain
 graph walk as the cycle indicators.  The row reader reads each token of
-a line on its own, by its own pattern, into a Fraction.
+a line on its own, by its own pattern, into a Fraction.  A circuit's
+canonical orientation is read from B g computed in full with the
+rational B, not from the enumeration's products with the integer image.
 """
 
 import re
@@ -233,6 +235,19 @@ def coprime(values) -> tuple[int, ...]:
     for a in ints:
         g = gcd(g, abs(a))
     return tuple(a // g for a in ints)
+
+
+def canonical_orientation(P: Polyhedron, circ: Circuit) -> Circuit:
+    """Flip the sign so the first nonzero entry of B g is positive, with B
+    g computed in full from the rational B.  The enumeration orients each
+    circuit from its block's products (``circuits._oriented``); this is the
+    reference it is held to."""
+    for e in P.B.matvec(circ.vec):
+        if e > 0:
+            return circ
+        if e < 0:
+            return -circ
+    raise AssertionError("kernel direction with zero B-image in a pointed system")
 
 
 def minor_circuits(P: Polyhedron) -> list[tuple[int, ...]]:
@@ -558,7 +573,7 @@ def artificial_column_lp(P: Polyhedron, c: RatVec):
     w = [Fraction(0)] * ncols
     for i, jb in enumerate(basis):
         w[jb] = Fraction(T[i][-1], T[i][jb])
-    x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))
+    x = _purify_to_vertex(P, c, RatVec(w[j] - w[n + j] for j in range(n)))[0]
     unique = _unique_by_reduced_costs(T[-1][:ncols], basis, n, range(n))
     return LpOptimal(x, c.dot(x), unique), phases
 

@@ -30,7 +30,7 @@ from ddcircuits import (
 )
 from ddcircuits.cli import _random_digraph, main
 from ddcircuits.ocnp import AlreadyOptimal, CircuitNeighbor, NotCircuitNeighbor
-from ddcircuits.circuits import Circuit, canonical_orientation
+from ddcircuits.circuits import Circuit
 from ddcircuits.ratlin import coprime_integer_entries, rank
 from ddcircuits.reductions import perturb_costs
 from fractions import Fraction
@@ -41,7 +41,7 @@ from instgen import (
     perturbed_objective,
     random_digraph,
 )
-from oracles import directed_simple_cycles, undirected_cycle_indicators
+from oracles import canonical_orientation, directed_simple_cycles, undirected_cycle_indicators
 from test_ddstep import _assert_contracts
 
 

@@ -18,7 +18,6 @@ from ddcircuits import (
     is_extreme_ray,
     lift,
 )
-from ddcircuits.circuits import canonical_orientation
 from ddcircuits.ratlin import RatMat, coprime_integer_entries, kernel_basis
 
 from instgen import (
@@ -28,7 +27,12 @@ from instgen import (
     mixed_instances,
     verify_class_digraphs,
 )
-from oracles import minor_circuits, ppc_flat_count, undirected_cycle_indicators
+from oracles import (
+    canonical_orientation,
+    minor_circuits,
+    ppc_flat_count,
+    undirected_cycle_indicators,
+)
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 

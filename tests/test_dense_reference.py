@@ -53,11 +53,10 @@ from ddcircuits import (
     solve_lp,
     verify_unique,
 )
-from ddcircuits.circuits import canonical_orientation
 from ddcircuits.ratlin import kernel_basis, sign_normalized
 
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
-from oracles import dense_cut, dense_pivot, positive_multiple, ppc_flat_count
+from oracles import canonical_orientation, dense_cut, dense_pivot, positive_multiple, ppc_flat_count
 
 PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp)
 INTEGER_PIVOT = ddcircuits.ratlin._pivot

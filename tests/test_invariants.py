@@ -49,10 +49,15 @@ fire, that is, one outside any statement marked ``# pragma: no cover``.
 Every public name the benchmark's tracer wraps (``TRACED`` in
 ``perfbench/tracing.py``) is a callable of its package module, so cutting
 one fails here and not only in a traced benchmark run.
+No module imports ``dataclasses``, which writes and compiles each
+decorated class's methods from source text at every import: the result
+types derive from ``record.Record``, and a fresh interpreter that imports
+the CLI loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -915,6 +920,55 @@ def test_checker_flags_int_conversions():
         "line 12: Reader",
     ]
     assert "line 3: _to_int" in int_conversions("cli.py", source)
+
+
+def dataclass_imports(source: str) -> list[str]:
+    """``line N: dataclasses`` for each import of ``dataclasses`` anywhere
+    in ``source``, inside functions too; a relative import names a package
+    module and is not flagged."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    found = {path.name: dataclass_imports(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def test_checker_flags_dataclass_imports():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import os, dataclasses as dc\n"
+        "from .dataclasses import Record\n"
+        "from .record import dataclasses\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "    import dataclassesx\n"
+    )
+    assert dataclass_imports(source) == [
+        "line 1: dataclasses",
+        "line 2: dataclasses",
+        "line 3: dataclasses",
+        "line 7: dataclasses",
+    ]
+
+
+def test_cli_import_loads_no_code_generator():
+    # -S: no site hook runs, so only the package's own imports count.
+    code = "import sys, ddcircuits.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_every_error_class_is_raised():

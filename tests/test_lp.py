@@ -161,7 +161,8 @@ class TestSolveLp:
 def test_purification_moves_to_a_vertex(c, x):
     # an optimal point that is not a vertex: the walk must move and keep the value
     c, x = RatVec(c), RatVec(x)
-    vertex = _purify_to_vertex(UNIT_SQUARE, c, x)
+    vertex, X, D = _purify_to_vertex(UNIT_SQUARE, c, x)
+    assert vertex == RatVec(Fraction(e, D) for e in X)
     assert vertex != x
     assert is_feasible(UNIT_SQUARE, vertex)
     _assert_vertex(UNIT_SQUARE, vertex)

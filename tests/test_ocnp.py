@@ -18,10 +18,11 @@ from ddcircuits import (
     solve_lp,
     verify_unique,
 )
-from ddcircuits.circuits import Circuit, canonical_orientation
+from ddcircuits.circuits import Circuit
 from ddcircuits.ratlin import RatMat, coprime_integer_entries
 
 from instgen import dense_polytope, gen_box, gen_circulation
+from oracles import canonical_orientation
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 C = RatVec([-1, -2])
