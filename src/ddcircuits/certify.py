@@ -13,8 +13,8 @@ circuits; ``verify_conformal`` checks such a split term by term.
 
 The checkers stay independent of the code they check: they compute with
 plain Fractions on the rational A and B (``RatMat.matvec``), read ranks
-with ``ratlin.rank``, and use neither the polyhedron's cached echelon of
-A nor its integer image of B.  They import no private helper and nothing
+with ``ratlin.rank``, and use neither the block of A's kernel that the
+walks start from nor the polyhedron's integer image of B.  They import no private helper and nothing
 from the modules that produce the results they check.
 """
 
@@ -107,8 +107,8 @@ def verify_conformal(P: Polyhedron, s) -> bool:
     bound n - rank(A), componentwise sign-compatibility of every B g_i
     with B target (including vanishing where B target does), and that
     every g_i lies in ker(A) and is a circuit direction.  The term bound
-    reads rank(A) from ``ratlin.rank``, not the polyhedron's cached
-    echelon, and each circuit is tested with ``is_extreme_ray`` on its
+    reads rank(A) from ``ratlin.rank``, not from the block of A's kernel,
+    and each circuit is tested with ``is_extreme_ray`` on its
     lift.
     """
     if s.target.dim != P.n:

@@ -50,7 +50,7 @@ from typing import Sequence
 
 from .errors import SizeGuardExceeded
 from .polyhedron import Polyhedron, _a_block, _image, _solves_a
-from .ratlin import RatVec, _cut, _extend_rows, coprime_integer_entries, sign_normalized
+from .ratlin import RatVec, _cut, _kernel, coprime_integer_entries, sign_normalized
 from .record import Record
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -111,12 +111,14 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
 
 
 def _is_circuit(P: Polyhedron, G: Sequence[int]) -> bool:
-    """``is_circuit_direction`` for a nonzero primitive int vector G."""
+    """``is_circuit_direction`` for a nonzero primitive int vector G: the
+    kernel of A's rows and the rows of B zero on G is one line, that is,
+    [A; B_Z] has rank n - 1."""
     if not _solves_a(P, G, 0):
         return False
     image = _image(P._b_image, G)  # zeros where B G has them
-    kept = (q for q, e in zip(P._b_image.rows, image) if e == 0)
-    return len(_extend_rows(kept, *P._a_echelon)[1]) == P.n - 1
+    kept = [q for q, e in zip(P._b_image.rows, image) if e == 0]
+    return len(_kernel([*P._a_image.rows, *kept], P.n)) == 1
 
 
 def _oriented(col: list[int], n: int) -> Circuit:
@@ -179,7 +181,8 @@ def enumerate_circuits(
     sorted lexicographically by entries.
     """
     n = P.n
-    if len(P._a_echelon[1]) == n:  # ker A is {0}
+    block = _a_block(P)
+    if not block:  # ker A is {0}
         return []
 
     reps: list[int] = []  # the first row of B of each parallel class
@@ -194,7 +197,7 @@ def enumerate_circuits(
     # its products with the representatives.  Depth first from the root,
     # the kernel of A: an entry (block, l) is the child generated by
     # representative l of the flat with that block, or the root if l is -1.
-    root = [col[:n] + [col[n + i] for i in reps] for col in _a_block(P)]
+    root = [col[:n] + [col[n + i] for i in reps] for col in block]
     found: list[Circuit] = []
     budget = work_budget
     stack = [(root, -1)]

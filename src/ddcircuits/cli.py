@@ -26,9 +26,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import random
@@ -54,7 +52,7 @@ from .polyhedron import (
     load_instance,
     parse_point_text,
 )
-from .ratlin import _RAT_RE, RatVec, parse_count, parse_int
+from .ratlin import _RAT_RE, RatVec, parse_count, parse_int, rank
 from .reductions import (
     build_reduction,
     load_digraph,
@@ -125,11 +123,9 @@ def _lines(doc: dict) -> str:
 
 
 def _csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_text(value) for value in row] for row in rows)
-    return buf.getvalue()
+    # no field holds a comma, a quote or a line break, so none needs quoting
+    lines = [",".join(header)] + [",".join([_text(value) for value in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, doc: dict, text: str | None = None) -> None:
@@ -387,7 +383,7 @@ def cmd_bench(args) -> int:
                 str(exact_imp),
                 str(approx_imp),
                 ratio,
-                P.n - len(P._a_echelon[1]),  # n - rank A
+                P.n - rank(P.A),
                 len(exact),
                 len(approx),
             )

@@ -11,12 +11,15 @@ The implementation walks the sign-restricted subcone
     F(z) = {v : Av = 0, sigma_j (Bv)_j >= 0 for every row j}
 
 where sigma_j is -1 where (Bz)_j < 0 and 1 elsewhere, so the rows off
-supp(Bz) are active from the start.  The signs sigma are all the walk is
-given: as a point x of a polyhedron is described by its slack in row
-units, a vector v of F(z) is described by sigma_j q_j.v, with q_j the
-primitive integer row of B_j (``polyhedron._image``).  The active rows are
-its zeros.  Everything is ints over one positive denominator D, as in
-``polyhedron._slack``: the residual, negated, is U/D and its slack S/D.
+supp(Bz) are active from the start.  As a point x of a polyhedron is
+described by its slack in row units, a vector v of F(z) is described by
+sigma_j q_j.v, with q_j the primitive integer row of B_j
+(``polyhedron._image``).  The active rows are its zeros.  A's block is
+signed once per decomposition: its products q_j.v are negated in the rows
+where Bz < 0, so the walk reads each signed image from the block as it
+reads the images under B on P, and is given no signs.  Everything is
+ints over one positive denominator D, as in ``polyhedron._slack``: the
+residual, negated, is U/D and its slack S/D.
 The row that limits a step along a circuit g is ``polyhedron._ratio_test``
 of S and the signed image sg of g, which compares the ratios by
 cross-multiplication, and the step is alpha = S_j / (D * sg_j), the only
@@ -114,8 +117,9 @@ def _terms(
     construction.  ``block`` is A's, ``polyhedron._a_block(P)``.
     """
     Z, D = zint
-    bz = _image(P._b_image, Z)
-    signs = [-1 if e < 0 else 1 for e in bz]
+    n, bz = P.n, _image(P._b_image, Z)
+    # the cone's block: its products are signed once, sigma_i q_i.v
+    block = [col[:n] + [-a if e < 0 else a for a, e in zip(col[n:], bz)] for col in block]
     bound = len(block)  # n - rank(A)
     # The residual r is carried negated, -r = U/D, with its slack S/D.
     U, S = [-e for e in Z], [abs(e) for e in bz]
@@ -125,9 +129,9 @@ def _terms(
         # extreme ray of the minimal face of F(z) containing r.  The walk's
         # slack at its end E is -sigma_i q_i.E, so the circuit g = -E/gcd(E)
         # has the signed image sg = S_E/gcd(E), which is >= 0.
-        block = _tighten(block, P.n, S, before)
+        block = _tighten(block, n, S, before)
         end, end_slack = U, S
-        for end, end_slack, _, _ in _walk(P, signs, U, S, D, block):
+        for end, end_slack, _, _ in _walk(P, True, U, S, D, block):
             pass
         k = gcd(*end)
         g = _trusted(tuple([-e // k for e in end]))

@@ -24,7 +24,7 @@ The rules and the augmentation loop carry the iterate in the int form of
 ``polyhedron._slack``, (X, S, D) with x = X/D and slack S/D, from the
 start to the end of a run: x0's slack is computed once, by the gate's
 feasibility check; each step moves (X, S, D) by the rank-one step of
-``polyhedron._advance`` to the row the scan's ratio test made tight, with
+``polyhedron._move`` to the row the scan's ratio test made tight, with
 the image the scan computed; and c.x is the int C.X over den*D.  The
 approximate rule holds x* as ints over one denominator and forms x* - x
 in ints, and compares its terms' gains as int fractions by
@@ -46,9 +46,9 @@ from .polyhedron import (
     Point,
     Polyhedron,
     _a_block,
-    _advance,
     _feasible_slack,
     _image,
+    _move,
     _point,
     _ratio_test,
 )
@@ -91,7 +91,7 @@ _STEP_RULES = ("exact", "approx")
 Iterate = tuple[list[int], list[int], int]
 
 # A rule's answer at an iterate: the outcome and, for a DdStep, the image
-# of its circuit and the row that limits the step, which ``_advance`` reads.
+# of its circuit and the row that limits the step, which ``_move`` reads.
 RuleResult = tuple[StepOutcome, Optional[tuple[list[int], int]]]
 
 # An entry of the exact rule's scan table: a circuit in its improving
@@ -311,7 +311,7 @@ def augment(
     mode solves the LP once per run, not once per step: every step
     decomposes x* - x against the same optimum x*.  The loop carries the
     iterate as (X, S, D) and c.x as the int C.X over den*D, moves it by
-    ``polyhedron._advance`` along each step, and makes a RatVec only for
+    ``polyhedron._move`` along each step, and makes a RatVec only for
     each recorded iterate.
     """
     step, it, (C, _) = _rule(P, c, x0, mode, work_budget)
@@ -329,7 +329,7 @@ def augment(
                 f"augmentation did not converge within {max_iters} iterations",
                 AugmentationTrace(tuple(steps), tuple(iterates), mode),
             )
-        moved = X, _, D = _advance(it, res.g.entries, *limit)
+        moved = X, _, D = _move(*it, res.g.entries, *limit)
         moved_cx = _dot(C, X)
         if moved_cx * it[2] >= cx * D:  # pragma: no cover - steps always improve
             raise AssertionError("augmentation step failed to decrease the objective")

@@ -281,7 +281,7 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> tuple[Point, list[i
     move keeps x feasible, so the walk runs no membership checks.
     """
     X, S, D = _slack(P, x)
-    for X, _, D, w in _walk(P, None, X, S, D, _tighten(_a_block(P), P.n, S)):
+    for X, _, D, w in _walk(P, False, X, S, D, _tighten(_a_block(P), P.n, S)):
         if sum(a * b for a, b in zip(c, w) if b) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
@@ -536,7 +536,7 @@ def verify_unique(
         raise ValueError("xstar is not optimal for the given objective")
 
     X, S, D = slack
-    for end, _, den, _ in _walk(P, None, X, S, D, _tighten(_a_block(P), P.n, S)):
+    for end, _, den, _ in _walk(P, False, X, S, D, _tighten(_a_block(P), P.n, S)):
         return UniquenessReport(False, _point(end, den))
 
     a_rows, b_rows = (

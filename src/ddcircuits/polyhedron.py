@@ -26,14 +26,15 @@ and ``_active`` give what d - Bx and Bv would give.
 ``_walk`` is the package's one active-set walk: it moves inside the
 kernel of the tight rows until one more row is tight, moves X, S and D by
 one rank-one step in ints (``_move``) and cuts that kernel, held as a
-block of columns with their images under B (``_a_block``), by the rows
-the move made tight (``_tighten``); ``_advance`` makes the same move for
-an iterate of the augmentation loop in ``ddstep``, along a circuit whose
-image and limiting row its scan computed.  ``is_feasible`` decides x on
-its slack, and ``_feasible_slack`` hands that slack on to callers that go
-on from x.  LP purification and the uniqueness check walk P itself, and
-the conformal decomposition walks a sign cone, given by the row signs of
-its vector.  Fractions are made only at the boundary: the step lengths
+block of columns with their images under B (``_a_block``, built by
+``ratlin._kernel``), by the rows the move made tight (``_tighten``);
+the augmentation loop in ``ddstep`` moves its iterate by ``_move`` too,
+along a circuit whose image and limiting row its scan computed.
+``is_feasible`` decides x on its slack, and ``_feasible_slack`` hands that
+slack on to callers that go on from x.  LP purification and the
+uniqueness check walk P itself, and the conformal decomposition walks a
+sign cone, whose block carries the images signed by the row signs of its
+vector.  Fractions are made only at the boundary: the step lengths
 and points the callers hand out.
 The module also owns the line-oriented instance file format (constraint
 system plus objective) and the one-line point format, both of which
@@ -46,7 +47,8 @@ one reader of input files; and ``_located``, which places any token
 reader's error at its line and column.
 Every Polyhedron is pointed.  Where the +-e_j rows of B bound every
 coordinate, as in boxes and circulations, that needs no elimination;
-other systems extend A's echelon by B's rows.
+for other systems the kernel of A's and B's rows (``ratlin._kernel``)
+must be empty.
 """
 
 from __future__ import annotations
@@ -62,9 +64,8 @@ from .ratlin import (
     RatMat,
     RatVec,
     _cut,
-    _echelon_kernel,
-    _extend_rows,
     _int_vector,
+    _kernel,
     _rat_pair,
     _to_int,
     parse_count,
@@ -105,9 +106,10 @@ class Polyhedron:
     builder (``_build``) that every constructor calls.  A and b are their
     integer image ``_a_image`` and B and d theirs, ``_b_image``, both built
     with the polyhedron by ``_image_of``; the simplex builds every tableau
-    row from them.  ``_a_echelon`` is the echelon of A's primitive rows,
-    which the pointedness check extends by B's where the bound rows of B
-    leave a coordinate unbounded, and the circuit test by rows of B.  The
+    row from them, and the kernels of A (``_a_block``), of [A; B] (the
+    pointedness check, where the bound rows of B leave a coordinate
+    unbounded) and of the circuit test are built from their primitive rows
+    by ``ratlin._kernel`` when they are read; none is kept.  The
     instance parser and the circulation reduction hand over int rows
     (``_from_ints``), and the public constructor converts its RatMat and
     RatVec arguments to the same rows.  The images are
@@ -115,7 +117,7 @@ class Polyhedron:
     ``d`` are read-only views, built from the images on first read.
     """
 
-    __slots__ = ("n", "_a_image", "_a_echelon", "_b_image", "_A", "_b", "_B", "_d")
+    __slots__ = ("n", "_a_image", "_b_image", "_A", "_b", "_B", "_d")
 
     def __init__(self, A: RatMat, b: RatVec, B: RatMat, d: RatVec):
         if A.n != B.n:
@@ -139,23 +141,21 @@ class Polyhedron:
 
     def _build(self, n: int, a_rows, b, b_rows, d) -> None:
         """Set the int form, the one place it is set: n >= 1, the image of
-        A's rows and b's entries, the echelon of its primitive rows, and the
-        image of B's rows and d's entries; each row is (N_i, L_i) and each
-        entry (p_i, q_i), as ``_image_of`` takes them.  The views are built
-        on first read.
+        A's rows and b's entries and the image of B's rows and d's entries;
+        each row is (N_i, L_i) and each entry (p_i, q_i), as ``_image_of``
+        takes them.  The views are built on first read.
 
         A row of B with one nonzero is +-e_j, a bound on x_j (the rows the
-        simplex reads as bounds).  When such rows bound
-        every coordinate, rank [A; B] = n and the system is pointed with no
-        elimination; else pointedness is checked on A's echelon extended by
-        B's primitive rows, read only until the rank is n."""
+        simplex reads as bounds).  When such rows bound every coordinate,
+        rank [A; B] = n and the system is pointed with no elimination; else
+        the system is pointed when the kernel of A's and B's primitive rows
+        (``ratlin._kernel``) is empty."""
         self.n = n
         self._a_image = _image_of(a_rows, b)
-        self._a_echelon = _extend_rows(self._a_image.rows)
         self._b_image = _image_of(b_rows, d)
         self._A = self._b = self._B = self._d = None
         bounded = {row[0][0] for row in self._b_image.nonzeros if len(row) == 1}
-        if len(bounded) < n and len(_extend_rows(self._b_image.rows, *self._a_echelon)[1]) < n:
+        if len(bounded) < n and _kernel(self._a_image.rows + self._b_image.rows, n):
             raise NotPointedError("the system contains a line (rank [A; B] < n)")
 
     @property
@@ -290,7 +290,7 @@ def _image(image: _IntImage, v: Sequence[int]) -> list[int]:
     """A v or B v in row units: the products q_i.v with the rows of
     ``image``, A's or B's, as int dot products over the nonzeros of each row.
 
-    v is an int vector, such as a kernel vector of an echelon, a circuit or
+    v is an int vector, such as a column of a kernel block, a circuit or
     the X of ``_slack``; a rational direction is scaled to ints first, which
     keeps every zero and sign of the image.
     """
@@ -355,9 +355,14 @@ def _active(slack: Sequence[int]) -> tuple[int, ...]:
 
 
 def _a_block(P: Polyhedron) -> list[list[int]]:
-    """The block of A's kernel, as ``ratlin._cut`` takes it: each vector v
-    of the kernel basis of ``P._a_echelon`` followed by v's image under B."""
-    return [list(v) + _image(P._b_image, v) for v in _echelon_kernel(*P._a_echelon, P.n)]
+    """The block of A's kernel, as ``ratlin._cut`` takes it: each column v
+    of ``ratlin._kernel`` of A's primitive rows, followed by v's image
+    under B, built anew at each call.  A column's sign is not normalized:
+    each reader normalizes it or ignores it (the walk flips a column whose
+    first nonzero is negative, the circuit scan normalizes its projections
+    and orients each circuit)."""
+    n = P.n
+    return [col[:n] + _image(P._b_image, col) for col in _kernel(P._a_image.rows, n)]
 
 
 def _tighten(
@@ -412,20 +417,9 @@ def _move(
     return X, S, D
 
 
-def _advance(
-    it: tuple[Sequence[int], Sequence[int], int], w: Sequence[int], image: Sequence[int], j: int
-) -> tuple[list[int], list[int], int]:
-    """The iterate ``it`` = (X, S, D) of ``_slack`` after the maximal step
-    along the int direction w: ``image`` is w's image and j the row that
-    ``_ratio_test`` of S and ``image`` found, which the step makes tight.
-    The augmentation's move, by the rank-one rule ``_move``; the caller's
-    scan has computed the image and the ratio test already."""
-    return _move(*it, w, image, j)
-
-
 def _walk(
     P: Polyhedron,
-    signs: Optional[Sequence[int]],
+    cone: bool,
     X: Sequence[int],
     S: Sequence[int],
     D: int,
@@ -433,12 +427,15 @@ def _walk(
 ) -> Iterator[tuple[list[int], list[int], int, tuple[int, ...]]]:
     """The active-set walk from X/D: each move makes one more row tight.
 
-    With ``signs`` None the region is P, {x : Ax = b, Bx <= d}; else it is
-    the cone {u : Au = 0, sigma_i q_i.u <= 0 for every row i}, with sigma
-    the row signs ``signs`` (each 1 or -1).  (X, S, D) is the start in the
+    Without ``cone`` the region is P, {x : Ax = b, Bx <= d}; with it, it
+    is the cone {u : Au = 0, sigma_i q_i.u <= 0 for every row i}, with
+    sigma_i = 1 or -1 the sign of row i.  (X, S, D) is the start in the
     int form of ``_slack`` (on the cone, S_i = -sigma_i q_i.X; D is carried
     there, but only the direction of X is read), and ``block`` is that of
-    the kernel of A stacked on the B-rows tight at the start (``_tighten``).
+    the kernel of A stacked on the B-rows tight at the start (``_tighten``);
+    on the cone its products are the signed ones, sigma_i q_i.v.  A cut by
+    a row with its signs flipped flips only the signs of columns, which
+    each move normalizes.
     A move reads the first column as w, an int tuple with its first nonzero
     positive, and w's image, or their negation when only the negation is
     bounded, goes as far as ``_ratio_test`` allows by ``_move``, and cuts
@@ -450,7 +447,7 @@ def _walk(
     the cut.  P is pointed, as every Polyhedron is, so neither region holds
     a line and every kernel vector is bounded one way.
     """
-    cone, n = signs is not None, P.n
+    n = P.n
     for moves in range(n + 1):
         if len(block) == (1 if cone else 0):
             return
@@ -465,8 +462,6 @@ def _walk(
         if next(a for a in col if a) < 0:
             col = [-a for a in col]
         w, image = tuple(col[:n]), col[n:]
-        if cone:
-            image = [a if s > 0 else -a for a, s in zip(image, signs)]
         j = _ratio_test(S, image)
         if j is None:
             w, image = tuple([-a for a in w]), [-a for a in image]

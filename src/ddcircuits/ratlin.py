@@ -3,30 +3,31 @@
 Scalars are arbitrary-precision rationals (``fractions.Fraction``,
 re-exported as ``Rat``): always stored in lowest terms with a positive
 denominator, so arithmetic never rounds.  Vectors and matrices are
-immutable and hashable.  Elimination adds rows one at a time, and gives
-the reduced row echelon form in any row order, so identical inputs yield
-bit-identical outputs.  Nothing in this module touches floating point,
+immutable and hashable.  A kernel is cut by one row at a time, and gives
+the kernel basis of the reduced row echelon form, up to a sign per
+column, in any row order, so identical inputs yield bit-identical
+outputs.  Nothing in this module touches floating point,
 and no tolerance parameter exists.
 
-``_pivot`` is the package's one elimination step, used by the simplex in
-``lp`` and by ``_extend``, the one echelon builder, which adds a row to an
-echelon; ``_combine`` is its one row update, which ``_extend`` and the
-simplex's phase-2 cost row also use where only one row is nonzero in the
-pivot column.  Rank, kernels, each polyhedron's echelon of A (reduced
-once) and the circuit test that extends it all go through ``_extend``;
-``_echelon`` folds it over rational rows and ``_extend_rows`` over rows
-that are primitive integer rows already.  The
-step works fraction-free on primitive integer rows (lists of ints with
-gcd 1, each standing for any of its positive multiples;
+Rows are pivoted only in the simplex: ``_pivot`` is its elimination step
+on the tableau's rows in ``lp``, and ``_combine`` its one row update, which
+the phase-2 cost row also uses where only one row is nonzero in the pivot
+column.  The step works fraction-free on primitive integer rows (lists of
+ints with gcd 1, each standing for any of its positive multiples;
 ``coprime_integer_entries`` makes them): the other rows become
 ``p*row - f*pivot_row`` over their content, in the line of Bareiss
 (Math. Comp. 1968) and Edmonds (1967).  Each row stays a positive
 multiple of the row the unit-pivot Fraction step would give, so every
 zero pattern and every sign, and hence every pivot choice, is the one
-that step makes.  ``_cut`` is the same step on the columns of a kernel
-basis, which it restricts by one row: the circuit scan's flats and the
-active-set walk's kernels go through it.  Results are read out as
-``Fraction``s only at the end.
+that step makes.  Every kernel is a block of columns instead: a kernel
+basis as int columns, each followed by its products with fixed rows.
+``_cut`` is the same step on the columns, which restricts the block by
+one row, and ``_kernel`` builds the block of a set of int rows from the
+unit columns by one cut per independent row.  Rank, ``kernel_basis``,
+each polyhedron's block of A, its pointedness check and the circuit test
+read their kernels from ``_kernel``, and the circuit scan's flats and the
+active-set walk's kernels cut such a block further.  Results are read
+out as ``Fraction``s only at the end.
 The systems the package solves (incidence matrices, B = [I; -I], tableaux
 of slack columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the
@@ -51,10 +52,6 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 Rat = Fraction
-
-# A reduced echelon form (rows, leads) of primitive integer rows: row i has
-# a positive entry in column leads[i] and every other row is 0 there.
-Echelon = tuple[list[list[int]], list[int]]
 
 # The token grammar of every input, in ASCII digits: ``\d`` and ``int()``
 # also take other Unicode digits, and ``int()`` a plus, spaces and "_".
@@ -273,45 +270,18 @@ def _combine(vec: Sequence[int], p: int, f: int, nonzeros) -> list[int]:
     return new
 
 
-def _extend(rows: list[list[int]], leads: list[int], vec: Sequence[int]) -> Optional[Echelon]:
-    """The echelon (rows, leads) with the primitive integer row vec added,
-    or None when vec lies in its row space.
-
-    vec is reduced against each lead it meets, and its first nonzero entry
-    becomes a new lead.  Only vec is nonzero in a lead's column, so each
-    reduction is one ``_combine`` of vec with that lead's row, and only the
-    new lead is pivoted on the whole echelon.  A row is 0 before its lead,
-    so in whatever order rows arrive, the leads are the pivot columns of
-    the reduced row echelon form, and each row is a positive multiple of
-    its row there.  Works on a copy of the outer list; ``_pivot`` rebinds
-    rows and never changes a row list in place, so the input stays valid
-    and can be shared.
-    """
-    new = vec
-    for row, lead in zip(rows, leads):
-        f = new[lead]
-        if f:
-            new = _combine(new, row[lead], f, [(j, b) for j, b in enumerate(row) if b])
-    lead = next((j for j, a in enumerate(new) if a != 0), None)
-    if lead is None:
-        return None
-    rows = rows + [list(new)]
-    _pivot(rows, len(leads), lead)
-    return rows, leads + [lead]
-
-
 def _cut(block: list[list[int]], n: int, r: int) -> list[list[int]]:
     """The block of a kernel restricted by one more row: the columns, as
     combinations of ``block``'s, that vanish in entry r.
 
     A block is a kernel basis as int columns of n entries, each followed by
-    its products with fixed primitive rows, entry r among them.  The first
+    its products with fixed int rows, entry r among them.  The first
     column s with a nonzero entry p there is removed, and every later
     column with entry f != 0 becomes p*col - f*col_s over its content, the
     gcd of its first n entries: the products are integer combinations of
     those, so they share every divisor of them.  Column s is that of the
-    new row's lead, so the reduced kernel basis of an echelon, in the order
-    of its free columns, stays one up to a nonzero factor per column.
+    new row's lead, so the reduced kernel basis of rows, in the order of
+    their free columns, stays one up to a nonzero factor per column.
     Columns are never changed in place, so blocks may share them.
     """
     s = next(t for t, col in enumerate(block) if col[r])
@@ -329,32 +299,35 @@ def _cut(block: list[list[int]], n: int, r: int) -> list[list[int]]:
     return out
 
 
-def _echelon(vecs: Iterable[Sequence[Rat]], rows=(), leads=()) -> Echelon:
-    """The echelon (rows, leads), empty by default, extended by the rational
-    rows ``vecs``, each scaled with ``coprime_integer_entries``; a row in the
-    span of those before it is skipped, so ``len(leads)`` is the rank.
-    """
-    return _extend_rows(map(coprime_integer_entries, vecs), rows, leads)
+def _kernel(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """The block of the kernel of the int rows ``rows`` in n columns, as
+    ``_cut`` takes it: one column per free column of their reduced row
+    echelon form, in order, each a primitive int vector of the kernel
+    followed by its products with ``rows``, which are then 0.
 
-
-def _extend_rows(ints: Iterable[Sequence[int]], rows=(), leads=()) -> Echelon:
-    """``_echelon`` for rows that are primitive integer rows already, such
-    as a polyhedron's integer image of B.  Once every column is a lead, the
-    other rows are not used.
+    The block starts from the unit columns, each followed by its products
+    with ``rows``, and is cut by each row that is not 0 on it; a row 0 on
+    every column is in the span of those before it.  So ``len`` of the
+    block is n minus the rank of ``rows``.  Columns carry no sign
+    normalization.
     """
-    rows, leads = list(rows), list(leads)
-    for vec in ints:
-        if len(leads) == len(vec):
-            break
-        ext = _extend(rows, leads, vec)
-        if ext is not None:
-            rows, leads = ext
-    return rows, leads
+    block = []
+    for j in range(n):
+        col = [0] * n
+        col[j] = 1
+        col += [row[j] for row in rows]
+        block.append(col)
+    for r in range(n, n + len(rows)):
+        for col in block:
+            if col[r]:
+                block = _cut(block, n, r)
+                break
+    return block
 
 
 def rank(M: RatMat) -> int:
     """Dimension of the row space, by exact integer elimination."""
-    return len(_echelon(M.entries)[1])
+    return M.n - len(_kernel([coprime_integer_entries(row) for row in M.entries], M.n))
 
 
 def _int_vector(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -403,31 +376,6 @@ def kernel_basis(M: RatMat) -> list[RatVec]:
     nonzero entry positive, so equal kernels produce equal bases.  An
     empty list means the kernel is trivial.
     """
-    return [RatVec(v) for v in _echelon_kernel(*_echelon(M.entries), M.n)]
-
-
-def _echelon_kernel(
-    rows: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
-) -> list[tuple[int, ...]]:
-    """``kernel_basis`` as int tuples, read from an ``Echelon`` (rows,
-    pivots) in any order; p_i is the entry of row i in column ``pivots[i]``.
-
-    For a free column, the kernel vector of the unit-pivot form has 1
-    there and -row_i[free] / p_i at ``pivots[i]``; scaled by the lcm L of
-    the p_i of the rows with row_i[free] != 0, it is L there and
-    -row_i[free] * (L // p_i), all ints.
-    """
-    pivot_set = set(pivots)
-    basis: list[tuple[int, ...]] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        terms = [(pc, row[pc], row[free]) for row, pc in zip(rows, pivots) if row[free]]
-        den = lcm(*[p for _, p, _ in terms])
-        vec = [0] * ncols
-        vec[free] = den
-        for pc, p, a in terms:
-            vec[pc] = -a * (den // p)
-        g = gcd(*vec)
-        basis.append(sign_normalized([a // g for a in vec]))
-    return basis
+    n = M.n
+    block = _kernel([coprime_integer_entries(row) for row in M.entries], n)
+    return [RatVec(sign_normalized(col[:n])) for col in block]

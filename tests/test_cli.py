@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -8,8 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from ddcircuits import Digraph, build_reduction, format_instance, parse_instance_text
-from ddcircuits.cli import main
-from test_golden import INSTANCES, STARTS, _write_fixtures
+from ddcircuits.cli import _BENCH_COLUMNS, _TRACE_COLUMNS, main
+from test_golden import DENSE1_X0, INSTANCES, STARTS, _write_fixtures
 
 SQUARE_TEXT = """2 0 4
 1 0
@@ -313,6 +314,41 @@ def test_text_mirrors_json_document(argv, golden_dir, monkeypatch):
     keys = [line.split(": ", 1)[0] for line in lines]
     assert sorted(keys) == sorted(doc)
     assert lines == [f"{key}: {_text_value(doc[key])}" for key in keys]
+
+
+def _csv_module_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows``, a list field
+    joined by spaces as the CLI writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([" ".join(map(str, v)) if isinstance(v, list) else v for v in row])
+    return buf.getvalue().encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        pytest.param(["bench", "--nodes", "4", "--trials", "3", "--seed", "-7"], "rows", id="bench"),
+        pytest.param(["augment", "dense1.lp", "--from", DENSE1_X0, "--mode", "approx"], "trace", id="trace"),
+    ],
+)
+def test_csv_is_what_the_csv_module_writes(argv, key, golden_dir, monkeypatch, capsys):
+    """The CSV of ``bench`` (with a negative seed in its graph ids) and of
+    ``augment --trace`` is, byte for byte, what ``csv.writer`` writes for
+    the rows of the JSON mirror: no field needs quoting."""
+    monkeypatch.chdir(golden_dir)
+    out = "out.csv"
+    extra = ["-o", out] if key == "rows" else ["--trace", out]
+    assert main([*argv, *extra]) == 0
+    written = (golden_dir / out).read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)[key]
+    assert len(rows) > 1
+    header = list(_BENCH_COLUMNS if key == "rows" else _TRACE_COLUMNS)
+    assert written == _csv_module_bytes(header, [[row[k] for k in header] for row in rows])
 
 
 def _run_cli(args, hashseed):

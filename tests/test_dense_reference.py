@@ -1,23 +1,23 @@
-"""The integer elimination step against the Fraction step, and the circuit
+"""The integer elimination steps against the Fraction steps, and the circuit
 enumeration's one visit per flat and one orientation per circuit.
 
 ``ratlin._pivot`` holds primitive integer rows: each stands for any of its
 positive multiples, so it is the Fraction step up to a positive factor per
-row.  Here every such step the package takes is checked against the
-dense Fraction step from ``oracles`` on the same rows; the one-row
-reductions of ``ratlin._combine`` are checked in ``test_ratlin`` (the
-echelon builder) and ``test_tableau_reference`` (the simplex).  The LP, uniqueness,
-enumeration and decomposition results must hash to the digest recorded
-before A was reduced once per polyhedron and the active-set walks began to
-extend their echelon, and the pivot log (row, column, pivot row divided by
-its pivot entry) to its pin, under the full uniqueness check; the default
+row.  Rows are pivoted only in the simplex, and here every such step is
+checked against the dense Fraction step from ``oracles`` on the same
+rows; the one-row reductions of ``ratlin._combine`` are checked in
+``test_tableau_reference``.  The LP, uniqueness, enumeration and
+decomposition results must hash to the digest recorded before A was
+reduced once per polyhedron and the active-set walks began to extend
+their echelon, and the pivot log (row, column, pivot row divided by its
+pivot entry) to its pin, under the full uniqueness check; the default
 path, which trusts the tableau's reduced costs where they prove the
-optimum unique, has its own pin.  The enumeration and the active-set
-walks hold kernels as blocks of columns and restrict them by the column
-step ``ratlin._cut``, not by an elimination step, so the pivot logs hold
-the simplex's steps and the echelons each polyhedron is built with.
-Each column step is checked against the Fraction column step of
-``oracles`` on the same block, and their number is pinned.  The
+optimum unique, has its own pin.  Every kernel is a block of columns:
+``ratlin._kernel`` builds it, and the enumeration and the active-set
+walks restrict it, by the column step ``ratlin._cut``, so the pivot logs
+hold the simplex's steps only.  Each column step, those of ``_kernel``
+among them, is checked against the Fraction column step of ``oracles``
+on the same block, and their number is pinned.  The
 enumeration's work budget counts the flats it visits, pinned as the
 exact budgets below, which equal the brute-force count of
 ``oracles.ppc_flat_count``.
@@ -58,9 +58,9 @@ from ddcircuits.ratlin import kernel_basis, sign_normalized
 from instgen import dense_polytope, dense_rational_system, gen_circulation, random_digraph
 from oracles import canonical_orientation, dense_cut, dense_pivot, positive_multiple, ppc_flat_count
 
-PIVOTING_MODULES = (ddcircuits.ratlin, ddcircuits.lp)
+PIVOTING_MODULES = (ddcircuits.lp,)
 INTEGER_PIVOT = ddcircuits.ratlin._pivot
-CUTTING_MODULES = (ddcircuits.circuits, ddcircuits.polyhedron)
+CUTTING_MODULES = (ddcircuits.circuits, ddcircuits.polyhedron, ddcircuits.ratlin)
 INTEGER_CUT = ddcircuits.ratlin._cut
 
 
@@ -159,20 +159,27 @@ RESULTS_DIGEST = "fc7ad49cef8f84900dc50c1e31dd65779d4dffee55300145cdd5c333df584a
 # longer holds the pivots of extending A's echelon by B's rows there.
 # Re-recorded when ``solve_lp`` stopped solving again in the split reading
 # an LP whose bound tableau is infeasible, unbounded or leaves the optimum
-# open: the log holds the pivots of one tableau per LP.
-ECHELON_PIVOTS = 343
-PIVOT_LOG_DIGEST = "8ad02f1f40cbbf30158bc5d0c4b785b088ead84896003da07cbeac7be3b193e4"
+# open: the log holds the pivots of one tableau per LP.  Re-recorded (343
+# to 241, and 187 to 134 on the default path) when every kernel became a
+# block built by ``ratlin._kernel`` and the row echelon was retired: the
+# log no longer holds the pivots of A's echelon, of the pointedness check
+# or of the circuit test, only the simplex's.
+SIMPLEX_PIVOTS = 241
+PIVOT_LOG_DIGEST = "fd95953bcd475ecb5a05218a80cefdf17b3f1909edf03bc3dee180c8f162652d"
 
 # The same pins on the default path, where ``verify_unique`` skips the walk
 # and the tangent-cone LP for every optimum the reduced costs proved unique.
-SHORTCUT_PIVOTS = 187
-SHORTCUT_LOG_DIGEST = "f532e2987296118aca4a955695550143465426f2610e49ebf78b010fe439171a"
+SHORTCUT_PIVOTS = 134
+SHORTCUT_LOG_DIGEST = "96159e57e8da61afe4bf2337eef3fa7491a7ffeb49c163e4d85f1a6a48a3e935"
 
 # The column steps (``ratlin._cut``) the circuit scan and the walks make,
 # each checked against the Fraction column step, under the full check and
-# on the default path.
-COLUMN_STEPS = 163
-SHORTCUT_COLUMN_STEPS = 130
+# on the default path.  Re-recorded (163 to 289, and 130 to 204) when
+# ``ratlin._kernel`` began to build every kernel by column steps: the
+# count now holds its cuts too, those of A's block, of the pointedness
+# check and of the circuit test.
+COLUMN_STEPS = 289
+SHORTCUT_COLUMN_STEPS = 204
 
 
 def _digest(value) -> str:
@@ -182,7 +189,7 @@ def _digest(value) -> str:
 def test_same_results_and_pivot_log_as_fraction_step(monkeypatch):
     results, log, cuts = _run_checked(monkeypatch, full_check=True)
     assert _digest(results) == RESULTS_DIGEST
-    assert len(log) == ECHELON_PIVOTS
+    assert len(log) == SIMPLEX_PIVOTS
     assert _digest(log) == PIVOT_LOG_DIGEST
     assert cuts == COLUMN_STEPS
 
@@ -272,7 +279,7 @@ if __name__ == "__main__":
     budgets = ", ".join(f'"{name}": {_exact_budget(P)}' for name, P in systems.items())
     print(f"EXACT_BUDGETS = {{{budgets}}}")
     for full_check, count, digest, steps in (
-        (True, "ECHELON_PIVOTS", "PIVOT_LOG_DIGEST", "COLUMN_STEPS"),
+        (True, "SIMPLEX_PIVOTS", "PIVOT_LOG_DIGEST", "COLUMN_STEPS"),
         (False, "SHORTCUT_PIVOTS", "SHORTCUT_LOG_DIGEST", "SHORTCUT_COLUMN_STEPS"),
     ):
         with pytest.MonkeyPatch.context() as patch:

@@ -6,7 +6,7 @@ RatMat and RatVec and converts them itself.  For every catalogue, golden
 and battery instance and for the seeded generators, both paths must give
 equal polyhedra with equal hashes, equal views A, b, B and d, and equal
 int cores: every field of the integer images of A and of B, and the
-echelon of A.  The twin on the rational side is read here with
+block of A's kernel.  The twin on the rational side is read here with
 plain ``Fraction`` from the text, independently of the package's parser.
 Construction reads pointedness from the +-e_j rows of B where they bound
 every coordinate, and by elimination elsewhere; the two must agree.
@@ -18,6 +18,8 @@ from math import gcd, lcm
 
 import pytest
 
+import ddcircuits.circuits
+import ddcircuits.polyhedron
 import ddcircuits.ratlin
 from ddcircuits import (
     Instance,
@@ -30,7 +32,8 @@ from ddcircuits import (
     parse_instance_text,
     parse_point_text,
 )
-from ddcircuits.ratlin import RatMat, _extend_rows
+from ddcircuits.polyhedron import _a_block
+from ddcircuits.ratlin import RatMat, _kernel
 from ddcircuits.reductions import parse_digraph_text
 
 from instgen import (
@@ -116,7 +119,7 @@ def assert_same(P: Polyhedron, Q: Polyhedron) -> None:
     assert P == Q and Q == P
     assert hash(P) == hash(Q)
     assert (P.n, P.A, P.b, P.B, P.d) == (Q.n, Q.A, Q.b, Q.B, Q.d)
-    assert P._a_echelon == Q._a_echelon
+    assert _a_block(P) == _a_block(Q)
     for image, other in ((P._a_image, Q._a_image), (P._b_image, Q._b_image)):
         for field in image._fields:
             assert getattr(image, field) == getattr(other, field), field
@@ -280,7 +283,7 @@ def test_bound_rows_agree_with_elimination_on_the_catalogue():
         bounded = _bounds_every_coordinate(P.B, P.n)
         kinds.add(bounded)
         if bounded:
-            assert len(_extend_rows(P._b_image.rows, *P._a_echelon)[1]) == P.n
+            assert _kernel(P._a_image.rows + P._b_image.rows, P.n) == []
     assert kinds == {True, False}
 
 
@@ -331,24 +334,26 @@ def test_a_coordinate_without_bound_row(text, pointed):
 
 
 def test_circulations_run_no_pointedness_elimination(monkeypatch, tmp_path):
-    """Loading a circulation file and building a reduction extend A's
-    echelon by A's rows and by no row of B: the box rows bound every arc."""
-    real, vecs = ddcircuits.ratlin._extend, []
+    """Loading a circulation file and building a reduction build no kernel
+    and cut no block: the box rows bound every arc, and A's block is built
+    only when a kernel is read."""
+    calls = []
 
-    def spy(rows, leads, vec):
-        vecs.append(list(vec))
-        return real(rows, leads, vec)
+    def spy(name, real):
+        def spied(*args):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(ddcircuits.ratlin, "_extend", spy)
+        return spied
+
+    for module in (ddcircuits.ratlin, ddcircuits.polyhedron, ddcircuits.circuits):
+        for name in ("_kernel", "_cut"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     path = tmp_path / "lp.txt"
-    for G in verify_class_digraphs(random.Random(5), per_class=1):
+    graphs = verify_class_digraphs(random.Random(5), per_class=1)
+    for G in graphs:
         path.write_text(format_instance(build_reduction(G).instance), encoding="ascii")
-        vecs.clear()
-        P = load_instance(path).polyhedron
-        loaded = vecs[:]
-        vecs.clear()
-        build_reduction(G)
-        built = vecs[:]
-        vecs.clear()
-        _extend_rows(P._a_image.rows)  # A's echelon alone
-        assert loaded == built == vecs != []
+        load_instance(path)
+    assert graphs and calls == []
+    _a_block(load_instance(path).polyhedron)
+    assert calls[0] == "_kernel"

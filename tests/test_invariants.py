@@ -16,27 +16,24 @@ argument on to a call without touching it.  A module-level private
 helper (``_name``) that nothing else in the package refers to is dead code,
 and so is an imported name its module never reads (the re-exports of
 ``__init__`` aside).
-Elimination has one home: only ``ratlin`` and the simplex in ``lp`` use
-the elimination step, only ``ratlin`` the echelon builder, and every other
-module extends an echelon with the folds ``ratlin._echelon`` and
-``ratlin._extend_rows`` instead of stacking matrices for ``kernel_basis``.
-Only ``polyhedron`` reads a kernel from an echelon, as the block of A's
-kernel where the circuit scan and the active-set walk start, and only
-those two cut a block with ``ratlin._cut``, so ``lp`` and ``conformal``
-go through the walk.
+Elimination has one home: rows are pivoted only in the simplex, so only
+``ratlin`` and ``lp`` use the elimination step and its row update, and
+every kernel is a block of columns built by ``ratlin._kernel``, which
+only ``polyhedron`` (A's block and the pointedness check) and
+``circuits`` (the circuit test) call instead of stacking matrices for
+``kernel_basis``.  Only those two cut a block with ``ratlin._cut``, so
+``lp`` and ``conformal`` go through the walk.
 Maximal steps have one home too: besides ``polyhedron``, only the circuit
 scan in ``ddstep`` and the decomposition in ``conformal`` run the ratio
-test, and only ``conformal`` moves an int point by hand; ``lp`` steps
-through the walk and ``max_step``, and the augmentation loop in
-``ddstep`` through ``polyhedron._advance``.
+test and move an int point by ``polyhedron._move``; ``lp`` steps through
+the walk and ``max_step``.
 Products with B go through each polyhedron's integer image of B
 (``polyhedron._image``), and the simplex reads A, b, B and d only from
 the integer images; only the functions of ``certify``, the
 independent checkers, multiply by the rational B itself, and ``certify``
 imports nothing from the modules whose results it checks, nor any
 private helper.  A polyhedron's int form has one builder: only
-``Polyhedron._build`` assigns ``_a_image``, ``_a_echelon`` and
-``_b_image``, and only ``Polyhedron._from_ints`` makes a Polyhedron by
+``Polyhedron._build`` assigns ``_a_image`` and ``_b_image``, and only ``Polyhedron._from_ints`` makes a Polyhedron by
 ``__new__``, past the checks of its constructor.  Pointedness is decided in one place: only the
 ``Polyhedron`` constructor raises ``NotPointedError``, and besides
 ``polyhedron`` only ``errors`` (which defines it), ``cli`` (which maps it
@@ -75,11 +72,8 @@ INTEGER_KERNEL = {
     "ratlin.py": (
         "_pivot",
         "_combine",
-        "_extend",
-        "_echelon",
-        "_extend_rows",
-        "_echelon_kernel",
         "_cut",
+        "_kernel",
         "_rat_pair",
         "_primitive",
     ),
@@ -92,7 +86,6 @@ INTEGER_KERNEL = {
         "_slack",
         "_ratio_test",
         "_move",
-        "_advance",
         "_a_block",
         "_tighten",
         "_walk",
@@ -112,23 +105,23 @@ INTEGER_KERNEL = {
 RATIONAL_TYPES = {"Fraction", "Rat", "RatVec", "Point"}
 RATIONAL_METHODS = {"dot", "matvec", "vec", "is_zero"}
 
-# The modules allowed to refer to each elimination entry point.  The
-# circuit scan walks flats in kernel coordinates, from the block of A's
-# kernel that ``polyhedron`` reads from its echelon; it and the active-set
-# walk restrict a block by the column step ``_cut``.
+# The modules allowed to refer to each elimination entry point.  Rows are
+# pivoted only in the simplex; every kernel is a block that ``_kernel``
+# builds, in ``polyhedron`` and in the circuit test.  The circuit scan walks
+# flats in kernel coordinates, from the block of A's kernel; it and the
+# active-set walk restrict a block by the column step ``_cut``.
 ELIMINATION_HOMES = {
     "_pivot": {"ratlin.py", "lp.py"},
     "_combine": {"ratlin.py", "lp.py"},
-    "_extend": {"ratlin.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
-    "_echelon_kernel": {"ratlin.py", "polyhedron.py"},
+    "_kernel": {"ratlin.py", "polyhedron.py", "circuits.py"},
     "_cut": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
 
 # The modules allowed to refer to each helper of a maximal step.
 STEP_HOMES = {
     "_ratio_test": {"polyhedron.py", "ddstep.py", "conformal.py"},
-    "_move": {"polyhedron.py", "conformal.py"},
+    "_move": {"polyhedron.py", "ddstep.py", "conformal.py"},
 }
 
 # The functions, per module, that read A, b, B and d only through the
@@ -151,7 +144,7 @@ IMAGE_READERS = {
 # A polyhedron's int form, the one function that assigns it, and the one
 # that makes a Polyhedron by ``__new__``: (module, function), a method
 # named by its class.
-INT_FORM = {"_a_image", "_a_echelon", "_b_image"}
+INT_FORM = {"_a_image", "_b_image"}
 INT_FORM_BUILDER = ("polyhedron.py", "Polyhedron._build")
 BARE_MAKER = ("polyhedron.py", "Polyhedron._from_ints")
 
@@ -605,20 +598,20 @@ def test_elimination_stays_in_its_modules():
 def test_checker_flags_misplaced_elimination():
     sources = {
         "ratlin.py": "def _pivot(rows, r, col):\n    pass\ndef kernel_basis(M):\n    pass\n",
-        "lp.py": "from .ratlin import _pivot\nfrom . import ratlin\nratlin._extend([], [], ())\n",
-        "circuits.py": "from .ratlin import _echelon, _extend\n",
+        "lp.py": "from .ratlin import _pivot\nfrom . import ratlin\nratlin._kernel([], 3)\n",
+        "circuits.py": "from .ratlin import _kernel, _combine\n",
         "conformal.py": (
-            "from .ratlin import kernel_basis as kb\nker = ratlin._echelon_kernel\n"
+            "from .ratlin import kernel_basis as kb\nker = ratlin._kernel\n"
             "block = ratlin._cut(block, 3)\n"
         ),
         "__init__.py": "from .ratlin import kernel_basis\n",
-        "polyhedron.py": "from .ratlin import _echelon_kernel\ndef f(_pivot):\n    return _pivot\n",
+        "polyhedron.py": "from .ratlin import _kernel\ndef f(_pivot):\n    return _pivot\n",
     }
     assert misplaced_references(sources) == [
-        "lp.py:_extend",
-        "circuits.py:_extend",
+        "lp.py:_kernel",
+        "circuits.py:_combine",
         "conformal.py:kernel_basis",
-        "conformal.py:_echelon_kernel",
+        "conformal.py:_kernel",
         "conformal.py:_cut",
         "polyhedron.py:_pivot",
     ]
@@ -633,11 +626,12 @@ def test_checker_flags_misplaced_step_helpers():
     sources = {
         "polyhedron.py": "def _ratio_test(S, a):\n    pass\ndef _move(X, S, D, w, a, j):\n    pass\n",
         "ddstep.py": "from .polyhedron import _ratio_test, _move\n",
+        "ocnp.py": "from .polyhedron import _move\n",
         "conformal.py": "from . import polyhedron\npolyhedron._move([], [], 1, [], [], 0)\n",
         "lp.py": "from .polyhedron import _image, _move as step\nj = polyhedron._ratio_test\n",
     }
     assert misplaced_references(sources, STEP_HOMES) == [
-        "ddstep.py:_move",
+        "ocnp.py:_move",
         "lp.py:_ratio_test",
         "lp.py:_move",
     ]
@@ -722,7 +716,7 @@ def test_checker_flags_a_second_int_form_builder():
     source = (
         "class Polyhedron:\n"
         "    def _build(self, n, a_rows, b, b_rows, d):\n"
-        "        self._a_image, self._a_echelon = _image_of(a_rows, b), _echelon(a_rows)\n"
+        "        self._a_image = _image_of(a_rows, b)\n"
         "        self._b_image = _image_of(b_rows, d)\n"
         "    @classmethod\n"
         "    def _from_ints(cls, n, a_rows, b, b_rows, d):\n"
@@ -731,7 +725,7 @@ def test_checker_flags_a_second_int_form_builder():
         "        return P\n"
         "    def _core(self, n, a_rows):\n"
         "        self._a_image = a_rows\n"
-        "        self._a_echelon += ()\n"
+        "        self._b_image += ()\n"
         "    @classmethod\n"
         "    def _lazy(cls, image):\n"
         "        P = cls.__new__(cls)\n"
@@ -782,7 +776,7 @@ def test_checker_flags_checker_imports():
         "from .reductions import Digraph\n"
         "from .cli import main\n"
         "def f():\n"
-        "    from .ratlin import _echelon\n"
+        "    from .ratlin import _kernel\n"
     )
     assert checker_imports(source) == [
         "line 3: _image",
@@ -793,7 +787,7 @@ def test_checker_flags_checker_imports():
         "line 9: ocnp",
         "line 10: reductions",
         "line 11: cli",
-        "line 13: _echelon",
+        "line 13: _kernel",
     ]
 
 
@@ -805,7 +799,7 @@ def test_integer_kernel_makes_no_fraction_arithmetic(module):
 
 def test_checker_flags_fraction_arithmetic():
     source = (
-        "def _walk(P, signs, X: list[int], S, D: int, x: RatVec) -> Iterator[Fraction]:\n"
+        "def _walk(P, cone, X: list[int], S, D: int, x: RatVec) -> Iterator[Fraction]:\n"
         "    t: Fraction = Fraction(S[0], D)\n"
         "    X = [e + t for e in X]\n"
         "    u = -x\n"

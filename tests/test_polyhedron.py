@@ -291,7 +291,7 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     P = Polyhedron(P.A, P.b, P.B, d)
     X, S, D = _slack(P, x)
     block = _tighten(_a_block(P), P.n, S)
-    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, None, X, S, D, block)]
+    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, False, X, S, D, block)]
     assert walk == list(fraction_walk(P, None, x))
 
     ker = kernel_basis(P.A)
@@ -306,8 +306,10 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     bz = _image(P._b_image, Z)
     signs = [-1 if e < 0 else 1 for e in bz]
     S = [abs(e) for e in bz]
-    block = _tighten(_a_block(P), P.n, S)
-    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, signs, [-e for e in Z], S, D, block)]
+    n = P.n  # the cone's block carries the signed images sigma_i q_i.v
+    block = [col[:n] + [s * a for s, a in zip(signs, col[n:])] for col in _a_block(P)]
+    block = _tighten(block, n, S)
+    walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, True, [-e for e in Z], S, D, block)]
     assert walk == list(fraction_walk(P, signs, -z))
     assert list(_terms(P, (Z, D), _a_block(P))) == fraction_terms(P, z)
 

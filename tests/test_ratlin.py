@@ -12,9 +12,7 @@ from ddcircuits.ratlin import (
     RatMat,
     RatVec,
     _cut,
-    _echelon,
-    _echelon_kernel,
-    _extend,
+    _kernel,
     _pivot,
     coprime_integer_entries,
     kernel_basis,
@@ -219,50 +217,32 @@ def test_pivot_matches_dense_step(M, data):
 
 
 @given(_small_matrices(), st.data())
-def test_extend_matches_dense_steps(M, data):
-    # each row added to the echelon is reduced against every lead it meets
-    # and then pivoted on its own lead; the echelon must hold a primitive
-    # positive multiple of each row the dense Fraction steps give, with
-    # the same leads, and a dependent row must be refused
-    extra = data.draw(st.lists(st.tuples(_SPARSE, st.sampled_from(M.entries)), max_size=2))
-    vecs = list(M.entries) + [tuple(a * x for x in row) for a, row in extra]
-    rows, leads, dense = [], [], []
-    for vec in data.draw(st.permutations(vecs)):
-        ext = _extend(rows, leads, coprime_integer_entries(vec))
-        dense.append(list(vec))
-        new = len(dense) - 1
-        for i, lead in enumerate(leads):
-            if dense[new][lead]:
-                dense_pivot(dense, i, lead)
-        lead = next((j for j, a in enumerate(dense[new]) if a), None)
-        if lead is None:
-            assert ext is None
-            dense.pop()
-            continue
-        dense_pivot(dense, new, lead)
-        rows, leads = ext
-        assert leads[-1] == lead
-        for row, ref in zip(rows, dense):
-            assert all(type(a) is int for a in row) and gcd(*row) == 1
-            assert positive_multiple(row, ref)
-
-
-@given(_small_matrices(), st.data())
-def test_echelon_fold_is_the_canonical_form(M, data):
-    # shuffled rows with dependent rows appended give the pivot columns of
-    # the reduced row echelon form as leads, and the kernel of M; extending
-    # the echelon of a prefix by the rest is the fold over all rows
+def test_kernel_block_is_the_canonical_form(M, data):
+    # shuffled rows with dependent rows appended give one column per free
+    # column of the reduced row echelon form, in order: each is primitive,
+    # 0 at every other free column, up to sign the kernel vector of M with
+    # that support, which the minors give, and followed by its products
+    # with the rows
     extra = data.draw(st.lists(st.tuples(_SPARSE, _SPARSE, st.sampled_from(M.entries)), max_size=3))
     dependent = [
         tuple(a * x + b * y for x, y in zip(row, M.entries[0])) for a, b, row in extra
     ]
-    rows = data.draw(st.permutations(list(M.entries) + dependent))
-    echelon = _echelon(rows)
-    prefix_ranks = [0] + [minor_rank([row[: j + 1] for row in M.entries], j + 1) for j in range(M.n)]
-    assert sorted(echelon[1]) == [j for j in range(M.n) if prefix_ranks[j + 1] > prefix_ranks[j]]
-    assert _echelon_kernel(*echelon, M.n) == [v.entries for v in kernel_basis(M)]
-    k = data.draw(st.integers(0, len(rows)))
-    assert _echelon(rows[k:], *_echelon(rows[:k])) == echelon
+    shuffled = data.draw(st.permutations(list(M.entries) + dependent))
+    rows = [coprime_integer_entries(row) for row in shuffled]
+    n = M.n
+    block = _kernel(rows, n)
+    prefix_ranks = [0] + [minor_rank([row[: j + 1] for row in M.entries], j + 1) for j in range(n)]
+    free = [j for j in range(n) if prefix_ranks[j + 1] == prefix_ranks[j]]
+    assert len(block) == len(free)
+    r = n - len(free)
+    independent = next(sub for sub in combinations(M.entries, r) if minor_rank(sub, n) == r)
+    for f, col in zip(free, block):
+        assert all(type(a) is int for a in col) and gcd(*col[:n]) == 1
+        assert col[f] != 0 and all(col[g] == 0 for g in free if g != f)
+        units = [[int(k == g) for k in range(n)] for g in free if g != f]
+        ref = coprime(minor_kernel_vector(list(independent) + units, n))
+        assert sign_normalized(col[:n]) == sign_normalized(ref)
+        assert col[n:] == [sum(a * b for a, b in zip(row, col)) for row in rows]
 
 
 # Systems whose B has dense rational rows, the rows of a box, or those of a
