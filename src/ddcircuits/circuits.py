@@ -9,7 +9,9 @@ sign-split cone, which ``certify.is_extreme_ray`` tests on the lift;
 ``is_circuit_direction`` decides the same in n columns: a nonzero kernel
 vector g is a circuit exactly when the rows of B vanishing on g, stacked
 on A, have rank n - 1.  Its int core ``_is_circuit`` takes g as a
-primitive int vector, as the OCNP decision forms it.
+primitive int vector, as the OCNP decision forms it, and builds that
+kernel on the free coordinates only: a row +-e_j of B vanishing on g
+fixes x_j = 0, so such a coordinate and its bound rows are dropped.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
 criterion.  The rows of [A; B] that vanish on a subspace of ker A form a
@@ -18,9 +20,12 @@ flat of rank n - 1.  The scan walks these flats depth first, each once,
 by prefix-preserving closure (the ppc-extension of Uno, Kiyomi and
 Arimura, LCM ver. 2, FIMI 2004) over one representative per parallel
 class of B's rows, taken as the primitive integer rows of the
-polyhedron's integer image of B.  A flat is held in kernel coordinates:
-an integer basis K of its kernel as primitive columns, each followed by
-its products pi_l = q_l.K with the representatives q_l, so the rows in
+polyhedron's integer image of B.  The classes come from
+``polyhedron._classes``, which finds them once per run, with the root's
+block: A's kernel with each column's products with the representatives.
+A flat is held in kernel coordinates: an integer basis K of its kernel as
+primitive columns, each followed by its products pi_l = q_l.K with the
+representatives q_l, so the rows in
 the flat are those with pi_l = 0, and adding q_l closes the flat with
 exactly the rows whose pi is parallel to pi_l.  The child generated by l
 is visited only when l comes after the flat's own generator and first in
@@ -34,7 +39,10 @@ K directly, so no circuit is found twice.  Each is formed over the whole
 column, so its products with the representatives come with it, and is
 oriented once from them to its canonical sign (first nonzero entry of Bg
 positive): the first row of B with a nonzero product is the first of its
-class, a representative, so no product with B is taken.  The package
+class, a representative, so no product with B is taken.  It leaves the
+enumeration with those products, over the same factor (``_circuits``),
+so the exact step's table reads each circuit's image under B off them;
+``enumerate_circuits`` returns the circuits only.  The package
 keeps no second orientation routine: the tests' reference,
 ``canonical_orientation`` in ``tests/oracles.py``, computes B g in full
 from the rational B.  A circuit found this way is nonzero and primitive
@@ -45,12 +53,13 @@ theirs the same way.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 from typing import Sequence
 
 from .errors import SizeGuardExceeded
-from .polyhedron import Polyhedron, _a_block, _image, _solves_a
-from .ratlin import RatVec, _cut, _kernel, coprime_integer_entries, sign_normalized
+from .polyhedron import Classes, Polyhedron, _classes, _image, _solves_a
+from .ratlin import RatVec, _cut, _kernel, coprime_integer_entries
 from .record import Record
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -113,30 +122,47 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
 def _is_circuit(P: Polyhedron, G: Sequence[int]) -> bool:
     """``is_circuit_direction`` for a nonzero primitive int vector G: the
     kernel of A's rows and the rows of B zero on G is one line, that is,
-    [A; B_Z] has rank n - 1."""
+    [A; B_Z] has rank n - 1.
+
+    A row +-e_j of B zero on G fixes x_j = 0 on that kernel, so the kernel
+    is built on the free coordinates only, from A's rows and the other
+    rows of B zero on G, restricted to them.  G is nonzero only on free
+    coordinates, so there is at least one."""
     if not _solves_a(P, G, 0):
         return False
-    image = _image(P._b_image, G)  # zeros where B G has them
-    kept = [q for q, e in zip(P._b_image.rows, image) if e == 0]
-    return len(_kernel([*P._a_image.rows, *kept], P.n)) == 1
+    image = P._b_image
+    fixed = set()
+    kept = []
+    for q, nonzeros, e in zip(image.rows, image.nonzeros, _image(image, G)):
+        if e == 0:
+            if len(nonzeros) == 1:
+                fixed.add(nonzeros[0][0])
+            else:
+                kept.append(q)
+    free = [j for j in range(P.n) if j not in fixed]
+    rows = [[q[j] for j in free] for q in (*P._a_image.rows, *kept)]
+    return len(_kernel(rows, len(free))) == 1
 
 
-def _oriented(col: list[int], n: int) -> Circuit:
+def _oriented(col: list[int], n: int) -> tuple[Circuit, list[int]]:
     """The circuit on the line of the block column ``col``, in canonical
-    orientation.
+    orientation, with its products with the representatives.
 
     ``col`` is a kernel vector in its first n entries, followed by its
     products with the representatives, in B's order.  Rows of one parallel
     class vanish together, so the first row of B with a nonzero product is
     the first of its class, a representative, and its product is in
     ``col``: the circuit is the first n entries over their content,
-    negated when that product is negative.
+    negated when that product is negative, and its products are the rest
+    of ``col`` over the same factor.
     """
     g = col[:n]
     k = gcd(*g)
     if next(a for a in col[n:] if a) < 0:
         k = -k
-    return _trusted(tuple([a // k for a in g]) if k != 1 else tuple(g))
+    if k == 1:
+        return _trusted(tuple(g)), col[n:]
+    return _trusted(tuple([a // k for a in g])), [a // k for a in col[n:]]
 
 
 def _children(
@@ -152,7 +178,7 @@ def _children(
     zero = (0,) * len(block)  # a row is below it when its first nonzero is negative
     seen: set[tuple[int, ...]] = set()
     out = []
-    for l, pi in enumerate(zip(*[col[n : n + last + 1] for col in block])):
+    for l, pi in enumerate(islice(zip(*block), n, n + last + 1)):
         if pi == zero:
             continue
         g = gcd(*pi)
@@ -180,25 +206,24 @@ def enumerate_circuits(
     parallel class is scanned; this loses no circuits.  The result is
     sorted lexicographically by entries.
     """
-    n = P.n
-    block = _a_block(P)
-    if not block:  # ker A is {0}
-        return []
+    return [circ for circ, _ in _circuits(P, _classes(P), work_budget)]
 
-    reps: list[int] = []  # the first row of B of each parallel class
-    seen: set[tuple[int, ...]] = set()
-    for i, ints in enumerate(P._b_image.rows):
-        key = sign_normalized(ints)
-        if any(ints) and key not in seen:
-            seen.add(key)
-            reps.append(i)
+
+def _circuits(
+    P: Polyhedron, classes: Classes, work_budget: int
+) -> list[tuple[Circuit, list[int]]]:
+    """``enumerate_circuits`` from B's parallel classes (``_classes``), each
+    circuit with its products with the representatives."""
+    n = P.n
+    root, reps, _ = classes
+    if not root:  # ker A is {0}
+        return []
 
     # A flat's block: a basis of its kernel as columns, each followed by
     # its products with the representatives.  Depth first from the root,
     # the kernel of A: an entry (block, l) is the child generated by
     # representative l of the flat with that block, or the root if l is -1.
-    root = [col[:n] + [col[n + i] for i in reps] for col in block]
-    found: list[Circuit] = []
+    found: list[tuple[Circuit, list[int]]] = []
     budget = work_budget
     stack = [(root, -1)]
     while stack:
@@ -223,4 +248,4 @@ def enumerate_circuits(
             k0, k1 = block
             for _, (a, b) in kids:
                 found.append(_oriented([b * x - a * y for x, y in zip(k0, k1)], n))
-    return sorted(found, key=lambda circ: circ.entries)
+    return sorted(found, key=lambda pair: pair[0].entries)

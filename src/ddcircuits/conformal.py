@@ -11,13 +11,20 @@ The implementation walks the sign-restricted subcone
     F(z) = {v : Av = 0, sigma_j (Bv)_j >= 0 for every row j}
 
 where sigma_j is -1 where (Bz)_j < 0 and 1 elsewhere, so the rows off
-supp(Bz) are active from the start.  As a point x of a polyhedron is
-described by its slack in row units, a vector v of F(z) is described by
-sigma_j q_j.v, with q_j the primitive integer row of B_j
-(``polyhedron._image``).  The active rows are its zeros.  A's block is
-signed once per decomposition: its products q_j.v are negated in the rows
-where Bz < 0, so the walk reads each signed image from the block as it
-reads the images under B on P, and is given no signs.  Everything is
+supp(Bz) are active from the start.  Rows of one parallel class of B
+vanish together, and with their signs sigma_j their constraints are one:
+on supp(Bz) they coincide, and off it each is tight from the start and
+the walk keeps it tight.  So the cone has one row per class, in the
+order of the classes' first rows (``polyhedron._classes``), and the
+ratio test's first row on ties is the first row of the class that the
+cone on all of B's rows would pick.  As a point x of a
+polyhedron is described by its slack in row units, a vector v of F(z) is
+described by sigma_j q_j.v, with q_j the primitive integer row of a
+class's first row B_j (``polyhedron._image``).  The active rows are its
+zeros.  A's block over the classes is signed once per decomposition: its
+products q_j.v are negated in the rows where Bz < 0, so the walk reads
+each signed image from the block as it reads the images under B on P,
+and is given no signs.  Everything is
 ints over one positive denominator D, as in ``polyhedron._slack``: the
 residual, negated, is U/D and its slack S/D.
 The row that limits a step along a circuit g is ``polyhedron._ratio_test``
@@ -65,8 +72,9 @@ from typing import Iterator
 
 from .circuits import Circuit, _trusted
 from .polyhedron import (
+    Classes,
     Polyhedron,
-    _a_block,
+    _classes,
     _image,
     _move,
     _ratio_test,
@@ -101,12 +109,12 @@ def decompose(P: Polyhedron, z: RatVec) -> ConformalSum:
     zint = _int_vector(z)
     if not _solves_a(P, zint[0], 0):
         raise ValueError("decompose requires A z = 0")
-    terms = _terms(P, zint, _a_block(P))
+    terms = _terms(P, zint, _classes(P))
     return ConformalSum(tuple(sorted(terms, key=lambda term: term[1].entries)), z)
 
 
 def _terms(
-    P: Polyhedron, zint: tuple[list[int], int], block: list[list[int]]
+    P: Polyhedron, zint: tuple[list[int], int], classes: Classes
 ) -> Iterator[tuple[Fraction, Circuit]]:
     """The terms (alpha, g) of ``decompose(P, z)`` in the order the walk
     finds them; a caller that stops early saves the later walks.
@@ -114,11 +122,14 @@ def _terms(
     ``zint`` is z as ints over one denominator, (Z, D) with z = Z / D, as
     ``ratlin._int_vector`` gives it.  z must be a nonzero vector of ker A,
     as ``decompose`` checks; the approximate step's z = x* - x0 is one by
-    construction.  ``block`` is A's, ``polyhedron._a_block(P)``.
+    construction.  ``classes`` are B's parallel classes with A's block
+    over them, ``polyhedron._classes(P)``; the cone has one row per class.
     """
     Z, D = zint
+    block, reps, _ = classes
     n, bz = P.n, _image(P._b_image, Z)
-    # the cone's block: its products are signed once, sigma_i q_i.v
+    bz = [bz[i] for i in reps]  # one row per class
+    # the cone's block: its products are signed once, sigma_k q_k.v
     block = [col[:n] + [-a if e < 0 else a for a, e in zip(col[n:], bz)] for col in block]
     bound = len(block)  # n - rank(A)
     # The residual r is carried negated, -r = U/D, with its slack S/D.

@@ -6,7 +6,10 @@ desk-scale, enumeration-backed oracle) and keeps the feasible step
 maximizing the improvement -c.(alpha g).  The circuits, their slopes and
 their images under B do not depend on the iterate, so the gate builds
 them into a table once per run, and each step's scan does only the
-ratio tests.  The approximate step never
+ratio tests.  Each circuit comes out of the enumeration with its products
+with the representatives of B's parallel classes, and its image is read
+off them, row by row through its class and sign, with no product with
+B.  The approximate step never
 enumerates: it solves the LP once, conformally decomposes x* - x0, picks
 the term with the best objective contribution and extends it to its
 maximal feasible length by the exact step's scan over that one circuit,
@@ -38,14 +41,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence, Union
 
-from .circuits import Circuit, enumerate_circuits, DEFAULT_WORK_BUDGET
+from .circuits import Circuit, _circuits, DEFAULT_WORK_BUDGET
 from .conformal import _terms
 from .errors import IterationCapExceeded, LpUnboundedError
 from .lp import LpOptimal, LpUnbounded, solve_lp
 from .polyhedron import (
+    Classes,
     Point,
     Polyhedron,
-    _a_block,
+    _classes,
     _feasible_slack,
     _image,
     _move,
@@ -109,12 +113,11 @@ def _rule(
     The one gate of the step rules: it checks the mode and the start x0
     once and does the rule's per-run work once: x0's slack, which is both
     the feasibility check and the first iterate, c in ints for every mode,
-    for ``exact`` the scan table of ``_scan``, each circuit of the
-    enumeration with c.g != 0 in its improving orientation with its slope
-    and image, and, for ``approx``, the LP optimum x*
-    as ints over one denominator and A's block, where each decomposition
-    starts.  An unbounded LP raises LpUnboundedError; the LP is never
-    infeasible, since x0 is feasible.
+    for ``exact`` the scan table of ``_scan`` (``_table``), and, for
+    ``approx``, the LP optimum x* as ints over one denominator and B's
+    parallel classes with A's block over them (``polyhedron._classes``),
+    where each decomposition starts.  An unbounded LP raises
+    LpUnboundedError; the LP is never infeasible, since x0 is feasible.
     """
     if mode not in _STEP_RULES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_STEP_RULES}")
@@ -127,18 +130,29 @@ def _rule(
         if isinstance(optimum, LpUnbounded):
             raise LpUnboundedError("the LP is unbounded; no deepest-descent step exists")
         assert isinstance(optimum, LpOptimal)
-        xstar, block = _int_vector(optimum.vertex), _a_block(P)
-        return (lambda it: _approx_step(P, cint, it, xstar, block)), start, cint
-    C = cint[0]
+        xstar, classes = optimum._ints, _classes(P)
+        return (lambda it: _approx_step(P, cint, it, xstar, classes)), start, cint
+    table = _table(P, cint[0], work_budget)
+    return (lambda it: _scan(cint, it, table)), start, cint
+
+
+def _table(P: Polyhedron, C: Sequence[int], work_budget: int) -> list[ScanEntry]:
+    """The exact rule's scan table for the int objective C: each circuit of
+    the enumeration with C.g != 0, in its improving orientation, with its
+    slope and image.  The circuits come with their products with B's class
+    representatives (``circuits._circuits``), and the image is read off
+    them, (B g)_i = s_i p[k_i] with the class and sign of row i, so no
+    circuit is multiplied by B."""
+    classes = _classes(P)
+    rows = classes[2]
     table = []
-    for g in enumerate_circuits(P, work_budget=work_budget):
+    for g, prods in _circuits(P, classes, work_budget):
         slope = _dot(C, g.entries)
         if slope:
-            bg = _image(P._b_image, g.entries)
             if slope > 0:
-                g, slope, bg = -g, -slope, [-a for a in bg]
-            table.append((g, slope, bg))
-    return (lambda it: _scan(cint, it, table)), start, cint
+                g, slope, prods = -g, -slope, [-a for a in prods]
+            table.append((g, slope, [s * prods[k] for k, s in rows]))
+    return table
 
 
 def _first_step(P: Polyhedron, c: RatVec, x0: Point, mode: str, work_budget: int) -> StepOutcome:
@@ -187,13 +201,14 @@ def _approx_step(
     cint: tuple[list[int], int],
     it: Iterate,
     xstar: tuple[list[int], int],
-    block: list[list[int]],
+    classes: Classes,
 ) -> RuleResult:
     """``approx_dd_step`` at the int iterate ``it``, without its checks.
 
     ``cint`` is c as ints over one denominator, (C, den) with c = C / den,
     ``it`` a feasible iterate (X, S, D) and ``xstar`` the LP optimum x* of
-    (P, c) as ints over one denominator, (Xs, Ds); ``block`` is A's.
+    (P, c) as ints over one denominator, (Xs, Ds); ``classes`` are B's
+    parallel classes with A's block, ``polyhedron._classes(P)``.
     z = x* - x is (Xs*D - X*Ds) / (Ds*D), put in lowest terms by one gcd,
     which is ``ratlin._int_vector(z)``.  The best term has the smallest key
     (c.(alpha g), g.entries), the term ``min`` picks from the full
@@ -220,7 +235,7 @@ def _approx_step(
     C, den = cint
     rn, rd = _dot(C, Z), den * dz  # c.r = rn / rd, from r = z
     best_g = None
-    for alpha, g in _terms(P, (Z, dz), block):
+    for alpha, g in _terms(P, (Z, dz), classes):
         gn, gd = alpha.numerator * _dot(C, g.entries), alpha.denominator * den  # c.(alpha g)
         rn, rd = rn * gd - gn * rd, rd * gd
         common = gcd(rn, rd)

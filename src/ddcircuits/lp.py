@@ -120,7 +120,9 @@ from .record import Record
 
 
 class LpOptimal(
-    Record, defaults={"unique": False, "objective": None}, hidden=("unique", "objective")
+    Record,
+    defaults={"unique": False, "objective": None, "_ints": None},
+    hidden=("unique", "objective", "_ints"),
 ):
     """An optimal vertex and its value.
 
@@ -128,14 +130,18 @@ class LpOptimal(
     optimum unique (every nonbasic reduced cost positive, a basic split
     variable's twin aside).  False means the tableau does not decide it.
     ``objective`` is the c that ``solve_lp`` minimized, None for an
-    optimum built by hand.  Neither takes part in equality, hash or repr.
+    optimum built by hand.  ``_ints`` is the vertex as ``solve_lp`` formed
+    it, ints (X, D) over one denominator with vertex = X / D, None for an
+    optimum built by hand.  None of the three takes part in equality, hash
+    or repr.
     """
 
-    __slots__ = ("vertex", "value", "unique", "objective")
+    __slots__ = ("vertex", "value", "unique", "objective", "_ints")
     vertex: Point
     value: Rat
     unique: bool
     objective: Optional[RatVec]
+    _ints: Optional[tuple[list[int], int]]
 
 
 class LpUnbounded(Record):
@@ -490,7 +496,8 @@ def solve_lp(P: Polyhedron, c: RatVec) -> LpOutcome:
     unique = _unique_by_reduced_costs(tab.T[-1][:-1], tab.basis, P.n, tab.split)
     if not unique:
         x, X, D = _purify_to_vertex(P, c, x)
-    return LpOptimal(x, Fraction(sum(a * b for a, b in zip(C, X) if a), den * D), unique, c)
+    value = Fraction(sum(a * b for a, b in zip(C, X) if a), den * D)
+    return LpOptimal(x, value, unique, c, (X, D))
 
 
 def verify_unique(

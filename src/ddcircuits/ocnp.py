@@ -11,10 +11,11 @@ assumed: when verification fails the verdict is NotUnique and no answer
 is attempted, since the multi-optimum variant of the question is
 intractable in general.
 The decision works in ints: x0 as the (X0, D0) of its feasibility check
-(``polyhedron._feasible_slack``), x* as ints over one denominator, and
+(``polyhedron._feasible_slack``), x* as the ints over one denominator
+that the LP formed it from (the hidden field ``LpOptimal._ints``), and
 x* - x0 as their int difference, which goes to the circuit test's int
-core (``circuits._is_circuit``) made primitive.  x* becomes a Fraction
-vector only in the verdict.
+core (``circuits._is_circuit``) made primitive.  x* is handed out as a
+Fraction vector only in the verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .circuits import _is_circuit
 from .errors import LpUnboundedError
 from .lp import LpOptimal, LpUnbounded, UniquenessReport, solve_lp, verify_unique
 from .polyhedron import Point, Polyhedron, _feasible_slack
-from .ratlin import RatVec, _int_vector, _primitive
+from .ratlin import RatVec, _primitive
 from .record import Record
 
 
@@ -74,7 +75,7 @@ def decide_ocnp(P: Polyhedron, c: RatVec, x0: Point) -> OcnpVerdict:
     if not report.unique:
         return NotUnique(report)
     X0, _, D0 = slack
-    X, D = _int_vector(outcome.vertex)
+    X, D = outcome._ints
     Z = [a * D0 - b * D for a, b in zip(X, X0)]
     if not any(Z):
         return AlreadyOptimal()

@@ -30,6 +30,10 @@ block of columns with their images under B (``_a_block``, built by
 ``ratlin._kernel``), by the rows the move made tight (``_tighten``);
 the augmentation loop in ``ddstep`` moves its iterate by ``_move`` too,
 along a circuit whose image and limiting row its scan computed.
+``_classes`` is the one finder of B's parallel classes, once per run of
+the circuit scan, the exact step's table or a decomposition: it gives
+A's block with products over each class's first row only, and each
+row's class and sign, from which B v is read off those products.
 ``is_feasible`` decides x on its slack, and ``_feasible_slack`` hands that
 slack on to callers that go on from x.  LP purification and the
 uniqueness check walk P itself, and the conformal decomposition walks a
@@ -69,6 +73,7 @@ from .ratlin import (
     _rat_pair,
     _to_int,
     parse_count,
+    sign_normalized,
 )
 from .record import Record
 
@@ -357,12 +362,55 @@ def _active(slack: Sequence[int]) -> tuple[int, ...]:
 def _a_block(P: Polyhedron) -> list[list[int]]:
     """The block of A's kernel, as ``ratlin._cut`` takes it: each column v
     of ``ratlin._kernel`` of A's primitive rows, followed by v's image
-    under B, built anew at each call.  A column's sign is not normalized:
-    each reader normalizes it or ignores it (the walk flips a column whose
-    first nonzero is negative, the circuit scan normalizes its projections
-    and orients each circuit)."""
+    under B, built anew at each call, for the walks on P.  A column's sign
+    is not normalized: the walk flips a column whose first nonzero is
+    negative."""
     n = P.n
     return [col[:n] + _image(P._b_image, col) for col in _kernel(P._a_image.rows, n)]
+
+
+# B's parallel classes with A's block over them, as ``_classes`` gives them:
+# (block, reps, rows).
+Classes = tuple[list[list[int]], list[int], list[tuple[int, int]]]
+
+
+def _classes(P: Polyhedron) -> Classes:
+    """B's parallel classes, and A's block with products over them: the one
+    place the classes are found, once per run of the circuit scan, the
+    exact rule's table or a decomposition.
+
+    Two nonzero rows of B are parallel when their primitive rows agree up
+    to sign, so they vanish together on every vector.  Class k is numbered
+    in the order of its first row, ``reps[k]``, its representative.
+    ``rows`` gives the class k_i and sign s_i = +-1 of every row i of B,
+    with q_i = s_i q_reps[k_i], so B v is read off v's products p with the
+    representatives as (B v)_i = s_i p[k_i]; a zero row is (0, 0).
+    ``block`` is ``_a_block``'s with each column's products taken with the
+    representatives only, in class order; its readers normalize a column's
+    sign or ignore it (the circuit scan normalizes its projections and
+    orients each circuit, and the cone's walk flips a column).
+    """
+    n, image = P.n, P._b_image
+    reps: list[int] = []
+    rows: list[tuple[int, int]] = []
+    first: dict[tuple[int, ...], tuple[int, int]] = {}  # class and sign of its first row
+    for i, (q, nonzeros) in enumerate(zip(image.rows, image.nonzeros)):
+        if not nonzeros:
+            rows.append((0, 0))
+            continue
+        sign = 1 if nonzeros[0][1] > 0 else -1
+        key = sign_normalized(q)
+        if key not in first:
+            first[key] = (len(reps), sign)
+            reps.append(i)
+        k, s = first[key]
+        rows.append((k, sign * s))
+    products = [image.nonzeros[i] for i in reps]
+    block = []
+    for col in _kernel(P._a_image.rows, n):
+        v = col[:n]
+        block.append(v + [sum([a * v[j] for j, a in row]) for row in products])
+    return block, reps, rows
 
 
 def _tighten(

@@ -284,8 +284,9 @@ def _cut(block: list[list[int]], n: int, r: int) -> list[list[int]]:
     their free columns, stays one up to a nonzero factor per column.
     Columns are never changed in place, so blocks may share them.
     """
-    s = next(t for t, col in enumerate(block) if col[r])
-    pivot = block[s]
+    for s, pivot in enumerate(block):
+        if pivot[r]:
+            break
     p = pivot[r]
     out = block[:s]
     for col in block[s + 1 :]:

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -18,7 +18,8 @@ from ddcircuits import (
     is_extreme_ray,
     lift,
 )
-from ddcircuits.ratlin import RatMat, coprime_integer_entries, kernel_basis
+from ddcircuits.circuits import _is_circuit
+from ddcircuits.ratlin import RatMat, _primitive, coprime_integer_entries, kernel_basis
 
 from instgen import (
     complete_digraph,
@@ -33,6 +34,7 @@ from oracles import (
     ppc_flat_count,
     undirected_cycle_indicators,
 )
+from test_dense_reference import _enumeration_systems
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 
@@ -381,3 +383,20 @@ def test_n_column_test_matches_lifted_rank_test():
             assert is_circuit_direction(P, v) == expected, (P, v)
             verdicts.append(expected)
     assert True in verdicts and False in verdicts
+
+
+def test_free_coordinate_test_matches_lifted_rank_test():
+    # the int core builds its kernel on the coordinates that no bound row
+    # zero on g fixes; on every enumerated circuit and every sum of two,
+    # it decides what is_extreme_ray decides on the canonical lift
+    systems = list(_enumeration_systems().values())
+    systems += [circulation(G) for G in exhaustive_digraphs(node_counts=(2, 3))]
+    verdicts = []
+    for P in systems:
+        circuits = [c.entries for c in enumerate_circuits(P)]
+        sums = [tuple([a + b for a, b in zip(g, h)]) for g, h in combinations(circuits, 2)]
+        for v in circuits + sums:
+            expected = is_extreme_ray(P, lift(P, RatVec(v)))
+            assert _is_circuit(P, _primitive(v)) == expected, (P, v)
+            verdicts.append(expected)
+    assert verdicts.count(True) == 220 and verdicts.count(False) == 277

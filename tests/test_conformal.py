@@ -23,7 +23,7 @@ from ddcircuits import (
     verify_conformal,
 )
 from ddcircuits.conformal import _terms, format_conformal
-from ddcircuits.polyhedron import _a_block
+from ddcircuits.polyhedron import _classes
 from ddcircuits.ratlin import _int_vector, kernel_basis, rank
 
 from instgen import dense_polytope, dense_rational_system, mixed_instances
@@ -218,12 +218,12 @@ def test_decompositions_pinned():
 
 def test_terms_match_the_fraction_reference():
     for P, s in _pinned_sums():
-        assert list(_terms(P, _int_vector(s.target), _a_block(P))) == fraction_terms(P, s.target)
+        assert list(_terms(P, _int_vector(s.target), _classes(P))) == fraction_terms(P, s.target)
 
 
 def test_decompose_sorts_the_walk_order_terms():
     for P, s in _pinned_sums():
-        terms = _terms(P, _int_vector(s.target), _a_block(P))
+        terms = _terms(P, _int_vector(s.target), _classes(P))
         assert s.terms == tuple(sorted(terms, key=lambda term: term[1].entries))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -28,12 +29,21 @@ from ddcircuits import (
     solve_lp,
     verify_unique,
 )
+from ddcircuits.circuits import DEFAULT_WORK_BUDGET
 from ddcircuits.conformal import _terms
-from ddcircuits.polyhedron import UNBOUNDED, _a_block, _slack
+from ddcircuits.ddstep import _table
+from ddcircuits.polyhedron import UNBOUNDED, _classes, _image, _slack
 from ddcircuits.ratlin import RatMat, _int_vector, rank
 
-from instgen import dense_polytope, gen_box, gen_circulation, mixed_instances
+from instgen import (
+    dense_polytope,
+    gen_box,
+    gen_circulation,
+    mixed_instances,
+    verify_class_digraphs,
+)
 from oracles import per_step_augment
+from test_dense_reference import _enumeration_systems
 
 UNIT_SQUARE = Polyhedron.box([0, 0], [1, 1])
 TRIANGLE = build_reduction(Digraph(3, ((1, 2), (2, 3), (3, 1)))).instance
@@ -156,8 +166,8 @@ def _full_rule(P, c, x, optimum):
 def _recording(walked):
     """A stand-in for ``_terms`` that appends each term it yields to walked."""
 
-    def recording(P, zint, block):
-        for term in _terms(P, zint, block):
+    def recording(P, zint, classes):
+        for term in _terms(P, zint, classes):
             walked.append(term)
             yield term
 
@@ -170,7 +180,7 @@ def _walked_terms(P, c, x, optimum):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ddcircuits.ddstep, "_terms", _recording(walked))
         res, _ = ddcircuits.ddstep._approx_step(
-            P, _int_vector(c), _slack(P, x), _int_vector(optimum.vertex), _a_block(P)
+            P, _int_vector(c), _slack(P, x), _int_vector(optimum.vertex), _classes(P)
         )
     return res, walked
 
@@ -182,7 +192,7 @@ def _check_early_stop(P, c, x, optimum):
     if z.is_zero():
         assert walked == []
         return res
-    every = list(_terms(P, _int_vector(z), _a_block(P)))
+    every = list(_terms(P, _int_vector(z), _classes(P)))
     assert walked == every[: len(walked)]
 
     def key(term):
@@ -463,3 +473,49 @@ def test_reduction_steps_are_unit_zero_one():
                     continue
                 assert beta == 1
                 assert all(e in (0, 1) for e in g.entries)
+
+
+# sha256 over the repr of ``exact_dd_step`` from the zero flow on the
+# circulation LPs of ``verify_class_digraphs(random.Random(3636))``, the
+# graph class of the benchmark's correspondence check, each outcome as
+# (circuit entries, alpha, improvement) in text or the outcome's class name.
+# Recorded before the exact rule's table read each circuit's image off its
+# products with B's class representatives.
+EXACT_STEP_DIGEST = "65467e279fd1cc864ccd9ff571ee54524d3576a70bda19f9b02883b9e6492b86"
+
+
+def test_exact_steps_from_the_zero_flow_digest():
+    keys = []
+    for G in verify_class_digraphs(random.Random(3636)):
+        red = build_reduction(G)
+        res = exact_dd_step(red.instance.polyhedron, red.instance.objective, red.x0)
+        if isinstance(res, DdStep):
+            keys.append((res.g.entries, str(res.alpha), str(res.improvement)))
+        else:
+            keys.append(type(res).__name__)
+    assert sum(isinstance(key, tuple) for key in keys) == 22
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == EXACT_STEP_DIGEST
+
+
+def test_table_images_are_the_products_with_b():
+    # each image in the exact rule's table is expanded from the circuit's
+    # products with the class representatives; it is B g all the same, on
+    # B with a zero row and a same-sign parallel row too
+    B = RatMat([[1, 0], [0, 0], [0, 1], [-1, 0], [2, 0], [0, -1]])
+    parallel = Polyhedron(RatMat([], cols=2), RatVec([]), B, RatVec([1, 1, 1, 0, 2, 0]))
+    systems = [parallel, *_enumeration_systems().values()]
+    systems += [build_reduction(G).instance.polyhedron for G in verify_class_digraphs(random.Random(36))]
+    rng = random.Random(3600)
+    entries = 0
+    for P in systems:
+        C = [rng.choice((-3, -1, 1, 2)) for _ in range(P.n)]
+        circuits = enumerate_circuits(P)
+        table = _table(P, C, DEFAULT_WORK_BUDGET)
+        assert [g if g in circuits else -g for g, _, _ in table] == [
+            g for g in circuits if sum(a * b for a, b in zip(C, g.entries))
+        ]
+        for g, slope, bg in table:
+            assert slope == sum(a * b for a, b in zip(C, g.entries)) < 0
+            assert bg == _image(P._b_image, g.entries)
+        entries += len(table)
+    assert entries == 346

@@ -222,9 +222,9 @@ def test_each_circuit_oriented_once(monkeypatch):
         oriented = []
 
         def counting(col, n):
-            circ = real(col, n)
+            circ, prods = real(col, n)
             oriented.append(sign_normalized(circ.entries))
-            return circ
+            return circ, prods
 
         monkeypatch.setattr(ddcircuits.circuits, "_oriented", counting)
         circuits = enumerate_circuits(P)

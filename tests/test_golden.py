@@ -8,6 +8,12 @@ acyclic digraph, plus two ``bench`` seeds.  The digests in ``GOLDEN``
 were recorded before any of the speed-ups they now guard, so a change
 that claims byte-identical output is checked here, not by hand.
 
+Check the battery against ``GOLDEN`` without pytest, for instance on an
+interpreter that has none; the check prints each mismatch and exits 1 if
+there is any:
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
 Regenerate the table only for an intended output change, and say which
 entries changed and why:
 
@@ -17,10 +23,14 @@ entries changed and why:
 import hashlib
 import io
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
+try:
+    import pytest
+except ImportError:  # ``--check`` runs the battery without pytest
+    pytest = None
 
 from ddcircuits.cli import main
 
@@ -154,17 +164,28 @@ def _run(argv, directory: str) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode("ascii")).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def fixture_dir():
+def _digests():
+    """(case id, (exit code, sha256 of stdout)) of each battery command, in
+    a fresh fixture directory, without the work budget's variable."""
+    os.environ.pop("DDCIRCUITS_WORK_BUDGET", None)
     with tempfile.TemporaryDirectory() as directory:
         _write_fixtures(directory)
-        yield directory
+        for case_id, argv in BATTERY:
+            yield case_id, _run(argv, directory)
 
 
-@pytest.mark.parametrize("case_id, argv", BATTERY, ids=[case for case, _ in BATTERY])
-def test_golden_stdout(case_id, argv, fixture_dir, monkeypatch):
-    monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
-    assert _run(argv, fixture_dir) == GOLDEN[case_id]
+if pytest is not None:
+
+    @pytest.fixture(scope="module")
+    def fixture_dir():
+        with tempfile.TemporaryDirectory() as directory:
+            _write_fixtures(directory)
+            yield directory
+
+    @pytest.mark.parametrize("case_id, argv", BATTERY, ids=[case for case, _ in BATTERY])
+    def test_golden_stdout(case_id, argv, fixture_dir, monkeypatch):
+        monkeypatch.delenv("DDCIRCUITS_WORK_BUDGET", raising=False)
+        assert _run(argv, fixture_dir) == GOLDEN[case_id]
 
 
 def test_battery_covers_every_subcommand():
@@ -332,12 +353,23 @@ GOLDEN = {
 }
 
 
+def _check() -> int:
+    """Compare every battery command with its ``GOLDEN`` entry, print each
+    mismatch and a summary line, and return 1 if any differs, else 0."""
+    bad = 0
+    for case_id, got in _digests():
+        if got != GOLDEN.get(case_id):
+            bad += 1
+            print(f"mismatch {case_id}: got {got}, pinned {GOLDEN.get(case_id)}")
+    version = sys.version.split()[0]
+    print(f"{len(BATTERY) - bad} of {len(BATTERY)} GOLDEN entries match on Python {version}")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
-    os.environ.pop("DDCIRCUITS_WORK_BUDGET", None)
-    with tempfile.TemporaryDirectory() as directory:
-        _write_fixtures(directory)
-        print("GOLDEN = {")
-        for case_id, argv in BATTERY:
-            code, digest = _run(argv, directory)
-            print(f'    "{case_id}": ({code}, "{digest}"),')
-        print("}")
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
+    print("GOLDEN = {")
+    for case_id, (code, digest) in _digests():
+        print(f'    "{case_id}": ({code}, "{digest}"),')
+    print("}")

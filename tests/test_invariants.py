@@ -23,6 +23,9 @@ only ``polyhedron`` (A's block and the pointedness check) and
 ``circuits`` (the circuit test) call instead of stacking matrices for
 ``kernel_basis``.  Only those two cut a block with ``ratlin._cut``, so
 ``lp`` and ``conformal`` go through the walk.
+B's parallel classes have one finder, ``polyhedron._classes``: it alone
+keys B's rows by ``ratlin.sign_normalized``, and only the circuit scan,
+the exact rule's table and the conformal decomposition read its classes.
 Maximal steps have one home too: besides ``polyhedron``, only the circuit
 scan in ``ddstep`` and the decomposition in ``conformal`` run the ratio
 test and move an int point by ``polyhedron._move``; ``lp`` steps through
@@ -78,15 +81,16 @@ INTEGER_KERNEL = {
         "_primitive",
     ),
     "lp.py": ("_flip", "_bland", "_simplex"),
-    "circuits.py": ("_children", "enumerate_circuits", "_is_circuit"),
+    "circuits.py": ("_children", "enumerate_circuits", "_circuits", "_is_circuit"),
     "ocnp.py": ("decide_ocnp",),
-    "ddstep.py": ("_rule", "_approx_step"),
+    "ddstep.py": ("_rule", "_table", "_approx_step"),
     "polyhedron.py": (
         "_image",
         "_slack",
         "_ratio_test",
         "_move",
         "_a_block",
+        "_classes",
         "_tighten",
         "_walk",
         "_parse_row",
@@ -117,6 +121,16 @@ ELIMINATION_HOMES = {
     "_kernel": {"ratlin.py", "polyhedron.py", "circuits.py"},
     "_cut": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
+
+# B's parallel classes are found in one place, ``polyhedron._classes``: only
+# it keys B's rows by ``ratlin.sign_normalized``, which no other function
+# outside ``ratlin`` calls, and the circuit scan, the exact rule's table and
+# the conformal decomposition read the classes from it.
+CLASS_HOMES = {
+    "sign_normalized": {"ratlin.py", "polyhedron.py"},
+    "_classes": {"polyhedron.py", "circuits.py", "ddstep.py", "conformal.py"},
+}
+CLASS_FINDER = ("polyhedron.py", "_classes")
 
 # The modules allowed to refer to each helper of a maximal step.
 STEP_HOMES = {
@@ -290,6 +304,18 @@ def misplaced_references(sources: dict[str, str], homes_of=ELIMINATION_HOMES) ->
         for name, homes in homes_of.items():
             if module not in homes and _refers_to(tree, name):
                 found.append(f"{module}:{name}")
+    return found
+
+
+def referring_statements(source: str, name: str) -> list[str]:
+    """The name of each module-level function or class that refers to
+    ``name``, and ``<module>`` for each other statement that does, imports
+    aside, in source order."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) and _refers_to(stmt, name):
+            named = isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            found.append(stmt.name if named else "<module>")
     return found
 
 
@@ -614,6 +640,45 @@ def test_checker_flags_misplaced_elimination():
         "conformal.py:_kernel",
         "conformal.py:_cut",
         "polyhedron.py:_pivot",
+    ]
+
+
+def test_parallel_classes_have_one_finder():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert misplaced_references(sources, CLASS_HOMES) == []
+    module, finder = CLASS_FINDER
+    assert referring_statements(sources[module], "sign_normalized") == [finder]
+
+
+def test_checker_flags_a_second_class_finder():
+    source = (
+        "from .ratlin import sign_normalized\n"
+        "def _classes(P):\n"
+        "    return {sign_normalized(q) for q in P._b_image.rows}\n"
+        "def enumerate_circuits(P):\n"
+        "    key = ratlin.sign_normalized\n"
+        "class Scan:\n"
+        "    def reps(self, rows):\n"
+        "        return [sign_normalized(q) for q in rows]\n"
+        "KEYS = [sign_normalized(q) for q in ROWS]\n"
+        "def _tighten(block, n, slack):\n"
+        "    return block\n"
+    )
+    assert referring_statements(source, "sign_normalized") == [
+        "_classes",
+        "enumerate_circuits",
+        "Scan",
+        "<module>",
+    ]
+    sources = {
+        "polyhedron.py": source,
+        "circuits.py": "from .ratlin import sign_normalized\nfrom .polyhedron import _classes\n",
+        "lp.py": "table = polyhedron._classes(P)\n",
+        "ratlin.py": "def kernel_basis(M):\n    return [sign_normalized(c) for c in M]\n",
+    }
+    assert misplaced_references(sources, CLASS_HOMES) == [
+        "circuits.py:sign_normalized",
+        "lp.py:_classes",
     ]
 
 

@@ -27,6 +27,7 @@ from ddcircuits.conformal import _terms
 from ddcircuits.polyhedron import (
     _a_block,
     _active,
+    _classes,
     _image,
     _point,
     _ratio_test,
@@ -311,7 +312,7 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     block = _tighten(block, n, S)
     walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, True, [-e for e in Z], S, D, block)]
     assert walk == list(fraction_walk(P, signs, -z))
-    assert list(_terms(P, (Z, D), _a_block(P))) == fraction_terms(P, z)
+    assert list(_terms(P, (Z, D), _classes(P))) == fraction_terms(P, z)
 
 
 SQUARE_TEXT = """2 0 4
