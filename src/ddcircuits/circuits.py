@@ -9,9 +9,9 @@ sign-split cone, which ``certify.is_extreme_ray`` tests on the lift;
 ``is_circuit_direction`` decides the same in n columns: a nonzero kernel
 vector g is a circuit exactly when the rows of B vanishing on g, stacked
 on A, have rank n - 1.  Its int core ``_is_circuit`` takes g as a
-primitive int vector, as the OCNP decision forms it, and builds that
-kernel on the free coordinates only: a row +-e_j of B vanishing on g
-fixes x_j = 0, so such a coordinate and its bound rows are dropped.
+primitive int vector, as the OCNP decision forms it, and reads that
+kernel from ``polyhedron._block``, which builds it on the coordinates
+that no row +-e_j of B vanishing on g fixes.
 
 Enumeration is a deliberately exponential desk-scale oracle built on that
 criterion.  The rows of [A; B] that vanish on a subspace of ker A form a
@@ -58,8 +58,8 @@ from math import gcd
 from typing import Sequence
 
 from .errors import SizeGuardExceeded
-from .polyhedron import Classes, Polyhedron, _classes, _image, _solves_a
-from .ratlin import RatVec, _cut, _kernel, coprime_integer_entries
+from .polyhedron import Classes, Polyhedron, _block, _classes, _image, _solves_a
+from .ratlin import RatVec, _cut, coprime_integer_entries
 from .record import Record
 
 DEFAULT_WORK_BUDGET = 500_000
@@ -121,27 +121,12 @@ def is_circuit_direction(P: Polyhedron, v: RatVec) -> bool:
 
 def _is_circuit(P: Polyhedron, G: Sequence[int]) -> bool:
     """``is_circuit_direction`` for a nonzero primitive int vector G: the
-    kernel of A's rows and the rows of B zero on G is one line, that is,
-    [A; B_Z] has rank n - 1.
-
-    A row +-e_j of B zero on G fixes x_j = 0 on that kernel, so the kernel
-    is built on the free coordinates only, from A's rows and the other
-    rows of B zero on G, restricted to them.  G is nonzero only on free
-    coordinates, so there is at least one."""
+    kernel of A's rows and the rows of B zero on G (``_block``) is one
+    line, that is, [A; B_Z] has rank n - 1."""
     if not _solves_a(P, G, 0):
         return False
-    image = P._b_image
-    fixed = set()
-    kept = []
-    for q, nonzeros, e in zip(image.rows, image.nonzeros, _image(image, G)):
-        if e == 0:
-            if len(nonzeros) == 1:
-                fixed.add(nonzeros[0][0])
-            else:
-                kept.append(q)
-    free = [j for j in range(P.n) if j not in fixed]
-    rows = [[q[j] for j in free] for q in (*P._a_image.rows, *kept)]
-    return len(_kernel(rows, len(free))) == 1
+    zero = [i for i, e in enumerate(_image(P._b_image, G)) if e == 0]
+    return len(_block(P, zero, ())) == 1
 
 
 def _oriented(col: list[int], n: int) -> tuple[Circuit, list[int]]:

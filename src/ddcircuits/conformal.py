@@ -49,8 +49,9 @@ image is the walk's slack at E divided by the same gcd, with no product
 with B.
 The rows active at r stay
 active across terms, so the decomposition keeps the block of their
-kernel (``polyhedron._tighten`` of A's block) and cuts it only by the
-rows each term makes active.  The emitted step
+kernel, A's block over the classes cut by them (``polyhedron._tighten``),
+and cuts it only by the rows each term makes active, since the rows
+active before are 0 on every column.  The emitted step
 length is the largest alpha keeping r - alpha*g inside F(z), so at least
 one support coordinate dies per term and the face dimension drops
 strictly, which bounds the term count by dim F(z) <= n - rank(A).  All
@@ -134,13 +135,13 @@ def _terms(
     bound = len(block)  # n - rank(A)
     # The residual r is carried negated, -r = U/D, with its slack S/D.
     U, S = [-e for e in Z], [abs(e) for e in bz]
-    before, count = None, 0
+    count = 0
     while any(U):
         # The block of the rows active at r, and the walk from U to an
         # extreme ray of the minimal face of F(z) containing r.  The walk's
         # slack at its end E is -sigma_i q_i.E, so the circuit g = -E/gcd(E)
         # has the signed image sg = S_E/gcd(E), which is >= 0.
-        block = _tighten(block, n, S, before)
+        block = _tighten(block, n, S)
         end, end_slack = U, S
         for end, end_slack, _, _ in _walk(P, True, U, S, D, block):
             pass
@@ -156,7 +157,6 @@ def _terms(
         if count > bound:  # pragma: no cover
             raise AssertionError("conformal decomposition exceeded its term bound")
         yield Fraction(S[j], D * sg[j]), g
-        before = S
         U, S, D = _move(U, S, D, g.entries, sg, j)
 
 

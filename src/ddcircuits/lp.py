@@ -63,8 +63,12 @@ P makes active.  So an optimum the tableau leaves open goes through
 purification: ``polyhedron._walk`` moves along a vector of the kernel of
 the active system, held as a block of columns, until one more
 independent row becomes active and cuts the block, while the kernel is
-not trivial.  Each move keeps feasibility and the objective value, and
-cuts a column, so at most n moves reach a true vertex.  An optimum the
+not trivial.  The walk starts from ``polyhedron._block`` of the B-rows
+active at the point, which drops each coordinate an active bound row
+fixes, so a point at which active bounds fix every coordinate starts
+from the empty block, with no elimination.  Each move keeps feasibility and the
+objective value, and cuts a column, so at most n moves reach a true
+vertex.  An optimum the
 tableau proves unique (below) skips the walk: its optimal face is the
 single point x, a face of dimension 0 of the pointed P, and so a vertex.
 
@@ -99,13 +103,13 @@ from .polyhedron import (
     UNBOUNDED,
     Point,
     Polyhedron,
-    _a_block,
+    _active,
+    _block,
     _feasible_slack,
     _IntImage,
     _max_step,
     _point,
     _slack,
-    _tighten,
     _walk,
 )
 from .ratlin import (
@@ -287,7 +291,7 @@ def _purify_to_vertex(P: Polyhedron, c: RatVec, x: Point) -> tuple[Point, list[i
     move keeps x feasible, so the walk runs no membership checks.
     """
     X, S, D = _slack(P, x)
-    for X, _, D, w in _walk(P, False, X, S, D, _tighten(_a_block(P), P.n, S)):
+    for X, _, D, w in _walk(P, False, X, S, D, _block(P, _active(S), range(len(S)))):
         if sum(a * b for a, b in zip(c, w) if b) != 0:
             raise AssertionError(
                 "purification direction changes the objective; solver invariant broken"
@@ -543,7 +547,7 @@ def verify_unique(
         raise ValueError("xstar is not optimal for the given objective")
 
     X, S, D = slack
-    for end, _, den, _ in _walk(P, False, X, S, D, _tighten(_a_block(P), P.n, S)):
+    for end, _, den, _ in _walk(P, False, X, S, D, _block(P, _active(S), range(len(S)))):
         return UniquenessReport(False, _point(end, den))
 
     a_rows, b_rows = (

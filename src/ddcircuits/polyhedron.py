@@ -23,17 +23,22 @@ image is the same in row units, and so are its zeros and signs, so
 ``_ratio_test``, the package's one ratio test for maximal steps, which
 compares S_i/a_i by cross-multiplication and returns the limiting row,
 and ``_active`` give what d - Bx and Bv would give.
+``_block`` is the one builder of every kernel the package starts from,
+that of A's rows and a set of B's rows, held as a block of columns, each
+followed by its products with chosen rows of B: a row +-e_j in the set
+fixes x_j = 0, so ``ratlin._kernel`` runs on the other coordinates only.
+The pointedness check, the circuit test, the walks of ``lp`` and the
+block over B's parallel classes all read it.
 ``_walk`` is the package's one active-set walk: it moves inside the
-kernel of the tight rows until one more row is tight, moves X, S and D by
-one rank-one step in ints (``_move``) and cuts that kernel, held as a
-block of columns with their images under B (``_a_block``, built by
-``ratlin._kernel``), by the rows the move made tight (``_tighten``);
-the augmentation loop in ``ddstep`` moves its iterate by ``_move`` too,
-along a circuit whose image and limiting row its scan computed.
-``_classes`` is the one finder of B's parallel classes, once per run of
-the circuit scan, the exact step's table or a decomposition: it gives
-A's block with products over each class's first row only, and each
-row's class and sign, from which B v is read off those products.
+kernel of the tight rows, from its block with images under B, until one
+more row is tight, moves X, S and D by one rank-one step in ints
+(``_move``) and cuts the block by the rows the move made tight
+(``_tighten``); the augmentation loop in ``ddstep`` moves its iterate by
+``_move`` too, along a circuit whose image and limiting row its scan
+computed.  ``_classes`` is the one finder of B's parallel classes, once
+per run of the circuit scan, the exact step's table or a decomposition:
+it gives A's block with products over each class's first row only, and
+each row's class and sign, from which B v is read off those products.
 ``is_feasible`` decides x on its slack, and ``_feasible_slack`` hands that
 slack on to callers that go on from x.  LP purification and the
 uniqueness check walk P itself, and the conformal decomposition walks a
@@ -49,10 +54,9 @@ grammar-checking ``_rat_pair``, as ints over one denominator, so the
 instance's rows go to ``_build`` in one pass of ints; ``_read_text``, the
 one reader of input files; and ``_located``, which places any token
 reader's error at its line and column.
-Every Polyhedron is pointed.  Where the +-e_j rows of B bound every
-coordinate, as in boxes and circulations, that needs no elimination;
-for other systems the kernel of A's and B's rows (``ratlin._kernel``)
-must be empty.
+Every Polyhedron is pointed: the kernel of A's and B's rows is {0}.
+Where the +-e_j rows of B bound every coordinate, as in boxes and
+circulations, ``_block`` finds that with no elimination.
 """
 
 from __future__ import annotations
@@ -111,10 +115,9 @@ class Polyhedron:
     builder (``_build``) that every constructor calls.  A and b are their
     integer image ``_a_image`` and B and d theirs, ``_b_image``, both built
     with the polyhedron by ``_image_of``; the simplex builds every tableau
-    row from them, and the kernels of A (``_a_block``), of [A; B] (the
-    pointedness check, where the bound rows of B leave a coordinate
-    unbounded) and of the circuit test are built from their primitive rows
-    by ``ratlin._kernel`` when they are read; none is kept.  The
+    row from them, and every kernel of A's rows and some of B's, the
+    pointedness check's [A; B] among them, is built from their primitive
+    rows by ``_block`` when it is read; none is kept.  The
     instance parser and the circulation reduction hand over int rows
     (``_from_ints``), and the public constructor converts its RatMat and
     RatVec arguments to the same rows.  The images are
@@ -150,17 +153,14 @@ class Polyhedron:
         each row is (N_i, L_i) and each entry (p_i, q_i), as ``_image_of``
         takes them.  The views are built on first read.
 
-        A row of B with one nonzero is +-e_j, a bound on x_j (the rows the
-        simplex reads as bounds).  When such rows bound every coordinate,
-        rank [A; B] = n and the system is pointed with no elimination; else
-        the system is pointed when the kernel of A's and B's primitive rows
-        (``ratlin._kernel``) is empty."""
+        The system is pointed when the kernel of A's and B's rows is {0},
+        an empty ``_block``; when the rows +-e_j of B, the bounds the simplex
+        reads, bound every coordinate, that takes no elimination."""
         self.n = n
         self._a_image = _image_of(a_rows, b)
         self._b_image = _image_of(b_rows, d)
         self._A = self._b = self._B = self._d = None
-        bounded = {row[0][0] for row in self._b_image.nonzeros if len(row) == 1}
-        if len(bounded) < n and _kernel(self._a_image.rows + self._b_image.rows, n):
+        if _block(self, range(len(self._b_image.rows)), ()):
             raise NotPointedError("the system contains a line (rank [A; B] < n)")
 
     @property
@@ -359,14 +359,42 @@ def _active(slack: Sequence[int]) -> tuple[int, ...]:
     return tuple(j for j, s in enumerate(slack) if s == 0)
 
 
-def _a_block(P: Polyhedron) -> list[list[int]]:
-    """The block of A's kernel, as ``ratlin._cut`` takes it: each column v
-    of ``ratlin._kernel`` of A's primitive rows, followed by v's image
-    under B, built anew at each call, for the walks on P.  A column's sign
-    is not normalized: the walk flips a column whose first nonzero is
-    negative."""
-    n = P.n
-    return [col[:n] + _image(P._b_image, col) for col in _kernel(P._a_image.rows, n)]
+def _block(P: Polyhedron, zero: Sequence[int], reps: Iterable[int]) -> list[list[int]]:
+    """The block of the kernel of A's rows and the rows ``zero`` of B, as
+    ``ratlin._cut`` takes it, each column followed by its products with the
+    rows ``reps`` of B: the one builder of every kernel the package starts
+    from, built anew at each call.
+
+    A row +-e_j in ``zero`` fixes x_j = 0 on that kernel, so
+    ``ratlin._kernel`` runs on the other coordinates only, from A's rows and
+    the other rows of ``zero``, restricted to them, and each column is put
+    back into n entries; when every coordinate is fixed the kernel is {0}
+    and the block is empty, with no elimination.  A fixed coordinate is a
+    lead of the reduced row echelon form of [A; B_zero], so this is the
+    block ``_kernel`` would build on all n coordinates, up to the sign of
+    each column, which is not normalized: the walk flips a column whose
+    first nonzero is negative, and the circuit scan orients each circuit.
+    """
+    n, image = P.n, P._b_image
+    nonzeros = image.nonzeros
+    fixed = {nonzeros[i][0][0] for i in zero if len(nonzeros[i]) == 1}
+    if len(fixed) == n:
+        return []
+    rows = [*P._a_image.rows, *[image.rows[i] for i in zero if len(nonzeros[i]) != 1]]
+    if fixed:
+        free = [j for j in range(n) if j not in fixed]
+        rows = [[q[j] for j in free] for q in rows]
+    products = [nonzeros[i] for i in reps]
+    block = []
+    for col in _kernel(rows, n - len(fixed)):
+        if fixed:
+            v = [0] * n
+            for j, a in zip(free, col):
+                v[j] = a
+        else:
+            v = col[:n]
+        block.append(v + [sum([a * v[j] for j, a in row]) for row in products])
+    return block
 
 
 # B's parallel classes with A's block over them, as ``_classes`` gives them:
@@ -385,12 +413,13 @@ def _classes(P: Polyhedron) -> Classes:
     ``rows`` gives the class k_i and sign s_i = +-1 of every row i of B,
     with q_i = s_i q_reps[k_i], so B v is read off v's products p with the
     representatives as (B v)_i = s_i p[k_i]; a zero row is (0, 0).
-    ``block`` is ``_a_block``'s with each column's products taken with the
-    representatives only, in class order; its readers normalize a column's
-    sign or ignore it (the circuit scan normalizes its projections and
-    orients each circuit, and the cone's walk flips a column).
+    ``block`` is the block of A's kernel (``_block``) with each column's
+    products taken with the representatives, in class order; its readers
+    normalize a column's sign or ignore it (the circuit scan normalizes its
+    projections and orients each circuit, and the cone's walk flips a
+    column).
     """
-    n, image = P.n, P._b_image
+    image = P._b_image
     reps: list[int] = []
     rows: list[tuple[int, int]] = []
     first: dict[tuple[int, ...], tuple[int, int]] = {}  # class and sign of its first row
@@ -405,22 +434,16 @@ def _classes(P: Polyhedron) -> Classes:
             reps.append(i)
         k, s = first[key]
         rows.append((k, sign * s))
-    products = [image.nonzeros[i] for i in reps]
-    block = []
-    for col in _kernel(P._a_image.rows, n):
-        v = col[:n]
-        block.append(v + [sum([a * v[j] for j, a in row]) for row in products])
-    return block, reps, rows
+    return _block(P, (), reps), reps, rows
 
 
-def _tighten(
-    block: list[list[int]], n: int, slack: Sequence[int], before=None
-) -> list[list[int]]:
-    """``block`` cut by each B-row with zero slack, or, given the slack
-    ``before`` a move that keeps tight rows tight, by each row the move
-    made tight; a row 0 in every column is in the span already."""
+def _tighten(block: list[list[int]], n: int, slack: Sequence[int]) -> list[list[int]]:
+    """``block`` cut by each B-row with zero slack that is not 0 in every
+    column; a row 0 in every column is in the span already, as is each row
+    a walk's move kept tight, since it was tight before and the block was
+    cut by it then."""
     for i, s in enumerate(slack):
-        if s == 0 and (before is None or before[i]) and any(col[n + i] for col in block):
+        if s == 0 and any(col[n + i] for col in block):
             block = _cut(block, n, n + i)
     return block
 
@@ -480,14 +503,17 @@ def _walk(
     sigma_i = 1 or -1 the sign of row i.  (X, S, D) is the start in the
     int form of ``_slack`` (on the cone, S_i = -sigma_i q_i.X; D is carried
     there, but only the direction of X is read), and ``block`` is that of
-    the kernel of A stacked on the B-rows tight at the start (``_tighten``);
-    on the cone its products are the signed ones, sigma_i q_i.v.  A cut by
+    the kernel of A stacked on the B-rows tight at the start, with its
+    images under B: on P, ``_block`` of the rows ``_active`` in S; on the
+    cone, A's block over B's classes with its products signed, sigma_i
+    q_i.v, and cut by the tight rows (``_tighten``).  A cut by
     a row with its signs flipped flips only the signs of columns, which
     each move normalizes.
     A move reads the first column as w, an int tuple with its first nonzero
     positive, and w's image, or their negation when only the negation is
     bounded, goes as far as ``_ratio_test`` allows by ``_move``, and cuts
-    the block by the rows the move made tight.  On the cone the column
+    the block by the rows the move made tight (``_tighten``: the rows tight
+    before are 0 on every column).  On the cone the column
     along X itself is passed over, since it leads to 0.  The walk ends at
     an empty block (a vertex), or on the cone when only X's own ray is left
     (an extreme ray).  Each move cuts a column, so there are at most n.
@@ -516,10 +542,9 @@ def _walk(
             j = _ratio_test(S, image)
             if j is None:  # pragma: no cover - Bw = 0 is impossible when pointed
                 raise AssertionError("feasible line found in a pointed polyhedron")
-        before = S
         X, S, D = _move(X, S, D, w, image, j)
         yield X, S, D, w
-        block = _tighten(block, n, S, before)
+        block = _tighten(block, n, S)
 
 
 def max_step(P: Polyhedron, x0: Point, g: RatVec) -> Union[Rat, _Unbounded]:

@@ -23,11 +23,12 @@ that step makes.  Every kernel is a block of columns instead: a kernel
 basis as int columns, each followed by its products with fixed rows.
 ``_cut`` is the same step on the columns, which restricts the block by
 one row, and ``_kernel`` builds the block of a set of int rows from the
-unit columns by one cut per independent row.  Rank, ``kernel_basis``,
-each polyhedron's block of A, its pointedness check and the circuit test
-read their kernels from ``_kernel``, and the circuit scan's flats and the
-active-set walk's kernels cut such a block further.  Results are read
-out as ``Fraction``s only at the end.
+unit columns by one cut per independent row.  Rank and ``kernel_basis``
+read their kernels from ``_kernel``, and so does every kernel a
+polyhedron starts from, through ``polyhedron._block``, which runs it on
+the coordinates that no bound row of the kernel fixes; the circuit scan's
+flats and the active-set walk's kernels cut such a block further.
+Results are read out as ``Fraction``s only at the end.
 The systems the package solves (incidence matrices, B = [I; -I], tableaux
 of slack columns) are mostly zeros, so ``_pivot`` and the
 products ``RatVec.dot`` and ``RatMat.matvec`` skip zero operands; the

@@ -19,9 +19,11 @@ and so is an imported name its module never reads (the re-exports of
 Elimination has one home: rows are pivoted only in the simplex, so only
 ``ratlin`` and ``lp`` use the elimination step and its row update, and
 every kernel is a block of columns built by ``ratlin._kernel``, which
-only ``polyhedron`` (A's block and the pointedness check) and
-``circuits`` (the circuit test) call instead of stacking matrices for
-``kernel_basis``.  Only those two cut a block with ``ratlin._cut``, so
+outside ``ratlin`` only ``polyhedron._block`` calls, the one builder of
+every kernel the package starts from, instead of stacking matrices for
+``kernel_basis``: the pointedness check, the circuit test, the walks of
+``lp`` and the block over B's parallel classes all read it.  Only
+``polyhedron`` and ``circuits`` cut a block with ``ratlin._cut``, so
 ``lp`` and ``conformal`` go through the walk.
 B's parallel classes have one finder, ``polyhedron._classes``: it alone
 keys B's rows by ``ratlin.sign_normalized``, and only the circuit scan,
@@ -89,7 +91,7 @@ INTEGER_KERNEL = {
         "_slack",
         "_ratio_test",
         "_move",
-        "_a_block",
+        "_block",
         "_classes",
         "_tighten",
         "_walk",
@@ -111,16 +113,18 @@ RATIONAL_METHODS = {"dot", "matvec", "vec", "is_zero"}
 
 # The modules allowed to refer to each elimination entry point.  Rows are
 # pivoted only in the simplex; every kernel is a block that ``_kernel``
-# builds, in ``polyhedron`` and in the circuit test.  The circuit scan walks
+# builds, outside ``ratlin`` only in ``polyhedron._block``
+# (``KERNEL_BUILDER``).  The circuit scan walks
 # flats in kernel coordinates, from the block of A's kernel; it and the
 # active-set walk restrict a block by the column step ``_cut``.
 ELIMINATION_HOMES = {
     "_pivot": {"ratlin.py", "lp.py"},
     "_combine": {"ratlin.py", "lp.py"},
     "kernel_basis": {"ratlin.py", "__init__.py"},
-    "_kernel": {"ratlin.py", "polyhedron.py", "circuits.py"},
+    "_kernel": {"ratlin.py", "polyhedron.py"},
     "_cut": {"ratlin.py", "circuits.py", "polyhedron.py"},
 }
+KERNEL_BUILDER = ("polyhedron.py", "_block")
 
 # B's parallel classes are found in one place, ``polyhedron._classes``: only
 # it keys B's rows by ``ratlin.sign_normalized``, which no other function
@@ -619,6 +623,8 @@ def test_checker_flags_unused_imports():
 def test_elimination_stays_in_its_modules():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
     assert misplaced_references(sources) == []
+    module, builder = KERNEL_BUILDER
+    assert referring_statements(sources[module], "_kernel") == [builder]
 
 
 def test_checker_flags_misplaced_elimination():
@@ -636,6 +642,7 @@ def test_checker_flags_misplaced_elimination():
     assert misplaced_references(sources) == [
         "lp.py:_kernel",
         "circuits.py:_combine",
+        "circuits.py:_kernel",
         "conformal.py:kernel_basis",
         "conformal.py:_kernel",
         "conformal.py:_cut",

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,11 +21,14 @@ from ddcircuits import (
     verify_unique,
 )
 import ddcircuits.lp
+import ddcircuits.polyhedron
+import ddcircuits.ratlin
 from ddcircuits.lp import _purify_to_vertex, _unique_by_reduced_costs
 from ddcircuits.polyhedron import active_rows
-from ddcircuits.ratlin import RatMat
+from ddcircuits.ratlin import RatMat, rank
 
 from instgen import (
+    all_arcs,
     dense_polytope,
     exhaustive_digraphs,
     gen_box,
@@ -425,6 +429,49 @@ def test_only_an_open_optimum_is_purified(monkeypatch):
                 _assert_vertex(P, out.vertex)
             verdicts.append(out.unique)
     assert True in verdicts and False in verdicts
+
+
+# Unit-cost circulations: V nodes, 2V arcs from ``random.Random(V).sample``
+# of the ordered pairs, c = -1 on every arc, so the tableau leaves the
+# optimum open.  V: (sha256 over the repr of ``solve_lp``'s vertex, value
+# and ``unique`` and of ``verify_unique``'s report, recorded while the walks
+# still started from A's whole block; the column steps (``ratlin._cut``) of
+# both, recorded when each walk began to start from a block built on the
+# coordinates that no tight bound fixes, from 60, 80 and 240).
+OPEN_CIRCULATIONS = {
+    10: ("fcac7a91055523f5e26319f9cad14f396e5d1ab48321aab083462527737a55f6", 4),
+    20: ("a2250dc60bd78e5ef8d75a820029ddf4bde7bd810cb4ac622dba7e6848e8ae17", 0),
+    40: ("3afa432c802bc35a8ca7496e7c1ffb65fd4af80fbbd93ae5b42344ff8b105536", 6),
+}
+
+
+@pytest.mark.parametrize("V", OPEN_CIRCULATIONS)
+def test_walks_on_open_circulation_optima(monkeypatch, V):
+    """The purifying walk and the uniqueness check on circulations whose
+    optimum the tableau leaves open: V = 20 is unique by the tangent-cone
+    LP, and V = 10 and 40 have a witness, a second optimum."""
+    graph = Digraph(V, tuple(random.Random(V).sample(all_arcs(V), 2 * V)))
+    P = build_reduction(graph).instance.polyhedron
+    c = RatVec([-1] * P.n)
+    cuts = []
+    real = ddcircuits.ratlin._cut
+
+    def counted(*args):
+        cuts.append(args[2])
+        return real(*args)
+
+    for module in (ddcircuits.ratlin, ddcircuits.polyhedron):
+        monkeypatch.setattr(module, "_cut", counted)
+    out = solve_lp(P, c)
+    report = verify_unique(P, c, out.vertex, optimum=out)
+    digest = hashlib.sha256(repr((out.vertex, out.value, out.unique, report)).encode()).hexdigest()
+    assert (digest, len(cuts)) == OPEN_CIRCULATIONS[V]
+    assert not out.unique and report.unique == (V == 20)
+    tight = [P.B.entries[j] for j in active_rows(P, out.vertex)]
+    assert rank(RatMat(list(P.A.entries) + tight, cols=P.n)) == P.n
+    if not report.unique:
+        assert is_feasible(P, report.witness) and report.witness != out.vertex
+        assert c.dot(report.witness) == out.value
 
 
 class TestReducedCostShortcut:

@@ -25,8 +25,8 @@ from ddcircuits import (
 )
 from ddcircuits.conformal import _terms
 from ddcircuits.polyhedron import (
-    _a_block,
     _active,
+    _block,
     _classes,
     _image,
     _point,
@@ -291,7 +291,7 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     )
     P = Polyhedron(P.A, P.b, P.B, d)
     X, S, D = _slack(P, x)
-    block = _tighten(_a_block(P), P.n, S)
+    block = _block(P, _active(S), range(P.B.m))
     walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, False, X, S, D, block)]
     assert walk == list(fraction_walk(P, None, x))
 
@@ -308,7 +308,8 @@ def test_int_walk_matches_fraction_walk(kind, seed, integral_x):
     signs = [-1 if e < 0 else 1 for e in bz]
     S = [abs(e) for e in bz]
     n = P.n  # the cone's block carries the signed images sigma_i q_i.v
-    block = [col[:n] + [s * a for s, a in zip(signs, col[n:])] for col in _a_block(P)]
+    start = _block(P, (), range(P.B.m))
+    block = [col[:n] + [s * a for s, a in zip(signs, col[n:])] for col in start]
     block = _tighten(block, n, S)
     walk = [(_point(Y, E), w) for Y, _, E, w in _walk(P, True, [-e for e in Z], S, D, block)]
     assert walk == list(fraction_walk(P, signs, -z))

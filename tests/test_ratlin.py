@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ddcircuits import Polyhedron
-from ddcircuits.polyhedron import _a_block, _image
+from ddcircuits.polyhedron import _block, _image
 from ddcircuits.ratlin import (
     RatMat,
     RatVec,
@@ -263,16 +263,19 @@ def test_cut_keeps_the_kernel_basis(kind, seed, data):
     # is a basis vector up to sign, primitive, followed by its image under
     # B in row units; a row that is 0 in every column is in the span of
     # those cut already and is passed over, and a trivial kernel gives an
-    # empty block
+    # empty block.  The block built at once on a set of B's rows with the
+    # added ones among them, which fixes the coordinate of e_j, is that
+    # kernel basis too, and rows fixing every coordinate give no block.
     rng = random.Random(seed)
     P = _BLOCK_SYSTEMS[kind](rng)
     n, rows = P.n, [list(row) for row in P.B.entries]
     e = [Fraction(int(k == rng.randrange(n))) for k in range(n)]
     rows += [[2 * a for a in e], [-a for a in e], [a - 3 * b for a, b in zip(rows[0], rows[-1])]]
     P = Polyhedron(P.A, P.b, RatMat(rows, cols=n), RatVec(list(P.d) + [0, 0, 0]))
-    order = data.draw(st.permutations(range(len(rows))))
-    block, cut = _a_block(P), []
-    for i in [None] + order[: data.draw(st.integers(0, len(rows)))]:
+    m, every = len(rows), range(len(rows))
+    order = data.draw(st.permutations(every))
+    block, cut = _block(P, (), every), []
+    for i in [None] + order[: data.draw(st.integers(0, m))]:
         if i is not None:
             cut.append(rows[i])
             if any(col[n + i] for col in block):
@@ -283,6 +286,17 @@ def test_cut_keeps_the_kernel_basis(kind, seed, data):
             assert gcd(*col[:n]) == 1 and col[n:] == _image(P._b_image, col[:n])
         if not ker:
             assert block == []
+
+    zero = sorted(data.draw(st.sets(st.sampled_from(range(m - 3))))) + [m - 3, m - 2, m - 1]
+    block = _block(P, zero, every)
+    ker = kernel_basis(RatMat(list(P.A.entries) + [rows[i] for i in zero], cols=n))
+    assert [sign_normalized(col[:n]) for col in block] == [v.entries for v in ker]
+    for col in block:
+        assert gcd(*col[:n]) == 1 and col[n:] == _image(P._b_image, col[:n])
+
+    units = [[(-1) ** k * int(k == j) for k in range(n)] for j in range(n)]
+    P = Polyhedron(P.A, P.b, RatMat(rows + units, cols=n), RatVec(list(P.d) + [1] * n))
+    assert _block(P, zero + list(range(m, m + n)), range(m + n)) == []
 
 
 @given(st.lists(_rationals(), max_size=6))
